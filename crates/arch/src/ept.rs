@@ -9,6 +9,7 @@
 //! `EPT_MISCONFIG` exits for emulation, as KVM does for virtio BARs.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use svt_mem::{Gpa, PAGE_SIZE};
 
@@ -113,7 +114,12 @@ enum Entry {
 pub struct Ept {
     entries: BTreeMap<u64, Entry>,
     generation: u64,
+    /// Identity of this table's contents; see [`Ept::stamp`].
+    stamp: u64,
 }
+
+/// Source of [`Ept::stamp`] values; 0 is left to never-edited tables.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 impl Ept {
     /// Creates an empty hierarchy.
@@ -121,34 +127,55 @@ impl Ept {
         Ept::default()
     }
 
+    /// A process-unique value that changes on every edit. A clone keeps
+    /// its source's stamp until either is edited, so two tables with the
+    /// same stamp hold the same contents. Not part of the table's state:
+    /// snapshots and fingerprints ignore it.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    fn touch(&mut self) {
+        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Maps guest page `gpa_page` to target page `target_page`.
     pub fn map_page(&mut self, gpa_page: u64, target_page: u64, perms: EptPerms) {
         self.entries
             .insert(gpa_page, Entry::Mapped { target_page, perms });
+        self.touch();
     }
 
     /// Identity-maps `n` pages starting at page `start`.
     pub fn identity_map(&mut self, start: u64, n: u64, perms: EptPerms) {
         for p in start..start + n {
-            self.map_page(p, p, perms);
+            let entry = Entry::Mapped {
+                target_page: p,
+                perms,
+            };
+            self.entries.insert(p, entry);
         }
+        self.touch();
     }
 
     /// Marks a page as MMIO: any access raises [`EptFault::Misconfig`],
     /// the device-emulation fast path.
     pub fn mark_mmio(&mut self, gpa_page: u64) {
         self.entries.insert(gpa_page, Entry::Mmio);
+        self.touch();
     }
 
     /// Removes a mapping.
     pub fn unmap(&mut self, gpa_page: u64) {
         self.entries.remove(&gpa_page);
+        self.touch();
     }
 
     /// Drops every mapping (`invept` single-context flush).
     pub fn invalidate_all(&mut self) {
         self.entries.clear();
         self.generation += 1;
+        self.touch();
     }
 
     /// Monotonic generation counter bumped by invalidations; composed EPTs
@@ -201,18 +228,23 @@ impl Ept {
     pub fn compose(&self, outer: &Ept) -> Ept {
         let mut out = Ept::new();
         for (&g2_page, entry) in &self.entries {
-            match entry {
-                Entry::Mmio => out.mark_mmio(g2_page),
+            let composed = match entry {
+                Entry::Mmio => Entry::Mmio,
                 Entry::Mapped { target_page, perms } => match outer.entries.get(target_page) {
-                    Some(Entry::Mmio) => out.mark_mmio(g2_page),
+                    Some(Entry::Mmio) => Entry::Mmio,
                     Some(Entry::Mapped {
                         target_page: hpa_page,
                         perms: outer_perms,
-                    }) => out.map_page(g2_page, *hpa_page, perms.intersect(*outer_perms)),
-                    None => {}
+                    }) => Entry::Mapped {
+                        target_page: *hpa_page,
+                        perms: perms.intersect(*outer_perms),
+                    },
+                    None => continue,
                 },
-            }
+            };
+            out.entries.insert(g2_page, composed);
         }
+        out.touch();
         out
     }
 
@@ -243,6 +275,7 @@ impl Ept {
         self.generation = r.u64()?;
         let n = r.usize()?;
         self.entries.clear();
+        self.touch();
         for _ in 0..n {
             let page = r.u64()?;
             let entry = match r.u8()? {

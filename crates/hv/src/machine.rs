@@ -196,12 +196,12 @@ impl Machine {
     /// Builds a machine with one vCPU driven by an explicit switch engine.
     pub fn with_reflector(cfg: MachineConfig, reflector: Box<dyn Reflector>) -> Self {
         // Open the host-profiling window before anything allocates:
-        // construction and boot (memory, EPT webs, vmcs setup, device
-        // attach) are attributed to `HostPart::Boot` until the run loop
-        // takes over.
+        // construction and boot (memory, EPT webs, vmcs setup) are
+        // attributed to `HostPart::MachineBoot`, and whatever follows
+        // until the run loop takes over to `HostPart::WorkloadSetup`.
         let mut hostprof = svt_obs::HostProf::default();
         hostprof.run_begin();
-        hostprof.enter(HostPart::Boot);
+        hostprof.enter(HostPart::MachineBoot);
         let smt = cfg.spec.smt_per_core.max(3) as usize;
         let loc = assign_svt_cores(&cfg.spec, 1)
             .map(|v| v[0])
@@ -237,6 +237,7 @@ impl Machine {
         if m.level == Level::L2 {
             m.boot_nested();
         }
+        m.obs.hostprof.end_machine_boot();
         m
     }
 
@@ -283,6 +284,7 @@ impl Machine {
     ///
     /// Panics if [`Machine::spec`] has no free SMT core pair left.
     pub fn add_vcpu(&mut self, reflector: Box<dyn Reflector>) -> usize {
+        self.obs.hostprof.enter(HostPart::MachineBoot);
         let id = self.vcpus.len();
         let locs =
             assign_svt_cores(&self.spec, id + 1).expect("machine spec cannot host another vCPU");
@@ -295,6 +297,7 @@ impl Machine {
             self.boot_nested();
             self.switch_to(prev);
         }
+        self.obs.hostprof.exit(HostPart::MachineBoot);
         id
     }
 
@@ -383,9 +386,11 @@ impl Machine {
             }
         }
         if self.level == Level::L2 {
-            let Machine { l0, l1, vcpus, .. } = self;
-            for v in vcpus.iter_mut() {
-                program_vmcs02(l0, l1, &mut v.vmcs02);
+            // One merge and compose for the whole machine, then the
+            // per-vCPU control writes.
+            self.l0.merge_and_compose(&self.l1);
+            for v in &mut self.vcpus {
+                self.l0.write_vmcs02(&mut v.vmcs02);
             }
         }
         self.devices.push(Some(dev));
@@ -817,8 +822,9 @@ impl Machine {
         // Host-profiled run: everything between here and `run_end` is
         // attributed to exactly one `HostPart` (Scheduler by default).
         // The construction-time window (if still open) stops charging
-        // Boot here; a re-run on a finished machine opens a fresh window.
-        self.obs.hostprof.end_boot();
+        // WorkloadSetup here; a re-run on a finished machine opens a
+        // fresh window.
+        self.obs.hostprof.end_setup();
         self.obs.hostprof.run_begin();
         let out = self.run_smp_inner(progs, deadline);
         let sim_end = (0..self.vcpus.len())

@@ -165,6 +165,8 @@ pub struct L0State {
     pub ept02: Ept,
     /// Deadline of the most recently armed physical timer, if any.
     pub phys_timer: Option<SimTime>,
+    /// `(ept12, ept01, ept02)` stamps right after the last compose.
+    composed: Option<(u64, u64, u64)>,
 }
 
 impl L0State {
@@ -178,7 +180,29 @@ impl L0State {
             ept01,
             ept02: Ept::new(),
             phys_timer: None,
+            composed: None,
         }
+    }
+
+    /// Merges L0's and L1's trap policies into `policy02` and composes
+    /// `ept02 = ept12 ∘ ept01`, as L0 does when L1 launches L2 (§ 2.1).
+    /// The compose is skipped when neither source nor `ept02` has been
+    /// edited since the last one: `ept02` then already holds its result.
+    pub(crate) fn merge_and_compose(&mut self, l1: &L1State) {
+        self.policy02 = self.policy01.merge_for_nested(&l1.policy12);
+        let sources = (l1.ept12.stamp(), self.ept01.stamp(), self.ept02.stamp());
+        if self.composed != Some(sources) {
+            self.ept02 = l1.ept12.compose(&self.ept01);
+            self.composed = Some((sources.0, sources.1, self.ept02.stamp()));
+        }
+    }
+
+    /// Writes the merged policy and the EPT pointer into one vCPU's
+    /// vmcs02.
+    pub(crate) fn write_vmcs02(&self, vmcs02: &mut Vmcs) {
+        self.policy02.write_to(vmcs02);
+        // vmcs02's EPT pointer is a host-physical address L0 owns.
+        vmcs02.write(VmcsField::EptPointer, 0xe9700000);
     }
 
     /// Serializes L0's state for `svt_sim::snapshot`.
@@ -404,12 +428,8 @@ impl MachineConfig {
 /// composition are machine-wide; the control writes land in the given
 /// vCPU's descriptor.
 pub fn program_vmcs02(l0: &mut L0State, l1: &L1State, vmcs02: &mut Vmcs) {
-    l0.policy02 = l0.policy01.merge_for_nested(&l1.policy12);
-    let p02 = l0.policy02.clone();
-    p02.write_to(vmcs02);
-    l0.ept02 = l1.ept12.compose(&l0.ept01);
-    // vmcs02's EPT pointer is a host-physical address L0 owns.
-    vmcs02.write(VmcsField::EptPointer, 0xe9700000);
+    l0.merge_and_compose(l1);
+    l0.write_vmcs02(vmcs02);
 }
 
 #[cfg(test)]

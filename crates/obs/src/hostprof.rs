@@ -79,18 +79,22 @@ pub enum HostPart {
     Faults = 8,
     /// Explicitly-unattributed work charged by callers.
     Other = 9,
-    /// Machine construction and boot: memory/EPT setup, vmcs webs,
-    /// device attach — everything between `Machine` construction and the
-    /// first `run_smp`.
-    Boot = 10,
+    /// Machine construction and boot: guest memory, EPT webs, each
+    /// vCPU's nested bootstrap — through the return of the machine
+    /// constructor, including every added vCPU.
+    MachineBoot = 10,
+    /// Workload set-up on a built machine: device attach, service state,
+    /// guest programs — from the constructor's return to the first
+    /// `run_smp`.
+    WorkloadSetup = 11,
     /// Machine teardown after the run window closes: freeing guest
     /// memory, EPT webs and devices. Charged by [`charge_block`].
-    Teardown = 11,
+    Teardown = 12,
 }
 
 impl HostPart {
     /// Number of parts (size of the dense columns).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 13;
 
     /// Every part, in discriminant order.
     pub const ALL: [HostPart; HostPart::COUNT] = [
@@ -104,7 +108,8 @@ impl HostPart {
         HostPart::Metrics,
         HostPart::Faults,
         HostPart::Other,
-        HostPart::Boot,
+        HostPart::MachineBoot,
+        HostPart::WorkloadSetup,
         HostPart::Teardown,
     ];
 
@@ -121,7 +126,8 @@ impl HostPart {
             HostPart::Metrics => "metrics",
             HostPart::Faults => "faults",
             HostPart::Other => "other",
-            HostPart::Boot => "boot",
+            HostPart::MachineBoot => "machine_boot",
+            HostPart::WorkloadSetup => "workload_setup",
             HostPart::Teardown => "teardown",
         }
     }
@@ -418,11 +424,22 @@ impl HostProf {
         self.stack.push(part);
     }
 
-    /// Closes the construction window: pops [`HostPart::Boot`] if it is
-    /// still the active part. Called by the run loop on entry, so boot
-    /// work never bleeds into the run's Scheduler row.
-    pub fn end_boot(&mut self) {
-        if self.running && self.stack.last() == Some(&HostPart::Boot) {
+    /// Ends machine construction: if [`HostPart::MachineBoot`] is the
+    /// active part, host cost from here on is charged to
+    /// [`HostPart::WorkloadSetup`] instead. Called as the machine
+    /// constructor returns.
+    pub fn end_machine_boot(&mut self) {
+        if self.running && self.stack.last() == Some(&HostPart::MachineBoot) {
+            self.switch_charge();
+            *self.stack.last_mut().expect("checked above") = HostPart::WorkloadSetup;
+        }
+    }
+
+    /// Closes the construction window: pops [`HostPart::WorkloadSetup`]
+    /// if it is still the active part. Called by the run loop on entry,
+    /// so set-up work never bleeds into the run's Scheduler row.
+    pub fn end_setup(&mut self) {
+        if self.running && self.stack.last() == Some(&HostPart::WorkloadSetup) {
             self.switch_charge();
             self.stack.pop();
         }

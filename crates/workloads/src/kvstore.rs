@@ -1,15 +1,13 @@
 //! The memcached-like key-value store and Facebook's ETC workload.
 //!
-//! A real sharded hash-map store runs inside L2 behind the generic
+//! A key-value store runs inside L2 behind the generic
 //! [`RrServer`](crate::server::RrServer); the [`EtcSource`] request stream
 //! follows the published shape of Facebook's ETC pool (Atikoglu et al.,
 //! SIGMETRICS'12): GET-dominated (~95 %), small keys, and a heavy-tailed
 //! value-size distribution with Zipf-like key popularity.
 
-use svt_sim::FnvHashMap;
-
 use svt_mem::GuestMemory;
-use svt_sim::{DetRng, SimDuration};
+use svt_sim::{DetRng, FnvHashMap, SimDuration};
 
 use crate::loadgen::{Request, RequestSource};
 use crate::server::{ParsedRequest, ServeOutput, ServiceModel};
@@ -18,62 +16,6 @@ use crate::server::{ParsedRequest, ServeOutput, ServiceModel};
 pub const OP_GET: u32 = 0;
 /// SET operation code.
 pub const OP_SET: u32 = 1;
-
-/// A sharded in-memory key-value store.
-///
-/// # Examples
-///
-/// ```
-/// use svt_workloads::KvStore;
-///
-/// let mut kv = KvStore::new(16);
-/// kv.set(7, vec![1, 2, 3]);
-/// assert_eq!(kv.get(7).map(|v| v.len()), Some(3));
-/// assert_eq!(kv.get(8), None);
-/// ```
-#[derive(Debug)]
-pub struct KvStore {
-    shards: Vec<FnvHashMap<u64, Vec<u8>>>,
-}
-
-impl KvStore {
-    /// Creates a store with `shards` hash shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0);
-        KvStore {
-            shards: (0..shards).map(|_| FnvHashMap::default()).collect(),
-        }
-    }
-
-    fn shard(&self, key: u64) -> usize {
-        (key % self.shards.len() as u64) as usize
-    }
-
-    /// Looks a key up.
-    pub fn get(&self, key: u64) -> Option<&Vec<u8>> {
-        self.shards[self.shard(key)].get(&key)
-    }
-
-    /// Stores a value.
-    pub fn set(&mut self, key: u64, value: Vec<u8>) {
-        let s = self.shard(key);
-        self.shards[s].insert(key, value);
-    }
-
-    /// Number of stored items.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(FnvHashMap::len).sum()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// The ETC-like request stream.
 #[derive(Debug, Clone)]
@@ -125,11 +67,18 @@ impl RequestSource for EtcSource {
     }
 }
 
-/// The memcached service: real store operations plus a calibrated
-/// per-request processing cost.
+/// The memcached service: store operations plus a calibrated per-request
+/// processing cost.
+///
+/// Only a value's length is observable to the simulation (it sets the
+/// memcpy cost and the reply size), so the store keeps lengths, not bytes.
+/// The warm set is synthesized: key `k < warm_keys` holds
+/// `warm_len(k)` bytes until it is first SET. A sparse overlay holds
+/// the length of every key SET since.
 #[derive(Debug)]
 pub struct KvService {
-    store: KvStore,
+    warm_keys: u64,
+    written: FnvHashMap<u64, u32>,
     /// Fixed request-parsing + hashing cost.
     pub base_cost: SimDuration,
     /// Per-value-byte memcpy cost.
@@ -139,17 +88,18 @@ pub struct KvService {
     sets: u64,
 }
 
+/// Length of warm key `k`'s value: deterministic sizes spread over the ETC
+/// range. (`% 1024` divides 2^64, so the wrapping product is exact.)
+fn warm_len(k: u64) -> u32 {
+    (64 + k.wrapping_mul(37) % 1024) as u32
+}
+
 impl KvService {
-    /// A service over a fresh store, pre-warmed with `warm_keys` values.
+    /// A service over a store pre-warmed with keys `0..warm_keys`.
     pub fn new(warm_keys: u64) -> Self {
-        let mut store = KvStore::new(64);
-        for k in 0..warm_keys {
-            // Deterministic warm sizes spread over the ETC range.
-            let size = 64 + (k * 37) % 1024;
-            store.set(k, vec![0xAB; size as usize]);
-        }
         KvService {
-            store,
+            warm_keys,
+            written: FnvHashMap::default(),
             base_cost: SimDuration::from_ns(1800),
             per_byte: SimDuration::from_ps(400),
             hits: 0,
@@ -163,9 +113,12 @@ impl KvService {
         (self.hits, self.misses, self.sets)
     }
 
-    /// The underlying store.
-    pub fn store(&self) -> &KvStore {
-        &self.store
+    /// Length of the value stored under `key`, if any.
+    fn value_len(&self, key: u64) -> Option<u32> {
+        match self.written.get(&key) {
+            Some(&len) => Some(len),
+            None => (key < self.warm_keys).then(|| warm_len(key)),
+        }
     }
 }
 
@@ -174,7 +127,7 @@ impl ServiceModel for KvService {
         match req.op {
             OP_SET => {
                 self.sets += 1;
-                self.store.set(req.key, vec![0xCD; req.vsize as usize]);
+                self.written.insert(req.key, req.vsize);
                 ServeOutput {
                     compute: self.base_cost + self.per_byte * req.vsize as u64,
                     reply_len: 8,
@@ -182,15 +135,16 @@ impl ServiceModel for KvService {
                 }
             }
             _ => {
-                let (found, len) = match self.store.get(req.key) {
-                    Some(v) => (true, v.len() as u32),
-                    None => (false, 0),
+                let len = match self.value_len(req.key) {
+                    Some(len) => {
+                        self.hits += 1;
+                        len
+                    }
+                    None => {
+                        self.misses += 1;
+                        0
+                    }
                 };
-                if found {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                }
                 ServeOutput {
                     compute: self.base_cost + self.per_byte * len as u64,
                     reply_len: 8 + len,
@@ -205,19 +159,95 @@ impl ServiceModel for KvService {
 mod tests {
     use super::*;
 
+    /// The store as it was first written: every value materialized as
+    /// bytes. The synthesized store must be indistinguishable from it.
+    #[derive(Default)]
+    struct MaterializedKv {
+        store: FnvHashMap<u64, Vec<u8>>,
+        hits: u64,
+        misses: u64,
+        sets: u64,
+    }
+
+    impl MaterializedKv {
+        fn new(warm_keys: u64) -> Self {
+            let mut kv = MaterializedKv::default();
+            for k in 0..warm_keys {
+                let size = 64 + (k * 37) % 1024;
+                kv.store.insert(k, vec![0xAB; size as usize]);
+            }
+            kv
+        }
+
+        fn serve(&mut self, svc: &KvService, req: &ParsedRequest) -> ServeOutput {
+            if req.op == OP_SET {
+                self.sets += 1;
+                self.store.insert(req.key, vec![0xCD; req.vsize as usize]);
+                return ServeOutput {
+                    compute: svc.base_cost + svc.per_byte * req.vsize as u64,
+                    reply_len: 8,
+                    ..ServeOutput::default()
+                };
+            }
+            let len = match self.store.get(&req.key) {
+                Some(v) => {
+                    self.hits += 1;
+                    v.len() as u32
+                }
+                None => {
+                    self.misses += 1;
+                    0
+                }
+            };
+            ServeOutput {
+                compute: svc.base_cost + svc.per_byte * len as u64,
+                reply_len: 8 + len,
+                ..ServeOutput::default()
+            }
+        }
+    }
+
     #[test]
-    fn store_round_trip_and_sharding() {
-        let mut kv = KvStore::new(4);
-        for k in 0..100 {
-            kv.set(k, vec![k as u8; (k % 32) as usize + 1]);
+    fn synthesized_store_matches_materialized_reference() {
+        let mut mem = GuestMemory::new(4096);
+        for (seed, warm_keys) in [(1, 0), (2, 1), (3, 300), (4, 2_000), (5, 50_000)] {
+            let mut rng = DetRng::seed(seed);
+            let mut svc = KvService::new(warm_keys);
+            let mut reference = MaterializedKv::new(warm_keys);
+            for i in 0..5_000 {
+                // Keys straddle the warm boundary; a third of the ops are
+                // SETs (re-SETs overwrite), and some SETs store nothing.
+                let req = ParsedRequest {
+                    send_ps: i,
+                    key: rng.below(warm_keys * 2 + 64),
+                    op: if rng.chance(0.33) { OP_SET } else { OP_GET },
+                    vsize: if rng.chance(0.1) {
+                        0
+                    } else {
+                        rng.range(1, 16_384) as u32
+                    },
+                };
+                let want = reference.serve(&svc, &req);
+                assert_eq!(
+                    svc.serve(&req, &mut mem),
+                    want,
+                    "seed {seed}, request {i}: {req:?}"
+                );
+            }
+            let want = (reference.hits, reference.misses, reference.sets);
+            assert_eq!(svc.counters(), want, "seed {seed}");
         }
-        assert_eq!(kv.len(), 100);
-        for k in 0..100 {
-            assert_eq!(kv.get(k).unwrap().len(), (k % 32) as usize + 1);
+    }
+
+    #[test]
+    fn warm_len_matches_the_materialized_sizes() {
+        for k in [0, 1, 27, 1023, 49_999, u64::MAX / 37] {
+            assert_eq!(warm_len(k) as u64, 64 + (k * 37) % 1024);
         }
-        kv.set(5, vec![9]);
-        assert_eq!(kv.get(5).unwrap(), &vec![9]);
-        assert_eq!(kv.len(), 100);
+        assert_eq!(
+            warm_len(u64::MAX),
+            (64 + (u64::MAX as u128 * 37) % 1024) as u32
+        );
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use harness::{
     attach_blk, attach_blk_for, attach_loadgen_for, attach_loadgen_for_seeded, rr_arrival,
     rr_machine, rr_machine_seeded, DEFAULT_LANE_SEED, QUEUE_SIZE,
 };
-pub use kvstore::{EtcSource, KvService, KvStore, OP_GET, OP_SET};
+pub use kvstore::{EtcSource, KvService, OP_GET, OP_SET};
 pub use loadgen::{
     regs, ArrivalMode, FixedSource, LoadGenConfig, LoadGenNet, LoadStats, Request, RequestSource,
     PAYLOAD_HEADER,

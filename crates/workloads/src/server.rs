@@ -10,12 +10,12 @@
 //! `hlt` idling — these are exactly the trap sources the paper's Fig. 7/8/9
 //! measurements are made of.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use svt_arch::{MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_TIMER, VECTOR_VIRTIO};
 use svt_hv::{GuestCtx, GuestOp, GuestProgram};
 use svt_mem::{Gpa, GuestMemory, Hpa};
-use svt_sim::SimDuration;
+use svt_sim::{FnvHashMap, SimDuration};
 use svt_virtio::{Virtqueue, BLK_T_OUT};
 
 use crate::layout;
@@ -157,9 +157,9 @@ pub struct RrServer {
     blk: Option<Virtqueue>,
     ops: VecDeque<GuestOp>,
     phase: Phase,
-    rx_slots: HashMap<u16, u64>,
+    rx_slots: FnvHashMap<u16, u64>,
     tx_free: Vec<u64>,
-    tx_inflight: HashMap<u16, u64>,
+    tx_inflight: FnvHashMap<u16, u64>,
     queue: VecDeque<ParsedRequest>,
     eoi_owed: u32,
     served: u64,
@@ -190,11 +190,11 @@ impl RrServer {
             blk,
             ops: VecDeque::new(),
             phase: Phase::Init,
-            rx_slots: HashMap::new(),
+            rx_slots: FnvHashMap::default(),
             tx_free: (0..16)
                 .map(|i| lane.tx_bufs.0 + i * layout::BUF_SIZE)
                 .collect(),
-            tx_inflight: HashMap::new(),
+            tx_inflight: FnvHashMap::default(),
             queue: VecDeque::new(),
             eoi_owed: 0,
             served: 0,

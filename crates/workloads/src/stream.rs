@@ -7,11 +7,9 @@
 //! is why the paper's Fig. 7 network-bandwidth speedup saturates at
 //! 1.00×/1.12×.
 
-use std::collections::HashMap;
-
 use svt_arch::{MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_TIMER, VECTOR_VIRTIO};
 use svt_hv::{GuestCtx, GuestOp, GuestProgram};
-use svt_sim::{SimDuration, SimTime};
+use svt_sim::{FnvHashMap, SimDuration, SimTime};
 use svt_virtio::Virtqueue;
 
 use crate::layout;
@@ -26,7 +24,7 @@ pub struct StreamSender {
     timer_rearm_every: u64,
     tx: Virtqueue,
     tx_free: Vec<u64>,
-    tx_inflight: HashMap<u16, u64>,
+    tx_inflight: FnvHashMap<u16, u64>,
     sent: u64,
     acked: u64,
     credits: u32,
@@ -58,7 +56,7 @@ impl StreamSender {
             tx_free: (0..16)
                 .map(|i| layout::TX_BUFS.0 + i * layout::BUF_SIZE * 4)
                 .collect(),
-            tx_inflight: HashMap::new(),
+            tx_inflight: FnvHashMap::default(),
             sent: 0,
             acked: 0,
             credits: 0,

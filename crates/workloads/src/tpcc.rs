@@ -74,15 +74,17 @@ struct Order {
     delivered: bool,
 }
 
-/// The in-memory TPC-C database.
+/// The in-memory TPC-C database. Districts, customers and items have
+/// dense ids, so their tables are vectors indexed by id.
 #[derive(Debug)]
 pub struct TpccDb {
     warehouses: u64,
     districts_per_wh: u64,
     /// district id -> next order number.
-    next_order: FnvHashMap<u64, u64>,
-    customers: FnvHashMap<u64, Customer>,
-    stock: FnvHashMap<u64, i64>,
+    next_order: Vec<u64>,
+    customers: Vec<Customer>,
+    /// item id -> units in stock.
+    stock: Vec<i64>,
     orders: FnvHashMap<(u64, u64), Order>,
     undelivered: Vec<(u64, u64)>,
     committed: u64,
@@ -93,30 +95,16 @@ impl TpccDb {
     /// 3 000 customers per warehouse; 100 000 stocked items).
     pub fn new(warehouses: u64) -> Self {
         let districts_per_wh = 10;
-        let mut customers = FnvHashMap::default();
-        for c in 0..warehouses * 3000 {
-            customers.insert(
-                c,
-                Customer {
-                    balance: -1000,
-                    payments: 0,
-                },
-            );
-        }
-        let mut stock = FnvHashMap::default();
-        for i in 0..100_000u64 {
-            stock.insert(i, 100);
-        }
-        let mut next_order = FnvHashMap::default();
-        for d in 0..warehouses * districts_per_wh {
-            next_order.insert(d, 1);
-        }
+        let customer = Customer {
+            balance: -1000,
+            payments: 0,
+        };
         TpccDb {
             warehouses,
             districts_per_wh,
-            next_order,
-            customers,
-            stock,
+            next_order: vec![1; (warehouses * districts_per_wh) as usize],
+            customers: vec![customer; (warehouses * 3000) as usize],
+            stock: vec![100; 100_000],
             orders: FnvHashMap::default(),
             undelivered: Vec::new(),
             committed: 0,
@@ -148,17 +136,13 @@ impl TpccDb {
         let rows = match tx {
             TxType::NewOrder => {
                 let d = self.district_of(key);
-                let order_no = {
-                    let n = self.next_order.get_mut(&d).expect("district exists");
-                    let v = *n;
-                    *n += 1;
-                    v
-                };
+                let order_no = self.next_order[d as usize];
+                self.next_order[d as usize] += 1;
                 let lines: Vec<(u64, u32)> = (0..rng_lines.clamp(5, 15))
                     .map(|i| ((key * 17 + i as u64 * 31) % 100_000, 1 + i % 5))
                     .collect();
                 for (item, qty) in &lines {
-                    let s = self.stock.get_mut(item).expect("item stocked");
+                    let s = &mut self.stock[*item as usize];
                     *s -= *qty as i64;
                     if *s < 10 {
                         *s += 91;
@@ -178,7 +162,7 @@ impl TpccDb {
             }
             TxType::Payment => {
                 let c = key % (self.warehouses * 3000);
-                let cust = self.customers.get_mut(&c).expect("customer exists");
+                let cust = &mut self.customers[c as usize];
                 cust.balance += 500;
                 cust.payments += 1;
                 4
@@ -204,7 +188,7 @@ impl TpccDb {
                 2 + 3 * delivered
             }
             TxType::StockLevel => {
-                let low = self.stock.values().take(200).filter(|&&s| s < 50).count() as u32;
+                let low = self.stock[..200].iter().filter(|&&s| s < 50).count() as u32;
                 20 + low / 8
             }
         };
@@ -349,13 +333,13 @@ mod tests {
     #[test]
     fn new_order_creates_order_and_moves_stock() {
         let mut db = TpccDb::new(1);
-        let before: i64 = db.stock.values().sum();
+        let before: i64 = db.stock.iter().sum();
         let (rows, wal) = db.execute(TxType::NewOrder, 42, 7);
         assert!(rows >= 3 + 2 * 5);
         assert!(wal > 96);
         assert_eq!(db.order_count(), 1);
         assert!(db.order_line_count() >= 5);
-        let after: i64 = db.stock.values().sum();
+        let after: i64 = db.stock.iter().sum();
         assert!(after != before);
         assert_eq!(db.committed(), 1);
     }
@@ -365,7 +349,7 @@ mod tests {
         let mut db = TpccDb::new(1);
         db.execute(TxType::Payment, 7, 0);
         db.execute(TxType::Payment, 7, 0);
-        let c = db.customers.get(&7).unwrap();
+        let c = &db.customers[7];
         assert_eq!(c.balance, 0);
         assert_eq!(c.payments, 2);
     }
@@ -378,6 +362,23 @@ mod tests {
         }
         db.execute(TxType::Delivery, 0, 0);
         assert!(db.orders.values().all(|o| o.delivered));
+    }
+
+    #[test]
+    fn stock_level_counts_low_stock_among_item_ids_below_200() {
+        let mut db = TpccDb::new(1);
+        let level = |db: &mut TpccDb| db.execute(TxType::StockLevel, 0, 0).0;
+        assert_eq!(level(&mut db), 20);
+        // Eight low items among ids 0..200 add one row; 50 is not low.
+        db.stock[0..8].fill(49);
+        db.stock[8] = 50;
+        assert_eq!(level(&mut db), 21);
+        // Low stock past the scanned item ids never counts.
+        db.stock[0] = 100;
+        db.stock[200..1_000].fill(0);
+        assert_eq!(level(&mut db), 20);
+        db.stock[0..200].fill(0);
+        assert_eq!(level(&mut db), 20 + 200 / 8);
     }
 
     #[test]

@@ -422,4 +422,10 @@ echo "==> perfgate: fresh release run vs committed BENCH_*.json baselines"
 #     drift is a behavior change, and needs a BENCH_fig6.json update).
 cargo run -q --release -p svt-bench --bin perfgate -- --json /tmp/perfgate.json
 
+echo "==> repository benchmark: unit tests + smoke of every workload"
+# Every workload in BENCHMARK.json for a few rounds: metrics present with
+# their units, deterministic counts identical across processes and
+# between traced and untraced runs, no failed cell.
+bash benchmark/check.sh
+
 echo "CI green."
