@@ -11,6 +11,7 @@
 //! cargo run -p svt-bench --example golden_gen
 //! ```
 
+use svt_arch::ArchId;
 use svt_bench::{
     faults_campaign, faults_report, fig6_report, smp_report, smp_series, FAULTS_DEFAULT_SEED,
     FAULTS_MODES, SERVE_RATE_QPS,
@@ -21,14 +22,29 @@ fn main() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
 
-    let fig6 = fig6_report(&fig6_grid(30, 1), DEFAULT_LANE_SEED);
+    let fig6 = fig6_report(&fig6_grid(30, 1, None), DEFAULT_LANE_SEED);
     fig6.write_file(&dir.join("fig6_x86.json")).unwrap();
 
-    let series = smp_series(&[1, 2], SERVE_RATE_QPS, 60, DEFAULT_LANE_SEED, 1);
-    let smp = smp_report(&series, DEFAULT_LANE_SEED);
+    let series = smp_series(
+        ArchId::X86,
+        &[1, 2],
+        SERVE_RATE_QPS,
+        60,
+        DEFAULT_LANE_SEED,
+        1,
+        None,
+    );
+    let smp = smp_report(ArchId::X86, &series, DEFAULT_LANE_SEED);
     smp.write_file(&dir.join("smp_x86.json")).unwrap();
 
-    let cells = faults_campaign(&FAULTS_MODES, &[0.0, 0.05], 60, FAULTS_DEFAULT_SEED, 1);
+    let cells = faults_campaign(
+        &FAULTS_MODES,
+        &[0.0, 0.05],
+        60,
+        FAULTS_DEFAULT_SEED,
+        1,
+        None,
+    );
     let faults = faults_report(&cells, FAULTS_DEFAULT_SEED);
     faults.write_file(&dir.join("faults_x86.json")).unwrap();
 

@@ -19,13 +19,14 @@
 //! fallbacks trip it; `--dump-on-exit` guarantees a dump even when the
 //! cell never degrades).
 
+use svt_arch::ArchId;
 use svt_bench::{
-    faults_campaign_ckpt, faults_report, guard, hostprof_begin, hostprof_finish, print_header,
-    rule, BenchCli, FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, SERVE_RATE_QPS,
+    faults_campaign, faults_report, guard, hostprof_begin, hostprof_finish, print_header, rule,
+    telemetry_cell, BenchCli, FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, SERVE_RATE_QPS,
 };
 use svt_core::SwitchMode;
 use svt_sim::FaultPlan;
-use svt_workloads::{memcached_telemetry, TelemetryOpts};
+use svt_workloads::{App, RunSpec, DEFAULT_LANE_SEED};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -54,7 +55,7 @@ fn main() {
     rule();
 
     let ckpt = cli.checkpoint("faults", seed);
-    let cells = faults_campaign_ckpt(
+    let cells = faults_campaign(
         &FAULTS_MODES,
         rates,
         requests,
@@ -79,37 +80,23 @@ fn main() {
         }
         rule();
     }
-    if cli.timeline.is_some() || cli.dump.is_some() || cli.dump_on_exit() {
-        let rate = rates.last().copied().unwrap_or(0.0);
-        let plan = if rate > 0.0 {
-            FaultPlan::uniform(seed, rate)
-        } else {
-            FaultPlan::none()
-        };
-        let opts = TelemetryOpts {
-            dump_on_exit: cli.dump_on_exit(),
-            ..TelemetryOpts::default()
-        };
-        let p = memcached_telemetry(
-            SwitchMode::SwSvt,
-            FAULTS_N_VCPUS,
-            SERVE_RATE_QPS,
+    let rate = rates.last().copied().unwrap_or(0.0);
+    let plan = if rate > 0.0 {
+        FaultPlan::uniform(seed, rate)
+    } else {
+        FaultPlan::none()
+    };
+    let spec = RunSpec {
+        app: App::Memcached {
+            rate_qps: SERVE_RATE_QPS,
             requests,
-            plan,
-            &opts,
-        );
-        println!(
-            "telemetry cell: SW SVt @ rate {rate:.2}: {} windows, {} flight trip(s)",
-            p.windows, p.flight_trips
-        );
-        if let Some(path) = &cli.timeline {
-            cli.emit_json("timeline export", path, &p.timeline);
-        }
-        if let Some(path) = &cli.dump {
-            let dump = p.flight.clone().unwrap_or(svt_obs::Json::Null);
-            cli.emit_json("flight dump", path, &dump);
-        }
-    }
+        },
+        mode: SwitchMode::SwSvt,
+        arch: ArchId::X86,
+        vcpus: FAULTS_N_VCPUS,
+        lane_seed: DEFAULT_LANE_SEED,
+    };
+    telemetry_cell(&cli, &format!("SW SVt @ rate {rate:.2}"), spec, plan);
     let mut report = faults_report(&cells, seed);
     hostprof_finish(&cli, &mut report);
     cli.emit_report(&report);

@@ -12,8 +12,8 @@
 
 use svt_arch::ArchId;
 use svt_bench::{
-    fig6_report, guard, hostprof_begin, hostprof_finish, print_header, riscv_grid_ckpt,
-    riscv_report, rule, BenchCli,
+    fig6_report, guard, hostprof_begin, hostprof_finish, print_header, riscv_grid, riscv_report,
+    rule, BenchCli,
 };
 
 fn main() {
@@ -29,8 +29,7 @@ fn main() {
     }
     print_header("Fig. 6 - execution time of a cpuid instruction");
     let ckpt = cli.checkpoint("fig6", cli.seed_or(svt_workloads::DEFAULT_LANE_SEED));
-    let grid =
-        svt_workloads::fig6_grid_ckpt(200, cli.jobs(), ckpt.as_ref().map(|c| (c, cli.resume())));
+    let grid = svt_workloads::fig6_grid(200, cli.jobs(), ckpt.as_ref().map(|c| (c, cli.resume())));
     println!(
         "{:<10}{:>12}{:>14}{:>16}",
         "System", "Time [us]", "Speedup", "Paper speedup"
@@ -66,7 +65,7 @@ fn riscv_main(cli: &BenchCli) {
     print_header("Fig. 6 (riscv) - trap-and-emulate latency on the H-extension backend");
     let seed = cli.seed_or(svt_workloads::DEFAULT_LANE_SEED);
     let ckpt = cli.checkpoint("fig6", seed);
-    let grid = riscv_grid_ckpt(
+    let grid = riscv_grid(
         200,
         60,
         seed,

@@ -6,7 +6,7 @@ use svt_bench::{
 use svt_core::SwitchMode;
 use svt_obs::{Json, RunReport, SpeedupRow};
 use svt_sim::CostModel;
-use svt_workloads::{default_rates, fig8_series_seeded, DEFAULT_LANE_SEED, SLA_NS};
+use svt_workloads::{default_rates, fig8_series, DEFAULT_LANE_SEED, SLA_NS};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -21,7 +21,7 @@ fn main() {
     let mut within = Vec::new();
     let mut series_rows = Vec::new();
     for mode in [SwitchMode::Baseline, SwitchMode::SwSvt] {
-        let series = fig8_series_seeded(mode, &rates, requests, seed);
+        let series = fig8_series(mode, &rates, requests, seed);
         println!("\n[{}]", series.name);
         println!(
             "{:>12}{:>16}{:>14}{:>14}",

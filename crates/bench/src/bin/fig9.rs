@@ -17,8 +17,8 @@ fn main() {
     let seed = cli.seed_or(svt_workloads::DEFAULT_LANE_SEED);
     let txns = if quick { 60 } else { 300 };
     print_header("Fig. 9 - TPC-C (sysbench-style, WAL on virtio-blk) throughput");
-    let baseline = svt_workloads::tpcc_tpm_seeded(SwitchMode::Baseline, txns, seed);
-    let svt = svt_workloads::tpcc_tpm_seeded(SwitchMode::SwSvt, txns, seed);
+    let baseline = svt_workloads::tpcc_tpm(SwitchMode::Baseline, txns, seed);
+    let svt = svt_workloads::tpcc_tpm(SwitchMode::SwSvt, txns, seed);
     println!("{:<12}{:>40}", "System", "Throughput [tpm]");
     rule();
     println!("{:<12}{:>40}", "Baseline", vs_paper(baseline, 6370.0));

@@ -15,7 +15,8 @@
 //!   **exactly** (band 0) — this bin installs the counting allocator,
 //!   and allocs/event is deterministic at any `--jobs`, so any drift
 //!   means the hot path's allocation behavior changed; hostprof wall
-//!   columns get the same noise band as selfperf.
+//!   columns get the same noise band as selfperf, and the fresh campaign
+//!   runs at the worker count the baseline records (`results.jobs`).
 //!
 //! Exits nonzero (after printing the per-workload delta table) when any
 //! metric leaves its band, so `scripts/ci.sh` can gate on it. `--smoke`
@@ -104,11 +105,20 @@ fn main() {
     let base_fig6 = load("fig6", &fig6_path);
     let base_hostprof = load("hostprof", &hostprof_path);
 
-    let rows = selfperf_rows(smoke, seed, cli.jobs);
+    let rows = selfperf_rows(smoke, seed, cli.jobs, None);
     let fresh_selfperf = selfperf_report(&rows, seed, cli.jobs()).to_json();
-    let fresh_fig6 = svt_bench::fig6_report(&fig6_grid(FIG6_ITERS, cli.jobs()), seed).to_json();
+    let fresh_fig6 =
+        svt_bench::fig6_report(&fig6_grid(FIG6_ITERS, cli.jobs(), None), seed).to_json();
     let arch = cli.arch();
-    let hostprof_run = hostprof_campaign(arch, HOSTPROF_REQUESTS, seed, cli.jobs);
+    // Per-thread attributed wall time depends on how many workers share
+    // the host, so the fresh campaign runs at the baseline's worker count.
+    let hostprof_jobs = base_hostprof
+        .get("results")
+        .and_then(|r| r.get("jobs"))
+        .and_then(Json::as_i64)
+        .map(|j| j as usize)
+        .or(cli.jobs);
+    let hostprof_run = hostprof_campaign(arch, HOSTPROF_REQUESTS, seed, hostprof_jobs);
     let fresh_hostprof = hostprof_report(&hostprof_run, arch, seed).to_json();
 
     let mut deltas = match gate_selfperf(&base_selfperf, &fresh_selfperf, &bands) {

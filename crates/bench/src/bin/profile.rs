@@ -20,16 +20,14 @@
 
 use std::collections::BTreeMap;
 
+use svt_arch::ArchId;
 use svt_bench::{
     cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
 };
 use svt_core::SwitchMode;
 use svt_obs::{fold_paths, CriticalPathRow, Json, ObsLevel, RunReport};
 use svt_sim::CostModel;
-use svt_workloads::{
-    memcached_smp_profiled_seeded, tpcc_smp_profiled_seeded, CausalProfile, SmpPoint,
-    DEFAULT_LANE_SEED,
-};
+use svt_workloads::{App, CausalProfile, RunSpec, SmpPoint, DEFAULT_LANE_SEED};
 
 /// Phases billed to the exit/resume rollup: the L2<->L0 hardware switch
 /// halves plus the baseline's L0<->L1 world switches.
@@ -194,10 +192,23 @@ fn main() {
         } else {
             SwitchMode::SwSvt
         };
-        match grid[i / 2] {
-            "memcached" => memcached_smp_profiled_seeded(mode, n_vcpus, 2_000.0, mc_requests, seed),
-            _ => tpcc_smp_profiled_seeded(mode, n_vcpus, tpcc_tx, seed),
-        }
+        let app = match grid[i / 2] {
+            "memcached" => App::Memcached {
+                rate_qps: 2_000.0,
+                requests: mc_requests,
+            },
+            _ => App::Tpcc {
+                transactions: tpcc_tx,
+            },
+        };
+        let spec = RunSpec {
+            app,
+            mode,
+            arch: ArchId::X86,
+            vcpus: n_vcpus,
+            lane_seed: seed,
+        };
+        spec.run(CausalProfile::arm, CausalProfile::harvest)
     });
     let mut runs: Vec<(&str, ConfigRun, ConfigRun)> = Vec::new();
     for (name, pair) in grid.iter().zip(cells.chunks(2)) {

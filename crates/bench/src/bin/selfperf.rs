@@ -23,8 +23,8 @@
 //! gate re-runs exactly the grids the baseline was produced from.
 
 use svt_bench::{
-    guard, hostprof_begin, hostprof_finish, print_header, rule, selfperf_report,
-    selfperf_rows_ckpt, BenchCli,
+    guard, hostprof_begin, hostprof_finish, print_header, rule, selfperf_report, selfperf_rows,
+    BenchCli,
 };
 use svt_workloads::DEFAULT_LANE_SEED;
 
@@ -47,7 +47,7 @@ fn main() {
     rule();
 
     let ckpt = cli.checkpoint("selfperf", seed);
-    let rows = selfperf_rows_ckpt(
+    let rows = selfperf_rows(
         smoke,
         seed,
         cli.jobs,

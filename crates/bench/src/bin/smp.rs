@@ -9,20 +9,20 @@
 //! The `mode × vCPUs` grid fans across `--jobs` sweep workers and merges
 //! in grid order: output is byte-identical at any worker count.
 //!
-//! Telemetry flags re-run the largest SW-SVt cell with the windowed
-//! sampler and flight recorder armed: `--timeline <path>` writes its
-//! columnar timeline, `--dump <path>` with `--dump-on-exit` writes an
-//! end-of-run flight dump (a healthy sweep never trips the recorder on
-//! its own).
+//! Telemetry flags re-run the largest SW-SVt cell on the `--arch`
+//! backend with the windowed sampler and flight recorder armed:
+//! `--timeline <path>` writes its columnar timeline, `--dump <path>` with
+//! `--dump-on-exit` writes an end-of-run flight dump (a healthy sweep
+//! never trips the recorder on its own).
 
 use svt_arch::ArchId;
 use svt_bench::{
-    guard, hostprof_begin, hostprof_finish, print_header, rule, smp_report_on, smp_series_on_ckpt,
-    BenchCli, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
+    guard, hostprof_begin, hostprof_finish, print_header, rule, smp_report, smp_series,
+    telemetry_cell, BenchCli, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
 };
 use svt_core::SwitchMode;
 use svt_sim::FaultPlan;
-use svt_workloads::{memcached_telemetry, TelemetryOpts, DEFAULT_LANE_SEED};
+use svt_workloads::{App, RunSpec, DEFAULT_LANE_SEED};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -42,7 +42,7 @@ fn main() {
         }
     }
     let ckpt = cli.checkpoint("smp", seed);
-    let series = smp_series_on_ckpt(
+    let series = smp_series(
         arch,
         &SMP_VCPU_COUNTS,
         SERVE_RATE_QPS,
@@ -69,36 +69,24 @@ fn main() {
         }
         rule();
     }
-    if arch != ArchId::X86 && (cli.timeline.is_some() || cli.dump.is_some() || cli.dump_on_exit()) {
-        println!("(telemetry flags are x86-only; dropping --timeline/--dump for this run)");
-    }
-    if arch == ArchId::X86 && (cli.timeline.is_some() || cli.dump.is_some() || cli.dump_on_exit()) {
-        let n_vcpus = *SMP_VCPU_COUNTS.last().unwrap();
-        let opts = TelemetryOpts {
-            dump_on_exit: cli.dump_on_exit(),
-            ..TelemetryOpts::default()
-        };
-        let p = memcached_telemetry(
-            SwitchMode::SwSvt,
-            n_vcpus,
-            SERVE_RATE_QPS,
-            SMP_REQUESTS,
-            FaultPlan::none(),
-            &opts,
-        );
-        println!(
-            "telemetry cell: SW SVt @ {n_vcpus} vCPUs: {} windows, {} flight trip(s)",
-            p.windows, p.flight_trips
-        );
-        if let Some(path) = &cli.timeline {
-            cli.emit_json("timeline export", path, &p.timeline);
-        }
-        if let Some(path) = &cli.dump {
-            let dump = p.flight.clone().unwrap_or(svt_obs::Json::Null);
-            cli.emit_json("flight dump", path, &dump);
-        }
-    }
-    let mut report = smp_report_on(arch, &series, seed);
+    let n_vcpus = *SMP_VCPU_COUNTS.last().unwrap();
+    let spec = RunSpec {
+        app: App::Memcached {
+            rate_qps: SERVE_RATE_QPS,
+            requests: SMP_REQUESTS,
+        },
+        mode: SwitchMode::SwSvt,
+        arch,
+        vcpus: n_vcpus,
+        lane_seed: DEFAULT_LANE_SEED,
+    };
+    telemetry_cell(
+        &cli,
+        &format!("SW SVt @ {n_vcpus} vCPUs"),
+        spec,
+        FaultPlan::none(),
+    );
+    let mut report = smp_report(arch, &series, seed);
     hostprof_finish(&cli, &mut report);
     cli.emit_report(&report);
 }

@@ -2,6 +2,7 @@
 //! reproduction's measurement. Uses reduced iteration counts; the
 //! per-figure binaries produce the full-fidelity versions.
 
+use svt_arch::ArchId;
 use svt_bench::{
     cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
 };
@@ -24,7 +25,7 @@ fn main() {
 
     // Table 1 / Fig. 6.
     let t1: f64 = svt_workloads::table1(50).iter().map(|r| r.time_us).sum();
-    let bars = svt_workloads::fig6(50);
+    let bars = svt_workloads::fig6_bars(ArchId::X86, 50, 1, None);
     println!("Table 1  nested cpuid total        paper 10.40us   measured {t1:.2}us");
     report
         .results
@@ -66,8 +67,8 @@ fn main() {
     rule();
 
     // Fig. 8 at one moderate load point.
-    let b = svt_workloads::memcached_point_seeded(SwitchMode::Baseline, 10_000.0, 400, seed);
-    let s = svt_workloads::memcached_point_seeded(SwitchMode::SwSvt, 10_000.0, 400, seed);
+    let b = svt_workloads::memcached_point(SwitchMode::Baseline, 10_000.0, 400, seed);
+    let s = svt_workloads::memcached_point(SwitchMode::SwSvt, 10_000.0, 400, seed);
     println!(
         "Fig. 8   avg latency @10kQPS       paper 1.43x     measured {:.2}x ({:.0}us -> {:.0}us)",
         b.avg_ns / s.avg_ns,
@@ -80,8 +81,8 @@ fn main() {
     });
 
     // Fig. 9.
-    let tb = svt_workloads::tpcc_tpm_seeded(SwitchMode::Baseline, 60, seed);
-    let ts = svt_workloads::tpcc_tpm_seeded(SwitchMode::SwSvt, 60, seed);
+    let tb = svt_workloads::tpcc_tpm(SwitchMode::Baseline, 60, seed);
+    let ts = svt_workloads::tpcc_tpm(SwitchMode::SwSvt, 60, seed);
     println!(
         "Fig. 9   TPC-C speedup             paper 1.18x     measured {:.2}x ({tb:.0} -> {ts:.0} tpm)",
         ts / tb
@@ -107,9 +108,12 @@ fn main() {
         ]),
     ));
     rule();
-    let l0 = svt_workloads::cpuid_us(Level::L0, SwitchMode::Baseline, 20);
-    let l1 = svt_workloads::cpuid_us(Level::L1, SwitchMode::Baseline, 20);
-    let l2 = svt_workloads::cpuid_us(Level::L2, SwitchMode::Baseline, 20);
+    let cpuid_us = |level| svt_workloads::cpuid_us_on(level, SwitchMode::Baseline, ArchId::X86, 20);
+    let (l0, l1, l2) = (
+        cpuid_us(Level::L0),
+        cpuid_us(Level::L1),
+        cpuid_us(Level::L2),
+    );
     println!("Native L0 cpuid {l0:.2}us | single-level L1 {l1:.2}us | nested L2 {l2:.2}us");
     report.results.push((
         "cpuid_us_by_level".to_string(),

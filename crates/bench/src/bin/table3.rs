@@ -40,7 +40,6 @@ fn main() {
         ("svt-hv (KVM-like substrate)", "crates/hv"),
         ("svt-cpu (SMT core model)", "crates/cpu"),
         ("svt-arch (ISA-neutral arch layer)", "crates/arch"),
-        ("svt-vmx (VT-x backend facade)", "crates/vmx"),
         ("svt-virtio", "crates/virtio"),
         ("svt-mem", "crates/mem"),
         ("svt-sim", "crates/sim"),

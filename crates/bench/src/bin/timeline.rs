@@ -54,13 +54,13 @@ fn main() {
     );
     rule();
     for c in &cells {
-        let p = &c.point;
+        let p = &c.telemetry;
         println!(
             "{:<16}{:>8}{:>10}{:>12.0}{:>10}{:>8}{:>11}",
             c.name,
             p.traps,
             p.windows,
-            p.point.throughput,
+            c.point.throughput,
             p.total_injected,
             p.flight_trips,
             p.watchdog_violations
@@ -75,7 +75,7 @@ fn main() {
         let dump = cells
             .iter()
             .rev()
-            .find_map(|c| c.point.flight.clone())
+            .find_map(|c| c.telemetry.flight.clone())
             .unwrap_or(svt_obs::Json::Null);
         cli.emit_json("flight dump", path, &dump);
     }

@@ -16,7 +16,8 @@
 //!   grid order, so any `--jobs` value produces identical output;
 //! * `--arch <x86|riscv>` (or `--arch=<a>`) — the ISA backend the
 //!   machines run on, defaulting to `x86` so committed baselines stay
-//!   valid; binaries without a riscv path say so and exit cleanly;
+//!   valid; binaries without a riscv path reject any other backend with
+//!   an error and a nonzero exit;
 //! * `--timeline <path>` / `--dump <path>` / `--dump-on-exit` — windowed
 //!   time-series export and flight-recorder crash dumps, on binaries
 //!   that sample them;
@@ -225,16 +226,18 @@ impl BenchCli {
     }
 
     /// For binaries whose figure only exists on the x86 backend: when a
-    /// non-x86 `--arch` was requested, says so and exits successfully
-    /// (the request is understood, the figure just has no analogue
-    /// there). Call right after [`BenchCli::handle_help`].
+    /// non-x86 `--arch` was requested, reports on stderr and exits with
+    /// status 2, as for an unknown backend — the run the caller asked
+    /// for does not exist, so it must not look like success. Call right
+    /// after [`BenchCli::handle_help`].
     pub fn require_arch_x86(&self, bin: &str) {
         let arch = self.arch();
         if arch != svt_arch::ArchId::X86 {
-            println!(
-                "{bin}: the {arch} backend has no {bin} figure; x86 only (see fig6 --arch riscv)"
+            eprintln!(
+                "error: {bin} runs on x86 only, not --arch {arch} \
+                 (fig6, smp and hostprof run on every backend)"
             );
-            std::process::exit(0);
+            std::process::exit(2);
         }
     }
 
@@ -256,7 +259,7 @@ impl BenchCli {
         println!("                  output is byte-identical for any value — results");
         println!("                  merge in grid order");
         println!("  --arch <a>      ISA backend: x86 (default) or riscv; binaries whose");
-        println!("                  figure is x86-only say so and exit cleanly");
+        println!("                  figure is x86-only reject other backends (exit 2)");
         println!("  --timeline <path>  write the windowed time-series export, if sampled");
         println!("  --dump <path>   write flight-recorder crash dumps, if recorded");
         println!("  --dump-on-exit  trip the flight recorder at end of run regardless");

@@ -16,17 +16,16 @@ pub use gate::{
     delta_table, gate_fig6, gate_hostprof, gate_passes, gate_selfperf, GateBands, WorkloadDelta,
 };
 pub use runs::{
-    fault_cell_json, faults_campaign, faults_campaign_ckpt, faults_report, fig6_report,
-    hostprof_campaign, hostprof_report, riscv_grid, riscv_grid_ckpt, riscv_report,
-    selfperf_measure, selfperf_report, selfperf_rows, selfperf_rows_ckpt, smp_report,
-    smp_report_on, smp_series, smp_series_on, smp_series_on_ckpt, timeline_cells, timeline_report,
-    timelines_json, FaultCell, HostprofRun, RiscvGrid, SelfperfRow, TimelineCell,
+    faults_campaign, faults_report, fig6_report, hostprof_campaign, hostprof_report, riscv_grid,
+    riscv_report, selfperf_report, selfperf_rows, smp_report, smp_series, timeline_cells,
+    timeline_report, timelines_json, FaultCell, HostprofRun, RiscvGrid, SelfperfRow, TimelineCell,
     FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, HOSTPROF_N_VCPUS, RISCV_SMP_VCPUS,
     SELFPERF_FAULT_RATES, SELFPERF_FIG6_GRID, SELFPERF_SMP_VCPUS, SERVE_RATE_QPS, SMP_REQUESTS,
     SMP_VCPU_COUNTS, TIMELINE_FAULT_RATE, TIMELINE_N_VCPUS,
 };
 use svt_obs::{hostprof, HostAgg, HostPart, Json, RunReport};
-use svt_sim::{CostModel, MachineSpec, VmSpec};
+use svt_sim::{CostModel, FaultPlan, MachineSpec, VmSpec};
+use svt_workloads::{RunSpec, TelemetryOpts, TelemetryPoint};
 
 /// Prints the standard header with the simulated platform (Table 4).
 pub fn print_header(title: &str) {
@@ -197,20 +196,36 @@ pub fn print_hostprof(agg: &HostAgg) {
     }
 }
 
-/// Times `f` over `iters` iterations of wall-clock and prints a one-line
-/// summary. Used by the `benches/` harnesses (`cargo bench`) to report the
-/// simulator's own regeneration cost without external bench frameworks.
-pub fn bench_wall<T, F: FnMut() -> T>(name: &str, iters: u32, mut f: F) {
-    assert!(iters > 0);
-    // One warm-up run outside the timed region.
-    std::hint::black_box(f());
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
+/// Serves the `--timeline`/`--dump`/`--dump-on-exit` flags of a campaign
+/// binary: re-runs one serving cell with `plan` installed and the
+/// windowed sampler and flight recorder armed, prints a one-line summary
+/// naming the cell `label`, and writes the requested exports. A no-op
+/// when none of the flags was given.
+pub fn telemetry_cell(cli: &BenchCli, label: &str, spec: RunSpec, plan: FaultPlan) {
+    if cli.timeline.is_none() && cli.dump.is_none() && !cli.dump_on_exit() {
+        return;
     }
-    let total = start.elapsed();
-    let per = total / iters;
-    println!("bench {name:<32} {iters:>4} iters  {per:>12.2?}/iter  total {total:.2?}");
+    let opts = TelemetryOpts {
+        dump_on_exit: cli.dump_on_exit(),
+        ..TelemetryOpts::default()
+    };
+    let (_, t) = spec.run(
+        |m| {
+            m.faults = plan;
+            opts.arm(m);
+        },
+        |m| TelemetryPoint::harvest(m, &opts),
+    );
+    println!(
+        "telemetry cell: {label}: {} windows, {} flight trip(s)",
+        t.windows, t.flight_trips
+    );
+    if let Some(path) = &cli.timeline {
+        cli.emit_json("timeline export", path, &t.timeline);
+    }
+    if let Some(path) = &cli.dump {
+        cli.emit_json("flight dump", path, &t.flight.unwrap_or(Json::Null));
+    }
 }
 
 #[cfg(test)]

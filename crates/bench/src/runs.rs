@@ -15,12 +15,11 @@ use svt_arch::ArchId;
 use svt_core::SwitchMode;
 use svt_hv::Level;
 use svt_obs::{ExitRow, HostAgg, Json, PartRow, RunReport, SpeedupRow};
-use svt_sim::checkpoint::Checkpoint;
+use svt_sim::checkpoint::{self, Checkpoint};
 use svt_sim::{CostModel, FaultPlan, SimDuration};
 use svt_workloads::{
-    cpuid_counted, fig6_bars_on_ckpt, memcached_chaos, memcached_smp_counted_seeded,
-    memcached_smp_seeded_on, memcached_telemetry, ChaosPoint, Fig6Bar, Fig6Grid, SmpPoint,
-    TelemetryOpts, TelemetryPoint,
+    cpuid_counted, fig6_bars, memcached_chaos, memcached_smp_counted_seeded, App, ChaosPoint,
+    Fig6Bar, Fig6Grid, RunSpec, SmpPoint, TelemetryOpts, TelemetryPoint, DEFAULT_LANE_SEED,
 };
 
 use crate::{cost_model_json, machine_json};
@@ -43,39 +42,23 @@ pub const FAULTS_DEFAULT_SEED: u64 = 0xC4A0_5EED;
 /// The engines the chaos campaign compares.
 pub const FAULTS_MODES: [SwitchMode; 2] = [SwitchMode::Baseline, SwitchMode::SwSvt];
 
-/// Builds the Fig. 6 run report from a computed grid (see
-/// [`svt_workloads::fig6_grid`]). `seed` is recorded for
-/// reproducibility; the micro-benchmark itself is load-free.
-pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
-    let mut report = RunReport::new("fig6", "Execution time of a cpuid instruction (Fig. 6)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    report.results.push(("seed".to_string(), Json::from(seed)));
-    let paper = [0.05, 0.81, 1.29, 4.89, 1.40, 1.96];
-    for row in &grid.table1 {
-        report.parts.push(PartRow {
-            part: row.part as u32,
-            label: row.label.clone(),
-            time_us: row.time_us,
-            paper_us: paper.get(row.part).copied(),
-        });
+/// The report's name for an engine's speedup row: `sw_svt`/`hw_svt`
+/// followed by `suffix`.
+fn speedup_name(label: &str, suffix: &str) -> String {
+    match label {
+        "SW SVt" => format!("sw_svt{suffix}"),
+        "HW SVt" => format!("hw_svt{suffix}"),
+        other => other.to_string(),
     }
-    for e in &grid.exits {
-        report.exit_reasons.push(ExitRow {
-            reason: e.reason.to_string(),
-            time_ns: e.time_ns,
-            count: e.count,
-        });
-    }
-    report.metrics = Some(grid.metrics.clone());
-    for b in &grid.bars {
+}
+
+/// Adds Fig. 6-style bars to a report: a speedup row per bar that beats
+/// the baseline L2, and the `bars` result.
+fn push_bars(report: &mut RunReport, bars: &[Fig6Bar]) {
+    for b in bars {
         if b.speedup > 1.0 {
             report.speedups.push(SpeedupRow {
-                name: match b.label {
-                    "SW SVt" => "sw_svt".to_string(),
-                    "HW SVt" => "hw_svt".to_string(),
-                    other => other.to_string(),
-                },
+                name: speedup_name(b.label, ""),
                 speedup: b.speedup,
             });
         }
@@ -83,8 +66,7 @@ pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
     report.results.push((
         "bars".to_string(),
         Json::Arr(
-            grid.bars
-                .iter()
+            bars.iter()
                 .map(|b| {
                     Json::obj([
                         ("label", Json::from(b.label)),
@@ -95,6 +77,44 @@ pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
                 .collect(),
         ),
     ));
+}
+
+/// One serving point as the report's JSON object.
+fn smp_point_json(p: &SmpPoint) -> Json {
+    Json::obj([
+        ("n_vcpus", Json::Num(p.n_vcpus as f64)),
+        ("completed", Json::Num(p.completed as f64)),
+        ("throughput_rps", Json::Num(p.throughput)),
+        ("avg_ns", Json::Num(p.avg_ns)),
+        ("p99_ns", Json::Num(p.p99_ns)),
+    ])
+}
+
+/// Builds the Fig. 6 run report from a computed grid (see
+/// [`svt_workloads::fig6_grid`]). `seed` is recorded for
+/// reproducibility; the micro-benchmark itself is load-free.
+pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
+    let mut report = RunReport::new("fig6", "Execution time of a cpuid instruction (Fig. 6)");
+    report.machine = Some(machine_json());
+    report.cost_model = Some(cost_model_json(&CostModel::default()));
+    report.results.push(("seed".to_string(), Json::from(seed)));
+    for row in &grid.table1 {
+        report.parts.push(PartRow {
+            part: row.part as u32,
+            label: row.label.clone(),
+            time_us: row.time_us,
+            paper_us: Some(row.paper_us),
+        });
+    }
+    for e in &grid.exits {
+        report.exit_reasons.push(ExitRow {
+            reason: e.reason.to_string(),
+            time_ns: e.time_ns,
+            count: e.count,
+        });
+    }
+    report.metrics = Some(grid.metrics.clone());
+    push_bars(&mut report, &grid.bars);
     report
 }
 
@@ -116,58 +136,39 @@ pub struct RiscvGrid {
 /// Runs the riscv backend's fig6-style grid: the cpuid-analogue
 /// (virtual-instruction trap) micro-benchmark bars plus memcached
 /// through every engine, all on [`ArchId::Riscv`] with the
-/// CVA6-calibrated cost model.
-pub fn riscv_grid(iters: u64, requests: u64, seed: u64, jobs: usize) -> RiscvGrid {
-    riscv_grid_ckpt(iters, requests, seed, jobs, None)
-}
-
-/// [`riscv_grid`] with optional campaign checkpointing: the bar cells
-/// journal under the `bars` scope and the memcached cells under
-/// `memcached`, and `(ckpt, true)` resumes from the journal.
-pub fn riscv_grid_ckpt(
+/// CVA6-calibrated cost model. With a checkpoint, the bar cells journal
+/// under the `bars` scope and the memcached cells under `memcached`, and
+/// `(ckpt, true)` resumes from the journal.
+pub fn riscv_grid(
     iters: u64,
     requests: u64,
     seed: u64,
     jobs: usize,
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> RiscvGrid {
-    let bars = fig6_bars_on_ckpt(ArchId::Riscv, iters, jobs, ckpt);
-    let run = |i: usize| {
-        let mode = SwitchMode::ALL[i];
-        let p = memcached_smp_seeded_on(
-            mode,
-            ArchId::Riscv,
-            RISCV_SMP_VCPUS,
-            SERVE_RATE_QPS,
-            requests,
-            seed,
-        );
-        (mode, p)
-    };
-    let memcached = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "memcached",
-            SwitchMode::ALL.len(),
-            jobs,
-            resume,
-            run,
-            |(_, p), w| p.snap_save(w),
-            |r| {
-                // The mode is a pure function of the grid index, but the
-                // sweep's load closure has no index; recover it from the
-                // point's position via a second pass below.
-                SmpPoint::snap_load(r).map(|p| (SwitchMode::Baseline, p))
-            },
-        ),
-        None => svt_sim::sweep(SwitchMode::ALL.len(), jobs, run),
-    };
-    // Grid-index-derived fields (the mode tag) are reattached after the
-    // merge so journaled and fresh cells agree by construction.
-    let memcached = memcached
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, p))| (SwitchMode::ALL[i], p))
-        .collect();
+    let bars = fig6_bars(ArchId::Riscv, iters, jobs, ckpt);
+    let points = checkpoint::sweep(
+        ckpt,
+        "memcached",
+        SwitchMode::ALL.len(),
+        jobs,
+        |i| {
+            let spec = RunSpec {
+                app: App::Memcached {
+                    rate_qps: SERVE_RATE_QPS,
+                    requests,
+                },
+                mode: SwitchMode::ALL[i],
+                arch: ArchId::Riscv,
+                vcpus: RISCV_SMP_VCPUS,
+                lane_seed: seed,
+            };
+            spec.run(|_| {}, |_| ()).0
+        },
+        |p, w| p.snap_save(w),
+        SmpPoint::snap_load,
+    );
+    let memcached = SwitchMode::ALL.into_iter().zip(points).collect();
     RiscvGrid { bars, memcached }
 }
 
@@ -186,42 +187,12 @@ pub fn riscv_report(grid: &RiscvGrid, seed: u64) -> RunReport {
         .results
         .push(("arch".to_string(), Json::from(ArchId::Riscv.label())));
     report.results.push(("seed".to_string(), Json::from(seed)));
-    for b in &grid.bars {
-        if b.speedup > 1.0 {
-            report.speedups.push(SpeedupRow {
-                name: match b.label {
-                    "SW SVt" => "sw_svt".to_string(),
-                    "HW SVt" => "hw_svt".to_string(),
-                    other => other.to_string(),
-                },
-                speedup: b.speedup,
-            });
-        }
-    }
-    report.results.push((
-        "bars".to_string(),
-        Json::Arr(
-            grid.bars
-                .iter()
-                .map(|b| {
-                    Json::obj([
-                        ("label", Json::from(b.label)),
-                        ("time_us", Json::Num(b.time_us)),
-                        ("speedup", Json::Num(b.speedup)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
+    push_bars(&mut report, &grid.bars);
     let baseline = grid.memcached[0].1.throughput;
     for (mode, p) in &grid.memcached {
         if *mode != SwitchMode::Baseline {
             report.speedups.push(SpeedupRow {
-                name: match mode.label() {
-                    "SW SVt" => "sw_svt_memcached".to_string(),
-                    "HW SVt" => "hw_svt_memcached".to_string(),
-                    other => other.to_string(),
-                },
+                name: speedup_name(mode.label(), "_memcached"),
                 speedup: p.throughput / baseline,
             });
         }
@@ -230,49 +201,19 @@ pub fn riscv_report(grid: &RiscvGrid, seed: u64) -> RunReport {
                 "memcached_{}",
                 mode.label().replace(' ', "_").to_lowercase()
             ),
-            Json::obj([
-                ("n_vcpus", Json::Num(p.n_vcpus as f64)),
-                ("completed", Json::Num(p.completed as f64)),
-                ("throughput_rps", Json::Num(p.throughput)),
-                ("avg_ns", Json::Num(p.avg_ns)),
-                ("p99_ns", Json::Num(p.p99_ns)),
-            ]),
+            smp_point_json(p),
         ));
     }
     report
 }
 
 /// Runs the SMP scaling sweep — every [`SwitchMode`] at every vCPU count
-/// — as one `modes × counts` grid across `jobs` workers, returning one
-/// point series per mode in mode order.
-pub fn smp_series(
-    vcpu_counts: &[usize],
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-    jobs: usize,
-) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
-    smp_series_on(ArchId::X86, vcpu_counts, rate_qps, requests, seed, jobs)
-}
-
-/// [`smp_series`] on an explicit ISA backend.
-pub fn smp_series_on(
-    arch: ArchId,
-    vcpu_counts: &[usize],
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-    jobs: usize,
-) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
-    smp_series_on_ckpt(arch, vcpu_counts, rate_qps, requests, seed, jobs, None)
-}
-
-/// [`smp_series_on`] with optional campaign checkpointing: each
-/// `mode × vCPUs` cell journals under the `smp` scope as it completes,
+/// on the `arch` backend — as one `modes × counts` grid across `jobs`
+/// workers, returning one point series per mode in mode order. With a
+/// checkpoint, each cell journals under the `smp` scope as it completes,
 /// and `(ckpt, true)` resumes from the journal, recomputing only the
 /// missing or corrupted cells.
-#[allow(clippy::too_many_arguments)]
-pub fn smp_series_on_ckpt(
+pub fn smp_series(
     arch: ArchId,
     vcpu_counts: &[usize],
     rate_qps: f64,
@@ -282,24 +223,24 @@ pub fn smp_series_on_ckpt(
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
     let modes = SwitchMode::ALL;
-    let run = |i: usize| {
-        let mode = modes[i / vcpu_counts.len()];
-        let n = vcpu_counts[i % vcpu_counts.len()];
-        memcached_smp_seeded_on(mode, arch, n, rate_qps, requests, seed)
-    };
-    let cells = modes.len() * vcpu_counts.len();
-    let points = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "smp",
-            cells,
-            jobs,
-            resume,
-            run,
-            |p, w| p.snap_save(w),
-            SmpPoint::snap_load,
-        ),
-        None => svt_sim::sweep(cells, jobs, run),
-    };
+    let points = checkpoint::sweep(
+        ckpt,
+        "smp",
+        modes.len() * vcpu_counts.len(),
+        jobs,
+        |i| {
+            let spec = RunSpec {
+                app: App::Memcached { rate_qps, requests },
+                mode: modes[i / vcpu_counts.len()],
+                arch,
+                vcpus: vcpu_counts[i % vcpu_counts.len()],
+                lane_seed: seed,
+            };
+            spec.run(|_| {}, |_| ()).0
+        },
+        |p, w| p.snap_save(w),
+        SmpPoint::snap_load,
+    );
     modes
         .iter()
         .zip(points.chunks(vcpu_counts.len()))
@@ -308,15 +249,11 @@ pub fn smp_series_on_ckpt(
 }
 
 /// Builds the SMP scaling run report from a merged series (the first
-/// series must be the baseline, as [`smp_series`] returns it).
-pub fn smp_report(series: &[(SwitchMode, Vec<SmpPoint>)], seed: u64) -> RunReport {
-    smp_report_on(ArchId::X86, series, seed)
-}
-
-/// [`smp_report`] on an explicit ISA backend: the embedded cost model is
-/// the backend's, and non-x86 reports record the backend under `arch`
-/// (the x86 report's bytes are exactly the pre-arch-layer ones).
-pub fn smp_report_on(arch: ArchId, series: &[(SwitchMode, Vec<SmpPoint>)], seed: u64) -> RunReport {
+/// series must be the baseline, as [`smp_series`] returns it). The
+/// embedded cost model is the backend's, and non-x86 reports record the
+/// backend under `arch` (the x86 report's bytes are exactly the
+/// pre-arch-layer ones).
+pub fn smp_report(arch: ArchId, series: &[(SwitchMode, Vec<SmpPoint>)], seed: u64) -> RunReport {
     let mut report = RunReport::new("smp", "Sharded memcached scaling over 1-8 vCPUs");
     report.machine = Some(machine_json());
     report.cost_model = Some(cost_model_json(&arch.cost_model()));
@@ -337,30 +274,13 @@ pub fn smp_report_on(arch: ArchId, series: &[(SwitchMode, Vec<SmpPoint>)], seed:
                 .sum::<f64>()
                 / points.len() as f64;
             report.speedups.push(SpeedupRow {
-                name: match mode.label() {
-                    "SW SVt" => "sw_svt_smp".to_string(),
-                    "HW SVt" => "hw_svt_smp".to_string(),
-                    other => other.to_string(),
-                },
+                name: speedup_name(mode.label(), "_smp"),
                 speedup: gain,
             });
         }
         report.results.push((
             format!("scaling_{}", mode.label().replace(' ', "_").to_lowercase()),
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Json::obj([
-                            ("n_vcpus", Json::Num(p.n_vcpus as f64)),
-                            ("completed", Json::Num(p.completed as f64)),
-                            ("throughput_rps", Json::Num(p.throughput)),
-                            ("avg_ns", Json::Num(p.avg_ns)),
-                            ("p99_ns", Json::Num(p.p99_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(points.iter().map(smp_point_json).collect()),
         ));
     }
     report
@@ -380,30 +300,15 @@ pub struct FaultCell {
 /// Runs the `modes × rates` fault campaign across `jobs` workers. Cells
 /// merge in grid order (mode-major). Every cell must finish with silent
 /// causal watchdogs: injected faults may cost time, never correctness.
-///
-/// # Panics
-///
-/// Panics if any cell reports a watchdog violation.
-pub fn faults_campaign(
-    modes: &[SwitchMode],
-    rates: &[f64],
-    requests: u64,
-    seed: u64,
-    jobs: usize,
-) -> Vec<FaultCell> {
-    faults_campaign_ckpt(modes, rates, requests, seed, jobs, None)
-}
-
-/// [`faults_campaign`] with optional campaign checkpointing: each
-/// `mode × rate` cell journals under the `faults` scope as it completes,
-/// and `(ckpt, true)` resumes from the journal. Watchdog verdicts are
-/// part of the journaled payload, so replayed cells re-assert the
-/// zero-violation contract exactly as fresh ones do.
+/// With a checkpoint, each cell journals under the `faults` scope as it
+/// completes, and `(ckpt, true)` resumes from the journal. Watchdog
+/// verdicts are part of the journaled payload, so replayed cells
+/// re-assert the zero-violation contract exactly as fresh ones do.
 ///
 /// # Panics
 ///
 /// Panics if any cell (fresh or replayed) reports a watchdog violation.
-pub fn faults_campaign_ckpt(
+pub fn faults_campaign(
     modes: &[SwitchMode],
     rates: &[f64],
     requests: u64,
@@ -411,34 +316,29 @@ pub fn faults_campaign_ckpt(
     jobs: usize,
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<FaultCell> {
-    let run = |i: usize| {
-        let rate = rates[i % rates.len()];
-        let plan = if rate == 0.0 {
-            FaultPlan::none()
-        } else {
-            FaultPlan::uniform(seed, rate)
-        };
-        memcached_chaos(
-            modes[i / rates.len()],
-            FAULTS_N_VCPUS,
-            SERVE_RATE_QPS,
-            requests,
-            plan,
-        )
-    };
-    let n = modes.len() * rates.len();
-    let cells = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "faults",
-            n,
-            jobs,
-            resume,
-            run,
-            |p, w| p.snap_save(w),
-            ChaosPoint::snap_load,
-        ),
-        None => svt_sim::sweep(n, jobs, run),
-    };
+    let cells = checkpoint::sweep(
+        ckpt,
+        "faults",
+        modes.len() * rates.len(),
+        jobs,
+        |i| {
+            let rate = rates[i % rates.len()];
+            let plan = if rate == 0.0 {
+                FaultPlan::none()
+            } else {
+                FaultPlan::uniform(seed, rate)
+            };
+            memcached_chaos(
+                modes[i / rates.len()],
+                FAULTS_N_VCPUS,
+                SERVE_RATE_QPS,
+                requests,
+                plan,
+            )
+        },
+        |p, w| p.snap_save(w),
+        ChaosPoint::snap_load,
+    );
     let cells: Vec<FaultCell> = cells
         .into_iter()
         .enumerate()
@@ -575,18 +475,20 @@ impl SelfperfRow {
     }
 }
 
-/// Runs one workload grid at `--jobs 1` and at `jobs_n`, timing each
-/// pass. The per-cell trap counts must merge identically at both worker
-/// counts — a drift means the sweep engine broke determinism.
+/// Runs one workload grid at `--jobs 1` and at the `jobs` request
+/// clamped to the grid, timing each pass. The per-cell trap counts must
+/// merge identically at both worker counts — a drift means the sweep
+/// engine broke determinism.
 ///
 /// # Panics
 ///
 /// Panics if the merged trap counts differ between the passes or the
 /// workload serves no traps.
-pub fn selfperf_measure<F>(name: &'static str, cells: usize, jobs_n: usize, f: F) -> SelfperfRow
+fn selfperf_measure<F>(name: &'static str, cells: usize, jobs: Option<usize>, f: F) -> SelfperfRow
 where
     F: Fn(usize) -> u64 + Sync,
 {
+    let jobs_n = svt_sim::resolve_jobs_for(jobs, cells);
     // Warm one cell outside the timed region (lazy init, allocator,
     // cold caches).
     black_box(f(0));
@@ -613,56 +515,11 @@ where
 
 /// Runs the three selfperf workload grids (fig6, smp, faults) and
 /// returns the measured rows. `jobs` is the `--jobs` request; each
-/// workload clamps it to its own cell count.
-pub fn selfperf_rows(smoke: bool, seed: u64, jobs: Option<usize>) -> Vec<SelfperfRow> {
-    selfperf_rows_ckpt(smoke, seed, jobs, None)
-}
-
-/// Replays a journaled selfperf row, or measures it and journals the
-/// result. Unlike the simulated-time campaigns, the journaled unit is a
-/// whole measured workload — checkpointing *inside* the timed sweeps
-/// would poison the wall-clock columns they exist to measure.
-fn selfperf_row_journaled<F>(
-    ckpt: Option<(&Checkpoint, bool)>,
-    idx: usize,
-    measure: F,
-) -> SelfperfRow
-where
-    F: FnOnce() -> SelfperfRow,
-{
-    if let Some((c, true)) = ckpt {
-        match c.load_cell("selfperf", idx) {
-            Ok(Some(payload)) => {
-                let mut r = svt_sim::SnapReader::new(&payload);
-                match SelfperfRow::snap_load(&mut r).and_then(|row| r.finish().map(|()| row)) {
-                    Ok(row) => return row,
-                    Err(e) => {
-                        eprintln!(
-                            "checkpoint: selfperf row {idx} undecodable ({e:?}); re-measuring"
-                        )
-                    }
-                }
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!("checkpoint: selfperf row {idx} rejected ({e:?}); re-measuring"),
-        }
-    }
-    let row = measure();
-    if let Some((c, _)) = ckpt {
-        let mut w = svt_sim::SnapWriter::new();
-        row.snap_save(&mut w);
-        if let Err(e) = c.store_cell("selfperf", idx, &w.into_vec()) {
-            eprintln!("checkpoint: journaling selfperf row {idx} failed ({e}); continuing");
-        }
-    }
-    row
-}
-
-/// [`selfperf_rows`] with optional campaign checkpointing: each measured
-/// workload row journals under the `selfperf` scope as it completes, and
-/// `(ckpt, true)` replays completed rows (including their wall-clock
-/// columns) instead of re-measuring them.
-pub fn selfperf_rows_ckpt(
+/// workload clamps it to its own cell count. With a checkpoint, each
+/// measured workload row journals under the `selfperf` scope as it
+/// completes, and `(ckpt, true)` replays completed rows (including their
+/// wall-clock columns) instead of re-measuring them.
+pub fn selfperf_rows(
     smoke: bool,
     seed: u64,
     jobs: Option<usize>,
@@ -671,59 +528,50 @@ pub fn selfperf_rows_ckpt(
     let fig6_iters: u64 = if smoke { 50 } else { 200 };
     let smp_requests: u64 = if smoke { 60 } else { 150 };
     let faults_requests: u64 = if smoke { 60 } else { 100 };
-    vec![
-        selfperf_row_journaled(ckpt, 0, || {
-            selfperf_measure(
-                "fig6",
-                SELFPERF_FIG6_GRID.len(),
-                svt_sim::resolve_jobs_for(jobs, SELFPERF_FIG6_GRID.len()),
-                |i| {
-                    let (level, mode) = SELFPERF_FIG6_GRID[i];
-                    cpuid_counted(level, mode, fig6_iters).1
-                },
-            )
-        }),
-        selfperf_row_journaled(ckpt, 1, || {
-            selfperf_measure(
-                "smp",
-                SwitchMode::ALL.len(),
-                svt_sim::resolve_jobs_for(jobs, SwitchMode::ALL.len()),
-                |i| {
-                    memcached_smp_counted_seeded(
-                        SwitchMode::ALL[i],
-                        SELFPERF_SMP_VCPUS,
-                        SERVE_RATE_QPS,
-                        smp_requests,
-                        seed,
-                    )
-                    .1
-                },
-            )
-        }),
-        selfperf_row_journaled(ckpt, 2, || {
-            selfperf_measure(
-                "faults",
-                FAULTS_MODES.len() * SELFPERF_FAULT_RATES.len(),
-                svt_sim::resolve_jobs_for(jobs, FAULTS_MODES.len() * SELFPERF_FAULT_RATES.len()),
-                |i| {
-                    let rate = SELFPERF_FAULT_RATES[i % SELFPERF_FAULT_RATES.len()];
-                    let plan = if rate == 0.0 {
-                        FaultPlan::none()
-                    } else {
-                        FaultPlan::uniform(FAULTS_DEFAULT_SEED, rate)
-                    };
-                    memcached_chaos(
-                        FAULTS_MODES[i / SELFPERF_FAULT_RATES.len()],
-                        FAULTS_N_VCPUS,
-                        SERVE_RATE_QPS,
-                        faults_requests,
-                        plan,
-                    )
-                    .traps
-                },
-            )
-        }),
-    ]
+    let faults_cells = FAULTS_MODES.len() * SELFPERF_FAULT_RATES.len();
+    // The journaled unit is a whole measured workload, measured one at a
+    // time: checkpointing *inside* the timed sweeps would poison the
+    // wall-clock columns they exist to measure.
+    checkpoint::sweep(
+        ckpt,
+        "selfperf",
+        3,
+        1,
+        |w| match w {
+            0 => selfperf_measure("fig6", SELFPERF_FIG6_GRID.len(), jobs, |i| {
+                let (level, mode) = SELFPERF_FIG6_GRID[i];
+                cpuid_counted(level, mode, fig6_iters).1
+            }),
+            1 => selfperf_measure("smp", SwitchMode::ALL.len(), jobs, |i| {
+                memcached_smp_counted_seeded(
+                    SwitchMode::ALL[i],
+                    SELFPERF_SMP_VCPUS,
+                    SERVE_RATE_QPS,
+                    smp_requests,
+                    seed,
+                )
+                .1
+            }),
+            _ => selfperf_measure("faults", faults_cells, jobs, |i| {
+                let rate = SELFPERF_FAULT_RATES[i % SELFPERF_FAULT_RATES.len()];
+                let plan = if rate == 0.0 {
+                    FaultPlan::none()
+                } else {
+                    FaultPlan::uniform(FAULTS_DEFAULT_SEED, rate)
+                };
+                memcached_chaos(
+                    FAULTS_MODES[i / SELFPERF_FAULT_RATES.len()],
+                    FAULTS_N_VCPUS,
+                    SERVE_RATE_QPS,
+                    faults_requests,
+                    plan,
+                )
+                .traps
+            }),
+        },
+        |row, w| row.snap_save(w),
+        SelfperfRow::snap_load,
+    )
 }
 
 /// Builds the selfperf run report from measured rows. `jobs_requested`
@@ -849,15 +697,17 @@ pub fn hostprof_campaign(
     let _ = svt_obs::hostprof::take_global();
     let start = Instant::now();
     let completed: u64 = svt_sim::sweep(cells, jobs, |i| {
-        let p = memcached_smp_seeded_on(
-            SwitchMode::ALL[i],
+        let spec = RunSpec {
+            app: App::Memcached {
+                rate_qps: SERVE_RATE_QPS,
+                requests,
+            },
+            mode: SwitchMode::ALL[i],
             arch,
-            HOSTPROF_N_VCPUS,
-            SERVE_RATE_QPS,
-            requests,
-            seed,
-        );
-        black_box(p.completed)
+            vcpus: HOSTPROF_N_VCPUS,
+            lane_seed: seed,
+        };
+        black_box(spec.run(|_| {}, |_| ()).0.completed)
     })
     .iter()
     .sum();
@@ -922,8 +772,10 @@ pub const TIMELINE_FAULT_RATE: f64 = 0.05;
 pub struct TimelineCell {
     /// Stable cell name (`baseline`, `sw_svt`, `hw_svt`, `sw_svt_faulted`).
     pub name: String,
-    /// The telemetry run's products.
-    pub point: TelemetryPoint,
+    /// The serving result.
+    pub point: SmpPoint,
+    /// The telemetry products.
+    pub telemetry: TelemetryPoint,
 }
 
 /// Runs the timeline sweep: every engine fault-free plus the armed
@@ -954,15 +806,28 @@ pub fn timeline_cells(
                 FaultPlan::uniform(seed, TIMELINE_FAULT_RATE),
             )
         };
-        let point = memcached_telemetry(
+        let spec = RunSpec {
+            app: App::Memcached {
+                rate_qps: SERVE_RATE_QPS,
+                requests,
+            },
             mode,
-            TIMELINE_N_VCPUS,
-            SERVE_RATE_QPS,
-            requests,
-            plan,
-            &opts,
+            arch: ArchId::X86,
+            vcpus: TIMELINE_N_VCPUS,
+            lane_seed: DEFAULT_LANE_SEED,
+        };
+        let (point, telemetry) = spec.run(
+            |m| {
+                m.faults = plan;
+                opts.arm(m);
+            },
+            |m| TelemetryPoint::harvest(m, &opts),
         );
-        TimelineCell { name, point }
+        TimelineCell {
+            name,
+            point,
+            telemetry,
+        }
     })
 }
 
@@ -986,12 +851,12 @@ pub fn timeline_report(cells: &[TimelineCell], seed: u64, cadence: SimDuration) 
             cells
                 .iter()
                 .map(|c| {
-                    let p = &c.point;
+                    let p = &c.telemetry;
                     Json::obj([
                         ("name", Json::Str(c.name.clone())),
                         ("traps", Json::from(p.traps)),
                         ("windows", Json::from(p.windows as u64)),
-                        ("throughput_rps", Json::Num(p.point.throughput)),
+                        ("throughput_rps", Json::Num(c.point.throughput)),
                         ("total_injected", Json::from(p.total_injected)),
                         ("fallback_traps", Json::from(p.fallback_traps)),
                         ("flight_trips", Json::from(p.flight_trips)),
@@ -1004,8 +869,8 @@ pub fn timeline_report(cells: &[TimelineCell], seed: u64, cadence: SimDuration) 
     for c in cells {
         report
             .results
-            .push((format!("{}/timeline", c.name), c.point.timeline.clone()));
-        if let Some(dump) = &c.point.flight {
+            .push((format!("{}/timeline", c.name), c.telemetry.timeline.clone()));
+        if let Some(dump) = &c.telemetry.flight {
             report
                 .results
                 .push((format!("{}/flight", c.name), dump.clone()));
@@ -1020,13 +885,13 @@ pub fn timelines_json(cells: &[TimelineCell]) -> Json {
     Json::Obj(
         cells
             .iter()
-            .map(|c| (c.name.clone(), c.point.timeline.clone()))
+            .map(|c| (c.name.clone(), c.telemetry.timeline.clone()))
             .collect(),
     )
 }
 
 /// One campaign cell as the report's JSON object.
-pub fn fault_cell_json(mode: SwitchMode, rate: f64, p: &ChaosPoint) -> Json {
+fn fault_cell_json(mode: SwitchMode, rate: f64, p: &ChaosPoint) -> Json {
     let pairs = |kv: &[(&'static str, u64)]| {
         Json::obj(
             kv.iter()

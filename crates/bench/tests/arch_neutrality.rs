@@ -10,15 +10,15 @@
 //!
 //! **riscv is deterministic.** The H-extension backend runs through the
 //! same sweep engine, so its reports must also merge byte-identically at
-//! any worker count.
+//! any worker count. Binaries without a riscv path refuse it loudly.
 
 use svt_arch::ArchId;
 use svt_bench::{
-    faults_campaign, faults_report, fig6_report, riscv_grid, riscv_report, smp_report,
-    smp_report_on, smp_series, smp_series_on, FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
+    faults_campaign, faults_report, fig6_report, riscv_grid, riscv_report, smp_report, smp_series,
+    FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
 };
 use svt_core::SwitchMode;
-use svt_workloads::{fig6_bars_on, fig6_grid, DEFAULT_LANE_SEED};
+use svt_workloads::{fig6_bars, fig6_grid, DEFAULT_LANE_SEED};
 
 /// Byte-compares a freshly built report against a committed golden file.
 fn assert_matches_golden(report: &svt_obs::RunReport, golden: &str, name: &str) {
@@ -33,49 +33,43 @@ fn assert_matches_golden(report: &svt_obs::RunReport, golden: &str, name: &str) 
 
 #[test]
 fn x86_fig6_report_matches_pre_refactor_golden_bytes() {
-    let report = fig6_report(&fig6_grid(30, 1), DEFAULT_LANE_SEED);
+    let report = fig6_report(&fig6_grid(30, 1, None), DEFAULT_LANE_SEED);
     assert_matches_golden(&report, include_str!("golden/fig6_x86.json"), "fig6");
 }
 
 #[test]
 fn x86_smp_report_matches_pre_refactor_golden_bytes() {
-    let series = smp_series(&[1, 2], SERVE_RATE_QPS, 60, DEFAULT_LANE_SEED, 1);
-    let report = smp_report(&series, DEFAULT_LANE_SEED);
-    assert_matches_golden(&report, include_str!("golden/smp_x86.json"), "smp");
-}
-
-#[test]
-fn x86_faults_report_matches_pre_refactor_golden_bytes() {
-    let cells = faults_campaign(&FAULTS_MODES, &[0.0, 0.05], 60, FAULTS_DEFAULT_SEED, 1);
-    let report = faults_report(&cells, FAULTS_DEFAULT_SEED);
-    assert_matches_golden(&report, include_str!("golden/faults_x86.json"), "faults");
-}
-
-/// The explicit-arch entry points with `ArchId::X86` are the same code
-/// path the legacy entry points delegate to — same grid, same bytes.
-#[test]
-fn x86_series_is_identical_through_the_arch_entry_points() {
-    let legacy = smp_series(&[1, 2], SERVE_RATE_QPS, 60, DEFAULT_LANE_SEED, 1);
-    let explicit = smp_series_on(
+    let series = smp_series(
         ArchId::X86,
         &[1, 2],
         SERVE_RATE_QPS,
         60,
         DEFAULT_LANE_SEED,
         1,
+        None,
     );
-    assert_eq!(
-        smp_report(&legacy, DEFAULT_LANE_SEED).to_json().pretty(),
-        smp_report_on(ArchId::X86, &explicit, DEFAULT_LANE_SEED)
-            .to_json()
-            .pretty()
+    let report = smp_report(ArchId::X86, &series, DEFAULT_LANE_SEED);
+    assert_matches_golden(&report, include_str!("golden/smp_x86.json"), "smp");
+}
+
+#[test]
+fn x86_faults_report_matches_pre_refactor_golden_bytes() {
+    let cells = faults_campaign(
+        &FAULTS_MODES,
+        &[0.0, 0.05],
+        60,
+        FAULTS_DEFAULT_SEED,
+        1,
+        None,
     );
+    let report = faults_report(&cells, FAULTS_DEFAULT_SEED);
+    assert_matches_golden(&report, include_str!("golden/faults_x86.json"), "faults");
 }
 
 #[test]
 fn riscv_report_is_byte_identical_across_worker_counts() {
-    let a = riscv_grid(20, 40, DEFAULT_LANE_SEED, 1);
-    let b = riscv_grid(20, 40, DEFAULT_LANE_SEED, 4);
+    let a = riscv_grid(20, 40, DEFAULT_LANE_SEED, 1, None);
+    let b = riscv_grid(20, 40, DEFAULT_LANE_SEED, 4, None);
     assert_eq!(a, b, "riscv grid drifted between --jobs 1 and --jobs 4");
     assert_eq!(
         riscv_report(&a, DEFAULT_LANE_SEED).to_json().pretty(),
@@ -85,27 +79,23 @@ fn riscv_report_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn riscv_smp_report_is_byte_identical_across_worker_counts() {
-    let a = smp_series_on(
-        ArchId::Riscv,
-        &[1, 2],
-        SERVE_RATE_QPS,
-        40,
-        DEFAULT_LANE_SEED,
-        1,
-    );
-    let b = smp_series_on(
-        ArchId::Riscv,
-        &[1, 2],
-        SERVE_RATE_QPS,
-        40,
-        DEFAULT_LANE_SEED,
-        4,
-    );
+    let series = |jobs| {
+        smp_series(
+            ArchId::Riscv,
+            &[1, 2],
+            SERVE_RATE_QPS,
+            40,
+            DEFAULT_LANE_SEED,
+            jobs,
+            None,
+        )
+    };
+    let (a, b) = (series(1), series(4));
     assert_eq!(
-        smp_report_on(ArchId::Riscv, &a, DEFAULT_LANE_SEED)
+        smp_report(ArchId::Riscv, &a, DEFAULT_LANE_SEED)
             .to_json()
             .pretty(),
-        smp_report_on(ArchId::Riscv, &b, DEFAULT_LANE_SEED)
+        smp_report(ArchId::Riscv, &b, DEFAULT_LANE_SEED)
             .to_json()
             .pretty()
     );
@@ -116,8 +106,8 @@ fn riscv_smp_report_is_byte_identical_across_worker_counts() {
 /// are deterministic across worker counts.
 #[test]
 fn riscv_bars_show_svt_speedups_and_merge_deterministically() {
-    let a = fig6_bars_on(ArchId::Riscv, 20, 1);
-    let b = fig6_bars_on(ArchId::Riscv, 20, 4);
+    let a = fig6_bars(ArchId::Riscv, 20, 1, None);
+    let b = fig6_bars(ArchId::Riscv, 20, 4, None);
     assert_eq!(a, b);
     let bar = |label: &str| a.iter().find(|x| x.label == label).unwrap();
     assert!(
@@ -132,9 +122,25 @@ fn riscv_bars_show_svt_speedups_and_merge_deterministically() {
     );
     // A memcached pass through every engine completes watchdog-clean on
     // the new backend (the ci.sh riscv smoke runs this same grid).
-    let grid = riscv_grid(20, 40, DEFAULT_LANE_SEED, 2);
+    let grid = riscv_grid(20, 40, DEFAULT_LANE_SEED, 2, None);
     assert_eq!(grid.memcached.len(), SwitchMode::ALL.len());
     for (mode, p) in &grid.memcached {
         assert!(p.completed > 0, "{mode}: no requests completed on riscv");
     }
+}
+
+/// A binary whose figure only exists on x86 refuses another backend with
+/// a nonzero exit instead of exiting 0 having run nothing.
+#[test]
+fn x86_only_bins_reject_other_backends() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig7"))
+        .args(["--arch", "riscv"])
+        .output()
+        .expect("fig7 starts");
+    assert_eq!(out.status.code(), Some(2), "fig7 --arch riscv: {out:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "fig7 ran before rejecting the backend"
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("x86 only"));
 }

@@ -9,6 +9,7 @@
 //! grid order regardless of worker completion order — see the ordering
 //! property tests in `svt_sim::sweep`.)
 
+use svt_arch::ArchId;
 use svt_bench::{
     faults_campaign, faults_report, fig6_report, smp_report, smp_series, timeline_cells,
     timeline_report, timelines_json, FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
@@ -18,20 +19,28 @@ use svt_workloads::{fig6_grid, DEFAULT_LANE_SEED};
 
 #[test]
 fn fig6_report_is_byte_identical_across_worker_counts() {
-    let a = fig6_report(&fig6_grid(30, 1), DEFAULT_LANE_SEED);
-    let b = fig6_report(&fig6_grid(30, 4), DEFAULT_LANE_SEED);
+    let a = fig6_report(&fig6_grid(30, 1, None), DEFAULT_LANE_SEED);
+    let b = fig6_report(&fig6_grid(30, 4, None), DEFAULT_LANE_SEED);
     assert_eq!(a.to_json().pretty(), b.to_json().pretty());
 }
 
 #[test]
 fn smp_report_is_byte_identical_across_worker_counts() {
-    let counts = [1usize, 2];
-    let a = smp_series(&counts, SERVE_RATE_QPS, 60, DEFAULT_LANE_SEED, 1);
-    let b = smp_series(&counts, SERVE_RATE_QPS, 60, DEFAULT_LANE_SEED, 4);
-    assert_eq!(
-        smp_report(&a, DEFAULT_LANE_SEED).to_json().pretty(),
-        smp_report(&b, DEFAULT_LANE_SEED).to_json().pretty()
-    );
+    let report = |jobs| {
+        let series = smp_series(
+            ArchId::X86,
+            &[1, 2],
+            SERVE_RATE_QPS,
+            60,
+            DEFAULT_LANE_SEED,
+            jobs,
+            None,
+        );
+        smp_report(ArchId::X86, &series, DEFAULT_LANE_SEED)
+            .to_json()
+            .pretty()
+    };
+    assert_eq!(report(1), report(4));
 }
 
 /// The tentpole determinism claim: the windowed timeline export — every
@@ -59,14 +68,14 @@ fn timeline_export_is_byte_identical_across_worker_counts() {
     );
     // And the armed cell must actually have exercised the recorder, or
     // the equality above proves less than it claims.
-    assert!(a.last().unwrap().point.flight_trips > 0);
+    assert!(a.last().unwrap().telemetry.flight_trips > 0);
 }
 
 #[test]
 fn faults_report_is_byte_identical_across_worker_counts() {
     let rates = [0.0, 0.05];
-    let a = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 1);
-    let b = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 4);
+    let a = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 1, None);
+    let b = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 4, None);
     assert_eq!(
         faults_report(&a, FAULTS_DEFAULT_SEED).to_json().pretty(),
         faults_report(&b, FAULTS_DEFAULT_SEED).to_json().pretty()

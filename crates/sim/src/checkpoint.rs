@@ -107,65 +107,66 @@ impl Checkpoint {
         let sealed = seal(SNAP_VERSION, self.tag, payload.to_vec());
         atomic_write(&self.cell_path(scope, idx), &sealed)
     }
+}
 
-    /// Runs a `cells`-cell grid through [`crate::sweep`], journaling
-    /// every freshly computed cell. When `resume` is true, journaled
-    /// cells decode through `load` instead of recomputing; a cell that
-    /// is missing, truncated, bit-flipped, sealed for another campaign,
-    /// or undecodable is recomputed (and the journal repaired) — resume
-    /// never panics on a bad checkpoint. Since cells are pure functions
-    /// of their index and merge in grid order, the merged result is
-    /// byte-identical to an uninterrupted run at any `jobs`.
-    ///
-    /// Journaling failures (full disk, permissions) are reported on
-    /// stderr and the campaign continues uncheckpointed — a broken
-    /// journal must not fail an otherwise healthy run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep<T, F, S, L>(
-        &self,
-        scope: &str,
-        cells: usize,
-        jobs: usize,
-        resume: bool,
-        run: F,
-        save: S,
-        load: L,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        S: Fn(&T, &mut SnapWriter) + Sync,
-        L: Fn(&mut SnapReader<'_>) -> Result<T, SnapError> + Sync,
-    {
-        crate::sweep(cells, jobs, |i| {
-            if resume {
-                match self.load_cell(scope, i) {
-                    Ok(Some(payload)) => {
-                        let mut r = SnapReader::new(&payload);
-                        match load(&mut r).and_then(|t| r.finish().map(|()| t)) {
-                            Ok(t) => return t,
-                            Err(e) => {
-                                eprintln!(
-                                    "checkpoint: cell {scope}-{i} undecodable ({e:?}); recomputing"
-                                )
-                            }
+/// Runs a `cells`-cell grid through [`crate::sweep`], journaling every
+/// freshly computed cell to `ckpt` under `scope` when a checkpoint is
+/// given. With `(ckpt, true)`, journaled cells decode through `load`
+/// instead of recomputing; a cell that is missing, truncated,
+/// bit-flipped, sealed for another campaign, or undecodable is
+/// recomputed (and the journal repaired) — resume never panics on a bad
+/// checkpoint. Without a checkpoint this is [`crate::sweep`]. Since cells
+/// are pure functions of their index and merge in grid order, the merged
+/// result is byte-identical to an uninterrupted run at any `jobs`.
+///
+/// Journaling failures (full disk, permissions) are reported on stderr
+/// and the campaign continues uncheckpointed — a broken journal must not
+/// fail an otherwise healthy run.
+#[allow(clippy::too_many_arguments)]
+pub fn sweep<T, F, S, L>(
+    ckpt: Option<(&Checkpoint, bool)>,
+    scope: &str,
+    cells: usize,
+    jobs: usize,
+    run: F,
+    save: S,
+    load: L,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    S: Fn(&T, &mut SnapWriter) + Sync,
+    L: Fn(&mut SnapReader<'_>) -> Result<T, SnapError> + Sync,
+{
+    let Some((ckpt, resume)) = ckpt else {
+        return crate::sweep(cells, jobs, run);
+    };
+    crate::sweep(cells, jobs, |i| {
+        if resume {
+            match ckpt.load_cell(scope, i) {
+                Ok(Some(payload)) => {
+                    let mut r = SnapReader::new(&payload);
+                    match load(&mut r).and_then(|t| r.finish().map(|()| t)) {
+                        Ok(t) => return t,
+                        Err(e) => {
+                            eprintln!(
+                                "checkpoint: cell {scope}-{i} undecodable ({e:?}); recomputing"
+                            )
                         }
                     }
-                    Ok(None) => {}
-                    Err(e) => {
-                        eprintln!("checkpoint: cell {scope}-{i} rejected ({e:?}); recomputing")
-                    }
                 }
+                Ok(None) => {}
+                Err(e) => eprintln!("checkpoint: cell {scope}-{i} rejected ({e:?}); recomputing"),
             }
-            let t = run(i);
-            let mut w = SnapWriter::new();
-            save(&t, &mut w);
-            if let Err(e) = self.store_cell(scope, i, &w.into_vec()) {
-                eprintln!("checkpoint: journaling cell {scope}-{i} failed ({e}); continuing");
-            }
-            t
-        })
-    }
+        }
+        let t = run(i);
+        let mut w = SnapWriter::new();
+        save(&t, &mut w);
+        if let Err(e) = ckpt.store_cell(scope, i, &w.into_vec()) {
+            eprintln!("checkpoint: journaling cell {scope}-{i} failed ({e}); continuing");
+        }
+        t
+    })
 }
 
 #[cfg(test)]
@@ -233,13 +234,13 @@ mod tests {
         };
         let save = |v: &u64, w: &mut SnapWriter| w.u64(*v);
         let load = |r: &mut SnapReader<'_>| r.u64();
-        let first = ckpt.sweep("s", 5, 2, false, run, save, load);
+        let first = sweep(Some((&ckpt, false)), "s", 5, 2, run, save, load);
         assert_eq!(first, vec![0, 3, 6, 9, 12]);
         assert_eq!(computed.load(Ordering::Relaxed), 5);
 
         // Resume replays the journal without recomputing anything, at a
         // different worker count.
-        let again = ckpt.sweep("s", 5, 1, true, run, save, load);
+        let again = sweep(Some((&ckpt, true)), "s", 5, 1, run, save, load);
         assert_eq!(again, first);
         assert_eq!(computed.load(Ordering::Relaxed), 5);
 
@@ -251,7 +252,7 @@ mod tests {
         let last = blob.len() - 1;
         blob[last] ^= 1;
         fs::write(&path, &blob).unwrap();
-        let third = ckpt.sweep("s", 5, 3, true, run, save, load);
+        let third = sweep(Some((&ckpt, true)), "s", 5, 3, run, save, load);
         assert_eq!(third, first);
         assert_eq!(computed.load(Ordering::Relaxed), 7);
         let _ = fs::remove_dir_all(&dir);

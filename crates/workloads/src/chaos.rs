@@ -8,16 +8,14 @@
 //! all causal-graph watchdog verdicts. One `(seed, rate)` pair fully
 //! determines a run.
 
-use svt_core::{smp_machine, SwitchMode};
-use svt_hv::GuestProgram;
+use svt_arch::ArchId;
+use svt_core::SwitchMode;
+use svt_hv::Machine;
 use svt_obs::{MetricKey, WATCHDOGS};
-use svt_sim::{FaultPlan, SimDuration, SimTime};
+use svt_sim::FaultPlan;
 
-use crate::harness::attach_loadgen_for_seeded;
-use crate::kvstore::{EtcSource, KvService};
-use crate::loadgen::ArrivalMode;
-use crate::server::{RrServer, ServerConfig};
-use crate::smp::SmpPoint;
+use crate::harness::DEFAULT_LANE_SEED;
+use crate::smp::{traps_served, App, RunSpec, SmpPoint};
 
 /// Everything one chaos run reports.
 #[derive(Debug, Clone)]
@@ -159,49 +157,32 @@ pub fn memcached_chaos(
     requests: u64,
     plan: FaultPlan,
 ) -> ChaosPoint {
-    let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
-    let mut m = smp_machine(mode, n_vcpus);
     let seed = plan.seed();
-    m.faults = plan;
-    // The causal graph doubles as the run's invariant monitor: its
-    // watchdogs must stay silent even under injection.
-    m.obs.causal.enable();
-    let cost = m.cost.clone();
-    let mut stats = Vec::with_capacity(n_vcpus);
-    let mut servers: Vec<RrServer> = Vec::with_capacity(n_vcpus);
-    for v in 0..n_vcpus {
-        let source = Box::new(EtcSource::new(100_000));
+    let spec = RunSpec {
+        app: App::Memcached { rate_qps, requests },
+        mode,
+        arch: ArchId::X86,
+        vcpus: n_vcpus,
         // Lanes keep the default request streams regardless of the fault
         // seed: every cell of a fault-rate sweep then serves identical
         // load, so throughput differences are attributable to the faults.
-        stats.push(attach_loadgen_for_seeded(
-            &mut m,
-            v,
-            ArrivalMode::OpenLoop {
-                mean_interarrival: mean,
-            },
-            requests,
-            source,
-            crate::harness::DEFAULT_LANE_SEED,
-        ));
-        let mut cfg = ServerConfig::rr_on_lane(&cost, u64::MAX, v);
-        cfg.timer_rearm_every = 4;
-        cfg.replenish_every = 2;
-        servers.push(RrServer::new(cfg, Box::new(KvService::new(50_000))));
-    }
-    let horizon = SimTime::ZERO
-        + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
-        + SimDuration::from_ms(80);
-    let mut progs: Vec<&mut dyn GuestProgram> = servers
-        .iter_mut()
-        .map(|s| s as &mut dyn GuestProgram)
-        .collect();
-    m.run_smp(&mut progs, horizon)
-        .expect("chaos run survives injection");
-    harvest(&m, seed, crate::smp::collect(n_vcpus, &stats))
+        lane_seed: DEFAULT_LANE_SEED,
+    };
+    let (point, counters) = spec.run(
+        |m| {
+            m.faults = plan;
+            // The causal graph doubles as the run's invariant monitor: its
+            // watchdogs must stay silent even under injection.
+            m.obs.causal.enable();
+        },
+        |m| harvest(m, seed),
+    );
+    ChaosPoint { point, ..counters }
 }
 
-fn harvest(m: &svt_hv::Machine, seed: u64, point: SmpPoint) -> ChaosPoint {
+/// Reads the injection, recovery and watchdog counters off a finished
+/// chaos run. The serving `point` is left empty for the caller to fill.
+fn harvest(m: &mut Machine, seed: u64) -> ChaosPoint {
     let total = |name: &str| m.obs.metrics.counter_total(name);
     let injected = m.faults.injected_counts();
     let total_injected = m.faults.total_injected();
@@ -233,7 +214,7 @@ fn harvest(m: &svt_hv::Machine, seed: u64, point: SmpPoint) -> ChaosPoint {
         })
         .collect();
     ChaosPoint {
-        point,
+        point: SmpPoint::default(),
         seed,
         injected,
         total_injected,
@@ -248,7 +229,7 @@ fn harvest(m: &svt_hv::Machine, seed: u64, point: SmpPoint) -> ChaosPoint {
         fallback_traps: total("svt_trap_fallback"),
         resume_fallbacks: total("svt_resume_fallback"),
         watchdogs,
-        traps: total("vm_exit") + total("l0_direct_exit"),
+        traps: traps_served(m),
     }
 }
 
@@ -258,7 +239,13 @@ mod tests {
 
     #[test]
     fn fault_free_chaos_matches_plain_smp() {
-        let plain = crate::smp::memcached_smp(SwitchMode::SwSvt, 2, 2_000.0, 60);
+        let (plain, _) = crate::smp::memcached_smp_counted_seeded(
+            SwitchMode::SwSvt,
+            2,
+            2_000.0,
+            60,
+            DEFAULT_LANE_SEED,
+        );
         let chaos = memcached_chaos(SwitchMode::SwSvt, 2, 2_000.0, 60, FaultPlan::none());
         assert_eq!(chaos.point, plain);
         assert_eq!(chaos.total_injected, 0);

@@ -4,7 +4,10 @@ use svt_arch::ArchId;
 use svt_core::{nested_machine, nested_machine_on, SwitchMode};
 use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt_obs::{Json, MetricKey, ObsLevel};
+use svt_sim::checkpoint::{self, Checkpoint};
 use svt_sim::{CostPart, SimDuration};
+
+use crate::smp::traps_served;
 
 /// One bar of Fig. 6.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,36 +44,30 @@ fn measure_cpuid(m: &mut Machine, iters: u64) -> svt_sim::ClockSnapshot {
     m.clock.since_snapshot(&base)
 }
 
-/// cpuid latency in µs at a given level/mode.
-pub fn cpuid_us(level: Level, mode: SwitchMode, iters: u64) -> f64 {
-    cpuid_counted(level, mode, iters).0
-}
-
-/// [`cpuid_us`] additionally returning the number of simulated traps
-/// the run served (L2 vm-exits plus L0 direct exits) — the wall-clock
-/// self-benchmark's unit of work.
-pub fn cpuid_counted(level: Level, mode: SwitchMode, iters: u64) -> (f64, u64) {
-    let mut m = if level == Level::L2 {
-        nested_machine(mode)
-    } else {
-        Machine::baseline(MachineConfig::at_level(level))
-    };
-    let d = measure_cpuid(&mut m, iters);
-    let traps =
-        m.obs.metrics.counter_total("vm_exit") + m.obs.metrics.counter_total("l0_direct_exit");
-    (d.busy_time().as_us() / iters as f64, traps)
-}
-
-/// [`cpuid_us`] on an explicit ISA backend. On RISC-V the probe
-/// instruction traps as a virtual instruction rather than a `cpuid`
-/// exit, and the backend's own cost model applies.
-pub fn cpuid_us_on(level: Level, mode: SwitchMode, arch: ArchId, iters: u64) -> f64 {
+/// One cpuid measurement on a fresh machine: µs per instruction and the
+/// simulated traps the run served.
+fn measure(level: Level, mode: SwitchMode, arch: ArchId, iters: u64) -> (f64, u64) {
     let mut m = if level == Level::L2 {
         nested_machine_on(mode, arch)
     } else {
         Machine::baseline(MachineConfig::at_level_on(level, arch))
     };
-    measure_cpuid(&mut m, iters).busy_time().as_us() / iters as f64
+    let d = measure_cpuid(&mut m, iters);
+    (d.busy_time().as_us() / iters as f64, traps_served(&m))
+}
+
+/// cpuid latency in µs at a given level/mode on x86, additionally
+/// returning the number of simulated traps the run served (L2 vm-exits
+/// plus L0 direct exits) — the wall-clock self-benchmark's unit of work.
+pub fn cpuid_counted(level: Level, mode: SwitchMode, iters: u64) -> (f64, u64) {
+    measure(level, mode, ArchId::X86, iters)
+}
+
+/// cpuid latency in µs at a given level/mode on an explicit ISA backend.
+/// On RISC-V the probe instruction traps as a virtual instruction rather
+/// than a `cpuid` exit, and the backend's own cost model applies.
+pub fn cpuid_us_on(level: Level, mode: SwitchMode, arch: ArchId, iters: u64) -> f64 {
+    measure(level, mode, arch, iters).0
 }
 
 /// The five Fig. 6 cells in bar order. Each cell is an independent
@@ -100,54 +97,29 @@ fn bars_from_times(times: &[f64]) -> Vec<Fig6Bar> {
         .collect()
 }
 
-/// Reproduces Fig. 6: the five bars with speedups against baseline L2.
-pub fn fig6(iters: u64) -> Vec<Fig6Bar> {
-    fig6_jobs(iters, 1)
-}
-
-/// [`fig6`] with the five cells fanned across `jobs` sweep workers.
-/// Results merge in bar order, so every worker count produces the same
-/// bars, bit for bit.
-pub fn fig6_jobs(iters: u64, jobs: usize) -> Vec<Fig6Bar> {
-    let times = svt_sim::sweep(FIG6_CELLS.len(), jobs, |i| {
-        let (_, level, mode) = FIG6_CELLS[i];
-        cpuid_us(level, mode, iters)
-    });
-    bars_from_times(&times)
-}
-
-/// The five Fig. 6 bars computed on an explicit ISA backend, fanned
-/// across `jobs` sweep workers with grid-order merge (byte-identical at
-/// any worker count).
-pub fn fig6_bars_on(arch: ArchId, iters: u64, jobs: usize) -> Vec<Fig6Bar> {
-    fig6_bars_on_ckpt(arch, iters, jobs, None)
-}
-
-/// [`fig6_bars_on`] with optional campaign checkpointing: each bar cell
-/// journals to `ckpt` under the `bars` scope, and `(ckpt, true)` resumes
-/// from the journal, recomputing only the cells it is missing.
-pub fn fig6_bars_on_ckpt(
+/// The five Fig. 6 bars on an ISA backend, fanned across `jobs` sweep
+/// workers with grid-order merge (byte-identical at any worker count).
+/// With a checkpoint, each bar cell journals under the `bars` scope, and
+/// `(ckpt, true)` resumes from the journal, recomputing only the cells it
+/// is missing.
+pub fn fig6_bars(
     arch: ArchId,
     iters: u64,
     jobs: usize,
-    ckpt: Option<(&svt_sim::checkpoint::Checkpoint, bool)>,
+    ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<Fig6Bar> {
-    let run = |i: usize| {
-        let (_, level, mode) = FIG6_CELLS[i];
-        cpuid_us_on(level, mode, arch, iters)
-    };
-    let times = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "bars",
-            FIG6_CELLS.len(),
-            jobs,
-            resume,
-            run,
-            |t, w| w.f64(*t),
-            |r| r.f64(),
-        ),
-        None => svt_sim::sweep(FIG6_CELLS.len(), jobs, run),
-    };
+    let times = checkpoint::sweep(
+        ckpt,
+        "bars",
+        FIG6_CELLS.len(),
+        jobs,
+        |i| {
+            let (_, level, mode) = FIG6_CELLS[i];
+            cpuid_us_on(level, mode, arch, iters)
+        },
+        |t, w| w.f64(*t),
+        |r| r.f64(),
+    );
     bars_from_times(&times)
 }
 
@@ -249,43 +221,31 @@ fn grid_cell_load(r: &mut svt_sim::SnapReader<'_>) -> Result<GridCell, svt_sim::
 /// Runs the full Fig. 6 grid — five bar cells plus the Table 1 and
 /// observed-attribution cells — across `jobs` sweep workers. All seven
 /// cells build independent machines, and the merge is in grid order, so
-/// the grid is byte-identical for every `jobs` value.
-pub fn fig6_grid(iters: u64, jobs: usize) -> Fig6Grid {
-    fig6_grid_ckpt(iters, jobs, None)
-}
-
-/// [`fig6_grid`] with optional campaign checkpointing: each of the seven
-/// grid cells journals to `ckpt` under the `fig6` scope as it completes,
-/// and `(ckpt, true)` resumes from the journal, recomputing only missing
-/// or corrupted cells. The merged grid is byte-identical either way.
-pub fn fig6_grid_ckpt(
-    iters: u64,
-    jobs: usize,
-    ckpt: Option<(&svt_sim::checkpoint::Checkpoint, bool)>,
-) -> Fig6Grid {
+/// the grid is byte-identical for every `jobs` value. With a checkpoint,
+/// each cell journals under the `fig6` scope as it completes, and
+/// `(ckpt, true)` resumes from the journal, recomputing only missing or
+/// corrupted cells.
+pub fn fig6_grid(iters: u64, jobs: usize, ckpt: Option<(&Checkpoint, bool)>) -> Fig6Grid {
     let n_bars = FIG6_CELLS.len();
     let run = |i: usize| {
         if i < n_bars {
             let (_, level, mode) = FIG6_CELLS[i];
-            GridCell::Bar(cpuid_us(level, mode, iters))
+            GridCell::Bar(cpuid_us_on(level, mode, ArchId::X86, iters))
         } else if i == n_bars {
             GridCell::Table(table1(iters))
         } else {
             GridCell::Observed(Box::new(cpuid_observed(SwitchMode::Baseline, iters)))
         }
     };
-    let mut cells = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "fig6",
-            n_bars + 2,
-            jobs,
-            resume,
-            run,
-            grid_cell_save,
-            grid_cell_load,
-        ),
-        None => svt_sim::sweep(n_bars + 2, jobs, run),
-    };
+    let mut cells = checkpoint::sweep(
+        ckpt,
+        "fig6",
+        n_bars + 2,
+        jobs,
+        run,
+        grid_cell_save,
+        grid_cell_load,
+    );
     let Some(GridCell::Observed(observed)) = cells.pop() else {
         unreachable!("last grid cell is the observed run")
     };
@@ -322,19 +282,8 @@ pub struct ExitAttribution {
 /// Runs the nested cpuid micro-benchmark under full observability and
 /// returns the per-exit-reason attribution plus the machine's metrics
 /// export (counters, gauges and latency histograms as JSON).
-pub fn cpuid_observed(mode: SwitchMode, iters: u64) -> (Vec<ExitAttribution>, Json) {
-    cpuid_observed_on(mode, ArchId::X86, iters)
-}
-
-/// [`cpuid_observed`] on an explicit ISA backend: the attribution keys
-/// carry the backend's own exit tags (`VIRT_INSTR`, `VS_CSR_WRITE`, …
-/// on RISC-V).
-pub fn cpuid_observed_on(
-    mode: SwitchMode,
-    arch: ArchId,
-    iters: u64,
-) -> (Vec<ExitAttribution>, Json) {
-    let mut m = nested_machine_on(mode, arch);
+fn cpuid_observed(mode: SwitchMode, iters: u64) -> (Vec<ExitAttribution>, Json) {
+    let mut m = nested_machine(mode);
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm).expect("cpuid never blocks");
     m.obs.metrics.clear();
@@ -391,7 +340,7 @@ mod tests {
 
     #[test]
     fn fig6_bars_ordered() {
-        let bars = fig6(20);
+        let bars = fig6_bars(ArchId::X86, 20, 1, None);
         assert_eq!(bars.len(), 5);
         assert_eq!(bars[0].label, "L0");
         // L0 < L1 < HW SVt < SW SVt < L2.
@@ -414,18 +363,13 @@ mod tests {
 
     #[test]
     fn fig6_grid_matches_sequential_runs_at_any_worker_count() {
-        let grid = fig6_grid(20, 4);
-        assert_eq!(grid.bars, fig6(20));
+        let grid = fig6_grid(20, 4, None);
+        assert_eq!(grid.bars, fig6_bars(ArchId::X86, 20, 1, None));
         assert_eq!(grid.table1, table1(20));
         let (exits, metrics) = cpuid_observed(SwitchMode::Baseline, 20);
         assert_eq!(grid.exits, exits);
         assert_eq!(grid.metrics.pretty(), metrics.pretty());
-        assert_eq!(fig6_jobs(20, 3), grid.bars);
-    }
-
-    #[test]
-    fn fig6_bars_on_x86_match_the_default_runner() {
-        assert_eq!(fig6_bars_on(ArchId::X86, 20, 1), fig6(20));
+        assert_eq!(fig6_bars(ArchId::X86, 20, 3, None), grid.bars);
     }
 
     #[test]
@@ -434,7 +378,7 @@ mod tests {
         // elision comes from scheduling, not VT-x specifics. Without
         // shadowing hardware the baseline pays a trap per vs-CSR access,
         // so both SVt engines must clear 1.0.
-        let bars = fig6_bars_on(ArchId::Riscv, 20, 2);
+        let bars = fig6_bars(ArchId::Riscv, 20, 2, None);
         assert_eq!(bars.len(), 5);
         assert!(bars[0].time_us < bars[2].time_us, "L0 beats nested L2");
         assert!(bars[3].speedup > 1.0, "SW SVt {}", bars[3].speedup);

@@ -3,7 +3,7 @@
 use svt_core::{nested_machine, SwitchMode};
 use svt_sim::SimDuration;
 
-use crate::harness::attach_blk;
+use crate::harness::attach_blk_for;
 use crate::video::{VideoConfig, VideoPlayer};
 
 /// Result of one playback run.
@@ -18,7 +18,7 @@ pub struct PlaybackResult {
 /// Plays `secs` seconds at `fps` under the given engine.
 pub fn video_playback(mode: SwitchMode, fps: u32, secs: u64) -> PlaybackResult {
     let mut m = nested_machine(mode);
-    attach_blk(&mut m);
+    attach_blk_for(&mut m, 0);
     let mut cfg = VideoConfig::isca19(fps);
     cfg.duration = SimDuration::from_secs(secs);
     let mut player = VideoPlayer::new(cfg, 0x0f_0b_0e_0a);

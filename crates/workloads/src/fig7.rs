@@ -9,7 +9,7 @@ use svt_sim::SimDuration;
 use svt_virtio::{NetConfig, VirtioNet, Virtqueue};
 
 use crate::disk::{DiskBench, DiskMode};
-use crate::harness::{attach_blk, rr_arrival, rr_machine, QUEUE_SIZE};
+use crate::harness::{attach_blk_for, rr_arrival, rr_machine, DEFAULT_LANE_SEED, QUEUE_SIZE};
 use crate::layout;
 use crate::loadgen::{FixedSource, Request};
 use crate::server::{EchoService, RrServer, ServerConfig};
@@ -45,7 +45,13 @@ pub fn net_rr_latency_us(mode: SwitchMode, transactions: u64) -> f64 {
     });
     let (mut m, stats) = {
         let cost = svt_sim::CostModel::default();
-        rr_machine(mode, rr_arrival(&cost), transactions, source)
+        rr_machine(
+            mode,
+            rr_arrival(&cost),
+            transactions,
+            source,
+            DEFAULT_LANE_SEED,
+        )
     };
     let cost = m.cost.clone();
     let mut server = RrServer::new(
@@ -78,7 +84,7 @@ pub fn net_stream_mbps(mode: SwitchMode, packets: u64) -> f64 {
 /// ioping-style disk latency in µs (512 B random accesses, QD 1).
 pub fn disk_latency_us(mode: SwitchMode, write: bool, ops: u64) -> f64 {
     let mut m = nested_machine(mode);
-    attach_blk(&mut m);
+    attach_blk_for(&mut m, 0);
     let cost = m.cost.clone();
     let mut bench = DiskBench::new(&cost, DiskMode::Latency, write, 512, ops);
     m.run(&mut bench).expect("disk run completes");
@@ -88,7 +94,7 @@ pub fn disk_latency_us(mode: SwitchMode, write: bool, ops: u64) -> f64 {
 /// fio-style disk bandwidth in KB/s (4 KB random accesses, QD 4).
 pub fn disk_bandwidth_kb_s(mode: SwitchMode, write: bool, ops: u64) -> f64 {
     let mut m = nested_machine(mode);
-    attach_blk(&mut m);
+    attach_blk_for(&mut m, 0);
     let cost = m.cost.clone();
     let mut bench = DiskBench::new(&cost, DiskMode::Bandwidth { qd: 4 }, write, 4096, ops);
     m.run(&mut bench).expect("disk run completes");

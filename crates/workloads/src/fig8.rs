@@ -8,7 +8,7 @@ use svt_core::SwitchMode;
 use svt_sim::SimDuration;
 use svt_stats::{SweepPoint, SweepSeries};
 
-use crate::harness::{rr_machine_seeded, DEFAULT_LANE_SEED};
+use crate::harness::rr_machine;
 use crate::kvstore::{EtcSource, KvService};
 use crate::loadgen::ArrivalMode;
 use crate::server::{RrServer, ServerConfig};
@@ -16,21 +16,12 @@ use crate::server::{RrServer, ServerConfig};
 /// The SLA used in the paper (500 µs on the 99th percentile).
 pub const SLA_NS: f64 = 500_000.0;
 
-/// One point of the latency-vs-load sweep.
-pub fn memcached_point(mode: SwitchMode, rate_qps: f64, requests: u64) -> SweepPoint {
-    memcached_point_seeded(mode, rate_qps, requests, DEFAULT_LANE_SEED)
-}
-
-/// [`memcached_point`] with an explicit request-stream seed.
-pub fn memcached_point_seeded(
-    mode: SwitchMode,
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-) -> SweepPoint {
+/// One point of the latency-vs-load sweep; `seed` seeds the request
+/// stream.
+pub fn memcached_point(mode: SwitchMode, rate_qps: f64, requests: u64, seed: u64) -> SweepPoint {
     let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
     let source = Box::new(EtcSource::new(100_000));
-    let (mut m, stats) = rr_machine_seeded(
+    let (mut m, stats) = rr_machine(
         mode,
         ArrivalMode::OpenLoop {
             mean_interarrival: mean,
@@ -65,21 +56,12 @@ pub fn memcached_point_seeded(
     }
 }
 
-/// Sweeps offered load and returns the latency curve.
-pub fn fig8_series(mode: SwitchMode, rates_kqps: &[f64], requests: u64) -> SweepSeries {
-    fig8_series_seeded(mode, rates_kqps, requests, DEFAULT_LANE_SEED)
-}
-
-/// [`fig8_series`] with an explicit request-stream seed.
-pub fn fig8_series_seeded(
-    mode: SwitchMode,
-    rates_kqps: &[f64],
-    requests: u64,
-    seed: u64,
-) -> SweepSeries {
+/// Sweeps offered load and returns the latency curve; `seed` seeds every
+/// point's request stream.
+pub fn fig8_series(mode: SwitchMode, rates_kqps: &[f64], requests: u64, seed: u64) -> SweepSeries {
     let mut series = SweepSeries::new(mode.label());
     for &r in rates_kqps {
-        series.push(memcached_point_seeded(mode, r * 1000.0, requests, seed));
+        series.push(memcached_point(mode, r * 1000.0, requests, seed));
     }
     series
 }
@@ -95,10 +77,11 @@ pub fn default_rates() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::DEFAULT_LANE_SEED;
 
     #[test]
     fn low_load_latency_is_flat_and_finite() {
-        let p = memcached_point(SwitchMode::Baseline, 2_000.0, 150);
+        let p = memcached_point(SwitchMode::Baseline, 2_000.0, 150, DEFAULT_LANE_SEED);
         assert!(
             p.avg_ns > 50_000.0 && p.avg_ns < 500_000.0,
             "avg {}",
@@ -110,8 +93,8 @@ mod tests {
 
     #[test]
     fn latency_grows_with_load() {
-        let low = memcached_point(SwitchMode::Baseline, 2_000.0, 150);
-        let high = memcached_point(SwitchMode::Baseline, 9_000.0, 400);
+        let low = memcached_point(SwitchMode::Baseline, 2_000.0, 150, DEFAULT_LANE_SEED);
+        let high = memcached_point(SwitchMode::Baseline, 9_000.0, 400, DEFAULT_LANE_SEED);
         assert!(
             high.avg_ns > low.avg_ns,
             "low {} high {}",
@@ -123,8 +106,8 @@ mod tests {
     #[test]
     fn svt_extends_the_sla_envelope() {
         // At a rate the baseline struggles with, SW SVt shows lower p99.
-        let b = memcached_point(SwitchMode::Baseline, 7_000.0, 300);
-        let s = memcached_point(SwitchMode::SwSvt, 7_000.0, 300);
+        let b = memcached_point(SwitchMode::Baseline, 7_000.0, 300, DEFAULT_LANE_SEED);
+        let s = memcached_point(SwitchMode::SwSvt, 7_000.0, 300, DEFAULT_LANE_SEED);
         assert!(s.p99_ns < b.p99_ns, "baseline {} sw {}", b.p99_ns, s.p99_ns);
     }
 }

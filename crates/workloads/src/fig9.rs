@@ -7,24 +7,20 @@
 use svt_core::SwitchMode;
 use svt_sim::SimDuration;
 
-use crate::harness::{attach_blk, rr_machine_seeded, DEFAULT_LANE_SEED};
+use crate::harness::{attach_blk_for, rr_machine};
 use crate::layout;
 use crate::loadgen::ArrivalMode;
 use crate::server::{RrServer, ServerConfig};
 use crate::tpcc::{TpccService, TpccSource};
 
 /// Transactions per minute at the given engine. `transactions` counts
-/// whole TPC-C transactions (each tens of statements on the wire).
-pub fn tpcc_tpm(mode: SwitchMode, transactions: u64) -> f64 {
-    tpcc_tpm_seeded(mode, transactions, DEFAULT_LANE_SEED)
-}
-
-/// [`tpcc_tpm`] with an explicit request-stream seed.
-pub fn tpcc_tpm_seeded(mode: SwitchMode, transactions: u64, seed: u64) -> f64 {
+/// whole TPC-C transactions (each tens of statements on the wire);
+/// `seed` seeds the request stream.
+pub fn tpcc_tpm(mode: SwitchMode, transactions: u64, seed: u64) -> f64 {
     // ~34 statements per average transaction in the standard mix.
     let statements = transactions * 34;
     let source = Box::new(TpccSource::new(4));
-    let (mut m, stats) = rr_machine_seeded(
+    let (mut m, stats) = rr_machine(
         mode,
         ArrivalMode::ClosedLoop {
             concurrency: 4,
@@ -34,7 +30,7 @@ pub fn tpcc_tpm_seeded(mode: SwitchMode, transactions: u64, seed: u64) -> f64 {
         source,
         seed,
     );
-    attach_blk(&mut m);
+    attach_blk_for(&mut m, 0);
     let cost = m.cost.clone();
     let mut cfg = ServerConfig::rr_defaults(&cost, statements);
     cfg.blk_mmio = Some(layout::BLK_MMIO);
@@ -57,11 +53,12 @@ pub fn tpcc_tpm_seeded(mode: SwitchMode, transactions: u64, seed: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::DEFAULT_LANE_SEED;
 
     #[test]
     fn throughput_in_plausible_band() {
         // Paper baseline: 6.37 ktpm; we target the same order of magnitude.
-        let tpm = tpcc_tpm(SwitchMode::Baseline, 120);
+        let tpm = tpcc_tpm(SwitchMode::Baseline, 120, DEFAULT_LANE_SEED);
         assert!(
             (2_000.0..20_000.0).contains(&tpm),
             "baseline TPC-C {tpm} tpm"
@@ -70,8 +67,8 @@ mod tests {
 
     #[test]
     fn sw_svt_improves_throughput() {
-        let b = tpcc_tpm(SwitchMode::Baseline, 120);
-        let s = tpcc_tpm(SwitchMode::SwSvt, 120);
+        let b = tpcc_tpm(SwitchMode::Baseline, 120, DEFAULT_LANE_SEED);
+        let s = tpcc_tpm(SwitchMode::SwSvt, 120, DEFAULT_LANE_SEED);
         assert!(s > b, "baseline {b} sw {s}");
         // Paper: 1.18x; allow a generous emergent band.
         let speedup = s / b;

@@ -15,25 +15,15 @@ use crate::server::VECTOR_BLK;
 /// Queue size shared by the workload programs and device models.
 pub const QUEUE_SIZE: u16 = 32;
 
-/// Historical base seed of the per-lane request streams (lane `v` draws
-/// from `DEFAULT_LANE_SEED + v`). Runs that don't pass an explicit seed
-/// stay bit-identical to every earlier release.
+/// Default base seed of the per-lane request streams (lane `v` draws
+/// from `DEFAULT_LANE_SEED + v`); every bench's `--seed` defaults to it.
 pub const DEFAULT_LANE_SEED: u64 = 0x1509;
 
 /// Builds a nested machine with a load-generator NIC attached; returns the
-/// machine and the shared statistics handle.
+/// machine and the shared statistics handle. `seed` seeds the request
+/// stream, so single-vCPU benchmark runs are reproducible from one
+/// `--seed` value.
 pub fn rr_machine(
-    mode: SwitchMode,
-    arrival: ArrivalMode,
-    total_requests: u64,
-    source: Box<dyn RequestSource>,
-) -> (Machine, Rc<RefCell<LoadStats>>) {
-    rr_machine_seeded(mode, arrival, total_requests, source, DEFAULT_LANE_SEED)
-}
-
-/// [`rr_machine`] with an explicit request-stream seed, so single-vCPU
-/// benchmark runs are reproducible from one `--seed` value.
-pub fn rr_machine_seeded(
     mode: SwitchMode,
     arrival: ArrivalMode,
     total_requests: u64,
@@ -45,29 +35,12 @@ pub fn rr_machine_seeded(
     (m, stats)
 }
 
-/// Attaches a virtio-blk device (vector [`VECTOR_BLK`]) to a machine.
-pub fn attach_blk(m: &mut Machine) {
-    attach_blk_for(m, 0);
-}
-
 /// Attaches a per-vCPU load-generator NIC on `vcpu`'s workload lane:
 /// queues and MMIO come from [`layout::lane`], and the device's
 /// completions and interrupts are routed to that vCPU only (queue-to-IRQ
-/// affinity). Each lane seeds its request stream differently so the
-/// per-vCPU streams are distinct but deterministic.
-pub fn attach_loadgen_for(
-    m: &mut Machine,
-    vcpu: usize,
-    arrival: ArrivalMode,
-    total_requests: u64,
-    source: Box<dyn RequestSource>,
-) -> Rc<RefCell<LoadStats>> {
-    attach_loadgen_for_seeded(m, vcpu, arrival, total_requests, source, DEFAULT_LANE_SEED)
-}
-
-/// [`attach_loadgen_for`] with an explicit base seed: lane `vcpu` draws
-/// its request stream from `base_seed + vcpu`, so a whole run is
-/// reproducible from one `--seed` value.
+/// affinity). Lane `vcpu` draws its request stream from
+/// `base_seed + vcpu`, so the per-vCPU streams are distinct but
+/// deterministic and a whole run is reproducible from one `--seed` value.
 pub fn attach_loadgen_for_seeded(
     m: &mut Machine,
     vcpu: usize,
@@ -100,8 +73,8 @@ pub fn attach_loadgen_for_seeded(
     stats
 }
 
-/// Attaches a virtio-blk device on `vcpu`'s workload lane, with its
-/// completion IRQs routed to that vCPU.
+/// Attaches a virtio-blk device (vector [`VECTOR_BLK`]) on `vcpu`'s
+/// workload lane, with its completion IRQs routed to that vCPU.
 pub fn attach_blk_for(m: &mut Machine, vcpu: usize) {
     let cost = m.cost.clone();
     let lane = layout::lane(vcpu);

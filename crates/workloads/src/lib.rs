@@ -2,14 +2,17 @@
 //!
 //! Every experiment of § 6 has a runner here:
 //!
-//! * [`fig6`]/[`table1`] — the cpuid micro-benchmark (Fig. 6, Table 1);
+//! * [`fig6_grid`]/[`fig6_bars`]/[`table1`] — the cpuid micro-benchmark
+//!   (Fig. 6, Table 1);
 //! * [`channel_study`] — the § 6.1 communication-channel feasibility study;
 //! * [`fig7`] — the I/O subsystem benchmarks (netperf TCP_RR/TCP_STREAM,
 //!   ioping, fio);
 //! * [`fig8_series`] — memcached under Facebook's ETC workload with the
 //!   500 µs SLA sweep;
 //! * [`tpcc_tpm`] — TPC-C-lite throughput with WAL persistence (Fig. 9);
-//! * [`video_playback`] — frame-deadline playback (Fig. 10).
+//! * [`video_playback`] — frame-deadline playback (Fig. 10);
+//! * [`RunSpec`] — sharded memcached or TPC-C across N vCPUs, the one
+//!   serving runner behind the SMP, profiling, chaos and telemetry runs.
 //!
 //! The guest-side programs are real: an in-memory key-value store, a
 //! five-transaction TPC-C engine, virtqueue-driving network and disk
@@ -19,12 +22,13 @@
 //! # Examples
 //!
 //! ```
-//! use svt_workloads::cpuid_us;
+//! use svt_workloads::cpuid_us_on;
+//! use svt_arch::ArchId;
 //! use svt_core::SwitchMode;
 //! use svt_hv::Level;
 //!
 //! // The Fig. 6 baseline bar: one nested cpuid costs ~10.4us.
-//! let t = cpuid_us(Level::L2, SwitchMode::Baseline, 10);
+//! let t = cpuid_us_on(Level::L2, SwitchMode::Baseline, ArchId::X86, 10);
 //! assert!((t - 10.4).abs() < 0.3);
 //! ```
 
@@ -56,22 +60,19 @@ pub use channel::{
 };
 pub use chaos::{memcached_chaos, ChaosPoint};
 pub use cpuid::{
-    cpuid_counted, cpuid_observed, cpuid_observed_on, cpuid_us, cpuid_us_on, fig6, fig6_bars_on,
-    fig6_bars_on_ckpt, fig6_grid, fig6_grid_ckpt, fig6_jobs, table1, ExitAttribution, Fig6Bar,
-    Fig6Grid, Table1Row,
+    cpuid_counted, cpuid_us_on, fig6_bars, fig6_grid, table1, ExitAttribution, Fig6Bar, Fig6Grid,
+    Table1Row,
 };
 pub use disk::{DiskBench, DiskMode};
 pub use fig10::{video_playback, PlaybackResult};
 pub use fig7::{
     disk_bandwidth_kb_s, disk_latency_us, fig7, net_rr_latency_us, net_stream_mbps, IoRow,
 };
-pub use fig8::{
-    default_rates, fig8_series, fig8_series_seeded, memcached_point, memcached_point_seeded, SLA_NS,
-};
-pub use fig9::{tpcc_tpm, tpcc_tpm_seeded};
+pub use fig8::{default_rates, fig8_series, memcached_point, SLA_NS};
+pub use fig9::tpcc_tpm;
 pub use harness::{
-    attach_blk, attach_blk_for, attach_loadgen_for, attach_loadgen_for_seeded, rr_arrival,
-    rr_machine, rr_machine_seeded, DEFAULT_LANE_SEED, QUEUE_SIZE,
+    attach_blk_for, attach_loadgen_for_seeded, rr_arrival, rr_machine, DEFAULT_LANE_SEED,
+    QUEUE_SIZE,
 };
 pub use kvstore::{EtcSource, KvService, OP_GET, OP_SET};
 pub use loadgen::{
@@ -82,12 +83,9 @@ pub use server::{
     EchoService, ParsedRequest, RrServer, ServeOutput, ServerConfig, ServiceModel, VECTOR_BLK,
 };
 pub use smp::{
-    memcached_smp, memcached_smp_counted_seeded, memcached_smp_profiled,
-    memcached_smp_profiled_seeded, memcached_smp_profiled_seeded_on, memcached_smp_seeded,
-    memcached_smp_seeded_on, tpcc_smp, tpcc_smp_profiled, tpcc_smp_profiled_seeded,
-    tpcc_smp_seeded, CausalProfile, SmpPoint,
+    memcached_smp_counted_seeded, tpcc_smp_seeded, App, CausalProfile, RunSpec, SmpPoint,
 };
 pub use stream::StreamSender;
-pub use telemetry::{memcached_telemetry, TelemetryOpts, TelemetryPoint};
+pub use telemetry::{TelemetryOpts, TelemetryPoint};
 pub use tpcc::{TpccDb, TpccService, TpccSource, TxType};
 pub use video::{VideoConfig, VideoPlayer};

@@ -10,11 +10,11 @@
 
 use svt_arch::ArchId;
 use svt_core::{smp_machine_on, SwitchMode};
-use svt_hv::GuestProgram;
+use svt_hv::{GuestProgram, Machine};
 use svt_obs::{folded_stacks, CriticalPath};
 use svt_sim::{SimDuration, SimTime};
 
-use crate::harness::{attach_blk_for, attach_loadgen_for_seeded, DEFAULT_LANE_SEED};
+use crate::harness::{attach_blk_for, attach_loadgen_for_seeded};
 use crate::kvstore::{EtcSource, KvService};
 use crate::layout;
 use crate::loadgen::ArrivalMode;
@@ -22,7 +22,7 @@ use crate::server::{RrServer, ServerConfig};
 use crate::tpcc::{TpccService, TpccSource};
 
 /// Aggregate result of one SMP serving run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SmpPoint {
     /// vCPUs the guest ran with.
     pub n_vcpus: usize,
@@ -85,86 +85,178 @@ pub struct CausalProfile {
     pub flows: Vec<svt_obs::FlowArrow>,
 }
 
-/// Sharded memcached under per-vCPU open-loop ETC load.
-///
-/// Each vCPU serves `rate_qps` of offered load from its own generator
-/// until `requests` requests per lane have been issued.
-///
-/// # Panics
-///
-/// Panics if `n_vcpus` is zero or exceeds the machine's physical cores,
-/// or if no lane completes any request.
-pub fn memcached_smp(mode: SwitchMode, n_vcpus: usize, rate_qps: f64, requests: u64) -> SmpPoint {
-    memcached_run(
-        mode,
-        ArchId::X86,
-        n_vcpus,
-        rate_qps,
-        requests,
-        false,
-        DEFAULT_LANE_SEED,
-    )
-    .0
+impl CausalProfile {
+    /// Arms a machine for profiling: trap-lifecycle spans and the causal
+    /// event graph. Pass as the `arm` of [`RunSpec::run`].
+    pub fn arm(m: &mut Machine) {
+        m.obs.spans.enable();
+        m.obs.causal.enable();
+    }
+
+    /// Extracts the causal products after a profiled run. `run_smp` has
+    /// already swept the graph's watchdogs at the end-of-run clock. Pass
+    /// as the `harvest` of [`RunSpec::run`].
+    pub fn harvest(m: &mut Machine) -> CausalProfile {
+        let paths = m.obs.causal.critical_paths();
+        let folded = folded_stacks(&paths);
+        let violations = m.obs.causal.violations().filter(|&(_, n)| n > 0).collect();
+        CausalProfile {
+            paths,
+            folded,
+            violations,
+            events_recorded: m.obs.causal.recorded(),
+            events_dropped: m.obs.causal.dropped(),
+            spans: m.obs.spans.to_vec(),
+            flows: m.obs.causal.flow_arrows(),
+        }
+    }
 }
 
-/// [`memcached_smp`] with an explicit base seed for the per-lane request
-/// streams (lane `v` draws from `seed + v`).
-///
-/// # Panics
-///
-/// As [`memcached_smp`].
-pub fn memcached_smp_seeded(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-) -> SmpPoint {
-    memcached_run(mode, ArchId::X86, n_vcpus, rate_qps, requests, false, seed).0
+/// The application every lane of a [`RunSpec`] serves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum App {
+    /// Sharded memcached under per-vCPU open-loop ETC load: each lane is
+    /// offered `rate_qps` until it has issued `requests` requests.
+    Memcached {
+        /// Offered load per lane, queries/second.
+        rate_qps: f64,
+        /// Requests issued per lane.
+        requests: u64,
+    },
+    /// Sharded TPC-C: per-vCPU closed-loop clients, each lane persisting
+    /// its WAL to its own virtio-blk device.
+    Tpcc {
+        /// Whole TPC-C transactions per lane.
+        transactions: u64,
+    },
 }
 
-/// [`memcached_smp_seeded`] on an explicit ISA backend.
-///
-/// # Panics
-///
-/// As [`memcached_smp`].
-pub fn memcached_smp_seeded_on(
-    mode: SwitchMode,
-    arch: ArchId,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-) -> SmpPoint {
-    memcached_run(mode, arch, n_vcpus, rate_qps, requests, false, seed).0
+/// One SMP serving run: which application, on which engine, ISA backend
+/// and vCPU count, with which per-lane request streams (lane `v` draws
+/// from `lane_seed + v`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSpec {
+    /// The application every lane serves.
+    pub app: App,
+    /// The reflection engine.
+    pub mode: SwitchMode,
+    /// The ISA backend.
+    pub arch: ArchId,
+    /// vCPUs, one serving lane each.
+    pub vcpus: usize,
+    /// Base seed of the per-lane request streams.
+    pub lane_seed: u64,
 }
 
-/// [`memcached_smp_seeded_on`] with the causal event graph enabled;
-/// additionally returns the run's critical-path profile (including the
-/// watchdog verdicts the riscv CI smoke checks).
-///
-/// # Panics
-///
-/// As [`memcached_smp`].
-pub fn memcached_smp_profiled_seeded_on(
-    mode: SwitchMode,
-    arch: ArchId,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-) -> (SmpPoint, CausalProfile) {
-    let (p, prof, _) = memcached_run(mode, arch, n_vcpus, rate_qps, requests, true, seed);
-    (p, prof.expect("profiled run harvests a causal profile"))
+impl RunSpec {
+    /// Runs the spec and returns the aggregate point plus whatever
+    /// `harvest` read off the machine.
+    ///
+    /// `arm` runs right after the machine is built and before any lane is
+    /// attached: it installs fault plans and turns on recorders. `harvest`
+    /// runs once the machine has stopped, before teardown. Plain runs pass
+    /// `|_| {}` and `|_| ()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcpus` is zero or exceeds the machine's physical cores,
+    /// if the run fails, or if no lane completes any request.
+    pub fn run<T>(
+        &self,
+        arm: impl FnOnce(&mut Machine),
+        harvest: impl FnOnce(&mut Machine) -> T,
+    ) -> (SmpPoint, T) {
+        let mut m = smp_machine_on(self.mode, self.arch, self.vcpus);
+        arm(&mut m);
+        let cost = m.cost.clone();
+        let mut stats = Vec::with_capacity(self.vcpus);
+        let mut servers: Vec<RrServer> = Vec::with_capacity(self.vcpus);
+        let horizon = match self.app {
+            App::Memcached { rate_qps, requests } => {
+                let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
+                for v in 0..self.vcpus {
+                    let source = Box::new(EtcSource::new(100_000));
+                    stats.push(attach_loadgen_for_seeded(
+                        &mut m,
+                        v,
+                        ArrivalMode::OpenLoop {
+                            mean_interarrival: mean,
+                        },
+                        requests,
+                        source,
+                        self.lane_seed,
+                    ));
+                    let mut cfg = ServerConfig::rr_on_lane(&cost, u64::MAX, v);
+                    cfg.timer_rearm_every = 4;
+                    cfg.replenish_every = 2;
+                    // One kv shard per vCPU: no cross-vCPU application state.
+                    servers.push(RrServer::new(cfg, Box::new(KvService::new(50_000))));
+                }
+                SimTime::ZERO
+                    + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
+                    + SimDuration::from_ms(80)
+            }
+            App::Tpcc { transactions } => {
+                let statements = transactions * 34;
+                for v in 0..self.vcpus {
+                    let source = Box::new(TpccSource::new(4));
+                    stats.push(attach_loadgen_for_seeded(
+                        &mut m,
+                        v,
+                        ArrivalMode::ClosedLoop {
+                            concurrency: 4,
+                            think: SimDuration::from_us(15),
+                        },
+                        statements,
+                        source,
+                        self.lane_seed,
+                    ));
+                    attach_blk_for(&mut m, v);
+                    let mut cfg = ServerConfig::rr_on_lane(&cost, statements, v);
+                    cfg.blk_mmio = Some(layout::lane(v).blk_mmio);
+                    cfg.timer_rearm_every = 2;
+                    cfg.replenish_every = 2;
+                    // One warehouse set per vCPU, as sharded OLTP deployments do.
+                    let (service, _db) = TpccService::new(4);
+                    servers.push(RrServer::new(cfg, Box::new(service)));
+                }
+                SimTime::MAX
+            }
+        };
+        run_servers(&mut m, &mut servers, horizon);
+        let harvested = harvest(&mut m);
+        let point = collect(self.vcpus, &stats);
+        // Guest memory, EPT webs and the application shards are freed after
+        // `run_end` closed the machine's profiling window; attribute that to
+        // Teardown.
+        svt_obs::hostprof::charge_block(svt_obs::HostPart::Teardown, move || {
+            drop(servers);
+            drop(m);
+        });
+        (point, harvested)
+    }
 }
 
-/// [`memcached_smp_seeded`] additionally returning the number of
-/// simulated traps the run served (L2 vm-exits plus L0 direct exits) —
-/// the unit of work the wall-clock self-benchmark divides host time by.
+fn run_servers(m: &mut Machine, servers: &mut [RrServer], horizon: SimTime) {
+    let mut progs: Vec<&mut dyn GuestProgram> = servers
+        .iter_mut()
+        .map(|s| s as &mut dyn GuestProgram)
+        .collect();
+    m.run_smp(&mut progs, horizon).expect("smp run completes");
+}
+
+/// Simulated traps a machine served: L2 vm-exits plus L0 direct exits,
+/// the unit of work the wall-clock self-benchmarks divide host time by.
+pub(crate) fn traps_served(m: &Machine) -> u64 {
+    m.obs.metrics.counter_total("vm_exit") + m.obs.metrics.counter_total("l0_direct_exit")
+}
+
+/// Sharded memcached on x86, additionally returning the simulated traps
+/// the run served (see [`RunSpec`]).
 ///
 /// # Panics
 ///
-/// As [`memcached_smp`].
+/// As [`RunSpec::run`].
 pub fn memcached_smp_counted_seeded(
     mode: SwitchMode,
     n_vcpus: usize,
@@ -172,219 +264,31 @@ pub fn memcached_smp_counted_seeded(
     requests: u64,
     seed: u64,
 ) -> (SmpPoint, u64) {
-    let (p, _, traps) = memcached_run(mode, ArchId::X86, n_vcpus, rate_qps, requests, false, seed);
-    (p, traps)
-}
-
-/// [`memcached_smp`] with the causal event graph enabled; additionally
-/// returns the run's critical-path profile.
-///
-/// # Panics
-///
-/// As [`memcached_smp`].
-pub fn memcached_smp_profiled(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-) -> (SmpPoint, CausalProfile) {
-    memcached_smp_profiled_seeded(mode, n_vcpus, rate_qps, requests, DEFAULT_LANE_SEED)
-}
-
-/// [`memcached_smp_profiled`] with an explicit base seed for the
-/// per-lane request streams.
-///
-/// # Panics
-///
-/// As [`memcached_smp`].
-pub fn memcached_smp_profiled_seeded(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-) -> (SmpPoint, CausalProfile) {
-    let (p, prof, _) = memcached_run(mode, ArchId::X86, n_vcpus, rate_qps, requests, true, seed);
-    (p, prof.expect("profiled run harvests a causal profile"))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn memcached_run(
-    mode: SwitchMode,
-    arch: ArchId,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-    profile: bool,
-    lane_seed: u64,
-) -> (SmpPoint, Option<CausalProfile>, u64) {
-    let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
-    let mut m = smp_machine_on(mode, arch, n_vcpus);
-    if profile {
-        m.obs.spans.enable();
-        m.obs.causal.enable();
+    RunSpec {
+        app: App::Memcached { rate_qps, requests },
+        mode,
+        arch: ArchId::X86,
+        vcpus: n_vcpus,
+        lane_seed: seed,
     }
-    let cost = m.cost.clone();
-    let mut stats = Vec::with_capacity(n_vcpus);
-    let mut servers: Vec<RrServer> = Vec::with_capacity(n_vcpus);
-    for v in 0..n_vcpus {
-        let source = Box::new(EtcSource::new(100_000));
-        stats.push(attach_loadgen_for_seeded(
-            &mut m,
-            v,
-            ArrivalMode::OpenLoop {
-                mean_interarrival: mean,
-            },
-            requests,
-            source,
-            lane_seed,
-        ));
-        let mut cfg = ServerConfig::rr_on_lane(&cost, u64::MAX, v);
-        cfg.timer_rearm_every = 4;
-        cfg.replenish_every = 2;
-        // One kv shard per vCPU: no cross-vCPU application state.
-        servers.push(RrServer::new(cfg, Box::new(KvService::new(50_000))));
-    }
-    let horizon = SimTime::ZERO
-        + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
-        + SimDuration::from_ms(80);
-    run_servers(&mut m, &mut servers, horizon);
-    let prof = profile.then(|| harvest_profile(&m));
-    let traps =
-        m.obs.metrics.counter_total("vm_exit") + m.obs.metrics.counter_total("l0_direct_exit");
-    let point = collect(n_vcpus, &stats);
-    // Guest memory, EPT webs and the kv shards are freed after `run_end`
-    // closed the machine's profiling window; attribute that to Teardown.
-    svt_obs::hostprof::charge_block(svt_obs::HostPart::Teardown, move || {
-        drop(servers);
-        drop(m);
-    });
-    (point, prof, traps)
+    .run(|_| {}, |m| traps_served(m))
 }
 
-/// Sharded TPC-C: per-vCPU closed-loop clients, each lane persisting its
-/// WAL to its own virtio-blk device. `transactions` counts whole TPC-C
-/// transactions per lane.
+/// Sharded TPC-C on x86 (see [`RunSpec`]).
 ///
 /// # Panics
 ///
-/// Panics if `n_vcpus` is zero or exceeds the machine's physical cores,
-/// or if no lane completes any statement.
-pub fn tpcc_smp(mode: SwitchMode, n_vcpus: usize, transactions: u64) -> SmpPoint {
-    tpcc_run(mode, n_vcpus, transactions, false, DEFAULT_LANE_SEED).0
-}
-
-/// [`tpcc_smp`] with an explicit base seed for the per-lane request
-/// streams (lane `v` draws from `seed + v`).
-///
-/// # Panics
-///
-/// As [`tpcc_smp`].
+/// As [`RunSpec::run`].
 pub fn tpcc_smp_seeded(mode: SwitchMode, n_vcpus: usize, transactions: u64, seed: u64) -> SmpPoint {
-    tpcc_run(mode, n_vcpus, transactions, false, seed).0
-}
-
-/// [`tpcc_smp`] with the causal event graph enabled; additionally
-/// returns the run's critical-path profile.
-///
-/// # Panics
-///
-/// As [`tpcc_smp`].
-pub fn tpcc_smp_profiled(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    transactions: u64,
-) -> (SmpPoint, CausalProfile) {
-    tpcc_smp_profiled_seeded(mode, n_vcpus, transactions, DEFAULT_LANE_SEED)
-}
-
-/// [`tpcc_smp_profiled`] with an explicit base seed for the per-lane
-/// request streams.
-///
-/// # Panics
-///
-/// As [`tpcc_smp`].
-pub fn tpcc_smp_profiled_seeded(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    transactions: u64,
-    seed: u64,
-) -> (SmpPoint, CausalProfile) {
-    let (p, prof) = tpcc_run(mode, n_vcpus, transactions, true, seed);
-    (p, prof.expect("profiled run harvests a causal profile"))
-}
-
-fn tpcc_run(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    transactions: u64,
-    profile: bool,
-    lane_seed: u64,
-) -> (SmpPoint, Option<CausalProfile>) {
-    let statements = transactions * 34;
-    let mut m = smp_machine_on(mode, ArchId::X86, n_vcpus);
-    if profile {
-        m.obs.spans.enable();
-        m.obs.causal.enable();
+    RunSpec {
+        app: App::Tpcc { transactions },
+        mode,
+        arch: ArchId::X86,
+        vcpus: n_vcpus,
+        lane_seed: seed,
     }
-    let cost = m.cost.clone();
-    let mut stats = Vec::with_capacity(n_vcpus);
-    let mut servers: Vec<RrServer> = Vec::with_capacity(n_vcpus);
-    for v in 0..n_vcpus {
-        let source = Box::new(TpccSource::new(4));
-        stats.push(attach_loadgen_for_seeded(
-            &mut m,
-            v,
-            ArrivalMode::ClosedLoop {
-                concurrency: 4,
-                think: SimDuration::from_us(15),
-            },
-            statements,
-            source,
-            lane_seed,
-        ));
-        attach_blk_for(&mut m, v);
-        let mut cfg = ServerConfig::rr_on_lane(&cost, statements, v);
-        cfg.blk_mmio = Some(layout::lane(v).blk_mmio);
-        cfg.timer_rearm_every = 2;
-        cfg.replenish_every = 2;
-        // One warehouse set per vCPU, as sharded OLTP deployments do.
-        let (service, _db) = TpccService::new(4);
-        servers.push(RrServer::new(cfg, Box::new(service)));
-    }
-    run_servers(&mut m, &mut servers, SimTime::MAX);
-    let prof = profile.then(|| harvest_profile(&m));
-    let point = collect(n_vcpus, &stats);
-    svt_obs::hostprof::charge_block(svt_obs::HostPart::Teardown, move || {
-        drop(servers);
-        drop(m);
-    });
-    (point, prof)
-}
-
-/// Extracts the causal products after a profiled run. `run_smp` has
-/// already swept the graph's watchdogs at the end-of-run clock.
-fn harvest_profile(m: &svt_hv::Machine) -> CausalProfile {
-    let paths = m.obs.causal.critical_paths();
-    let folded = folded_stacks(&paths);
-    let violations = m.obs.causal.violations().filter(|&(_, n)| n > 0).collect();
-    CausalProfile {
-        paths,
-        folded,
-        violations,
-        events_recorded: m.obs.causal.recorded(),
-        events_dropped: m.obs.causal.dropped(),
-        spans: m.obs.spans.to_vec(),
-        flows: m.obs.causal.flow_arrows(),
-    }
-}
-
-fn run_servers(m: &mut svt_hv::Machine, servers: &mut [RrServer], horizon: SimTime) {
-    let mut progs: Vec<&mut dyn GuestProgram> = servers
-        .iter_mut()
-        .map(|s| s as &mut dyn GuestProgram)
-        .collect();
-    m.run_smp(&mut progs, horizon).expect("smp run completes");
+    .run(|_| {}, |_| ())
+    .0
 }
 
 pub(crate) fn collect(
@@ -427,13 +331,28 @@ pub(crate) fn collect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::DEFAULT_LANE_SEED;
+
+    fn memcached(mode: SwitchMode, arch: ArchId, vcpus: usize, requests: u64) -> RunSpec {
+        RunSpec {
+            app: App::Memcached {
+                rate_qps: 2_000.0,
+                requests,
+            },
+            mode,
+            arch,
+            vcpus,
+            lane_seed: DEFAULT_LANE_SEED,
+        }
+    }
 
     #[test]
     fn one_vcpu_matches_single_vcpu_memcached() {
         // The SMP runner at n=1 sees the same machine, same lane, same
         // seed as the single-vCPU Fig. 8 runner.
-        let smp = memcached_smp(SwitchMode::Baseline, 1, 2_000.0, 120);
-        let single = crate::fig8::memcached_point(SwitchMode::Baseline, 2_000.0, 120);
+        let (smp, ()) = memcached(SwitchMode::Baseline, ArchId::X86, 1, 120).run(|_| {}, |_| ());
+        let single =
+            crate::fig8::memcached_point(SwitchMode::Baseline, 2_000.0, 120, DEFAULT_LANE_SEED);
         assert!(
             (smp.throughput - single.throughput).abs() < 1e-6,
             "smp {} vs single {}",
@@ -447,7 +366,7 @@ mod tests {
     fn memcached_scales_with_vcpus() {
         let mut prev = 0.0;
         for n in [1usize, 2, 4] {
-            let p = memcached_smp(SwitchMode::SwSvt, n, 2_000.0, 80);
+            let (p, ()) = memcached(SwitchMode::SwSvt, ArchId::X86, n, 80).run(|_| {}, |_| ());
             assert!(
                 p.throughput > prev,
                 "{n} vCPUs: {} not above {prev}",
@@ -460,14 +379,8 @@ mod tests {
     #[test]
     fn riscv_memcached_runs_all_engines_cleanly() {
         for mode in SwitchMode::ALL {
-            let (p, prof) = memcached_smp_profiled_seeded_on(
-                mode,
-                ArchId::Riscv,
-                2,
-                2_000.0,
-                40,
-                DEFAULT_LANE_SEED,
-            );
+            let (p, prof) = memcached(mode, ArchId::Riscv, 2, 40)
+                .run(CausalProfile::arm, CausalProfile::harvest);
             assert!(p.completed > 0, "{mode}: no requests completed");
             assert!(
                 prof.violations.is_empty(),
@@ -479,8 +392,8 @@ mod tests {
 
     #[test]
     fn tpcc_scales_with_vcpus() {
-        let one = tpcc_smp(SwitchMode::HwSvt, 1, 30);
-        let two = tpcc_smp(SwitchMode::HwSvt, 2, 30);
+        let one = tpcc_smp_seeded(SwitchMode::HwSvt, 1, 30, DEFAULT_LANE_SEED);
+        let two = tpcc_smp_seeded(SwitchMode::HwSvt, 2, 30, DEFAULT_LANE_SEED);
         assert!(
             two.throughput > one.throughput,
             "1 vCPU {} vs 2 vCPUs {}",

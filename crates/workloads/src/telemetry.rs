@@ -1,24 +1,20 @@
 //! Telemetry runs: serving workloads with the windowed time-series
 //! sampler and the flight recorder armed.
 //!
-//! The runner is the chaos harness with the full observability stack on:
-//! causal graph (the flight buffer), timeline sampler at a configurable
+//! [`TelemetryOpts::arm`] and [`TelemetryPoint::harvest`] are the
+//! `arm`/`harvest` pair of a [`RunSpec`](crate::RunSpec) run: causal
+//! graph (the flight buffer), timeline sampler at a configurable
 //! simulated-time cadence, and the armed flight recorder. Everything the
 //! run returns — the serving point, the columnar timeline, the crash
-//! dump — is a pure function of `(mode, n_vcpus, rate, requests, seed,
-//! fault plan, cadence)`, so timeline reports merge byte-identically
-//! across sweep workers exactly like run reports do.
+//! dump — is a pure function of the spec, the fault plan and the opts,
+//! so timeline reports merge byte-identically across sweep workers
+//! exactly like run reports do.
 
-use svt_core::{smp_machine, SwitchMode};
-use svt_hv::GuestProgram;
+use svt_hv::Machine;
 use svt_obs::Json;
-use svt_sim::{FaultPlan, SimDuration, SimTime};
+use svt_sim::{SimDuration, SimTime};
 
-use crate::harness::attach_loadgen_for_seeded;
-use crate::kvstore::{EtcSource, KvService};
-use crate::loadgen::ArrivalMode;
-use crate::server::{RrServer, ServerConfig};
-use crate::smp::SmpPoint;
+use crate::smp::traps_served;
 
 /// Knobs of a telemetry run.
 #[derive(Debug, Clone)]
@@ -42,11 +38,19 @@ impl Default for TelemetryOpts {
     }
 }
 
-/// Everything one telemetry run reports.
+impl TelemetryOpts {
+    /// Turns on the causal graph, the timeline sampler and the flight
+    /// recorder. Install any fault plan first.
+    pub fn arm(&self, m: &mut Machine) {
+        m.obs.causal.enable();
+        m.obs.timeline.enable_with(self.cadence);
+        m.obs.flight.enable_with(self.flight_k);
+    }
+}
+
+/// Everything one telemetry run reports besides its serving point.
 #[derive(Debug, Clone)]
 pub struct TelemetryPoint {
-    /// The serving-side result, as in plain SMP runs.
-    pub point: SmpPoint,
     /// Simulated traps served (the self-benchmark's unit of work).
     pub traps: u64,
     /// Windows the timeline emitted.
@@ -65,96 +69,73 @@ pub struct TelemetryPoint {
     pub fallback_traps: u64,
 }
 
-/// Sharded memcached under per-vCPU open-loop ETC load with the timeline
-/// sampler and flight recorder armed and `plan` installed. Identical
-/// load and machine as the chaos runner; only observability differs.
-///
-/// # Panics
-///
-/// Panics if `n_vcpus` is zero or exceeds the machine's physical cores,
-/// or if no lane completes any request.
-pub fn memcached_telemetry(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-    plan: FaultPlan,
-    opts: &TelemetryOpts,
-) -> TelemetryPoint {
-    let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
-    let mut m = smp_machine(mode, n_vcpus);
-    m.faults = plan;
-    m.obs.causal.enable();
-    m.obs.timeline.enable_with(opts.cadence);
-    m.obs.flight.enable_with(opts.flight_k);
-    let cost = m.cost.clone();
-    let mut stats = Vec::with_capacity(n_vcpus);
-    let mut servers: Vec<RrServer> = Vec::with_capacity(n_vcpus);
-    for v in 0..n_vcpus {
-        let source = Box::new(EtcSource::new(100_000));
-        stats.push(attach_loadgen_for_seeded(
-            &mut m,
-            v,
-            ArrivalMode::OpenLoop {
-                mean_interarrival: mean,
-            },
-            requests,
-            source,
-            crate::harness::DEFAULT_LANE_SEED,
-        ));
-        let mut cfg = ServerConfig::rr_on_lane(&cost, u64::MAX, v);
-        cfg.timer_rearm_every = 4;
-        cfg.replenish_every = 2;
-        servers.push(RrServer::new(cfg, Box::new(KvService::new(50_000))));
-    }
-    let horizon = SimTime::ZERO
-        + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
-        + SimDuration::from_ms(80);
-    let mut progs: Vec<&mut dyn GuestProgram> = servers
-        .iter_mut()
-        .map(|s| s as &mut dyn GuestProgram)
-        .collect();
-    m.run_smp(&mut progs, horizon)
-        .expect("telemetry run completes");
-    if opts.dump_on_exit {
-        let now = (0..n_vcpus)
-            .map(|i| m.local_now(i))
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        m.obs.flight_trip("dump_on_exit", now);
-    }
-    let point = crate::smp::collect(n_vcpus, &stats);
-    TelemetryPoint {
-        point,
-        traps: m.obs.metrics.counter_total("vm_exit")
-            + m.obs.metrics.counter_total("l0_direct_exit"),
-        windows: m.obs.timeline.len(),
-        timeline: m.obs.timeline.to_json(),
-        flight: m.obs.flight.last_dump().cloned(),
-        flight_trips: m.obs.flight.trips(),
-        watchdog_violations: m.obs.causal.total_violations(),
-        total_injected: m.faults.total_injected(),
-        fallback_traps: m.obs.metrics.counter_total("svt_trap_fallback"),
+impl TelemetryPoint {
+    /// Reads the telemetry products off a finished run armed with
+    /// `opts`, first tripping the end-of-run dump if `opts` asks for it.
+    pub fn harvest(m: &mut Machine, opts: &TelemetryOpts) -> TelemetryPoint {
+        if opts.dump_on_exit {
+            let now = (0..m.n_vcpus())
+                .map(|i| m.local_now(i))
+                .max()
+                .unwrap_or(SimTime::ZERO);
+            m.obs.flight_trip("dump_on_exit", now);
+        }
+        TelemetryPoint {
+            traps: traps_served(m),
+            windows: m.obs.timeline.len(),
+            timeline: m.obs.timeline.to_json(),
+            flight: m.obs.flight.last_dump().cloned(),
+            flight_trips: m.obs.flight.trips(),
+            watchdog_violations: m.obs.causal.total_violations(),
+            total_injected: m.faults.total_injected(),
+            fallback_traps: m.obs.metrics.counter_total("svt_trap_fallback"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use svt_arch::ArchId;
+    use svt_core::SwitchMode;
+    use svt_sim::FaultPlan;
+
     use super::*;
+    use crate::smp::{App, RunSpec, SmpPoint};
+    use crate::DEFAULT_LANE_SEED;
+
+    fn spec(arch: ArchId, vcpus: usize, requests: u64) -> RunSpec {
+        RunSpec {
+            app: App::Memcached {
+                rate_qps: 2_000.0,
+                requests,
+            },
+            mode: SwitchMode::SwSvt,
+            arch,
+            vcpus,
+            lane_seed: DEFAULT_LANE_SEED,
+        }
+    }
+
+    fn run(spec: RunSpec, plan: FaultPlan, opts: &TelemetryOpts) -> (SmpPoint, TelemetryPoint) {
+        spec.run(
+            |m| {
+                m.faults = plan;
+                opts.arm(m);
+            },
+            |m| TelemetryPoint::harvest(m, opts),
+        )
+    }
 
     #[test]
     fn telemetry_run_matches_plain_smp_and_samples_windows() {
-        let plain = crate::smp::memcached_smp(SwitchMode::SwSvt, 2, 2_000.0, 60);
-        let t = memcached_telemetry(
-            SwitchMode::SwSvt,
-            2,
-            2_000.0,
-            60,
+        let (plain, ()) = spec(ArchId::X86, 2, 60).run(|_| {}, |_| ());
+        let (point, t) = run(
+            spec(ArchId::X86, 2, 60),
             FaultPlan::none(),
             &TelemetryOpts::default(),
         );
         // Observability never changes simulated behavior.
-        assert_eq!(t.point, plain);
+        assert_eq!(point, plain);
         assert!(t.windows > 0, "no timeline windows sampled");
         assert_eq!(
             t.timeline.get("windows").and_then(|w| w.as_i64()),
@@ -167,12 +148,32 @@ mod tests {
     }
 
     #[test]
+    fn riscv_telemetry_cell_matches_plain_riscv_run() {
+        // The smp bin's telemetry cell with `--arch riscv`: causal graph,
+        // timeline and flight recorder armed on the H-extension backend,
+        // through every engine.
+        for mode in SwitchMode::ALL {
+            let spec = RunSpec {
+                mode,
+                ..spec(ArchId::Riscv, 2, 40)
+            };
+            let (plain, ()) = spec.run(|_| {}, |_| ());
+            let opts = TelemetryOpts {
+                dump_on_exit: true,
+                ..TelemetryOpts::default()
+            };
+            let (point, t) = run(spec, FaultPlan::none(), &opts);
+            assert_eq!(point, plain, "{mode}: telemetry changed the riscv run");
+            assert!(t.windows > 0, "{mode}: no timeline windows on riscv");
+            assert_eq!(t.watchdog_violations, 0, "{mode}: watchdogs tripped");
+            assert!(t.flight.is_some(), "{mode}: no end-of-run dump");
+        }
+    }
+
+    #[test]
     fn dump_on_exit_captures_a_healthy_tail() {
-        let t = memcached_telemetry(
-            SwitchMode::SwSvt,
-            1,
-            2_000.0,
-            40,
+        let (_, t) = run(
+            spec(ArchId::X86, 1, 40),
             FaultPlan::none(),
             &TelemetryOpts {
                 dump_on_exit: true,
@@ -191,11 +192,8 @@ mod tests {
     fn forced_fallback_trips_the_recorder_with_tails() {
         // The chaos smoke's committed operating point: rate 0.05 at this
         // seed drives the policy into FallenBack.
-        let t = memcached_telemetry(
-            SwitchMode::SwSvt,
-            2,
-            2_000.0,
-            60,
+        let (_, t) = run(
+            spec(ArchId::X86, 2, 60),
             FaultPlan::uniform(0xC4A0_5EED, 0.05),
             &TelemetryOpts::default(),
         );
@@ -219,17 +217,15 @@ mod tests {
 
     #[test]
     fn identical_configs_produce_identical_timelines() {
-        let run = || {
-            memcached_telemetry(
-                SwitchMode::SwSvt,
-                2,
-                2_000.0,
-                60,
+        let once = || {
+            run(
+                spec(ArchId::X86, 2, 60),
                 FaultPlan::uniform(7, 0.05),
                 &TelemetryOpts::default(),
             )
+            .1
         };
-        let (a, b) = (run(), run());
+        let (a, b) = (once(), once());
         assert_eq!(a.timeline.pretty(), b.timeline.pretty());
         assert_eq!(a.flight.map(|j| j.pretty()), b.flight.map(|j| j.pretty()));
     }

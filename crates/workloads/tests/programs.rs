@@ -57,7 +57,7 @@ fn stream_larger_window_does_not_reduce_throughput() {
 #[test]
 fn disk_bench_latency_mode_is_synchronous() {
     let mut m = nested_machine(SwitchMode::Baseline);
-    attach_blk(&mut m);
+    attach_blk_for(&mut m, 0);
     let cost = m.cost.clone();
     let mut bench = DiskBench::new(&cost, DiskMode::Latency, false, 512, 20);
     m.run(&mut bench).unwrap();
@@ -73,7 +73,7 @@ fn disk_bench_latency_mode_is_synchronous() {
 fn disk_bandwidth_scales_with_queue_depth() {
     let run = |qd| {
         let mut m = nested_machine(SwitchMode::Baseline);
-        attach_blk(&mut m);
+        attach_blk_for(&mut m, 0);
         let cost = m.cost.clone();
         let mut bench = DiskBench::new(&cost, DiskMode::Bandwidth { qd }, false, 4096, 60);
         m.run(&mut bench).unwrap();
@@ -87,7 +87,7 @@ fn disk_bandwidth_scales_with_queue_depth() {
 #[test]
 fn video_player_presents_every_frame() {
     let mut m = nested_machine(SwitchMode::Baseline);
-    attach_blk(&mut m);
+    attach_blk_for(&mut m, 0);
     let mut cfg = VideoConfig::isca19(60);
     cfg.duration = SimDuration::from_secs(5);
     let mut p = VideoPlayer::new(cfg, 3);
@@ -102,7 +102,7 @@ fn video_player_presents_every_frame() {
 #[test]
 fn video_player_reads_file_chunks_from_disk() {
     let mut m = nested_machine(SwitchMode::Baseline);
-    attach_blk(&mut m);
+    attach_blk_for(&mut m, 0);
     let mut cfg = VideoConfig::isca19(24);
     cfg.duration = SimDuration::from_secs(3);
     let mut p = VideoPlayer::new(cfg, 4);
@@ -138,8 +138,14 @@ fn server_wal_blocks_reply_until_persistence() {
                 vsize: 1,
             },
         });
-        let (mut m, stats) = rr_machine(SwitchMode::Baseline, rr_arrival(&cost), 10, source);
-        attach_blk(&mut m);
+        let (mut m, stats) = rr_machine(
+            SwitchMode::Baseline,
+            rr_arrival(&cost),
+            10,
+            source,
+            DEFAULT_LANE_SEED,
+        );
+        attach_blk_for(&mut m, 0);
         let mut cfg = ServerConfig::rr_defaults(&cost, 10);
         cfg.blk_mmio = Some(layout::BLK_MMIO);
         let svc: Box<dyn ServiceModel> = if wal {
@@ -185,8 +191,14 @@ fn server_disk_reads_are_sequentially_ordered_before_reply() {
             vsize: 1,
         },
     });
-    let (mut m, stats) = rr_machine(SwitchMode::Baseline, rr_arrival(&cost), 5, source);
-    attach_blk(&mut m);
+    let (mut m, stats) = rr_machine(
+        SwitchMode::Baseline,
+        rr_arrival(&cost),
+        5,
+        source,
+        DEFAULT_LANE_SEED,
+    );
+    attach_blk_for(&mut m, 0);
     let mut cfg = ServerConfig::rr_defaults(&cost, 5);
     cfg.blk_mmio = Some(layout::BLK_MMIO);
     let mut server = RrServer::new(cfg, Box::new(ReadyEcho));
@@ -200,7 +212,7 @@ fn server_disk_reads_are_sequentially_ordered_before_reply() {
 fn open_loop_overload_saturates_gracefully() {
     // Offered load far beyond capacity: the server saturates, p99 blows
     // up, but the run completes and throughput plateaus.
-    let p = memcached_point(SwitchMode::Baseline, 40_000.0, 400);
+    let p = memcached_point(SwitchMode::Baseline, 40_000.0, 400, DEFAULT_LANE_SEED);
     assert!(p.throughput < 20_000.0, "saturation: {}", p.throughput);
     assert!(p.p99_ns > SLA_NS, "overload exceeds SLA");
 }

@@ -4,14 +4,14 @@
 //! Run with: `cargo run --release --example memcached_sim`
 
 use svt::core::SwitchMode;
-use svt::workloads::{fig8_series, SLA_NS};
+use svt::workloads::{fig8_series, DEFAULT_LANE_SEED, SLA_NS};
 
 fn main() {
     let rates = vec![2.0, 4.0, 6.0, 8.0, 10.0];
     println!("memcached + ETC, open-loop load sweep (short run):\n");
     let mut crossovers = Vec::new();
     for mode in [SwitchMode::Baseline, SwitchMode::SwSvt] {
-        let series = fig8_series(mode, &rates, 400);
+        let series = fig8_series(mode, &rates, 400, DEFAULT_LANE_SEED);
         println!("[{}]", series.name);
         for p in series.points() {
             println!(

@@ -87,7 +87,7 @@ fn main() -> Result<(), MachineError> {
     );
     println!(
         "   L1's shadow vmcs12 holds the reflected exit reason: code {}",
-        m.vmcs12().read(svt::vmx::VmcsField::ExitReason)
+        m.vmcs12().read(svt::arch::VmcsField::ExitReason)
     );
     Ok(())
 }

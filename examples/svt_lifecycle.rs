@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --example svt_lifecycle`
 
+use svt::arch::VmcsField;
 use svt::cpu::{CtxId, CtxtLevel, Gpr, SmtCore};
-use svt::vmx::VmcsField;
 
 fn main() {
     // A core with three hardware contexts: L0 on ctx0, L1 on ctx1, L2 on
@@ -19,8 +19,8 @@ fn main() {
     // --- Configuring L1 (paper Fig. 4, step A/B) -----------------------
     // L0 programs vmcs01's SVt fields and the VMPTRLD caches them into the
     // per-core micro-registers.
-    let mut vmcs01 = svt::vmx::Vmcs::new(
-        svt::vmx::VmcsRole::Host { guest_level: 1 },
+    let mut vmcs01 = svt::arch::Vmcs::new(
+        svt::arch::VmcsRole::Host { guest_level: 1 },
         svt::mem::Gpa(0x1000),
     );
     vmcs01.set_svt_ctx(VmcsField::SvtVisor, Some(0));

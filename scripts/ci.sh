@@ -3,19 +3,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> layering: no vmx dependency outside the x86 backend and bench glue"
-# The arch refactor's structural claim: hv, core, virtio and workloads
-# speak only the ISA-neutral svt-arch vocabulary. A svt_vmx reference (or
-# a svt-vmx Cargo dependency) reappearing in any of them is a layering
-# regression, even if it compiles.
-if grep -rn 'svt_vmx\|svt-vmx' \
-    crates/hv crates/core crates/virtio crates/workloads \
-    --include='*.rs' --include='*.toml'; then
-    echo "FAIL: vmx leaked back into an ISA-neutral crate (use svt_arch instead)"
-    exit 1
-fi
-echo "ok   crates/{hv,core,virtio,workloads} are vmx-free"
-
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -25,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> cargo build --examples --benches"
+echo "==> cargo build --examples"
 cargo build --workspace --examples
 
 echo "==> fig6 speedup regression against BENCH_fig6.json"

@@ -16,7 +16,6 @@
 //! * [`cpu`] — the SMT core with SVt extensions;
 //! * [`arch`] — the ISA-neutral arch layer: VMCS analogue, exit
 //!   reasons, EPT, APIC, and the x86/riscv backend dispatch;
-//! * [`vmx`] — the x86 backend facade (re-exports [`arch`]);
 //! * [`hv`] — the machine and the baseline nested hypervisor;
 //! * [`core`] — the SVt contribution (HW and SW engines);
 //! * [`virtio`] — virtqueues, virtio-net, virtio-blk;
@@ -58,5 +57,4 @@ pub use svt_obs as obs;
 pub use svt_sim as sim;
 pub use svt_stats as stats;
 pub use svt_virtio as virtio;
-pub use svt_vmx as vmx;
 pub use svt_workloads as workloads;

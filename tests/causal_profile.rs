@@ -6,12 +6,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use svt::arch::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
 use svt::core::{smp_machine, SwitchMode};
 use svt::hv::{GuestCtx, GuestOp, GuestProgram};
 use svt::obs::{fold_paths, CausalGraph, WATCHDOGS};
 use svt::sim::{DetRng, SimDuration, SimTime};
-use svt::vmx::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
-use svt::workloads::memcached_smp_profiled;
+use svt::workloads::{App, CausalProfile, RunSpec, DEFAULT_LANE_SEED};
 
 /// A guest issuing a randomized mix of trapping and native operations,
 /// wrapping them in causal request anchors and remembering each
@@ -237,11 +237,23 @@ fn watchdog_names_are_registered() {
 #[test]
 fn sw_svt_critical_path_has_less_exit_resume_than_baseline() {
     const EXIT_RESUME: [&str; 4] = ["l2_exit", "l2_resume", "l1_entry", "l1_exit"];
-    let (_, base) = memcached_smp_profiled(SwitchMode::Baseline, 2, 2_000.0, 60);
-    let (_, sw) = memcached_smp_profiled(SwitchMode::SwSvt, 2, 2_000.0, 60);
+    let profile = |mode| {
+        let spec = RunSpec {
+            app: App::Memcached {
+                rate_qps: 2_000.0,
+                requests: 60,
+            },
+            mode,
+            arch: svt::arch::ArchId::X86,
+            vcpus: 2,
+            lane_seed: DEFAULT_LANE_SEED,
+        };
+        spec.run(CausalProfile::arm, CausalProfile::harvest).1
+    };
+    let (base, sw) = (profile(SwitchMode::Baseline), profile(SwitchMode::SwSvt));
     assert!(!base.folded.is_empty() && !sw.folded.is_empty());
     assert!(base.events_dropped == 0 && sw.events_dropped == 0);
-    let sum = |prof: &svt::workloads::CausalProfile| -> u64 {
+    let sum = |prof: &CausalProfile| -> u64 {
         fold_paths(&prof.paths)
             .iter()
             .filter(|((_, _, phase), _)| EXIT_RESUME.contains(phase))

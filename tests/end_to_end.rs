@@ -6,8 +6,8 @@ use svt::core::{nested_machine, SwitchMode};
 use svt::hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt::sim::{CostPart, SimDuration};
 use svt::workloads::{
-    attach_blk, disk_latency_us, net_rr_latency_us, rr_arrival, rr_machine, EchoService,
-    FixedSource, Request, RrServer, ServerConfig,
+    attach_blk_for, disk_latency_us, net_rr_latency_us, rr_arrival, rr_machine, EchoService,
+    FixedSource, Request, RrServer, ServerConfig, DEFAULT_LANE_SEED,
 };
 
 #[test]
@@ -21,7 +21,7 @@ fn rr_transaction_flows_through_every_engine() {
             },
         });
         let cost = svt::sim::CostModel::default();
-        let (mut m, stats) = rr_machine(mode, rr_arrival(&cost), 30, source);
+        let (mut m, stats) = rr_machine(mode, rr_arrival(&cost), 30, source, DEFAULT_LANE_SEED);
         let mut server = RrServer::new(
             ServerConfig::rr_defaults(&cost, 30),
             Box::new(EchoService {
@@ -61,7 +61,7 @@ fn disk_data_survives_the_full_stack() {
     // inside VirtioBlk's unit tests); here we check the nested machine
     // keeps request counts consistent through the interrupt chains.
     let mut m = nested_machine(SwitchMode::Baseline);
-    attach_blk(&mut m);
+    attach_blk_for(&mut m, 0);
     let cost = m.cost.clone();
     let mut bench = svt::workloads::DiskBench::new(
         &cost,
@@ -93,7 +93,13 @@ fn exit_reason_profile_matches_workload_type() {
         },
     });
     let cost = svt::sim::CostModel::default();
-    let (mut m, _stats) = rr_machine(SwitchMode::Baseline, rr_arrival(&cost), 10, source);
+    let (mut m, _stats) = rr_machine(
+        SwitchMode::Baseline,
+        rr_arrival(&cost),
+        10,
+        source,
+        DEFAULT_LANE_SEED,
+    );
     let mut server = RrServer::new(
         ServerConfig::rr_defaults(&cost, 10),
         Box::new(EchoService {
@@ -119,7 +125,13 @@ fn attribution_is_exhaustive() {
         },
     });
     let cost = svt::sim::CostModel::default();
-    let (mut m, _stats) = rr_machine(SwitchMode::Baseline, rr_arrival(&cost), 10, source);
+    let (mut m, _stats) = rr_machine(
+        SwitchMode::Baseline,
+        rr_arrival(&cost),
+        10,
+        source,
+        DEFAULT_LANE_SEED,
+    );
     let mut server = RrServer::new(
         ServerConfig::rr_defaults(&cost, 10),
         Box::new(EchoService {

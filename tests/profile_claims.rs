@@ -5,7 +5,7 @@ use svt::core::SwitchMode;
 use svt::sim::SimDuration;
 use svt::workloads::{
     memcached_point, rr_arrival, rr_machine, EchoService, FixedSource, Request, RrServer,
-    ServerConfig,
+    ServerConfig, DEFAULT_LANE_SEED,
 };
 
 #[test]
@@ -20,7 +20,13 @@ fn vmcs_access_share_is_small_with_shadowing() {
         },
     });
     let cost = svt::sim::CostModel::default();
-    let (mut m, _stats) = rr_machine(SwitchMode::Baseline, rr_arrival(&cost), 60, source);
+    let (mut m, _stats) = rr_machine(
+        SwitchMode::Baseline,
+        rr_arrival(&cost),
+        60,
+        source,
+        DEFAULT_LANE_SEED,
+    );
     let mut server = RrServer::new(
         ServerConfig::rr_defaults(&cost, 60),
         Box::new(EchoService {
@@ -39,7 +45,7 @@ fn vmcs_access_share_is_small_with_shadowing() {
 fn memcached_l0_time_dominated_by_ept_misconfig() {
     // § 6.3.1: "L0 spends 4.8%-19.3% of the overall time serving
     // EPT_MISCONFIG traps ... and 0.5%-4.6% serving MSR_WRITE."
-    let p = memcached_point(SwitchMode::Baseline, 6_000.0, 200);
+    let p = memcached_point(SwitchMode::Baseline, 6_000.0, 200, DEFAULT_LANE_SEED);
     assert!(p.throughput > 0.0);
     // Re-run to inspect the clock (memcached_point consumes its machine, so
     // rebuild the scenario with the same parameters).
@@ -52,6 +58,7 @@ fn memcached_l0_time_dominated_by_ept_misconfig() {
         },
         200,
         source,
+        DEFAULT_LANE_SEED,
     );
     let mut cfg = ServerConfig::rr_defaults(&cost, 200);
     cfg.timer_rearm_every = 4;
@@ -135,7 +142,7 @@ impl IpiPingPong {
 
 impl svt::hv::GuestProgram for IpiPingPong {
     fn step(&mut self, _ctx: &mut svt::hv::GuestCtx<'_>) -> svt::hv::GuestOp {
-        use svt::vmx::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
+        use svt::arch::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
         if self.eoi_owed > 0 {
             self.eoi_owed -= 1;
             return svt::hv::GuestOp::MsrWrite {
@@ -158,7 +165,7 @@ impl svt::hv::GuestProgram for IpiPingPong {
     }
 
     fn interrupt(&mut self, vector: u8, _ctx: &mut svt::hv::GuestCtx<'_>) {
-        if vector == svt::vmx::VECTOR_IPI {
+        if vector == svt::arch::VECTOR_IPI {
             self.received += 1;
             self.awaiting = false;
             self.eoi_owed += 1;

@@ -11,10 +11,10 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use svt::arch::{IcrCommand, MSR_TSC_DEADLINE, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
 use svt::core::{smp_machine, SwitchMode};
 use svt::hv::{GuestCtx, GuestOp, GuestProgram, Machine};
 use svt::sim::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime};
-use svt::vmx::{IcrCommand, MSR_TSC_DEADLINE, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
 
 /// A deterministic random workload: per request, a short burst of
 /// compute / cpuid / vmcall / IPI ops drawn from a lane-keyed PRNG.

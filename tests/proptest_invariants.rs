@@ -4,10 +4,10 @@
 //! Randomised inputs are driven by the in-tree deterministic PRNG so the
 //! cases are reproducible and the suite has no external dependencies.
 
+use svt::arch::{Access, Ept, EptPerms, ExitReason, VmcsField};
 use svt::cpu::{CtxId, Gpr, SmtCore};
 use svt::mem::{CommandRing, Gpa, GuestMemory, Hpa};
 use svt::sim::{DetRng, SimDuration, SimTime};
-use svt::vmx::{Access, Ept, EptPerms, ExitReason, VmcsField};
 
 /// Guest memory: the last write to any byte wins, regardless of the
 /// access pattern around it.

@@ -20,10 +20,10 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use svt::arch::ArchId;
+use svt::arch::{IcrCommand, MSR_TSC_DEADLINE, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
 use svt::core::{smp_machine_on, SwitchMode};
 use svt::hv::{GuestCtx, GuestOp, GuestProgram, Machine};
 use svt::sim::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime, SnapError};
-use svt::vmx::{IcrCommand, MSR_TSC_DEADLINE, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
 
 const MODES: [SwitchMode; 3] = [SwitchMode::Baseline, SwitchMode::SwSvt, SwitchMode::HwSvt];
 
