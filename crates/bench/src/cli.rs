@@ -37,7 +37,7 @@
 use std::cell::Cell;
 use std::path::PathBuf;
 
-use svt_obs::{chrome_trace_with_flows, FlowArrow, RunReport, Span};
+use svt_obs::{chrome_trace, FlowArrow, RunReport, Span};
 
 /// Parsed command line of one benchmark binary.
 #[derive(Debug, Default)]
@@ -340,7 +340,7 @@ impl BenchCli {
         let Some(path) = &self.trace else {
             return Ok(());
         };
-        let json = chrome_trace_with_flows(spans, flows);
+        let json = chrome_trace(spans, flows);
         svt_sim::snapshot::atomic_write(path, json.pretty().as_bytes())
             .map_err(|e| EmitError::new("chrome trace", path, e))?;
         self.trace_written.set(true);

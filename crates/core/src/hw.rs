@@ -142,13 +142,9 @@ impl HwSvtReflector {
         m.clock.pop_part(part);
         m.core.switch_to(to).expect("SVt context exists");
         m.core.micro_mut().is_vm = is_vm;
-        m.obs.span(
-            "svt_stall_resume",
-            "switch",
-            ObsLevel::Machine,
-            begin,
-            m.clock.now(),
-        );
+        m.obs
+            .causal
+            .span_close("svt_stall_resume", ObsLevel::Machine, begin, m.clock.now());
         m.obs
             .metrics
             .inc(MetricKey::new("svt_stall_resume").reflector("hw-svt"));

@@ -352,7 +352,8 @@ impl SwSvtReflector {
         );
         let now = m.clock.now();
         m.obs
-            .span("svt_degrade", "fault", ObsLevel::Machine, now, now);
+            .causal
+            .span_close("svt_degrade", ObsLevel::Machine, now, now);
         self.push_protocol(m, false);
         if t == (SvtHealth::Degraded, SvtHealth::FallenBack) && m.obs.flight.is_enabled() {
             m.obs.flight_trip("forced_fallback", now);
@@ -504,13 +505,9 @@ impl SwSvtReflector {
         } else {
             "svt_resp_ring"
         };
-        m.obs.span(
-            span_name,
-            "channel",
-            ObsLevel::Machine,
-            begin,
-            m.clock.now(),
-        );
+        m.obs
+            .causal
+            .span_close(span_name, ObsLevel::Machine, begin, m.clock.now());
         if outcome.is_ok() {
             m.obs
                 .metrics
@@ -598,7 +595,8 @@ impl SwSvtReflector {
         m.clock.charge(enter);
         m.clock.pop_part(CostPart::SwitchL0L1);
         m.obs
-            .span("l1_entry", "switch", ObsLevel::L1, begin, m.clock.now());
+            .causal
+            .span_close("l1_entry", ObsLevel::L1, begin, m.clock.now());
 
         m.clock.push_part(CostPart::L1Handler);
         m.l1_handle_exit(self, exit);
@@ -610,7 +608,8 @@ impl SwSvtReflector {
         m.clock.charge(leave);
         m.clock.pop_part(CostPart::SwitchL0L1);
         m.obs
-            .span("l1_exit", "switch", ObsLevel::L1, begin, m.clock.now());
+            .causal
+            .span_close("l1_exit", ObsLevel::L1, begin, m.clock.now());
         self.fallback_active = false;
     }
 }

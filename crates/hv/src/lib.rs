@@ -35,7 +35,6 @@ mod machine;
 mod program;
 mod reflector;
 mod state;
-mod trace;
 mod vcpu;
 
 pub use device::{device_claims, Completion, DeviceModel, DeviceOutcome};
@@ -43,5 +42,4 @@ pub use machine::{cpuid_value, Machine, MachineError, RunReport, VmcsId};
 pub use program::{ComputeOnly, GuestCtx, GuestOp, GuestProgram, OpLoop};
 pub use reflector::{BaselineReflector, Reflector};
 pub use state::{program_vmcs02, L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState};
-pub use trace::{TraceEvent, Tracer};
 pub use vcpu::{Vcpu, VMCS_REGION_STRIDE};

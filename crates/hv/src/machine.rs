@@ -37,7 +37,6 @@ use crate::reflector::{BaselineReflector, Reflector};
 use crate::state::{
     program_vmcs02, L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState,
 };
-use crate::trace::{TraceEvent, Tracer};
 use crate::vcpu::Vcpu;
 
 /// Which VMCS a (charged) access targets.
@@ -137,10 +136,9 @@ pub struct Machine {
     /// profiling tags and the guest-op→trap mapping. All reflection
     /// engines are backend-neutral and consult this.
     pub arch: ArchId,
-    /// Architectural event trace (disabled by default).
-    pub tracer: Tracer,
-    /// Structured observability: typed metrics plus trap-lifecycle spans
-    /// (span recording disabled by default; counters always on).
+    /// Structured observability: typed metrics plus the causal event
+    /// graph that records trap-stage spans (graph disabled by default;
+    /// counters always on).
     pub obs: Obs,
     /// Deterministic fault-injection schedule. [`FaultPlan::none`] by
     /// default: fault-free runs draw nothing and stay bit-identical.
@@ -217,7 +215,6 @@ impl Machine {
             spec: cfg.spec,
             shadowing: cfg.shadowing,
             arch: cfg.arch,
-            tracer: Tracer::default(),
             obs: Obs::new(),
             faults: FaultPlan::none(),
             record_schedule: false,
@@ -1010,8 +1007,6 @@ impl Machine {
                 self.obs
                     .metrics
                     .inc(MetricKey::new("irq_delivered").level(self.level.obs()));
-                self.tracer
-                    .record(self.clock.now(), TraceEvent::Deliver(self.level, v));
                 let mut ctx = GuestCtx {
                     now: self.clock.now(),
                     mem: &mut self.ram,
@@ -1049,7 +1044,6 @@ impl Machine {
         std::mem::swap(&mut self.clock, &mut self.vcpus[i].clock);
         std::mem::swap(&mut self.core, &mut self.vcpus[i].core);
         self.cur = i;
-        self.obs.set_vcpu(i as u32);
         self.obs.causal.sched_switch(i as u32, self.clock.now());
         self.obs.metrics.inc(MetricKey::new("vcpu_switch"));
     }
@@ -1271,10 +1265,6 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn deliver_irq(&mut self, r: &mut dyn Reflector, vector: u8, work: IrqWork) {
-        if self.vstate().halted {
-            self.tracer
-                .record(self.clock.now(), TraceEvent::Wake(self.level));
-        }
         self.obs
             .metrics
             .inc(MetricKey::new("irq_raised").level(self.level.obs()));
@@ -1525,7 +1515,6 @@ impl Machine {
             .metrics
             .inc(MetricKey::new("vm_exit").level(ObsLevel::L1).exit(tag));
         let trap_begin = self.clock.now();
-        self.obs.spans.begin_trap();
         self.clock.push_tag(tag);
         self.clock.push_part(CostPart::SwitchL0L1);
         let c = self.cost.vm_exit_hw + self.cost.gpr_thunk();
@@ -1594,8 +1583,6 @@ impl Machine {
         self.obs.hostprof.exit(HostPart::Reflection);
         self.obs.hostprof.enter(HostPart::Metrics);
         let now = self.clock.now();
-        self.obs
-            .span("single_trap", "lifecycle", ObsLevel::L1, trap_begin, now);
         self.obs.metrics.observe(
             MetricKey::new("trap_latency_ps")
                 .level(ObsLevel::L1)
@@ -1642,8 +1629,6 @@ impl Machine {
             GuestOp::Hlt => {
                 self.nested_reflect(r, ExitReason::Hlt);
                 self.vstate_mut().halted = true;
-                self.tracer
-                    .record(self.clock.now(), TraceEvent::Halt(Level::L2));
             }
             GuestOp::Done => {}
         }
@@ -1737,27 +1722,18 @@ impl Machine {
         self.obs.hostprof.shape_fold_str(r.name());
         self.obs.hostprof.shape_fold_str(r.health());
         self.clock.count("l2_exit_chain");
-        self.tracer
-            .record(self.clock.now(), TraceEvent::Exit(Level::L2, tag));
         self.obs.metrics.inc(
             MetricKey::new("vm_exit")
                 .level(ObsLevel::L2)
                 .exit(tag)
                 .reflector(r.name()),
         );
-        self.obs.spans.begin_trap();
         let trap_begin = self.clock.now();
         self.clock.push_tag(tag);
         r.l2_trap(self); // part 1 (first half)
-        self.obs.span(
-            "l2_exit",
-            "trap",
-            ObsLevel::L2,
-            trap_begin,
-            self.clock.now(),
-        );
-        self.tracer
-            .record(self.clock.now(), TraceEvent::Reflect(Level::L0, tag));
+        self.obs
+            .causal
+            .span_close("l2_exit", ObsLevel::L2, trap_begin, self.clock.now());
         r.reflect(self, reason); // parts 2 + 3 + 4 + 5
         let resume_begin = self.clock.now();
         r.l2_resume(self); // part 1 (second half)
@@ -1767,14 +1743,8 @@ impl Machine {
         self.obs.hostprof.enter(HostPart::Metrics);
         let now = self.clock.now();
         self.obs
-            .span("l2_resume", "trap", ObsLevel::L2, resume_begin, now);
-        self.obs.span(
-            "nested_trap",
-            "lifecycle",
-            ObsLevel::Machine,
-            trap_begin,
-            now,
-        );
+            .causal
+            .span_close("l2_resume", ObsLevel::L2, resume_begin, now);
         self.obs.metrics.observe(
             MetricKey::new("trap_latency_ps")
                 .level(ObsLevel::L2)
@@ -1801,7 +1771,8 @@ impl Machine {
         self.clock.charge(c);
         self.clock.pop_part(CostPart::L0Handler);
         self.obs
-            .span("l0_leg_a", "trap", ObsLevel::L0, begin, self.clock.now());
+            .causal
+            .span_close("l0_leg_a", ObsLevel::L0, begin, self.clock.now());
     }
 
     /// L0's second leg: validate L1's emulated VMRESUME (Algorithm 1
@@ -1829,7 +1800,8 @@ impl Machine {
         }
         self.clock.pop_part(CostPart::L0Handler);
         self.obs
-            .span("l0_leg_b", "trap", ObsLevel::L0, begin, self.clock.now());
+            .causal
+            .span_close("l0_leg_b", ObsLevel::L0, begin, self.clock.now());
     }
 
     /// L0's entry preparation right before resuming L2.
@@ -1839,13 +1811,9 @@ impl Machine {
         let c = self.cost.l0_entry_prep;
         self.clock.charge(c);
         self.clock.pop_part(CostPart::L0Handler);
-        self.obs.span(
-            "l0_entry_finish",
-            "trap",
-            ObsLevel::L0,
-            begin,
-            self.clock.now(),
-        );
+        self.obs
+            .causal
+            .span_close("l0_entry_finish", ObsLevel::L0, begin, self.clock.now());
     }
 
     // ------------------------------------------------------------------
@@ -1919,13 +1887,9 @@ impl Machine {
             self.vm_write(VmcsId::V12, f, v);
         }
         self.clock.pop_part(CostPart::Transform);
-        self.obs.span(
-            "forward_transform",
-            "trap",
-            ObsLevel::L0,
-            begin,
-            self.clock.now(),
-        );
+        self.obs
+            .causal
+            .span_close("forward_transform", ObsLevel::L0, begin, self.clock.now());
     }
 
     /// The backward transformation (Algorithm 1 line 14): apply L1's
@@ -1944,13 +1908,9 @@ impl Machine {
             self.vm_write(VmcsId::V02, f, v);
         }
         self.clock.pop_part(CostPart::Transform);
-        self.obs.span(
-            "backward_transform",
-            "trap",
-            ObsLevel::L0,
-            begin,
-            self.clock.now(),
-        );
+        self.obs
+            .causal
+            .span_close("backward_transform", ObsLevel::L0, begin, self.clock.now());
     }
 
     /// Injects the exit information into vmcs12 (Algorithm 1 line 5).
@@ -1967,13 +1927,9 @@ impl Machine {
         let c = self.cost.l0_entry_prep;
         self.clock.charge(c);
         self.clock.pop_part(CostPart::L0Handler);
-        self.obs.span(
-            "inject_vmcs12",
-            "trap",
-            ObsLevel::L0,
-            begin,
-            self.clock.now(),
-        );
+        self.obs
+            .causal
+            .span_close("inject_vmcs12", ObsLevel::L0, begin, self.clock.now());
     }
 
     /// World-switch extra cost when crossing into/out of a guest at
@@ -2150,13 +2106,9 @@ impl Machine {
         }
         let c = self.cost.l1_run_loop;
         self.clock.charge(c);
-        self.obs.span(
-            "l1_handler",
-            "trap",
-            ObsLevel::L1,
-            handler_begin,
-            self.clock.now(),
-        );
+        self.obs
+            .causal
+            .span_close("l1_handler", ObsLevel::L1, handler_begin, self.clock.now());
         self.obs.metrics.inc(
             MetricKey::new("l1_handler_runs")
                 .level(ObsLevel::L1)
@@ -2201,8 +2153,6 @@ impl Machine {
     /// field of vmcs01' (shadow-writable).
     fn l1_inject_to_l2(&mut self, r: &mut dyn Reflector, vector: u8) {
         self.vstate_mut().apic.inject(vector);
-        self.tracer
-            .record(self.clock.now(), TraceEvent::Inject(Level::L1, vector));
         self.obs
             .metrics
             .inc(MetricKey::new("irq_injected").level(ObsLevel::L1));
@@ -2267,8 +2217,6 @@ impl Machine {
         let tag = self.arch.tag(exit);
         self.obs.hostprof.shape_fold_str(tag);
         self.clock.count("l1_exit");
-        self.tracer
-            .record(self.clock.now(), TraceEvent::L1Exit(Level::L1, tag));
         self.obs
             .metrics
             .inc(MetricKey::new("l1_exit").level(ObsLevel::L1).exit(tag));

@@ -159,7 +159,8 @@ impl Reflector for BaselineReflector {
         m.clock.charge(enter);
         m.clock.pop_part(CostPart::SwitchL0L1);
         m.obs
-            .span("l1_entry", "switch", ObsLevel::L1, begin, m.clock.now());
+            .causal
+            .span_close("l1_entry", ObsLevel::L1, begin, m.clock.now());
 
         m.clock.push_part(CostPart::L1Handler);
         m.l1_handle_exit(self, exit);
@@ -172,7 +173,8 @@ impl Reflector for BaselineReflector {
         m.clock.charge(leave);
         m.clock.pop_part(CostPart::SwitchL0L1);
         m.obs
-            .span("l1_exit", "switch", ObsLevel::L1, begin, m.clock.now());
+            .causal
+            .span_close("l1_exit", ObsLevel::L1, begin, m.clock.now());
     }
 
     fn l1_exit_roundtrip(&mut self, m: &mut Machine, exit: ExitReason, value: u64) -> u64 {

@@ -12,7 +12,10 @@
 //!   delivery, a ring command from enqueue to dequeue, a routed machine
 //!   event from scheduling to drain.
 //!
-//! On top of the graph sit two consumers:
+//! The graph is the simulator's one event stream: the span list
+//! ([`CausalGraph::spans`]) and with it the Chrome trace, the flow arrows
+//! and the flight recorder's tails are all views of its retained window.
+//! On top of it sit two consumers:
 //!
 //! * a **critical-path extractor** ([`CausalGraph::critical_paths`]): for
 //!   each completed request it walks backwards from the request-end event,
@@ -58,13 +61,11 @@ impl EventId {
 ///
 /// An event has at most two predecessors — its program-order edge plus
 /// one cross edge — so the list lives inline in the event node and
-/// recording never allocates on the steady path. Dereferences to
+/// recording never allocates on the steady path. An empty slot holds
+/// `EventId(0)`, which no event carries (ids start at 1). Dereferences to
 /// `&[EventId]`, so it reads like the `Vec` it replaced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Preds {
-    len: u8,
-    ids: [EventId; 2],
-}
+pub struct Preds([EventId; 2]);
 
 impl Preds {
     /// A single-predecessor list.
@@ -82,15 +83,16 @@ impl Preds {
     /// sites above never produce more).
     #[inline]
     pub fn push(&mut self, id: EventId) {
-        assert!((self.len as usize) < self.ids.len(), "too many preds");
-        self.ids[self.len as usize] = id;
-        self.len += 1;
+        let len = self.as_slice().len();
+        assert!(len < self.0.len(), "too many preds");
+        self.0[len] = id;
     }
 
     /// The predecessors as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[EventId] {
-        &self.ids[..self.len as usize]
+        let len = self.0.iter().take_while(|id| id.0 != 0).count();
+        &self.0[..len]
     }
 }
 
@@ -129,10 +131,38 @@ pub struct CausalEvent {
     pub vcpu: u32,
     /// Virtualization level the phase ran at.
     pub level: ObsLevel,
+    /// Whether the node closes a span named `phase` (see
+    /// [`CausalGraph::spans`]).
+    pub span: bool,
+    /// Simulated instant the span began (`at` for every other node).
+    pub begin: SimTime,
     /// Simulated instant the event completed.
     pub at: SimTime,
     /// Happens-before predecessors (program order plus cross edges).
     pub preds: Preds,
+}
+
+/// One completed span: a named stage with exact begin/end instants, read
+/// back from its close node by [`CausalGraph::spans`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Span {
+    /// Stage name, e.g. `"l0_handler"`.
+    pub name: &'static str,
+    /// Virtualization level the stage ran at.
+    pub level: ObsLevel,
+    /// Simulated begin instant.
+    pub begin: SimTime,
+    /// Simulated end instant.
+    pub end: SimTime,
+    /// vCPU the stage ran on (0 on a single-vCPU machine).
+    pub vcpu: u32,
+}
+
+impl Span {
+    /// The span's duration.
+    pub fn duration(&self) -> SimDuration {
+        self.end.saturating_since(self.begin)
+    }
 }
 
 /// A resolved cross-lane edge, ready for Chrome trace flow arrows.
@@ -255,8 +285,10 @@ pub struct CausalGraph {
     // indexed by vcpu rather than tree-searched.
     last_on_vcpu: Vec<Option<EventId>>,
     cross: VecDeque<(&'static str, EventId, EventId)>,
-    pending_ipi: BTreeMap<u32, VecDeque<EventId>>,
-    pending_ring: BTreeMap<u64, VecDeque<EventId>>,
+    // Pending sends/enqueues keep their own stamps: the watchdogs must
+    // still see them after the ring evicts the node.
+    pending_ipi: BTreeMap<u32, VecDeque<(EventId, SimTime)>>,
+    pending_ring: BTreeMap<u64, VecDeque<(EventId, SimTime)>>,
     open_blocked: BTreeMap<u32, SimTime>,
     last_span: Vec<Option<(SimTime, SimTime)>>,
     open_requests: BTreeMap<(u32, u64), (EventId, SimTime)>,
@@ -435,6 +467,8 @@ impl CausalGraph {
             phase,
             vcpu,
             level,
+            span: false,
+            begin: at,
             at,
             preds,
         });
@@ -564,13 +598,19 @@ impl CausalGraph {
             self.record_with("run", level, begin, None);
         }
         self.record_with(name, level, end, None);
+        // The close node carries the whole span, so the span list is a
+        // view of the graph.
+        if let Some(close) = self.events.back_mut() {
+            close.span = true;
+            close.begin = begin;
+        }
     }
 
     /// Records an IPI send toward `to` on the current vCPU's program order
     /// and arms the exactly-once watchdog for its delivery.
     pub fn ipi_send(&mut self, to: u32, at: SimTime) -> Option<EventId> {
         let id = self.record_with("ipi_send", ObsLevel::Machine, at, None)?;
-        self.pending_ipi.entry(to).or_default().push_back(id);
+        self.pending_ipi.entry(to).or_default().push_back((id, at));
         Some(id)
     }
 
@@ -582,7 +622,12 @@ impl CausalGraph {
             return None;
         }
         let vcpu = self.cur_vcpu;
-        let cause = self.pending_ipi.entry(vcpu).or_default().pop_front();
+        let cause = self
+            .pending_ipi
+            .entry(vcpu)
+            .or_default()
+            .pop_front()
+            .map(|(id, _)| id);
         if cause.is_none() {
             self.violate(WATCHDOG_IPI_DUPLICATE);
         }
@@ -600,7 +645,10 @@ impl CausalGraph {
     /// pending queue: callers pack ring kind and lane into it.
     pub fn ring_enqueue(&mut self, phase: &'static str, ring: u64, at: SimTime) -> Option<EventId> {
         let id = self.record_with(phase, ObsLevel::Machine, at, None)?;
-        self.pending_ring.entry(ring).or_default().push_back(id);
+        self.pending_ring
+            .entry(ring)
+            .or_default()
+            .push_back((id, at));
         Some(id)
     }
 
@@ -610,14 +658,13 @@ impl CausalGraph {
         if !self.enabled {
             return None;
         }
-        let cause = self.pending_ring.entry(ring).or_default().pop_front();
-        if let Some(c) = cause {
-            if let Some(enq_at) = self.get(c).map(|p| p.at) {
-                if at.saturating_since(enq_at) > self.ring_deadline {
-                    self.violate(WATCHDOG_RING_DEADLINE);
-                }
+        let pending = self.pending_ring.entry(ring).or_default().pop_front();
+        if let Some((_, enq_at)) = pending {
+            if at.saturating_since(enq_at) > self.ring_deadline {
+                self.violate(WATCHDOG_RING_DEADLINE);
             }
         }
+        let cause = pending.map(|(id, _)| id);
         let id = self.record_with(phase, ObsLevel::Machine, at, cause)?;
         if let Some(c) = cause {
             if self.get(c).is_some_and(|p| p.at <= at) {
@@ -701,10 +748,7 @@ impl CausalGraph {
             .map(|(&ring, q)| {
                 let n = q
                     .iter()
-                    .filter(|&&id| {
-                        self.get(id)
-                            .is_some_and(|p| now.saturating_since(p.at) > self.ring_deadline)
-                    })
+                    .filter(|&&(_, at)| now.saturating_since(at) > self.ring_deadline)
                     .count();
                 (ring, n)
             })
@@ -727,10 +771,7 @@ impl CausalGraph {
             .map(|(&to, q)| {
                 let n = q
                     .iter()
-                    .filter(|&&id| {
-                        self.get(id)
-                            .is_some_and(|p| now.saturating_since(p.at) > self.ipi_deadline)
-                    })
+                    .filter(|&&(_, at)| now.saturating_since(at) > self.ipi_deadline)
                     .count();
                 (to, n)
             })
@@ -779,6 +820,22 @@ impl CausalGraph {
     /// All violation counts, sorted by watchdog name.
     pub fn violations(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.violations.iter().map(|(&k, &v)| (k, v))
+    }
+
+    /// The span view: every retained span-close node, oldest first (the
+    /// order the spans completed in).
+    pub fn spans(&self) -> Vec<Span> {
+        self.events
+            .iter()
+            .filter(|e| e.span)
+            .map(|e| Span {
+                name: e.phase,
+                level: e.level,
+                begin: e.begin,
+                end: e.at,
+                vcpu: e.vcpu,
+            })
+            .collect()
     }
 
     /// Cross-lane edges resolved to lane coordinates for Chrome trace
@@ -978,6 +1035,29 @@ mod tests {
     }
 
     #[test]
+    fn late_ring_service_is_flagged_after_its_enqueue_is_evicted() {
+        let mut g = CausalGraph::with_capacity(2);
+        g.enable();
+        g.ring_enqueue("svt_cmd_enqueue", 0, ns(0));
+        for i in 1..=3 {
+            g.record("x", ObsLevel::L0, ns(i));
+        }
+        g.ring_dequeue("svt_cmd_dequeue", 0, SimTime::from_us(60));
+        assert_eq!(g.violation_count("watchdog_ring_deadline"), 1);
+    }
+
+    #[test]
+    fn lost_ipi_is_flagged_after_its_send_is_evicted() {
+        let mut g = CausalGraph::with_capacity(2);
+        g.enable();
+        g.ipi_send(1, ns(0));
+        g.record("x", ObsLevel::L0, ns(1));
+        g.record("y", ObsLevel::L0, ns(2));
+        g.finish(SimTime::from_us(100));
+        assert_eq!(g.violation_count("watchdog_ipi_lost"), 1);
+    }
+
+    #[test]
     fn blocked_window_bound() {
         let mut g = CausalGraph::new();
         g.enable();
@@ -1000,6 +1080,69 @@ mod tests {
         // Partial overlap: starts inside b, ends after it.
         g.span_close("c", ObsLevel::L0, ns(5), ns(12));
         assert_eq!(g.violation_count("watchdog_span_nesting"), 1);
+    }
+
+    fn span(name: &'static str, level: ObsLevel, begin: u64, end: u64) -> Span {
+        Span {
+            name,
+            level,
+            begin: ns(begin),
+            end: ns(end),
+            vcpu: 0,
+        }
+    }
+
+    #[test]
+    fn zero_length_span_is_a_span() {
+        let mut g = CausalGraph::new();
+        g.enable();
+        g.sched_switch(3, ns(0));
+        g.span_close("svt_degrade", ObsLevel::Machine, ns(5), ns(5));
+        let degrade = Span {
+            vcpu: 3,
+            ..span("svt_degrade", ObsLevel::Machine, 5, 5)
+        };
+        assert_eq!(g.spans(), vec![degrade]);
+    }
+
+    #[test]
+    fn outer_span_recorded_after_its_inner_span_keeps_its_begin() {
+        let mut g = CausalGraph::new();
+        g.enable();
+        g.span_close("inner", ObsLevel::L0, ns(2), ns(8));
+        g.span_close("outer", ObsLevel::L1, ns(0), ns(10));
+        // The outer span's open node was skipped (it would precede the
+        // inner close), yet the view still starts it at its own begin.
+        assert_eq!(g.len(), 3);
+        assert_eq!(
+            g.spans(),
+            vec![
+                span("inner", ObsLevel::L0, 2, 8),
+                span("outer", ObsLevel::L1, 0, 10)
+            ]
+        );
+    }
+
+    #[test]
+    fn point_events_are_not_spans() {
+        let mut g = CausalGraph::new();
+        g.enable();
+        g.request_start(1, ns(0));
+        g.ipi_send(1, ns(1));
+        g.ring_enqueue("svt_cmd_enqueue", 0, ns(2));
+        g.sched_switch(1, ns(3));
+        g.ipi_recv(ns(4));
+        g.ring_dequeue("svt_cmd_dequeue", 0, ns(5));
+        g.sched_switch(0, ns(6));
+        g.request_end(1, ns(7));
+        assert_eq!(g.len(), 8);
+        assert!(g.spans().is_empty());
+        assert!(g.events().all(|e| !e.span && e.begin == e.at));
+    }
+
+    #[test]
+    fn causal_event_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<CausalEvent>(), 64);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! (vCPU, virtualization level) pair gets its own thread lane so an SMP
 //! run shows per-vCPU trap timelines side by side.
 
-use crate::causal::FlowArrow;
+use crate::causal::{FlowArrow, Span};
 use crate::json::Json;
 use crate::key::ObsLevel;
-use crate::span::Span;
 
 /// Thread id of the lane carrying spans for `(vcpu, level)`. Lanes pack
 /// densely: vCPU 0 keeps tids 0–3 (identical to the pre-SMP layout), vCPU 1
@@ -19,23 +18,18 @@ pub fn lane_tid(vcpu: u32, level: ObsLevel) -> u64 {
     vcpu as u64 * ObsLevel::ALL.len() as u64 + level.tid()
 }
 
-/// Builds the Chrome trace-event document for a set of spans.
+/// Builds the Chrome trace-event document for a set of spans and causal
+/// cross-lane edges.
 ///
 /// The result is a JSON object with a `traceEvents` array: one `"M"`
 /// (metadata) event naming each (vCPU, level) thread lane that appears in
-/// the spans (vCPU 0's four lanes are always present), then one `"X"`
-/// (complete) event per span, carrying the exact picosecond begin/end in
-/// `args` alongside the microsecond `ts`/`dur` the viewer consumes.
-pub fn chrome_trace(spans: &[Span]) -> Json {
-    chrome_trace_with_flows(spans, &[])
-}
-
-/// Like [`chrome_trace`], plus causal cross-lane edges rendered as flow
-/// arrows: each [`FlowArrow`] becomes an `"s"` (flow start) / `"t"` (flow
-/// end) event pair bound by a shared `id`, so Perfetto draws IPI and ring
-/// arrows between the per-vCPU lanes. With an empty `flows` slice the
-/// output is byte-identical to [`chrome_trace`].
-pub fn chrome_trace_with_flows(spans: &[Span], flows: &[FlowArrow]) -> Json {
+/// the spans or flows (vCPU 0's four lanes are always present), then one
+/// `"X"` (complete) event per span, carrying the exact picosecond
+/// begin/end in `args` alongside the microsecond `ts`/`dur` the viewer
+/// consumes, then each [`FlowArrow`] as an `"s"` (flow start) / `"t"`
+/// (flow end) event pair bound by a shared `id`, so Perfetto draws IPI and
+/// ring arrows between the per-vCPU lanes.
+pub fn chrome_trace(spans: &[Span], flows: &[FlowArrow]) -> Json {
     let mut vcpus: Vec<u32> = spans.iter().map(|s| s.vcpu).collect();
     vcpus.extend(flows.iter().flat_map(|f| [f.from_vcpu, f.to_vcpu]));
     vcpus.push(0);
@@ -68,7 +62,6 @@ pub fn chrome_trace_with_flows(spans: &[Span], flows: &[FlowArrow]) -> Json {
         let end_ps = s.end.as_ps();
         events.push(Json::obj([
             ("name", Json::from(s.name)),
-            ("cat", Json::from(s.cat)),
             ("ph", Json::from("X")),
             ("ts", Json::Num(begin_ps as f64 / 1e6)),
             ("dur", Json::Num((end_ps - begin_ps) as f64 / 1e6)),
@@ -77,7 +70,6 @@ pub fn chrome_trace_with_flows(spans: &[Span], flows: &[FlowArrow]) -> Json {
             (
                 "args",
                 Json::obj([
-                    ("trap", Json::from(s.trap_seq)),
                     ("vcpu", Json::from(s.vcpu as u64)),
                     ("begin_ps", Json::from(begin_ps)),
                     ("end_ps", Json::from(end_ps)),
@@ -123,18 +115,16 @@ mod tests {
     use super::*;
     use svt_sim::SimTime;
 
-    fn span(name: &'static str, level: ObsLevel, b: u64, e: u64, trap: u64) -> Span {
-        vspan(name, level, b, e, trap, 0)
+    fn span(name: &'static str, level: ObsLevel, b: u64, e: u64) -> Span {
+        vspan(name, level, b, e, 0)
     }
 
-    fn vspan(name: &'static str, level: ObsLevel, b: u64, e: u64, trap: u64, vcpu: u32) -> Span {
+    fn vspan(name: &'static str, level: ObsLevel, b: u64, e: u64, vcpu: u32) -> Span {
         Span {
             name,
-            cat: "trap",
             level,
             begin: SimTime::from_ns(b),
             end: SimTime::from_ns(e),
-            trap_seq: trap,
             vcpu,
         }
     }
@@ -142,10 +132,10 @@ mod tests {
     #[test]
     fn trace_has_metadata_and_complete_events() {
         let spans = [
-            span("exit", ObsLevel::L2, 0, 10, 1),
-            span("l0_handler", ObsLevel::L0, 10, 25, 1),
+            span("exit", ObsLevel::L2, 0, 10),
+            span("l0_handler", ObsLevel::L0, 10, 25),
         ];
-        let doc = chrome_trace(&spans);
+        let doc = chrome_trace(&spans, &[]);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), ObsLevel::ALL.len() + 2);
         let meta = &events[0];
@@ -155,16 +145,16 @@ mod tests {
         assert_eq!(x.get("name").unwrap().as_str(), Some("exit"));
         assert_eq!(x.get("ts").unwrap().as_f64(), Some(0.0));
         assert_eq!(x.get("dur").unwrap().as_f64(), Some(0.01)); // 10ns = 0.01us
-        assert_eq!(
-            x.get("args").unwrap().get("begin_ps").unwrap().as_i64(),
-            Some(0)
-        );
+        let args = x.get("args").unwrap();
+        assert_eq!(args.get("begin_ps").unwrap().as_i64(), Some(0));
+        // The name alone identifies a stage: no category, no trap number.
+        assert!(x.get("cat").is_none() && args.get("trap").is_none());
     }
 
     #[test]
     fn export_round_trips_through_parser() {
-        let spans = [span("reflect", ObsLevel::L0, 5, 7, 3)];
-        let doc = chrome_trace(&spans);
+        let spans = [span("reflect", ObsLevel::L0, 5, 7)];
+        let doc = chrome_trace(&spans, &[]);
         let text = doc.pretty();
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, doc);
@@ -172,7 +162,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_still_valid() {
-        let doc = chrome_trace(&[]);
+        let doc = chrome_trace(&[], &[]);
         assert_eq!(
             doc.get("traceEvents").unwrap().as_arr().unwrap().len(),
             ObsLevel::ALL.len()
@@ -183,10 +173,10 @@ mod tests {
     #[test]
     fn each_vcpu_gets_its_own_lane_block() {
         let spans = [
-            vspan("exit", ObsLevel::L2, 0, 10, 1, 0),
-            vspan("exit", ObsLevel::L2, 5, 15, 1, 2),
+            vspan("exit", ObsLevel::L2, 0, 10, 0),
+            vspan("exit", ObsLevel::L2, 5, 15, 2),
         ];
-        let doc = chrome_trace(&spans);
+        let doc = chrome_trace(&spans, &[]);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         // Two vCPUs present -> two blocks of metadata lanes.
         assert_eq!(events.len(), 2 * ObsLevel::ALL.len() + 2);
@@ -215,7 +205,7 @@ mod tests {
     #[test]
     fn flow_arrows_emit_s_t_pairs_on_their_lanes() {
         use crate::causal::FlowArrow;
-        let spans = [vspan("exit", ObsLevel::L2, 0, 10, 1, 0)];
+        let spans = [vspan("exit", ObsLevel::L2, 0, 10, 0)];
         let flows = [FlowArrow {
             kind: "ipi",
             id: 42,
@@ -226,7 +216,7 @@ mod tests {
             to_vcpu: 1,
             to_level: ObsLevel::Machine,
         }];
-        let doc = chrome_trace_with_flows(&spans, &flows);
+        let doc = chrome_trace(&spans, &flows);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         // vCPU 1 appears only via the flow, but still gets its lane block.
         assert_eq!(events.len(), 2 * ObsLevel::ALL.len() + 1 + 2);
@@ -246,18 +236,6 @@ mod tests {
         );
         assert_eq!(s.get("name").unwrap().as_str(), Some("ipi"));
         assert!(Json::parse(&doc.to_string()).is_ok());
-    }
-
-    #[test]
-    fn empty_flows_match_plain_trace_byte_for_byte() {
-        let spans = [
-            span("exit", ObsLevel::L2, 0, 10, 1),
-            span("l0_handler", ObsLevel::L0, 10, 25, 1),
-        ];
-        assert_eq!(
-            chrome_trace(&spans).to_string(),
-            chrome_trace_with_flows(&spans, &[]).to_string()
-        );
     }
 
     #[test]

@@ -5,16 +5,16 @@
 //! * [`MetricsRegistry`] — typed counters, gauges and log-bucketed latency
 //!   histograms keyed by structured [`MetricKey`]s (level × exit reason ×
 //!   reflector kind).
-//! * [`SpanTracer`] — span-based tracing of the full trap lifecycle
-//!   (exit → transform → L0 handler → reflect → L1 handler → resume) with
-//!   exact simulated-time stamps, exportable as Chrome trace-event JSON
-//!   via [`chrome_trace`] and viewable in Perfetto.
-//! * [`CausalGraph`] — the causal event graph: every traced event gets a
-//!   monotonic [`CausalEventId`] plus happens-before edges, supporting
-//!   per-request critical-path extraction ([`CriticalPath`], folded
-//!   stacks), cross-lane flow arrows in the Chrome trace, and online
-//!   invariant watchdogs (ring deadline, `SVT_BLOCKED` bound, IPI
-//!   exactly-once, span nesting).
+//! * [`CausalGraph`] — the causal event graph, the one event stream:
+//!   every traced event gets a monotonic [`CausalEventId`] plus
+//!   happens-before edges, supporting per-request critical-path
+//!   extraction ([`CriticalPath`], folded stacks) and online invariant
+//!   watchdogs (ring deadline, `SVT_BLOCKED` bound, IPI exactly-once,
+//!   span nesting). Each trap stage (exit → transform → L0 handler →
+//!   reflect → L1 handler → resume) is a span-close node with exact
+//!   simulated-time stamps; [`CausalGraph::spans`] reads them back, and
+//!   [`chrome_trace`] renders spans plus cross-lane flow arrows for
+//!   Perfetto.
 //! * [`RunReport`] — the machine-readable report every `svt-bench` binary
 //!   emits via `--json <path>`, backing the `BENCH_*.json` perf
 //!   trajectory.
@@ -33,15 +33,14 @@ mod json;
 mod key;
 mod registry;
 mod report;
-mod span;
 mod timeline;
 
 pub use causal::EventId as CausalEventId;
 pub use causal::{
     fold_paths, folded_stacks, CausalEvent, CausalGraph, CriticalPath, FlowArrow, PathSegment,
-    WATCHDOGS,
+    Span, WATCHDOGS,
 };
-pub use chrome::{chrome_trace, chrome_trace_with_flows, lane_tid};
+pub use chrome::{chrome_trace, lane_tid};
 pub use flight::{latest_global_dump, publish_global, FlightRecorder, DEFAULT_FLIGHT_K};
 pub use hist::LogHistogram;
 pub use hostprof::{CountingAlloc, HostAgg, HostPart, HostProf, HostScope, ShapeStat};
@@ -49,21 +48,18 @@ pub use json::{Json, JsonError};
 pub use key::{MetricKey, ObsLevel};
 pub use registry::MetricsRegistry;
 pub use report::{CriticalPathRow, ExitRow, PartRow, RunReport, SpeedupRow, REPORT_SCHEMA_VERSION};
-pub use span::{Span, SpanTracer, DEFAULT_SPAN_CAPACITY};
 pub use timeline::{Timeline, TimelineRow, DEFAULT_MAX_WINDOWS, DEFAULT_TIMELINE_CADENCE};
 
 use svt_sim::{CostPart, SimDuration, SimTime};
 
-/// The per-machine observability bundle: metrics, spans and the causal
-/// event graph, carried by the simulated machine and threaded through
-/// every subsystem.
+/// The per-machine observability bundle: metrics and the causal event
+/// graph, carried by the simulated machine and threaded through every
+/// subsystem.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     /// Typed metrics.
     pub metrics: MetricsRegistry,
-    /// Trap-lifecycle spans.
-    pub spans: SpanTracer,
-    /// Causal event graph (critical paths, watchdogs, flow arrows).
+    /// Causal event graph (spans, critical paths, watchdogs, flow arrows).
     pub causal: CausalGraph,
     /// Windowed time-series sampler (counter/part deltas per sim-time
     /// window).
@@ -76,39 +72,14 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A fresh bundle with span tracing and the causal graph disabled.
+    /// A fresh bundle with the causal graph disabled.
     pub fn new() -> Self {
         Obs::default()
     }
 
-    /// Sets the vCPU lane for both the span tracer and the causal graph;
-    /// the SMP run loop calls this on every vCPU switch.
-    pub fn set_vcpu(&mut self, vcpu: u32) {
-        self.spans.set_vcpu(vcpu);
-        self.causal.set_vcpu(vcpu);
-    }
-
-    /// Records one completed span in the tracer *and* as causal graph
-    /// nodes. Lifecycle spans (cat `"lifecycle"`) aggregate their
-    /// constituent stages and are kept out of the graph — their children
-    /// already carry the causality.
-    pub fn span(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        level: ObsLevel,
-        begin: SimTime,
-        end: SimTime,
-    ) {
-        self.spans.record(name, cat, level, begin, end);
-        if cat != "lifecycle" {
-            self.causal.span_close(name, level, begin, end);
-        }
-    }
-
     /// Serializes the deterministic observability state for
     /// `svt_sim::snapshot`: the full metrics registry plus the timeline
-    /// and causal-graph cursors. Recorded spans, retained causal events,
+    /// and causal-graph cursors. Retained causal events (spans included),
     /// flight-recorder tails and host-profiler accumulators are
     /// process-local debug artifacts and are not carried.
     pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
@@ -232,48 +203,18 @@ mod tests {
         let mut obs = Obs::new();
         obs.metrics
             .inc(MetricKey::new("vm_exit").level(ObsLevel::L2));
-        obs.spans.enable();
-        obs.spans.begin_trap();
-        obs.spans.record(
-            "exit",
-            "trap",
-            ObsLevel::L2,
-            SimTime::ZERO,
-            SimTime::from_ns(10),
-        );
+        obs.causal.enable();
+        obs.causal
+            .span_close("exit", ObsLevel::L2, SimTime::ZERO, SimTime::from_ns(10));
         assert_eq!(
             obs.metrics
                 .counter(MetricKey::new("vm_exit").level(ObsLevel::L2)),
             1
         );
-        assert_eq!(obs.spans.len(), 1);
-        let doc = chrome_trace(&obs.spans.to_vec());
+        let spans = obs.causal.spans();
+        assert_eq!(spans.len(), 1);
+        let doc = chrome_trace(&spans, &[]);
         assert!(Json::parse(&doc.to_string()).is_ok());
-    }
-
-    #[test]
-    fn span_feeds_both_tracer_and_graph() {
-        let mut obs = Obs::new();
-        obs.spans.enable();
-        obs.causal.enable();
-        obs.span(
-            "l2_exit",
-            "trap",
-            ObsLevel::L2,
-            SimTime::ZERO,
-            SimTime::from_ns(10),
-        );
-        obs.span(
-            "nested_trap",
-            "lifecycle",
-            ObsLevel::Machine,
-            SimTime::ZERO,
-            SimTime::from_ns(10),
-        );
-        assert_eq!(obs.spans.len(), 2);
-        // Lifecycle span stayed out of the graph: open + close of the
-        // trap span only.
-        assert_eq!(obs.causal.len(), 2);
     }
 
     #[test]

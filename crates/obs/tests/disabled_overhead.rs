@@ -25,14 +25,12 @@ const ITERS: u64 = 1_000_000;
 #[test]
 fn disabled_span_and_causal_recording_is_an_early_return() {
     let mut obs = Obs::new();
-    assert!(!obs.spans.is_enabled());
     assert!(!obs.causal.is_enabled());
 
     // Warm up so lazy init and cache effects don't bill the measurement.
     for i in 0..10_000u64 {
-        obs.span(
+        obs.causal.span_close(
             "l2_exit",
-            "trap",
             ObsLevel::L2,
             SimTime::from_ns(i),
             SimTime::from_ns(i + 1),
@@ -42,14 +40,14 @@ fn disabled_span_and_causal_recording_is_an_early_return() {
     let start = Instant::now();
     for i in 0..ITERS {
         let t = SimTime::from_ns(black_box(i));
-        obs.span("l2_exit", "trap", ObsLevel::L2, t, SimTime::from_ns(i + 1));
+        obs.causal
+            .span_close("l2_exit", ObsLevel::L2, t, SimTime::from_ns(i + 1));
         black_box(obs.causal.record("l0_handler", ObsLevel::L0, t));
-        obs.spans.record("reflect", "trap", ObsLevel::L1, t, t);
+        obs.causal.span_close("reflect", ObsLevel::L1, t, t);
     }
     let elapsed = start.elapsed();
 
     // Nothing may have been recorded...
-    assert_eq!(obs.spans.recorded(), 0);
     assert_eq!(obs.causal.recorded(), 0);
 
     // ...and the disabled path must have stayed branch-cheap. Three

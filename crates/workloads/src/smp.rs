@@ -79,17 +79,17 @@ pub struct CausalProfile {
     pub events_recorded: u64,
     /// Events evicted by the graph's bounded ring.
     pub events_dropped: u64,
-    /// The run's trap-lifecycle spans (for Chrome traces).
+    /// The spans retained in the causal graph (for Chrome traces): the
+    /// same window the flow arrows come from.
     pub spans: Vec<svt_obs::Span>,
     /// Cross-lane causal edges as Chrome flow arrows.
     pub flows: Vec<svt_obs::FlowArrow>,
 }
 
 impl CausalProfile {
-    /// Arms a machine for profiling: trap-lifecycle spans and the causal
-    /// event graph. Pass as the `arm` of [`RunSpec::run`].
+    /// Arms a machine for profiling: enables the causal event graph. Pass
+    /// as the `arm` of [`RunSpec::run`].
     pub fn arm(m: &mut Machine) {
-        m.obs.spans.enable();
         m.obs.causal.enable();
     }
 
@@ -106,7 +106,7 @@ impl CausalProfile {
             violations,
             events_recorded: m.obs.causal.recorded(),
             events_dropped: m.obs.causal.dropped(),
-            spans: m.obs.spans.to_vec(),
+            spans: m.obs.causal.spans(),
             flows: m.obs.causal.flow_arrows(),
         }
     }
@@ -386,6 +386,28 @@ mod tests {
                 prof.violations.is_empty(),
                 "{mode}: watchdogs tripped {:?}",
                 prof.violations
+            );
+        }
+    }
+
+    #[test]
+    fn profiled_spans_come_from_the_retained_causal_window() {
+        // 2 vCPUs x 400 requests overflow the causal ring: the oldest
+        // events are evicted, and the spans must be evicted with them.
+        for mode in SwitchMode::ALL {
+            let (_, (prof, oldest)) =
+                memcached(mode, ArchId::X86, 2, 400).run(CausalProfile::arm, |m: &mut Machine| {
+                    let oldest = m.obs.causal.events().next().map(|e| e.at);
+                    (CausalProfile::harvest(m), oldest)
+                });
+            assert!(prof.events_dropped > 0, "{mode}: the ring never evicted");
+            let first = prof.spans.first().expect("spans retained");
+            let oldest = oldest.expect("events retained");
+            assert!(
+                first.end >= oldest,
+                "{mode}: span {} ends at {}, before the oldest retained event at {oldest}",
+                first.name,
+                first.end
             );
         }
     }

@@ -1,5 +1,5 @@
 //! An annotated walk through Algorithm 1: one nested VM trap, with the
-//! paper's Table 1 attribution and the architectural events that occurred.
+//! paper's Table 1 attribution, its causal events and its stage spans.
 //!
 //! Run with: `cargo run --example nested_trap_trace`
 
@@ -15,8 +15,7 @@ fn main() -> Result<(), MachineError> {
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm)?;
     m.clock.reset_attribution();
-    m.tracer.enable();
-    m.obs.spans.enable();
+    m.obs.causal.enable();
 
     println!("Executing one cpuid in L2 (Algorithm 1 of the paper):\n");
     let rip_before = m.vcpu2().rip;
@@ -57,17 +56,24 @@ fn main() -> Result<(), MachineError> {
         println!("   {name:<24} {v}");
     }
 
-    println!("\nArchitectural trace (oldest first):");
-    for (at, ev) in m.tracer.events() {
-        println!("   [{at}] {ev:?}");
+    println!("\nCausal events (oldest first; `run` opens a stage span):");
+    for e in m.obs.causal.events() {
+        let preds: Vec<u64> = e.preds.iter().map(|p| p.raw()).collect();
+        println!(
+            "   #{:<3} [{}] {:<8} {:<18} after {preds:?}",
+            e.id.raw(),
+            e.at,
+            e.level.name(),
+            e.phase
+        );
     }
 
-    println!("\nTrap-lifecycle spans (exportable as Chrome trace JSON):");
-    for s in m.obs.spans.spans() {
+    println!("\nStage spans (exportable as Chrome trace JSON):");
+    let spans = m.obs.causal.spans();
+    for s in &spans {
         println!(
-            "   trap #{:<3} {:<10} [{} .. {}] {:<18} {}",
-            s.trap_seq,
-            format!("{}/{}", s.level.name(), s.cat),
+            "   {:<8} [{} .. {}] {:<18} {}",
+            s.level.name(),
             s.begin,
             s.end,
             s.name,
@@ -75,8 +81,8 @@ fn main() -> Result<(), MachineError> {
         );
     }
     println!(
-        "   ({} spans; svt::obs::chrome_trace(spans) renders them for ui.perfetto.dev)",
-        m.obs.spans.len()
+        "   ({} spans; svt::obs::chrome_trace(spans, flows) renders them for ui.perfetto.dev)",
+        spans.len()
     );
 
     println!("\nState effects:");

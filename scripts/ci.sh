@@ -151,7 +151,8 @@ sys.exit(0 if ok else 1)
 PY
 
 echo "==> profile smoke: causal critical paths present and schema current"
-cargo run -q -p svt-bench --bin profile -- memcached 2 --smoke --json /tmp/profile.json >/dev/null
+cargo run -q -p svt-bench --bin profile -- memcached 2 --smoke --json /tmp/profile.json \
+    --trace /tmp/profile_trace.json >/dev/null
 python3 - <<'PY'
 import json, sys
 
@@ -191,6 +192,45 @@ if not (0 < s < b):
     ok = False
 else:
     print(f"ok   exit/resume on the critical path: baseline {b} ps -> sw-svt {s} ps")
+sys.exit(0 if ok else 1)
+PY
+
+echo "==> profile trace: Chrome trace is valid, spans and flow arrows share one window"
+python3 - <<'PY'
+import json, sys
+from collections import Counter
+
+events = json.load(open("/tmp/profile_trace.json"))["traceEvents"]
+by_ph = Counter(e["ph"] for e in events)
+ok = True
+# Two vCPUs, four level lanes each.
+if by_ph["M"] != 8:
+    print(f"FAIL: {by_ph['M']} thread-name lanes, expected 8")
+    ok = False
+xs = [e for e in events if e["ph"] == "X"]
+if not xs:
+    sys.exit("FAIL: no X (span) events in the trace")
+bad = [e["name"] for e in xs if e["args"]["begin_ps"] > e["args"]["end_ps"]]
+if bad:
+    print(f"FAIL: {len(bad)} X events end before they begin (first: {bad[0]})")
+    ok = False
+halves = Counter((e["id"], e["ph"]) for e in events if e["ph"] in "st")
+ids = {i for i, _ in halves}
+unpaired = [i for i in ids if halves[(i, "s")] != 1 or halves[(i, "t")] != 1]
+if unpaired:
+    print(f"FAIL: {len(unpaired)} flow ids without exactly one s and one t")
+    ok = False
+# Spans and flows are views of one causal ring, so every arrow end lies
+# inside the window the spans cover.
+lo = min(e["args"]["begin_ps"] for e in xs)
+hi = max(e["args"]["end_ps"] for e in xs)
+outside = [e for e in events if e["ph"] in "st" and not lo <= round(e["ts"] * 1e6) <= hi]
+if outside:
+    print(f"FAIL: {len(outside)} flow events outside the spans' window [{lo}, {hi}] ps")
+    ok = False
+if ok:
+    print(f"ok   chrome trace: {len(xs)} spans, {len(ids)} flow pairs, "
+          f"all inside [{lo / 1e6:.2f}, {hi / 1e6:.2f}] us")
 sys.exit(0 if ok else 1)
 PY
 

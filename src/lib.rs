@@ -20,7 +20,7 @@
 //! * [`core`] — the SVt contribution (HW and SW engines);
 //! * [`virtio`] — virtqueues, virtio-net, virtio-blk;
 //! * [`workloads`] — the evaluation runners;
-//! * [`obs`] — metrics, trap-lifecycle spans and run reports.
+//! * [`obs`] — metrics, the causal event graph (trap-stage spans) and run reports.
 //!
 //! # Examples
 //!

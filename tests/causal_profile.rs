@@ -119,7 +119,6 @@ fn critical_path_weight_is_conserved_over_random_smp_schedules() {
                 let windows = Rc::new(RefCell::new(Vec::new()));
                 let mut m = smp_machine(mode, n_vcpus);
                 m.obs.causal.enable();
-                m.obs.spans.enable();
                 let mut guests: Vec<RandomGuest> = (0..n_vcpus)
                     .map(|v| RandomGuest::new(seed, v, n_vcpus, REQUESTS, windows.clone()))
                     .collect();

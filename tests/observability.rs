@@ -1,55 +1,67 @@
-//! End-to-end observability: the metrics registry, the trap-lifecycle
-//! spans and the Chrome trace export, driven through a real nested run.
+//! End-to-end observability: the metrics registry, the trap-stage spans
+//! read back from the causal graph and the Chrome trace export, driven
+//! through a real nested run.
 //!
 //! The golden test pins the trace shape for a 3-trap cpuid run: the
 //! export must be valid JSON in the Trace Event Format, byte-stable
-//! across identical runs, and carry at least the six Algorithm-1
-//! lifecycle stages per nested trap.
+//! across identical runs, and carry at least six Algorithm-1 stages per
+//! nested trap.
 
 use svt::core::{nested_machine, SwitchMode};
 use svt::hv::{GuestOp, OpLoop};
 use svt::obs::{chrome_trace, Json, MetricKey, ObsLevel, Span};
 use svt::sim::SimDuration;
 
-/// Runs `traps` nested cpuids with span tracing on and returns the
-/// recorded spans plus the first trap's sequence number.
-fn traced_cpuid_run(mode: SwitchMode, traps: u64) -> (Vec<Span>, u64) {
+/// Runs `traps` nested cpuids with the causal graph on and returns the
+/// spans it recorded.
+fn traced_cpuid_run(mode: SwitchMode, traps: u64) -> Vec<Span> {
     let mut m = nested_machine(mode);
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm).expect("cpuid never blocks");
-    m.obs.spans.enable();
-    let first_seq = m.obs.spans.current_trap() + 1;
+    m.obs.causal.enable();
     let mut prog = OpLoop::new(GuestOp::Cpuid, traps, 0, SimDuration::ZERO);
     m.run(&mut prog).expect("cpuid never blocks");
-    (m.obs.spans.to_vec(), first_seq)
+    m.obs.causal.spans()
+}
+
+/// Splits spans into traps: each trap is the slice from an `l2_exit`
+/// through the next `l2_resume`.
+fn traps(spans: &[Span]) -> Vec<&[Span]> {
+    let mut out = Vec::new();
+    let mut exit = None;
+    for (i, s) in spans.iter().enumerate() {
+        match s.name {
+            "l2_exit" => exit = Some(i),
+            "l2_resume" => out.extend(exit.take().map(|b| &spans[b..=i])),
+            _ => {}
+        }
+    }
+    out
 }
 
 #[test]
 fn every_nested_trap_yields_at_least_six_lifecycle_spans() {
     for mode in [SwitchMode::Baseline, SwitchMode::SwSvt, SwitchMode::HwSvt] {
-        let (spans, first_seq) = traced_cpuid_run(mode, 3);
-        for seq in first_seq..first_seq + 3 {
-            let trap: Vec<&Span> = spans.iter().filter(|s| s.trap_seq == seq).collect();
+        let spans = traced_cpuid_run(mode, 3);
+        let traps = traps(&spans);
+        assert_eq!(traps.len(), 3, "{mode:?}: {spans:?}");
+        for (i, trap) in traps.iter().enumerate() {
             assert!(
                 trap.len() >= 6,
-                "{mode:?} trap {seq}: only {} spans: {:?}",
+                "{mode:?} trap {i}: only {} spans: {:?}",
                 trap.len(),
                 trap.iter().map(|s| s.name).collect::<Vec<_>>()
             );
-            // The whole-trap lifecycle span must enclose every stage.
-            let life = trap
-                .iter()
-                .find(|s| s.name == "nested_trap")
-                .unwrap_or_else(|| panic!("{mode:?} trap {seq}: no lifecycle span"));
-            for s in &trap {
+            // The trap runs from its exit's begin to its resume's end, and
+            // every stage lies inside it.
+            let (begin, end) = (trap[0].begin, trap[trap.len() - 1].end);
+            for s in trap.iter() {
                 assert!(
-                    life.begin <= s.begin && s.end <= life.end,
-                    "{mode:?} trap {seq}: span {} [{}..{}] escapes lifecycle [{}..{}]",
+                    begin <= s.begin && s.end <= end,
+                    "{mode:?} trap {i}: span {} [{}..{}] escapes the trap [{begin}..{end}]",
                     s.name,
                     s.begin,
                     s.end,
-                    life.begin,
-                    life.end
                 );
                 assert!(s.begin <= s.end, "{mode:?} {}: negative span", s.name);
             }
@@ -59,12 +71,10 @@ fn every_nested_trap_yields_at_least_six_lifecycle_spans() {
 
 #[test]
 fn baseline_trap_records_the_algorithm1_stages() {
-    let (spans, first_seq) = traced_cpuid_run(SwitchMode::Baseline, 1);
-    let names: Vec<&str> = spans
-        .iter()
-        .filter(|s| s.trap_seq == first_seq)
-        .map(|s| s.name)
-        .collect();
+    let spans = traced_cpuid_run(SwitchMode::Baseline, 1);
+    let traps = traps(&spans);
+    assert_eq!(traps.len(), 1);
+    let names: Vec<&str> = traps[0].iter().map(|s| s.name).collect();
     for stage in [
         "l2_exit",
         "l0_leg_a",
@@ -72,7 +82,6 @@ fn baseline_trap_records_the_algorithm1_stages() {
         "l1_handler",
         "l0_entry_finish",
         "l2_resume",
-        "nested_trap",
     ] {
         assert!(names.contains(&stage), "missing {stage} in {names:?}");
     }
@@ -80,13 +89,17 @@ fn baseline_trap_records_the_algorithm1_stages() {
 
 #[test]
 fn chrome_trace_of_three_trap_run_is_stable_and_schema_valid() {
-    let (spans, _) = traced_cpuid_run(SwitchMode::Baseline, 3);
-    let doc = chrome_trace(&spans);
+    let spans = traced_cpuid_run(SwitchMode::Baseline, 3);
+    let doc = chrome_trace(&spans, &[]);
     let text = doc.pretty();
 
     // Byte-stable: an identical run renders the identical document.
-    let (again, _) = traced_cpuid_run(SwitchMode::Baseline, 3);
-    assert_eq!(text, chrome_trace(&again).pretty(), "trace is not stable");
+    let again = traced_cpuid_run(SwitchMode::Baseline, 3);
+    assert_eq!(
+        text,
+        chrome_trace(&again, &[]).pretty(),
+        "trace is not stable"
+    );
 
     // Valid JSON that round-trips through the parser.
     let parsed = Json::parse(&text).expect("trace is valid JSON");
@@ -114,8 +127,10 @@ fn chrome_trace_of_three_trap_run_is_stable_and_schema_valid() {
                 assert!(ev.get("ts").unwrap().as_f64().unwrap() >= 0.0);
                 assert!(ev.get("dur").unwrap().as_f64().unwrap() >= 0.0);
                 let args = ev.get("args").expect("args");
-                assert!(args.get("trap").is_some());
-                assert!(args.get("begin_ps").is_some());
+                for key in ["vcpu", "begin_ps", "end_ps"] {
+                    assert!(args.get(key).is_some(), "X event without args.{key}");
+                }
+                assert!(ev.get("cat").is_none() && args.get("trap").is_none());
             }
             other => panic!("unexpected event phase {other:?}"),
         }
