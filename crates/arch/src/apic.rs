@@ -5,6 +5,7 @@
 //! `MSR_WRITE` reprogramming traffic dominates the paper's timer-related
 //! profiles (§ 6.3.1, § 6.3.3).
 
+use svt_sim::snapshot::{Sink, Snap, SnapError, SnapReader};
 use svt_sim::SimTime;
 
 /// MSR index of the TSC-deadline timer (IA32_TSC_DEADLINE).
@@ -29,9 +30,10 @@ pub const VECTOR_TIMER: u8 = 0xec;
 pub const VECTOR_IPI: u8 = 0xf2;
 
 /// x2APIC IPI delivery mode (ICR bits 10:8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DeliveryMode {
     /// Deliver the vector in the command (encoding 0b000).
+    #[default]
     Fixed,
     /// INIT: reset the target vCPU to its wait-for-SIPI state (0b101).
     Init,
@@ -74,7 +76,7 @@ impl DeliveryMode {
 /// assert_eq!(decoded.dest, 3);
 /// assert_eq!(decoded.mode, DeliveryMode::Fixed);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IcrCommand {
     /// Interrupt vector (ignored for INIT).
     pub vector: u8,
@@ -82,6 +84,23 @@ pub struct IcrCommand {
     pub mode: DeliveryMode,
     /// Destination APIC id.
     pub dest: u32,
+}
+
+/// The encoded ICR word; a word [`IcrCommand::decode`] rejects is
+/// `BadValue`.
+impl Snap for IcrCommand {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u64(self.encode());
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let icr = r.u64()?;
+        *self = IcrCommand::decode(icr).ok_or(SnapError::BadValue {
+            what: "ICR command",
+            got: icr,
+        })?;
+        Ok(())
+    }
 }
 
 impl IcrCommand {
@@ -147,6 +166,12 @@ pub struct LocalApic {
     delivered: u64,
     /// Injections absorbed by an already-pending request bit.
     coalesced: u64,
+}
+
+svt_sim::snap_fields! {
+    LocalApic {
+        irr, isr, tsc_deadline, late_timer_fires, delivered, coalesced
+    }
 }
 
 impl LocalApic {
@@ -257,72 +282,6 @@ impl LocalApic {
     /// Whether any interrupt is pending or in service.
     pub fn is_idle(&self) -> bool {
         self.irr.iter().all(|w| *w == 0) && self.isr.is_empty()
-    }
-
-    /// Serializes the APIC for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        for word in self.irr {
-            w.u64(word);
-        }
-        w.usize(self.isr.len());
-        for v in &self.isr {
-            w.u8(*v);
-        }
-        match self.tsc_deadline {
-            Some(t) => {
-                w.u8(1);
-                w.u64(t.as_ps());
-            }
-            None => w.u8(0),
-        }
-        w.u64(self.late_timer_fires);
-        w.u64(self.delivered);
-        w.u64(self.coalesced);
-    }
-
-    /// Restores state written by [`LocalApic::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or a malformed option tag.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        for word in self.irr.iter_mut() {
-            *word = r.u64()?;
-        }
-        let n = r.usize()?;
-        self.isr.clear();
-        for _ in 0..n {
-            self.isr.push(r.u8()?);
-        }
-        self.tsc_deadline = match r.u8()? {
-            0 => None,
-            1 => Some(SimTime::from_ps(r.u64()?)),
-            b => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "tsc deadline tag",
-                    got: b as u64,
-                })
-            }
-        };
-        self.late_timer_fires = r.u64()?;
-        self.delivered = r.u64()?;
-        self.coalesced = r.u64()?;
-        Ok(())
-    }
-
-    /// Folds the full APIC state into a fingerprint.
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        for word in self.irr {
-            fp.fold(word);
-        }
-        fp.fold(self.isr.len() as u64);
-        for v in &self.isr {
-            fp.fold(*v as u64);
-        }
-        fp.fold(self.tsc_deadline.map_or(u64::MAX, |t| t.as_ps()));
-        fp.fold(self.late_timer_fires);
-        fp.fold(self.delivered);
-        fp.fold(self.coalesced);
     }
 }
 

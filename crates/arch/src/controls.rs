@@ -50,6 +50,15 @@ pub struct ExecPolicy {
     pub preemption_timer: bool,
 }
 
+// The `BTreeSet` iterates sorted, so identical policies serialize
+// identically.
+svt_sim::snap_fields! {
+    ExecPolicy {
+        external_interrupt_exiting, hlt_exiting, use_msr_bitmap, shadow_vmcs, preemption_timer,
+        trapped_msrs
+    }
+}
+
 impl ExecPolicy {
     /// The policy KVM programs for a regular guest: interrupts and `hlt`
     /// exit, MSR bitmap passes most MSRs through but traps the timer and
@@ -144,40 +153,6 @@ impl ExecPolicy {
         self.use_msr_bitmap = v & bits::USE_MSR_BITMAP != 0;
         self.shadow_vmcs = v & bits::SHADOW_VMCS != 0;
         self.preemption_timer = v & bits::PREEMPTION_TIMER != 0;
-    }
-
-    /// Serializes the full policy (knobs plus trapped-MSR set) for
-    /// `svt_sim::snapshot`. The `BTreeSet` iterates sorted, so identical
-    /// policies serialize identically.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.bool(self.external_interrupt_exiting);
-        w.bool(self.hlt_exiting);
-        w.bool(self.use_msr_bitmap);
-        w.bool(self.shadow_vmcs);
-        w.bool(self.preemption_timer);
-        w.usize(self.trapped_msrs.len());
-        for msr in &self.trapped_msrs {
-            w.u32(*msr);
-        }
-    }
-
-    /// Restores state written by [`ExecPolicy::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.external_interrupt_exiting = r.bool()?;
-        self.hlt_exiting = r.bool()?;
-        self.use_msr_bitmap = r.bool()?;
-        self.shadow_vmcs = r.bool()?;
-        self.preemption_timer = r.bool()?;
-        let n = r.usize()?;
-        self.trapped_msrs.clear();
-        for _ in 0..n {
-            self.trapped_msrs.insert(r.u32()?);
-        }
-        Ok(())
     }
 }
 

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use svt_mem::{Gpa, PAGE_SIZE};
+use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
 
 /// Page access kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,10 +92,46 @@ pub enum EptFault {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Entry {
-    Mapped { target_page: u64, perms: EptPerms },
+    Mapped {
+        target_page: u64,
+        perms: EptPerms,
+    },
+    #[default]
     Mmio,
+}
+
+/// Tag 0 is an MMIO page; tag 1 a mapping, its permissions packed into
+/// one byte (`r | w << 1 | x << 2`).
+impl Snap for Entry {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        match *self {
+            Entry::Mmio => w.u8(0),
+            Entry::Mapped { target_page, perms } => {
+                let bits = u8::from(perms.r) | u8::from(perms.w) << 1 | u8::from(perms.x) << 2;
+                (1u8, target_page, bits).save(w);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match load_code(r, "EPT entry tag", |t| (t < 2).then_some(t))? {
+            0 => Entry::Mmio,
+            _ => {
+                let (target_page, bits): (u64, u8) = load_new(r)?;
+                Entry::Mapped {
+                    target_page,
+                    perms: EptPerms {
+                        r: bits & 1 != 0,
+                        w: bits & 2 != 0,
+                        x: bits & 4 != 0,
+                    },
+                }
+            }
+        };
+        Ok(())
+    }
 }
 
 /// One extended-page-table hierarchy (page-granular).
@@ -116,6 +153,26 @@ pub struct Ept {
     generation: u64,
     /// Identity of this table's contents; see [`Ept::stamp`].
     stamp: u64,
+}
+
+/// The stamp is not state: a loaded table gets a fresh one, so a compose
+/// cached against the old contents cannot be mistaken for current.
+impl Snap for Ept {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let Ept {
+            entries,
+            generation,
+            stamp: _,
+        } = self;
+        generation.save(w);
+        entries.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.touch();
+        self.generation.load(r)?;
+        self.entries.load(r)
+    }
 }
 
 /// Source of [`Ept::stamp`] values; 0 is left to never-edited tables.
@@ -246,80 +303,6 @@ impl Ept {
         }
         out.touch();
         out
-    }
-
-    /// Serializes the table for `svt_sim::snapshot`. `BTreeMap` iteration
-    /// is already sorted, so identical tables serialize identically.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u64(self.generation);
-        w.usize(self.entries.len());
-        for (&page, entry) in &self.entries {
-            w.u64(page);
-            match entry {
-                Entry::Mmio => w.u8(0),
-                Entry::Mapped { target_page, perms } => {
-                    w.u8(1);
-                    w.u64(*target_page);
-                    w.u8((perms.r as u8) | (perms.w as u8) << 1 | (perms.x as u8) << 2);
-                }
-            }
-        }
-    }
-
-    /// Restores state written by [`Ept::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or a malformed entry tag.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.generation = r.u64()?;
-        let n = r.usize()?;
-        self.entries.clear();
-        self.touch();
-        for _ in 0..n {
-            let page = r.u64()?;
-            let entry = match r.u8()? {
-                0 => Entry::Mmio,
-                1 => {
-                    let target_page = r.u64()?;
-                    let bits = r.u8()?;
-                    Entry::Mapped {
-                        target_page,
-                        perms: EptPerms {
-                            r: bits & 1 != 0,
-                            w: bits & 2 != 0,
-                            x: bits & 4 != 0,
-                        },
-                    }
-                }
-                b => {
-                    return Err(svt_sim::SnapError::BadValue {
-                        what: "EPT entry tag",
-                        got: b as u64,
-                    })
-                }
-            };
-            self.entries.insert(page, entry);
-        }
-        Ok(())
-    }
-
-    /// Folds generation and every entry into a fingerprint.
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        fp.fold(self.generation);
-        fp.fold(self.entries.len() as u64);
-        for (&page, entry) in &self.entries {
-            fp.fold(page);
-            match entry {
-                Entry::Mmio => {
-                    fp.fold(u64::MAX);
-                }
-                Entry::Mapped { target_page, perms } => {
-                    fp.fold(*target_page);
-                    fp.fold(((perms.r as u64) | (perms.w as u64) << 1 | (perms.x as u64) << 2) + 1);
-                }
-            }
-        }
     }
 }
 

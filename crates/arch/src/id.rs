@@ -48,6 +48,8 @@ pub enum ArchId {
     Riscv,
 }
 
+svt_sim::snap_enum! { "ISA backend" => ArchId { X86, Riscv } }
+
 impl ArchId {
     /// Both backends, in report order.
     pub const ALL: [ArchId; 2] = [ArchId::X86, ArchId::Riscv];

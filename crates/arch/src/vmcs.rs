@@ -10,6 +10,7 @@
 use std::fmt;
 
 use svt_mem::Gpa;
+use svt_sim::snapshot::{load_code, Sink, Snap, SnapError, SnapReader};
 
 use crate::fields::VmcsField;
 
@@ -26,6 +27,54 @@ pub enum VmcsRole {
     GuestOwned,
     /// L0's shadow copy of a guest-owned descriptor (vmcs12).
     Shadow,
+}
+
+/// Two bytes: a role code (0 host, 1 guest-owned, 2 shadow) and the host
+/// role's guest level (0 otherwise, ignored on load).
+impl Snap for VmcsRole {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        match *self {
+            VmcsRole::Host { guest_level } => (0u8, guest_level),
+            VmcsRole::GuestOwned => (1, 0),
+            VmcsRole::Shadow => (2, 0),
+        }
+        .save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let code = load_code(r, "VMCS role", |c| (c < 3).then_some(usize::from(c)))?;
+        let guest_level = r.u8()?;
+        *self = [
+            VmcsRole::Host { guest_level },
+            VmcsRole::GuestOwned,
+            VmcsRole::Shadow,
+        ][code];
+        Ok(())
+    }
+}
+
+/// Four bytes: the field's index in [`VmcsField::ALL`].
+impl Snap for VmcsField {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u32(self.index() as u32);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let idx = r.u32()?;
+        *self = *VmcsField::ALL
+            .get(idx as usize)
+            .ok_or(SnapError::BadValue {
+                what: "VmcsField",
+                got: u64::from(idx),
+            })?;
+        Ok(())
+    }
+}
+
+impl Default for VmcsField {
+    fn default() -> Self {
+        VmcsField::ALL[0]
+    }
 }
 
 /// A VM state descriptor.
@@ -47,6 +96,14 @@ pub struct Vmcs {
     fields: [u64; VmcsField::COUNT],
     launched: bool,
     dirty: Vec<VmcsField>,
+}
+
+// Role and region are verified on load; the dirty list keeps write order
+// (lazy-sync behavior depends on it).
+svt_sim::snap_fields! {
+    Vmcs {
+        #[shape = "VMCS role"] role, #[shape = "VMCS region"] region, fields, launched, dirty
+    }
 }
 
 impl Vmcs {
@@ -128,89 +185,6 @@ impl Vmcs {
     pub fn set_svt_ctx(&mut self, f: VmcsField, ctx: Option<u8>) {
         debug_assert!(VmcsField::SVT_FIELDS.contains(&f));
         self.write(f, ctx.map_or(u64::MAX, |c| c as u64));
-    }
-
-    fn role_code(&self) -> (u8, u8) {
-        match self.role {
-            VmcsRole::Host { guest_level } => (0, guest_level),
-            VmcsRole::GuestOwned => (1, 0),
-            VmcsRole::Shadow => (2, 0),
-        }
-    }
-
-    /// Serializes the descriptor for `svt_sim::snapshot`: role and region
-    /// (verified on load), all fields, launch state, and the dirty list
-    /// in write order (lazy-sync behavior depends on it).
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        let (code, level) = self.role_code();
-        w.u8(code);
-        w.u8(level);
-        w.u64(self.region.0);
-        for f in &self.fields {
-            w.u64(*f);
-        }
-        w.bool(self.launched);
-        w.usize(self.dirty.len());
-        for f in &self.dirty {
-            w.u32(f.index() as u32);
-        }
-    }
-
-    /// Restores state written by [`Vmcs::snap_save`] into a descriptor
-    /// with the same role and region.
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation, a field index out of range, or a
-    /// role/region mismatch.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        use svt_sim::SnapError;
-        let code = r.u8()?;
-        let level = r.u8()?;
-        let (live_code, live_level) = self.role_code();
-        if (code, level) != (live_code, live_level) {
-            return Err(SnapError::ShapeMismatch {
-                what: "VMCS role",
-                snapshot: ((code as u64) << 8) | level as u64,
-                live: ((live_code as u64) << 8) | live_level as u64,
-            });
-        }
-        let region = r.u64()?;
-        if region != self.region.0 {
-            return Err(SnapError::ShapeMismatch {
-                what: "VMCS region",
-                snapshot: region,
-                live: self.region.0,
-            });
-        }
-        for f in self.fields.iter_mut() {
-            *f = r.u64()?;
-        }
-        self.launched = r.bool()?;
-        let n = r.usize()?;
-        self.dirty.clear();
-        for _ in 0..n {
-            let idx = r.u32()? as usize;
-            let field = *VmcsField::ALL.get(idx).ok_or(SnapError::BadValue {
-                what: "VmcsField",
-                got: idx as u64,
-            })?;
-            self.dirty.push(field);
-        }
-        Ok(())
-    }
-
-    /// Folds fields, launch state, and dirty list into a fingerprint.
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        fp.fold(self.region.0);
-        for f in &self.fields {
-            fp.fold(*f);
-        }
-        fp.fold(self.launched as u64);
-        fp.fold(self.dirty.len() as u64);
-        for f in &self.dirty {
-            fp.fold(f.index() as u64);
-        }
     }
 }
 

@@ -147,27 +147,19 @@ pub fn riscv_grid(
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> RiscvGrid {
     let bars = fig6_bars(ArchId::Riscv, iters, jobs, ckpt);
-    let points = checkpoint::sweep(
-        ckpt,
-        "memcached",
-        SwitchMode::ALL.len(),
-        jobs,
-        |i| {
-            let spec = RunSpec {
-                app: App::Memcached {
-                    rate_qps: SERVE_RATE_QPS,
-                    requests,
-                },
-                mode: SwitchMode::ALL[i],
-                arch: ArchId::Riscv,
-                vcpus: RISCV_SMP_VCPUS,
-                lane_seed: seed,
-            };
-            spec.run(|_| {}, |_| ()).0
-        },
-        |p, w| p.snap_save(w),
-        SmpPoint::snap_load,
-    );
+    let points = checkpoint::sweep(ckpt, "memcached", SwitchMode::ALL.len(), jobs, |i| {
+        let spec = RunSpec {
+            app: App::Memcached {
+                rate_qps: SERVE_RATE_QPS,
+                requests,
+            },
+            mode: SwitchMode::ALL[i],
+            arch: ArchId::Riscv,
+            vcpus: RISCV_SMP_VCPUS,
+            lane_seed: seed,
+        };
+        spec.run(|_| {}, |_| ()).0
+    });
     let memcached = SwitchMode::ALL.into_iter().zip(points).collect();
     RiscvGrid { bars, memcached }
 }
@@ -223,24 +215,16 @@ pub fn smp_series(
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
     let modes = SwitchMode::ALL;
-    let points = checkpoint::sweep(
-        ckpt,
-        "smp",
-        modes.len() * vcpu_counts.len(),
-        jobs,
-        |i| {
-            let spec = RunSpec {
-                app: App::Memcached { rate_qps, requests },
-                mode: modes[i / vcpu_counts.len()],
-                arch,
-                vcpus: vcpu_counts[i % vcpu_counts.len()],
-                lane_seed: seed,
-            };
-            spec.run(|_| {}, |_| ()).0
-        },
-        |p, w| p.snap_save(w),
-        SmpPoint::snap_load,
-    );
+    let points = checkpoint::sweep(ckpt, "smp", modes.len() * vcpu_counts.len(), jobs, |i| {
+        let spec = RunSpec {
+            app: App::Memcached { rate_qps, requests },
+            mode: modes[i / vcpu_counts.len()],
+            arch,
+            vcpus: vcpu_counts[i % vcpu_counts.len()],
+            lane_seed: seed,
+        };
+        spec.run(|_| {}, |_| ()).0
+    });
     modes
         .iter()
         .zip(points.chunks(vcpu_counts.len()))
@@ -316,29 +300,21 @@ pub fn faults_campaign(
     jobs: usize,
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<FaultCell> {
-    let cells = checkpoint::sweep(
-        ckpt,
-        "faults",
-        modes.len() * rates.len(),
-        jobs,
-        |i| {
-            let rate = rates[i % rates.len()];
-            let plan = if rate == 0.0 {
-                FaultPlan::none()
-            } else {
-                FaultPlan::uniform(seed, rate)
-            };
-            memcached_chaos(
-                modes[i / rates.len()],
-                FAULTS_N_VCPUS,
-                SERVE_RATE_QPS,
-                requests,
-                plan,
-            )
-        },
-        |p, w| p.snap_save(w),
-        ChaosPoint::snap_load,
-    );
+    let cells = checkpoint::sweep(ckpt, "faults", modes.len() * rates.len(), jobs, |i| {
+        let rate = rates[i % rates.len()];
+        let plan = if rate == 0.0 {
+            FaultPlan::none()
+        } else {
+            FaultPlan::uniform(seed, rate)
+        };
+        memcached_chaos(
+            modes[i / rates.len()],
+            FAULTS_N_VCPUS,
+            SERVE_RATE_QPS,
+            requests,
+            plan,
+        )
+    });
     let cells: Vec<FaultCell> = cells
         .into_iter()
         .enumerate()
@@ -404,7 +380,7 @@ pub const SELFPERF_FAULT_RATES: [f64; 2] = [0.0, 0.05];
 
 /// One measured selfperf workload: the grid run at `--jobs 1` and at the
 /// per-workload clamped worker count, wall-clock timed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SelfperfRow {
     /// Workload name (`fig6`, `smp`, `faults`).
     pub name: &'static str,
@@ -445,35 +421,11 @@ impl SelfperfRow {
     pub fn speedup_meaningful(&self) -> bool {
         self.jobs > 1 && svt_sim::host_parallelism() > 1
     }
-
-    /// Serializes the row for campaign checkpoints. Wall-clock columns
-    /// journal too: a resumed selfperf replays the measured times of the
-    /// completed workloads rather than re-measuring them.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.str(self.name);
-        w.usize(self.cells);
-        w.usize(self.jobs);
-        w.u64(self.traps);
-        w.f64(self.wall_ns_j1);
-        w.f64(self.wall_ns_jn);
-    }
-
-    /// Decodes a row written by [`SelfperfRow::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors on truncated or corrupted payloads.
-    pub fn snap_load(r: &mut svt_sim::SnapReader<'_>) -> Result<SelfperfRow, svt_sim::SnapError> {
-        Ok(SelfperfRow {
-            name: svt_sim::snapshot::intern_static(r.str()?),
-            cells: r.usize()?,
-            jobs: r.usize()?,
-            traps: r.u64()?,
-            wall_ns_j1: r.f64()?,
-            wall_ns_jn: r.f64()?,
-        })
-    }
 }
+
+// Wall-clock columns journal too: a resumed selfperf replays the measured
+// times of the completed workloads rather than re-measuring them.
+svt_sim::snap_fields! { SelfperfRow { name, cells, jobs, traps, wall_ns_j1, wall_ns_jn } }
 
 /// Runs one workload grid at `--jobs 1` and at the `jobs` request
 /// clamped to the grid, timing each pass. The per-cell trap counts must
@@ -532,46 +484,38 @@ pub fn selfperf_rows(
     // The journaled unit is a whole measured workload, measured one at a
     // time: checkpointing *inside* the timed sweeps would poison the
     // wall-clock columns they exist to measure.
-    checkpoint::sweep(
-        ckpt,
-        "selfperf",
-        3,
-        1,
-        |w| match w {
-            0 => selfperf_measure("fig6", SELFPERF_FIG6_GRID.len(), jobs, |i| {
-                let (level, mode) = SELFPERF_FIG6_GRID[i];
-                cpuid_counted(level, mode, fig6_iters).1
-            }),
-            1 => selfperf_measure("smp", SwitchMode::ALL.len(), jobs, |i| {
-                memcached_smp_counted_seeded(
-                    SwitchMode::ALL[i],
-                    SELFPERF_SMP_VCPUS,
-                    SERVE_RATE_QPS,
-                    smp_requests,
-                    seed,
-                )
-                .1
-            }),
-            _ => selfperf_measure("faults", faults_cells, jobs, |i| {
-                let rate = SELFPERF_FAULT_RATES[i % SELFPERF_FAULT_RATES.len()];
-                let plan = if rate == 0.0 {
-                    FaultPlan::none()
-                } else {
-                    FaultPlan::uniform(FAULTS_DEFAULT_SEED, rate)
-                };
-                memcached_chaos(
-                    FAULTS_MODES[i / SELFPERF_FAULT_RATES.len()],
-                    FAULTS_N_VCPUS,
-                    SERVE_RATE_QPS,
-                    faults_requests,
-                    plan,
-                )
-                .traps
-            }),
-        },
-        |row, w| row.snap_save(w),
-        SelfperfRow::snap_load,
-    )
+    checkpoint::sweep(ckpt, "selfperf", 3, 1, |w| match w {
+        0 => selfperf_measure("fig6", SELFPERF_FIG6_GRID.len(), jobs, |i| {
+            let (level, mode) = SELFPERF_FIG6_GRID[i];
+            cpuid_counted(level, mode, fig6_iters).1
+        }),
+        1 => selfperf_measure("smp", SwitchMode::ALL.len(), jobs, |i| {
+            memcached_smp_counted_seeded(
+                SwitchMode::ALL[i],
+                SELFPERF_SMP_VCPUS,
+                SERVE_RATE_QPS,
+                smp_requests,
+                seed,
+            )
+            .1
+        }),
+        _ => selfperf_measure("faults", faults_cells, jobs, |i| {
+            let rate = SELFPERF_FAULT_RATES[i % SELFPERF_FAULT_RATES.len()];
+            let plan = if rate == 0.0 {
+                FaultPlan::none()
+            } else {
+                FaultPlan::uniform(FAULTS_DEFAULT_SEED, rate)
+            };
+            memcached_chaos(
+                FAULTS_MODES[i / SELFPERF_FAULT_RATES.len()],
+                FAULTS_N_VCPUS,
+                SERVE_RATE_QPS,
+                faults_requests,
+                plan,
+            )
+            .traps
+        }),
+    })
 }
 
 /// Builds the selfperf run report from measured rows. `jobs_requested`

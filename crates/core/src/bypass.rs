@@ -44,6 +44,10 @@ pub struct BypassReflector {
     initialized: bool,
 }
 
+// The lazy-init flag is the engine's only mutable state; the context
+// files ride in the per-vCPU `SmtCore` snapshot.
+svt_sim::snap_fields! { BypassReflector { initialized } }
+
 impl BypassReflector {
     /// Creates the engine.
     pub fn new() -> Self {
@@ -148,17 +152,6 @@ impl Reflector for BypassReflector {
             .ctxtst(CtxtLevel::Guest, r, v)
             .expect("SVt target configured");
         m.vcpu2_mut().gprs.set(r, v);
-    }
-
-    // The lazy-init flag is the engine's only mutable state; the context
-    // files ride in the per-vCPU `SmtCore` snapshot.
-    fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.bool(self.initialized);
-    }
-
-    fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.initialized = r.bool()?;
-        Ok(())
     }
 }
 

@@ -16,6 +16,7 @@ use std::error::Error;
 use std::fmt;
 
 use svt_cpu::{Gpr, GprState};
+use svt_sim::snapshot::{Sink, Snap, SnapError, SnapReader};
 
 /// Command: L0 tells L1's SVt-thread an L2 trap needs handling.
 pub const CMD_VM_TRAP: u32 = 1;
@@ -79,7 +80,7 @@ impl fmt::Display for ProtocolError {
 impl Error for ProtocolError {}
 
 /// A trap/resume command with its register payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Command {
     /// [`CMD_VM_TRAP`] or [`CMD_VM_RESUME`].
     pub kind: u32,
@@ -93,6 +94,23 @@ pub struct Command {
     pub gprs: GprState,
     /// FNV-1a checksum over every other encoded byte.
     pub csum: u32,
+}
+
+/// The encoded ring payload as a byte string; bytes
+/// [`Command::decode`] rejects are `BadValue`.
+impl Snap for Command {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.bytes(&self.encode());
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let payload = r.bytes()?;
+        *self = Command::decode(payload).ok_or(SnapError::BadValue {
+            what: "SW-SVt command payload",
+            got: payload.len() as u64,
+        })?;
+        Ok(())
+    }
 }
 
 /// FNV-1a over the encoded payload with the checksum field zeroed.

@@ -41,26 +41,9 @@ impl SvtHealth {
             SvtHealth::FallenBack => "fallen_back",
         }
     }
-
-    /// Stable wire code for `svt_sim::snapshot`.
-    pub fn snap_code(self) -> u8 {
-        match self {
-            SvtHealth::Healthy => 0,
-            SvtHealth::Degraded => 1,
-            SvtHealth::FallenBack => 2,
-        }
-    }
-
-    /// Inverse of [`SvtHealth::snap_code`]; `None` on an unknown code.
-    pub fn from_snap_code(code: u8) -> Option<SvtHealth> {
-        match code {
-            0 => Some(SvtHealth::Healthy),
-            1 => Some(SvtHealth::Degraded),
-            2 => Some(SvtHealth::FallenBack),
-            _ => None,
-        }
-    }
 }
+
+svt_sim::snap_enum! { "SVt health code" => SvtHealth { Healthy, Degraded, FallenBack } }
 
 /// A state change the policy just made, for observability.
 pub type Transition = (SvtHealth, SvtHealth);
@@ -199,41 +182,13 @@ impl DegradeFsm {
     pub fn note_fallback_trap(&mut self) {
         self.fallback_traps += 1;
     }
+}
 
-    /// Serializes the policy mid-stream for `svt_sim::snapshot`: a
-    /// restored FSM continues the exact failure/heal/probe cadence.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u8(self.state.snap_code());
-        w.u32(self.consec_failures);
-        w.u32(self.clean_streak);
-        w.u32(self.since_probe);
-        w.u32(self.fallback_after);
-        w.u32(self.heal_window);
-        w.u32(self.probe_every);
-        w.u64(self.fallback_traps);
-        w.u64(self.transitions);
-    }
-
-    /// Restores state written by [`DegradeFsm::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or an unknown health code.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        let code = r.u8()?;
-        self.state = SvtHealth::from_snap_code(code).ok_or(svt_sim::SnapError::BadValue {
-            what: "SVt health code",
-            got: u64::from(code),
-        })?;
-        self.consec_failures = r.u32()?;
-        self.clean_streak = r.u32()?;
-        self.since_probe = r.u32()?;
-        self.fallback_after = r.u32()?;
-        self.heal_window = r.u32()?;
-        self.probe_every = r.u32()?;
-        self.fallback_traps = r.u64()?;
-        self.transitions = r.u64()?;
-        Ok(())
+// A restored FSM continues the exact failure/heal/probe cadence.
+svt_sim::snap_fields! {
+    DegradeFsm {
+        state, consec_failures, clean_streak, since_probe, fallback_after, heal_window, probe_every,
+        fallback_traps, transitions
     }
 }
 

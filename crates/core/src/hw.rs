@@ -48,6 +48,10 @@ pub struct HwSvtReflector {
     contexts: u8,
 }
 
+// The µ-register and context-file state lives in `SmtCore` and rides in
+// the per-vCPU snapshot.
+svt_sim::snap_fields! { HwSvtReflector { #[shape = "HW-SVt context count"] contexts, initialized } }
+
 impl HwSvtReflector {
     /// Creates the engine; hardware contexts are configured lazily on
     /// first use (once the machine exists).
@@ -262,26 +266,5 @@ impl Reflector for HwSvtReflector {
         // The memory copy mirrors the architectural state for the parts of
         // the machine that report it.
         m.vcpu2_mut().gprs.set(r, v);
-    }
-
-    // The engine's only mutable state is the lazy-init flag — the µ-register
-    // and context-file state lives in `SmtCore` and rides in the per-vCPU
-    // snapshot. The context count is construction config, shape-checked.
-    fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u8(self.contexts);
-        w.bool(self.initialized);
-    }
-
-    fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        let contexts = r.u8()?;
-        if contexts != self.contexts {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "HW-SVt context count",
-                snapshot: u64::from(contexts),
-                live: u64::from(self.contexts),
-            });
-        }
-        self.initialized = r.bool()?;
-        Ok(())
     }
 }

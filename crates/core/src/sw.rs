@@ -27,6 +27,7 @@ use svt_cpu::Gpr;
 use svt_hv::{Level, Machine, MachineEvent, Reflector};
 use svt_mem::{CommandRing, Hpa};
 use svt_obs::{HostPart, MetricKey, ObsLevel};
+use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
 use svt_sim::{CostPart, FaultKind, Placement, SimDuration};
 
 use crate::commands::{Command, ProtocolError, CMD_VM_RESUME, CMD_VM_TRAP, PAYLOAD_LEN};
@@ -82,8 +83,7 @@ const MAX_ATTEMPTS: u32 = 8;
 pub struct SwSvtReflector {
     wait: WaitMode,
     placement: Placement,
-    cmd_ring: Option<CommandRing>,
-    resp_ring: Option<CommandRing>,
+    rings: Rings,
     last_cmd: Option<Command>,
     svt_blocked_count: u64,
     /// Next command sequence number (shared across both rings; strictly
@@ -100,6 +100,32 @@ pub struct SwSvtReflector {
     /// True while the classic world-switch path serves a trap, so
     /// `l1_read_exit_info` uses vmreads instead of the command payload.
     fallback_active: bool,
+}
+
+/// The command and response rings, created together on first use.
+#[derive(Debug, Default)]
+struct Rings {
+    cmd: Option<CommandRing>,
+    resp: Option<CommandRing>,
+}
+
+/// A presence byte, then both rings' geometry.
+impl Snap for Rings {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        match (self.cmd, self.resp) {
+            (Some(cmd), Some(resp)) => (1u8, cmd, resp).save(w),
+            _ => w.u8(0),
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = Rings::default();
+        if load_code(r, "SW-SVt ring tag", |t| (t < 2).then_some(t == 1))? {
+            let (cmd, resp) = load_new(r)?;
+            (self.cmd, self.resp) = (Some(cmd), Some(resp));
+        }
+        Ok(())
+    }
 }
 
 impl SwSvtReflector {
@@ -123,8 +149,7 @@ impl SwSvtReflector {
         SwSvtReflector {
             wait,
             placement,
-            cmd_ring: None,
-            resp_ring: None,
+            rings: Rings::default(),
             last_cmd: None,
             svt_blocked_count: 0,
             next_seq: 0,
@@ -151,7 +176,7 @@ impl SwSvtReflector {
     }
 
     fn ensure_init(&mut self, m: &mut Machine) {
-        if self.cmd_ring.is_some() {
+        if self.rings.cmd.is_some() {
             return;
         }
         // Rings live in an ivshmem-like region of host RAM; "pairing" the
@@ -162,8 +187,8 @@ impl SwSvtReflector {
         let resp = CommandRing::new(Hpa(base + cmd.footprint()), 256, 16);
         cmd.init(&mut m.ram).expect("ring region in RAM");
         resp.init(&mut m.ram).expect("ring region in RAM");
-        self.cmd_ring = Some(cmd);
-        self.resp_ring = Some(resp);
+        self.rings.cmd = Some(cmd);
+        self.rings.resp = Some(resp);
         let c = m.cost.l0_exit_decode + m.cost.l0_run_loop;
         m.clock.charge(c); // the pairing hypercall
         m.clock.count("svt_pairing_hypercall");
@@ -195,9 +220,9 @@ impl SwSvtReflector {
 
     fn ring(&self, ring_is_cmd: bool) -> CommandRing {
         if ring_is_cmd {
-            self.cmd_ring.expect("initialized")
+            self.rings.cmd.expect("initialized")
         } else {
-            self.resp_ring.expect("initialized")
+            self.rings.resp.expect("initialized")
         }
     }
 
@@ -330,7 +355,7 @@ impl SwSvtReflector {
             return;
         }
         let mut depth = 0;
-        for ring in [self.cmd_ring, self.resp_ring].into_iter().flatten() {
+        for ring in [self.rings.cmd, self.rings.resp].into_iter().flatten() {
             depth += ring.len(&m.ram).unwrap_or(0);
         }
         let vcpu = m.current_vcpu() as u32;
@@ -815,116 +840,16 @@ impl Reflector for SwSvtReflector {
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
         m.vcpu2_mut().gprs.set(r, v);
     }
-
-    // Serializes the full protocol state: channel configuration (shape-
-    // checked on restore — wait mode and placement are construction-time
-    // choices, not restorable), lazily-created ring geometry (so a
-    // restored engine neither re-initializes the rings nor re-charges the
-    // pairing hypercall), the last accepted command, the § 5.3 blocked
-    // counter, the sequence-number stream, the degradation policy and the
-    // per-trap retry/fallback flags.
-    fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u8(wait_code(self.wait));
-        w.u8(placement_code(self.placement));
-        match (&self.cmd_ring, &self.resp_ring) {
-            (Some(cmd), Some(resp)) => {
-                w.u8(1);
-                cmd.snap_save(w);
-                resp.snap_save(w);
-            }
-            _ => w.u8(0),
-        }
-        match &self.last_cmd {
-            Some(cmd) => {
-                w.u8(1);
-                w.bytes(&cmd.encode());
-            }
-            None => w.u8(0),
-        }
-        w.u64(self.svt_blocked_count);
-        w.u64(self.next_seq);
-        self.fsm.snap_save(w);
-        w.bool(self.retried_this_trap);
-        w.bool(self.fell_back_mid_trap);
-        w.bool(self.fallback_active);
-    }
-
-    fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        let wait = r.u8()?;
-        if wait != wait_code(self.wait) {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "SW-SVt wait mode",
-                snapshot: u64::from(wait),
-                live: u64::from(wait_code(self.wait)),
-            });
-        }
-        let placement = r.u8()?;
-        if placement != placement_code(self.placement) {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "SW-SVt placement",
-                snapshot: u64::from(placement),
-                live: u64::from(placement_code(self.placement)),
-            });
-        }
-        match r.u8()? {
-            0 => {
-                self.cmd_ring = None;
-                self.resp_ring = None;
-            }
-            1 => {
-                self.cmd_ring = Some(CommandRing::snap_load(r)?);
-                self.resp_ring = Some(CommandRing::snap_load(r)?);
-            }
-            got => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "SW-SVt ring tag",
-                    got: u64::from(got),
-                })
-            }
-        }
-        self.last_cmd = match r.u8()? {
-            0 => None,
-            1 => {
-                let payload = r.bytes()?;
-                Some(
-                    Command::decode(payload).ok_or(svt_sim::SnapError::BadValue {
-                        what: "SW-SVt command payload",
-                        got: payload.len() as u64,
-                    })?,
-                )
-            }
-            got => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "SW-SVt command tag",
-                    got: u64::from(got),
-                })
-            }
-        };
-        self.svt_blocked_count = r.u64()?;
-        self.next_seq = r.u64()?;
-        self.fsm.snap_load(r)?;
-        self.retried_this_trap = r.bool()?;
-        self.fell_back_mid_trap = r.bool()?;
-        self.fallback_active = r.bool()?;
-        Ok(())
-    }
 }
 
-/// Stable wire code of a wait mode (shape dimension of the snapshot).
-fn wait_code(w: WaitMode) -> u8 {
-    match w {
-        WaitMode::Mwait => 0,
-        WaitMode::Poll => 1,
-        WaitMode::Mutex => 2,
-    }
-}
+svt_sim::snap_enum! { "SW-SVt wait mode" => WaitMode { Mwait, Poll, Mutex } }
 
-/// Stable wire code of a thread placement (shape dimension).
-fn placement_code(p: Placement) -> u8 {
-    match p {
-        Placement::SameThread => 0,
-        Placement::SmtSibling => 1,
-        Placement::SameNodeCrossCore => 2,
-        Placement::CrossNode => 3,
+// The ring geometry is state, so a restored engine neither
+// re-initializes the rings nor re-charges the pairing hypercall.
+svt_sim::snap_fields! {
+    SwSvtReflector {
+        #[shape = "SW-SVt wait mode"] wait, #[shape = "SW-SVt placement"] placement, rings,
+        last_cmd, svt_blocked_count, next_seq, fsm, retried_this_trap, fell_back_mid_trap,
+        fallback_active
     }
 }

@@ -10,10 +10,13 @@ use std::error::Error;
 use std::fmt;
 
 use crate::regs::{Gpr, GprState, PhysRegFile, RenameMap};
+use svt_sim::snapshot::{load_new, load_shape, Sink, Snap, SnapError, SnapReader};
 
 /// Identifier of a hardware context (SMT thread) within one core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CtxId(pub u8);
+
+svt_sim::snap_fields! { CtxId(_) }
 
 impl fmt::Display for CtxId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -74,6 +77,8 @@ pub struct MicroRegs {
     pub is_vm: bool,
 }
 
+svt_sim::snap_fields! { MicroRegs { current, visor, vm, nested, is_vm } }
+
 impl Default for MicroRegs {
     fn default() -> Self {
         MicroRegs {
@@ -102,6 +107,8 @@ pub struct SpecialRegs {
     /// EFER.
     pub efer: u64,
 }
+
+svt_sim::snap_fields! { SpecialRegs { rip, rflags, cr0, cr3, cr4, efer } }
 
 #[derive(Debug, Clone)]
 struct HwContext {
@@ -330,121 +337,40 @@ impl SmtCore {
     pub fn running_contexts(&self) -> usize {
         self.contexts.iter().filter(|c| !c.stalled).count()
     }
-
-    /// Serializes the core's *architectural* state for
-    /// `svt_sim::snapshot`: per-context GPRs (read through the rename
-    /// maps), special registers, stall flags, and the µ-register block.
-    /// The physical-register-file slot permutation is deliberately not
-    /// serialized — it is architecturally invisible (every read goes
-    /// through a rename map), so a restored core is indistinguishable
-    /// from the original to all software.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.usize(self.contexts.len());
-        for i in 0..self.contexts.len() {
-            let ctx = CtxId(i as u8);
-            let gprs = self.snapshot_gprs(ctx);
-            for r in Gpr::ALL {
-                w.u64(gprs.get(r));
-            }
-            let sp = self.special(ctx);
-            w.u64(sp.rip);
-            w.u64(sp.rflags);
-            w.u64(sp.cr0);
-            w.u64(sp.cr3);
-            w.u64(sp.cr4);
-            w.u64(sp.efer);
-            w.bool(self.contexts[i].stalled);
-        }
-        w.u8(self.micro.current.0);
-        snap_opt_ctx(w, self.micro.visor);
-        snap_opt_ctx(w, self.micro.vm);
-        snap_opt_ctx(w, self.micro.nested);
-        w.bool(self.micro.is_vm);
-    }
-
-    /// Restores state written by [`SmtCore::snap_save`] into a core with
-    /// the same context count.
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or a context-count mismatch.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        let n = r.usize()?;
-        if n != self.contexts.len() {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "SMT context count",
-                snapshot: n as u64,
-                live: self.contexts.len() as u64,
-            });
-        }
-        for i in 0..n {
-            let ctx = CtxId(i as u8);
-            let mut gprs = GprState::default();
-            for reg in Gpr::ALL {
-                gprs.set(reg, r.u64()?);
-            }
-            self.load_gprs(ctx, &gprs);
-            let sp = self.special_mut(ctx);
-            sp.rip = r.u64()?;
-            sp.rflags = r.u64()?;
-            sp.cr0 = r.u64()?;
-            sp.cr3 = r.u64()?;
-            sp.cr4 = r.u64()?;
-            sp.efer = r.u64()?;
-            self.contexts[i].stalled = r.bool()?;
-        }
-        self.micro.current = CtxId(r.u8()?);
-        self.micro.visor = snap_load_opt_ctx(r)?;
-        self.micro.vm = snap_load_opt_ctx(r)?;
-        self.micro.nested = snap_load_opt_ctx(r)?;
-        self.micro.is_vm = r.bool()?;
-        Ok(())
-    }
-
-    /// Folds the architectural state into a fingerprint, same coverage as
-    /// [`SmtCore::snap_save`].
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        fp.fold(self.contexts.len() as u64);
-        for i in 0..self.contexts.len() {
-            let ctx = CtxId(i as u8);
-            for r in Gpr::ALL {
-                fp.fold(self.read_gpr(ctx, r));
-            }
-            let sp = self.special(ctx);
-            fp.fold(sp.rip);
-            fp.fold(sp.rflags);
-            fp.fold(sp.cr0);
-            fp.fold(sp.cr3);
-            fp.fold(sp.cr4);
-            fp.fold(sp.efer);
-            fp.fold(self.contexts[i].stalled as u64);
-        }
-        fp.fold(self.micro.current.0 as u64);
-        fp.fold(self.micro.visor.map_or(u64::MAX, |c| c.0 as u64));
-        fp.fold(self.micro.vm.map_or(u64::MAX, |c| c.0 as u64));
-        fp.fold(self.micro.nested.map_or(u64::MAX, |c| c.0 as u64));
-        fp.fold(self.micro.is_vm as u64);
-    }
 }
 
-fn snap_opt_ctx(w: &mut svt_sim::SnapWriter, v: Option<CtxId>) {
-    match v {
-        Some(c) => {
-            w.u8(1);
-            w.u8(c.0);
+/// The core's *architectural* state: per-context GPRs (read through the
+/// rename maps), special registers, stall flags, and the µ-register
+/// block. The physical-register-file slot permutation is deliberately not
+/// serialized — it is architecturally invisible (every read goes through
+/// a rename map), so a restored core is indistinguishable from the
+/// original to all software. The context count is a shape.
+impl Snap for SmtCore {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let SmtCore {
+            prf: _,
+            contexts,
+            micro,
+        } = self;
+        contexts.len().save(w);
+        for (i, c) in contexts.iter().enumerate() {
+            self.snapshot_gprs(CtxId(i as u8)).save(w);
+            c.special.save(w);
+            c.stalled.save(w);
         }
-        None => w.u8(0),
+        micro.save(w);
     }
-}
 
-fn snap_load_opt_ctx(r: &mut svt_sim::SnapReader<'_>) -> Result<Option<CtxId>, svt_sim::SnapError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(CtxId(r.u8()?))),
-        b => Err(svt_sim::SnapError::BadValue {
-            what: "CtxId option tag",
-            got: b as u64,
-        }),
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        load_shape(&self.contexts.len(), "SMT context count", r)?;
+        for i in 0..self.contexts.len() {
+            let gprs: GprState = load_new(r)?;
+            self.load_gprs(CtxId(i as u8), &gprs);
+            let c = &mut self.contexts[i];
+            c.special.load(r)?;
+            c.stalled.load(r)?;
+        }
+        self.micro.load(r)
     }
 }
 

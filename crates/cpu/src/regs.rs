@@ -83,6 +83,8 @@ impl fmt::Display for Gpr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GprState([u64; Gpr::COUNT]);
 
+svt_sim::snap_fields! { GprState(_) }
+
 impl GprState {
     /// Value of one register.
     pub fn get(&self, r: Gpr) -> u64 {

@@ -10,7 +10,8 @@
 use std::fmt;
 
 use svt_mem::{Gpa, GuestMemory};
-use svt_sim::{SimDuration, SimTime};
+use svt_sim::snapshot::SnapDyn;
+use svt_sim::{snap_fields, SimDuration, SimTime};
 
 /// What a device wants done after servicing an access.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -37,7 +38,7 @@ impl DeviceOutcome {
 }
 
 /// A completed asynchronous request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Completion {
     /// Interrupt vector to inject into the guest that owns the device.
     pub vector: u8,
@@ -50,12 +51,15 @@ pub struct Completion {
     pub schedule: Vec<(SimTime, u64)>,
 }
 
+snap_fields! { Completion { vector, service, backend_l1_exits, schedule } }
+
 /// A memory-mapped device model.
 ///
 /// Devices receive the guest memory on every call: virtqueue state
 /// (descriptor tables, available/used rings) lives in guest RAM, exactly
-/// as with real virtio.
-pub trait DeviceModel: fmt::Debug {
+/// as with real virtio. Everything else a device holds between calls is
+/// its snapshot state, declared through its `svt_sim::Snap` impl.
+pub trait DeviceModel: fmt::Debug + SnapDyn {
     /// The MMIO ranges `(base, len)` this device occupies in its guest's
     /// physical address space.
     fn ranges(&self) -> Vec<(Gpa, u64)>;
@@ -83,22 +87,6 @@ pub trait DeviceModel: fmt::Debug {
     fn obs_counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }
-
-    /// Serializes the device's mutable state for `svt_sim::snapshot`.
-    /// Stateless device models (the default) write nothing; devices with
-    /// in-flight state (queue cursors, pending tables, token counters)
-    /// override both this and [`DeviceModel::snap_load`] symmetrically.
-    fn snap_save(&self, _w: &mut svt_sim::SnapWriter) {}
-
-    /// Restores state written by [`DeviceModel::snap_save`] into a device
-    /// of the same kind.
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or malformed device state.
-    fn snap_load(&mut self, _r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        Ok(())
-    }
 }
 
 /// Checks whether `gpa` falls into any of the device's ranges.
@@ -114,6 +102,8 @@ mod tests {
 
     #[derive(Debug)]
     struct Dummy;
+
+    snap_fields! { Dummy {} }
 
     impl DeviceModel for Dummy {
         fn ranges(&self) -> Vec<(Gpa, u64)> {

@@ -26,9 +26,13 @@ use svt_arch::{
 use svt_cpu::{Gpr, SmtCore};
 use svt_mem::{Gpa, GuestMemory};
 use svt_obs::{HostPart, MetricKey, Obs, ObsLevel};
+use svt_sim::snapshot::{
+    self, from_bytes, load_code, load_nested, load_new, load_shape, save_nested, to_bytes, Sink,
+    Snap, SnapDyn, SnapError, SnapReader, SNAP_VERSION,
+};
 use svt_sim::{
-    assign_svt_cores, Clock, CostModel, CostPart, CpuLoc, EventQueue, FaultKind, FaultPlan,
-    MachineSpec, SimDuration, SimTime,
+    assign_svt_cores, snap_fields, Clock, CostModel, CostPart, CpuLoc, EventQueue, FaultKind,
+    FaultPlan, MachineSpec, SimDuration, SimTime,
 };
 
 use crate::device::{Completion, DeviceModel, DeviceOutcome};
@@ -88,15 +92,17 @@ enum SliceOutcome {
 }
 
 /// In-flight MMIO operation data for the L1 device-emulation path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct MmioOp {
     pub gpa: Gpa,
     pub write: bool,
     pub value: u64,
 }
 
+snap_fields! { MmioOp { gpa, write, value } }
+
 /// L1-side servicing work carried by an interrupt delivery.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) enum IrqWork {
     /// A device completion: backend work then vector injection.
     Completion {
@@ -104,9 +110,39 @@ pub(crate) enum IrqWork {
         completion: Completion,
     },
     /// The virtualized TSC-deadline timer fired.
+    #[default]
     Timer,
     /// A fixed-mode cross-vCPU IPI.
     Ipi,
+}
+
+/// Tags 1 (device completion), 2 (timer) and 3 (IPI); 0 is left to the
+/// machine's empty work slot.
+impl Snap for IrqWork {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        match self {
+            IrqWork::Completion { device, completion } => {
+                (1u8, *device).save(w);
+                completion.save(w);
+            }
+            IrqWork::Timer => w.u8(2),
+            IrqWork::Ipi => w.u8(3),
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match load_code(r, "pending IRQ-work tag", |t| {
+            (1..4).contains(&t).then_some(t)
+        })? {
+            1 => IrqWork::Completion {
+                device: load_new(r)?,
+                completion: load_new(r)?,
+            },
+            2 => IrqWork::Timer,
+            _ => IrqWork::Ipi,
+        };
+        Ok(())
+    }
 }
 
 /// The simulated machine.
@@ -169,7 +205,7 @@ pub struct Machine {
 /// the same campaign cell — uninterrupted vs resumed, `--jobs 1` vs
 /// `--jobs N` — must produce identical sample trajectories; the first
 /// differing entry localizes a nondeterminism to within one window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct DivergenceSentinel {
     /// Sampling period in simulated time.
     every: SimDuration,
@@ -177,6 +213,112 @@ struct DivergenceSentinel {
     next: SimTime,
     /// `(boundary picoseconds, state fingerprint)` per crossed window.
     samples: Vec<(u64, u64)>,
+}
+
+snap_fields! { DivergenceSentinel { every, next, samples } }
+
+/// The fixed shape (ISA backend, level, shadowing, vCPU and device
+/// counts) comes first and is checked on load; devices travel as
+/// sub-payloads. The cost model and machine spec are configuration.
+impl Snap for Machine {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let Machine {
+            cost: _,
+            clock,
+            core,
+            ram,
+            spec: _,
+            events,
+            l0,
+            l1,
+            shadowing,
+            arch,
+            obs,
+            faults,
+            record_schedule,
+            schedule_trace,
+            level,
+            vcpus,
+            cur,
+            devices,
+            device_affinity,
+            pending_mmio,
+            pending_msr,
+            pending_result,
+            pending_work,
+            sentinel,
+        } = self;
+        (*arch, *level, *shadowing, vcpus.len(), devices.len(), *cur).save(w);
+        clock.save(w);
+        core.save(w);
+        ram.save(w);
+        events.save(w);
+        l0.save(w);
+        l1.save(w);
+        faults.save(w);
+        for v in vcpus {
+            v.save(w);
+        }
+        for a in device_affinity {
+            a.save(w);
+        }
+        for d in devices {
+            save_nested(d.as_deref().map(|d| d as &dyn SnapDyn), w);
+        }
+        (*pending_mmio, *pending_msr, *pending_result).save(w);
+        match pending_work {
+            Some(work) => work.save(w),
+            None => w.u8(0),
+        }
+        record_schedule.save(w);
+        schedule_trace.save(w);
+        sentinel.save(w);
+        obs.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n_vcpus = self.vcpus.len();
+        load_shape(&self.arch, "ISA backend", r)?;
+        load_shape(&self.level, "program level", r)?;
+        load_shape(&self.shadowing, "VMCS shadowing", r)?;
+        load_shape(&n_vcpus, "vCPU count", r)?;
+        load_shape(&self.devices.len(), "device count", r)?;
+        let in_range = |what, idx: usize| match idx < n_vcpus {
+            true => Ok(()),
+            false => Err(SnapError::BadValue {
+                what,
+                got: idx as u64,
+            }),
+        };
+        self.cur.load(r)?;
+        in_range("current vCPU", self.cur)?;
+        self.clock.load(r)?;
+        self.core.load(r)?;
+        self.ram.load(r)?;
+        self.events.load(r)?;
+        self.l0.load(r)?;
+        self.l1.load(r)?;
+        self.faults.load(r)?;
+        for v in &mut self.vcpus {
+            v.load(r)?;
+        }
+        for a in &mut self.device_affinity {
+            a.load(r)?;
+            in_range("device affinity", *a)?;
+        }
+        for d in &mut self.devices {
+            load_nested(d.as_deref_mut().map(|d| d as &mut dyn SnapDyn), r)?;
+        }
+        (self.pending_mmio, self.pending_msr, self.pending_result) = load_new(r)?;
+        self.pending_work = match r.peek_u8()? {
+            0 => r.u8().map(|_| None)?,
+            _ => Some(load_new(r)?),
+        };
+        self.record_schedule.load(r)?;
+        self.schedule_trace.load(r)?;
+        self.sentinel.load(r)?;
+        self.obs.load(r)
+    }
 }
 
 impl std::fmt::Debug for Machine {
@@ -413,13 +555,7 @@ impl Machine {
     ///
     /// Call between runs, not from inside a run loop.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = svt_sim::SnapWriter::new();
-        self.snap_save_payload(&mut w);
-        svt_sim::snapshot::seal(
-            svt_sim::snapshot::SNAP_VERSION,
-            self.state_fingerprint(),
-            w.into_vec(),
-        )
+        snapshot::seal(SNAP_VERSION, self.state_fingerprint(), to_bytes(self))
     }
 
     /// Restores a snapshot produced by [`Machine::snapshot`] into this
@@ -435,46 +571,24 @@ impl Machine {
     /// Typed [`svt_sim::SnapError`] on a corrupted or truncated blob, a
     /// version/shape mismatch, or a fingerprint disagreement. On error the
     /// machine may be partially overwritten and must be discarded.
-    pub fn restore(&mut self, blob: &[u8]) -> Result<(), svt_sim::SnapError> {
-        let (stored, payload) = svt_sim::snapshot::open(blob, svt_sim::snapshot::SNAP_VERSION)?;
-        let mut r = svt_sim::SnapReader::new(payload);
-        self.snap_load_payload(&mut r)?;
-        r.finish()?;
+    pub fn restore(&mut self, blob: &[u8]) -> Result<(), SnapError> {
+        let (stored, payload) = snapshot::open(blob, SNAP_VERSION)?;
+        from_bytes(self, payload)?;
         let computed = self.state_fingerprint();
         if computed != stored {
-            return Err(svt_sim::SnapError::FingerprintMismatch { stored, computed });
+            return Err(SnapError::FingerprintMismatch { stored, computed });
         }
         Ok(())
     }
 
-    /// FNV-folded fingerprint of the machine's semantic state: clocks,
-    /// cores, memory, hypervisor webs, per-vCPU state and metrics. Two
+    /// FNV fold of everything [`Machine::snapshot`] stores: the same
+    /// [`Snap`] traversal, fed into a [`snapshot::Fingerprint`]. Two
     /// machines that would behave identically from here on fold to the
     /// same value; the divergence sentinel and the snapshot envelope both
     /// use it.
     pub fn state_fingerprint(&self) -> u64 {
-        let mut fp = svt_sim::snapshot::Fingerprint::new();
-        fp.fold(arch_snap_code(self.arch) as u64);
-        fp.fold(self.level.snap_code() as u64);
-        fp.fold(self.shadowing as u64);
-        fp.fold(self.cur as u64);
-        self.clock.snap_fingerprint(&mut fp);
-        self.core.snap_fingerprint(&mut fp);
-        self.ram.snap_fingerprint(&mut fp);
-        self.l0.snap_fingerprint(&mut fp);
-        self.l1.snap_fingerprint(&mut fp);
-        for v in &self.vcpus {
-            v.snap_fingerprint(&mut fp);
-        }
-        fp.fold(self.events.len() as u64);
-        fp.fold(self.events.scheduled());
-        self.faults.snap_fingerprint(&mut fp);
-        fp.fold(self.pending_msr.unwrap_or(u64::MAX));
-        fp.fold(self.pending_result.unwrap_or(u64::MAX));
-        self.obs.metrics.snap_fingerprint(&mut fp);
-        fp.value()
+        snapshot::fingerprint(self)
     }
-
     /// Enables the divergence sentinel: the machine folds
     /// [`Machine::state_fingerprint`] every `every` of simulated time.
     /// Samples accumulate in [`Machine::sentinel_samples`].
@@ -513,244 +627,6 @@ impl Machine {
             s.next += s.every;
         }
         s.samples.push((boundary.as_ps(), fp));
-    }
-
-    fn snap_save_payload(&self, w: &mut svt_sim::SnapWriter) {
-        w.u8(arch_snap_code(self.arch));
-        w.u8(self.level.snap_code());
-        w.bool(self.shadowing);
-        w.usize(self.vcpus.len());
-        w.usize(self.devices.len());
-        w.usize(self.cur);
-        self.clock.snap_save(w);
-        self.core.snap_save(w);
-        self.ram.snap_save(w);
-        self.events.snap_save(w, |ev, w| ev.snap_save(w));
-        self.l0.snap_save(w);
-        self.l1.snap_save(w);
-        self.faults.snap_save(w);
-        for v in &self.vcpus {
-            v.snap_save(w);
-        }
-        for &a in &self.device_affinity {
-            w.usize(a);
-        }
-        for slot in &self.devices {
-            let mut sub = svt_sim::SnapWriter::new();
-            if let Some(dev) = slot.as_ref() {
-                dev.snap_save(&mut sub);
-            }
-            w.bytes(&sub.into_vec());
-        }
-        match self.pending_mmio {
-            Some(op) => {
-                w.u8(1);
-                w.u64(op.gpa.0);
-                w.bool(op.write);
-                w.u64(op.value);
-            }
-            None => w.u8(0),
-        }
-        w.opt_u64(self.pending_msr);
-        w.opt_u64(self.pending_result);
-        match &self.pending_work {
-            None => w.u8(0),
-            Some(IrqWork::Completion { device, completion }) => {
-                w.u8(1);
-                w.usize(*device);
-                w.u8(completion.vector);
-                w.u64(completion.service.as_ps());
-                w.u32(completion.backend_l1_exits);
-                w.usize(completion.schedule.len());
-                for (t, token) in &completion.schedule {
-                    w.u64(t.as_ps());
-                    w.u64(*token);
-                }
-            }
-            Some(IrqWork::Timer) => w.u8(2),
-            Some(IrqWork::Ipi) => w.u8(3),
-        }
-        w.bool(self.record_schedule);
-        w.usize(self.schedule_trace.len());
-        for &i in &self.schedule_trace {
-            w.u32(i);
-        }
-        match &self.sentinel {
-            Some(s) => {
-                w.u8(1);
-                w.u64(s.every.as_ps());
-                w.u64(s.next.as_ps());
-                w.usize(s.samples.len());
-                for &(at, fp) in &s.samples {
-                    w.u64(at);
-                    w.u64(fp);
-                }
-            }
-            None => w.u8(0),
-        }
-        self.obs.snap_save(w);
-    }
-
-    fn snap_load_payload(
-        &mut self,
-        r: &mut svt_sim::SnapReader<'_>,
-    ) -> Result<(), svt_sim::SnapError> {
-        let arch = r.u8()?;
-        if arch != arch_snap_code(self.arch) {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "ISA backend",
-                snapshot: arch as u64,
-                live: arch_snap_code(self.arch) as u64,
-            });
-        }
-        let level = r.u8()?;
-        if level != self.level.snap_code() {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "program level",
-                snapshot: level as u64,
-                live: self.level.snap_code() as u64,
-            });
-        }
-        let shadowing = r.bool()?;
-        if shadowing != self.shadowing {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "VMCS shadowing",
-                snapshot: shadowing as u64,
-                live: self.shadowing as u64,
-            });
-        }
-        let n_vcpus = r.usize()?;
-        if n_vcpus != self.vcpus.len() {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "vCPU count",
-                snapshot: n_vcpus as u64,
-                live: self.vcpus.len() as u64,
-            });
-        }
-        let n_devices = r.usize()?;
-        if n_devices != self.devices.len() {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "device count",
-                snapshot: n_devices as u64,
-                live: self.devices.len() as u64,
-            });
-        }
-        let cur = r.usize()?;
-        if cur >= n_vcpus {
-            return Err(svt_sim::SnapError::BadValue {
-                what: "current vCPU",
-                got: cur as u64,
-            });
-        }
-        self.cur = cur;
-        self.clock.snap_load(r)?;
-        self.core.snap_load(r)?;
-        self.ram.snap_load(r)?;
-        self.events.snap_load(r, MachineEvent::snap_load)?;
-        self.l0.snap_load(r)?;
-        self.l1.snap_load(r)?;
-        self.faults.snap_load(r)?;
-        for v in self.vcpus.iter_mut() {
-            v.snap_load(r)?;
-        }
-        for a in self.device_affinity.iter_mut() {
-            let idx = r.usize()?;
-            if idx >= n_vcpus {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "device affinity",
-                    got: idx as u64,
-                });
-            }
-            *a = idx;
-        }
-        for slot in self.devices.iter_mut() {
-            let blob = r.bytes()?;
-            let mut sub = svt_sim::SnapReader::new(blob);
-            if let Some(dev) = slot.as_mut() {
-                dev.snap_load(&mut sub)?;
-            }
-            sub.finish()?;
-        }
-        self.pending_mmio = match r.u8()? {
-            0 => None,
-            1 => Some(MmioOp {
-                gpa: Gpa(r.u64()?),
-                write: r.bool()?,
-                value: r.u64()?,
-            }),
-            t => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "pending MMIO tag",
-                    got: t as u64,
-                })
-            }
-        };
-        self.pending_msr = r.opt_u64()?;
-        self.pending_result = r.opt_u64()?;
-        self.pending_work = match r.u8()? {
-            0 => None,
-            1 => {
-                let device = r.usize()?;
-                let vector = r.u8()?;
-                let service = SimDuration::from_ps(r.u64()?);
-                let backend_l1_exits = r.u32()?;
-                let n = r.usize()?;
-                let mut schedule = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let t = SimTime::from_ps(r.u64()?);
-                    schedule.push((t, r.u64()?));
-                }
-                Some(IrqWork::Completion {
-                    device,
-                    completion: Completion {
-                        vector,
-                        service,
-                        backend_l1_exits,
-                        schedule,
-                    },
-                })
-            }
-            2 => Some(IrqWork::Timer),
-            3 => Some(IrqWork::Ipi),
-            t => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "pending IRQ-work tag",
-                    got: t as u64,
-                })
-            }
-        };
-        self.record_schedule = r.bool()?;
-        self.schedule_trace.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            self.schedule_trace.push(r.u32()?);
-        }
-        self.sentinel = match r.u8()? {
-            0 => None,
-            1 => {
-                let every = SimDuration::from_ps(r.u64()?);
-                let next = SimTime::from_ps(r.u64()?);
-                let n = r.usize()?;
-                let mut samples = Vec::with_capacity(n.min(65536));
-                for _ in 0..n {
-                    let at = r.u64()?;
-                    samples.push((at, r.u64()?));
-                }
-                Some(DivergenceSentinel {
-                    every,
-                    next,
-                    samples,
-                })
-            }
-            t => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "sentinel tag",
-                    got: t as u64,
-                })
-            }
-        };
-        self.obs.snap_load(r)?;
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -891,10 +767,11 @@ impl Machine {
             }
             let mut r = self.vcpus[i]
                 .reflector
+                .0
                 .take()
                 .expect("reflector re-entered");
             let outcome = self.run_slice(&mut *r, &mut *progs[i], deadline, &mut report);
-            self.vcpus[i].reflector = Some(r);
+            self.vcpus[i].reflector.0 = Some(r);
             match outcome {
                 SliceOutcome::Finished => finished[i] = true,
                 SliceOutcome::Halted => {}
@@ -2311,6 +2188,7 @@ impl Machine {
     fn boot_nested(&mut self) {
         let mut r = self.vcpus[self.cur]
             .reflector
+            .0
             .take()
             .expect("reflector re-entered");
         // L1's vmptrld of vmcs01' traps; L0 starts shadowing (full copy).
@@ -2351,15 +2229,7 @@ impl Machine {
         }
         self.vcpus[self.cur].vmcs02.set_launched();
         self.vcpus[self.cur].vmcs12.set_launched();
-        self.vcpus[self.cur].reflector = Some(r);
-    }
-}
-
-/// Stable one-byte wire code for an ISA backend in snapshots.
-fn arch_snap_code(arch: ArchId) -> u8 {
-    match arch {
-        ArchId::X86 => 0,
-        ArchId::Riscv => 1,
+        self.vcpus[self.cur].reflector.0 = Some(r);
     }
 }
 

@@ -63,74 +63,6 @@ pub enum GuestOp {
     Done,
 }
 
-impl GuestOp {
-    /// Serializes the operation for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        match *self {
-            GuestOp::Compute(d) => {
-                w.u8(0);
-                w.u64(d.as_ps());
-            }
-            GuestOp::Cpuid => w.u8(1),
-            GuestOp::Vmcall(n) => {
-                w.u8(2);
-                w.u64(n);
-            }
-            GuestOp::MmioWrite { gpa, value } => {
-                w.u8(3);
-                w.u64(gpa.0);
-                w.u64(value);
-            }
-            GuestOp::MmioRead { gpa } => {
-                w.u8(4);
-                w.u64(gpa.0);
-            }
-            GuestOp::MsrWrite { msr, value } => {
-                w.u8(5);
-                w.u32(msr);
-                w.u64(value);
-            }
-            GuestOp::MsrRead { msr } => {
-                w.u8(6);
-                w.u32(msr);
-            }
-            GuestOp::Hlt => w.u8(7),
-            GuestOp::Done => w.u8(8),
-        }
-    }
-
-    /// Reconstructs an operation written by [`GuestOp::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or an unknown tag.
-    pub fn snap_load(r: &mut svt_sim::SnapReader<'_>) -> Result<GuestOp, svt_sim::SnapError> {
-        Ok(match r.u8()? {
-            0 => GuestOp::Compute(SimDuration::from_ps(r.u64()?)),
-            1 => GuestOp::Cpuid,
-            2 => GuestOp::Vmcall(r.u64()?),
-            3 => GuestOp::MmioWrite {
-                gpa: Gpa(r.u64()?),
-                value: r.u64()?,
-            },
-            4 => GuestOp::MmioRead { gpa: Gpa(r.u64()?) },
-            5 => GuestOp::MsrWrite {
-                msr: r.u32()?,
-                value: r.u64()?,
-            },
-            6 => GuestOp::MsrRead { msr: r.u32()? },
-            7 => GuestOp::Hlt,
-            8 => GuestOp::Done,
-            got => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "guest op tag",
-                    got: u64::from(got),
-                })
-            }
-        })
-    }
-}
-
 /// A guest workload, stepped by the machine run loop.
 ///
 /// Results of value-producing operations (`Cpuid`, `MmioRead`, `MsrRead`)
@@ -190,32 +122,6 @@ impl GuestProgram for ComputeOnly {
     }
 }
 
-impl ComputeOnly {
-    /// Serializes the program's progress for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u64(self.remaining.as_ps());
-        w.u64(self.chunk.as_ps());
-    }
-
-    /// Restores progress written by [`ComputeOnly::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or a zero chunk.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.remaining = SimDuration::from_ps(r.u64()?);
-        let chunk = SimDuration::from_ps(r.u64()?);
-        if chunk.is_zero() {
-            return Err(svt_sim::SnapError::BadValue {
-                what: "compute chunk",
-                got: 0,
-            });
-        }
-        self.chunk = chunk;
-        Ok(())
-    }
-}
-
 /// The paper's micro-benchmark skeleton: a loop of one operation under
 /// scrutiny surrounded by dependent register increments simulating a
 /// variable surrounding workload (§ 6.1).
@@ -258,44 +164,6 @@ impl OpLoop {
     /// Iterations completed so far.
     pub fn completed(&self) -> u64 {
         self.done_iterations
-    }
-
-    /// Serializes the loop's progress for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        self.op.snap_save(w);
-        w.u64(self.iterations);
-        w.u64(self.done_iterations);
-        w.u64(self.surrounding_increments);
-        w.u64(self.increment_cost.as_ps());
-        w.u8(match self.phase {
-            OpLoopPhase::Work => 0,
-            OpLoopPhase::Op => 1,
-        });
-    }
-
-    /// Restores progress written by [`OpLoop::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation, an unknown op tag, or an unknown
-    /// phase code.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.op = GuestOp::snap_load(r)?;
-        self.iterations = r.u64()?;
-        self.done_iterations = r.u64()?;
-        self.surrounding_increments = r.u64()?;
-        self.increment_cost = SimDuration::from_ps(r.u64()?);
-        self.phase = match r.u8()? {
-            0 => OpLoopPhase::Work,
-            1 => OpLoopPhase::Op,
-            got => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "op-loop phase",
-                    got: u64::from(got),
-                })
-            }
-        };
-        Ok(())
     }
 }
 

@@ -21,8 +21,10 @@ use crate::machine::Machine;
 use crate::state::Level;
 use svt_sim::CostPart;
 
-/// Mechanics of switching between virtualization levels.
-pub trait Reflector: fmt::Debug {
+/// Mechanics of switching between virtualization levels. An engine's
+/// protocol state (ring geometry, degrade FSM, retry flags) is its
+/// snapshot state, declared through its `svt_sim::Snap` impl.
+pub trait Reflector: fmt::Debug + svt_sim::snapshot::SnapDyn {
     /// Human-readable engine name ("baseline", "hw-svt", "sw-svt").
     fn name(&self) -> &'static str;
 
@@ -98,28 +100,15 @@ pub trait Reflector: fmt::Debug {
 
     /// L1 writes one of L2's general-purpose registers.
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64);
-
-    /// Serializes the engine's mutable state for `svt_sim::snapshot`.
-    /// Stateless engines (the default) write nothing; engines with
-    /// protocol state (ring geometry, degrade FSM, retry flags) override
-    /// both this and [`Reflector::snap_load`] symmetrically.
-    fn snap_save(&self, _w: &mut svt_sim::SnapWriter) {}
-
-    /// Restores state written by [`Reflector::snap_save`] into an engine
-    /// of the same kind.
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or malformed engine state.
-    fn snap_load(&mut self, _r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        Ok(())
-    }
 }
 
 /// The prevailing single-hardware-thread mechanics: every level switch
 /// spills and reloads the register context through memory.
 #[derive(Debug, Default)]
 pub struct BaselineReflector;
+
+// Stateless: the register spills live in guest memory and the VMCS web.
+svt_sim::snap_fields! { BaselineReflector {} }
 
 impl BaselineReflector {
     /// Creates the baseline engine.

@@ -7,6 +7,8 @@
 
 use svt_arch::{ArchId, Ept, EptPerms, ExecPolicy, IcrCommand, LocalApic, Vmcs, VmcsField};
 use svt_cpu::GprState;
+use svt_sim::snap_fields;
+use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
 use svt_sim::SimTime;
 
 /// A virtualization level of the running stack.
@@ -39,29 +41,12 @@ impl Level {
             Level::L2 => svt_obs::ObsLevel::L2,
         }
     }
-
-    /// Stable wire code for `svt_sim::snapshot`.
-    pub fn snap_code(self) -> u8 {
-        match self {
-            Level::L0 => 0,
-            Level::L1 => 1,
-            Level::L2 => 2,
-        }
-    }
-
-    /// Inverse of [`Level::snap_code`].
-    pub fn from_snap_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(Level::L0),
-            1 => Some(Level::L1),
-            2 => Some(Level::L2),
-            _ => None,
-        }
-    }
 }
 
+svt_sim::snap_enum! { "program level" => Level { L0, L1, L2 } }
+
 /// Events on the machine's physical event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MachineEvent {
     /// A device backend finished asynchronous work.
     DeviceComplete {
@@ -77,6 +62,7 @@ pub enum MachineEvent {
     },
     /// An IPI targeted at L1's main vCPU arrived (used to exercise the
     /// SW-SVt interrupt-deadlock avoidance protocol, § 5.3).
+    #[default]
     IpiToL1Main,
     /// A cross-vCPU IPI in flight on the interconnect.
     Ipi {
@@ -91,63 +77,32 @@ pub enum MachineEvent {
     },
 }
 
-impl MachineEvent {
-    /// Serializes the event for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
+/// A tag byte (0 device completion, 1 physical timer, 2 IPI to L1's
+/// main vCPU, 3 cross-vCPU IPI) and the variant's fields.
+impl Snap for MachineEvent {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
         match *self {
-            MachineEvent::DeviceComplete { device, token } => {
-                w.u8(0);
-                w.usize(device);
-                w.u64(token);
-            }
-            MachineEvent::PhysTimer { vcpu } => {
-                w.u8(1);
-                w.usize(vcpu);
-            }
+            MachineEvent::DeviceComplete { device, token } => (0u8, device, token).save(w),
+            MachineEvent::PhysTimer { vcpu } => (1u8, vcpu).save(w),
             MachineEvent::IpiToL1Main => w.u8(2),
-            MachineEvent::Ipi { to, cmd, seq } => {
-                w.u8(3);
-                w.usize(to);
-                w.u64(cmd.encode());
-                w.u64(seq);
-            }
+            MachineEvent::Ipi { to, cmd, seq } => (3u8, to, cmd, seq).save(w),
         }
     }
 
-    /// Deserializes an event written by [`MachineEvent::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or an unknown tag/ICR encoding.
-    pub fn snap_load(r: &mut svt_sim::SnapReader<'_>) -> Result<Self, svt_sim::SnapError> {
-        let tag = r.u8()?;
-        Ok(match tag {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match load_code(r, "machine event tag", |t| (t < 4).then_some(t))? {
             0 => MachineEvent::DeviceComplete {
-                device: r.usize()?,
-                token: r.u64()?,
+                device: load_new(r)?,
+                token: load_new(r)?,
             },
-            1 => MachineEvent::PhysTimer { vcpu: r.usize()? },
+            1 => MachineEvent::PhysTimer { vcpu: load_new(r)? },
             2 => MachineEvent::IpiToL1Main,
-            3 => {
-                let to = r.usize()?;
-                let icr = r.u64()?;
-                let cmd = IcrCommand::decode(icr).ok_or(svt_sim::SnapError::BadValue {
-                    what: "ICR command",
-                    got: icr,
-                })?;
-                MachineEvent::Ipi {
-                    to,
-                    cmd,
-                    seq: r.u64()?,
-                }
-            }
             _ => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "machine event tag",
-                    got: tag as u64,
-                })
+                let (to, cmd, seq) = load_new(r)?;
+                MachineEvent::Ipi { to, cmd, seq }
             }
-        })
+        };
+        Ok(())
     }
 }
 
@@ -204,62 +159,11 @@ impl L0State {
         // vmcs02's EPT pointer is a host-physical address L0 owns.
         vmcs02.write(VmcsField::EptPointer, 0xe9700000);
     }
-
-    /// Serializes L0's state for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        self.policy01.snap_save(w);
-        self.policy02.snap_save(w);
-        self.ept01.snap_save(w);
-        self.ept02.snap_save(w);
-        snap_save_opt_time(w, self.phys_timer);
-    }
-
-    /// Restores state written by [`L0State::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or malformed payload.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.policy01.snap_load(r)?;
-        self.policy02.snap_load(r)?;
-        self.ept01.snap_load(r)?;
-        self.ept02.snap_load(r)?;
-        self.phys_timer = snap_load_opt_time(r)?;
-        Ok(())
-    }
-
-    /// Folds L0's state into a machine fingerprint.
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        self.ept01.snap_fingerprint(fp);
-        self.ept02.snap_fingerprint(fp);
-        fp.fold(self.phys_timer.map_or(u64::MAX, |t| t.as_ps()));
-    }
 }
 
-/// Writes an optional timestamp as a tag byte plus picoseconds.
-pub(crate) fn snap_save_opt_time(w: &mut svt_sim::SnapWriter, t: Option<SimTime>) {
-    match t {
-        Some(t) => {
-            w.u8(1);
-            w.u64(t.as_ps());
-        }
-        None => w.u8(0),
-    }
-}
-
-/// Inverse of [`snap_save_opt_time`].
-pub(crate) fn snap_load_opt_time(
-    r: &mut svt_sim::SnapReader<'_>,
-) -> Result<Option<SimTime>, svt_sim::SnapError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(SimTime::from_ps(r.u64()?))),
-        t => Err(svt_sim::SnapError::BadValue {
-            what: "optional time tag",
-            got: t as u64,
-        }),
-    }
-}
+// `composed` caches stamps, which are not state: a restored machine
+// recomposes `ept02` on its next merge.
+snap_fields! { L0State { policy01, policy02, ept01, ept02, phys_timer } skip { composed } }
 
 /// L1 (guest hypervisor) software state.
 #[derive(Debug, Clone)]
@@ -290,38 +194,9 @@ impl L1State {
             is_hypervisor,
         }
     }
-
-    /// Serializes L1's state for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        self.policy12.snap_save(w);
-        self.ept12.snap_save(w);
-        self.apic.snap_save(w);
-        snap_save_opt_time(w, self.l2_deadline);
-        w.bool(self.is_hypervisor);
-    }
-
-    /// Restores state written by [`L1State::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or malformed payload.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.policy12.snap_load(r)?;
-        self.ept12.snap_load(r)?;
-        self.apic.snap_load(r)?;
-        self.l2_deadline = snap_load_opt_time(r)?;
-        self.is_hypervisor = r.bool()?;
-        Ok(())
-    }
-
-    /// Folds L1's state into a machine fingerprint.
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        self.ept12.snap_fingerprint(fp);
-        self.apic.snap_fingerprint(fp);
-        fp.fold(self.l2_deadline.map_or(u64::MAX, |t| t.as_ps()));
-        fp.fold(self.is_hypervisor as u64);
-    }
 }
+
+snap_fields! { L1State { policy12, ept12, apic, l2_deadline, is_hypervisor } }
 
 /// The measured guest's virtual CPU.
 #[derive(Debug, Clone, Default)]
@@ -337,42 +212,7 @@ pub struct VcpuState {
     pub rip: u64,
 }
 
-impl VcpuState {
-    /// Serializes the vCPU's architectural state for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        self.apic.snap_save(w);
-        for (_, v) in self.gprs.iter() {
-            w.u64(v);
-        }
-        w.bool(self.halted);
-        w.u64(self.rip);
-    }
-
-    /// Restores state written by [`VcpuState::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or malformed payload.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.apic.snap_load(r)?;
-        for g in svt_cpu::Gpr::ALL {
-            self.gprs.set(g, r.u64()?);
-        }
-        self.halted = r.bool()?;
-        self.rip = r.u64()?;
-        Ok(())
-    }
-
-    /// Folds the vCPU's architectural state into a machine fingerprint.
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        self.apic.snap_fingerprint(fp);
-        for (_, v) in self.gprs.iter() {
-            fp.fold(v);
-        }
-        fp.fold(self.halted as u64);
-        fp.fold(self.rip);
-    }
-}
+snap_fields! { VcpuState { apic, gprs, halted, rip } }
 
 /// Initial configuration of a [`crate::Machine`].
 #[derive(Debug, Clone)]

@@ -15,7 +15,10 @@ use svt_arch::{Vmcs, VmcsRole};
 use svt_cpu::SmtCore;
 use svt_mem::Gpa;
 use svt_obs::CausalEventId;
-use svt_sim::{Clock, CpuLoc, EventId, SimTime};
+use svt_sim::snapshot::{
+    load_nested, load_shape, save_nested, Sink, Snap, SnapDyn, SnapError, SnapReader,
+};
+use svt_sim::{snap_fields, Clock, CpuLoc, EventId, SimTime};
 
 use crate::reflector::Reflector;
 use crate::state::{MachineEvent, VcpuState};
@@ -46,7 +49,7 @@ pub struct Vcpu {
     /// Parked SMT core, swapped like `clock`.
     pub(crate) core: SmtCore,
     /// The vCPU's switch engine (one SVt context pair per physical core).
-    pub(crate) reflector: Option<Box<dyn Reflector>>,
+    pub(crate) reflector: Engine,
     /// Handle of this vCPU's armed physical timer event, if any.
     pub(crate) timer_event: Option<EventId>,
     /// Events routed to this vCPU while another vCPU was executing; each
@@ -80,7 +83,7 @@ impl Vcpu {
             vmcs02: Vmcs::new(VmcsRole::Host { guest_level: 2 }, Gpa(base + 0x2000)),
             clock: Clock::new(),
             core: SmtCore::new(smt_contexts),
-            reflector: Some(reflector),
+            reflector: Engine(Some(reflector)),
             timer_event: None,
             inbox: VecDeque::new(),
             ipi_tx_seq: 0,
@@ -90,116 +93,39 @@ impl Vcpu {
 
     /// Name of this vCPU's switch engine.
     pub fn reflector_name(&self) -> &'static str {
-        self.reflector.as_ref().map_or("(taken)", |r| r.name())
+        self.reflector.name()
+    }
+}
+
+/// A vCPU's switch-engine slot, empty while the engine runs (the run
+/// loop takes it out).
+pub(crate) struct Engine(pub(crate) Option<Box<dyn Reflector>>);
+
+impl Engine {
+    fn name(&self) -> &'static str {
+        self.0.as_ref().map_or("(taken)", |r| r.name())
+    }
+}
+
+/// The engine's name (a shape), then its protocol state as a
+/// length-prefixed sub-payload, so engines evolve independently.
+impl Snap for Engine {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        self.name().save(w);
+        save_nested(self.0.as_deref().map(|e| e as &dyn SnapDyn), w);
     }
 
-    /// Serializes the vCPU's complete mutable state for
-    /// `svt_sim::snapshot`: architectural state, the nested VMCS web, the
-    /// parked clock and SMT core, the engine's protocol state (as a
-    /// length-prefixed sub-payload so engines evolve independently), the
-    /// armed timer handle, the event inbox and the IPI exactly-once state.
-    pub(crate) fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u32(self.id);
-        self.state.snap_save(w);
-        self.vmcs01.snap_save(w);
-        self.vmcs12.snap_save(w);
-        self.vmcs02.snap_save(w);
-        self.clock.snap_save(w);
-        self.core.snap_save(w);
-        w.str(self.reflector_name());
-        let mut sub = svt_sim::SnapWriter::new();
-        if let Some(r) = self.reflector.as_ref() {
-            r.snap_save(&mut sub);
-        }
-        w.bytes(&sub.into_vec());
-        w.opt_u64(self.timer_event.map(|e| e.as_raw()));
-        w.usize(self.inbox.len());
-        for (t, ev, cause) in &self.inbox {
-            w.u64(t.as_ps());
-            ev.snap_save(w);
-            w.opt_u64(cause.map(|c| c.raw()));
-        }
-        w.u64(self.ipi_tx_seq);
-        w.usize(self.ipi_rx_seen.len());
-        for &seq in &self.ipi_rx_seen {
-            w.u64(seq);
-        }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        load_shape(&self.name(), "switch-engine kind", r)?;
+        load_nested(self.0.as_deref_mut().map(|e| e as &mut dyn SnapDyn), r)
     }
+}
 
-    /// Restores state written by [`Vcpu::snap_save`] into a vCPU of the
-    /// same id and engine kind.
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation, malformed payload, or a shape
-    /// mismatch (different vCPU id or switch-engine kind).
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut svt_sim::SnapReader<'_>,
-    ) -> Result<(), svt_sim::SnapError> {
-        let id = r.u32()?;
-        if id != self.id {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "vCPU id",
-                snapshot: id as u64,
-                live: self.id as u64,
-            });
-        }
-        self.state.snap_load(r)?;
-        self.vmcs01.snap_load(r)?;
-        self.vmcs12.snap_load(r)?;
-        self.vmcs02.snap_load(r)?;
-        self.clock.snap_load(r)?;
-        self.core.snap_load(r)?;
-        let name = r.str()?;
-        if name != self.reflector_name() {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "switch-engine kind",
-                snapshot: svt_sim::snapshot::fnv1a(name.as_bytes()),
-                live: svt_sim::snapshot::fnv1a(self.reflector_name().as_bytes()),
-            });
-        }
-        let blob = r.bytes()?;
-        let mut sub = svt_sim::SnapReader::new(blob);
-        if let Some(refl) = self.reflector.as_mut() {
-            refl.snap_load(&mut sub)?;
-        }
-        sub.finish()?;
-        self.timer_event = r.opt_u64()?.map(EventId::from_raw);
-        self.inbox.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let t = SimTime::from_ps(r.u64()?);
-            let ev = MachineEvent::snap_load(r)?;
-            let cause = r.opt_u64()?.map(CausalEventId::from_raw);
-            self.inbox.push_back((t, ev, cause));
-        }
-        self.ipi_tx_seq = r.u64()?;
-        self.ipi_rx_seen.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            self.ipi_rx_seen.insert(r.u64()?);
-        }
-        Ok(())
-    }
-
-    /// Folds the vCPU's state into a machine fingerprint.
-    pub(crate) fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        fp.fold(self.id as u64);
-        self.state.snap_fingerprint(fp);
-        self.vmcs01.snap_fingerprint(fp);
-        self.vmcs12.snap_fingerprint(fp);
-        self.vmcs02.snap_fingerprint(fp);
-        self.clock.snap_fingerprint(fp);
-        self.core.snap_fingerprint(fp);
-        fp.fold(self.timer_event.map_or(u64::MAX, |e| e.as_raw()));
-        fp.fold(self.inbox.len() as u64);
-        for (t, _, _) in &self.inbox {
-            fp.fold(t.as_ps());
-        }
-        fp.fold(self.ipi_tx_seq);
-        fp.fold(self.ipi_rx_seen.len() as u64);
-    }
+snap_fields! {
+    Vcpu {
+        #[shape = "vCPU id"] id, state, vmcs01, vmcs12, vmcs02, clock, core, reflector, timer_event,
+        inbox, ipi_tx_seq, ipi_rx_seen
+    } skip { loc }
 }
 
 impl std::fmt::Debug for Vcpu {

@@ -4,13 +4,14 @@
 //! unchanged sources. Either way the machine must end up exactly where
 //! composing afresh for every vCPU, on every attach, would leave it.
 
-use svt_arch::{ArchId, Ept, Vmcs, VmcsField};
+use svt_arch::{ArchId, Vmcs, VmcsField};
 use svt_hv::{
     BaselineReflector, Completion, DeviceModel, DeviceOutcome, L0State, L1State, Level, Machine,
     MachineConfig,
 };
 use svt_mem::{Gpa, GuestMemory};
-use svt_sim::{SimTime, SnapWriter};
+use svt_sim::snapshot::to_bytes;
+use svt_sim::SimTime;
 
 /// A device occupying `pages` MMIO pages at `base`.
 #[derive(Debug)]
@@ -18,6 +19,8 @@ struct Window {
     base: Gpa,
     pages: u64,
 }
+
+svt_sim::snap_fields! { Window {} skip { base, pages } }
 
 impl DeviceModel for Window {
     fn ranges(&self) -> Vec<(Gpa, u64)> {
@@ -34,18 +37,6 @@ impl DeviceModel for Window {
     }
 }
 
-fn ept_bytes(e: &Ept) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    e.snap_save(&mut w);
-    w.into_vec()
-}
-
-fn vmcs_bytes(v: &Vmcs) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    v.snap_save(&mut w);
-    w.into_vec()
-}
-
 /// vmcs02 programming as a fresh merge and compose per vCPU: what every
 /// attach did to each vCPU before the compose was shared.
 fn program_afresh(l0: &mut L0State, l1: &L1State, vmcs02: &mut Vmcs) {
@@ -57,8 +48,8 @@ fn program_afresh(l0: &mut L0State, l1: &L1State, vmcs02: &mut Vmcs) {
 
 fn assert_ept02_composed(m: &Machine, what: &str) {
     assert_eq!(
-        ept_bytes(&m.l0.ept02),
-        ept_bytes(&m.l1.ept12.compose(&m.l0.ept01)),
+        to_bytes(&m.l0.ept02),
+        to_bytes(&m.l1.ept12.compose(&m.l0.ept01)),
         "{what}: ept02 is not ept12 ∘ ept01"
     );
 }
@@ -86,16 +77,16 @@ fn attach_programs_every_vmcs02_like_a_fresh_compose() {
                     for (i, mut want) in before.into_iter().enumerate() {
                         program_afresh(&mut l0, &m.l1, &mut want);
                         assert_eq!(
-                            vmcs_bytes(&m.vcpus()[i].vmcs02),
-                            vmcs_bytes(&want),
+                            to_bytes(&m.vcpus()[i].vmcs02),
+                            to_bytes(&want),
                             "{what}: vCPU {i}'s vmcs02 after attach {d}"
                         );
                     }
-                    let mut w = SnapWriter::new();
-                    m.l0.policy02.snap_save(&mut w);
-                    let mut want = SnapWriter::new();
-                    l0.policy02.snap_save(&mut want);
-                    assert_eq!(w.into_vec(), want.into_vec(), "{what}: policy02");
+                    assert_eq!(
+                        to_bytes(&m.l0.policy02),
+                        to_bytes(&l0.policy02),
+                        "{what}: policy02"
+                    );
                 }
             }
         }

@@ -166,6 +166,8 @@ fn native_msr_and_cpuid_semantics() {
 #[derive(Debug)]
 struct ConstDevice;
 
+svt_sim::snap_fields! { ConstDevice {} }
+
 impl DeviceModel for ConstDevice {
     fn ranges(&self) -> Vec<(Gpa, u64)> {
         vec![(Gpa(0x5000_0000), 0x1000)]

@@ -32,6 +32,9 @@ pub struct Gpa(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Hpa(pub u64);
 
+svt_sim::snap_fields! { Gpa(_) }
+svt_sim::snap_fields! { Hpa(_) }
+
 macro_rules! addr_impl {
     ($t:ident) => {
         impl $t {

@@ -6,6 +6,7 @@
 
 use std::error::Error;
 use std::fmt;
+use svt_sim::snapshot::ByteBlock;
 use svt_sim::FnvHashMap;
 
 use crate::addr::{Hpa, PAGE_SIZE};
@@ -48,8 +49,15 @@ impl Error for OutOfRange {}
 #[derive(Debug, Clone, Default)]
 pub struct GuestMemory {
     size: u64,
-    pages: FnvHashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: FnvHashMap<u64, ByteBlock<{ PAGE_SIZE as usize }>>,
 }
+
+// Every resident page is saved, sorted by page number. Restore
+// reproduces the exact resident-page set — a page that was materialized
+// by a write of zeros stays materialized, so
+// [`GuestMemory::resident_pages`] (an observable the self-profiler
+// reports) is preserved.
+svt_sim::snap_fields! { GuestMemory { size, pages } }
 
 impl GuestMemory {
     /// Creates a memory of `size` bytes. No page is materialized until
@@ -96,7 +104,7 @@ impl GuestMemory {
             match self.pages.get(&cur.page()) {
                 Some(p) => {
                     let start = cur.offset() as usize;
-                    buf[off..off + in_page].copy_from_slice(&p[start..start + in_page]);
+                    buf[off..off + in_page].copy_from_slice(&p.0[start..start + in_page]);
                 }
                 None => buf[off..off + in_page].fill(0),
             }
@@ -116,66 +124,12 @@ impl GuestMemory {
         while off < buf.len() {
             let cur = addr + off as u64;
             let in_page = (PAGE_SIZE - cur.offset()).min((buf.len() - off) as u64) as usize;
-            let page = self
-                .pages
-                .entry(cur.page())
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
+            let page = self.pages.entry(cur.page()).or_default();
             let start = cur.offset() as usize;
-            page[start..start + in_page].copy_from_slice(&buf[off..off + in_page]);
+            page.0[start..start + in_page].copy_from_slice(&buf[off..off + in_page]);
             off += in_page;
         }
         Ok(())
-    }
-
-    /// Serializes RAM for `svt_sim::snapshot`: the configured size and
-    /// every resident page, sorted by page number. Restore reproduces the
-    /// exact resident-page set — a page that was materialized by a write
-    /// of zeros stays materialized, so [`GuestMemory::resident_pages`]
-    /// (an observable the self-profiler reports) is preserved.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u64(self.size);
-        let mut page_nos: Vec<u64> = self.pages.keys().copied().collect();
-        page_nos.sort_unstable();
-        w.usize(page_nos.len());
-        for no in page_nos {
-            w.u64(no);
-            w.bytes(&self.pages[&no][..]);
-        }
-    }
-
-    /// Restores state written by [`GuestMemory::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or a page of the wrong size.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.size = r.u64()?;
-        let n = r.usize()?;
-        self.pages.clear();
-        for _ in 0..n {
-            let no = r.u64()?;
-            let bytes = r.bytes()?;
-            let page: [u8; PAGE_SIZE as usize] =
-                bytes.try_into().map_err(|_| svt_sim::SnapError::BadValue {
-                    what: "guest memory page size",
-                    got: bytes.len() as u64,
-                })?;
-            self.pages.insert(no, Box::new(page));
-        }
-        Ok(())
-    }
-
-    /// Folds every resident page (number and content) into a state
-    /// fingerprint, in sorted page order.
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        fp.fold(self.size);
-        let mut page_nos: Vec<u64> = self.pages.keys().copied().collect();
-        page_nos.sort_unstable();
-        fp.fold(page_nos.len() as u64);
-        for no in page_nos {
-            fp.fold(no);
-            fp.fold_bytes(&self.pages[&no][..]);
-        }
     }
 
     /// Reads a little-endian `u16`.

@@ -11,6 +11,8 @@
 use std::error::Error;
 use std::fmt;
 
+use svt_sim::snapshot::{Sink, Snap, SnapError, SnapReader};
+
 use crate::addr::Hpa;
 use crate::guest_memory::{GuestMemory, OutOfRange};
 
@@ -91,6 +93,43 @@ pub struct CommandRing {
     num_slots: u32,
 }
 
+/// The smallest valid ring, at address 0: a placeholder for
+/// [`Snap::load`] to overwrite.
+impl Default for CommandRing {
+    fn default() -> Self {
+        CommandRing::new(Hpa(0), 8, 2)
+    }
+}
+
+/// Only the geometry lives in the struct — indices and slot contents are
+/// in guest memory and ride in the RAM pages of the snapshot. A loaded
+/// geometry the constructor would reject is [`SnapError::BadValue`].
+impl Snap for CommandRing {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let CommandRing {
+            base,
+            slot_size,
+            num_slots,
+        } = self;
+        base.save(w);
+        slot_size.save(w);
+        num_slots.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.base.load(r)?;
+        self.slot_size.load(r)?;
+        self.num_slots.load(r)?;
+        if self.slot_size < 8 || self.num_slots < 2 {
+            return Err(SnapError::BadValue {
+                what: "command ring geometry",
+                got: (u64::from(self.slot_size) << 32) | u64::from(self.num_slots),
+            });
+        }
+        Ok(())
+    }
+}
+
 impl CommandRing {
     /// Describes a ring at `base` with `num_slots` slots of `slot_size`
     /// bytes each (4 bytes of which store the payload length).
@@ -116,34 +155,6 @@ impl CommandRing {
     /// Base address of the ring in guest memory.
     pub fn base(&self) -> Hpa {
         self.base
-    }
-
-    /// Serializes the ring geometry for `svt_sim::snapshot`. Only the
-    /// geometry lives in the struct — indices and slot contents are in
-    /// guest memory and ride in the RAM pages of the snapshot.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u64(self.base.0);
-        w.u32(self.slot_size);
-        w.u32(self.num_slots);
-    }
-
-    /// Reconstructs a ring from [`CommandRing::snap_save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or geometry the constructor would
-    /// reject.
-    pub fn snap_load(r: &mut svt_sim::SnapReader<'_>) -> Result<Self, svt_sim::SnapError> {
-        let base = Hpa(r.u64()?);
-        let slot_size = r.u32()?;
-        let num_slots = r.u32()?;
-        if slot_size < 8 || num_slots < 2 {
-            return Err(svt_sim::SnapError::BadValue {
-                what: "command ring geometry",
-                got: ((slot_size as u64) << 32) | num_slots as u64,
-            });
-        }
-        Ok(CommandRing::new(base, slot_size, num_slots))
     }
 
     /// Maximum payload bytes per command.

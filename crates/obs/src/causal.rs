@@ -49,13 +49,9 @@ impl EventId {
     pub fn raw(self) -> u64 {
         self.0
     }
-
-    /// Rebuilds an id from [`EventId::raw`] output (snapshot restore
-    /// only — ids are opaque otherwise).
-    pub fn from_raw(v: u64) -> Self {
-        EventId(v)
-    }
 }
+
+svt_sim::snap_fields! { EventId(_) }
 
 /// Inline happens-before predecessor list.
 ///
@@ -299,6 +295,20 @@ pub struct CausalGraph {
     ipi_deadline: SimDuration,
 }
 
+// Only the id-allocation *cursor* is state: retained events, watchdog
+// bookkeeping and bounds are process-local debug artifacts. Restoring
+// the cursor keeps subsequently allocated event ids identical between a
+// restored run and its uninterrupted twin.
+svt_sim::snap_fields! {
+    CausalGraph {
+        enabled, next_id, cur_vcpu
+    } skip {
+        strict, capacity, events, first_id, recorded, last_on_vcpu, cross, pending_ipi,
+        pending_ring, open_blocked, last_span, open_requests, requests, violations, ring_deadline,
+        blocked_bound, ipi_deadline
+    }
+}
+
 impl Default for CausalGraph {
     fn default() -> Self {
         CausalGraph::with_capacity(1 << 16)
@@ -381,31 +391,6 @@ impl CausalGraph {
     /// Sets the vCPU lane subsequent events are stamped with.
     pub fn set_vcpu(&mut self, vcpu: u32) {
         self.cur_vcpu = vcpu;
-    }
-
-    /// Serializes the id-allocation *cursor* for `svt_sim::snapshot`.
-    /// Retained events are process-local debug artifacts and are not
-    /// carried; restoring the cursor keeps subsequently allocated event
-    /// ids identical between a restored run and its uninterrupted twin.
-    pub fn snap_cursor_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.bool(self.enabled);
-        w.u64(self.next_id);
-        w.u32(self.cur_vcpu);
-    }
-
-    /// Restores the cursor written by [`CausalGraph::snap_cursor_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation.
-    pub fn snap_cursor_load(
-        &mut self,
-        r: &mut svt_sim::SnapReader<'_>,
-    ) -> Result<(), svt_sim::SnapError> {
-        self.enabled = r.bool()?;
-        self.next_id = r.u64()?;
-        self.cur_vcpu = r.u32()?;
-        Ok(())
     }
 
     /// Number of retained events.

@@ -32,6 +32,8 @@ pub struct LogHistogram {
     max: u64,
 }
 
+svt_sim::snap_fields! { LogHistogram { buckets, count, sum, min, max } }
+
 const LINEAR_MAX: u64 = 16;
 const SUB_BUCKETS: u64 = 16;
 
@@ -87,42 +89,6 @@ impl LogHistogram {
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Serializes the histogram for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.usize(self.buckets.len());
-        for &b in &self.buckets {
-            w.u64(b);
-        }
-        w.u64(self.count);
-        w.u64(self.sum as u64);
-        w.u64((self.sum >> 64) as u64);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    /// Deserializes a histogram written by [`LogHistogram::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation.
-    pub fn snap_load(r: &mut svt_sim::SnapReader<'_>) -> Result<Self, svt_sim::SnapError> {
-        let n = r.usize()?;
-        let mut buckets = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            buckets.push(r.u64()?);
-        }
-        let count = r.u64()?;
-        let lo = r.u64()? as u128;
-        let hi = r.u64()? as u128;
-        Ok(LogHistogram {
-            buckets,
-            count,
-            sum: lo | (hi << 64),
-            min: r.u64()?,
-            max: r.u64()?,
-        })
     }
 
     /// Whether nothing was recorded.

@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
+
 /// The virtualization level an event belongs to.
 ///
 /// Defined here (rather than reusing `svt_hv::Level`) because the
@@ -65,7 +67,7 @@ impl fmt::Display for ObsLevel {
 /// let k = MetricKey::new("vm_exit").level(ObsLevel::L2).exit("CPUID");
 /// assert_eq!(k.to_string(), "vm_exit{level=L2,exit=CPUID}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetricKey {
     /// The metric name, e.g. `"vm_exit"` or `"trap_latency"`.
     pub name: &'static str,
@@ -77,6 +79,38 @@ pub struct MetricKey {
     pub reflector: Option<&'static str>,
     /// The vCPU the event occurred on, if attributed.
     pub vcpu: Option<u32>,
+}
+
+/// The level is one byte, `1 + tid` (0 for none); the name and
+/// dimension strings re-intern into leaked statics on load (the key
+/// universe is the fixed set of in-tree metric names, so the interner
+/// stays bounded).
+impl Snap for MetricKey {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let MetricKey {
+            name,
+            level,
+            exit_reason,
+            reflector,
+            vcpu,
+        } = *self;
+        let level = level.map_or(0, |l| 1 + l.tid() as u8);
+        (name, level, exit_reason, reflector, vcpu).save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.name.load(r)?;
+        self.level = load_code(r, "metric key level", |t| match t {
+            0 => Some(None),
+            1 => Some(Some(ObsLevel::L0)),
+            2 => Some(Some(ObsLevel::L1)),
+            3 => Some(Some(ObsLevel::L2)),
+            4 => Some(Some(ObsLevel::Machine)),
+            _ => None,
+        })?;
+        (self.exit_reason, self.reflector, self.vcpu) = load_new(r)?;
+        Ok(())
+    }
 }
 
 impl MetricKey {
@@ -113,80 +147,6 @@ impl MetricKey {
     pub const fn vcpu(mut self, vcpu: u32) -> Self {
         self.vcpu = Some(vcpu);
         self
-    }
-
-    /// Serializes the key for `svt_sim::snapshot`.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.str(self.name);
-        match self.level {
-            Some(l) => w.u8(1 + l.tid() as u8),
-            None => w.u8(0),
-        }
-        match self.exit_reason {
-            Some(s) => {
-                w.u8(1);
-                w.str(s);
-            }
-            None => w.u8(0),
-        }
-        match self.reflector {
-            Some(s) => {
-                w.u8(1);
-                w.str(s);
-            }
-            None => w.u8(0),
-        }
-        match self.vcpu {
-            Some(v) => {
-                w.u8(1);
-                w.u32(v);
-            }
-            None => w.u8(0),
-        }
-    }
-
-    /// Deserializes a key written by [`MetricKey::snap_save`]. Name and
-    /// dimension strings are re-interned into leaked statics (the key
-    /// universe is the fixed set of in-tree metric names, so the interner
-    /// stays bounded).
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or an unknown level code.
-    pub fn snap_load(r: &mut svt_sim::SnapReader<'_>) -> Result<Self, svt_sim::SnapError> {
-        let name = svt_sim::snapshot::intern_static(r.str()?);
-        let level = match r.u8()? {
-            0 => None,
-            1 => Some(ObsLevel::L0),
-            2 => Some(ObsLevel::L1),
-            3 => Some(ObsLevel::L2),
-            4 => Some(ObsLevel::Machine),
-            t => {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "metric key level",
-                    got: t as u64,
-                })
-            }
-        };
-        let exit_reason = match r.u8()? {
-            0 => None,
-            _ => Some(svt_sim::snapshot::intern_static(r.str()?)),
-        };
-        let reflector = match r.u8()? {
-            0 => None,
-            _ => Some(svt_sim::snapshot::intern_static(r.str()?)),
-        };
-        let vcpu = match r.u8()? {
-            0 => None,
-            _ => Some(r.u32()?),
-        };
-        Ok(MetricKey {
-            name,
-            level,
-            exit_reason,
-            reflector,
-            vcpu,
-        })
     }
 }
 

@@ -71,33 +71,15 @@ pub struct Obs {
     pub hostprof: HostProf,
 }
 
+// The deterministic observability state: the full metrics registry plus
+// the timeline and causal-graph cursors. Flight-recorder tails and
+// host-profiler accumulators are process-local and are not carried.
+svt_sim::snap_fields! { Obs { metrics, timeline, causal } skip { flight, hostprof } }
+
 impl Obs {
     /// A fresh bundle with the causal graph disabled.
     pub fn new() -> Self {
         Obs::default()
-    }
-
-    /// Serializes the deterministic observability state for
-    /// `svt_sim::snapshot`: the full metrics registry plus the timeline
-    /// and causal-graph cursors. Retained causal events (spans included),
-    /// flight-recorder tails and host-profiler accumulators are
-    /// process-local debug artifacts and are not carried.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        self.metrics.snap_save(w);
-        self.timeline.snap_cursor_save(w);
-        self.causal.snap_cursor_save(w);
-    }
-
-    /// Restores state written by [`Obs::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or malformed payload.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.metrics.snap_load(r)?;
-        self.timeline.snap_cursor_load(r)?;
-        self.causal.snap_cursor_load(r)?;
-        Ok(())
     }
 
     /// End-of-run bookkeeping: runs the causal graph's stale-entry sweep

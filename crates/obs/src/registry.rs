@@ -17,6 +17,7 @@
 //! is kept sorted by key as ids are admitted, so the `*_sorted` report
 //! accessors are cached reads rather than collect-then-sort churn.
 
+use svt_sim::snapshot::{load_new, Sink, Snap, SnapError, SnapReader};
 use svt_sim::FnvHashMap;
 
 use crate::hist::LogHistogram;
@@ -71,6 +72,51 @@ impl<T> Dense<T> {
                 self.slots[id as usize].as_ref().expect("sorted id is live"),
             )
         })
+    }
+}
+
+impl<T: Snap> Dense<T> {
+    /// Writes the category as a length plus `(key, value)` pairs in key
+    /// order.
+    fn save<S: Sink + ?Sized>(&self, keys: &[MetricKey], w: &mut S) {
+        self.sorted.len().save(w);
+        for (k, v) in self.iter_sorted(keys) {
+            k.save(w);
+            v.save(w);
+        }
+    }
+}
+
+/// Counters, gauges and histograms, each category in key order. Intern
+/// ids are not part of the wire format, so a loaded registry saves the
+/// same bytes.
+impl Snap for MetricsRegistry {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let MetricsRegistry {
+            ids: _,
+            keys,
+            counters,
+            gauges,
+            hists,
+        } = self;
+        counters.save(keys, w);
+        gauges.save(keys, w);
+        hists.save(keys, w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        for (k, n) in load_new::<Vec<(MetricKey, u64)>>(r)? {
+            self.add(k, n);
+        }
+        for (k, v) in load_new::<Vec<(MetricKey, f64)>>(r)? {
+            self.set_gauge(k, v);
+        }
+        for (k, h) in load_new::<Vec<(MetricKey, LogHistogram)>>(r)? {
+            let id = self.intern(k);
+            *self.hists.ensure(id, &self.keys, LogHistogram::default) = h;
+        }
+        Ok(())
     }
 }
 
@@ -211,78 +257,6 @@ impl MetricsRegistry {
             .filter(|(k, _)| k.name == name)
             .map(|(_, n)| n)
             .sum()
-    }
-
-    /// Serializes all three categories in key order for
-    /// `svt_sim::snapshot`. Loading the result into a fresh registry and
-    /// saving again yields identical bytes: iteration is key-sorted and
-    /// intern ids are not part of the wire format.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        let counters: Vec<_> = self.counters_sorted();
-        w.usize(counters.len());
-        for (k, n) in counters {
-            k.snap_save(w);
-            w.u64(n);
-        }
-        let gauges: Vec<_> = self.gauges_sorted();
-        w.usize(gauges.len());
-        for (k, v) in gauges {
-            k.snap_save(w);
-            w.f64(v);
-        }
-        let hists: Vec<_> = self.histograms_sorted();
-        w.usize(hists.len());
-        for (k, h) in hists {
-            k.snap_save(w);
-            h.snap_save(w);
-        }
-    }
-
-    /// Replaces this registry's contents with state written by
-    /// [`MetricsRegistry::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or malformed keys.
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        self.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let k = MetricKey::snap_load(r)?;
-            let v = r.u64()?;
-            self.add(k, v);
-        }
-        let n = r.usize()?;
-        for _ in 0..n {
-            let k = MetricKey::snap_load(r)?;
-            let v = r.f64()?;
-            self.set_gauge(k, v);
-        }
-        let n = r.usize()?;
-        for _ in 0..n {
-            let k = MetricKey::snap_load(r)?;
-            let h = LogHistogram::snap_load(r)?;
-            let id = self.intern(k);
-            *self.hists.ensure(id, &self.keys, LogHistogram::default) = h;
-        }
-        Ok(())
-    }
-
-    /// Folds every counter, gauge and histogram summary into a machine
-    /// fingerprint, in key order.
-    pub fn snap_fingerprint(&self, fp: &mut svt_sim::snapshot::Fingerprint) {
-        for (k, n) in self.iter_counters_sorted() {
-            fp.fold_bytes(k.name.as_bytes());
-            fp.fold(n);
-        }
-        for (k, v) in self.iter_gauges_sorted() {
-            fp.fold_bytes(k.name.as_bytes());
-            fp.fold(v.to_bits());
-        }
-        for (k, h) in self.iter_histograms_sorted() {
-            fp.fold_bytes(k.name.as_bytes());
-            fp.fold(h.count());
-        }
     }
 
     /// Drops all recorded metrics.

@@ -108,6 +108,17 @@ pub struct Timeline {
     proto: Vec<ProtoState>,
 }
 
+// Only the sampling *cursor* is state: cadence, next window boundary and
+// the per-part and per-counter baselines. Already-emitted rows are
+// process-local report artifacts — a restored machine continues sampling
+// at the same window boundaries with correct deltas, starting from an
+// empty row set.
+svt_sim::snap_fields! {
+    Timeline {
+        enabled, cadence, next_due, prev_parts, prev_counters
+    } skip { max_windows, dropped, rows, proto }
+}
+
 impl Default for Timeline {
     fn default() -> Self {
         Timeline {
@@ -170,52 +181,6 @@ impl Timeline {
     #[inline]
     pub fn due(&self, now: SimTime) -> bool {
         self.enabled && now >= self.next_due
-    }
-
-    /// Serializes the sampling *cursor* (cadence, next window boundary,
-    /// per-part and per-counter baselines) for `svt_sim::snapshot`.
-    /// Already-emitted rows are process-local report artifacts and are not
-    /// carried — a restored machine continues sampling at the same window
-    /// boundaries with correct deltas, starting from an empty row set.
-    pub fn snap_cursor_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.bool(self.enabled);
-        w.u64(self.cadence.as_ps());
-        w.u64(self.next_due.as_ps());
-        for p in &self.prev_parts {
-            w.u64(p.as_ps());
-        }
-        let mut prev: Vec<_> = self.prev_counters.iter().map(|(k, &v)| (*k, v)).collect();
-        prev.sort();
-        w.usize(prev.len());
-        for (k, v) in prev {
-            k.snap_save(w);
-            w.u64(v);
-        }
-    }
-
-    /// Restores the cursor written by [`Timeline::snap_cursor_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or malformed keys.
-    pub fn snap_cursor_load(
-        &mut self,
-        r: &mut svt_sim::SnapReader<'_>,
-    ) -> Result<(), svt_sim::SnapError> {
-        self.enabled = r.bool()?;
-        self.cadence = SimDuration::from_ps(r.u64()?);
-        self.next_due = SimTime::from_ps(r.u64()?);
-        for p in self.prev_parts.iter_mut() {
-            *p = SimDuration::from_ps(r.u64()?);
-        }
-        self.prev_counters.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let k = MetricKey::snap_load(r)?;
-            let v = r.u64()?;
-            self.prev_counters.insert(k, v);
-        }
-        Ok(())
     }
 
     /// Latest protocol state for a lane, pushed by the SW-SVt reflector

@@ -17,7 +17,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::snapshot::{atomic_write, open, seal, SnapError, SnapReader, SnapWriter, SNAP_VERSION};
+use crate::snapshot::{
+    atomic_write, from_bytes, open, seal, to_bytes, Snap, SnapError, SNAP_VERSION,
+};
 
 /// A checkpoint directory for one campaign.
 ///
@@ -111,8 +113,8 @@ impl Checkpoint {
 
 /// Runs a `cells`-cell grid through [`crate::sweep`], journaling every
 /// freshly computed cell to `ckpt` under `scope` when a checkpoint is
-/// given. With `(ckpt, true)`, journaled cells decode through `load`
-/// instead of recomputing; a cell that is missing, truncated,
+/// given. With `(ckpt, true)`, journaled cells decode through
+/// [`Snap::load`] (into `T::default()`) instead of recomputing; a cell that is missing, truncated,
 /// bit-flipped, sealed for another campaign, or undecodable is
 /// recomputed (and the journal repaired) — resume never panics on a bad
 /// checkpoint. Without a checkpoint this is [`crate::sweep`]. Since cells
@@ -122,21 +124,16 @@ impl Checkpoint {
 /// Journaling failures (full disk, permissions) are reported on stderr
 /// and the campaign continues uncheckpointed — a broken journal must not
 /// fail an otherwise healthy run.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep<T, F, S, L>(
+pub fn sweep<T, F>(
     ckpt: Option<(&Checkpoint, bool)>,
     scope: &str,
     cells: usize,
     jobs: usize,
     run: F,
-    save: S,
-    load: L,
 ) -> Vec<T>
 where
-    T: Send,
+    T: Snap + Default + Send,
     F: Fn(usize) -> T + Sync,
-    S: Fn(&T, &mut SnapWriter) + Sync,
-    L: Fn(&mut SnapReader<'_>) -> Result<T, SnapError> + Sync,
 {
     let Some((ckpt, resume)) = ckpt else {
         return crate::sweep(cells, jobs, run);
@@ -145,9 +142,9 @@ where
         if resume {
             match ckpt.load_cell(scope, i) {
                 Ok(Some(payload)) => {
-                    let mut r = SnapReader::new(&payload);
-                    match load(&mut r).and_then(|t| r.finish().map(|()| t)) {
-                        Ok(t) => return t,
+                    let mut t = T::default();
+                    match from_bytes(&mut t, &payload) {
+                        Ok(()) => return t,
                         Err(e) => {
                             eprintln!(
                                 "checkpoint: cell {scope}-{i} undecodable ({e:?}); recomputing"
@@ -160,9 +157,7 @@ where
             }
         }
         let t = run(i);
-        let mut w = SnapWriter::new();
-        save(&t, &mut w);
-        if let Err(e) = ckpt.store_cell(scope, i, &w.into_vec()) {
+        if let Err(e) = ckpt.store_cell(scope, i, &to_bytes(&t)) {
             eprintln!("checkpoint: journaling cell {scope}-{i} failed ({e}); continuing");
         }
         t
@@ -232,15 +227,13 @@ mod tests {
             computed.fetch_add(1, Ordering::Relaxed);
             (i as u64) * 3
         };
-        let save = |v: &u64, w: &mut SnapWriter| w.u64(*v);
-        let load = |r: &mut SnapReader<'_>| r.u64();
-        let first = sweep(Some((&ckpt, false)), "s", 5, 2, run, save, load);
+        let first = sweep(Some((&ckpt, false)), "s", 5, 2, run);
         assert_eq!(first, vec![0, 3, 6, 9, 12]);
         assert_eq!(computed.load(Ordering::Relaxed), 5);
 
         // Resume replays the journal without recomputing anything, at a
         // different worker count.
-        let again = sweep(Some((&ckpt, true)), "s", 5, 1, run, save, load);
+        let again = sweep(Some((&ckpt, true)), "s", 5, 1, run);
         assert_eq!(again, first);
         assert_eq!(computed.load(Ordering::Relaxed), 5);
 
@@ -252,7 +245,7 @@ mod tests {
         let last = blob.len() - 1;
         blob[last] ^= 1;
         fs::write(&path, &blob).unwrap();
-        let third = sweep(Some((&ckpt, true)), "s", 5, 3, run, save, load);
+        let third = sweep(Some((&ckpt, true)), "s", 5, 3, run);
         assert_eq!(third, first);
         assert_eq!(computed.load(Ordering::Relaxed), 7);
         let _ = fs::remove_dir_all(&dir);

@@ -9,12 +9,13 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::hash::FnvHashMap;
+use crate::snap_fields;
 use crate::time::{SimDuration, SimTime};
 
 /// Attribution bucket matching Table 1 of the paper, plus buckets for the
 /// parts of the system the paper's breakdown does not time (devices, the
 /// SW-SVt channel, idling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CostPart {
     /// Part ⓪ — useful guest work in L2.
     L2Guest,
@@ -41,6 +42,7 @@ pub enum CostPart {
     /// CPU idle (waiting for events).
     Idle,
     /// Anything not otherwise attributed.
+    #[default]
     Other,
 }
 
@@ -93,6 +95,13 @@ const _: () = {
         i += 1;
     }
 };
+
+crate::snap_enum! {
+    "CostPart" => CostPart {
+        L2Guest, SwitchL2L0, Transform, L0Handler, SwitchL0L1, L1Handler, L1Guest, L0Native,
+        Channel, Device, Wire, Idle, Other
+    }
+}
 
 impl fmt::Display for CostPart {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -278,108 +287,6 @@ impl Clock {
         self.counters.clear();
     }
 
-    /// Serializes the full clock state (instant, stacks, attribution,
-    /// counters) for [`crate::snapshot`]. Maps are written in sorted key
-    /// order so identical clocks serialize to identical bytes.
-    pub fn snap_save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u64(self.now.as_ps());
-        w.usize(self.part_stack.len());
-        for p in &self.part_stack {
-            w.u8(p.index() as u8);
-        }
-        for d in &self.part_time {
-            w.u64(d.as_ps());
-        }
-        w.usize(self.tag_stack.len());
-        for t in &self.tag_stack {
-            w.str(t);
-        }
-        let mut tags: Vec<_> = self.tag_time.iter().map(|(k, v)| (*k, *v)).collect();
-        tags.sort_by_key(|(k, _)| *k);
-        w.usize(tags.len());
-        for (k, v) in tags {
-            w.str(k);
-            w.u64(v.as_ps());
-        }
-        let mut counters: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
-        counters.sort_by_key(|(k, _)| *k);
-        w.usize(counters.len());
-        for (k, v) in counters {
-            w.str(k);
-            w.u64(v);
-        }
-    }
-
-    /// Restores state written by [`Clock::snap_save`]. Tag and counter
-    /// names come back as interned `&'static str`s.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`crate::snapshot::SnapError`] on truncation or an
-    /// out-of-range part index.
-    pub fn snap_load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::{intern_static, SnapError};
-        self.now = SimTime::from_ps(r.u64()?);
-        let n = r.usize()?;
-        self.part_stack.clear();
-        for _ in 0..n {
-            let idx = r.u8()? as usize;
-            let part = *CostPart::ALL.get(idx).ok_or(SnapError::BadValue {
-                what: "CostPart",
-                got: idx as u64,
-            })?;
-            self.part_stack.push(part);
-        }
-        for slot in self.part_time.iter_mut() {
-            *slot = SimDuration::from_ps(r.u64()?);
-        }
-        let n = r.usize()?;
-        self.tag_stack.clear();
-        for _ in 0..n {
-            self.tag_stack.push(intern_static(r.str()?));
-        }
-        let n = r.usize()?;
-        self.tag_time.clear();
-        for _ in 0..n {
-            let k = intern_static(r.str()?);
-            let v = SimDuration::from_ps(r.u64()?);
-            self.tag_time.insert(k, v);
-        }
-        let n = r.usize()?;
-        self.counters.clear();
-        for _ in 0..n {
-            let k = intern_static(r.str()?);
-            let v = r.u64()?;
-            self.counters.insert(k, v);
-        }
-        Ok(())
-    }
-
-    /// Folds the clock's externally observable state into a fingerprint:
-    /// the instant, every part bucket, and every counter/tag in sorted
-    /// order.
-    pub fn snap_fingerprint(&self, fp: &mut crate::snapshot::Fingerprint) {
-        fp.fold(self.now.as_ps());
-        for d in &self.part_time {
-            fp.fold(d.as_ps());
-        }
-        let mut tags: Vec<_> = self.tag_time.iter().map(|(k, v)| (*k, *v)).collect();
-        tags.sort_by_key(|(k, _)| *k);
-        for (k, v) in tags {
-            fp.fold_bytes(k.as_bytes());
-            fp.fold(v.as_ps());
-        }
-        let mut counters: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
-        counters.sort_by_key(|(k, _)| *k);
-        for (k, v) in counters {
-            fp.fold_bytes(k.as_bytes());
-            fp.fold(v);
-        }
-    }
-
     /// Takes a snapshot of the attribution state for later differencing.
     ///
     /// The snapshot keeps the public `HashMap` shape (the dense array is
@@ -427,6 +334,8 @@ impl Clock {
         }
     }
 }
+
+snap_fields! { Clock { now, part_stack, part_time, tag_stack, tag_time, counters } }
 
 /// A frozen view of the clock's attribution state.
 #[derive(Debug, Clone, Default)]

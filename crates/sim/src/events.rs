@@ -9,24 +9,14 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::hash::FnvHashSet;
+use crate::snapshot::{load_new, Sink, Snap, SnapError, SnapReader};
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-impl EventId {
-    /// Raw id value, for snapshot serialization only — ids are opaque
-    /// otherwise.
-    pub fn as_raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds an id from [`EventId::as_raw`] output (snapshot restore).
-    pub fn from_raw(v: u64) -> Self {
-        EventId(v)
-    }
-}
+crate::snap_fields! { EventId(_) }
 
 struct Entry<T> {
     at: SimTime,
@@ -202,79 +192,6 @@ impl<T> EventQueue<T> {
         self.next_seq
     }
 
-    /// Serializes the queue for [`crate::snapshot`]; `f` serializes each
-    /// payload. Entries are written in `seq` order (unique, total), so
-    /// identical queues serialize identically regardless of heap layout.
-    pub fn snap_save(
-        &self,
-        w: &mut crate::snapshot::SnapWriter,
-        mut f: impl FnMut(&T, &mut crate::snapshot::SnapWriter),
-    ) {
-        w.u64(self.next_seq);
-        let mut entries: Vec<&Entry<T>> = self.heap.iter().collect();
-        entries.sort_by_key(|e| e.seq);
-        w.usize(entries.len());
-        for e in entries {
-            w.u64(e.at.as_ps());
-            w.u64(e.seq);
-            w.u64(e.id.0);
-            f(&e.payload, w);
-        }
-        let mut live: Vec<u64> = self.live.iter().map(|id| id.0).collect();
-        live.sort_unstable();
-        w.usize(live.len());
-        for id in live {
-            w.u64(id);
-        }
-        let mut cancelled: Vec<u64> = self.cancelled.iter().map(|id| id.0).collect();
-        cancelled.sort_unstable();
-        w.usize(cancelled.len());
-        for id in cancelled {
-            w.u64(id);
-        }
-    }
-
-    /// Restores state written by [`EventQueue::snap_save`]; `f` decodes
-    /// each payload. The rebuilt heap pops in exactly the original order
-    /// (ordering is `(at, seq)`, both serialized).
-    ///
-    /// # Errors
-    ///
-    /// Typed [`crate::snapshot::SnapError`] on truncation or a payload
-    /// decode failure.
-    pub fn snap_load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-        mut f: impl FnMut(&mut crate::snapshot::SnapReader<'_>) -> Result<T, crate::snapshot::SnapError>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        self.next_seq = r.u64()?;
-        let n = r.usize()?;
-        self.heap.clear();
-        for _ in 0..n {
-            let at = SimTime::from_ps(r.u64()?);
-            let seq = r.u64()?;
-            let id = EventId(r.u64()?);
-            let payload = f(r)?;
-            self.heap.push(Entry {
-                at,
-                seq,
-                id,
-                payload,
-            });
-        }
-        let n = r.usize()?;
-        self.live.clear();
-        for _ in 0..n {
-            self.live.insert(EventId(r.u64()?));
-        }
-        let n = r.usize()?;
-        self.cancelled.clear();
-        for _ in 0..n {
-            self.cancelled.push(EventId(r.u64()?));
-        }
-        Ok(())
-    }
-
     /// Number of live scheduled events.
     pub fn len(&self) -> usize {
         self.live.len()
@@ -283,6 +200,48 @@ impl<T> EventQueue<T> {
     /// Whether no live events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Entries are written in `seq` order (unique, total) and the id sets
+/// sorted, so identical queues serialize identically regardless of heap
+/// layout; the rebuilt heap pops in exactly the original order, since
+/// ordering is `(at, seq)`.
+impl<T: Snap + Default> Snap for EventQueue<T> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let EventQueue {
+            heap,
+            next_seq,
+            live,
+            cancelled,
+        } = self;
+        next_seq.save(w);
+        let mut entries: Vec<&Entry<T>> = heap.iter().collect();
+        entries.sort_by_key(|e| e.seq);
+        entries.len().save(w);
+        for e in entries {
+            (e.at, e.seq, e.id).save(w);
+            e.payload.save(w);
+        }
+        live.save(w);
+        let mut cancelled = cancelled.clone();
+        cancelled.sort_unstable();
+        cancelled.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.next_seq.load(r)?;
+        let entries = load_new::<Vec<(SimTime, u64, EventId, T)>>(r)?.into_iter();
+        self.heap = entries
+            .map(|(at, seq, id, payload)| Entry {
+                at,
+                seq,
+                id,
+                payload,
+            })
+            .collect();
+        self.live.load(r)?;
+        self.cancelled.load(r)
     }
 }
 

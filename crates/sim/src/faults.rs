@@ -120,6 +120,14 @@ pub struct FaultPlan {
     armed: bool,
 }
 
+// The RNG stream position and injection counters ride along, so a
+// restored plan continues the exact fault schedule.
+crate::snap_fields! {
+    FaultPlan {
+        rng, seed, rate, budget, injected, window, delay_lo, delay_hi, armed
+    }
+}
+
 impl FaultPlan {
     /// The disabled plan: never fires, never draws. Fault-free runs with
     /// this plan are bit-identical to runs without the injector.
@@ -244,87 +252,6 @@ impl FaultPlan {
             .iter()
             .map(|&k| (k.name(), self.injected(k)))
             .collect()
-    }
-
-    /// Serializes the plan mid-campaign for [`crate::snapshot`] — the RNG
-    /// stream position and injection counters ride along, so a restored
-    /// plan continues the exact fault schedule.
-    pub fn snap_save(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.rng.snap_save(w);
-        w.u64(self.seed);
-        for r in self.rate {
-            w.f64(r);
-        }
-        for b in self.budget {
-            w.u64(b);
-        }
-        for i in self.injected {
-            w.u64(i);
-        }
-        match self.window {
-            Some((from, to)) => {
-                w.u8(1);
-                w.u64(from.as_ps());
-                w.u64(to.as_ps());
-            }
-            None => w.u8(0),
-        }
-        w.u64(self.delay_lo.as_ps());
-        w.u64(self.delay_hi.as_ps());
-        w.bool(self.armed);
-    }
-
-    /// Restores state written by [`FaultPlan::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed [`crate::snapshot::SnapError`] on truncation or a malformed
-    /// flag byte.
-    pub fn snap_load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        self.rng.snap_load(r)?;
-        self.seed = r.u64()?;
-        for slot in self.rate.iter_mut() {
-            *slot = r.f64()?;
-        }
-        for slot in self.budget.iter_mut() {
-            *slot = r.u64()?;
-        }
-        for slot in self.injected.iter_mut() {
-            *slot = r.u64()?;
-        }
-        self.window = match r.u8()? {
-            0 => None,
-            1 => {
-                let from = SimTime::from_ps(r.u64()?);
-                let to = SimTime::from_ps(r.u64()?);
-                Some((from, to))
-            }
-            b => {
-                return Err(SnapError::BadValue {
-                    what: "fault window tag",
-                    got: b as u64,
-                })
-            }
-        };
-        self.delay_lo = SimDuration::from_ps(r.u64()?);
-        self.delay_hi = SimDuration::from_ps(r.u64()?);
-        self.armed = r.bool()?;
-        Ok(())
-    }
-
-    /// Folds the plan's dynamic state (RNG stream position and injection
-    /// counters) into a machine fingerprint.
-    pub fn snap_fingerprint(&self, fp: &mut crate::snapshot::Fingerprint) {
-        fp.fold(self.seed);
-        fp.fold(self.armed as u64);
-        self.rng.snap_fingerprint(fp);
-        for i in self.injected {
-            fp.fold(i);
-        }
     }
 }
 

@@ -51,7 +51,7 @@ pub use faults::{FaultKind, FaultPlan};
 pub use hash::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use rng::DetRng;
 pub use sched::{assign_svt_cores, pick_min_local_time, SchedError, VcpuScheduler, VcpuStatus};
-pub use snapshot::{SnapError, SnapReader, SnapWriter};
+pub use snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 pub use sweep::{host_parallelism, resolve_jobs, resolve_jobs_for, sweep};
 pub use time::{SimDuration, SimTime};
 pub use topology::{CpuLoc, MachineSpec, Placement, VmSpec};

@@ -29,6 +29,9 @@ pub struct DetRng {
     state: [u64; 4],
 }
 
+// A restored generator continues the exact bit stream.
+crate::snap_fields! { DetRng { state } }
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -49,36 +52,6 @@ impl DetRng {
                 splitmix64(&mut sm),
             ],
         }
-    }
-
-    /// Serializes the generator mid-stream for [`crate::snapshot`]: a
-    /// restored generator continues the exact bit stream.
-    pub fn snap_save(&self, w: &mut crate::snapshot::SnapWriter) {
-        for s in self.state {
-            w.u64(s);
-        }
-    }
-
-    /// Folds the stream position into a machine fingerprint.
-    pub fn snap_fingerprint(&self, fp: &mut crate::snapshot::Fingerprint) {
-        for s in self.state {
-            fp.fold(s);
-        }
-    }
-
-    /// Restores state written by [`DetRng::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Typed [`crate::snapshot::SnapError`] on truncation.
-    pub fn snap_load(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        for s in self.state.iter_mut() {
-            *s = r.u64()?;
-        }
-        Ok(())
     }
 
     /// Next raw 64-bit value (xoshiro256++ step).

@@ -1,48 +1,60 @@
 //! Versioned, checksummed, deterministic state serialization.
 //!
-//! Every stateful component in the simulator exposes a pair of inherent
-//! methods — `snap_save(&self, &mut SnapWriter)` and
-//! `snap_load(&mut self, &mut SnapReader) -> Result<(), SnapError>` —
-//! built on the primitives here. The format is deliberately dumb:
-//! little-endian fixed-width integers, length-prefixed byte strings, no
-//! self-description. Determinism comes from the writers (maps are
-//! serialized in sorted key order), integrity from the envelope
-//! ([`seal`]/[`open`]): an 8-byte magic, a format version, the payload
-//! length, an FNV-1a checksum of the payload, and a semantic
-//! state-fingerprint the producer computed over live state. `open`
-//! validates magic/version/length/checksum and hands back the
-//! fingerprint so the caller can cross-check it against the state it
-//! just reconstructed.
+//! Every stateful component implements [`Snap`]: one `save` that writes
+//! its fields to a [`Sink`] and one `load` that reads them back. Most
+//! types get both from one field list, [`snap_fields!`](crate::snap_fields).
+//! The state fingerprint is the same `save` traversal fed into a
+//! [`Fingerprint`] instead of a [`SnapWriter`], so it folds exactly what
+//! a snapshot stores.
 //!
-//! Checkpoint files are written with [`atomic_write`] (temp file +
-//! rename) so a crash can never leave a torn file behind.
+//! The format is deliberately dumb: little-endian fixed-width integers,
+//! length-prefixed byte strings, no self-description, maps in sorted key
+//! order. The envelope ([`seal`]/[`open`]) adds an 8-byte magic, the
+//! format version, the payload length, the producer's state fingerprint
+//! and an FNV-1a checksum of the payload; `open` validates all but the
+//! fingerprint, which the caller cross-checks against the state it
+//! reconstructed. Checkpoint files are written with [`atomic_write`]
+//! (temp file + rename), so a crash never leaves a torn file.
 //!
 //! # Examples
 //!
 //! ```
-//! use svt_sim::snapshot::{open, seal, SnapReader, SnapWriter, SNAP_VERSION};
+//! use svt_sim::snap_fields;
+//! use svt_sim::snapshot::{fingerprint, from_bytes, open, seal, to_bytes, SnapError, SNAP_VERSION};
 //!
-//! let mut w = SnapWriter::new();
-//! w.u64(42);
-//! w.str("hello");
-//! let sealed = seal(SNAP_VERSION, 0xfee1_600d, w.into_vec());
+//! #[derive(Default)]
+//! struct Queue {
+//!     base: u64,
+//!     hits: Vec<u64>,
+//!     label: &'static str,
+//! }
+//! snap_fields! { Queue { #[shape = "queue base"] base, hits } skip { label } }
 //!
-//! let (fingerprint, payload) = open(&sealed, SNAP_VERSION).unwrap();
-//! assert_eq!(fingerprint, 0xfee1_600d);
-//! let mut r = SnapReader::new(payload);
-//! assert_eq!(r.u64().unwrap(), 42);
-//! assert_eq!(r.str().unwrap(), "hello");
+//! let q = Queue { base: 0x1000, hits: vec![42], label: "tx" };
+//! let sealed = seal(SNAP_VERSION, fingerprint(&q), to_bytes(&q));
+//!
+//! let (fp, payload) = open(&sealed, SNAP_VERSION).unwrap();
+//! let mut back = Queue { base: 0x1000, ..Queue::default() };
+//! from_bytes(&mut back, payload).unwrap();
+//! assert_eq!((&back.hits[..], back.label), (&[42][..], ""));
+//! assert_eq!(fingerprint(&back), fp);
+//! let mut moved = Queue { base: 0x2000, ..Queue::default() };
+//! assert!(matches!(from_bytes(&mut moved, payload), Err(SnapError::ShapeMismatch { .. })));
 //! ```
 
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
+use std::rc::Rc;
 use std::sync::Mutex;
 
-use crate::hash::{FnvHashSet, FnvHasher};
+use crate::hash::{FnvHashMap, FnvHashSet, FnvHasher};
+use crate::time::{SimDuration, SimTime};
 
 /// Current snapshot format version. Bumped on any wire-format change;
 /// [`open`] rejects snapshots from other versions with
@@ -55,8 +67,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"SVTSNAP\0";
 /// Typed error for snapshot decoding and integrity validation.
 ///
 /// Every failure mode a corrupted, truncated, or mismatched snapshot can
-/// produce maps to a variant here; restore paths never panic on bad
-/// input.
+/// produce maps to a variant here. Decoders never trust a length: every
+/// container reserves at most the bytes still unread, so a hostile count
+/// ends in [`SnapError::UnexpectedEof`], not an allocation abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
     /// The reader ran off the end of the payload (truncation).
@@ -172,6 +185,22 @@ impl fmt::Display for SnapError {
 
 impl Error for SnapError {}
 
+/// Where a [`Snap::save`] traversal goes: the payload writer
+/// ([`SnapWriter`]) or the state fold ([`Fingerprint`]). Every snapshot
+/// byte is one of these five primitives.
+pub trait Sink {
+    /// One byte.
+    fn u8(&mut self, v: u8);
+    /// A little-endian `u16`.
+    fn u16(&mut self, v: u16);
+    /// A little-endian `u32`.
+    fn u32(&mut self, v: u32);
+    /// A little-endian `u64`.
+    fn u64(&mut self, v: u64);
+    /// A length-prefixed byte string.
+    fn bytes(&mut self, v: &[u8]);
+}
+
 /// Append-only little-endian byte sink for snapshot payloads.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
@@ -184,81 +213,32 @@ impl SnapWriter {
         SnapWriter::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, returning the raw payload.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
     }
+}
 
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
+impl Sink for SnapWriter {
+    fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Writes a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
+    fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `f64` as its IEEE-754 bit pattern (exact round trip).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes a `bool` as one byte (0 or 1).
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    /// Writes a `usize` as a `u64`.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Writes a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
+    fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Writes an `Option<u64>` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
     }
 }
 
@@ -323,60 +303,30 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool`; any byte other than 0/1 is [`SnapError::BadValue`].
-    pub fn bool(&mut self) -> Result<bool, SnapError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapError::BadValue {
-                what: "bool",
-                got: b as u64,
-            }),
-        }
-    }
-
-    /// Reads a `usize` stored as `u64`; errors if it overflows `usize`.
-    pub fn usize(&mut self) -> Result<usize, SnapError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| SnapError::BadValue {
-            what: "usize",
-            got: v,
-        })
+    /// The next byte, left unread.
+    pub fn peek_u8(&self) -> Result<u8, SnapError> {
+        self.buf
+            .get(self.pos)
+            .copied()
+            .ok_or(SnapError::UnexpectedEof {
+                at: self.pos,
+                want: 1,
+                have: 0,
+            })
     }
 
     /// Reads a length-prefixed byte string. The length is validated
     /// against the remaining payload before any allocation, so a
     /// corrupted length cannot trigger a huge allocation.
     pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
-        let n = self.usize()?;
+        let mut n = 0usize;
+        n.load(self)?;
         self.take(n)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, SnapError> {
         std::str::from_utf8(self.bytes()?).map_err(|_| SnapError::BadUtf8)
-    }
-
-    /// Reads an `Option<u64>` written by [`SnapWriter::opt_u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            b => Err(SnapError::BadValue {
-                what: "option tag",
-                got: b as u64,
-            }),
-        }
     }
 }
 
@@ -389,8 +339,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Incremental FNV-1a fold over `u64` words, in the style of
-/// `HostProf::shape_fold`: one multiply per word. Used to build the
-/// semantic state fingerprints carried in snapshot envelopes.
+/// `HostProf::shape_fold`: one multiply per word. As a [`Sink`] it folds
+/// one word per primitive and byte strings as their length plus their
+/// bytes, which makes a [`Snap::save`] traversal into a state
+/// fingerprint.
 #[derive(Debug, Clone, Default)]
 pub struct Fingerprint(FnvHasher);
 
@@ -418,6 +370,574 @@ impl Fingerprint {
     #[inline]
     pub fn value(&self) -> u64 {
         self.0.finish()
+    }
+}
+
+impl Sink for Fingerprint {
+    fn u8(&mut self, v: u8) {
+        self.fold(u64::from(v));
+    }
+
+    fn u16(&mut self, v: u16) {
+        self.fold(u64::from(v));
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.fold(u64::from(v));
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+
+    fn bytes(&mut self, v: &[u8]) {
+        self.fold(v.len() as u64).fold_bytes(v);
+    }
+}
+
+/// A snapshottable value: `save` writes it, `load` reads it back into an
+/// existing value of the same shape. Containers build fresh elements
+/// with `Default` before loading into them.
+pub trait Snap {
+    /// Writes the value's state.
+    fn save<S: Sink + ?Sized>(&self, w: &mut S);
+
+    /// Reads state written by [`Snap::save`].
+    ///
+    /// # Errors
+    ///
+    /// Typed [`SnapError`] on truncation, an out-of-domain value, or a
+    /// shape that differs from the live value's.
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+/// The object-safe face of [`Snap`], for state behind trait objects
+/// (device models, switch engines, request sources). Every `Snap` type
+/// has it.
+pub trait SnapDyn {
+    /// [`Snap::save`] through a dynamic sink.
+    fn save_dyn(&self, w: &mut dyn Sink);
+
+    /// [`Snap::load`]; errors as there.
+    fn load_dyn(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+impl<T: Snap> SnapDyn for T {
+    fn save_dyn(&self, w: &mut dyn Sink) {
+        self.save(w);
+    }
+
+    fn load_dyn(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load(r)
+    }
+}
+
+/// Decodes a fresh value (an enum variant's field, a container element);
+/// errors as [`Snap::load`].
+pub fn load_new<T: Snap + Default>(r: &mut SnapReader<'_>) -> Result<T, SnapError> {
+    let mut v = T::default();
+    v.load(r)?;
+    Ok(v)
+}
+
+/// Serializes `v` into a bare payload.
+pub fn to_bytes<T: Snap + ?Sized>(v: &T) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    v.save(&mut w);
+    w.into_vec()
+}
+
+/// Loads a bare payload into `v`, which must consume all of it; errors
+/// as [`Snap::load`], plus [`SnapError::TrailingBytes`].
+pub fn from_bytes<T: Snap + ?Sized>(v: &mut T, payload: &[u8]) -> Result<(), SnapError> {
+    let mut r = SnapReader::new(payload);
+    v.load(&mut r)?;
+    r.finish()
+}
+
+/// The fingerprint of `v`: its [`Snap::save`] traversal folded into a
+/// [`Fingerprint`].
+pub fn fingerprint<T: Snap + ?Sized>(v: &T) -> u64 {
+    let mut fp = Fingerprint::new();
+    v.save(&mut fp);
+    fp.value()
+}
+
+/// Writes the state behind a trait object as a length-prefixed
+/// sub-payload (empty for an empty slot), so an engine or device can
+/// change its layout without shifting the bytes around it.
+pub fn save_nested<S: Sink + ?Sized>(v: Option<&dyn SnapDyn>, w: &mut S) {
+    let mut sub = SnapWriter::new();
+    if let Some(v) = v {
+        v.save_dyn(&mut sub);
+    }
+    w.bytes(&sub.buf);
+}
+
+/// Reads a sub-payload written by [`save_nested`]; `v` must consume all
+/// of it. Errors as [`Snap::load`], plus [`SnapError::TrailingBytes`].
+pub fn load_nested(v: Option<&mut dyn SnapDyn>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    let mut sub = SnapReader::new(r.bytes()?);
+    if let Some(v) = v {
+        v.load_dyn(&mut sub)?;
+    }
+    sub.finish()
+}
+
+/// Reads a *shape* value: construction-time configuration the snapshot
+/// records so that restore can refuse a differently built target. The
+/// live value is kept; a different stored one is
+/// [`SnapError::ShapeMismatch`], reporting values of up to eight bytes
+/// as such and wider ones by their FNV-1a.
+///
+/// # Errors
+///
+/// [`SnapError::ShapeMismatch`], or what decoding the stored value
+/// raises.
+pub fn load_shape<T: Snap + Clone + PartialEq>(
+    live: &T,
+    what: &'static str,
+    r: &mut SnapReader<'_>,
+) -> Result<(), SnapError> {
+    let mut stored = live.clone();
+    stored.load(r)?;
+    if stored == *live {
+        return Ok(());
+    }
+    let word = |v: &T| {
+        let b = to_bytes(v);
+        let mut le = [0u8; 8];
+        match le.get_mut(..b.len()) {
+            Some(head) => head.copy_from_slice(&b),
+            None => return fnv1a(&b),
+        }
+        u64::from_le_bytes(le)
+    };
+    Err(SnapError::ShapeMismatch {
+        what,
+        snapshot: word(&stored),
+        live: word(live),
+    })
+}
+
+/// Decodes a one-byte enum code; `decode` returns `None` for codes
+/// outside the enum's domain, which become [`SnapError::BadValue`]
+/// naming `what`.
+pub fn load_code<T>(
+    r: &mut SnapReader<'_>,
+    what: &'static str,
+    decode: impl FnOnce(u8) -> Option<T>,
+) -> Result<T, SnapError> {
+    let code = r.u8()?;
+    decode(code).ok_or(SnapError::BadValue {
+        what,
+        got: u64::from(code),
+    })
+}
+
+/// Implements [`Snap`] for a struct from one field list, in wire order.
+///
+/// Save and load both destructure the struct with no rest pattern, so
+/// every field must appear either in the list or under `skip` (values
+/// that are never saved: construction config, process-local caches).
+/// A field marked `#[shape = "what"]` is saved like any other, but on
+/// load it is only compared with the live value (see [`load_shape`]); a
+/// shape may also be one field of a skipped config struct, written as a
+/// path (`#[shape = "MMIO base"] cfg.mmio_base`).
+/// `snap_fields! { Id(_) }` saves a one-field tuple struct's field. See
+/// the [module example](self).
+#[macro_export]
+macro_rules! snap_fields {
+    ($ty:ident {
+        $($(#[shape = $what:literal])? $f:ident $(. $sub:ident)*),* $(,)?
+    } $(skip { $($s:ident),* $(,)? })?) => {
+        impl $crate::snapshot::Snap for $ty {
+            #[allow(unused_variables)]
+            fn save<S: $crate::snapshot::Sink + ?Sized>(&self, w: &mut S) {
+                let $ty { $($f,)* $($($s: _,)*)? } = self;
+                $($crate::snapshot::Snap::save(&(*$f)$(.$sub)*, w);)*
+            }
+
+            #[allow(unused_variables)]
+            fn load(
+                &mut self,
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapError> {
+                let $ty { $($f,)* $($($s: _,)*)? } = self;
+                $($crate::snap_fields!(@load r, (*$f)$(.$sub)* $(, $what)?);)*
+                Ok(())
+            }
+        }
+    };
+    ($ty:ident(_)) => {
+        impl $crate::snapshot::Snap for $ty {
+            fn save<S: $crate::snapshot::Sink + ?Sized>(&self, w: &mut S) {
+                let $ty(v) = self;
+                $crate::snapshot::Snap::save(v, w)
+            }
+
+            fn load(
+                &mut self,
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapError> {
+                let $ty(v) = self;
+                $crate::snapshot::Snap::load(v, r)
+            }
+        }
+    };
+    (@load $r:ident, $place:expr) => {
+        $crate::snapshot::Snap::load(&mut $place, $r)?
+    };
+    (@load $r:ident, $place:expr, $what:literal) => {
+        $crate::snapshot::load_shape(&$place, $what, $r)?
+    };
+}
+
+/// Implements [`Snap`] for a fieldless enum as one byte, the variant's
+/// position in the list (declaration order, so the list is the enum); an
+/// unknown byte is [`SnapError::BadValue`] naming `what`.
+#[macro_export]
+macro_rules! snap_enum {
+    ($what:literal => $ty:ident { $($v:ident),* $(,)? }) => {
+        impl $crate::snapshot::Snap for $ty {
+            fn save<S: $crate::snapshot::Sink + ?Sized>(&self, w: &mut S) {
+                // Exhaustive: a variant missing from the list does not compile.
+                match self {
+                    $($ty::$v)|* => {}
+                }
+                const ALL: &[$ty] = &[$($ty::$v),*];
+                w.u8(ALL.iter().position(|v| v == self).expect("listed variant") as u8);
+            }
+
+            fn load(
+                &mut self,
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapError> {
+                const ALL: &[$ty] = &[$($ty::$v),*];
+                *self = $crate::snapshot::load_code(r, $what, |c| ALL.get(usize::from(c)).copied())?;
+                Ok(())
+            }
+        }
+    };
+}
+
+macro_rules! snap_word {
+    ($($t:ty => $m:ident),*) => {$(
+        impl Snap for $t {
+            fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+                w.$m(*self);
+            }
+
+            fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                *self = r.$m()?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+snap_word!(u8 => u8, u16 => u16, u32 => u32, u64 => u64);
+
+/// Two words, low first.
+impl Snap for u128 {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u64(*self as u64);
+        w.u64((*self >> 64) as u64);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let lo = r.u64()?;
+        *self = u128::from(lo) | u128::from(r.u64()?) << 64;
+        Ok(())
+    }
+}
+
+/// Stored as a `u64`; a value that overflows this host's `usize` is
+/// [`SnapError::BadValue`].
+impl Snap for usize {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u64(*self as u64);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let v = r.u64()?;
+        *self = usize::try_from(v).map_err(|_| SnapError::BadValue {
+            what: "usize",
+            got: v,
+        })?;
+        Ok(())
+    }
+}
+
+/// One byte, 0 or 1; any other byte is [`SnapError::BadValue`].
+impl Snap for bool {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u8(u8::from(*self));
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = load_code(r, "bool", |b| (b < 2).then_some(b == 1))?;
+        Ok(())
+    }
+}
+
+/// Stored as its IEEE-754 bit pattern (exact round trip).
+impl Snap for f64 {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u64(self.to_bits());
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = f64::from_bits(r.u64()?);
+        Ok(())
+    }
+}
+
+impl Snap for SimTime {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u64(self.as_ps());
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = SimTime::from_ps(r.u64()?);
+        Ok(())
+    }
+}
+
+impl Snap for SimDuration {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u64(self.as_ps());
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = SimDuration::from_ps(r.u64()?);
+        Ok(())
+    }
+}
+
+/// A length-prefixed string, re-interned on load with [`intern_static`].
+impl Snap for &'static str {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.bytes(self.as_bytes());
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = intern_static(r.str()?);
+        Ok(())
+    }
+}
+
+/// A length-prefixed UTF-8 string.
+impl Snap for String {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.bytes(self.as_bytes());
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = r.str()?.to_owned();
+        Ok(())
+    }
+}
+
+/// A presence byte (0 or 1, anything else is [`SnapError::BadValue`])
+/// followed by the value.
+impl<T: Snap + Default> Snap for Option<T> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.u8(u8::from(self.is_some()));
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let some = load_code(r, "option tag", |b| (b < 2).then_some(b == 1))?;
+        *self = if some { Some(load_new(r)?) } else { None };
+        Ok(())
+    }
+}
+
+/// Elements in order, no length prefix: the length is the type's.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        self.iter().for_each(|v| v.save(w));
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.iter_mut().try_for_each(|v| v.load(r))
+    }
+}
+
+macro_rules! snap_tuple {
+    ($(($($t:ident $i:tt),*)),*) => {$(
+        impl<$($t: Snap),*> Snap for ($($t,)*) {
+            fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+                $(self.$i.save(w);)*
+            }
+
+            fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                $(self.$i.load(r)?;)*
+                Ok(())
+            }
+        }
+    )*};
+}
+
+snap_tuple!((A 0, B 1), (A 0, B 1, C 2), (A 0, B 1, C 2, D 3), (A 0, B 1, C 2, D 3, E 4));
+snap_tuple!((A 0, B 1, C 2, D 3, E 4, F 5));
+
+/// The shared value, once (a handle's other owners see the load).
+impl<T: Snap> Snap for Rc<RefCell<T>> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        self.borrow().save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.borrow_mut().load(r)
+    }
+}
+
+/// Writes a length and then `items`, in the order given.
+fn save_items<'a, T: Snap + 'a, S: Sink + ?Sized>(
+    len: usize,
+    items: impl Iterator<Item = &'a T>,
+    w: &mut S,
+) {
+    len.save(w);
+    items.for_each(|v| v.save(w));
+}
+
+/// Reads a length and then that many fresh items, handing each to `put`
+/// with how many items its container may reserve room for. The length is
+/// not trusted: the reservation is at most the bytes still unread (every
+/// item takes at least one), so a hostile count runs into
+/// [`SnapError::UnexpectedEof`] instead of an allocation abort.
+fn load_items<T: Snap + Default>(
+    r: &mut SnapReader<'_>,
+    mut put: impl FnMut(T, usize),
+) -> Result<(), SnapError> {
+    let n: usize = load_new(r)?;
+    let reserve = n.min(r.remaining());
+    for i in 0..n {
+        put(load_new(r)?, if i == 0 { reserve } else { 0 });
+    }
+    Ok(())
+}
+
+macro_rules! snap_seq {
+    ($($seq:ident => $push:ident),*) => {$(
+        /// A length, then the elements in order.
+        impl<T: Snap + Default> Snap for $seq<T> {
+            fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+                save_items(self.len(), self.iter(), w);
+            }
+
+            fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                self.clear();
+                load_items(r, |v, room| {
+                    self.reserve(room);
+                    self.$push(v);
+                })
+            }
+        }
+    )*};
+}
+
+snap_seq!(Vec => push, VecDeque => push_back);
+
+/// A length, then the elements in sorted order.
+impl<T: Snap + Default + Ord> Snap for BTreeSet<T> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        save_items(self.len(), self.iter(), w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        load_items(r, |v, _| {
+            self.insert(v);
+        })
+    }
+}
+
+/// A length, then the elements in sorted order (independent of hashing).
+impl<T: Snap + Default + Ord + Hash> Snap for FnvHashSet<T> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let mut sorted: Vec<&T> = self.iter().collect();
+        sorted.sort_unstable();
+        save_items(sorted.len(), sorted.into_iter(), w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        load_items(r, |v, _| {
+            self.insert(v);
+        })
+    }
+}
+
+/// A length, then `(key, value)` pairs in key order.
+impl<K: Snap + Default + Ord, V: Snap + Default> Snap for BTreeMap<K, V> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        self.len().save(w);
+        for (k, v) in self {
+            k.save(w);
+            v.save(w);
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        load_items(r, |(k, v), _| {
+            self.insert(k, v);
+        })
+    }
+}
+
+/// A length, then `(key, value)` pairs in key order (independent of
+/// hashing).
+impl<K: Snap + Default + Ord + Hash, V: Snap + Default> Snap for FnvHashMap<K, V> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let mut sorted: Vec<(&K, &V)> = self.iter().collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        self.len().save(w);
+        for (k, v) in sorted {
+            k.save(w);
+            v.save(w);
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        load_items(r, |(k, v), _| {
+            self.insert(k, v);
+        })
+    }
+}
+
+/// A boxed fixed-size byte block (a RAM page, a disk sector): zeroed by
+/// default, and snapshotted as a length-prefixed byte string whose
+/// length must be `N`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ByteBlock<const N: usize>(pub Box<[u8; N]>);
+
+impl<const N: usize> Default for ByteBlock<N> {
+    fn default() -> Self {
+        ByteBlock(Box::new([0; N]))
+    }
+}
+
+impl<const N: usize> Snap for ByteBlock<N> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        w.bytes(&self.0[..]);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let bytes = r.bytes()?;
+        let block: &[u8; N] = bytes.try_into().map_err(|_| SnapError::BadValue {
+            what: "byte block length",
+            got: bytes.len() as u64,
+        })?;
+        *self.0 = *block;
+        Ok(())
     }
 }
 
@@ -546,36 +1066,24 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        let mut w = SnapWriter::new();
-        w.u8(0xab);
-        w.u16(0xbeef);
-        w.u32(0xdead_beef);
-        w.u64(u64::MAX - 1);
-        w.i64(-42);
-        w.f64(3.5);
-        w.bool(true);
-        w.bool(false);
-        w.usize(123_456);
-        w.bytes(&[9, 8, 7]);
-        w.str("svt");
-        w.opt_u64(Some(7));
-        w.opt_u64(None);
-        let buf = w.into_vec();
-        let mut r = SnapReader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 0xab);
-        assert_eq!(r.u16().unwrap(), 0xbeef);
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.f64().unwrap(), 3.5);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
-        assert_eq!(r.usize().unwrap(), 123_456);
-        assert_eq!(r.bytes().unwrap(), &[9, 8, 7]);
-        assert_eq!(r.str().unwrap(), "svt");
-        assert_eq!(r.opt_u64().unwrap(), Some(7));
-        assert_eq!(r.opt_u64().unwrap(), None);
-        r.finish().unwrap();
+        let v = (
+            (0xabu8, 0xbeefu16, 0xdead_beefu32),
+            (u64::MAX - 1, 3.5f64, true),
+        );
+        let w = (
+            (123_456usize, "svt", u128::MAX - 2),
+            (Some(7u64), None::<u64>, [SimTime::MAX; 2]),
+        );
+        let bytes = to_bytes(&(v, w));
+        let mut back = <(((u8, u16, u32), (u64, f64, bool)), _)>::default();
+        from_bytes(&mut back, &bytes).unwrap();
+        assert_eq!(back, (v, w));
+        // Fixed-width little-endian: the layout is the contract.
+        assert_eq!(
+            bytes.len(),
+            1 + 2 + 4 + 8 + 8 + 1 + 8 + (8 + 3) + 16 + 9 + 1 + 16
+        );
+        assert_eq!(&bytes[..3], &[0xab, 0xef, 0xbe]);
     }
 
     #[test]

@@ -71,6 +71,10 @@ pub enum Placement {
     CrossNode,
 }
 
+crate::snap_enum! {
+    "thread placement" => Placement { SameThread, SmtSibling, SameNodeCrossCore, CrossNode }
+}
+
 impl Placement {
     /// Classifies the distance between two locations.
     pub fn between(a: CpuLoc, b: CpuLoc) -> Placement {

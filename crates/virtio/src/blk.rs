@@ -11,7 +11,8 @@ use svt_sim::FnvHashMap;
 
 use svt_hv::{Completion, DeviceModel, DeviceOutcome};
 use svt_mem::{Gpa, GuestMemory, Hpa};
-use svt_sim::{SimDuration, SimTime};
+use svt_sim::snapshot::ByteBlock;
+use svt_sim::{snap_fields, SimDuration, SimTime};
 
 use crate::queue::Virtqueue;
 
@@ -69,7 +70,7 @@ impl BlkConfig {
 }
 
 /// A parsed block request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct BlkRequest {
     head: u16,
     write: bool,
@@ -77,6 +78,8 @@ struct BlkRequest {
     data: Vec<(u64, u32)>,
     status_addr: u64,
 }
+
+snap_fields! { BlkRequest { head, write, sector, data, status_addr } }
 
 /// Device statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,12 +92,14 @@ pub struct BlkStats {
     pub bytes: u64,
 }
 
+snap_fields! { BlkStats { reads, writes, bytes } }
+
 /// The virtio-blk device model with its RAM-disk store.
 #[derive(Debug)]
 pub struct VirtioBlk {
     cfg: BlkConfig,
     queue: Virtqueue,
-    disk: FnvHashMap<u64, Box<[u8; SECTOR_SIZE as usize]>>,
+    disk: FnvHashMap<u64, ByteBlock<{ SECTOR_SIZE as usize }>>,
     media_free_at: SimTime,
     next_token: u64,
     pending: FnvHashMap<u64, BlkRequest>,
@@ -105,6 +110,13 @@ pub struct VirtioBlk {
     /// (bad buffer addresses in a request). Surfaced via
     /// `obs_counters` so the watchdog layer can flag a wedged driver.
     io_errors: u64,
+}
+
+snap_fields! {
+    VirtioBlk {
+        #[shape = "virtio-blk MMIO base"] cfg.mmio_base, queue, disk, media_free_at, next_token,
+        pending, stats, kicks, irqs, io_errors
+    }
 }
 
 impl VirtioBlk {
@@ -131,8 +143,8 @@ impl VirtioBlk {
 
     /// Pre-populates a sector of the RAM disk (image loading).
     pub fn load_sector(&mut self, sector: u64, data: &[u8]) {
-        let mut s = Box::new([0u8; SECTOR_SIZE as usize]);
-        s[..data.len().min(SECTOR_SIZE as usize)]
+        let mut s = ByteBlock::default();
+        s.0[..data.len().min(SECTOR_SIZE as usize)]
             .copy_from_slice(&data[..data.len().min(SECTOR_SIZE as usize)]);
         self.disk.insert(sector, s);
     }
@@ -141,7 +153,7 @@ impl VirtioBlk {
     pub fn sector(&self, sector: u64) -> [u8; SECTOR_SIZE as usize] {
         self.disk
             .get(&sector)
-            .map(|b| **b)
+            .map(|b| *b.0)
             .unwrap_or([0u8; SECTOR_SIZE as usize])
     }
 
@@ -183,11 +195,8 @@ impl VirtioBlk {
                 if req.write {
                     let mut buf = vec![0u8; n];
                     mem.read(Hpa(addr + off), &mut buf)?;
-                    let entry = self
-                        .disk
-                        .entry(sector)
-                        .or_insert_with(|| Box::new([0u8; SECTOR_SIZE as usize]));
-                    entry[..n].copy_from_slice(&buf);
+                    let entry = self.disk.entry(sector).or_default();
+                    entry.0[..n].copy_from_slice(&buf);
                 } else {
                     let data = self.sector(sector);
                     mem.write(Hpa(addr + off), &data[..n])?;
@@ -315,108 +324,6 @@ impl DeviceModel for VirtioBlk {
             ("blk_inflight", self.pending.len() as u64),
             ("blk_io_errors", self.io_errors),
         ]
-    }
-
-    // Serializes the device's full mutable state: queue cursors, the
-    // RAM-disk store (sorted by sector for determinism), the media-time
-    // horizon, the in-flight request table (sorted by token) and the
-    // statistics. The MMIO base is construction config, shape-checked.
-    fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u64(self.cfg.mmio_base.0);
-        self.queue.snap_save(w);
-        let mut sectors: Vec<u64> = self.disk.keys().copied().collect();
-        sectors.sort_unstable();
-        w.usize(sectors.len());
-        for s in sectors {
-            w.u64(s);
-            w.bytes(&self.disk[&s][..]);
-        }
-        w.u64(self.media_free_at.as_ps());
-        w.u64(self.next_token);
-        let mut tokens: Vec<u64> = self.pending.keys().copied().collect();
-        tokens.sort_unstable();
-        w.usize(tokens.len());
-        for t in tokens {
-            let req = &self.pending[&t];
-            w.u64(t);
-            w.u16(req.head);
-            w.bool(req.write);
-            w.u64(req.sector);
-            w.usize(req.data.len());
-            for &(addr, len) in &req.data {
-                w.u64(addr);
-                w.u32(len);
-            }
-            w.u64(req.status_addr);
-        }
-        w.u64(self.stats.reads);
-        w.u64(self.stats.writes);
-        w.u64(self.stats.bytes);
-        w.u64(self.kicks);
-        w.u64(self.irqs);
-        w.u64(self.io_errors);
-    }
-
-    fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        let base = r.u64()?;
-        if base != self.cfg.mmio_base.0 {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "virtio-blk MMIO base",
-                snapshot: base,
-                live: self.cfg.mmio_base.0,
-            });
-        }
-        self.queue.snap_load(r)?;
-        self.disk.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let sector = r.u64()?;
-            let data = r.bytes()?;
-            if data.len() != SECTOR_SIZE as usize {
-                return Err(svt_sim::SnapError::BadValue {
-                    what: "RAM-disk sector size",
-                    got: data.len() as u64,
-                });
-            }
-            let mut s = Box::new([0u8; SECTOR_SIZE as usize]);
-            s.copy_from_slice(data);
-            self.disk.insert(sector, s);
-        }
-        self.media_free_at = SimTime::from_ps(r.u64()?);
-        self.next_token = r.u64()?;
-        self.pending.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let token = r.u64()?;
-            let head = r.u16()?;
-            let write = r.bool()?;
-            let sector = r.u64()?;
-            let nbuf = r.usize()?;
-            let mut data = Vec::with_capacity(nbuf);
-            for _ in 0..nbuf {
-                let addr = r.u64()?;
-                let len = r.u32()?;
-                data.push((addr, len));
-            }
-            let status_addr = r.u64()?;
-            self.pending.insert(
-                token,
-                BlkRequest {
-                    head,
-                    write,
-                    sector,
-                    data,
-                    status_addr,
-                },
-            );
-        }
-        self.stats.reads = r.u64()?;
-        self.stats.writes = r.u64()?;
-        self.stats.bytes = r.u64()?;
-        self.kicks = r.u64()?;
-        self.irqs = r.u64()?;
-        self.io_errors = r.u64()?;
-        Ok(())
     }
 }
 

@@ -12,7 +12,8 @@ use svt_sim::FnvHashMap;
 
 use svt_hv::{Completion, DeviceModel, DeviceOutcome};
 use svt_mem::{Gpa, GuestMemory, Hpa};
-use svt_sim::{SimDuration, SimTime};
+use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
+use svt_sim::{snap_fields, SimDuration, SimTime};
 
 use crate::queue::Virtqueue;
 
@@ -101,6 +102,37 @@ enum Pending {
     TxAck { heads: Vec<u16> },
 }
 
+impl Default for Pending {
+    fn default() -> Self {
+        Pending::RxDeliver { reply_len: 0 }
+    }
+}
+
+/// Tag 0 is a reply delivery, tag 1 a delayed ACK of TX heads.
+impl Snap for Pending {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        match self {
+            Pending::RxDeliver { reply_len } => (0u8, *reply_len).save(w),
+            Pending::TxAck { heads } => {
+                w.u8(1);
+                heads.save(w);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match load_code(r, "virtio-net pending tag", |t| (t < 2).then_some(t))? {
+            0 => Pending::RxDeliver {
+                reply_len: load_new(r)?,
+            },
+            _ => Pending::TxAck {
+                heads: load_new(r)?,
+            },
+        };
+        Ok(())
+    }
+}
+
 /// Device-side statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
@@ -113,6 +145,8 @@ pub struct NetStats {
     /// Replies dropped for lack of posted RX buffers.
     pub rx_dropped: u64,
 }
+
+snap_fields! { NetStats { tx_packets, tx_bytes, rx_packets, rx_dropped } }
 
 /// The virtio-net device model.
 #[derive(Debug)]
@@ -131,6 +165,13 @@ pub struct VirtioNet {
     /// Surfaced via `obs_counters` so the watchdog layer can flag a
     /// wedged driver.
     io_errors: u64,
+}
+
+snap_fields! {
+    VirtioNet {
+        #[shape = "virtio-net MMIO base"] cfg.mmio_base, tx, rx, wire_free_at, next_token, pending,
+        ack_backlog, stats, kicks, irqs, io_errors
+    }
 }
 
 impl VirtioNet {
@@ -343,101 +384,6 @@ impl DeviceModel for VirtioNet {
             ("net_inflight", self.pending.len() as u64),
             ("net_io_errors", self.io_errors),
         ]
-    }
-
-    // Serializes the device's full mutable state: both queue cursors, the
-    // wire horizon, the in-flight table (sorted by token), the delayed-ACK
-    // backlog and the statistics. The MMIO base is construction config,
-    // shape-checked.
-    fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u64(self.cfg.mmio_base.0);
-        self.tx.snap_save(w);
-        self.rx.snap_save(w);
-        w.u64(self.wire_free_at.as_ps());
-        w.u64(self.next_token);
-        let mut tokens: Vec<u64> = self.pending.keys().copied().collect();
-        tokens.sort_unstable();
-        w.usize(tokens.len());
-        for t in tokens {
-            w.u64(t);
-            match &self.pending[&t] {
-                Pending::RxDeliver { reply_len } => {
-                    w.u8(0);
-                    w.u32(*reply_len);
-                }
-                Pending::TxAck { heads } => {
-                    w.u8(1);
-                    w.usize(heads.len());
-                    for &h in heads {
-                        w.u16(h);
-                    }
-                }
-            }
-        }
-        w.usize(self.ack_backlog.len());
-        for &h in &self.ack_backlog {
-            w.u16(h);
-        }
-        w.u64(self.stats.tx_packets);
-        w.u64(self.stats.tx_bytes);
-        w.u64(self.stats.rx_packets);
-        w.u64(self.stats.rx_dropped);
-        w.u64(self.kicks);
-        w.u64(self.irqs);
-        w.u64(self.io_errors);
-    }
-
-    fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        let base = r.u64()?;
-        if base != self.cfg.mmio_base.0 {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "virtio-net MMIO base",
-                snapshot: base,
-                live: self.cfg.mmio_base.0,
-            });
-        }
-        self.tx.snap_load(r)?;
-        self.rx.snap_load(r)?;
-        self.wire_free_at = SimTime::from_ps(r.u64()?);
-        self.next_token = r.u64()?;
-        self.pending.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let token = r.u64()?;
-            let pending = match r.u8()? {
-                0 => Pending::RxDeliver {
-                    reply_len: r.u32()?,
-                },
-                1 => {
-                    let nh = r.usize()?;
-                    let mut heads = Vec::with_capacity(nh);
-                    for _ in 0..nh {
-                        heads.push(r.u16()?);
-                    }
-                    Pending::TxAck { heads }
-                }
-                got => {
-                    return Err(svt_sim::SnapError::BadValue {
-                        what: "virtio-net pending tag",
-                        got: u64::from(got),
-                    })
-                }
-            };
-            self.pending.insert(token, pending);
-        }
-        self.ack_backlog.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            self.ack_backlog.push(r.u16()?);
-        }
-        self.stats.tx_packets = r.u64()?;
-        self.stats.tx_bytes = r.u64()?;
-        self.stats.rx_packets = r.u64()?;
-        self.stats.rx_dropped = r.u64()?;
-        self.kicks = r.u64()?;
-        self.irqs = r.u64()?;
-        self.io_errors = r.u64()?;
-        Ok(())
     }
 }
 

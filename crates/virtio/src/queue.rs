@@ -360,41 +360,14 @@ impl Virtqueue {
     pub fn free_descriptors(&self) -> u16 {
         self.free_count
     }
+}
 
-    /// Serializes the private progress counters for `svt_sim::snapshot`.
-    /// The authoritative ring bytes live in guest memory and ride in the
-    /// RAM pages of the snapshot; only the cached cursors travel here.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.u64(self.base.0);
-        w.u16(self.size);
-        w.u16(self.free_head);
-        w.u16(self.free_count);
-        w.u16(self.last_avail);
-        w.u16(self.last_used);
-    }
-
-    /// Restores cursors written by [`Virtqueue::snap_save`] into a queue
-    /// of identical geometry.
-    ///
-    /// # Errors
-    ///
-    /// Typed `SnapError` on truncation or a geometry mismatch (different
-    /// base address or size — construction-time configuration).
-    pub fn snap_load(&mut self, r: &mut svt_sim::SnapReader<'_>) -> Result<(), svt_sim::SnapError> {
-        let base = r.u64()?;
-        let size = r.u16()?;
-        if base != self.base.0 || size != self.size {
-            return Err(svt_sim::SnapError::ShapeMismatch {
-                what: "virtqueue geometry",
-                snapshot: base | (u64::from(size) << 48),
-                live: self.base.0 | (u64::from(self.size) << 48),
-            });
-        }
-        self.free_head = r.u16()?;
-        self.free_count = r.u16()?;
-        self.last_avail = r.u16()?;
-        self.last_used = r.u16()?;
-        Ok(())
+// Only the cached cursors travel here: the authoritative ring bytes live
+// in guest memory and ride in the RAM pages of the snapshot.
+svt_sim::snap_fields! {
+    Virtqueue {
+        #[shape = "virtqueue base"] base, #[shape = "virtqueue size"] size, free_head, free_count,
+        last_avail, last_used
     }
 }
 
@@ -495,19 +468,14 @@ mod tests {
         let (mut mem, mut q) = setup();
         q.driver_add(&mut mem, &[(0x8000, 8, false)]).unwrap();
         q.device_pop(&mem).unwrap().unwrap();
-        let mut w = svt_sim::SnapWriter::new();
-        q.snap_save(&mut w);
-        let buf = w.into_vec();
+        let buf = svt_sim::snapshot::to_bytes(&q);
         let mut fresh = Virtqueue::new(Hpa(0x1000), 8);
-        let mut r = svt_sim::SnapReader::new(&buf);
-        fresh.snap_load(&mut r).unwrap();
-        r.finish().unwrap();
+        svt_sim::snapshot::from_bytes(&mut fresh, &buf).unwrap();
         assert_eq!(fresh.free_descriptors(), q.free_descriptors());
         // Geometry mismatch is a shape error, not a panic.
         let mut other = Virtqueue::new(Hpa(0x2000), 8);
-        let mut r = svt_sim::SnapReader::new(&buf);
         assert!(matches!(
-            other.snap_load(&mut r),
+            svt_sim::snapshot::from_bytes(&mut other, &buf),
             Err(svt_sim::SnapError::ShapeMismatch { .. })
         ));
     }

@@ -18,7 +18,7 @@ use crate::harness::DEFAULT_LANE_SEED;
 use crate::smp::{traps_served, App, RunSpec, SmpPoint};
 
 /// Everything one chaos run reports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosPoint {
     /// The serving-side result (throughput, latency), as in fault-free runs.
     pub point: SmpPoint,
@@ -70,75 +70,17 @@ impl ChaosPoint {
     pub fn watchdog_violations(&self) -> u64 {
         self.watchdogs.iter().map(|&(_, n)| n).sum()
     }
-
-    /// Serializes the point for campaign checkpoints.
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        self.point.snap_save(w);
-        w.u64(self.seed);
-        pairs_save(&self.injected, w);
-        w.u64(self.total_injected);
-        w.u64(self.retransmits);
-        w.u64(self.timeouts);
-        w.u64(self.duplicates_dropped);
-        w.u64(self.protocol_errors);
-        w.u64(self.ipi_retransmits);
-        w.u64(self.ipi_duplicates_absorbed);
-        pairs_save(&self.transitions, w);
-        w.u64(self.ring_traps);
-        w.u64(self.fallback_traps);
-        w.u64(self.resume_fallbacks);
-        pairs_save(&self.watchdogs, w);
-        w.u64(self.traps);
-    }
-
-    /// Decodes a point written by [`ChaosPoint::snap_save`]. Label keys
-    /// (fault kinds, transitions, watchdogs) re-intern to `&'static str`
-    /// via `svt_sim::snapshot::intern_static` — the universe of such
-    /// names is the fixed in-tree set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors on truncated or corrupted payloads.
-    pub fn snap_load(r: &mut svt_sim::SnapReader<'_>) -> Result<ChaosPoint, svt_sim::SnapError> {
-        Ok(ChaosPoint {
-            point: SmpPoint::snap_load(r)?,
-            seed: r.u64()?,
-            injected: pairs_load(r)?,
-            total_injected: r.u64()?,
-            retransmits: r.u64()?,
-            timeouts: r.u64()?,
-            duplicates_dropped: r.u64()?,
-            protocol_errors: r.u64()?,
-            ipi_retransmits: r.u64()?,
-            ipi_duplicates_absorbed: r.u64()?,
-            transitions: pairs_load(r)?,
-            ring_traps: r.u64()?,
-            fallback_traps: r.u64()?,
-            resume_fallbacks: r.u64()?,
-            watchdogs: pairs_load(r)?,
-            traps: r.u64()?,
-        })
-    }
 }
 
-fn pairs_save(v: &[(&'static str, u64)], w: &mut svt_sim::SnapWriter) {
-    w.usize(v.len());
-    for &(name, n) in v {
-        w.str(name);
-        w.u64(n);
+// Label keys (fault kinds, transitions, watchdogs) re-intern to
+// `&'static str` on load — the universe of such names is the fixed
+// in-tree set.
+svt_sim::snap_fields! {
+    ChaosPoint {
+        point, seed, injected, total_injected, retransmits, timeouts, duplicates_dropped,
+        protocol_errors, ipi_retransmits, ipi_duplicates_absorbed, transitions, ring_traps,
+        fallback_traps, resume_fallbacks, watchdogs, traps
     }
-}
-
-fn pairs_load(
-    r: &mut svt_sim::SnapReader<'_>,
-) -> Result<Vec<(&'static str, u64)>, svt_sim::SnapError> {
-    let len = r.usize()?;
-    let mut v = Vec::with_capacity(len.min(1024));
-    for _ in 0..len {
-        let name = svt_sim::snapshot::intern_static(r.str()?);
-        v.push((name, r.u64()?));
-    }
-    Ok(v)
 }
 
 /// Sharded memcached under per-vCPU open-loop ETC load with `plan`

@@ -5,6 +5,7 @@ use svt_core::{nested_machine, nested_machine_on, SwitchMode};
 use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt_obs::{Json, MetricKey, ObsLevel};
 use svt_sim::checkpoint::{self, Checkpoint};
+use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
 use svt_sim::{CostPart, SimDuration};
 
 use crate::smp::traps_served;
@@ -21,7 +22,7 @@ pub struct Fig6Bar {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table1Row {
     /// Part index ⓪–⑤.
     pub part: usize,
@@ -34,6 +35,8 @@ pub struct Table1Row {
     /// The paper's value in microseconds.
     pub paper_us: f64,
 }
+
+svt_sim::snap_fields! { Table1Row { part, label, time_us, percent, paper_us } }
 
 fn measure_cpuid(m: &mut Machine, iters: u64) -> svt_sim::ClockSnapshot {
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
@@ -108,18 +111,10 @@ pub fn fig6_bars(
     jobs: usize,
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<Fig6Bar> {
-    let times = checkpoint::sweep(
-        ckpt,
-        "bars",
-        FIG6_CELLS.len(),
-        jobs,
-        |i| {
-            let (_, level, mode) = FIG6_CELLS[i];
-            cpuid_us_on(level, mode, arch, iters)
-        },
-        |t, w| w.f64(*t),
-        |r| r.f64(),
-    );
+    let times = checkpoint::sweep(ckpt, "bars", FIG6_CELLS.len(), jobs, |i| {
+        let (_, level, mode) = FIG6_CELLS[i];
+        cpuid_us_on(level, mode, arch, iters)
+    });
     bars_from_times(&times)
 }
 
@@ -144,77 +139,47 @@ enum GridCell {
     Observed(Box<(Vec<ExitAttribution>, Json)>),
 }
 
-fn grid_cell_save(c: &GridCell, w: &mut svt_sim::SnapWriter) {
-    match c {
-        GridCell::Bar(t) => {
-            w.u8(0);
-            w.f64(*t);
-        }
-        GridCell::Table(rows) => {
-            w.u8(1);
-            w.usize(rows.len());
-            for row in rows {
-                w.usize(row.part);
-                w.str(&row.label);
-                w.f64(row.time_us);
-                w.f64(row.percent);
-                w.f64(row.paper_us);
-            }
-        }
-        GridCell::Observed(obs) => {
-            let (exits, metrics) = &**obs;
-            w.u8(2);
-            w.usize(exits.len());
-            for e in exits {
-                w.str(e.reason);
-                w.f64(e.time_ns);
-                w.u64(e.count);
-            }
-            // The metrics export round-trips through its own canonical
-            // JSON text (parse(pretty(j)) == j).
-            w.str(&metrics.pretty());
-        }
+impl Default for GridCell {
+    fn default() -> Self {
+        GridCell::Bar(0.0)
     }
 }
 
-fn grid_cell_load(r: &mut svt_sim::SnapReader<'_>) -> Result<GridCell, svt_sim::SnapError> {
-    match r.u8()? {
-        0 => Ok(GridCell::Bar(r.f64()?)),
-        1 => {
-            let len = r.usize()?;
-            let mut rows = Vec::with_capacity(len.min(64));
-            for _ in 0..len {
-                rows.push(Table1Row {
-                    part: r.usize()?,
-                    label: r.str()?.to_string(),
-                    time_us: r.f64()?,
-                    percent: r.f64()?,
-                    paper_us: r.f64()?,
-                });
+/// A tag byte (0 bar, 1 Table 1, 2 observed run) and the variant's
+/// fields. The metrics export round-trips through its own canonical JSON
+/// text (`parse(pretty(j)) == j`).
+impl Snap for GridCell {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        match self {
+            GridCell::Bar(t) => (0u8, *t).save(w),
+            GridCell::Table(rows) => {
+                w.u8(1);
+                rows.save(w);
             }
-            Ok(GridCell::Table(rows))
-        }
-        2 => {
-            let len = r.usize()?;
-            let mut exits = Vec::with_capacity(len.min(64));
-            for _ in 0..len {
-                exits.push(ExitAttribution {
-                    reason: svt_sim::snapshot::intern_static(r.str()?),
-                    time_ns: r.f64()?,
-                    count: r.u64()?,
-                });
+            GridCell::Observed(obs) => {
+                let (exits, metrics) = &**obs;
+                w.u8(2);
+                exits.save(w);
+                w.bytes(metrics.pretty().as_bytes());
             }
-            let text = r.str()?;
-            let metrics = Json::parse(text).map_err(|_| svt_sim::SnapError::BadValue {
-                what: "fig6 metrics JSON",
-                got: text.len() as u64,
-            })?;
-            Ok(GridCell::Observed(Box::new((exits, metrics))))
         }
-        tag => Err(svt_sim::SnapError::BadValue {
-            what: "fig6 grid-cell tag",
-            got: tag as u64,
-        }),
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match load_code(r, "fig6 grid-cell tag", |t| (t < 3).then_some(t))? {
+            0 => GridCell::Bar(load_new(r)?),
+            1 => GridCell::Table(load_new(r)?),
+            _ => {
+                let exits = load_new(r)?;
+                let text = r.str()?;
+                let metrics = Json::parse(text).map_err(|_| SnapError::BadValue {
+                    what: "fig6 metrics JSON",
+                    got: text.len() as u64,
+                })?;
+                GridCell::Observed(Box::new((exits, metrics)))
+            }
+        };
+        Ok(())
     }
 }
 
@@ -237,15 +202,7 @@ pub fn fig6_grid(iters: u64, jobs: usize, ckpt: Option<(&Checkpoint, bool)>) -> 
             GridCell::Observed(Box::new(cpuid_observed(SwitchMode::Baseline, iters)))
         }
     };
-    let mut cells = checkpoint::sweep(
-        ckpt,
-        "fig6",
-        n_bars + 2,
-        jobs,
-        run,
-        grid_cell_save,
-        grid_cell_load,
-    );
+    let mut cells = checkpoint::sweep(ckpt, "fig6", n_bars + 2, jobs, run);
     let Some(GridCell::Observed(observed)) = cells.pop() else {
         unreachable!("last grid cell is the observed run")
     };
@@ -269,7 +226,7 @@ pub fn fig6_grid(iters: u64, jobs: usize, ckpt: Option<(&Checkpoint, bool)>) -> 
 }
 
 /// Per-exit-reason attribution of a nested cpuid run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExitAttribution {
     /// Exit-reason tag, e.g. `"CPUID"`.
     pub reason: &'static str,
@@ -278,6 +235,8 @@ pub struct ExitAttribution {
     /// Number of reflected L2 exits with this reason.
     pub count: u64,
 }
+
+svt_sim::snap_fields! { ExitAttribution { reason, time_ns, count } }
 
 /// Runs the nested cpuid micro-benchmark under full observability and
 /// returns the per-exit-reason attribution plus the machine's metrics

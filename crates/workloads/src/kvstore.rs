@@ -25,6 +25,9 @@ pub struct EtcSource {
     zipf_skew: f64,
 }
 
+// Stateless: every draw comes from the generator's RNG.
+svt_sim::snap_fields! { EtcSource {} skip { keys, get_fraction, zipf_skew } }
+
 impl EtcSource {
     /// ETC defaults: 95/5 GET/SET over `keys` keys with skew ~0.99.
     pub fn new(keys: u64) -> Self {

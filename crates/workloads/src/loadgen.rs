@@ -15,7 +15,10 @@ use svt_sim::FnvHashMap;
 
 use svt_hv::{Completion, DeviceModel, DeviceOutcome};
 use svt_mem::{Gpa, GuestMemory, Hpa};
-use svt_sim::{DetRng, SimDuration, SimTime};
+use svt_sim::snapshot::{
+    load_nested, load_new, save_nested, Sink, Snap, SnapDyn, SnapError, SnapReader,
+};
+use svt_sim::{snap_fields, DetRng, SimDuration, SimTime};
 use svt_stats::LatencyRecorder;
 use svt_virtio::Virtqueue;
 
@@ -49,7 +52,7 @@ pub enum ArrivalMode {
 }
 
 /// One generated request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Request {
     /// Operation code (workload-defined; e.g. 0 = GET, 1 = SET).
     pub op: u32,
@@ -59,8 +62,12 @@ pub struct Request {
     pub vsize: u32,
 }
 
-/// Produces the request stream (uniform, ETC-like, TPC-C mix, ...).
-pub trait RequestSource: std::fmt::Debug {
+snap_fields! { Request { op, key, vsize } }
+
+/// Produces the request stream (uniform, ETC-like, TPC-C mix, ...). A
+/// source's position in its stream is snapshot state, declared through
+/// its `Snap` impl.
+pub trait RequestSource: std::fmt::Debug + SnapDyn {
     /// The next request.
     fn next(&mut self, rng: &mut DetRng) -> Request;
 }
@@ -70,6 +77,19 @@ pub trait RequestSource: std::fmt::Debug {
 pub struct FixedSource {
     /// The request every client sends.
     pub request: Request,
+}
+
+snap_fields! { FixedSource {} skip { request } }
+
+/// A length-prefixed sub-payload, as the machine stores devices.
+impl Snap for Box<dyn RequestSource> {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        save_nested(Some(&**self as &dyn SnapDyn), w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        load_nested(Some(&mut **self as &mut dyn SnapDyn), r)
+    }
 }
 
 impl RequestSource for FixedSource {
@@ -93,6 +113,33 @@ pub struct LoadStats {
     pub first_send: Option<SimTime>,
     /// Time the last reply arrived.
     pub last_reply: Option<SimTime>,
+}
+
+/// The latency samples travel as a list of `f64`s (`svt-stats` does not
+/// know about snapshots).
+impl Snap for LoadStats {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let LoadStats {
+            latency,
+            sent,
+            completed,
+            dropped,
+            first_send,
+            last_reply,
+        } = self;
+        latency.samples().to_vec().save(w);
+        (*sent, *completed, *dropped, *first_send, *last_reply).save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.latency.clear();
+        for ns in load_new::<Vec<f64>>(r)? {
+            self.latency.record(ns);
+        }
+        (self.sent, self.completed, self.dropped) = load_new(r)?;
+        (self.first_send, self.last_reply) = load_new(r)?;
+        Ok(())
+    }
 }
 
 impl LoadStats {
@@ -152,6 +199,14 @@ pub struct LoadGenNet {
     pending_arrivals: FnvHashMap<u64, Request>,
     next_token: u64,
     started: bool,
+}
+
+// The statistics handle is shared with the harness, so loading through
+// it updates what the harness reads. The configuration is not state.
+snap_fields! {
+    LoadGenNet {
+        source, tx, rx, rng, stats, pending_arrivals, next_token, started
+    } skip { cfg }
 }
 
 impl LoadGenNet {

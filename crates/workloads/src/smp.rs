@@ -37,32 +37,8 @@ pub struct SmpPoint {
     pub p99_ns: f64,
 }
 
-impl SmpPoint {
-    /// Serializes the point for campaign checkpoints (bit-exact floats,
-    /// see `svt_sim::snapshot`).
-    pub fn snap_save(&self, w: &mut svt_sim::SnapWriter) {
-        w.usize(self.n_vcpus);
-        w.u64(self.completed);
-        w.f64(self.throughput);
-        w.f64(self.avg_ns);
-        w.f64(self.p99_ns);
-    }
-
-    /// Decodes a point written by [`SmpPoint::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors on truncated or corrupted payloads.
-    pub fn snap_load(r: &mut svt_sim::SnapReader<'_>) -> Result<SmpPoint, svt_sim::SnapError> {
-        Ok(SmpPoint {
-            n_vcpus: r.usize()?,
-            completed: r.u64()?,
-            throughput: r.f64()?,
-            avg_ns: r.f64()?,
-            p99_ns: r.f64()?,
-        })
-    }
-}
+// Campaign checkpoints journal points bit-exactly.
+svt_sim::snap_fields! { SmpPoint { n_vcpus, completed, throughput, avg_ns, p99_ns } }
 
 /// Causal-profiling products of one SMP run: the per-request critical
 /// paths extracted from the machine's causal event graph, their folded

@@ -18,9 +18,10 @@ use crate::loadgen::{Request, RequestSource};
 use crate::server::{ParsedRequest, ServeOutput, ServiceModel};
 
 /// Transaction types, encoded in the request `op` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TxType {
     /// ~45 %: order placement (read-write).
+    #[default]
     NewOrder,
     /// ~43 %: payment (read-write).
     Payment,
@@ -30,6 +31,10 @@ pub enum TxType {
     Delivery,
     /// ~4 %: stock level (read-only).
     StockLevel,
+}
+
+svt_sim::snap_enum! {
+    "TPC-C transaction type" => TxType { NewOrder, Payment, OrderStatus, Delivery, StockLevel }
 }
 
 impl TxType {
@@ -221,6 +226,10 @@ pub struct TpccSource {
     warehouses: u64,
     current_tx: Option<(TxType, u32)>,
 }
+
+// The transaction in progress is stream state; the warehouse count is
+// configuration.
+svt_sim::snap_fields! { TpccSource { current_tx } skip { warehouses } }
 
 impl TpccSource {
     /// Requests against `warehouses` warehouses.

@@ -308,21 +308,37 @@ if [ -n "$first" ]; then
     echo "     corrupted $(basename "$first") (envelope bit rot)"
 fi
 target/debug/faults --smoke --json /tmp/faults_resumed.json \
-    --checkpoint-dir "$CKPT" --resume --jobs 3 >/dev/null
+    --checkpoint-dir "$CKPT" --resume --jobs 3 >/dev/null 2>/tmp/faults_resumed.err
 if ! cmp -s /tmp/faults_fresh.json /tmp/faults_resumed.json; then
     echo "FAIL: resumed faults report differs from an uninterrupted run"
     diff /tmp/faults_fresh.json /tmp/faults_resumed.json | head -20
     exit 1
 fi
+# Only the corrupted cell may be refused: every other journaled cell
+# must decode, or a broken decoder would hide behind recomputation.
+want_bad=0
+[ -n "$first" ] && want_bad=1
+n_bad=$(grep -cE 'rejected|undecodable' /tmp/faults_resumed.err || true)
+if [ "$n_bad" -ne "$want_bad" ]; then
+    echo "FAIL: first resume refused $n_bad journaled cells, expected $want_bad"
+    cat /tmp/faults_resumed.err
+    exit 1
+fi
 echo "ok   resumed report byte-identical to the uninterrupted run (bad cell repaired)"
-# A second resume replays the now-complete, repaired journal.
+# A second resume replays the now-complete, repaired journal: every
+# cell must decode, none may be recomputed.
 target/debug/faults --smoke --json /tmp/faults_resumed2.json \
-    --checkpoint-dir "$CKPT" --resume --jobs 1 >/dev/null
+    --checkpoint-dir "$CKPT" --resume --jobs 1 >/dev/null 2>/tmp/faults_resumed2.err
 if ! cmp -s /tmp/faults_fresh.json /tmp/faults_resumed2.json; then
     echo "FAIL: second resume at --jobs 1 differs from the uninterrupted run"
     exit 1
 fi
-echo "ok   second resume (--jobs 1, full journal) byte-identical too"
+if grep -q 'recomputing' /tmp/faults_resumed2.err; then
+    echo "FAIL: second resume recomputed journaled cells"
+    cat /tmp/faults_resumed2.err
+    exit 1
+fi
+echo "ok   second resume (--jobs 1, full journal) byte-identical, every cell decoded"
 
 echo "==> flight-recorder smoke: forced fallback produces a parseable crash dump"
 cargo run -q -p svt-bench --bin faults -- --smoke --dump /tmp/flight.json >/dev/null

@@ -13,6 +13,11 @@
 //! must be rejected with typed [`SnapError`]s — never a panic, never a
 //! silent partial restore that passes the fingerprint cross-check.
 //!
+//! The layout lock: payload FNV-1a hashes of every round-trip case, of a
+//! machine with virtio-blk and virtio-net devices and of every checkpoint
+//! cell type are pinned to values recorded when `SNAP_VERSION` 1 was
+//! defined. A change that moves any byte must bump the version instead.
+//!
 //! Randomised inputs are driven by the in-tree deterministic PRNG so the
 //! cases are reproducible and the suite has no external dependencies.
 
@@ -21,11 +26,63 @@ use std::rc::Rc;
 
 use svt::arch::ArchId;
 use svt::arch::{IcrCommand, MSR_TSC_DEADLINE, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
-use svt::core::{smp_machine_on, SwitchMode};
+use svt::core::{nested_machine, smp_machine_on, SwitchMode};
 use svt::hv::{GuestCtx, GuestOp, GuestProgram, Machine};
+use svt::sim::snapshot::{fnv1a, open, seal, SNAP_VERSION};
 use svt::sim::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime, SnapError};
 
 const MODES: [SwitchMode; 3] = [SwitchMode::Baseline, SwitchMode::SwSvt, SwitchMode::HwSvt];
+
+/// Payload hashes `(first snapshot, next snapshot)` of the x86 round-trip
+/// cases, indexed `[mode][vCPUs - 1]` in [`MODES`] order.
+const LAYOUT_X86: [[(u64, u64); 4]; 3] = [
+    [
+        (0x610b_19aa_d16d_47a4, 0x2978_29af_6fb9_aaa4),
+        (0xbc56_ccf4_0c7f_73c3, 0xc424_f1bd_04a0_74f3),
+        (0xbe2e_8fb2_5e4f_0815, 0x9194_c079_2dd8_6511),
+        (0x9225_5b26_811e_98cb, 0xbf7e_eda6_89bb_4766),
+    ],
+    [
+        (0x7474_fa56_b935_ed48, 0x9406_81b7_9abe_c259),
+        (0xfeb1_7324_b4f5_3ad2, 0xdbbe_96c9_3a85_2389),
+        (0xed47_5c15_52fc_8e8f, 0xd579_e269_26a4_27c0),
+        (0x299e_509f_d7c9_4ea1, 0xa359_027e_d194_0971),
+    ],
+    [
+        (0x4d7e_0b60_43f2_2675, 0x93da_58e7_6e96_4655),
+        (0x9b77_f3e6_d67c_19fc, 0x91a6_4e9b_4994_17ce),
+        (0xf403_ac0a_4523_79a4, 0xd57d_6f91_d685_2869),
+        (0xb048_a3cf_276d_f4a8, 0xb7b5_536e_9cd6_c49a),
+    ],
+];
+
+/// As [`LAYOUT_X86`], for the riscv round-trip cases.
+const LAYOUT_RISCV: [[(u64, u64); 4]; 3] = [
+    [
+        (0xc3cb_d6bb_0204_aa95, 0x0bb0_c99d_f78b_2750),
+        (0x8109_0b92_e3b2_e276, 0x3a73_c392_9703_7f34),
+        (0x1b0f_5494_40fc_5d93, 0xb729_7163_3ced_1e10),
+        (0xf44e_2077_57fe_402c, 0x31dd_4ac1_bbb2_a63d),
+    ],
+    [
+        (0x3f71_22fc_628f_232a, 0x29a3_6b5c_6d99_41f3),
+        (0x6e8f_3225_63a4_6d3f, 0x6c46_24fa_1ca6_d7ce),
+        (0xb235_3a47_951b_6755, 0xf34b_ad36_f6aa_b230),
+        (0x6bc1_775f_3b7d_eb26, 0x224d_93de_1e07_7379),
+    ],
+    [
+        (0x17c4_d355_f9de_4371, 0x620f_3a7f_e905_04f5),
+        (0xf618_c512_6774_9366, 0x2cb1_9dbd_9757_f3c1),
+        (0x1a21_bf13_34b7_3764, 0xa01c_9c39_b394_a3e7),
+        (0x8c8e_6eff_4cba_25e0, 0xe2ea_4ee9_85a2_d1b4),
+    ],
+];
+
+/// FNV-1a of a sealed blob's payload (the bytes after the 36-byte
+/// envelope header).
+fn payload_hash(blob: &[u8]) -> u64 {
+    fnv1a(open(blob, SNAP_VERSION).expect("sealed blob").1)
+}
 
 /// A deterministic random workload batch, modelled on the chaos-guest
 /// from `proptest_faults.rs`: per request, a short burst of compute /
@@ -193,6 +250,7 @@ fn random_plan(rng: &mut DetRng) -> FaultPlan {
 /// One round-trip case: run batch 1, snapshot, restore into a fresh
 /// same-shape machine, run an identical batch 2 on both, and require
 /// the two futures to be indistinguishable.
+#[allow(clippy::too_many_arguments)]
 fn roundtrip_case(
     arch: ArchId,
     mode: SwitchMode,
@@ -201,6 +259,7 @@ fn roundtrip_case(
     seed2: u64,
     plan: FaultPlan,
     allow_ipi: bool,
+    layout: (u64, u64),
 ) {
     let ctx = format!("{mode:?} x{n_vcpus} on {arch:?} (seeds {seed1:#x}/{seed2:#x})");
 
@@ -210,6 +269,11 @@ fn roundtrip_case(
 
     let blob = m1.snapshot();
     let fp_at_snap = m1.state_fingerprint();
+    assert_eq!(
+        payload_hash(&blob),
+        layout.0,
+        "first snapshot layout moved for {ctx}"
+    );
 
     let mut m2 = smp_machine_on(mode, arch, n_vcpus);
     m2.restore(&blob)
@@ -257,10 +321,16 @@ fn roundtrip_case(
     // The strongest form: the *next* snapshot is byte-identical, so a
     // resumed campaign can itself be checkpointed and resumed again
     // without ever forking from the run-through timeline.
+    let next = m1.snapshot();
     assert_eq!(
-        m1.snapshot(),
+        next,
         m2.snapshot(),
         "next snapshot bytes diverged after restore for {ctx}"
+    );
+    assert_eq!(
+        payload_hash(&next),
+        layout.1,
+        "next snapshot layout moved for {ctx}"
     );
 }
 
@@ -269,12 +339,13 @@ fn roundtrip_case(
 #[test]
 fn snapshot_roundtrip_is_invisible_x86() {
     let mut meta = DetRng::seed(0x5AFE_C0DE);
-    for mode in MODES {
+    for (m, mode) in MODES.into_iter().enumerate() {
         for n_vcpus in 1..=4usize {
             let seed1 = meta.below(u64::MAX);
             let seed2 = meta.below(u64::MAX);
             let plan = random_plan(&mut meta);
-            roundtrip_case(ArchId::X86, mode, n_vcpus, seed1, seed2, plan, true);
+            let layout = LAYOUT_X86[m][n_vcpus - 1];
+            roundtrip_case(ArchId::X86, mode, n_vcpus, seed1, seed2, plan, true, layout);
         }
     }
 }
@@ -284,12 +355,22 @@ fn snapshot_roundtrip_is_invisible_x86() {
 #[test]
 fn snapshot_roundtrip_is_invisible_riscv() {
     let mut meta = DetRng::seed(0x0015_CAFE);
-    for mode in MODES {
+    for (m, mode) in MODES.into_iter().enumerate() {
         for n_vcpus in 1..=4usize {
             let seed1 = meta.below(u64::MAX);
             let seed2 = meta.below(u64::MAX);
             let plan = random_plan(&mut meta);
-            roundtrip_case(ArchId::Riscv, mode, n_vcpus, seed1, seed2, plan, false);
+            let layout = LAYOUT_RISCV[m][n_vcpus - 1];
+            roundtrip_case(
+                ArchId::Riscv,
+                mode,
+                n_vcpus,
+                seed1,
+                seed2,
+                plan,
+                false,
+                layout,
+            );
         }
     }
 }
@@ -449,4 +530,285 @@ fn sentinel_survives_snapshot_restore() {
         "sentinel trace forked after restore"
     );
     assert!(m1.sentinel_samples().len() > 1);
+}
+
+/// The first index of `pattern` in `haystack`.
+fn find(haystack: &[u8], pattern: &[u8]) -> usize {
+    haystack
+        .windows(pattern.len())
+        .position(|w| w == pattern)
+        .expect("pattern present in payload")
+}
+
+/// A nested SW-SVt machine with a virtio-net (stream peer) and a
+/// virtio-blk device.
+fn device_machine() -> Machine {
+    use svt::virtio::{NetConfig, VirtioNet, Virtqueue};
+    use svt::workloads::{attach_blk_for, layout, QUEUE_SIZE};
+    let mut m = nested_machine(SwitchMode::SwSvt);
+    let cost = m.cost.clone();
+    m.add_device(Box::new(VirtioNet::new(
+        NetConfig::stream(&cost, 4),
+        Virtqueue::new(layout::TX_QUEUE, QUEUE_SIZE),
+        Virtqueue::new(layout::RX_QUEUE, QUEUE_SIZE),
+    )));
+    attach_blk_for(&mut m, 0);
+    m
+}
+
+/// Both virtio devices carry their full state. After a disk write run
+/// (RAM-disk sectors resident) and a stream cut off mid-flight, the
+/// snapshot has the locked layout, restores into a fresh machine, and
+/// re-snapshots to the same bytes.
+#[test]
+fn virtio_devices_round_trip_with_a_locked_layout() {
+    use svt::workloads::{DiskBench, DiskMode, StreamSender};
+    let mut m = device_machine();
+    let cost = m.cost.clone();
+    let mut disk = DiskBench::new(&cost, DiskMode::Bandwidth { qd: 4 }, true, 4096, 24);
+    m.run(&mut disk).expect("disk run completes");
+    let mut sender = StreamSender::new(&cost, 16_384, 8, 40);
+    let mid = m.clock.now() + SimDuration::from_us(60);
+    m.run_until(&mut sender, mid).expect("stream runs");
+    let blob = m.snapshot();
+    assert_eq!(
+        payload_hash(&blob),
+        0x533c_7b2c_6b54_c49f,
+        "device layout moved"
+    );
+
+    let mut twin = device_machine();
+    twin.restore(&blob).expect("device machine restores");
+    assert_eq!(twin.state_fingerprint(), m.state_fingerprint());
+    assert_eq!(twin.snapshot(), blob, "re-snapshot after restore differs");
+}
+
+/// A device payload whose pending table claims 2^50 elements decodes to
+/// a typed error, not an allocation abort: one virtio-net TX ack with
+/// 2^50 heads, one virtio-blk request with 2^50 data buffers.
+#[test]
+fn hostile_counts_in_device_payloads_are_typed_errors() {
+    use svt::sim::snapshot::{from_bytes, to_bytes};
+    use svt::sim::CostModel;
+    use svt::virtio::{BlkConfig, NetConfig, VirtioBlk, VirtioNet, Virtqueue};
+    use svt::workloads::{layout, QUEUE_SIZE};
+    let cost = CostModel::default();
+    let net = || {
+        VirtioNet::new(
+            NetConfig::stream(&cost, 4),
+            Virtqueue::new(layout::TX_QUEUE, QUEUE_SIZE),
+            Virtqueue::new(layout::RX_QUEUE, QUEUE_SIZE),
+        )
+    };
+    let blk = || {
+        VirtioBlk::new(
+            BlkConfig::from_cost(&cost),
+            Virtqueue::new(layout::BLK_QUEUE, QUEUE_SIZE),
+        )
+    };
+    // Splices one pending entry, `entry`, into an empty pending table whose
+    // count sits at byte `at`.
+    let splice = |bytes: &[u8], at: usize, entry: &[u8]| {
+        assert_eq!(
+            &bytes[at..at + 8],
+            &0u64.to_le_bytes(),
+            "empty pending table"
+        );
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(entry);
+        out.extend_from_slice(&bytes[at + 8..]);
+        out
+    };
+    let huge = (1u64 << 50).to_le_bytes();
+
+    // MMIO base, two 18-byte queues, wire horizon, next token.
+    let mut tx_ack = 7u64.to_le_bytes().to_vec();
+    tx_ack.push(1);
+    tx_ack.extend_from_slice(&huge);
+    let hostile = splice(&to_bytes(&net()), 8 + 18 + 18 + 8 + 8, &tx_ack);
+    assert!(matches!(
+        from_bytes(&mut net(), &hostile),
+        Err(SnapError::UnexpectedEof { .. })
+    ));
+
+    // MMIO base, one queue, empty RAM disk, media horizon, next token.
+    let mut req = 7u64.to_le_bytes().to_vec();
+    req.extend_from_slice(&3u16.to_le_bytes());
+    req.push(1);
+    req.extend_from_slice(&0u64.to_le_bytes());
+    req.extend_from_slice(&huge);
+    let hostile = splice(&to_bytes(&blk()), 8 + 18 + 8 + 8 + 8, &req);
+    assert!(matches!(
+        from_bytes(&mut blk(), &hostile),
+        Err(SnapError::UnexpectedEof { .. })
+    ));
+}
+
+/// An open-loop ETC load generator on a 1-vCPU SW-SVt machine.
+fn loadgen_machine() -> (Machine, Rc<std::cell::RefCell<svt::workloads::LoadStats>>) {
+    use svt::workloads::{rr_machine, ArrivalMode, EtcSource};
+    rr_machine(
+        SwitchMode::SwSvt,
+        ArrivalMode::OpenLoop {
+            mean_interarrival: SimDuration::from_us(80),
+        },
+        200,
+        Box::new(EtcSource::new(100_000)),
+        5,
+    )
+}
+
+/// Serves the load generator's requests with a memcached-style server
+/// until `until`.
+fn serve(m: &mut Machine, until: SimTime) {
+    use svt::workloads::{KvService, RrServer, ServerConfig};
+    let mut cfg = ServerConfig::rr_defaults(&m.cost, u64::MAX);
+    cfg.timer_rearm_every = 4;
+    cfg.replenish_every = 2;
+    let mut server = RrServer::new(cfg, Box::new(KvService::new(50_000)));
+    m.run_until(&mut server, until).expect("server runs");
+}
+
+/// A load generator's statistics, stream position and in-flight arrivals
+/// are machine state: a machine snapshotted mid-run restores with the
+/// same counts and latencies and re-snapshots to the same bytes.
+#[test]
+fn loadgen_state_survives_restore() {
+    let (mut m1, stats1) = loadgen_machine();
+    serve(&mut m1, SimTime::ZERO + SimDuration::from_ms(3));
+    let blob = m1.snapshot();
+
+    let (mut m2, stats2) = loadgen_machine();
+    m2.restore(&blob).expect("loadgen machine restores");
+    let (a, b) = (stats1.borrow(), stats2.borrow());
+    assert!(
+        a.sent > a.completed && a.completed > 0,
+        "snapshot is mid-run"
+    );
+    assert_eq!(
+        (a.sent, a.completed, a.dropped, a.first_send, a.last_reply),
+        (b.sent, b.completed, b.dropped, b.first_send, b.last_reply)
+    );
+    assert_eq!(a.latency.samples(), b.latency.samples());
+    assert_eq!(m2.snapshot(), blob, "re-snapshot after restore differs");
+}
+
+/// The fingerprint folds everything a snapshot stores, engine and device
+/// sub-payloads included: one flipped state byte inside either, re-sealed
+/// under the original fingerprint, fails restore.
+#[test]
+fn fingerprint_covers_engine_and_device_state() {
+    use svt::hv::OpLoop;
+    use svt::sim::snapshot::to_bytes;
+    use svt::workloads::{layout, QUEUE_SIZE};
+    fn tamper(blob: &[u8], at: impl Fn(&[u8]) -> usize) -> Vec<u8> {
+        let (fp, payload) = open(blob, SNAP_VERSION).unwrap();
+        let mut bad = payload.to_vec();
+        let i = at(payload);
+        assert_eq!(bad[i], 1, "the flipped flag is set");
+        bad[i] = 0;
+        seal(SNAP_VERSION, fp, bad)
+    }
+
+    // HW SVt after 5 cpuids: the engine's name, then its two-byte
+    // sub-payload (context count, `initialized`).
+    let mut m = nested_machine(SwitchMode::HwSvt);
+    let mut cpuids = OpLoop::new(GuestOp::Cpuid, 5, 0, SimDuration::ZERO);
+    m.run(&mut cpuids).expect("cpuid never blocks");
+    let mut engine = to_bytes(&"hw-svt");
+    engine.extend_from_slice(&2u64.to_le_bytes());
+    let bad = tamper(&m.snapshot(), |p| find(p, &engine) + engine.len() + 1);
+    let mut fresh = nested_machine(SwitchMode::HwSvt);
+    assert!(matches!(
+        fresh.restore(&bad),
+        Err(SnapError::FingerprintMismatch { .. })
+    ));
+
+    // A mid-run load generator: its sub-payload opens with the (empty)
+    // request-source payload and the TX queue's geometry, and ends with
+    // the `started` flag.
+    let (mut m, _) = loadgen_machine();
+    serve(&mut m, SimTime::ZERO + SimDuration::from_ms(1));
+    let mut head = 0u64.to_le_bytes().to_vec();
+    head.extend_from_slice(&layout::TX_QUEUE.0.to_le_bytes());
+    head.extend_from_slice(&QUEUE_SIZE.to_le_bytes());
+    let bad = tamper(&m.snapshot(), |p| {
+        let start = find(p, &head);
+        let len = u64::from_le_bytes(p[start - 8..start].try_into().unwrap());
+        start + len as usize - 1
+    });
+    let (mut fresh, _) = loadgen_machine();
+    assert!(matches!(
+        fresh.restore(&bad),
+        Err(SnapError::FingerprintMismatch { .. })
+    ));
+}
+
+/// Checkpoint cells keep the `SNAP_VERSION` 1 layout: a journaled fig6
+/// bar, every fig6 grid-cell variant (bars, Table 1, the observed run),
+/// and an `SmpPoint` and a `ChaosPoint` built from fixed values. (The
+/// selfperf row is locked in `svt-bench`'s tests.)
+#[test]
+fn checkpoint_cell_layouts_are_locked() {
+    use svt::sim::checkpoint::Checkpoint;
+    use svt::sim::snapshot::to_bytes;
+    use svt::workloads::{fig6_bars, fig6_grid, ChaosPoint, SmpPoint};
+    let dir = std::env::temp_dir().join(format!("svt-cell-layout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ckpt = Checkpoint::create(&dir, 7).unwrap();
+    fig6_bars(ArchId::X86, 3, 1, Some((&ckpt, false)));
+    fig6_grid(3, 1, Some((&ckpt, false)));
+    let cell = |scope: &str, i: usize| fnv1a(&ckpt.load_cell(scope, i).unwrap().unwrap());
+    let bars = [
+        0x63b2_edcb_c849_715b,
+        0x433e_1fe7_31c0_1a57,
+        0xa2a8_3a8f_1ed1_0fc8,
+        0x270b_4f75_619b_aa48,
+        0xcb0f_dbe4_8699_eda0,
+    ];
+    for (i, want) in bars.into_iter().enumerate() {
+        assert_eq!(cell("bars", i), want, "fig6 bar cell {i}");
+    }
+    let grid = [
+        0x6c9f_5899_6597_1961,
+        0x8106_845d_1893_4355,
+        0xe7be_fd1f_456f_6e7a,
+        0x8d15_f2de_c434_b3be,
+        0xa211_6521_44c8_79ea,
+        0xbf17_7d90_b7fc_2d60,
+        0xba75_b91d_1b75_444c,
+    ];
+    for (i, want) in grid.into_iter().enumerate() {
+        assert_eq!(cell("fig6", i), want, "fig6 grid cell {i}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let point = SmpPoint {
+        n_vcpus: 3,
+        completed: 417,
+        throughput: 123_456.75,
+        avg_ns: 9_876.5,
+        p99_ns: 31_000.25,
+    };
+    assert_eq!(fnv1a(&to_bytes(&point)), 0xbfc6_c7b4_18b9_7ba7);
+    let chaos = ChaosPoint {
+        point,
+        seed: 0xfa17,
+        injected: vec![("doorbell_lost", 3), ("cmd_drop", 0)],
+        total_injected: 3,
+        retransmits: 5,
+        timeouts: 2,
+        duplicates_dropped: 1,
+        protocol_errors: 4,
+        ipi_retransmits: 6,
+        ipi_duplicates_absorbed: 7,
+        transitions: vec![("healthy->degraded", 1)],
+        ring_traps: 900,
+        fallback_traps: 40,
+        resume_fallbacks: 8,
+        watchdogs: vec![("ring_deadline", 0), ("ipi_exactly_once", 0)],
+        traps: 1234,
+    };
+    assert_eq!(fnv1a(&to_bytes(&chaos)), 0x4e82_f4a5_0557_2741);
 }
