@@ -15,12 +15,17 @@
 //! * the trap-shape census — "X% of traps replay Y distinct shapes" is
 //!   the memoization headroom a shape-keyed trap cache could capture.
 //!
+//! The wall columns are the mean of campaigns repeated until the 2σ CI of
+//! the total is within 1% of its mean (the paper's §6 rule, capped at 50
+//! campaigns); the report's `results` record the repetitions, whether the
+//! rule was met, and the CI of the total and of every part.
+//!
 //! This bin installs the counting allocator, so the allocation columns
 //! are live (in bins without it they read zero). The profiler is armed
 //! unconditionally here; `--hostprof` on the other bins opts them in.
 
 use svt_bench::{
-    hostprof_campaign, hostprof_report, print_header, print_hostprof, rule, BenchCli,
+    hostprof_converged, hostprof_report, print_header, print_hostprof, rule, BenchCli,
     HOSTPROF_N_VCPUS,
 };
 use svt_workloads::DEFAULT_LANE_SEED;
@@ -41,20 +46,23 @@ fn main() {
     println!(
         "workload: sharded memcached, {HOSTPROF_N_VCPUS} vCPUs x 3 engines, {requests} requests/lane, arch {arch}",
     );
-    let run = hostprof_campaign(arch, requests, seed, cli.jobs);
+    let converged = hostprof_converged(arch, requests, seed, cli.jobs);
+    let run = &converged.mean;
     print_hostprof(&run.agg);
     println!();
     rule();
     let coverage = run.coverage();
     println!(
-        "attribution coverage: {:.1}% of the sweep's {:.2} ms wall-clock \
-         (remainder = sweep-engine overhead outside machine runs)",
+        "attribution coverage: {:.1}% of the sweep's {:.2} ms wall-clock x {} worker(s) \
+         (remainder = sweep-engine overhead and idle workers outside machine runs)",
         100.0 * coverage,
-        run.wall_ns as f64 / 1e6
+        run.wall_ns as f64 / 1e6,
+        run.jobs
     );
     println!(
         "campaign: {} cells, {} workers, {} requests completed, {} traps profiled",
         run.cells, run.jobs, run.completed, run.agg.events
     );
-    cli.emit_report(&hostprof_report(&run, arch, seed));
+    println!("wall columns: {}", converged.describe());
+    cli.emit_report(&hostprof_report(&converged, arch, seed));
 }

@@ -33,6 +33,8 @@
 //! Binaries parse once with [`BenchCli::parse`] and report through
 //! [`BenchCli::emit_report`]/[`BenchCli::emit_trace`]; a `--trace` flag
 //! the binary never serviced is called out rather than silently eaten.
+//! A malformed command line is a [`CliError`], reported on stderr with
+//! exit status 2 before anything runs, never a silent default.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -55,9 +57,6 @@ pub struct BenchCli {
     /// Campaign checkpoint directory (`--checkpoint-dir`), if given —
     /// completed grid cells journal here so a killed sweep can resume.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Wall-clock noise band override (`--band`), if given — the maximum
-    /// fresh-vs-baseline regression ratio `perfgate` tolerates.
-    pub band: Option<f64>,
     /// Deterministic seed (`--seed`), if given.
     pub seed: Option<u64>,
     /// Explicit sweep worker count (`--jobs`), if given.
@@ -73,59 +72,54 @@ pub struct BenchCli {
 }
 
 impl BenchCli {
-    /// Parses the process's command line.
+    /// Parses the process's command line; a malformed one is reported on
+    /// stderr and exits with status 2.
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| e.exit())
     }
 
     /// Parses an explicit argument list (first real argument first).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`CliError`] for a value flag without a value, an unparsable
+    /// `--seed` or `--jobs`, or `--resume` without `--checkpoint-dir`.
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
         let mut cli = BenchCli::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
-            if a == "--json" {
-                cli.json = it.next().map(PathBuf::from);
-            } else if let Some(p) = a.strip_prefix("--json=") {
-                cli.json = Some(PathBuf::from(p));
-            } else if a == "--trace" {
-                cli.trace = it.next().map(PathBuf::from);
-            } else if let Some(p) = a.strip_prefix("--trace=") {
-                cli.trace = Some(PathBuf::from(p));
-            } else if a == "--timeline" {
-                cli.timeline = it.next().map(PathBuf::from);
-            } else if let Some(p) = a.strip_prefix("--timeline=") {
-                cli.timeline = Some(PathBuf::from(p));
-            } else if a == "--dump" {
-                cli.dump = it.next().map(PathBuf::from);
-            } else if let Some(p) = a.strip_prefix("--dump=") {
-                cli.dump = Some(PathBuf::from(p));
-            } else if a == "--checkpoint-dir" {
-                cli.checkpoint_dir = it.next().map(PathBuf::from);
-            } else if let Some(p) = a.strip_prefix("--checkpoint-dir=") {
-                cli.checkpoint_dir = Some(PathBuf::from(p));
-            } else if a == "--band" {
-                cli.band = it.next().and_then(|s| s.parse().ok());
-            } else if let Some(p) = a.strip_prefix("--band=") {
-                cli.band = p.parse().ok();
-            } else if a == "--seed" {
-                cli.seed = it.next().and_then(|s| s.parse().ok());
-            } else if let Some(p) = a.strip_prefix("--seed=") {
-                cli.seed = p.parse().ok();
-            } else if a == "--jobs" {
-                cli.jobs = it.next().and_then(|s| s.parse().ok());
-            } else if let Some(p) = a.strip_prefix("--jobs=") {
-                cli.jobs = p.parse().ok();
-            } else if a == "--arch" {
-                cli.arch = it.next();
-            } else if let Some(p) = a.strip_prefix("--arch=") {
-                cli.arch = Some(p.to_string());
-            } else if a.starts_with("--") {
-                cli.flags.push(a);
-            } else {
-                cli.positional.push(a);
+            let (name, inline) = match a.split_once('=') {
+                Some((name, value)) if name.starts_with("--") => (name, Some(value.to_string())),
+                _ => (a.as_str(), None),
+            };
+            let Some(&flag) = VALUE_FLAGS.iter().find(|f| **f == name) else {
+                if a.starts_with("--") {
+                    cli.flags.push(a);
+                } else {
+                    cli.positional.push(a);
+                }
+                continue;
+            };
+            let value = inline
+                .or_else(|| it.next())
+                .filter(|v| !v.is_empty() && !v.starts_with("--"))
+                .ok_or(CliError::MissingValue(flag))?;
+            let bad_number = |value: String| CliError::BadNumber { flag, value };
+            match flag {
+                "--json" => cli.json = Some(value.into()),
+                "--trace" => cli.trace = Some(value.into()),
+                "--timeline" => cli.timeline = Some(value.into()),
+                "--dump" => cli.dump = Some(value.into()),
+                "--checkpoint-dir" => cli.checkpoint_dir = Some(value.into()),
+                "--seed" => cli.seed = Some(value.parse().map_err(|_| bad_number(value))?),
+                "--jobs" => cli.jobs = Some(value.parse().map_err(|_| bad_number(value))?),
+                _ => cli.arch = Some(value),
             }
         }
-        cli
+        if cli.resume() && cli.checkpoint_dir.is_none() {
+            return Err(CliError::ResumeWithoutCheckpoint);
+        }
+        Ok(cli)
     }
 
     /// Whether a bare flag (e.g. `"--quick"`) was given.
@@ -171,16 +165,10 @@ impl BenchCli {
     /// deliberately *not* `--jobs`, since resume must be byte-identical
     /// at any worker count — so a directory can never silently satisfy a
     /// different campaign's cells. Returns `None` when no checkpoint
-    /// directory was requested (a bare `--resume` is called out); a
-    /// directory that cannot be created reports on stderr and exits
-    /// nonzero.
+    /// directory was requested; a directory that cannot be created
+    /// reports on stderr and exits nonzero.
     pub fn checkpoint(&self, bench: &str, seed: u64) -> Option<svt_sim::checkpoint::Checkpoint> {
-        let Some(dir) = &self.checkpoint_dir else {
-            if self.resume() {
-                eprintln!("warning: --resume without --checkpoint-dir has nothing to replay");
-            }
-            return None;
-        };
+        let dir = self.checkpoint_dir.as_ref()?;
         let mut tag = svt_sim::snapshot::Fingerprint::new();
         tag.fold_bytes(bench.as_bytes());
         tag.fold(seed);
@@ -277,13 +265,23 @@ impl BenchCli {
         std::process::exit(0);
     }
 
-    /// Positional argument `i` parsed as a number, or `default` when
-    /// absent or unparsable.
+    /// Positional argument `i` parsed as a `T`, or `default` when absent;
+    /// an unparsable one is reported on stderr and exits with status 2.
     pub fn positional_or<T: std::str::FromStr>(&self, i: usize, default: T) -> T {
-        self.positional
-            .get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
+        self.try_positional_or(i, default)
+            .unwrap_or_else(|e| e.exit())
+    }
+
+    /// [`BenchCli::positional_or`] returning the parse failure instead of
+    /// exiting.
+    fn try_positional_or<T: std::str::FromStr>(&self, i: usize, default: T) -> Result<T, CliError> {
+        match self.positional.get(i) {
+            None => Ok(default),
+            Some(s) => s.parse().map_err(|_| CliError::BadPositional {
+                index: i,
+                value: s.clone(),
+            }),
+        }
     }
 
     /// Writes `report` to the `--json` path when one was given; also
@@ -375,6 +373,66 @@ impl BenchCli {
     }
 }
 
+/// The flags that take a value, as `--flag v` or `--flag=v`.
+const VALUE_FLAGS: [&str; 8] = [
+    "--json",
+    "--trace",
+    "--timeline",
+    "--dump",
+    "--checkpoint-dir",
+    "--seed",
+    "--jobs",
+    "--arch",
+];
+
+/// A command line the bench binaries refuse rather than run on defaults.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// A value flag given last, or followed by another flag.
+    MissingValue(&'static str),
+    /// A `--seed` or `--jobs` value that is not a number.
+    BadNumber {
+        /// The flag.
+        flag: &'static str,
+        /// The value given.
+        value: String,
+    },
+    /// A numeric positional argument that does not parse.
+    BadPositional {
+        /// Its position.
+        index: usize,
+        /// The value given.
+        value: String,
+    },
+    /// `--resume` without a `--checkpoint-dir` to replay.
+    ResumeWithoutCheckpoint,
+}
+
+impl CliError {
+    /// Reports the error on stderr and exits with status 2.
+    pub fn exit(&self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(2);
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            CliError::BadNumber { flag, value } => write!(f, "{flag} {value:?} is not a number"),
+            CliError::BadPositional { index, value } => {
+                write!(f, "argument {} ({value:?}) does not parse", index + 1)
+            }
+            CliError::ResumeWithoutCheckpoint => {
+                write!(f, "--resume needs --checkpoint-dir to replay")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
 /// A failed output-file write: what was being written, where to, and the
 /// underlying I/O error.
 #[derive(Debug)]
@@ -416,8 +474,12 @@ impl std::error::Error for EmitError {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> BenchCli {
+    fn try_args(list: &[&str]) -> Result<BenchCli, CliError> {
         BenchCli::from_args(list.iter().map(|s| s.to_string()))
+    }
+
+    fn args(list: &[&str]) -> BenchCli {
+        try_args(list).expect("well-formed command line")
     }
 
     #[test]
@@ -438,7 +500,13 @@ mod tests {
         assert!(!c.flag("--smoke"));
         assert_eq!(c.positional_or(0, 1u64), 3);
         assert_eq!(c.positional_or(5, 7u64), 7);
-        assert_eq!(c.positional_or::<u64>(1, 9), 9); // unparsable → default
+        assert_eq!(
+            c.try_positional_or::<u64>(1, 9),
+            Err(CliError::BadPositional {
+                index: 1,
+                value: "memcached".to_string()
+            })
+        );
     }
 
     #[test]
@@ -454,7 +522,17 @@ mod tests {
     fn parses_seed_in_both_forms() {
         assert_eq!(args(&["--seed", "42"]).seed, Some(42));
         assert_eq!(args(&["--seed=7"]).seed, Some(7));
-        assert_eq!(args(&["--seed=x"]).seed, None);
+        assert_eq!(
+            try_args(&["--seed=x"]).unwrap_err(),
+            CliError::BadNumber {
+                flag: "--seed",
+                value: "x".to_string()
+            }
+        );
+        assert_eq!(
+            try_args(&["--seed"]).unwrap_err(),
+            CliError::MissingValue("--seed")
+        );
         assert_eq!(args(&[]).seed_or(5), 5);
         assert_eq!(args(&["--seed=9"]).seed_or(5), 9);
     }
@@ -463,7 +541,10 @@ mod tests {
     fn parses_jobs_in_both_forms() {
         assert_eq!(args(&["--jobs", "4"]).jobs, Some(4));
         assert_eq!(args(&["--jobs=2"]).jobs, Some(2));
-        assert_eq!(args(&["--jobs=x"]).jobs, None);
+        assert!(matches!(
+            try_args(&["--jobs", "two"]),
+            Err(CliError::BadNumber { flag: "--jobs", .. })
+        ));
         assert_eq!(args(&["--jobs=4"]).jobs(), 4);
         assert!(args(&[]).jobs() >= 1);
         // Zero is not a valid worker count; the resolver falls through.
@@ -477,6 +558,21 @@ mod tests {
         assert_eq!(args(&["--arch=x86"]).arch(), svt_arch::ArchId::X86);
         // No flag: the default backend keeps committed baselines valid.
         assert_eq!(args(&[]).arch(), svt_arch::ArchId::X86);
+    }
+
+    #[test]
+    fn value_flags_without_values_and_bare_resume_are_errors() {
+        for list in [&["--json"][..], &["--json", "--trace=t.json"], &["--dump="]] {
+            assert!(
+                matches!(try_args(list), Err(CliError::MissingValue(_))),
+                "{list:?}"
+            );
+        }
+        assert_eq!(
+            try_args(&["--smoke", "--resume"]).unwrap_err(),
+            CliError::ResumeWithoutCheckpoint
+        );
+        assert!(args(&["--resume", "--checkpoint-dir", "d"]).resume());
     }
 
     #[test]

@@ -11,17 +11,17 @@ mod gate;
 pub mod guard;
 mod runs;
 
-pub use cli::{BenchCli, EmitError};
+pub use cli::{BenchCli, CliError, EmitError};
 pub use gate::{
-    delta_table, gate_fig6, gate_hostprof, gate_passes, gate_selfperf, GateBands, WorkloadDelta,
+    delta_table, gate_hostprof, gate_passes, hostprof_setup, GateError, WorkloadDelta, WALL_BAND,
 };
 pub use runs::{
-    faults_campaign, faults_report, fig6_report, hostprof_campaign, hostprof_report, riscv_grid,
-    riscv_report, selfperf_report, selfperf_rows, smp_report, smp_series, timeline_cells,
-    timeline_report, timelines_json, FaultCell, HostprofRun, RiscvGrid, SelfperfRow, TimelineCell,
-    FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, HOSTPROF_N_VCPUS, RISCV_SMP_VCPUS,
-    SELFPERF_FAULT_RATES, SELFPERF_FIG6_GRID, SELFPERF_SMP_VCPUS, SERVE_RATE_QPS, SMP_REQUESTS,
-    SMP_VCPU_COUNTS, TIMELINE_FAULT_RATE, TIMELINE_N_VCPUS,
+    faults_campaign, faults_report, fig6_report, hostprof_campaign, hostprof_converged,
+    hostprof_report, riscv_grid, riscv_report, smp_report, smp_series, timeline_cells,
+    timeline_report, timelines_json, FaultCell, HostprofConverged, HostprofRun, RiscvGrid,
+    TimelineCell, FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, HOSTPROF_N_VCPUS,
+    RISCV_SMP_VCPUS, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS, TIMELINE_FAULT_RATE,
+    TIMELINE_N_VCPUS,
 };
 use svt_obs::{hostprof, HostAgg, HostPart, Json, RunReport};
 use svt_sim::{CostModel, FaultPlan, MachineSpec, VmSpec};

@@ -13,13 +13,13 @@ use std::time::Instant;
 
 use svt_arch::ArchId;
 use svt_core::SwitchMode;
-use svt_hv::Level;
-use svt_obs::{ExitRow, HostAgg, Json, PartRow, RunReport, SpeedupRow};
+use svt_obs::{ExitRow, HostAgg, HostPart, Json, PartRow, RunReport, SpeedupRow};
 use svt_sim::checkpoint::{self, Checkpoint};
 use svt_sim::{CostModel, FaultPlan, SimDuration};
+use svt_stats::{filter_outliers, Convergence, Summary};
 use svt_workloads::{
-    cpuid_counted, fig6_bars, memcached_chaos, memcached_smp_counted_seeded, App, ChaosPoint,
-    Fig6Bar, Fig6Grid, RunSpec, SmpPoint, TelemetryOpts, TelemetryPoint, DEFAULT_LANE_SEED,
+    fig6_bars, memcached_chaos, memcached_smp_counted_seeded, App, ChaosPoint, Fig6Bar, Fig6Grid,
+    RunSpec, SmpPoint, TelemetryOpts, TelemetryPoint, DEFAULT_LANE_SEED,
 };
 
 use crate::{cost_model_json, machine_json};
@@ -359,226 +359,11 @@ pub fn faults_report(cells: &[FaultCell], seed: u64) -> RunReport {
 }
 
 // ----------------------------------------------------------------------
-// The selfperf measurement grids (shared by the selfperf binary and the
-// perfgate regression gate, which re-runs them fresh).
+// The hostprof campaign (the `hostprof` binary, the perfgate, the gate
+// tests and the shape-stability test).
 // ----------------------------------------------------------------------
 
-/// The Fig. 6 cells of the selfperf workload, as in the figure's sweep.
-pub const SELFPERF_FIG6_GRID: [(Level, SwitchMode); 5] = [
-    (Level::L0, SwitchMode::Baseline),
-    (Level::L1, SwitchMode::Baseline),
-    (Level::L2, SwitchMode::Baseline),
-    (Level::L2, SwitchMode::SwSvt),
-    (Level::L2, SwitchMode::HwSvt),
-];
-
-/// vCPUs of the selfperf SMP workload (the paper's mid-size machine).
-pub const SELFPERF_SMP_VCPUS: usize = 4;
-
-/// Fault rates of the selfperf chaos workload cells.
-pub const SELFPERF_FAULT_RATES: [f64; 2] = [0.0, 0.05];
-
-/// One measured selfperf workload: the grid run at `--jobs 1` and at the
-/// per-workload clamped worker count, wall-clock timed.
-#[derive(Debug, Clone, Default)]
-pub struct SelfperfRow {
-    /// Workload name (`fig6`, `smp`, `faults`).
-    pub name: &'static str,
-    /// Grid cells the workload sweeps.
-    pub cells: usize,
-    /// Workers the parallel pass actually used ([`svt_sim::resolve_jobs_for`]
-    /// clamps the request to the cell count).
-    pub jobs: usize,
-    /// Simulated traps the grid served (identical at both worker counts).
-    pub traps: u64,
-    /// Wall-clock of the `--jobs 1` pass, nanoseconds.
-    pub wall_ns_j1: f64,
-    /// Wall-clock of the parallel pass, nanoseconds.
-    pub wall_ns_jn: f64,
-}
-
-impl SelfperfRow {
-    /// Host events/second at the given pass's wall-clock.
-    pub fn events_per_sec(&self, wall_ns: f64) -> f64 {
-        self.traps as f64 * 1e9 / wall_ns
-    }
-
-    /// Host nanoseconds per simulated trap at the given pass's wall-clock.
-    pub fn ns_per_event(&self, wall_ns: f64) -> f64 {
-        wall_ns / self.traps as f64
-    }
-
-    /// Parallel speedup of the jN pass over the j1 pass.
-    pub fn speedup(&self) -> f64 {
-        self.wall_ns_j1 / self.wall_ns_jn
-    }
-
-    /// Whether [`SelfperfRow::speedup`] measures anything: comparing a
-    /// 1-worker pass against an N-worker pass is pure noise when the
-    /// parallel pass also ran one worker (single-core host, or a
-    /// one-cell grid). Consumers must not read a ~0.98x "slowdown" on
-    /// such hosts as a regression.
-    pub fn speedup_meaningful(&self) -> bool {
-        self.jobs > 1 && svt_sim::host_parallelism() > 1
-    }
-}
-
-// Wall-clock columns journal too: a resumed selfperf replays the measured
-// times of the completed workloads rather than re-measuring them.
-svt_sim::snap_fields! { SelfperfRow { name, cells, jobs, traps, wall_ns_j1, wall_ns_jn } }
-
-/// Runs one workload grid at `--jobs 1` and at the `jobs` request
-/// clamped to the grid, timing each pass. The per-cell trap counts must
-/// merge identically at both worker counts — a drift means the sweep
-/// engine broke determinism.
-///
-/// # Panics
-///
-/// Panics if the merged trap counts differ between the passes or the
-/// workload serves no traps.
-fn selfperf_measure<F>(name: &'static str, cells: usize, jobs: Option<usize>, f: F) -> SelfperfRow
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    let jobs_n = svt_sim::resolve_jobs_for(jobs, cells);
-    // Warm one cell outside the timed region (lazy init, allocator,
-    // cold caches).
-    black_box(f(0));
-    let start = Instant::now();
-    let traps_j1: u64 = svt_sim::sweep(cells, 1, &f).iter().sum();
-    let wall_ns_j1 = start.elapsed().as_nanos() as f64;
-    let start = Instant::now();
-    let traps_jn: u64 = svt_sim::sweep(cells, jobs_n, &f).iter().sum();
-    let wall_ns_jn = start.elapsed().as_nanos() as f64;
-    assert_eq!(
-        traps_j1, traps_jn,
-        "{name}: merged trap count drifted across worker counts"
-    );
-    assert!(traps_j1 > 0, "{name}: workload served no traps");
-    SelfperfRow {
-        name,
-        cells,
-        jobs: jobs_n,
-        traps: traps_j1,
-        wall_ns_j1,
-        wall_ns_jn,
-    }
-}
-
-/// Runs the three selfperf workload grids (fig6, smp, faults) and
-/// returns the measured rows. `jobs` is the `--jobs` request; each
-/// workload clamps it to its own cell count. With a checkpoint, each
-/// measured workload row journals under the `selfperf` scope as it
-/// completes, and `(ckpt, true)` replays completed rows (including their
-/// wall-clock columns) instead of re-measuring them.
-pub fn selfperf_rows(
-    smoke: bool,
-    seed: u64,
-    jobs: Option<usize>,
-    ckpt: Option<(&Checkpoint, bool)>,
-) -> Vec<SelfperfRow> {
-    let fig6_iters: u64 = if smoke { 50 } else { 200 };
-    let smp_requests: u64 = if smoke { 60 } else { 150 };
-    let faults_requests: u64 = if smoke { 60 } else { 100 };
-    let faults_cells = FAULTS_MODES.len() * SELFPERF_FAULT_RATES.len();
-    // The journaled unit is a whole measured workload, measured one at a
-    // time: checkpointing *inside* the timed sweeps would poison the
-    // wall-clock columns they exist to measure.
-    checkpoint::sweep(ckpt, "selfperf", 3, 1, |w| match w {
-        0 => selfperf_measure("fig6", SELFPERF_FIG6_GRID.len(), jobs, |i| {
-            let (level, mode) = SELFPERF_FIG6_GRID[i];
-            cpuid_counted(level, mode, fig6_iters).1
-        }),
-        1 => selfperf_measure("smp", SwitchMode::ALL.len(), jobs, |i| {
-            memcached_smp_counted_seeded(
-                SwitchMode::ALL[i],
-                SELFPERF_SMP_VCPUS,
-                SERVE_RATE_QPS,
-                smp_requests,
-                seed,
-            )
-            .1
-        }),
-        _ => selfperf_measure("faults", faults_cells, jobs, |i| {
-            let rate = SELFPERF_FAULT_RATES[i % SELFPERF_FAULT_RATES.len()];
-            let plan = if rate == 0.0 {
-                FaultPlan::none()
-            } else {
-                FaultPlan::uniform(FAULTS_DEFAULT_SEED, rate)
-            };
-            memcached_chaos(
-                FAULTS_MODES[i / SELFPERF_FAULT_RATES.len()],
-                FAULTS_N_VCPUS,
-                SERVE_RATE_QPS,
-                faults_requests,
-                plan,
-            )
-            .traps
-        }),
-    })
-}
-
-/// Builds the selfperf run report from measured rows. `jobs_requested`
-/// is the resolved `--jobs` value before per-workload clamping; each
-/// workload row records the workers it actually used.
-pub fn selfperf_report(rows: &[SelfperfRow], seed: u64, jobs_requested: usize) -> RunReport {
-    let mut report = RunReport::new(
-        "selfperf",
-        "Wall-clock self-benchmark: host cost of regenerating the simulation",
-    );
-    report.results.push(("seed".to_string(), Json::from(seed)));
-    report.results.push((
-        "host_parallelism".to_string(),
-        Json::from(svt_sim::host_parallelism() as u64),
-    ));
-    report.results.push((
-        "jobs_parallel".to_string(),
-        Json::from(jobs_requested as u64),
-    ));
-    report.results.push((
-        "workloads".to_string(),
-        Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("name", Json::from(r.name)),
-                        ("cells", Json::from(r.cells as u64)),
-                        ("jobs", Json::from(r.jobs as u64)),
-                        ("sim_traps", Json::from(r.traps)),
-                        ("wall_ns_jobs1", Json::Num(r.wall_ns_j1)),
-                        ("wall_ns_jobsn", Json::Num(r.wall_ns_jn)),
-                        (
-                            "events_per_sec_jobs1",
-                            Json::Num(r.events_per_sec(r.wall_ns_j1)),
-                        ),
-                        (
-                            "events_per_sec_jobsn",
-                            Json::Num(r.events_per_sec(r.wall_ns_jn)),
-                        ),
-                        (
-                            "ns_per_event_jobs1",
-                            Json::Num(r.ns_per_event(r.wall_ns_j1)),
-                        ),
-                        (
-                            "ns_per_event_jobsn",
-                            Json::Num(r.ns_per_event(r.wall_ns_jn)),
-                        ),
-                        ("speedup", Json::Num(r.speedup())),
-                        ("speedup_meaningful", Json::from(r.speedup_meaningful())),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    report
-}
-
-// ----------------------------------------------------------------------
-// The hostprof campaign (the `hostprof` binary, the perfgate hostprof
-// stage, and the shape-stability test).
-// ----------------------------------------------------------------------
-
-/// vCPUs of every hostprof-campaign cell (the selfperf smp shape).
+/// vCPUs of every hostprof-campaign cell (the paper's mid-size machine).
 pub const HOSTPROF_N_VCPUS: usize = 4;
 
 /// One host-profiled campaign: the aggregate plus the independently
@@ -601,11 +386,15 @@ pub struct HostprofRun {
 }
 
 impl HostprofRun {
-    /// Fraction of the sweep's wall-clock the attribution rows explain.
-    /// The un-attributed remainder is sweep-engine overhead (thread
-    /// spawn, work claiming, result merging) outside any machine run.
+    /// Fraction of the sweep's worker time (wall-clock × workers used)
+    /// the attribution rows explain: each worker's machine runs are timed
+    /// on that worker's thread, so their sum is bounded by the workers'
+    /// combined time, not by one wall-clock. The un-attributed remainder
+    /// is sweep-engine overhead (thread spawn, work claiming, result
+    /// merging) and idle workers outside any machine run.
     pub fn coverage(&self) -> f64 {
-        self.agg.total_wall_ns() as f64 / self.wall_ns.max(1) as f64
+        let worker_ns = self.wall_ns * self.jobs as u64;
+        self.agg.total_wall_ns() as f64 / worker_ns.max(1) as f64
     }
 }
 
@@ -668,34 +457,128 @@ pub fn hostprof_campaign(
     }
 }
 
+/// Relative half-width of the 2σ confidence interval at which
+/// [`hostprof_converged`] stops repeating: the paper's §6 rule.
+const HOSTPROF_REL_TOL: f64 = 0.01;
+
+/// A hostprof campaign repeated until its wall clock converges.
+#[derive(Debug, Clone)]
+pub struct HostprofConverged {
+    /// The mean campaign: the deterministic counters every repetition
+    /// reproduced, with the wall columns (per part, per shape and the
+    /// sweep's) averaged over the repetitions, so the parts still sum to
+    /// the total.
+    pub mean: HostprofRun,
+    /// Each repetition's per-part wall nanoseconds.
+    pub walls: Vec<[u64; HostPart::COUNT]>,
+    /// Whether the 2σ CI of the 4σ-filtered total came within 1% of its
+    /// mean before the repetition cap.
+    pub converged: bool,
+}
+
+impl HostprofConverged {
+    /// Relative half-width of the 2σ confidence interval of the mean wall
+    /// time of `part`, or of the total when `None`.
+    pub fn rel_ci2(&self, part: Option<HostPart>) -> f64 {
+        let samples: Vec<f64> = self
+            .walls
+            .iter()
+            .map(|w| part.map_or(w.iter().sum(), |p| w[p as usize]) as f64)
+            .collect();
+        Summary::of(&samples).rel_ci2()
+    }
+
+    /// One line naming the repetitions, the total's CI and the verdict.
+    pub fn describe(&self) -> String {
+        format!(
+            "mean of {} campaigns, total wall ±{:.1}% (2σ), 1% rule {}",
+            self.walls.len(),
+            100.0 * self.rel_ci2(None),
+            if self.converged { "met" } else { "not met" }
+        )
+    }
+}
+
+/// Repeats [`hostprof_campaign`] until its total wall time converges
+/// under [`Convergence`] at 1% (at least 5 and at most 50 campaigns) and
+/// averages the wall columns. The `hostprof` bin and the perfgate both
+/// measure through here, so a baseline and a fresh run are measured the
+/// same way.
+///
+/// # Panics
+///
+/// Panics if a repetition's deterministic counters differ from the
+/// first's: that is a determinism bug, not noise.
+pub fn hostprof_converged(
+    arch: ArchId,
+    requests: u64,
+    seed: u64,
+    jobs: Option<usize>,
+) -> HostprofConverged {
+    let mut conv = Convergence::new(HOSTPROF_REL_TOL, 5, 50);
+    let mut runs: Vec<HostprofRun> = Vec::new();
+    while !conv.converged() {
+        let run = hostprof_campaign(arch, requests, seed, jobs);
+        if let Some(first) = runs.first() {
+            assert_eq!(
+                first.agg.deterministic_json().pretty(),
+                run.agg.deterministic_json().pretty(),
+                "hostprof repetition {} drifted from the first",
+                runs.len()
+            );
+        }
+        conv.push(run.agg.total_wall_ns() as f64);
+        runs.push(run);
+    }
+    let mean_of =
+        |f: &dyn Fn(&HostprofRun) -> u64| runs.iter().map(f).sum::<u64>() / runs.len() as u64;
+    let mut mean = runs[0].clone();
+    mean.wall_ns = mean_of(&|r| r.wall_ns);
+    mean.agg.wall_ns = std::array::from_fn(|i| mean_of(&|r| r.agg.wall_ns[i]));
+    for (key, shape) in &mut mean.agg.shapes {
+        shape.host_ns = mean_of(&|r| r.agg.shapes[key].host_ns);
+    }
+    let filtered = filter_outliers(conv.samples(), 4.0);
+    HostprofConverged {
+        mean,
+        walls: runs.iter().map(|r| r.agg.wall_ns).collect(),
+        converged: Summary::of(&filtered).rel_ci2() <= HOSTPROF_REL_TOL,
+    }
+}
+
 /// Builds the hostprof run report: identity, campaign geometry, the
-/// coverage check, and the full `hostprof` section.
-pub fn hostprof_report(run: &HostprofRun, arch: ArchId, seed: u64) -> RunReport {
+/// coverage check, the convergence record (repetitions, whether the 1%
+/// rule was met, and the relative 2σ CI of the total and of every part
+/// with wall time), and the full `hostprof` section of the mean campaign.
+pub fn hostprof_report(c: &HostprofConverged, arch: ArchId, seed: u64) -> RunReport {
+    let run = &c.mean;
     let mut report = RunReport::new(
         "hostprof",
         "Host-cost self-profile: per-subsystem wall/alloc attribution + trap shapes",
     );
     report.machine = Some(machine_json());
     report.cost_model = Some(cost_model_json(&arch.cost_model()));
-    report
-        .results
-        .push(("arch".to_string(), Json::from(arch.label())));
-    report.results.push(("seed".to_string(), Json::from(seed)));
-    report
-        .results
-        .push(("cells".to_string(), Json::from(run.cells as u64)));
-    report
-        .results
-        .push(("jobs".to_string(), Json::from(run.jobs as u64)));
-    report
-        .results
-        .push(("completed_requests".to_string(), Json::from(run.completed)));
-    report
-        .results
-        .push(("sweep_wall_ns".to_string(), Json::from(run.wall_ns)));
-    report
-        .results
-        .push(("coverage".to_string(), Json::from(run.coverage())));
+    let mut cis = vec![("total".to_string(), Json::from(c.rel_ci2(None)))];
+    for p in HostPart::ALL {
+        if run.agg.wall_ns[p as usize] > 0 {
+            cis.push((p.label().to_string(), Json::from(c.rel_ci2(Some(p)))));
+        }
+    }
+    report.results.extend(
+        [
+            ("arch", Json::from(arch.label())),
+            ("seed", Json::from(seed)),
+            ("cells", Json::from(run.cells)),
+            ("jobs", Json::from(run.jobs)),
+            ("completed_requests", Json::from(run.completed)),
+            ("sweep_wall_ns", Json::from(run.wall_ns)),
+            ("coverage", Json::from(run.coverage())),
+            ("repetitions", Json::from(c.walls.len())),
+            ("converged", Json::from(c.converged)),
+            ("wall_rel_ci2", Json::Obj(cis)),
+        ]
+        .map(|(k, v)| (k.to_string(), v)),
+    );
     report.hostprof = Some(run.agg.to_json());
     report
 }

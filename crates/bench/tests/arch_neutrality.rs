@@ -10,7 +10,8 @@
 //!
 //! **riscv is deterministic.** The H-extension backend runs through the
 //! same sweep engine, so its reports must also merge byte-identically at
-//! any worker count. Binaries without a riscv path refuse it loudly.
+//! any worker count. Binaries without a riscv path refuse it loudly, as
+//! every binary refuses a malformed flag value.
 
 use svt_arch::ArchId;
 use svt_bench::{
@@ -143,4 +144,17 @@ fn x86_only_bins_reject_other_backends() {
         "fig7 ran before rejecting the backend"
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("x86 only"));
+}
+
+/// A malformed flag value exits 2 before anything runs, instead of
+/// silently running the default campaign.
+#[test]
+fn malformed_flag_values_exit_2() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_faults"))
+        .args(["--smoke", "--seed=abc"])
+        .output()
+        .expect("faults starts");
+    assert_eq!(out.status.code(), Some(2), "faults --seed=abc: {out:?}");
+    assert!(out.stdout.is_empty(), "faults ran before refusing");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--seed"));
 }

@@ -1,124 +1,131 @@
-//! The perf-regression gate, end to end against real report documents.
+//! The perf-regression gate, end to end against real hostprof reports.
 //!
 //! The gate's unit tests (in `svt_bench::gate`) cover the band math on
-//! minimal synthetic documents; these tests run it against the *actual*
-//! report shapes the binaries emit — a fresh selfperf run serialized
-//! through `selfperf_report` and a fresh fig6 run through `fig6_report`
-//! — so a report-schema change that silently breaks the gate's field
-//! lookups fails here, not in CI's shell step.
+//! minimal synthetic documents; these run it against a small converged
+//! campaign serialized through `hostprof_report` — the path the perfgate
+//! and the committed baseline take — so a report-schema change that
+//! breaks the gate's field lookups fails here, not in CI's shell step.
+//! The campaign is measured once and shared: the profiler's armed flag
+//! and drain queue are process globals.
 
+use std::sync::OnceLock;
+
+use svt_arch::ArchId;
 use svt_bench::{
-    delta_table, fig6_report, gate_fig6, gate_passes, gate_selfperf, selfperf_report,
-    selfperf_rows, GateBands,
+    delta_table, gate_hostprof, gate_passes, hostprof_converged, hostprof_report, hostprof_setup,
+    GateError, HostprofConverged, WALL_BAND,
 };
-use svt_obs::Json;
-use svt_workloads::{fig6_grid, DEFAULT_LANE_SEED};
+use svt_obs::{HostPart, Json};
+use svt_workloads::DEFAULT_LANE_SEED;
 
-/// Halves every `ns_per_event_*` in a selfperf document (and doubles the
-/// matching `events_per_sec_*`), producing a baseline that makes the
-/// *unmodified* fresh run look like a 2× regression.
-fn doctor_2x_faster(doc: &Json) -> Json {
-    fn walk(j: &Json) -> Json {
-        match j {
-            Json::Obj(pairs) => Json::Obj(
-                pairs
-                    .iter()
-                    .map(|(k, v)| {
-                        let v = match (k.as_str(), v) {
-                            (k2, Json::Num(n)) if k2.starts_with("ns_per_event") => {
-                                Json::Num(n / 2.0)
-                            }
-                            (k2, Json::Num(n)) if k2.starts_with("events_per_sec") => {
-                                Json::Num(n * 2.0)
-                            }
-                            _ => walk(v),
-                        };
-                        (k.clone(), v)
-                    })
-                    .collect(),
-            ),
-            Json::Arr(items) => Json::Arr(items.iter().map(walk).collect()),
-            other => other.clone(),
-        }
-    }
-    walk(doc)
+#[global_allocator]
+static ALLOC: svt_obs::CountingAlloc = svt_obs::CountingAlloc;
+
+/// A small converged campaign at `--jobs 1`, measured as perfgate does.
+fn campaign() -> &'static HostprofConverged {
+    static RUN: OnceLock<HostprofConverged> = OnceLock::new();
+    RUN.get_or_init(|| hostprof_converged(ArchId::X86, 10, DEFAULT_LANE_SEED, Some(1)))
+}
+
+fn doc(run: &HostprofConverged) -> Json {
+    hostprof_report(run, ArchId::X86, DEFAULT_LANE_SEED).to_json()
 }
 
 #[test]
-fn gate_passes_when_fresh_equals_baseline_and_fails_on_synthetic_2x_regression() {
-    // One smoke-sized measurement serves as both baseline and fresh run:
-    // identical documents must pass with every ratio at exactly 1.0.
-    let rows = selfperf_rows(true, DEFAULT_LANE_SEED, Some(2), None);
-    let doc = selfperf_report(&rows, DEFAULT_LANE_SEED, 2).to_json();
-    let bands = GateBands::default();
-
-    let deltas = gate_selfperf(&doc, &doc, &bands).expect("well-formed reports");
-    assert!(gate_passes(&deltas), "{}", delta_table(&deltas));
-    // Speedup rows are only gated where the measurement was meaningful
-    // (multi-worker run on a multi-core host); single-core CI hosts gate
-    // two metrics per workload, not three.
-    let speedup_rows = rows.iter().filter(|r| r.speedup_meaningful()).count();
+fn a_real_report_gates_clean_against_itself() {
+    let report = doc(campaign());
     assert_eq!(
-        deltas.len(),
-        3 * 2 + speedup_rows,
-        "ns/trap + ev/s per workload, plus meaningful speedups"
+        hostprof_setup(&report),
+        Ok((ArchId::X86, DEFAULT_LANE_SEED, 1))
     );
-    for d in &deltas {
-        assert!((d.ratio - 1.0).abs() < 1e-12, "{d}");
-    }
+    let deltas = gate_hostprof(&report, &report).expect("well-formed reports");
+    assert!(gate_passes(&deltas), "{}", delta_table(&deltas));
+    assert_eq!(deltas.len(), 32, "31 exact rows plus the wall row");
+    let wall = deltas.last().unwrap();
+    assert_eq!(
+        (wall.metric, wall.ratio, wall.band),
+        ("wall_ns_per_event", 1.0, WALL_BAND)
+    );
 
-    // The negative test: against a baseline that claims to be 2x faster,
-    // the same fresh run is a 2x ns/trap regression and must fail.
-    let fast_baseline = doctor_2x_faster(&doc);
-    let deltas = gate_selfperf(&fast_baseline, &doc, &bands).expect("well-formed reports");
-    assert!(!gate_passes(&deltas), "a 2x regression slipped the gate");
-    let bad: Vec<_> = deltas.iter().filter(|d| !d.ok).collect();
-    assert_eq!(bad.len(), 3 * 2, "ns/trap and events/sec fail per workload");
-    for d in &bad {
-        assert!((d.ratio - 2.0).abs() < 1e-9, "{d}");
-    }
+    // The converged record sits under `results`, and the mean's parts
+    // still sum to its total.
+    let results = report.get("results").unwrap();
+    let reps = results.get("repetitions").and_then(Json::as_i64).unwrap();
+    assert!((5..=50).contains(&reps), "{reps} repetitions");
+    assert!(results.get("converged").and_then(Json::as_bool).is_some());
+    let cis = results.get("wall_rel_ci2").unwrap();
+    assert!(cis.get("total").and_then(Json::as_f64).unwrap() >= 0.0);
+    assert!(cis.get("reflection").and_then(Json::as_f64).is_some());
+    let hp = report.get("hostprof").unwrap();
+    let parts: i64 = hp
+        .get("parts")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|p| p.get("wall_ns").and_then(Json::as_i64).unwrap())
+        .sum();
+    assert_eq!(Some(parts), hp.get("total_wall_ns").and_then(Json::as_i64));
 }
 
 #[test]
-fn fig6_gate_accepts_a_rerun_and_rejects_a_doctored_speedup() {
-    let fresh = fig6_report(&fig6_grid(30, 2, None), DEFAULT_LANE_SEED).to_json();
-    let bands = GateBands::default();
+fn a_2x_faster_baseline_fails_only_the_wall_row() {
+    let mut fast = campaign().clone();
+    for w in &mut fast.mean.agg.wall_ns {
+        *w /= 2;
+    }
+    let deltas = gate_hostprof(&doc(&fast), &doc(campaign())).expect("well-formed reports");
+    let bad: Vec<_> = deltas.iter().filter(|d| !d.ok).collect();
+    assert_eq!(bad.len(), 1, "{}", delta_table(&deltas));
+    assert_eq!(bad[0].metric, "wall_ns_per_event");
+    assert!((bad[0].ratio - 2.0).abs() < 1e-3, "{}", bad[0]);
+}
 
-    // The simulation is deterministic: a rerun gates clean against itself.
-    let rerun = fig6_report(&fig6_grid(30, 1, None), DEFAULT_LANE_SEED).to_json();
-    let deltas = gate_fig6(&fresh, &rerun, &bands).expect("well-formed reports");
-    assert!(gate_passes(&deltas), "{}", delta_table(&deltas));
-
-    // Nudge one committed speedup by more than the drift band.
-    let doctored = match &fresh {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .iter()
-                .map(|(k, v)| {
-                    if k == "speedups" {
-                        let Json::Arr(rows) = v else { unreachable!() };
-                        let mut rows = rows.clone();
-                        let Json::Obj(row) = &mut rows[0] else {
-                            unreachable!()
-                        };
-                        for (rk, rv) in row.iter_mut() {
-                            if rk == "speedup" {
-                                let Json::Num(n) = rv else { unreachable!() };
-                                *rv = Json::Num(*n + 1e-6);
-                            }
-                        }
-                        (k.clone(), Json::Arr(rows))
-                    } else {
-                        (k.clone(), v.clone())
-                    }
-                })
-                .collect(),
-        ),
-        _ => unreachable!(),
-    };
-    let deltas = gate_fig6(&doctored, &rerun, &bands).expect("well-formed reports");
-    assert!(
-        !gate_passes(&deltas),
-        "a simulated-speedup drift slipped the gate"
+#[test]
+fn one_extra_allocation_fails_the_total_and_its_part() {
+    let mut drifted = campaign().clone();
+    drifted.mean.agg.allocs[HostPart::Reflection as usize] += 1;
+    let deltas = gate_hostprof(&doc(&drifted), &doc(campaign())).expect("well-formed reports");
+    let bad: Vec<_> = deltas
+        .iter()
+        .filter(|d| !d.ok)
+        .map(|d| (d.name.as_str(), d.metric))
+        .collect();
+    assert_eq!(
+        bad,
+        [("hostprof", "total_allocs"), ("reflection", "allocs")],
+        "{}",
+        delta_table(&deltas)
     );
+}
+
+#[test]
+fn a_baseline_without_its_campaign_setup_is_a_typed_error() {
+    for key in ["seed", "jobs", "arch"] {
+        let mut report = hostprof_report(campaign(), ArchId::X86, DEFAULT_LANE_SEED);
+        report.results.retain(|(k, _)| k != key);
+        assert_eq!(
+            hostprof_setup(&report.to_json()),
+            Err(GateError {
+                what: "baseline results".to_string(),
+                field: key.to_string()
+            })
+        );
+    }
+}
+
+/// The campaign comes from the baseline, so the deleted knobs refuse to
+/// run rather than being silently ignored.
+#[test]
+fn perfgate_refuses_campaign_flags() {
+    for args in [["--seed", "7"], ["--jobs", "2"], ["--arch", "riscv"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_perfgate"))
+            .args(args)
+            .output()
+            .expect("perfgate starts");
+        assert_eq!(out.status.code(), Some(2), "perfgate {args:?}: {out:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "perfgate {args:?} ran before refusing"
+        );
+    }
 }

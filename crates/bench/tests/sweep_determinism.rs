@@ -81,18 +81,3 @@ fn faults_report_is_byte_identical_across_worker_counts() {
         faults_report(&b, FAULTS_DEFAULT_SEED).to_json().pretty()
     );
 }
-
-/// A journaled selfperf row keeps the `SNAP_VERSION` 1 cell layout.
-#[test]
-fn selfperf_row_cell_layout_is_locked() {
-    let row = svt_bench::SelfperfRow {
-        name: "smp",
-        cells: 3,
-        jobs: 2,
-        traps: 98_765,
-        wall_ns_j1: 1.5e9,
-        wall_ns_jn: 8.25e8,
-    };
-    let bytes = svt_sim::snapshot::to_bytes(&row);
-    assert_eq!(svt_sim::snapshot::fnv1a(&bytes), 0x9f61_738b_6420_c4d1);
-}

@@ -747,8 +747,7 @@ fn fingerprint_covers_engine_and_device_state() {
 
 /// Checkpoint cells keep the `SNAP_VERSION` 1 layout: a journaled fig6
 /// bar, every fig6 grid-cell variant (bars, Table 1, the observed run),
-/// and an `SmpPoint` and a `ChaosPoint` built from fixed values. (The
-/// selfperf row is locked in `svt-bench`'s tests.)
+/// and an `SmpPoint` and a `ChaosPoint` built from fixed values.
 #[test]
 fn checkpoint_cell_layouts_are_locked() {
     use svt::sim::checkpoint::Checkpoint;
