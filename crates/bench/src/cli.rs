@@ -27,8 +27,9 @@
 //!   journal and recompute only the missing cells. The merged report is
 //!   byte-identical to an uninterrupted run at any `--jobs`;
 //! * `--help` — usage plus this standard-flag reference;
-//! * bare `--flags` (e.g. `--quick`, `--smoke`) and positional values,
-//!   exposed through [`BenchCli::flag`] and [`BenchCli::positional`].
+//! * the bare flags some binary reads (`--quick`, `--smoke`) and
+//!   positional values, exposed through [`BenchCli::flag`] and
+//!   [`BenchCli::positional`]; any other `--flag` is refused.
 //!
 //! Binaries parse once with [`BenchCli::parse`] and report through
 //! [`BenchCli::emit_report`]/[`BenchCli::emit_trace`]; a `--trace` flag
@@ -66,7 +67,7 @@ pub struct BenchCli {
     pub arch: Option<String>,
     /// Positional (non-flag) arguments in order.
     pub positional: Vec<String>,
-    /// Bare `--flag` arguments (everything else starting with `--`).
+    /// Bare `--flag` arguments, each one of [`BARE_FLAGS`].
     flags: Vec<String>,
     trace_written: Cell<bool>,
 }
@@ -83,7 +84,8 @@ impl BenchCli {
     /// # Errors
     ///
     /// [`CliError`] for a value flag without a value, an unparsable
-    /// `--seed` or `--jobs`, or `--resume` without `--checkpoint-dir`.
+    /// `--seed` or `--jobs`, an unknown `--flag`, or `--resume` without
+    /// `--checkpoint-dir`.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
         let mut cli = BenchCli::default();
         let mut it = args.into_iter();
@@ -93,10 +95,12 @@ impl BenchCli {
                 _ => (a.as_str(), None),
             };
             let Some(&flag) = VALUE_FLAGS.iter().find(|f| **f == name) else {
-                if a.starts_with("--") {
+                if !a.starts_with("--") {
+                    cli.positional.push(a);
+                } else if BARE_FLAGS.contains(&a.as_str()) {
                     cli.flags.push(a);
                 } else {
-                    cli.positional.push(a);
+                    return Err(CliError::UnknownFlag(a));
                 }
                 continue;
             };
@@ -385,6 +389,16 @@ const VALUE_FLAGS: [&str; 8] = [
     "--arch",
 ];
 
+/// The flags that take no value: every one some binary reads.
+const BARE_FLAGS: [&str; 6] = [
+    "--quick",
+    "--smoke",
+    "--resume",
+    "--dump-on-exit",
+    "--hostprof",
+    "--help",
+];
+
 /// A command line the bench binaries refuse rather than run on defaults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
@@ -406,6 +420,8 @@ pub enum CliError {
     },
     /// `--resume` without a `--checkpoint-dir` to replay.
     ResumeWithoutCheckpoint,
+    /// A `--flag` (or `--flag=v`) no binary reads, such as a typo.
+    UnknownFlag(String),
 }
 
 impl CliError {
@@ -427,6 +443,16 @@ impl std::fmt::Display for CliError {
             CliError::ResumeWithoutCheckpoint => {
                 write!(f, "--resume needs --checkpoint-dir to replay")
             }
+            CliError::UnknownFlag(flag) => write!(
+                f,
+                "unknown flag {flag:?}; known flags: {}",
+                VALUE_FLAGS
+                    .iter()
+                    .chain(&BARE_FLAGS)
+                    .copied()
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
         }
     }
 }
@@ -571,6 +597,10 @@ mod tests {
         assert_eq!(
             try_args(&["--smoke", "--resume"]).unwrap_err(),
             CliError::ResumeWithoutCheckpoint
+        );
+        assert_eq!(
+            try_args(&["--smok"]).unwrap_err(),
+            CliError::UnknownFlag("--smok".to_string())
         );
         assert!(args(&["--resume", "--checkpoint-dir", "d"]).resume());
     }

@@ -146,15 +146,20 @@ fn x86_only_bins_reject_other_backends() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("x86 only"));
 }
 
-/// A malformed flag value exits 2 before anything runs, instead of
-/// silently running the default campaign.
+/// A malformed flag value or a mistyped flag exits 2 before anything
+/// runs, instead of silently running the default campaign.
 #[test]
 fn malformed_flag_values_exit_2() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_faults"))
-        .args(["--smoke", "--seed=abc"])
-        .output()
-        .expect("faults starts");
-    assert_eq!(out.status.code(), Some(2), "faults --seed=abc: {out:?}");
-    assert!(out.stdout.is_empty(), "faults ran before refusing");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--seed"));
+    for (args, named) in [
+        (["--smoke", "--seed=abc"], "--seed"),
+        (["--smok", "--help"], "--smok"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_faults"))
+            .args(args)
+            .output()
+            .expect("faults starts");
+        assert_eq!(out.status.code(), Some(2), "faults {args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "faults ran before refusing {args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(named));
+    }
 }

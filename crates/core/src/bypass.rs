@@ -17,6 +17,8 @@ use svt_cpu::{CtxId, CtxtLevel, Gpr};
 use svt_hv::{Machine, Reflector};
 use svt_sim::CostPart;
 
+use crate::hw::{ctxt_gpr_read, ctxt_gpr_write};
+
 const CTX_L0: CtxId = CtxId(0);
 const CTX_L1: CtxId = CtxId(1);
 const CTX_L2: CtxId = CtxId(2);
@@ -136,22 +138,11 @@ impl Reflector for BypassReflector {
     }
 
     fn l2_gpr_read(&mut self, m: &mut Machine, r: Gpr) -> u64 {
-        let c = m.cost.ctxt_reg_access;
-        m.clock.charge(c);
-        m.clock.count("ctxtld");
-        m.core
-            .ctxtld(CtxtLevel::Guest, r)
-            .expect("SVt target configured")
+        ctxt_gpr_read(m, self.name(), r)
     }
 
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
-        let c = m.cost.ctxt_reg_access;
-        m.clock.charge(c);
-        m.clock.count("ctxtst");
-        m.core
-            .ctxtst(CtxtLevel::Guest, r, v)
-            .expect("SVt target configured");
-        m.vcpu2_mut().gprs.set(r, v);
+        ctxt_gpr_write(m, self.name(), r, v);
     }
 }
 

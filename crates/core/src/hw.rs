@@ -242,29 +242,39 @@ impl Reflector for HwSvtReflector {
     }
 
     fn l2_gpr_read(&mut self, m: &mut Machine, r: Gpr) -> u64 {
-        let c = m.cost.ctxt_reg_access;
-        m.clock.charge(c);
-        m.clock.count("ctxtld");
-        m.obs
-            .metrics
-            .inc(MetricKey::new("ctxt_reg_access").reflector("hw-svt"));
-        m.core
-            .ctxtld(CtxtLevel::Guest, r)
-            .expect("SVt target configured")
+        ctxt_gpr_read(m, self.name(), r)
     }
 
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
-        let c = m.cost.ctxt_reg_access;
-        m.clock.charge(c);
-        m.clock.count("ctxtst");
-        m.obs
-            .metrics
-            .inc(MetricKey::new("ctxt_reg_access").reflector("hw-svt"));
-        m.core
-            .ctxtst(CtxtLevel::Guest, r, v)
-            .expect("SVt target configured");
-        // The memory copy mirrors the architectural state for the parts of
-        // the machine that report it.
-        m.vcpu2_mut().gprs.set(r, v);
+        ctxt_gpr_write(m, self.name(), r, v);
     }
+}
+
+/// L1 reads one of L2's registers with `ctxtld` from L2's hardware
+/// context: one charged, counted cross-context access on behalf of
+/// `engine`.
+pub(crate) fn ctxt_gpr_read(m: &mut Machine, engine: &'static str, r: Gpr) -> u64 {
+    let c = m.cost.ctxt_reg_access;
+    m.clock.charge(c);
+    m.obs
+        .metrics
+        .inc(MetricKey::new("ctxt_reg_access").reflector(engine));
+    m.core
+        .ctxtld(CtxtLevel::Guest, r)
+        .expect("SVt target configured")
+}
+
+/// L1 writes one of L2's registers with `ctxtst`, as
+/// [`ctxt_gpr_read`]. The memory copy mirrors the architectural state
+/// for the parts of the machine that report it.
+pub(crate) fn ctxt_gpr_write(m: &mut Machine, engine: &'static str, r: Gpr, v: u64) {
+    let c = m.cost.ctxt_reg_access;
+    m.clock.charge(c);
+    m.obs
+        .metrics
+        .inc(MetricKey::new("ctxt_reg_access").reflector(engine));
+    m.core
+        .ctxtst(CtxtLevel::Guest, r, v)
+        .expect("SVt target configured");
+    m.vcpu2_mut().gprs.set(r, v);
 }

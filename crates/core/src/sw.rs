@@ -191,7 +191,6 @@ impl SwSvtReflector {
         self.rings.resp = Some(resp);
         let c = m.cost.l0_exit_decode + m.cost.l0_run_loop;
         m.clock.charge(c); // the pairing hypercall
-        m.clock.count("svt_pairing_hypercall");
     }
 
     /// Detection latency for one command at this channel configuration.
@@ -248,7 +247,6 @@ impl SwSvtReflector {
         };
         let key = Self::ring_key(m, ring_is_cmd);
         if ring.push(&mut m.ram, &payload).is_err() {
-            m.clock.count("svt_ring_full");
             m.obs
                 .metrics
                 .inc(MetricKey::new("svt_ring_full").reflector("sw-svt"));
@@ -257,7 +255,6 @@ impl SwSvtReflector {
             match ring.pop(&mut m.ram) {
                 Ok(Some(_)) => {
                     m.obs.causal.ring_dequeue(deq, key, m.clock.now());
-                    m.clock.count("svt_stale_discarded");
                 }
                 _ => return Err(ProtocolError::RingFull),
             }
@@ -306,7 +303,6 @@ impl SwSvtReflector {
             if cmd.seq < want_seq {
                 // Leftover from a failed attempt, or a duplicate of an
                 // already-accepted command: drop and keep looking.
-                m.clock.count("svt_duplicates_dropped");
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_duplicates_dropped").reflector("sw-svt"));
@@ -339,7 +335,6 @@ impl SwSvtReflector {
         let key = Self::ring_key(m, ring_is_cmd);
         while let Ok(Some(_)) = ring.pop(&mut m.ram) {
             m.obs.causal.ring_dequeue(phase, key, m.clock.now());
-            m.clock.count("svt_duplicates_dropped");
             m.obs
                 .metrics
                 .inc(MetricKey::new("svt_duplicates_dropped").reflector("sw-svt"));
@@ -369,7 +364,6 @@ impl SwSvtReflector {
     /// recorder so the causal tail leading up to the failure survives.
     fn note_transition(&mut self, m: &mut Machine, t: Transition) {
         let label = transition_label(t);
-        m.clock.count("svt_state_transition");
         m.obs.metrics.inc(
             MetricKey::new("svt_state_transition")
                 .exit(label)
@@ -421,7 +415,6 @@ impl SwSvtReflector {
         let mut outcome = Err(ProtocolError::Empty);
         for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
-                m.clock.count("svt_retransmits");
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_retransmits").reflector("sw-svt"));
@@ -437,7 +430,6 @@ impl SwSvtReflector {
                 // the ring: the transfer cost is paid, nothing arrives.
                 let c = m.cost.cacheline(self.placement) * (cmd.cache_lines() + 1);
                 m.clock.charge(c);
-                m.clock.count("svt_cmds_lost");
             } else {
                 if let Err(e) = self.send(m, ring_is_cmd, &cmd) {
                     outcome = Err(e);
@@ -451,7 +443,6 @@ impl SwSvtReflector {
                     let ring = self.ring(ring_is_cmd);
                     let byte = (seq as usize).wrapping_mul(31) % PAYLOAD_LEN;
                     let _ = ring.corrupt_newest(&mut m.ram, byte);
-                    m.clock.count("svt_cmds_corrupted");
                 }
                 if m.roll_fault(FaultKind::CmdDuplicate) {
                     // A spurious second copy with the same sequence
@@ -464,7 +455,6 @@ impl SwSvtReflector {
                         "svt_resp_enqueue"
                     };
                     m.obs.causal.ring_enqueue(enq, key, m.clock.now());
-                    m.clock.count("svt_cmds_duplicated");
                 }
             }
 
@@ -474,7 +464,6 @@ impl SwSvtReflector {
                 // re-arm and go back to waiting.
                 let c = self.wake_cost(m);
                 m.clock.charge(c);
-                m.clock.count("svt_spurious_wakeups");
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_spurious_wakeups").reflector("sw-svt"));
@@ -485,7 +474,6 @@ impl SwSvtReflector {
                 // the wait and the waiter re-arms for a retry.
                 let c = self.timeout_cost(m);
                 m.clock.charge(c);
-                m.clock.count("svt_timeouts");
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_timeouts").reflector("sw-svt"));
@@ -504,7 +492,6 @@ impl SwSvtReflector {
                     break;
                 }
                 Err(e) => {
-                    m.clock.count("svt_protocol_errors");
                     m.obs.metrics.inc(
                         MetricKey::new("svt_protocol_errors")
                             .exit(e.name())
@@ -555,7 +542,6 @@ impl SwSvtReflector {
                 let blocked_begin = m.clock.now();
                 m.obs.causal.blocked_enter(blocked_begin);
                 self.push_protocol(m, true);
-                m.clock.count("svt_blocked");
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_blocked").reflector("sw-svt"));
@@ -597,7 +583,6 @@ impl SwSvtReflector {
     /// the machine would do under [`svt_hv::BaselineReflector`]. Used
     /// when the degradation policy has written the ring off.
     fn reflect_fallback(&mut self, m: &mut Machine, exit: ExitReason) {
-        m.clock.count("svt_trap_fallback");
         m.obs
             .metrics
             .inc(MetricKey::new("svt_trap_fallback").reflector("sw-svt"));
@@ -730,7 +715,6 @@ impl Reflector for SwSvtReflector {
                 // The SVt-thread never saw the trap; its handler has not
                 // run. Serve this trap's middle the classic way.
                 self.fell_back_mid_trap = true;
-                m.clock.count("svt_trap_fallback");
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_trap_fallback").reflector("sw-svt"));
@@ -745,7 +729,6 @@ impl Reflector for SwSvtReflector {
         if m.roll_fault(FaultKind::SiblingDelay) {
             let d = m.faults.delay();
             m.clock.charge_as(CostPart::L1Handler, d);
-            m.clock.count("svt_sibling_delays");
             m.obs
                 .metrics
                 .inc(MetricKey::new("svt_sibling_delays").reflector("sw-svt"));
@@ -770,7 +753,6 @@ impl Reflector for SwSvtReflector {
         match self.xfer(m, false, CMD_VM_RESUME, code, qual, steal) {
             Ok(resp) => {
                 m.vcpu2_mut().gprs = resp.gprs;
-                m.clock.count("svt_trap_ring");
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_trap_ring").reflector("sw-svt"));
@@ -786,7 +768,6 @@ impl Reflector for SwSvtReflector {
                 // doorbell is gone. L0's bounded wait expired — finish
                 // through the classic exit path.
                 self.fell_back_mid_trap = true;
-                m.clock.count("svt_resume_fallback");
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_resume_fallback").reflector("sw-svt"));
@@ -809,22 +790,7 @@ impl Reflector for SwSvtReflector {
 
     fn l1_read_exit_info(&mut self, m: &mut Machine) -> (u64, u64) {
         if self.fallback_active {
-            // Classic path: two vmreads of vmcs01' (shadow-satisfied when
-            // shadowing is on, full traps otherwise).
-            let field = |s: &mut Self, m: &mut Machine, f: svt_arch::VmcsField| {
-                if m.shadowing {
-                    let c = m.cost.vmread;
-                    m.clock.charge(c);
-                    m.clock.count("shadow_vmread");
-                    m.vmcs12().read(f)
-                } else {
-                    m.clock.count("l1_vmread_exit");
-                    s.l1_exit_roundtrip(m, ExitReason::Vmread { field: f }, 0)
-                }
-            };
-            let code = field(self, m, svt_arch::VmcsField::ExitReason);
-            let qual = field(self, m, svt_arch::VmcsField::ExitQualification);
-            return (code, qual);
+            return svt_hv::read_exit_info_vmcs(self, m);
         }
         // The trap identifier arrived in the CMD_VM_TRAP payload.
         let cmd = self.last_cmd.as_ref().expect("command received");

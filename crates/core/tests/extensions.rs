@@ -3,6 +3,7 @@
 
 use svt_core::{nested_machine, BypassReflector, HwSvtReflector, SwitchMode};
 use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
+use svt_obs::MetricKey;
 use svt_sim::{CostPart, SimDuration};
 
 fn cpuid_us(m: &mut Machine, iters: u64) -> f64 {
@@ -85,5 +86,12 @@ fn bypass_still_respects_l0_control_points() {
     );
     let mut prog = OpLoop::new(GuestOp::Cpuid, 10, 0, SimDuration::ZERO);
     m.run(&mut prog).unwrap();
-    assert!(m.clock.counter("l1_exit") >= 10, "L0 still mediates L1");
+    assert!(
+        m.obs.metrics.counter_total("l1_exit") >= 10,
+        "L0 still mediates L1"
+    );
+    // L1's handler reaches L2's registers with ctxtld/ctxtst: one leaf
+    // read and four result writes per cpuid.
+    let ctxt = MetricKey::new("ctxt_reg_access").reflector("bypass");
+    assert_eq!(m.obs.metrics.counter(ctxt), 10 * (1 + 4));
 }

@@ -31,17 +31,20 @@ fn transition_count(m: &Machine, label: &'static str) -> u64 {
     )
 }
 
-/// Counter deltas around a faulted run, keyed by clock counter name.
+/// Counter deltas around a faulted run, keyed by row name.
 struct Deltas {
     before: Vec<(&'static str, u64)>,
 }
 
+/// The command-fault rows are `fault_injected` dimensions (counted where
+/// the fault is rolled); every other row is a registry counter name,
+/// summed over its dimensions.
 const TRACKED: [&str; 11] = [
     "svt_retransmits",
     "svt_timeouts",
-    "svt_cmds_lost",
-    "svt_cmds_corrupted",
-    "svt_cmds_duplicated",
+    "cmd_drop",
+    "cmd_corrupt",
+    "cmd_duplicate",
     "svt_duplicates_dropped",
     "svt_protocol_errors",
     "svt_spurious_wakeups",
@@ -51,15 +54,25 @@ const TRACKED: [&str; 11] = [
 ];
 
 impl Deltas {
+    fn read(m: &Machine, row: &'static str) -> u64 {
+        match row {
+            "cmd_drop" | "cmd_corrupt" | "cmd_duplicate" => m
+                .obs
+                .metrics
+                .counter(MetricKey::new("fault_injected").exit(row)),
+            name => m.obs.metrics.counter_total(name),
+        }
+    }
+
     fn snapshot(m: &Machine) -> Self {
         Deltas {
-            before: TRACKED.iter().map(|&n| (n, m.clock.counter(n))).collect(),
+            before: TRACKED.iter().map(|&n| (n, Self::read(m, n))).collect(),
         }
     }
 
     fn assert_exact(&self, m: &Machine, expected: &[(&str, u64)]) {
         for &(name, before) in &self.before {
-            let got = m.clock.counter(name) - before;
+            let got = Self::read(m, name) - before;
             let want = expected
                 .iter()
                 .find(|&&(n, _)| n == name)
@@ -84,7 +97,7 @@ fn dropped_command_costs_exactly_one_retransmit() {
     d.assert_exact(
         &m,
         &[
-            ("svt_cmds_lost", 1),
+            ("cmd_drop", 1),
             ("svt_timeouts", 1),
             ("svt_retransmits", 1),
             ("svt_trap_ring", 1),
@@ -113,7 +126,7 @@ fn corrupted_command_is_rejected_and_retransmitted_once() {
     d.assert_exact(
         &m,
         &[
-            ("svt_cmds_corrupted", 1),
+            ("cmd_corrupt", 1),
             ("svt_protocol_errors", 1),
             ("svt_retransmits", 1),
             ("svt_trap_ring", 1),
@@ -144,7 +157,7 @@ fn duplicated_command_is_absorbed_by_the_sequence_check() {
     d.assert_exact(
         &m,
         &[
-            ("svt_cmds_duplicated", 1),
+            ("cmd_duplicate", 1),
             ("svt_duplicates_dropped", 1),
             ("svt_trap_ring", 1),
         ],
@@ -220,12 +233,12 @@ fn healed_channel_is_repromoted_through_a_probe() {
     // The fault is gone. Every probe_every-th trap probes the ring; the
     // probe succeeds, and heal_window clean traps later the channel is
     // Healthy again — each step one recorded transition.
-    let before_ring = m.clock.counter("svt_trap_ring");
+    let before_ring = m.obs.metrics.counter_total("svt_trap_ring");
     run_cpuids(&mut m, 30);
     assert_eq!(transition_count(&m, "fallen_back->degraded"), 1);
     assert_eq!(transition_count(&m, "degraded->healthy"), 1);
     assert!(
-        m.clock.counter("svt_trap_ring") - before_ring >= 9,
+        m.obs.metrics.counter_total("svt_trap_ring") - before_ring >= 9,
         "the probe and the healed traps ride the ring again"
     );
 }

@@ -880,7 +880,6 @@ impl Machine {
                 self.clock.push_part(self.guest_part());
                 self.clock.charge(self.cost.guest_irq_entry);
                 self.clock.pop_part(self.guest_part());
-                self.clock.count("irq_delivered");
                 self.obs
                     .metrics
                     .inc(MetricKey::new("irq_delivered").level(self.level.obs()));
@@ -1029,7 +1028,7 @@ impl Machine {
                 let v = self.l1.apic.ack();
                 debug_assert_eq!(v, Some(svt_arch::VECTOR_IPI));
                 self.l1.apic.eoi();
-                self.clock.count("l1_ipi_direct");
+                self.obs.metrics.inc(MetricKey::new("l1_ipi_direct"));
             }
             MachineEvent::Ipi { to, cmd, seq } => {
                 debug_assert_eq!(to, self.cur, "IPI routed to the wrong vCPU");
@@ -1038,14 +1037,12 @@ impl Machine {
                 // here, before the causal graph's receive edge or the APIC
                 // ever see it.
                 if !self.vcpus[to].ipi_rx_seen.insert(seq) {
-                    self.clock.count("ipi_duplicates_absorbed");
                     self.obs
                         .metrics
                         .inc(MetricKey::new("ipi_duplicates_absorbed").vcpu(to as u32));
                     return;
                 }
                 self.obs.causal.ipi_recv(self.clock.now());
-                self.clock.count("ipi_received");
                 self.obs
                     .metrics
                     .inc(MetricKey::new("ipi_received").vcpu(to as u32));
@@ -1081,12 +1078,12 @@ impl Machine {
     /// (and counted), as hardware would.
     pub fn send_ipi(&mut self, icr: u64) {
         let Some(cmd) = IcrCommand::decode(icr) else {
-            self.clock.count("ipi_bad_icr");
+            self.obs.metrics.inc(MetricKey::new("ipi_bad_icr"));
             return;
         };
         let to = cmd.dest as usize;
         if to >= self.vcpus.len() {
-            self.clock.count("ipi_dropped");
+            self.obs.metrics.inc(MetricKey::new("ipi_dropped"));
             return;
         }
         let seq = self.vcpus[to].ipi_tx_seq;
@@ -1099,7 +1096,6 @@ impl Machine {
             let redeliver = at + self.cost.ipi_deliver;
             self.events
                 .schedule(redeliver, MachineEvent::Ipi { to, cmd, seq });
-            self.clock.count("ipi_retransmits");
             self.obs
                 .metrics
                 .inc(MetricKey::new("ipi_retransmits").vcpu(self.cur as u32));
@@ -1115,7 +1111,6 @@ impl Machine {
             }
         }
         self.obs.causal.ipi_send(to as u32, self.clock.now());
-        self.clock.count("ipi_sent");
         self.obs
             .metrics
             .inc(MetricKey::new("ipi_sent").vcpu(self.cur as u32));
@@ -1212,7 +1207,6 @@ impl Machine {
         self.pending_work = Some(work);
         let reason = ExitReason::ExternalInterrupt { vector };
         self.clock.push_tag("EXTERNAL_INTERRUPT");
-        self.clock.count("l2_exit_chain");
         if !was_halted {
             r.l2_trap(self);
         } else {
@@ -1387,7 +1381,6 @@ impl Machine {
         self.obs.hostprof.trap_begin();
         self.obs.hostprof.shape_fold_str("single");
         self.obs.hostprof.shape_fold_str(tag);
-        self.clock.count("l1_direct_exit");
         self.obs
             .metrics
             .inc(MetricKey::new("vm_exit").level(ObsLevel::L1).exit(tag));
@@ -1541,7 +1534,6 @@ impl Machine {
         self.obs.hostprof.shape_fold_str("l0-direct");
         self.obs.hostprof.shape_fold_str(tag);
         self.obs.hostprof.shape_fold_str(r.name());
-        self.clock.count("l2_exit_chain");
         self.obs.metrics.inc(
             MetricKey::new("l0_direct_exit")
                 .level(ObsLevel::L2)
@@ -1598,7 +1590,6 @@ impl Machine {
         self.obs.hostprof.shape_fold_str(tag);
         self.obs.hostprof.shape_fold_str(r.name());
         self.obs.hostprof.shape_fold_str(r.health());
-        self.clock.count("l2_exit_chain");
         self.obs.metrics.inc(
             MetricKey::new("vm_exit")
                 .level(ObsLevel::L2)
@@ -1713,7 +1704,6 @@ impl Machine {
             .shape_fold_vmcs(id as u64, f.index(), false);
         let c = self.cost.vmread;
         self.clock.charge(c);
-        self.clock.count("vmread");
         self.vmcs_mut_internal(id).read(f)
     }
 
@@ -1724,7 +1714,6 @@ impl Machine {
             .shape_fold_vmcs(id as u64, f.index(), true);
         let c = self.cost.vmwrite;
         self.clock.charge(c);
-        self.clock.count("vmwrite");
         self.vmcs_mut_internal(id).write(f, v);
     }
 
@@ -1755,7 +1744,6 @@ impl Machine {
         self.clock.push_part(CostPart::Transform);
         let c = self.cost.transform_fixed;
         self.clock.charge(c);
-        self.clock.count("transform_fwd");
         self.obs
             .metrics
             .inc(MetricKey::new("transform_fwd").level(ObsLevel::L0));
@@ -1776,7 +1764,6 @@ impl Machine {
         self.clock.push_part(CostPart::Transform);
         let c = self.cost.transform_fixed;
         self.clock.charge(c);
-        self.clock.count("transform_bwd");
         self.obs
             .metrics
             .inc(MetricKey::new("transform_bwd").level(ObsLevel::L0));
@@ -2063,10 +2050,8 @@ impl Machine {
         if self.shadowing && f.shadow_readable() {
             let c = self.cost.vmread;
             self.clock.charge(c);
-            self.clock.count("shadow_vmread");
             self.vcpus[self.cur].vmcs12.read(f)
         } else {
-            self.clock.count("l1_vmread_exit");
             r.l1_exit_roundtrip(self, ExitReason::Vmread { field: f }, 0)
         }
     }
@@ -2077,10 +2062,8 @@ impl Machine {
         if self.shadowing && f.shadow_writable() {
             let c = self.cost.vmwrite;
             self.clock.charge(c);
-            self.clock.count("shadow_vmwrite");
             self.vcpus[self.cur].vmcs12.write(f, v);
         } else {
-            self.clock.count("l1_vmwrite_exit");
             r.l1_exit_roundtrip(self, ExitReason::Vmwrite { field: f }, v);
         }
     }
@@ -2093,7 +2076,6 @@ impl Machine {
     pub fn l0_handle_l1_exit(&mut self, exit: ExitReason, value: u64) -> u64 {
         let tag = self.arch.tag(exit);
         self.obs.hostprof.shape_fold_str(tag);
-        self.clock.count("l1_exit");
         self.obs
             .metrics
             .inc(MetricKey::new("l1_exit").level(ObsLevel::L1).exit(tag));

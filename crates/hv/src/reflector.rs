@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use svt_arch::ExitReason;
+use svt_arch::{ExitReason, VmcsField};
 use svt_cpu::Gpr;
 use svt_obs::ObsLevel;
 
@@ -75,24 +75,10 @@ pub trait Reflector: fmt::Debug + svt_sim::snapshot::SnapDyn {
     }
 
     /// How L1's handler learns the exit reason and qualification: by
-    /// default two vmreads of vmcs01' (shadow-satisfied when shadowing is
-    /// on, full traps otherwise); SW SVt reads them from the received
-    /// command instead.
+    /// default [`read_exit_info_vmcs`]; SW SVt reads them from the
+    /// received command instead.
     fn l1_read_exit_info(&mut self, m: &mut Machine) -> (u64, u64) {
-        let field = |s: &mut Self, m: &mut Machine, f: svt_arch::VmcsField| {
-            if m.shadowing {
-                let c = m.cost.vmread;
-                m.clock.charge(c);
-                m.clock.count("shadow_vmread");
-                m.vmcs12().read(f)
-            } else {
-                m.clock.count("l1_vmread_exit");
-                s.l1_exit_roundtrip(m, ExitReason::Vmread { field: f }, 0)
-            }
-        };
-        let code = field(self, m, svt_arch::VmcsField::ExitReason);
-        let qual = field(self, m, svt_arch::VmcsField::ExitQualification);
-        (code, qual)
+        read_exit_info_vmcs(self, m)
     }
 
     /// L1 reads one of L2's general-purpose registers.
@@ -100,6 +86,24 @@ pub trait Reflector: fmt::Debug + svt_sim::snapshot::SnapDyn {
 
     /// L1 writes one of L2's general-purpose registers.
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64);
+}
+
+/// L1 reads the exit reason and qualification with two vmreads of
+/// vmcs01': shadow-satisfied when shadowing is on, full traps otherwise.
+pub fn read_exit_info_vmcs<R: Reflector + ?Sized>(r: &mut R, m: &mut Machine) -> (u64, u64) {
+    let mut field = |f| {
+        if m.shadowing {
+            let c = m.cost.vmread;
+            m.clock.charge(c);
+            m.vmcs12().read(f)
+        } else {
+            r.l1_exit_roundtrip(m, ExitReason::Vmread { field: f }, 0)
+        }
+    };
+    (
+        field(VmcsField::ExitReason),
+        field(VmcsField::ExitQualification),
+    )
 }
 
 /// The prevailing single-hardware-thread mechanics: every level switch

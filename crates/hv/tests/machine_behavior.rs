@@ -2,12 +2,13 @@
 //! single-level and native paths, EPT-violation lazy fill, halt/wake,
 //! timers, devices and error paths.
 
-use svt_arch::{MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_TIMER};
+use svt_arch::{IcrCommand, MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_IPI, VECTOR_TIMER};
 use svt_hv::{
-    Completion, DeviceModel, DeviceOutcome, GuestCtx, GuestOp, GuestProgram, Level, Machine,
-    MachineConfig, MachineError, OpLoop,
+    BaselineReflector, Completion, DeviceModel, DeviceOutcome, GuestCtx, GuestOp, GuestProgram,
+    Level, Machine, MachineConfig, MachineError, OpLoop,
 };
 use svt_mem::{Gpa, GuestMemory};
+use svt_obs::{MetricKey, ObsLevel};
 use svt_sim::{SimDuration, SimTime};
 
 /// A program driven by a scripted list of operations.
@@ -159,7 +160,18 @@ fn native_msr_and_cpuid_semantics() {
     assert_eq!(prog.results, vec![svt_hv::cpuid_value(0)]);
     assert_eq!(prog.irqs, vec![VECTOR_TIMER]);
     // Native runs never produce VM exits.
-    assert_eq!(m.clock.counter("l2_exit_chain"), 0);
+    assert_eq!(m.obs.metrics.counter_total("vm_exit"), 0);
+    assert_eq!(m.obs.metrics.counter_total("l0_direct_exit"), 0);
+}
+
+/// Sum of the `name` counters at `level`, over every other dimension.
+fn at_level(m: &Machine, name: &str, level: ObsLevel) -> u64 {
+    m.obs
+        .metrics
+        .iter_counters_sorted()
+        .filter(|(k, _)| k.name == name && k.level == Some(level))
+        .map(|(_, n)| n)
+        .sum()
 }
 
 /// Device returning a canned value, for MMIO read plumbing.
@@ -227,8 +239,9 @@ fn single_level_mmio_uses_l0_device_emulation() {
     m.run(&mut prog).unwrap();
     assert_eq!(prog.results, vec![0xfeed]);
     // Single-level: exits counted on the direct path, no nested chains.
-    assert!(m.clock.counter("l1_direct_exit") > 0);
-    assert_eq!(m.clock.counter("l2_exit_chain"), 0);
+    assert!(at_level(&m, "vm_exit", ObsLevel::L1) > 0);
+    assert_eq!(at_level(&m, "vm_exit", ObsLevel::L2), 0);
+    assert_eq!(m.obs.metrics.counter_total("l0_direct_exit"), 0);
 }
 
 #[test]
@@ -237,7 +250,7 @@ fn untracked_msr_does_not_exit() {
     let mut m = Machine::baseline(MachineConfig::at_level(Level::L2));
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
+    m.obs.metrics.clear();
     let mut prog = Script::new(vec![
         GuestOp::MsrWrite {
             msr: svt_arch::MSR_EFER,
@@ -246,8 +259,28 @@ fn untracked_msr_does_not_exit() {
         GuestOp::Done,
     ]);
     m.run(&mut prog).unwrap();
-    let d = m.clock.since_snapshot(&base);
-    assert_eq!(d.counter("l2_exit_chain"), 0);
+    assert_eq!(m.obs.metrics.counter_total("vm_exit"), 0);
+    assert_eq!(m.obs.metrics.counter_total("l0_direct_exit"), 0);
+}
+
+/// `send_ipi` drops an undecodable ICR and a destination beyond the last
+/// vCPU before anything reaches the interconnect: each is counted once,
+/// schedules nothing and is not a sent IPI.
+#[test]
+fn undeliverable_ipis_are_dropped_and_counted() {
+    let mut m = Machine::baseline(MachineConfig::at_level(Level::L2));
+    m.add_vcpu(Box::new(BaselineReflector::new()));
+    assert_eq!(m.n_vcpus(), 2);
+    let scheduled = m.events.scheduled();
+    // Delivery mode 0b111 does not decode.
+    m.send_ipi(IcrCommand::fixed(VECTOR_IPI, 1).encode() | (0b111 << 8));
+    // There is no vCPU 2.
+    m.send_ipi(IcrCommand::fixed(VECTOR_IPI, 2).encode());
+    let metrics = &m.obs.metrics;
+    assert_eq!(metrics.counter(MetricKey::new("ipi_bad_icr")), 1);
+    assert_eq!(metrics.counter(MetricKey::new("ipi_dropped")), 1);
+    assert_eq!(metrics.counter_total("ipi_sent"), 0);
+    assert_eq!(m.events.scheduled(), scheduled, "no IPI was scheduled");
 }
 
 #[test]

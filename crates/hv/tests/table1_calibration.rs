@@ -3,7 +3,8 @@
 //! mechanical execution of Algorithm 1 — not from hard-coded totals.
 
 use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
-use svt_sim::{CostPart, SimDuration};
+use svt_obs::{MetricKey, ObsLevel};
+use svt_sim::{ClockSnapshot, CostModel, CostPart, SimDuration};
 
 /// Paper Table 1, in nanoseconds.
 const PAPER: &[(CostPart, f64)] = &[
@@ -15,11 +16,20 @@ const PAPER: &[(CostPart, f64)] = &[
     (CostPart::L1Handler, 1960.0),
 ];
 
-fn run_cpuid_batch(iters: u64) -> (Machine, svt_sim::ClockSnapshot) {
-    let mut m = Machine::baseline(MachineConfig::at_level(Level::L2));
+fn run_cpuid_batch(iters: u64) -> (Machine, ClockSnapshot) {
+    run_cpuid_batch_with(iters, |_| {})
+}
+
+/// As [`run_cpuid_batch`], on a cost model changed by `tweak`. The
+/// metrics registry counts only the measured iterations.
+fn run_cpuid_batch_with(iters: u64, tweak: fn(&mut CostModel)) -> (Machine, ClockSnapshot) {
+    let mut cfg = MachineConfig::at_level(Level::L2);
+    tweak(&mut cfg.cost);
+    let mut m = Machine::baseline(cfg);
     // Warm up one iteration (bootstrap costs), then measure.
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm).unwrap();
+    m.obs.metrics.clear();
     let base = m.clock.snapshot();
     let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
     m.run(&mut prog).unwrap();
@@ -71,15 +81,28 @@ fn overhead_fraction_matches_paper() {
 #[test]
 fn each_cpuid_reflects_exactly_once() {
     let (m, d) = run_cpuid_batch(10);
-    assert_eq!(d.counter("l2_exit_chain"), 10);
+    let metrics = &m.obs.metrics;
+    assert_eq!(metrics.counter_total("vm_exit"), 10);
+    assert_eq!(metrics.counter_total("l0_direct_exit"), 0);
     // Every handler run triggers exactly one folded L1->L0 trap (the
-    // unshadowable control write).
-    assert_eq!(d.counter("l1_vmwrite_exit"), 10);
-    assert_eq!(d.counter("transform_fwd"), 10);
-    assert_eq!(d.counter("transform_bwd"), 10);
+    // unshadowable control write), and no other.
+    let vmwrite = MetricKey::new("l1_exit")
+        .level(ObsLevel::L1)
+        .exit("VMWRITE");
+    assert_eq!(metrics.counter(vmwrite), 10);
+    assert_eq!(metrics.counter_total("l1_exit"), 10);
+    assert_eq!(metrics.counter_total("transform_fwd"), 10);
+    assert_eq!(metrics.counter_total("transform_bwd"), 10);
     // Both transforms move 10 fields each; leg B reads 12 more fields.
-    assert_eq!(d.counter("vmread"), 10 * (10 + 10 + 12));
-    drop(m);
+    // The charge count is read off the clock: a vmread 1us dearer makes
+    // each part dearer by 1us per charged vmread.
+    let (_, dear) = run_cpuid_batch_with(10, |c| c.vmread += SimDuration::from_us(1));
+    let grew = |part| dear.part_time(part) - d.part_time(part);
+    assert_eq!(
+        grew(CostPart::Transform),
+        SimDuration::from_us(10 * (10 + 10))
+    );
+    assert_eq!(grew(CostPart::L0Handler), SimDuration::from_us(10 * 12));
 }
 
 #[test]
@@ -126,12 +149,15 @@ fn shadowing_off_multiplies_l1_traps() {
     let mut m = Machine::baseline(cfg);
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm).unwrap();
+    m.obs.metrics.clear();
     let base = m.clock.snapshot();
     let mut prog = OpLoop::new(GuestOp::Cpuid, 20, 0, SimDuration::ZERO);
     m.run(&mut prog).unwrap();
     let d = m.clock.since_snapshot(&base);
     // Without shadowing, L1's exit-info vmreads and rip vmwrite also trap.
-    assert!(d.counter("l1_vmread_exit") >= 40, "{:?}", d.counters);
+    let vmread = MetricKey::new("l1_exit").level(ObsLevel::L1).exit("VMREAD");
+    let traps = m.obs.metrics.counter(vmread);
+    assert!(traps >= 40, "{traps} VMREAD exits");
     let per_op = d.busy_time().as_ns() / 20.0;
     assert!(per_op > 13_000.0, "no-shadowing per-op {per_op:.0}ns");
 }

@@ -1,9 +1,8 @@
 //! Structured metric keys.
 //!
 //! Metrics are keyed by a name plus up to four dimensions — virtualization
-//! level, exit reason, reflector kind and vCPU id — replacing the
-//! stringly-typed `Clock` counters for anything a report or dashboard wants
-//! to slice.
+//! level, exit reason, reflector kind and vCPU id — so a report or
+//! dashboard can slice any count.
 
 use std::fmt;
 

@@ -1,10 +1,9 @@
 //! The typed metrics registry.
 //!
 //! Counters, gauges and log-bucketed latency histograms keyed by
-//! structured [`MetricKey`]s. The registry is the machine-readable
-//! counterpart to the `Clock`'s stringly counters: everything here can be
-//! exported to JSON, sliced by level/exit-reason/reflector, and diffed
-//! across runs.
+//! structured [`MetricKey`]s. The registry is where the simulator counts
+//! events: everything here can be exported to JSON, sliced by
+//! level/exit-reason/reflector, and diffed across runs.
 //!
 //! # Storage layout
 //!

@@ -124,8 +124,10 @@ impl fmt::Display for CostPart {
     }
 }
 
-/// The simulation clock: current instant, per-part time attribution,
-/// per-tag time attribution and named event counters.
+/// The simulation clock: current instant, per-part time attribution and
+/// per-tag time attribution. Events are counted in the machine's metrics
+/// registry; how often a primitive was charged is read off the clock by
+/// finite difference on its cost.
 ///
 /// # Examples
 ///
@@ -148,7 +150,6 @@ pub struct Clock {
     part_time: [SimDuration; CostPart::COUNT],
     tag_stack: Vec<&'static str>,
     tag_time: FnvHashMap<&'static str, SimDuration>,
-    counters: FnvHashMap<&'static str, u64>,
 }
 
 impl Clock {
@@ -243,48 +244,11 @@ impl Clock {
         v
     }
 
-    /// All parts with attributed time, sorted by descending time (used by
-    /// report emitters that want the full attribution, not just Table 1).
-    pub fn parts_by_time(&self) -> Vec<(CostPart, SimDuration)> {
-        let mut v: Vec<_> = CostPart::ALL
-            .iter()
-            .map(|&p| (p, self.part_time[p.index()]))
-            .filter(|(_, d)| !d.is_zero())
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
-
-    /// Increments a named counter (e.g. `"vm_exit"`).
-    #[inline]
-    pub fn count(&mut self, name: &'static str) {
-        self.count_by(name, 1);
-    }
-
-    /// Adds `n` to a named counter.
-    #[inline]
-    pub fn count_by(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_default() += n;
-    }
-
-    /// Current value of a named counter.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Snapshot of all counters, sorted by name.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
-
-    /// Resets attribution and counters but keeps the current instant
-    /// (used to discard warm-up iterations).
+    /// Resets attribution but keeps the current instant (used to discard
+    /// warm-up iterations).
     pub fn reset_attribution(&mut self) {
         self.part_time = [SimDuration::ZERO; CostPart::COUNT];
         self.tag_time.clear();
-        self.counters.clear();
     }
 
     /// Takes a snapshot of the attribution state for later differencing.
@@ -300,7 +264,6 @@ impl Clock {
                 .filter(|(_, d)| !d.is_zero())
                 .collect(),
             tag_time: self.tag_time.iter().map(|(k, v)| (*k, *v)).collect(),
-            counters: self.counters.iter().map(|(k, v)| (*k, *v)).collect(),
         }
     }
 
@@ -325,17 +288,11 @@ impl Clock {
                 })
                 .filter(|(_, v)| !v.is_zero())
                 .collect(),
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| (*k, v - base.counters.get(k).copied().unwrap_or(0)))
-                .filter(|(_, v)| *v != 0)
-                .collect(),
         }
     }
 }
 
-snap_fields! { Clock { now, part_stack, part_time, tag_stack, tag_time, counters } }
+snap_fields! { Clock { now, part_stack, part_time, tag_stack, tag_time } }
 
 /// A frozen view of the clock's attribution state.
 #[derive(Debug, Clone, Default)]
@@ -346,8 +303,6 @@ pub struct ClockSnapshot {
     pub part_time: HashMap<CostPart, SimDuration>,
     /// Per-tag accumulated time.
     pub tag_time: HashMap<&'static str, SimDuration>,
-    /// Counter values.
-    pub counters: HashMap<&'static str, u64>,
 }
 
 impl ClockSnapshot {
@@ -361,29 +316,10 @@ impl ClockSnapshot {
         self.tag_time.get(tag).copied().unwrap_or_default()
     }
 
-    /// Counter value in this snapshot.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All parts with attributed time, sorted by descending time.
-    pub fn parts_by_time(&self) -> Vec<(CostPart, SimDuration)> {
-        let mut v: Vec<_> = self.part_time.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
-
     /// All tags with attributed time, sorted by descending time.
     pub fn tags_by_time(&self) -> Vec<(&'static str, SimDuration)> {
         let mut v: Vec<_> = self.tag_time.iter().map(|(k, v)| (*k, *v)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        v
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters_sorted(&self) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by_key(|(k, _)| *k);
         v
     }
 
@@ -465,28 +401,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_count() {
-        let mut c = Clock::new();
-        c.count("vm_exit");
-        c.count("vm_exit");
-        c.count_by("vmread", 5);
-        assert_eq!(c.counter("vm_exit"), 2);
-        assert_eq!(c.counter("vmread"), 5);
-        assert_eq!(c.counter("missing"), 0);
-    }
-
-    #[test]
     fn snapshot_differencing() {
         let mut c = Clock::new();
         c.push_part(CostPart::L2Guest);
         c.charge(SimDuration::from_ns(10));
         let snap = c.snapshot();
         c.charge(SimDuration::from_ns(15));
-        c.count("vm_exit");
         c.pop_part(CostPart::L2Guest);
         let d = c.since_snapshot(&snap);
         assert_eq!(d.part_time(CostPart::L2Guest), SimDuration::from_ns(15));
-        assert_eq!(d.counter("vm_exit"), 1);
         assert_eq!(d.busy_time(), SimDuration::from_ns(15));
     }
 
@@ -505,10 +428,8 @@ mod tests {
     fn reset_attribution_keeps_time() {
         let mut c = Clock::new();
         c.charge(SimDuration::from_ns(42));
-        c.count("x");
         c.reset_attribution();
         assert_eq!(c.now(), SimTime::from_ns(42));
-        assert_eq!(c.counter("x"), 0);
         assert_eq!(c.part_time(CostPart::Other), SimDuration::ZERO);
     }
 }

@@ -109,7 +109,7 @@ fn video_player_reads_file_chunks_from_disk() {
     m.run(&mut p).unwrap();
     // ~6 chunks in 3s at 500ms cadence, tens of reads each.
     assert!(m.clock.tag_time("EPT_MISCONFIG").as_ns() > 0.0);
-    assert!(m.clock.counter("irq_delivered") > 100);
+    assert!(m.obs.metrics.counter_total("irq_delivered") > 100);
 }
 
 #[test]
@@ -205,7 +205,7 @@ fn server_disk_reads_are_sequentially_ordered_before_reply() {
     m.run(&mut server).unwrap();
     assert_eq!(stats.borrow().completed, 5);
     // 4 block operations per request (3 reads + 1 WAL write), 5 requests.
-    assert!(m.clock.counter("irq_delivered") >= 5 * 4);
+    assert!(m.obs.metrics.counter_total("irq_delivered") >= 5 * 4);
 }
 
 #[test]

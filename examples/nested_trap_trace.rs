@@ -15,6 +15,7 @@ fn main() -> Result<(), MachineError> {
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm)?;
     m.clock.reset_attribution();
+    m.obs.metrics.clear();
     m.obs.causal.enable();
 
     println!("Executing one cpuid in L2 (Algorithm 1 of the paper):\n");
@@ -52,8 +53,8 @@ fn main() -> Result<(), MachineError> {
     println!("   {:<60} {}", "Total", total);
 
     println!("\nArchitectural events during the trap:");
-    for (name, v) in m.clock.counters() {
-        println!("   {name:<24} {v}");
+    for (key, v) in m.obs.metrics.iter_counters_sorted() {
+        println!("   {:<60} {v}", key.to_string());
     }
 
     println!("\nCausal events (oldest first; `run` opens a stage span):");

@@ -15,6 +15,15 @@ cargo test -q --workspace
 echo "==> cargo build --examples"
 cargo build --workspace --examples
 
+echo "==> run the root examples"
+# Each drives the public API end to end, so a wrong metric key or a
+# broken walk-through fails here, not only a compile error. The bench
+# crate's golden_gen example regenerates goldens and is not run.
+for ex in examples/*.rs; do
+    cargo run -q --example "$(basename "$ex" .rs)" >/dev/null
+done
+echo "ok   every root example exits 0"
+
 echo "==> fig6 speedup regression against BENCH_fig6.json"
 cargo run -q -p svt-bench --bin fig6 -- --json /tmp/fig6.json >/dev/null
 python3 - <<'PY'

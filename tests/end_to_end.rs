@@ -72,7 +72,7 @@ fn disk_data_survives_the_full_stack() {
     );
     m.run(&mut bench).expect("disk run completes");
     assert_eq!(bench.completed(), 40);
-    assert!(m.clock.counter("irq_delivered") > 0);
+    assert!(m.obs.metrics.counter_total("irq_delivered") > 0);
 }
 
 #[test]

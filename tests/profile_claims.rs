@@ -97,8 +97,8 @@ fn sw_svt_blocked_protocol_makes_forward_progress() {
     }
     let mut prog = OpLoop::new(GuestOp::Cpuid, 50, 1000, SimDuration::from_ns(10));
     m.run(&mut prog).expect("no deadlock");
-    let blocked = m.clock.counter("svt_blocked");
-    let direct = m.clock.counter("l1_ipi_direct");
+    let blocked = m.obs.metrics.counter_total("svt_blocked");
+    let direct = m.obs.metrics.counter_total("l1_ipi_direct");
     assert_eq!(
         blocked + direct,
         5,
