@@ -2,15 +2,13 @@
 //! VMCS shadowing, the SW-SVt channel wait mechanism and placement, and
 //! cross-context register access granularity.
 
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
-};
+use svt_bench::{paper_report, print_header, rule, BenchCli, CliSpec, Flag};
 use svt_core::{
     machine_with, BypassReflector, HwSvtReflector, SwSvtReflector, SwitchMode, WaitMode,
 };
 use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
-use svt_obs::{Json, RunReport};
-use svt_sim::{CostModel, Placement, SimDuration};
+use svt_obs::Json;
+use svt_sim::{Placement, SimDuration};
 
 fn cpuid_us(m: &mut Machine, iters: u64) -> f64 {
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
@@ -21,11 +19,14 @@ fn cpuid_us(m: &mut Machine, iters: u64) -> f64 {
     m.clock.since_snapshot(&base).busy_time().as_us() / iters as f64
 }
 
+const CLI: CliSpec = CliSpec {
+    bin: "ablations",
+    args: &[],
+    flags: &[Flag::Json, Flag::Hostprof],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench ablations [--json r.json] [--hostprof]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("ablations");
+    let cli = BenchCli::parse(&CLI);
     print_header("Ablations");
     let mut sections: Vec<(String, Vec<(String, f64)>)> = Vec::new();
 
@@ -103,15 +104,11 @@ fn main() {
     rows.push(("Bypass".to_string(), us));
     sections.push(("design_spectrum".to_string(), rows));
 
-    let mut report = RunReport::new("ablations", "Design-choice ablations (DESIGN.md)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    // cpuid ablations are load-free; the seed is recorded so every bench
-    // report carries the same reproducibility field.
-    report.results.push((
-        "seed".to_string(),
-        Json::from(cli.seed_or(svt_workloads::DEFAULT_LANE_SEED)),
-    ));
+    let mut report = paper_report(
+        "ablations",
+        "Design-choice ablations (DESIGN.md)",
+        svt_workloads::DEFAULT_LANE_SEED,
+    );
     for (name, rows) in sections {
         report.results.push((
             name,
@@ -127,6 +124,5 @@ fn main() {
             ),
         ));
     }
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

@@ -1,18 +1,19 @@
 //! Regenerates the 6.1 channel study: signaling latency by mechanism,
 //! placement and surrounding workload size.
 
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
-};
-use svt_obs::{Json, RunReport};
+use svt_bench::{paper_report, print_header, rule, BenchCli, CliSpec, Flag};
+use svt_obs::Json;
 use svt_sim::CostModel;
 use svt_workloads::{channel_study, default_workloads, simulate_channel_round_ns, Mechanism};
 
+const CLI: CliSpec = CliSpec {
+    bin: "channel",
+    args: &[],
+    flags: &[Flag::Json],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench channel [--json r.json] [--hostprof]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("channel");
+    let cli = BenchCli::parse(&CLI);
     print_header("Section 6.1 - SW SVt communication-channel study");
     let cost = CostModel::default();
     let cells = channel_study(&cost, &default_workloads());
@@ -60,21 +61,13 @@ fn main() {
     println!("  - mutex: large startup cost amortized at large sizes; mwait slightly better");
     println!("  - SMT + mwait: the compromise SW SVt uses");
 
-    let mut report = RunReport::new(
+    let mut report = paper_report(
         "channel",
         "SW SVt communication-channel study (section 6.1)",
+        svt_workloads::DEFAULT_LANE_SEED,
     );
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&cost));
-    // The channel study is analytic; the seed is recorded so every bench
-    // report carries the same reproducibility field.
-    report.results.push((
-        "seed".to_string(),
-        Json::from(cli.seed_or(svt_workloads::DEFAULT_LANE_SEED)),
-    ));
     report
         .results
         .push(("cells".to_string(), Json::Arr(cell_rows)));
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

@@ -21,24 +21,34 @@
 
 use svt_arch::ArchId;
 use svt_bench::{
-    faults_campaign, faults_report, guard, hostprof_begin, hostprof_finish, print_header, rule,
-    telemetry_cell, BenchCli, FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, SERVE_RATE_QPS,
+    faults_campaign, faults_report, print_header, rule, telemetry_cell, BenchCli, CliSpec, Flag,
+    FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, SERVE_RATE_QPS,
 };
 use svt_core::SwitchMode;
 use svt_sim::FaultPlan;
 use svt_workloads::{App, RunSpec, DEFAULT_LANE_SEED};
 
+const CLI: CliSpec = CliSpec {
+    bin: "faults",
+    args: &[],
+    flags: &[
+        Flag::Json,
+        Flag::Hostprof,
+        Flag::Smoke,
+        Flag::Seed,
+        Flag::Jobs,
+        Flag::CheckpointDir,
+        Flag::Resume,
+        Flag::Timeline,
+        Flag::Dump,
+        Flag::DumpOnExit,
+    ],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help(
-        "svt-bench faults [--smoke] [--json r.json] [--hostprof] [--timeline t.json] \
-         [--dump d.json] [--dump-on-exit] [--seed n] [--jobs n] [--checkpoint-dir d] [--resume]",
-    );
-    guard::install(&cli, "faults");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("faults");
-    let smoke = cli.flag("--smoke");
-    let seed = cli.seed_or(FAULTS_DEFAULT_SEED);
+    let cli = BenchCli::parse(&CLI);
+    let smoke = cli.flag(Flag::Smoke);
+    let seed = cli.seed.unwrap_or(FAULTS_DEFAULT_SEED);
     let requests: u64 = if smoke { 60 } else { 150 };
     let rates: &[f64] = if smoke {
         &[0.0, 0.05]
@@ -54,14 +64,14 @@ fn main() {
     );
     rule();
 
-    let ckpt = cli.checkpoint("faults", seed);
+    let ckpt = cli.checkpoint(seed);
     let cells = faults_campaign(
         &FAULTS_MODES,
         rates,
         requests,
         seed,
         cli.jobs(),
-        ckpt.as_ref().map(|c| (c, cli.resume())),
+        ckpt.as_ref().map(|c| (c, cli.flag(Flag::Resume))),
     );
     for chunk in cells.chunks(rates.len()) {
         for c in chunk {
@@ -97,7 +107,5 @@ fn main() {
         lane_seed: DEFAULT_LANE_SEED,
     };
     telemetry_cell(&cli, &format!("SW SVt @ rate {rate:.2}"), spec, plan);
-    let mut report = faults_report(&cells, seed);
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(faults_report(&cells, seed));
 }

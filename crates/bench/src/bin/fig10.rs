@@ -1,19 +1,19 @@
 //! Regenerates Fig. 10: video-playback dropped frames.
 
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
-};
+use svt_bench::{paper_report, print_header, rule, BenchCli, CliSpec, Flag};
 use svt_core::SwitchMode;
-use svt_obs::{Json, RunReport};
-use svt_sim::CostModel;
+use svt_obs::Json;
 use svt_workloads::video_playback;
 
+const CLI: CliSpec = CliSpec {
+    bin: "fig10",
+    args: &[],
+    flags: &[Flag::Json, Flag::Hostprof, Flag::Quick],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench fig10 [--quick] [--json r.json] [--hostprof] [--seed n]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("fig10");
-    let quick = cli.flag("--quick");
+    let cli = BenchCli::parse(&CLI);
+    let quick = cli.flag(Flag::Quick);
     let secs = if quick { 60 } else { 300 };
     print_header("Fig. 10 - dropped frames vs frame rate (5 min playback)");
     println!(
@@ -46,21 +46,16 @@ fn main() {
     rule();
     println!("(drop counts scaled to 5 minutes when run with --quick)");
 
-    let mut report = RunReport::new("fig10", "Video-playback dropped frames (Fig. 10)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    // Fixed frame cadence, no random load; the seed is recorded so every
-    // bench report carries the same reproducibility field.
-    report.results.push((
-        "seed".to_string(),
-        Json::from(cli.seed_or(svt_workloads::DEFAULT_LANE_SEED)),
-    ));
+    let mut report = paper_report(
+        "fig10",
+        "Video-playback dropped frames (Fig. 10)",
+        svt_workloads::DEFAULT_LANE_SEED,
+    );
     report
         .results
         .push(("frame_rates".to_string(), Json::Arr(rows)));
     report
         .results
         .push(("playback_secs".to_string(), Json::from(secs)));
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

@@ -12,24 +12,34 @@
 
 use svt_arch::ArchId;
 use svt_bench::{
-    fig6_report, guard, hostprof_begin, hostprof_finish, print_header, riscv_grid, riscv_report,
-    rule, BenchCli,
+    fig6_report, print_header, riscv_grid, riscv_report, rule, BenchCli, CliSpec, Flag,
+};
+use svt_sim::checkpoint::Checkpoint;
+
+const CLI: CliSpec = CliSpec {
+    bin: "fig6",
+    args: &[],
+    flags: &[
+        Flag::Json,
+        Flag::Hostprof,
+        Flag::Seed,
+        Flag::Jobs,
+        Flag::Arch,
+        Flag::CheckpointDir,
+        Flag::Resume,
+    ],
 };
 
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help(
-        "svt-bench fig6 [--json r.json] [--hostprof] [--jobs n] [--arch x86|riscv] \
-         [--checkpoint-dir d] [--resume]",
-    );
-    guard::install(&cli, "fig6");
-    hostprof_begin(&cli);
+    let cli = BenchCli::parse(&CLI);
+    let seed = cli.seed.unwrap_or(svt_workloads::DEFAULT_LANE_SEED);
+    let ckpt = cli.checkpoint(seed);
+    let ckpt = ckpt.as_ref().map(|c| (c, cli.flag(Flag::Resume)));
     if cli.arch() == ArchId::Riscv {
-        return riscv_main(&cli);
+        return riscv_main(&cli, seed, ckpt);
     }
     print_header("Fig. 6 - execution time of a cpuid instruction");
-    let ckpt = cli.checkpoint("fig6", cli.seed_or(svt_workloads::DEFAULT_LANE_SEED));
-    let grid = svt_workloads::fig6_grid(200, cli.jobs(), ckpt.as_ref().map(|c| (c, cli.resume())));
+    let grid = svt_workloads::fig6_grid(200, cli.jobs(), ckpt);
     println!(
         "{:<10}{:>12}{:>14}{:>16}",
         "System", "Time [us]", "Speedup", "Paper speedup"
@@ -54,24 +64,14 @@ fn main() {
 
     // The cpuid micro-benchmark is load-free; the seed is recorded so
     // every bench report carries the same reproducibility field.
-    let mut report = fig6_report(&grid, cli.seed_or(svt_workloads::DEFAULT_LANE_SEED));
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(fig6_report(&grid, seed));
 }
 
 /// The `--arch riscv` path: the same five-bar trap-latency comparison on
 /// the H-extension backend, plus memcached through every engine.
-fn riscv_main(cli: &BenchCli) {
+fn riscv_main(cli: &BenchCli, seed: u64, ckpt: Option<(&Checkpoint, bool)>) {
     print_header("Fig. 6 (riscv) - trap-and-emulate latency on the H-extension backend");
-    let seed = cli.seed_or(svt_workloads::DEFAULT_LANE_SEED);
-    let ckpt = cli.checkpoint("fig6", seed);
-    let grid = riscv_grid(
-        200,
-        60,
-        seed,
-        cli.jobs(),
-        ckpt.as_ref().map(|c| (c, cli.resume())),
-    );
+    let grid = riscv_grid(200, 60, seed, cli.jobs(), ckpt);
     println!("{:<10}{:>12}{:>10}", "System", "Time [us]", "Speedup");
     rule();
     for b in &grid.bars {
@@ -97,7 +97,5 @@ fn riscv_main(cli: &BenchCli) {
             p.p99_ns / 1_000.0
         );
     }
-    let mut report = riscv_report(&grid, seed);
-    hostprof_finish(cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(riscv_report(&grid, seed));
 }

@@ -1,18 +1,17 @@
 //! Regenerates Fig. 7: I/O subsystem speedups.
 
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, vs_paper,
-    BenchCli,
+use svt_bench::{paper_report, print_header, rule, vs_paper, BenchCli, CliSpec, Flag};
+use svt_obs::{Json, SpeedupRow};
+
+const CLI: CliSpec = CliSpec {
+    bin: "fig7",
+    args: &[("scale", "divide every op count by this (default 1)")],
+    flags: &[Flag::Json, Flag::Hostprof],
 };
-use svt_obs::{Json, RunReport, SpeedupRow};
-use svt_sim::CostModel;
 
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench fig7 [scale] [--json r.json] [--hostprof]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("fig7");
-    let scale = cli.positional_or(0, 1u64);
+    let cli = BenchCli::parse(&CLI);
+    let scale = cli.positional_in(0, 1, 1..=u64::MAX);
     print_header("Fig. 7 - speedup of SVt on various I/O subsystems");
     let rows = svt_workloads::fig7(scale);
     println!(
@@ -35,15 +34,11 @@ fn main() {
     rule();
     println!("(speedups: measured x (paper x); latencies lower-is-better, bandwidths higher)");
 
-    let mut report = RunReport::new("fig7", "Speedup of SVt on I/O subsystems (Fig. 7)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    // Fixed-pattern I/O clients; the seed is recorded so every bench
-    // report carries the same reproducibility field.
-    report.results.push((
-        "seed".to_string(),
-        Json::from(cli.seed_or(svt_workloads::DEFAULT_LANE_SEED)),
-    ));
+    let mut report = paper_report(
+        "fig7",
+        "Speedup of SVt on I/O subsystems (Fig. 7)",
+        svt_workloads::DEFAULT_LANE_SEED,
+    );
     let mut bench_rows = Vec::new();
     for r in &rows {
         report.speedups.push(SpeedupRow {
@@ -68,6 +63,5 @@ fn main() {
     report
         .results
         .push(("benchmarks".to_string(), Json::Arr(bench_rows)));
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

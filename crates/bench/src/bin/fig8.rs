@@ -1,20 +1,20 @@
 //! Regenerates Fig. 8: memcached latency under Facebook's ETC load.
 
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
-};
+use svt_bench::{paper_report, print_header, rule, BenchCli, CliSpec, Flag};
 use svt_core::SwitchMode;
-use svt_obs::{Json, RunReport, SpeedupRow};
-use svt_sim::CostModel;
+use svt_obs::{Json, SpeedupRow};
 use svt_workloads::{default_rates, fig8_series, DEFAULT_LANE_SEED, SLA_NS};
 
+const CLI: CliSpec = CliSpec {
+    bin: "fig8",
+    args: &[],
+    flags: &[Flag::Json, Flag::Hostprof, Flag::Quick, Flag::Seed],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench fig8 [--quick] [--json r.json] [--hostprof] [--seed n]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("fig8");
-    let quick = cli.flag("--quick");
-    let seed = cli.seed_or(DEFAULT_LANE_SEED);
+    let cli = BenchCli::parse(&CLI);
+    let quick = cli.flag(Flag::Quick);
+    let seed = cli.seed.unwrap_or(DEFAULT_LANE_SEED);
     let requests = if quick { 400 } else { 2000 };
     print_header("Fig. 8 - memcached (ETC) latency vs load, SLA 500 usec on p99");
     let rates = default_rates();
@@ -58,10 +58,7 @@ fn main() {
     }
     rule();
     let base = within[0].1;
-    let mut report = RunReport::new("fig8", "memcached ETC latency vs load (Fig. 8)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    report.results.push(("seed".to_string(), Json::from(seed)));
+    let mut report = paper_report("fig8", "memcached ETC latency vs load (Fig. 8)", seed);
     for (name, t) in &within {
         let speedup = t / base;
         println!(
@@ -80,6 +77,5 @@ fn main() {
     report
         .results
         .push(("sla_ns".to_string(), Json::Num(SLA_NS)));
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

@@ -1,20 +1,19 @@
 //! Regenerates Fig. 9: TPC-C throughput.
 
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, vs_paper,
-    BenchCli,
-};
+use svt_bench::{paper_report, print_header, rule, vs_paper, BenchCli, CliSpec, Flag};
 use svt_core::SwitchMode;
-use svt_obs::{Json, RunReport, SpeedupRow};
-use svt_sim::CostModel;
+use svt_obs::{Json, SpeedupRow};
+
+const CLI: CliSpec = CliSpec {
+    bin: "fig9",
+    args: &[],
+    flags: &[Flag::Json, Flag::Hostprof, Flag::Quick, Flag::Seed],
+};
 
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench fig9 [--quick] [--json r.json] [--hostprof] [--seed n]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("fig9");
-    let quick = cli.flag("--quick");
-    let seed = cli.seed_or(svt_workloads::DEFAULT_LANE_SEED);
+    let cli = BenchCli::parse(&CLI);
+    let quick = cli.flag(Flag::Quick);
+    let seed = cli.seed.unwrap_or(svt_workloads::DEFAULT_LANE_SEED);
     let txns = if quick { 60 } else { 300 };
     print_header("Fig. 9 - TPC-C (sysbench-style, WAL on virtio-blk) throughput");
     let baseline = svt_workloads::tpcc_tpm(SwitchMode::Baseline, txns, seed);
@@ -26,10 +25,7 @@ fn main() {
     rule();
     println!("Speedup: {:.2}x (paper: 1.18x)", svt / baseline);
 
-    let mut report = RunReport::new("fig9", "TPC-C throughput (Fig. 9)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    report.results.push(("seed".to_string(), Json::from(seed)));
+    let mut report = paper_report("fig9", "TPC-C throughput (Fig. 9)", seed);
     report.speedups.push(SpeedupRow {
         name: "sw_svt/tpcc_tpm".to_string(),
         speedup: svt / baseline,
@@ -44,6 +40,5 @@ fn main() {
             ("txns", Json::from(txns)),
         ]),
     ));
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

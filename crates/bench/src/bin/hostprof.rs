@@ -25,23 +25,25 @@
 //! unconditionally here; `--hostprof` on the other bins opts them in.
 
 use svt_bench::{
-    hostprof_converged, hostprof_report, print_header, print_hostprof, rule, BenchCli,
-    HOSTPROF_N_VCPUS,
+    hostprof_converged, hostprof_report, print_header, print_hostprof, rule, BenchCli, CliSpec,
+    Flag, HOSTPROF_N_VCPUS,
 };
 use svt_workloads::DEFAULT_LANE_SEED;
 
 #[global_allocator]
 static ALLOC: svt_obs::CountingAlloc = svt_obs::CountingAlloc;
 
+const CLI: CliSpec = CliSpec {
+    bin: "hostprof",
+    args: &[("requests", "memcached requests per vCPU lane (default 120)")],
+    flags: &[Flag::Json, Flag::Seed, Flag::Jobs, Flag::Arch],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help(
-        "svt-bench hostprof [requests] [--json r.json] [--seed n] [--jobs n] \
-         [--arch x86|riscv]",
-    );
+    let cli = BenchCli::parse(&CLI);
     let arch = cli.arch();
-    let seed = cli.seed_or(DEFAULT_LANE_SEED);
-    let requests: u64 = cli.positional_or(0, 120);
+    let seed = cli.seed.unwrap_or(DEFAULT_LANE_SEED);
+    let requests = cli.positional_in(0, 120, 1..=u64::MAX);
     print_header("Host-cost self-profile - per-subsystem wall/alloc attribution + trap shapes");
     println!(
         "workload: sharded memcached, {HOSTPROF_N_VCPUS} vCPUs x 3 engines, {requests} requests/lane, arch {arch}",
@@ -64,5 +66,5 @@ fn main() {
         run.cells, run.jobs, run.completed, run.agg.events
     );
     println!("wall columns: {}", converged.describe());
-    cli.emit_report(&hostprof_report(&converged, arch, seed));
+    cli.emit_report(hostprof_report(&converged, arch, seed));
 }

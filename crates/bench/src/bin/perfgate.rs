@@ -15,15 +15,16 @@
 //!   against the baseline's host phase (see `svt_bench::gate`).
 //!
 //! Exits nonzero (after printing the delta table) when any metric leaves
-//! its band, so `scripts/ci.sh` can gate on it. `--seed`, `--jobs` and
-//! `--arch` are refused: the baseline decides the campaign.
+//! its band, so `scripts/ci.sh` can gate on it. The baseline decides the
+//! campaign, so `--seed`, `--jobs` and `--arch` are not declared and are
+//! refused like any other flag this bin does not read.
 
 use std::path::PathBuf;
 use std::process::exit;
 
 use svt_bench::{
     delta_table, gate_hostprof, gate_passes, hostprof_converged, hostprof_report, hostprof_setup,
-    print_header, rule, BenchCli, WALL_BAND,
+    print_header, rule, BenchCli, CliSpec, Flag, WALL_BAND,
 };
 use svt_obs::Json;
 
@@ -43,19 +44,15 @@ fn fail(msg: impl std::fmt::Display, code: i32) -> ! {
     exit(code);
 }
 
+const CLI: CliSpec = CliSpec {
+    bin: "perfgate",
+    args: &[("baseline", "default BENCH_hostprof.json")],
+    flags: &[Flag::Json],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench perfgate [hostprof_baseline] [--json r.json]");
-    if cli.seed.is_some() || cli.jobs.is_some() || cli.arch.is_some() {
-        fail(
-            "perfgate takes --seed, --jobs and --arch from the baseline",
-            2,
-        );
-    }
-    if cli.positional.len() > 1 {
-        fail("perfgate takes one baseline: BENCH_hostprof.json", 2);
-    }
-    let path = PathBuf::from(cli.positional_or(0, "BENCH_hostprof.json".to_string()));
+    let cli = BenchCli::parse(&CLI);
+    let path = PathBuf::from(cli.positional(0).unwrap_or("BENCH_hostprof.json"));
 
     print_header("perfgate - fresh hostprof campaign vs committed baseline");
     println!("bands: counters exact, converged wall_ns_per_event <= {WALL_BAND:.2}x");

@@ -10,23 +10,18 @@
 //! switches with ring commands, so its exit/resume share must come out
 //! measurably smaller.
 //!
-//! ```text
-//! svt-bench profile [workload] [vcpus] [--smoke] [--json r.json] [--hostprof] [--trace t.json]
-//! ```
-//!
-//! `workload` is `memcached`, `tpcc` or `all` (default); `--smoke`
+//! `workload` is `memcached`, `tpcc` or `all` (default); `vcpus` is 1 up
+//! to the simulated machine's physical core count (default 2); `--smoke`
 //! shrinks the run for CI. `--trace` writes a Chrome trace of the SW-SVt
-//! run including the causal flow arrows.
+//! run including the causal flow arrows. `--help` lists the rest.
 
 use std::collections::BTreeMap;
 
 use svt_arch::ArchId;
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
-};
+use svt_bench::{paper_report, print_header, rule, BenchCli, CliSpec, Flag};
 use svt_core::SwitchMode;
 use svt_obs::{fold_paths, CriticalPathRow, Json, ObsLevel, RunReport};
-use svt_sim::CostModel;
+use svt_sim::MachineSpec;
 use svt_workloads::{App, CausalProfile, RunSpec, SmpPoint, DEFAULT_LANE_SEED};
 
 /// Phases billed to the exit/resume rollup: the L2<->L0 hardware switch
@@ -147,45 +142,48 @@ fn report_rows(report: &mut RunReport, workload: &str, run: &ConfigRun) {
     ));
 }
 
+const CLI: CliSpec = CliSpec {
+    bin: "profile",
+    args: &[
+        ("workload", "memcached, tpcc or all (default all)"),
+        ("vcpus", "vCPUs, one per physical core (default 2)"),
+    ],
+    flags: &[
+        Flag::Json,
+        Flag::Hostprof,
+        Flag::Smoke,
+        Flag::Seed,
+        Flag::Jobs,
+        Flag::Trace,
+    ],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench profile [memcached|tpcc|all] [vcpus] [--smoke] [--jobs n]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("profile");
-    let smoke = cli.flag("--smoke");
-    let workload = cli
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("all")
-        .to_string();
-    let n_vcpus = cli.positional_or(1, 2usize);
-    let seed = cli.seed_or(DEFAULT_LANE_SEED);
+    let cli = BenchCli::parse(&CLI);
+    let smoke = cli.flag(Flag::Smoke);
+    let workload = cli.positional_of(0, "all", &["memcached", "tpcc", "all"]);
+    // Each vCPU takes a whole physical core (its SMT sibling hosts the
+    // SVt context).
+    let m = MachineSpec::isca19();
+    let cores = u64::from(m.sockets) * u64::from(m.cores_per_socket);
+    let n_vcpus = cli.positional_in(1, 2, 1..=cores) as usize;
+    let seed = cli.seed.unwrap_or(DEFAULT_LANE_SEED);
     let (mc_requests, tpcc_tx) = if smoke { (60, 6) } else { (400, 40) };
 
     print_header("Causal critical-path profile - SW SVt vs baseline");
-    let mut report = RunReport::new(
+    let mut report = paper_report(
         "profile",
         "Cross-vCPU causal critical-path profile, SW SVt vs baseline",
+        seed,
     );
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    report.results.push(("seed".to_string(), Json::from(seed)));
 
     // The profiled configurations form a `workload × engine` grid of
     // independent machines; fan it across the sweep workers and merge in
     // grid order (baseline before SW SVt within each workload).
-    let mut grid: Vec<&'static str> = Vec::new();
-    if workload == "all" || workload == "memcached" {
-        grid.push("memcached");
-    }
-    if workload == "all" || workload == "tpcc" {
-        grid.push("tpcc");
-    }
-    assert!(
-        !grid.is_empty(),
-        "unknown workload {workload:?} (expected memcached, tpcc or all)"
-    );
+    let grid: Vec<&'static str> = ["memcached", "tpcc"]
+        .into_iter()
+        .filter(|&w| workload == "all" || workload == w)
+        .collect();
     let cells = svt_sim::sweep(2 * grid.len(), cli.jobs(), |i| {
         let mode = if i % 2 == 0 {
             SwitchMode::Baseline
@@ -247,6 +245,5 @@ fn main() {
     if let Some((_, _, sw)) = runs.last() {
         cli.emit_trace(&sw.profile.spans, &sw.profile.flows);
     }
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

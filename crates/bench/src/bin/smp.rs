@@ -17,31 +17,41 @@
 
 use svt_arch::ArchId;
 use svt_bench::{
-    guard, hostprof_begin, hostprof_finish, print_header, rule, smp_report, smp_series,
-    telemetry_cell, BenchCli, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
+    print_header, rule, smp_report, smp_series, telemetry_cell, BenchCli, CliSpec, Flag,
+    SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
 };
 use svt_core::SwitchMode;
 use svt_sim::FaultPlan;
 use svt_workloads::{App, RunSpec, DEFAULT_LANE_SEED};
 
+const CLI: CliSpec = CliSpec {
+    bin: "smp",
+    args: &[],
+    flags: &[
+        Flag::Json,
+        Flag::Hostprof,
+        Flag::Seed,
+        Flag::Jobs,
+        Flag::Arch,
+        Flag::CheckpointDir,
+        Flag::Resume,
+        Flag::Timeline,
+        Flag::Dump,
+        Flag::DumpOnExit,
+    ],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help(
-        "svt-bench smp [--json r.json] [--hostprof] [--timeline t.json] [--dump d.json] \
-         [--dump-on-exit] [--seed n] [--jobs n] [--arch x86|riscv] [--checkpoint-dir d] \
-         [--resume]",
-    );
-    guard::install(&cli, "smp");
-    hostprof_begin(&cli);
+    let cli = BenchCli::parse(&CLI);
     let arch = cli.arch();
-    let seed = cli.seed_or(DEFAULT_LANE_SEED);
+    let seed = cli.seed.unwrap_or(DEFAULT_LANE_SEED);
     match arch {
         ArchId::X86 => print_header("SMP scaling - sharded memcached, per-vCPU open-loop load"),
         ArchId::Riscv => {
             print_header("SMP scaling (riscv) - sharded memcached on the H-extension backend")
         }
     }
-    let ckpt = cli.checkpoint("smp", seed);
+    let ckpt = cli.checkpoint(seed);
     let series = smp_series(
         arch,
         &SMP_VCPU_COUNTS,
@@ -49,7 +59,7 @@ fn main() {
         SMP_REQUESTS,
         seed,
         cli.jobs(),
-        ckpt.as_ref().map(|c| (c, cli.resume())),
+        ckpt.as_ref().map(|c| (c, cli.flag(Flag::Resume))),
     );
     println!(
         "{:<10}{:>8}{:>14}{:>14}{:>12}",
@@ -86,7 +96,5 @@ fn main() {
         spec,
         FaultPlan::none(),
     );
-    let mut report = smp_report(arch, &series, seed);
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(smp_report(arch, &series, seed));
 }

@@ -3,25 +3,22 @@
 //! per-figure binaries produce the full-fidelity versions.
 
 use svt_arch::ArchId;
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
-};
+use svt_bench::{paper_report, print_header, rule, BenchCli, CliSpec, Flag};
 use svt_core::SwitchMode;
 use svt_hv::Level;
-use svt_obs::{Json, RunReport, SpeedupRow};
-use svt_sim::CostModel;
+use svt_obs::{Json, SpeedupRow};
+
+const CLI: CliSpec = CliSpec {
+    bin: "summary",
+    args: &[],
+    flags: &[Flag::Json, Flag::Hostprof, Flag::Seed],
+};
 
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench summary [--json r.json] [--hostprof] [--seed n]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("summary");
-    let seed = cli.seed_or(svt_workloads::DEFAULT_LANE_SEED);
+    let cli = BenchCli::parse(&CLI);
+    let seed = cli.seed.unwrap_or(svt_workloads::DEFAULT_LANE_SEED);
     print_header("SVt reproduction - headline summary (quick settings)");
-    let mut report = RunReport::new("summary", "Headline summary (quick settings)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    report.results.push(("seed".to_string(), Json::from(seed)));
+    let mut report = paper_report("summary", "Headline summary (quick settings)", seed);
 
     // Table 1 / Fig. 6.
     let t1: f64 = svt_workloads::table1(50).iter().map(|r| r.time_us).sum();
@@ -124,6 +121,5 @@ fn main() {
         ]),
     ));
     println!("See EXPERIMENTS.md for full-fidelity runs and the deviation discussion.");
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

@@ -1,17 +1,16 @@
 //! Regenerates Table 1: the time breakdown of one `cpuid` in a nested VM.
 
-use svt_bench::{
-    cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, vs_paper,
-    BenchCli,
+use svt_bench::{paper_report, print_header, rule, vs_paper, BenchCli, CliSpec, Flag};
+use svt_obs::PartRow;
+
+const CLI: CliSpec = CliSpec {
+    bin: "table1",
+    args: &[],
+    flags: &[Flag::Json, Flag::Hostprof],
 };
-use svt_obs::{Json, PartRow, RunReport};
-use svt_sim::CostModel;
 
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench table1 [--json r.json] [--hostprof]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("table1");
+    let cli = BenchCli::parse(&CLI);
     print_header("Table 1 - cpuid breakdown in a nested VM (baseline)");
     let rows = svt_workloads::table1(200);
     println!(
@@ -35,15 +34,11 @@ fn main() {
     rule();
     println!("{:<30}{:>34}", "Total", vs_paper(total, paper_total));
 
-    let mut report = RunReport::new("table1", "cpuid breakdown in a nested VM (Table 1)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    // The cpuid micro-benchmark is load-free; the seed is recorded so
-    // every bench report carries the same reproducibility field.
-    report.results.push((
-        "seed".to_string(),
-        Json::from(cli.seed_or(svt_workloads::DEFAULT_LANE_SEED)),
-    ));
+    let mut report = paper_report(
+        "table1",
+        "cpuid breakdown in a nested VM (Table 1)",
+        svt_workloads::DEFAULT_LANE_SEED,
+    );
     for r in &rows {
         report.parts.push(PartRow {
             part: r.part as u32,
@@ -52,6 +47,5 @@ fn main() {
             paper_us: Some(r.paper_us),
         });
     }
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

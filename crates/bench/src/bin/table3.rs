@@ -3,35 +3,38 @@
 //! The paper's Table 3 reports the prototype's patch sizes (QEMU +654,
 //! KVM +2432, other +227 LOC). The reproduction's equivalent is the size
 //! of the SVt contribution crate relative to the substrate it modifies.
+//! Crate directories resolve against the source tree this binary was
+//! built from, so the count does not depend on the working directory.
 
-use svt_bench::{hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli};
+use std::path::Path;
+
+use svt_bench::{machine_json, print_header, rule, BenchCli, CliSpec, Flag};
 use svt_obs::{Json, RunReport};
 
-fn count_rust_loc(dir: &str) -> usize {
-    fn walk(p: &std::path::Path, acc: &mut usize) {
-        if let Ok(entries) = std::fs::read_dir(p) {
-            for e in entries.flatten() {
-                let path = e.path();
-                if path.is_dir() {
-                    walk(&path, acc);
-                } else if path.extension().is_some_and(|x| x == "rs") {
-                    if let Ok(s) = std::fs::read_to_string(&path) {
-                        *acc += s.lines().count();
-                    }
-                }
-            }
+const CLI: CliSpec = CliSpec {
+    bin: "table3",
+    args: &[],
+    flags: &[Flag::Json],
+};
+
+/// Lines of every `.rs` file under `dir`, recursively.
+fn count_rust_loc(dir: &Path) -> std::io::Result<usize> {
+    let mut acc = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            acc += count_rust_loc(&path)?;
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            acc += std::fs::read_to_string(&path)?.lines().count();
         }
     }
-    let mut acc = 0;
-    walk(std::path::Path::new(dir), &mut acc);
-    acc
+    Ok(acc)
 }
 
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help("svt-bench table3 [--json r.json] [--hostprof]");
-    hostprof_begin(&cli);
-    cli.require_arch_x86("table3");
+    let cli = BenchCli::parse(&CLI);
+    // This crate lives at `<root>/crates/bench`.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     print_header("Table 3 analogue - lines of code of this reproduction");
     println!("Paper's prototype patch: QEMU +654, Linux/KVM +2432, Linux/other +227");
     rule();
@@ -50,7 +53,10 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (name, dir) in crates {
-        let loc = count_rust_loc(dir);
+        let loc = count_rust_loc(&root.join(dir)).unwrap_or_else(|e| {
+            eprintln!("error: counting lines under {dir} failed: {e}");
+            std::process::exit(1);
+        });
         println!("{name:<36}{loc:>8} LOC");
         rows.push(Json::obj([
             ("crate", Json::from(name)),
@@ -61,13 +67,12 @@ fn main() {
 
     let mut report = RunReport::new("table3", "Code-size inventory (Table 3 analogue)");
     report.machine = Some(machine_json());
-    // A static inventory; the seed is recorded so every bench report
-    // carries the same reproducibility field.
+    // A static inventory; the default seed is recorded so every bench
+    // report carries the same reproducibility field.
     report.results.push((
         "seed".to_string(),
-        Json::from(cli.seed_or(svt_workloads::DEFAULT_LANE_SEED)),
+        Json::from(svt_workloads::DEFAULT_LANE_SEED),
     ));
     report.results.push(("crates".to_string(), Json::Arr(rows)));
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(report);
 }

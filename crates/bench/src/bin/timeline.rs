@@ -18,26 +18,34 @@
 //! * `--json <path>` writes the full run report embedding both.
 
 use svt_bench::{
-    hostprof_begin, hostprof_finish, print_header, rule, timeline_cells, timeline_report,
-    timelines_json, BenchCli,
+    print_header, rule, timeline_cells, timeline_report, timelines_json, BenchCli, CliSpec, Flag,
 };
 use svt_sim::SimDuration;
 use svt_workloads::DEFAULT_LANE_SEED;
 
+const CLI: CliSpec = CliSpec {
+    bin: "timeline",
+    args: &[("cadence_us", "window length, simulated us (default 10)")],
+    flags: &[
+        Flag::Json,
+        Flag::Hostprof,
+        Flag::Smoke,
+        Flag::Seed,
+        Flag::Jobs,
+        Flag::Timeline,
+        Flag::Dump,
+        Flag::DumpOnExit,
+    ],
+};
+
 fn main() {
-    let cli = BenchCli::parse();
-    cli.handle_help(
-        "svt-bench timeline [cadence_us] [--smoke] [--json r.json] [--hostprof] \
-         [--timeline t.json] [--dump d.json] [--dump-on-exit] [--seed n] [--jobs n]",
-    );
-    hostprof_begin(&cli);
-    cli.require_arch_x86("timeline");
-    let smoke = cli.flag("--smoke");
-    let seed = cli.seed_or(DEFAULT_LANE_SEED);
-    let cadence = SimDuration::from_us(cli.positional_or(0, 10u64));
+    let cli = BenchCli::parse(&CLI);
+    let smoke = cli.flag(Flag::Smoke);
+    let seed = cli.seed.unwrap_or(DEFAULT_LANE_SEED);
+    let cadence = SimDuration::from_us(cli.positional_in(0, 10, 1..=u64::MAX));
     let requests: u64 = if smoke { 60 } else { 150 };
     let cells_n = svt_core::SwitchMode::ALL.len() + 1;
-    let jobs = cli.jobs_for(cells_n);
+    let jobs = svt_sim::resolve_jobs_for(cli.jobs, cells_n);
 
     print_header("timeline - windowed time-series telemetry per engine");
     println!(
@@ -46,7 +54,7 @@ fn main() {
     );
     rule();
 
-    let cells = timeline_cells(requests, seed, cadence, cli.dump_on_exit(), jobs);
+    let cells = timeline_cells(requests, seed, cadence, cli.flag(Flag::DumpOnExit), jobs);
 
     println!(
         "{:<16}{:>8}{:>10}{:>12}{:>10}{:>8}{:>11}",
@@ -79,7 +87,5 @@ fn main() {
             .unwrap_or(svt_obs::Json::Null);
         cli.emit_json("flight dump", path, &dump);
     }
-    let mut report = timeline_report(&cells, seed, cadence);
-    hostprof_finish(&cli, &mut report);
-    cli.emit_report(&report);
+    cli.emit_report(timeline_report(&cells, seed, cadence));
 }

@@ -1,50 +1,120 @@
-//! Unified command-line handling for the benchmark binaries.
+//! Command-line handling for the benchmark binaries.
 //!
-//! Every `svt-bench` binary accepts the same reporting flags:
+//! Each `svt-bench` binary declares once, in a [`CliSpec`], its
+//! positional arguments and the flags it reads, drawn from one shared
+//! flag table ([`Flag`]). [`BenchCli::parse`] accepts exactly that
+//! declaration: any other flag, an extra positional, a value flag with no
+//! value, an unparsable `--seed`/`--jobs`/`--arch`, or `--resume` without
+//! `--checkpoint-dir` is a [`CliError`], reported on stderr with exit
+//! status 2 before anything runs. `--help` is accepted everywhere and
+//! prints help generated from the same declaration, so the help text
+//! cannot drift from what the parser accepts.
 //!
-//! * `--json <path>` (or `--json=<path>`) — write the machine-readable
-//!   [`RunReport`] next to the human-readable table;
-//! * `--trace <path>` (or `--trace=<path>`) — write a Chrome trace
-//!   (`chrome://tracing` / Perfetto) of the run's spans, with causal
-//!   flow arrows when the binary records them;
-//! * `--seed <n>` (or `--seed=<n>`) — deterministic seed for whatever
-//!   randomness the binary drives (load generators, fault plans); every
-//!   binary records the seed it ran with in its report;
-//! * `--jobs <n>` (or `--jobs=<n>`) — worker threads for the parallel
-//!   sweep engine, falling back to the `SVT_JOBS` environment variable
-//!   and then the host's available parallelism. Results are merged in
-//!   grid order, so any `--jobs` value produces identical output;
-//! * `--arch <x86|riscv>` (or `--arch=<a>`) — the ISA backend the
-//!   machines run on, defaulting to `x86` so committed baselines stay
-//!   valid; binaries without a riscv path reject any other backend with
-//!   an error and a nonzero exit;
-//! * `--timeline <path>` / `--dump <path>` / `--dump-on-exit` — windowed
-//!   time-series export and flight-recorder crash dumps, on binaries
-//!   that sample them;
-//! * `--checkpoint-dir <path>` / `--resume` — crash-safe campaigns:
-//!   journal each completed grid cell to a checkpoint directory
-//!   (atomic write-temp-then-rename), and on `--resume` replay the
-//!   journal and recompute only the missing cells. The merged report is
-//!   byte-identical to an uninterrupted run at any `--jobs`;
-//! * `--help` — usage plus this standard-flag reference;
-//! * the bare flags some binary reads (`--quick`, `--smoke`) and
-//!   positional values, exposed through [`BenchCli::flag`] and
-//!   [`BenchCli::positional`]; any other `--flag` is refused.
-//!
-//! Binaries parse once with [`BenchCli::parse`] and report through
-//! [`BenchCli::emit_report`]/[`BenchCli::emit_trace`]; a `--trace` flag
-//! the binary never serviced is called out rather than silently eaten.
-//! A malformed command line is a [`CliError`], reported on stderr with
-//! exit status 2 before anything runs, never a silent default.
+//! Binaries report through [`BenchCli::emit_report`],
+//! [`BenchCli::emit_trace`] and [`BenchCli::emit_json`]; a failed write
+//! exits 1. On a binary that declares `--hostprof`, `parse` arms the
+//! host-cost profiler when the flag is given and `emit_report` prints its
+//! table and attaches the `hostprof` report section.
 
-use std::cell::Cell;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
-use svt_obs::{chrome_trace, FlowArrow, RunReport, Span};
+use svt_arch::ArchId;
+use svt_obs::{chrome_trace, hostprof, FlowArrow, RunReport, Span};
+
+/// Declares [`Flag`] from the shared flag table: one row per flag with
+/// its variant, its usage (the spelling, plus a value placeholder when it
+/// takes a value) and its help line.
+macro_rules! flag_table {
+    ($($flag:ident $usage:literal $help:literal,)*) => {
+        /// A flag some bench binary reads.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Flag {
+            $(#[doc = concat!("`", $usage, "`: ", $help, ".")] $flag,)*
+        }
+
+        impl Flag {
+            /// The flag's row of the table: its usage and its help line.
+            fn row(self) -> (&'static str, &'static str) {
+                match self {
+                    $(Flag::$flag => ($usage, $help),)*
+                }
+            }
+
+            /// The spelling, e.g. `--json`.
+            fn name(self) -> &'static str {
+                self.row().0.split(' ').next().unwrap_or_default()
+            }
+
+            /// Every flag, in table order.
+            #[cfg(test)]
+            const ALL: &'static [Flag] = &[$(Flag::$flag,)*];
+        }
+    };
+}
+
+flag_table! {
+    Json "--json <path>" "write the machine-readable run report",
+    Trace "--trace <path>" "write a Chrome trace of the run",
+    Timeline "--timeline <path>" "write the windowed timeline export",
+    Dump "--dump <path>" "write the flight-recorder dump",
+    DumpOnExit "--dump-on-exit" "trip the flight recorder at the end",
+    CheckpointDir "--checkpoint-dir <path>" "journal finished grid cells here",
+    Resume "--resume" "replay the journal, compute only the rest",
+    Seed "--seed <n>" "seed of load generators and fault plans",
+    Jobs "--jobs <n>" "sweep workers (default SVT_JOBS, else all cores)",
+    Arch "--arch <x86|riscv>" "ISA backend (default x86)",
+    Quick "--quick" "shorter run",
+    Smoke "--smoke" "the small CI-sized run",
+    Hostprof "--hostprof" "print and attach the host-cost profile",
+    Help "--help" "print this help; every binary takes it",
+}
+
+/// What one bench binary accepts: its name, its optional positional
+/// arguments in order as `(name, help line)`, and the flags it reads.
+#[derive(Debug, PartialEq, Eq)]
+pub struct CliSpec {
+    /// The binary's name.
+    pub bin: &'static str,
+    /// Positional arguments, all optional.
+    pub args: &'static [(&'static str, &'static str)],
+    /// The flags the binary reads (`--help` is implied).
+    pub flags: &'static [Flag],
+}
+
+impl CliSpec {
+    /// The declared flags, then `--help`.
+    fn flags(&self) -> impl Iterator<Item = Flag> + '_ {
+        self.flags.iter().copied().chain([Flag::Help])
+    }
+
+    /// The one-line usage: every positional and flag, all optional.
+    fn usage(&self) -> String {
+        let args = self.args.iter().map(|(name, _)| format!(" [{name}]"));
+        let flags = self.flags().map(|f| format!(" [{}]", f.row().0));
+        format!("svt-bench {}", self.bin) + &args.chain(flags).collect::<String>()
+    }
+
+    /// The `--help` text: the usage, then one line per positional and flag.
+    fn help(&self) -> String {
+        let rows: Vec<_> = self
+            .args
+            .iter()
+            .copied()
+            .chain(self.flags().map(Flag::row))
+            .collect();
+        let width = rows.iter().map(|(left, _)| left.len()).max().unwrap_or(0);
+        let lines = rows
+            .iter()
+            .map(|(left, help)| format!("  {left:<width$}  {help}\n"));
+        format!("usage: {}\n\n", self.usage()) + &lines.collect::<String>()
+    }
+}
 
 /// Parsed command line of one benchmark binary.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BenchCli {
+    spec: &'static CliSpec,
     /// Destination of the machine-readable run report, if requested.
     pub json: Option<PathBuf>,
     /// Destination of the Chrome trace, if requested.
@@ -52,7 +122,7 @@ pub struct BenchCli {
     /// Destination of the windowed timeline export (`--timeline`), if
     /// requested.
     pub timeline: Option<PathBuf>,
-    /// Destination of flight-recorder crash dumps (`--dump`), if
+    /// Destination of the flight-recorder crash dump (`--dump`), if
     /// requested.
     pub dump: Option<PathBuf>,
     /// Campaign checkpoint directory (`--checkpoint-dir`), if given —
@@ -62,78 +132,110 @@ pub struct BenchCli {
     pub seed: Option<u64>,
     /// Explicit sweep worker count (`--jobs`), if given.
     pub jobs: Option<usize>,
-    /// ISA backend spelling (`--arch`), if given; resolved by
-    /// [`BenchCli::arch`].
-    pub arch: Option<String>,
-    /// Positional (non-flag) arguments in order.
-    pub positional: Vec<String>,
-    /// Bare `--flag` arguments, each one of [`BARE_FLAGS`].
-    flags: Vec<String>,
-    trace_written: Cell<bool>,
+    arch: ArchId,
+    positional: Vec<String>,
+    given: Vec<Flag>,
 }
 
 impl BenchCli {
-    /// Parses the process's command line; a malformed one is reported on
-    /// stderr and exits with status 2.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| e.exit())
+    /// Parses the process's command line against the binary's
+    /// declaration. A refused command line is reported on stderr and
+    /// exits with status 2; `--help` prints the generated help and exits
+    /// 0. Arms the host-cost profiler when `--hostprof` is given.
+    pub fn parse(spec: &'static CliSpec) -> Self {
+        let cli = Self::from_args(spec, std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
+        if cli.flag(Flag::Help) {
+            print!("{}", spec.help());
+            std::process::exit(0);
+        }
+        if cli.flag(Flag::Hostprof) {
+            hostprof::set_enabled(true);
+            let _ = hostprof::take_global();
+        }
+        cli
     }
 
-    /// Parses an explicit argument list (first real argument first).
+    /// Parses an explicit argument list (first real argument first)
+    /// against `spec`.
     ///
     /// # Errors
     ///
-    /// [`CliError`] for a value flag without a value, an unparsable
-    /// `--seed` or `--jobs`, an unknown `--flag`, or `--resume` without
+    /// [`CliError`] for a flag `spec` does not declare, more positionals
+    /// than it declares, a value flag without a value, an unparsable
+    /// `--seed`, `--jobs` or `--arch`, or `--resume` without
     /// `--checkpoint-dir`.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
-        let mut cli = BenchCli::default();
+    pub fn from_args<I: IntoIterator<Item = String>>(
+        spec: &'static CliSpec,
+        args: I,
+    ) -> Result<Self, CliError> {
+        let mut cli = BenchCli {
+            spec,
+            json: None,
+            trace: None,
+            timeline: None,
+            dump: None,
+            checkpoint_dir: None,
+            seed: None,
+            jobs: None,
+            arch: ArchId::default(),
+            positional: Vec::new(),
+            given: Vec::new(),
+        };
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                if cli.positional.len() == spec.args.len() {
+                    return Err(CliError::Undeclared { spec, token: a });
+                }
+                cli.positional.push(a);
+                continue;
+            }
             let (name, inline) = match a.split_once('=') {
-                Some((name, value)) if name.starts_with("--") => (name, Some(value.to_string())),
-                _ => (a.as_str(), None),
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (a.as_str(), None),
             };
-            let Some(&flag) = VALUE_FLAGS.iter().find(|f| **f == name) else {
-                if !a.starts_with("--") {
-                    cli.positional.push(a);
-                } else if BARE_FLAGS.contains(&a.as_str()) {
-                    cli.flags.push(a);
-                } else {
-                    return Err(CliError::UnknownFlag(a));
+            let refused = || CliError::Undeclared {
+                spec,
+                token: a.clone(),
+            };
+            let flag = spec
+                .flags()
+                .find(|f| f.name() == name)
+                .ok_or_else(refused)?;
+            cli.given.push(flag);
+            // A bare flag's usage is its name alone; it takes no `=value`.
+            if !flag.row().0.contains(' ') {
+                if inline.is_some() {
+                    return Err(refused());
                 }
                 continue;
-            };
+            }
+            let name = flag.name();
             let value = inline
                 .or_else(|| it.next())
                 .filter(|v| !v.is_empty() && !v.starts_with("--"))
-                .ok_or(CliError::MissingValue(flag))?;
-            let bad_number = |value: String| CliError::BadNumber { flag, value };
+                .ok_or(CliError::MissingValue(name))?;
+            let bad_number = |value: String| CliError::BadNumber { flag: name, value };
             match flag {
-                "--json" => cli.json = Some(value.into()),
-                "--trace" => cli.trace = Some(value.into()),
-                "--timeline" => cli.timeline = Some(value.into()),
-                "--dump" => cli.dump = Some(value.into()),
-                "--checkpoint-dir" => cli.checkpoint_dir = Some(value.into()),
-                "--seed" => cli.seed = Some(value.parse().map_err(|_| bad_number(value))?),
-                "--jobs" => cli.jobs = Some(value.parse().map_err(|_| bad_number(value))?),
-                _ => cli.arch = Some(value),
+                Flag::Json => cli.json = Some(value.into()),
+                Flag::Trace => cli.trace = Some(value.into()),
+                Flag::Timeline => cli.timeline = Some(value.into()),
+                Flag::Dump => cli.dump = Some(value.into()),
+                Flag::CheckpointDir => cli.checkpoint_dir = Some(value.into()),
+                Flag::Seed => cli.seed = Some(value.parse().map_err(|_| bad_number(value))?),
+                Flag::Jobs => cli.jobs = Some(value.parse().map_err(|_| bad_number(value))?),
+                _ => cli.arch = ArchId::parse(&value).ok_or(CliError::UnknownArch(value))?,
             }
         }
-        if cli.resume() && cli.checkpoint_dir.is_none() {
+        if cli.flag(Flag::Resume) && cli.checkpoint_dir.is_none() {
             return Err(CliError::ResumeWithoutCheckpoint);
         }
         Ok(cli)
     }
 
-    /// Whether a bare flag (e.g. `"--quick"`) was given.
-    pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
-    }
-
-    /// The `--seed` value, or `default` when none was given.
-    pub fn seed_or(&self, default: u64) -> u64 {
-        self.seed.unwrap_or(default)
+    /// Whether `flag` was given.
+    pub fn flag(&self, flag: Flag) -> bool {
+        self.given.contains(&flag)
     }
 
     /// The sweep worker count: `--jobs` wins, then the `SVT_JOBS`
@@ -144,39 +246,25 @@ impl BenchCli {
         svt_sim::resolve_jobs(self.jobs)
     }
 
-    /// [`BenchCli::jobs`] clamped to a grid's cell count: what the sweep
-    /// engine will actually use on a `cells`-cell grid, so wall-clock
-    /// speedup math divides by real workers, not an oversubscribed
-    /// request.
-    pub fn jobs_for(&self, cells: usize) -> usize {
-        svt_sim::resolve_jobs_for(self.jobs, cells)
-    }
-
-    /// Whether `--dump-on-exit` was given (bench binaries with flight
-    /// recording trip an unconditional end-of-run dump).
-    pub fn dump_on_exit(&self) -> bool {
-        self.flag("--dump-on-exit")
-    }
-
-    /// Whether `--resume` was given: replay the checkpoint journal and
-    /// recompute only the cells it is missing.
-    pub fn resume(&self) -> bool {
-        self.flag("--resume")
+    /// The ISA backend requested with `--arch`, defaulting to
+    /// [`ArchId::X86`] so that committed baseline reports stay valid.
+    pub fn arch(&self) -> ArchId {
+        self.arch
     }
 
     /// Opens the campaign checkpoint requested with `--checkpoint-dir`.
-    /// The campaign tag folds the bench name, seed and ISA backend —
-    /// deliberately *not* `--jobs`, since resume must be byte-identical
-    /// at any worker count — so a directory can never silently satisfy a
-    /// different campaign's cells. Returns `None` when no checkpoint
-    /// directory was requested; a directory that cannot be created
-    /// reports on stderr and exits nonzero.
-    pub fn checkpoint(&self, bench: &str, seed: u64) -> Option<svt_sim::checkpoint::Checkpoint> {
+    /// The campaign tag folds the binary's name, `seed` and the ISA
+    /// backend — deliberately *not* `--jobs`, since resume must be
+    /// byte-identical at any worker count — so a directory can never
+    /// silently satisfy a different campaign's cells. Returns `None` when
+    /// no checkpoint directory was requested; a directory that cannot be
+    /// created reports on stderr and exits nonzero.
+    pub fn checkpoint(&self, seed: u64) -> Option<svt_sim::checkpoint::Checkpoint> {
         let dir = self.checkpoint_dir.as_ref()?;
         let mut tag = svt_sim::snapshot::Fingerprint::new();
-        tag.fold_bytes(bench.as_bytes());
+        tag.fold_bytes(self.spec.bin.as_bytes());
         tag.fold(seed);
-        tag.fold_bytes(self.arch().label().as_bytes());
+        tag.fold_bytes(self.arch.label().as_bytes());
         match svt_sim::checkpoint::Checkpoint::create(dir, tag.value()) {
             Ok(ckpt) => Some(ckpt),
             Err(e) => {
@@ -189,169 +277,89 @@ impl BenchCli {
         }
     }
 
-    /// Whether `--hostprof` was given: arm the host-cost self-profiler
-    /// (per-subsystem wall/alloc attribution + trap-shape analytics) for
-    /// every machine the bench constructs, print the summary table and
-    /// attach the `hostprof` report section.
-    pub fn hostprof(&self) -> bool {
-        self.flag("--hostprof")
+    /// Positional argument `i`, if given.
+    pub fn positional(&self, i: usize) -> Option<&str> {
+        self.positional.get(i).map(String::as_str)
     }
 
-    /// The ISA backend requested with `--arch`, defaulting to
-    /// [`svt_arch::ArchId::X86`] so that committed baseline reports stay
-    /// valid. An unrecognized spelling is reported on stderr and exits
-    /// the process with a nonzero status.
-    pub fn arch(&self) -> svt_arch::ArchId {
-        let Some(spelling) = &self.arch else {
-            return svt_arch::ArchId::default();
+    /// Positional argument `i` as an integer in `range` (`u64::MAX` as
+    /// its end means unbounded), or `default` when absent; any other
+    /// value is reported on stderr and exits with status 2.
+    pub fn positional_in(&self, i: usize, default: u64, range: RangeInclusive<u64>) -> u64 {
+        let accepts = match *range.end() {
+            u64::MAX => format!("an integer >= {}", range.start()),
+            end => format!("an integer from {} to {end}", range.start()),
         };
-        match svt_arch::ArchId::parse(spelling) {
-            Some(arch) => arch,
-            None => {
-                eprintln!(
-                    "error: unknown --arch {spelling:?}; known backends: {}",
-                    svt_arch::ArchId::ALL.map(|a| a.label()).join(", ")
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// For binaries whose figure only exists on the x86 backend: when a
-    /// non-x86 `--arch` was requested, reports on stderr and exits with
-    /// status 2, as for an unknown backend — the run the caller asked
-    /// for does not exist, so it must not look like success. Call right
-    /// after [`BenchCli::handle_help`].
-    pub fn require_arch_x86(&self, bin: &str) {
-        let arch = self.arch();
-        if arch != svt_arch::ArchId::X86 {
-            eprintln!(
-                "error: {bin} runs on x86 only, not --arch {arch} \
-                 (fig6, smp and hostprof run on every backend)"
-            );
-            std::process::exit(2);
-        }
-    }
-
-    /// When `--help` was given, prints `usage` followed by the standard
-    /// flag reference shared by every bench binary, then exits. Call
-    /// right after [`BenchCli::parse`].
-    pub fn handle_help(&self, usage: &str) {
-        if !self.flag("--help") {
-            return;
-        }
-        println!("usage: {usage}");
-        println!();
-        println!("standard flags (every svt-bench binary):");
-        println!("  --json <path>   write the machine-readable run report (schema v3)");
-        println!("  --trace <path>  write a Chrome trace of the run's spans, if recorded");
-        println!("  --seed <n>      deterministic seed for load generators / fault plans");
-        println!("  --jobs <n>      sweep worker threads (env fallback SVT_JOBS, default =");
-        println!("                  available parallelism, clamped to the grid size);");
-        println!("                  output is byte-identical for any value — results");
-        println!("                  merge in grid order");
-        println!("  --arch <a>      ISA backend: x86 (default) or riscv; binaries whose");
-        println!("                  figure is x86-only reject other backends (exit 2)");
-        println!("  --timeline <path>  write the windowed time-series export, if sampled");
-        println!("  --dump <path>   write flight-recorder crash dumps, if recorded");
-        println!("  --dump-on-exit  trip the flight recorder at end of run regardless");
-        println!("  --checkpoint-dir <path>  journal completed grid cells here (atomic");
-        println!("                  write-temp-then-rename) so a killed campaign can resume");
-        println!("  --resume        replay the checkpoint journal, recomputing only the");
-        println!("                  missing or corrupted cells; the merged report is");
-        println!("                  byte-identical to an uninterrupted run at any --jobs");
-        println!("  --hostprof      profile the simulator itself: per-subsystem host");
-        println!("                  wall/alloc attribution + trap-shape analytics,");
-        println!("                  printed and attached to the report (alloc counters");
-        println!("                  need a bin with the counting allocator installed,");
-        println!("                  e.g. the hostprof and perfgate bins)");
-        println!("  --help          this message");
-        std::process::exit(0);
-    }
-
-    /// Positional argument `i` parsed as a `T`, or `default` when absent;
-    /// an unparsable one is reported on stderr and exits with status 2.
-    pub fn positional_or<T: std::str::FromStr>(&self, i: usize, default: T) -> T {
-        self.try_positional_or(i, default)
+        let pick = |v: &str| v.parse().ok().filter(|n| range.contains(n));
+        self.checked(i, default, accepts, pick)
             .unwrap_or_else(|e| e.exit())
     }
 
-    /// [`BenchCli::positional_or`] returning the parse failure instead of
-    /// exiting.
-    fn try_positional_or<T: std::str::FromStr>(&self, i: usize, default: T) -> Result<T, CliError> {
-        match self.positional.get(i) {
-            None => Ok(default),
-            Some(s) => s.parse().map_err(|_| CliError::BadPositional {
-                index: i,
-                value: s.clone(),
-            }),
-        }
+    /// Positional argument `i`, one of `choices`, or `default` when
+    /// absent; any other value is reported on stderr and exits with
+    /// status 2.
+    pub fn positional_of(
+        &self,
+        i: usize,
+        default: &'static str,
+        choices: &[&'static str],
+    ) -> &'static str {
+        let accepts = format!("one of {}", choices.join(", "));
+        let pick = |v: &str| choices.iter().copied().find(|&c| c == v);
+        self.checked(i, default, accepts, pick)
+            .unwrap_or_else(|e| e.exit())
     }
 
-    /// Writes `report` to the `--json` path when one was given; also
-    /// calls out a `--trace` request the binary never serviced. Call
-    /// this last.
-    ///
-    /// A failed write (bad path, permissions, full disk) is reported on
-    /// stderr and exits the process with a nonzero status — partial
-    /// output must never look like success to a caller checking `$?`.
-    pub fn emit_report(&self, report: &RunReport) {
-        if let Err(e) = self.try_emit_report(report) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+    /// Positional argument `i` through `pick`, `default` when absent.
+    fn checked<T>(
+        &self,
+        i: usize,
+        default: T,
+        accepts: String,
+        pick: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, CliError> {
+        let Some(value) = self.positional(i) else {
+            return Ok(default);
+        };
+        pick(value).ok_or_else(|| CliError::BadPositional {
+            name: self.spec.args[i].0,
+            value: value.to_string(),
+            accepts,
+        })
     }
 
-    /// [`BenchCli::emit_report`] returning the write failure instead of
-    /// exiting, for callers composing their own error handling.
-    ///
-    /// # Errors
-    ///
-    /// The underlying I/O failure, annotated with the destination path.
-    pub fn try_emit_report(&self, report: &RunReport) -> Result<(), EmitError> {
+    /// Writes `report` to the `--json` path when one was given, after
+    /// printing and attaching the host-cost profile when `--hostprof` was
+    /// given. Call this last.
+    pub fn emit_report(&self, mut report: RunReport) {
+        if self.flag(Flag::Hostprof) {
+            hostprof::set_enabled(false);
+            match hostprof::take_global() {
+                Some(agg) => {
+                    crate::print_hostprof(&agg);
+                    report.hostprof = Some(agg.to_json());
+                }
+                None => eprintln!("warning: --hostprof given but no profiled machine run finished"),
+            }
+        }
         if let Some(path) = &self.json {
-            report
-                .write_file(path)
-                .map_err(|e| EmitError::new("run report", path, e))?;
-            println!("run report written to {}", path.display());
+            self.emit_json("run report", path, &report.to_json());
         }
-        if self.trace.is_some() && !self.trace_written.get() {
-            println!("(--trace ignored: this binary records no machine trace)");
-        }
-        Ok(())
     }
 
     /// Writes the spans (plus causal flow arrows, possibly empty) as a
-    /// Chrome trace to the `--trace` path when one was given. Failed
-    /// writes report on stderr and exit nonzero, as in
-    /// [`BenchCli::emit_report`].
+    /// Chrome trace to the `--trace` path when one was given.
     pub fn emit_trace(&self, spans: &[Span], flows: &[FlowArrow]) {
-        if let Err(e) = self.try_emit_trace(spans, flows) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+        if let Some(path) = &self.trace {
+            self.emit_json("chrome trace", path, &chrome_trace(spans, flows));
         }
     }
 
-    /// [`BenchCli::emit_trace`] returning the write failure instead of
-    /// exiting.
-    ///
-    /// # Errors
-    ///
-    /// The underlying I/O failure, annotated with the destination path.
-    pub fn try_emit_trace(&self, spans: &[Span], flows: &[FlowArrow]) -> Result<(), EmitError> {
-        let Some(path) = &self.trace else {
-            return Ok(());
-        };
-        let json = chrome_trace(spans, flows);
-        svt_sim::snapshot::atomic_write(path, json.pretty().as_bytes())
-            .map_err(|e| EmitError::new("chrome trace", path, e))?;
-        self.trace_written.set(true);
-        println!("chrome trace written to {}", path.display());
-        Ok(())
-    }
-
-    /// Writes an arbitrary JSON document (timeline export, flight dump)
-    /// to `path`. Failed writes report on stderr and exit nonzero.
+    /// Writes a JSON document (run report, trace, timeline export, flight
+    /// dump) to `path`. A failed write (bad path, permissions, full disk)
+    /// is reported on stderr and exits the process with status 1 —
+    /// partial output must never look like success to a caller checking
+    /// `$?`.
     pub fn emit_json(&self, what: &str, path: &std::path::Path, doc: &svt_obs::Json) {
         if let Err(e) = Self::try_emit_json(what, path, doc) {
             eprintln!("error: {e}");
@@ -377,28 +385,6 @@ impl BenchCli {
     }
 }
 
-/// The flags that take a value, as `--flag v` or `--flag=v`.
-const VALUE_FLAGS: [&str; 8] = [
-    "--json",
-    "--trace",
-    "--timeline",
-    "--dump",
-    "--checkpoint-dir",
-    "--seed",
-    "--jobs",
-    "--arch",
-];
-
-/// The flags that take no value: every one some binary reads.
-const BARE_FLAGS: [&str; 6] = [
-    "--quick",
-    "--smoke",
-    "--resume",
-    "--dump-on-exit",
-    "--hostprof",
-    "--help",
-];
-
 /// A command line the bench binaries refuse rather than run on defaults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
@@ -411,17 +397,27 @@ pub enum CliError {
         /// The value given.
         value: String,
     },
-    /// A numeric positional argument that does not parse.
+    /// An `--arch` value that names no backend.
+    UnknownArch(String),
+    /// A positional argument that does not parse or is out of range.
     BadPositional {
-        /// Its position.
-        index: usize,
+        /// The argument's declared name.
+        name: &'static str,
         /// The value given.
         value: String,
+        /// What the argument accepts.
+        accepts: String,
     },
     /// `--resume` without a `--checkpoint-dir` to replay.
     ResumeWithoutCheckpoint,
-    /// A `--flag` (or `--flag=v`) no binary reads, such as a typo.
-    UnknownFlag(String),
+    /// A `--flag` or `--flag=v` the binary does not declare, or a
+    /// positional beyond the ones it declares.
+    Undeclared {
+        /// The refusing binary's declaration.
+        spec: &'static CliSpec,
+        /// The token given.
+        token: String,
+    },
 }
 
 impl CliError {
@@ -437,22 +433,24 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
             CliError::BadNumber { flag, value } => write!(f, "{flag} {value:?} is not a number"),
-            CliError::BadPositional { index, value } => {
-                write!(f, "argument {} ({value:?}) does not parse", index + 1)
+            CliError::UnknownArch(value) => {
+                let known = ArchId::ALL.map(|a| a.label()).join(", ");
+                write!(f, "unknown --arch {value:?}; known backends: {known}")
+            }
+            CliError::BadPositional {
+                name,
+                value,
+                accepts,
+            } => {
+                write!(f, "{name} {value:?} refused: {name} must be {accepts}")
             }
             CliError::ResumeWithoutCheckpoint => {
                 write!(f, "--resume needs --checkpoint-dir to replay")
             }
-            CliError::UnknownFlag(flag) => write!(
-                f,
-                "unknown flag {flag:?}; known flags: {}",
-                VALUE_FLAGS
-                    .iter()
-                    .chain(&BARE_FLAGS)
-                    .copied()
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
+            CliError::Undeclared { spec, token } => {
+                let (bin, usage) = (spec.bin, spec.usage());
+                write!(f, "{bin} does not take {token:?}\nusage: {usage}")
+            }
         }
     }
 }
@@ -500,8 +498,22 @@ impl std::error::Error for EmitError {
 mod tests {
     use super::*;
 
+    /// A binary that reads every flag and takes two positionals.
+    const ALL: CliSpec = CliSpec {
+        bin: "all",
+        args: &[("count", "a count"), ("workload", "a workload")],
+        flags: Flag::ALL,
+    };
+
+    /// A binary that reads two flags and one positional, like `fig7`.
+    const NARROW: CliSpec = CliSpec {
+        bin: "narrow",
+        args: &[("scale", "a scale")],
+        flags: &[Flag::Json, Flag::Hostprof],
+    };
+
     fn try_args(list: &[&str]) -> Result<BenchCli, CliError> {
-        BenchCli::from_args(list.iter().map(|s| s.to_string()))
+        BenchCli::from_args(&ALL, list.iter().map(|s| s.to_string()))
     }
 
     fn args(list: &[&str]) -> BenchCli {
@@ -521,16 +533,21 @@ mod tests {
     #[test]
     fn separates_flags_from_positionals() {
         let c = args(&["3", "--quick", "memcached", "--json=o.json"]);
-        assert_eq!(c.positional, vec!["3", "memcached"]);
-        assert!(c.flag("--quick"));
-        assert!(!c.flag("--smoke"));
-        assert_eq!(c.positional_or(0, 1u64), 3);
-        assert_eq!(c.positional_or(5, 7u64), 7);
+        assert_eq!(c.positional(1), Some("memcached"));
+        assert!(c.flag(Flag::Quick));
+        assert!(!c.flag(Flag::Smoke));
+        assert_eq!(c.positional_in(0, 1, 1..=u64::MAX), 3);
+        assert_eq!(args(&[]).positional_in(0, 7, 1..=16), 7);
         assert_eq!(
-            c.try_positional_or::<u64>(1, 9),
+            c.positional_of(1, "all", &["memcached", "all"]),
+            "memcached"
+        );
+        assert_eq!(
+            c.checked(1, 9, "an integer".to_string(), |v| v.parse().ok()),
             Err(CliError::BadPositional {
-                index: 1,
-                value: "memcached".to_string()
+                name: "workload",
+                value: "memcached".to_string(),
+                accepts: "an integer".to_string()
             })
         );
     }
@@ -541,7 +558,7 @@ mod tests {
         assert!(c.json.is_none());
         assert!(c.trace.is_none());
         assert!(c.seed.is_none());
-        assert!(c.positional.is_empty());
+        assert_eq!(c.positional(0), None);
     }
 
     #[test]
@@ -559,8 +576,6 @@ mod tests {
             try_args(&["--seed"]).unwrap_err(),
             CliError::MissingValue("--seed")
         );
-        assert_eq!(args(&[]).seed_or(5), 5);
-        assert_eq!(args(&["--seed=9"]).seed_or(5), 9);
     }
 
     #[test]
@@ -579,11 +594,15 @@ mod tests {
 
     #[test]
     fn parses_arch_in_both_forms() {
-        assert_eq!(args(&["--arch", "riscv"]).arch(), svt_arch::ArchId::Riscv);
-        assert_eq!(args(&["--arch=rv64"]).arch(), svt_arch::ArchId::Riscv);
-        assert_eq!(args(&["--arch=x86"]).arch(), svt_arch::ArchId::X86);
+        assert_eq!(args(&["--arch", "riscv"]).arch(), ArchId::Riscv);
+        assert_eq!(args(&["--arch=rv64"]).arch(), ArchId::Riscv);
+        assert_eq!(args(&["--arch=x86"]).arch(), ArchId::X86);
         // No flag: the default backend keeps committed baselines valid.
-        assert_eq!(args(&[]).arch(), svt_arch::ArchId::X86);
+        assert_eq!(args(&[]).arch(), ArchId::X86);
+        assert!(matches!(
+            try_args(&["--arch=arm"]),
+            Err(CliError::UnknownArch(_))
+        ));
     }
 
     #[test]
@@ -598,18 +617,27 @@ mod tests {
             try_args(&["--smoke", "--resume"]).unwrap_err(),
             CliError::ResumeWithoutCheckpoint
         );
-        assert_eq!(
-            try_args(&["--smok"]).unwrap_err(),
-            CliError::UnknownFlag("--smok".to_string())
-        );
-        assert!(args(&["--resume", "--checkpoint-dir", "d"]).resume());
-    }
-
-    #[test]
-    fn jobs_for_clamps_to_grid_size() {
-        assert_eq!(args(&["--jobs=8"]).jobs_for(3), 3);
-        assert_eq!(args(&["--jobs=2"]).jobs_for(8), 2);
-        assert_eq!(args(&["--jobs=8"]).jobs_for(0), 1);
+        assert!(args(&["--resume", "--checkpoint-dir", "d"]).flag(Flag::Resume));
+        // An undeclared flag in either form, a surplus positional, and a
+        // bare flag given a value are refused by name, with the usage.
+        for (list, token) in [
+            (&["--smok"][..], "--smok"),
+            (&["--quick"], "--quick"),
+            (&["--help", "--seed", "3"], "--seed"),
+            (&["--seed=3"], "--seed=3"),
+            (&["3", "4"], "4"),
+            (&["--hostprof=1"], "--hostprof=1"),
+        ] {
+            let spec = &NARROW;
+            let err = BenchCli::from_args(spec, list.iter().map(|s| s.to_string())).unwrap_err();
+            let msg = err.to_string();
+            let token = token.to_string();
+            assert_eq!(err, CliError::Undeclared { spec, token });
+            assert!(
+                msg.contains(spec.bin) && msg.contains(&spec.usage()),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
@@ -617,33 +645,24 @@ mod tests {
         let c = args(&["--timeline", "tl.json", "--dump=fd.json", "--dump-on-exit"]);
         assert_eq!(c.timeline.as_deref(), Some(std::path::Path::new("tl.json")));
         assert_eq!(c.dump.as_deref(), Some(std::path::Path::new("fd.json")));
-        assert!(c.dump_on_exit());
+        assert!(c.flag(Flag::DumpOnExit));
         let c = args(&["--timeline=tl.json", "--dump", "fd.json"]);
         assert_eq!(c.timeline.as_deref(), Some(std::path::Path::new("tl.json")));
         assert_eq!(c.dump.as_deref(), Some(std::path::Path::new("fd.json")));
-        assert!(!c.dump_on_exit());
+        assert!(!c.flag(Flag::DumpOnExit));
     }
 
     #[test]
     fn bad_output_paths_error_instead_of_panicking() {
-        let c = args(&["--json=/nonexistent-dir/report.json"]);
-        let err = c
-            .try_emit_report(&RunReport::default())
-            .expect_err("bad path must fail");
-        let msg = err.to_string();
-        assert!(msg.contains("run report"), "{msg}");
-        assert!(msg.contains("/nonexistent-dir/report.json"), "{msg}");
-
-        let c = args(&["--trace=/nonexistent-dir/trace.json"]);
-        let err = c.try_emit_trace(&[], &[]).expect_err("bad path must fail");
-        assert!(err.to_string().contains("chrome trace"), "{err}");
-
-        let err = BenchCli::try_emit_json(
-            "timeline",
-            std::path::Path::new("/nonexistent-dir/tl.json"),
-            &svt_obs::Json::from(true),
-        )
-        .expect_err("bad path must fail");
-        assert!(err.to_string().contains("timeline"), "{err}");
+        for what in ["run report", "chrome trace", "flight dump"] {
+            let path = std::path::Path::new("/nonexistent-dir/out.json");
+            let doc = svt_obs::Json::from(true);
+            let err = BenchCli::try_emit_json(what, path, &doc).expect_err("bad path must fail");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(what) && msg.contains("/nonexistent-dir/out.json"),
+                "{msg}"
+            );
+        }
     }
 }

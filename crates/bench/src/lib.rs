@@ -8,10 +8,9 @@
 
 mod cli;
 mod gate;
-pub mod guard;
 mod runs;
 
-pub use cli::{BenchCli, CliError, EmitError};
+pub use cli::{BenchCli, CliError, CliSpec, EmitError, Flag};
 pub use gate::{
     delta_table, gate_hostprof, gate_passes, hostprof_setup, GateError, WorkloadDelta, WALL_BAND,
 };
@@ -23,7 +22,7 @@ pub use runs::{
     RISCV_SMP_VCPUS, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS, TIMELINE_FAULT_RATE,
     TIMELINE_N_VCPUS,
 };
-use svt_obs::{hostprof, HostAgg, HostPart, Json, RunReport};
+use svt_obs::{HostAgg, HostPart, Json, RunReport};
 use svt_sim::{CostModel, FaultPlan, MachineSpec, VmSpec};
 use svt_workloads::{RunSpec, TelemetryOpts, TelemetryPoint};
 
@@ -93,36 +92,16 @@ pub fn cost_model_json(cost: &CostModel) -> Json {
     )
 }
 
-/// Arms the host-cost self-profiler when `--hostprof` was given: every
-/// machine built from here on attributes its own host time (and, in bins
-/// with [`svt_obs::CountingAlloc`] installed, allocations) per subsystem.
-/// Drains any stale aggregate so the bench starts from zero. Call right
-/// after `handle_help`.
-pub fn hostprof_begin(cli: &BenchCli) {
-    if !cli.hostprof() {
-        return;
-    }
-    hostprof::set_enabled(true);
-    let _ = hostprof::take_global();
-}
-
-/// Collects the host-cost self-profile at the end of a `--hostprof` run:
-/// disarms the profiler, drains the process-wide aggregate, prints the
-/// per-subsystem summary and attaches the `hostprof` section to `report`.
-/// A no-op without `--hostprof`; warns when the flag was given but no
-/// profiled machine ran.
-pub fn hostprof_finish(cli: &BenchCli, report: &mut RunReport) {
-    if !cli.hostprof() {
-        return;
-    }
-    hostprof::set_enabled(false);
-    match hostprof::take_global() {
-        Some(agg) => {
-            print_hostprof(&agg);
-            report.hostprof = Some(agg.to_json());
-        }
-        None => eprintln!("warning: --hostprof given but no profiled machine run finished"),
-    }
+/// A run report opened as every paper-figure bin opens one: the
+/// simulated platform, the default cost model and the seed of the run.
+/// Bins whose runs draw no randomness record the default lane seed, so
+/// every report carries the same reproducibility field.
+pub fn paper_report(name: &str, title: &str, seed: u64) -> RunReport {
+    let mut report = RunReport::new(name, title);
+    report.machine = Some(machine_json());
+    report.cost_model = Some(cost_model_json(&CostModel::default()));
+    report.results.push(("seed".to_string(), Json::from(seed)));
+    report
 }
 
 /// Prints the per-subsystem host-cost table and trap-shape analytics.
@@ -202,11 +181,11 @@ pub fn print_hostprof(agg: &HostAgg) {
 /// naming the cell `label`, and writes the requested exports. A no-op
 /// when none of the flags was given.
 pub fn telemetry_cell(cli: &BenchCli, label: &str, spec: RunSpec, plan: FaultPlan) {
-    if cli.timeline.is_none() && cli.dump.is_none() && !cli.dump_on_exit() {
+    if cli.timeline.is_none() && cli.dump.is_none() && !cli.flag(Flag::DumpOnExit) {
         return;
     }
     let opts = TelemetryOpts {
-        dump_on_exit: cli.dump_on_exit(),
+        dump_on_exit: cli.flag(Flag::DumpOnExit),
         ..TelemetryOpts::default()
     };
     let (_, t) = spec.run(

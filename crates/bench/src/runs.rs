@@ -22,7 +22,7 @@ use svt_workloads::{
     RunSpec, SmpPoint, TelemetryOpts, TelemetryPoint, DEFAULT_LANE_SEED,
 };
 
-use crate::{cost_model_json, machine_json};
+use crate::{cost_model_json, machine_json, paper_report};
 
 /// vCPU counts of the SMP scaling sweep.
 pub const SMP_VCPU_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -94,10 +94,11 @@ fn smp_point_json(p: &SmpPoint) -> Json {
 /// [`svt_workloads::fig6_grid`]). `seed` is recorded for
 /// reproducibility; the micro-benchmark itself is load-free.
 pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
-    let mut report = RunReport::new("fig6", "Execution time of a cpuid instruction (Fig. 6)");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    report.results.push(("seed".to_string(), Json::from(seed)));
+    let mut report = paper_report(
+        "fig6",
+        "Execution time of a cpuid instruction (Fig. 6)",
+        seed,
+    );
     for row in &grid.table1 {
         report.parts.push(PartRow {
             part: row.part as u32,
@@ -339,13 +340,11 @@ pub fn faults_campaign(
 
 /// Builds the chaos-campaign run report from merged cells.
 pub fn faults_report(cells: &[FaultCell], seed: u64) -> RunReport {
-    let mut report = RunReport::new(
+    let mut report = paper_report(
         "faults",
         "Fault-rate sweep: injection, recovery and degradation per engine",
+        seed,
     );
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    report.results.push(("seed".to_string(), Json::from(seed)));
     report.results.push((
         "campaign".to_string(),
         Json::Arr(
@@ -619,7 +618,6 @@ pub fn timeline_cells(
     let opts = TelemetryOpts {
         cadence,
         dump_on_exit,
-        ..TelemetryOpts::default()
     };
     svt_sim::sweep(n, jobs, |i| {
         let (name, mode, plan) = if i < SwitchMode::ALL.len() {
@@ -662,13 +660,11 @@ pub fn timeline_cells(
 /// rows plus the full columnar timelines (and flight dumps, when a cell
 /// tripped) under `results`.
 pub fn timeline_report(cells: &[TimelineCell], seed: u64, cadence: SimDuration) -> RunReport {
-    let mut report = RunReport::new(
+    let mut report = paper_report(
         "timeline",
         "Windowed time-series telemetry across engines (plus an armed SW-SVt cell)",
+        seed,
     );
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
-    report.results.push(("seed".to_string(), Json::from(seed)));
     report
         .results
         .push(("cadence_ps".to_string(), Json::from(cadence.as_ps())));

@@ -130,8 +130,9 @@ fn riscv_bars_show_svt_speedups_and_merge_deterministically() {
     }
 }
 
-/// A binary whose figure only exists on x86 refuses another backend with
-/// a nonzero exit instead of exiting 0 having run nothing.
+/// A binary whose figure only exists on x86 does not declare `--arch`, so
+/// it refuses the flag with a nonzero exit instead of exiting 0 having run
+/// nothing.
 #[test]
 fn x86_only_bins_reject_other_backends() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig7"))
@@ -143,23 +144,37 @@ fn x86_only_bins_reject_other_backends() {
         out.stdout.is_empty(),
         "fig7 ran before rejecting the backend"
     );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("x86 only"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--arch"));
 }
 
-/// A malformed flag value or a mistyped flag exits 2 before anything
-/// runs, instead of silently running the default campaign.
+/// A malformed flag value, a mistyped flag or an out-of-range positional
+/// exits 2 before anything runs, naming what it refused, instead of
+/// silently running the default campaign or panicking.
 #[test]
 fn malformed_flag_values_exit_2() {
-    for (args, named) in [
-        (["--smoke", "--seed=abc"], "--seed"),
-        (["--smok", "--help"], "--smok"),
+    let faults = env!("CARGO_BIN_EXE_faults");
+    let profile = env!("CARGO_BIN_EXE_profile");
+    for (bin, args, named) in [
+        (faults, &["--smoke", "--seed=abc"][..], "--seed"),
+        (faults, &["--smok", "--help"], "--smok"),
+        (env!("CARGO_BIN_EXE_fig7"), &["0"], "scale"),
+        (
+            env!("CARGO_BIN_EXE_timeline"),
+            &["0", "--smoke"],
+            "cadence_us",
+        ),
+        (env!("CARGO_BIN_EXE_hostprof"), &["0"], "requests"),
+        (profile, &["foo", "--smoke"], "memcached, tpcc, all"),
+        (profile, &["memcached", "0", "--smoke"], "vcpus"),
+        (profile, &["memcached", "17", "--smoke"], "from 1 to 16"),
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_faults"))
+        let out = std::process::Command::new(bin)
             .args(args)
             .output()
-            .expect("faults starts");
-        assert_eq!(out.status.code(), Some(2), "faults {args:?}: {out:?}");
-        assert!(out.stdout.is_empty(), "faults ran before refusing {args:?}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains(named));
+            .expect("bench binary starts");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{bin} ran before refusing {args:?}");
+        assert!(err.contains(named) && !err.contains("panicked"), "{err}");
     }
 }

@@ -8,8 +8,9 @@
 //! arming the recorder adds **zero** hot-path recording cost on top of
 //! causal tracing. A trip only pays at dump time: it walks the retained
 //! ring, extracts the last K events per vCPU together with the latest
-//! protocol state pushed by the reflector, and serializes a structured
-//! JSON crash report.
+//! protocol state pushed by the reflector (the same per-lane mirror the
+//! timeline reads, kept on [`crate::Obs`]), and serializes a structured
+//! JSON crash report, kept in memory as [`FlightRecorder::last_dump`].
 //!
 //! Three things trip it:
 //! - an invariant watchdog violation surfacing in the causal graph
@@ -17,39 +18,16 @@
 //! - the degradation policy being forced into `FallenBack`,
 //! - `--dump-on-exit` on the bench bins (an unconditional end-of-run
 //!   trip, for capturing healthy tails).
-//!
-//! Dump-file writes never panic: a bad path is recorded in
-//! [`FlightRecorder::write_error`] and reported on stderr, and the dump
-//! itself stays available in memory via [`FlightRecorder::last_dump`].
-
-use std::path::PathBuf;
 
 use svt_sim::SimTime;
 
 use crate::causal::CausalGraph;
 use crate::json::Json;
 use crate::registry::MetricsRegistry;
+use crate::ProtoState;
 
 /// Default per-vCPU tail length in a dump.
 pub const DEFAULT_FLIGHT_K: usize = 32;
-
-/// Latest reflector-pushed protocol state for one vCPU lane.
-#[derive(Debug, Clone, Copy)]
-struct VcpuProto {
-    ring_depth: u32,
-    blocked: bool,
-    health: &'static str,
-}
-
-impl Default for VcpuProto {
-    fn default() -> Self {
-        VcpuProto {
-            ring_depth: 0,
-            blocked: false,
-            health: "healthy",
-        }
-    }
-}
 
 /// The flight recorder. Lives on [`crate::Obs`]; the machine polls
 /// [`crate::Obs::watch_flight`] and the SW-SVt reflector trips it
@@ -58,14 +36,11 @@ impl Default for VcpuProto {
 pub struct FlightRecorder {
     enabled: bool,
     k: usize,
-    proto: Vec<VcpuProto>,
     /// Watchdog violations already attributed to a previous trip, so the
     /// poll stays delta-based and a single violation trips exactly once.
     seen_violations: u64,
     trips: u64,
     last_dump: Option<Json>,
-    dump_path: Option<PathBuf>,
-    write_error: Option<String>,
 }
 
 impl FlightRecorder {
@@ -100,34 +75,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Where dumps are written. In-memory dumps still happen without one.
-    pub fn set_dump_path(&mut self, path: impl Into<PathBuf>) {
-        self.dump_path = Some(path.into());
-    }
-
-    /// Latest reflector-pushed protocol state for a lane. Early-returns
-    /// on the armed flag.
-    pub fn note_protocol(
-        &mut self,
-        vcpu: u32,
-        ring_depth: u32,
-        blocked: bool,
-        health: &'static str,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let i = vcpu as usize;
-        if i >= self.proto.len() {
-            self.proto.resize_with(i + 1, VcpuProto::default);
-        }
-        self.proto[i] = VcpuProto {
-            ring_depth,
-            blocked,
-            health,
-        };
-    }
-
     /// Number of trips so far.
     pub fn trips(&self) -> u64 {
         self.trips
@@ -138,14 +85,16 @@ impl FlightRecorder {
         self.last_dump.as_ref()
     }
 
-    /// The first dump-file write failure, if any.
-    pub fn write_error(&self) -> Option<&str> {
-        self.write_error.as_deref()
-    }
-
     /// Polls the causal graph for new watchdog violations and trips on
-    /// any. Returns whether a dump was produced.
-    pub fn watch(&mut self, now: SimTime, causal: &CausalGraph, metrics: &MetricsRegistry) -> bool {
+    /// any, with `proto` the per-lane protocol state. Returns whether a
+    /// dump was produced.
+    pub(crate) fn watch(
+        &mut self,
+        now: SimTime,
+        causal: &CausalGraph,
+        metrics: &MetricsRegistry,
+        proto: &[ProtoState],
+    ) -> bool {
         if !self.enabled {
             return false;
         }
@@ -154,20 +103,20 @@ impl FlightRecorder {
             return false;
         }
         self.seen_violations = total;
-        self.trip("watchdog_violation", now, causal, metrics);
+        self.trip("watchdog_violation", now, causal, metrics, proto);
         true
     }
 
-    /// Produces a crash dump now: the last K causal events and protocol
-    /// state per vCPU, watchdog verdicts, and every counter total. The
-    /// dump is kept in memory and, when a dump path is set, written to
-    /// disk (write failures are recorded, never panicked on).
-    pub fn trip(
+    /// Produces a crash dump now: the last K causal events and the
+    /// protocol state (`proto`, by lane) per vCPU, watchdog verdicts, and
+    /// every counter total. The dump is kept in memory.
+    pub(crate) fn trip(
         &mut self,
         reason: &str,
         now: SimTime,
         causal: &CausalGraph,
         metrics: &MetricsRegistry,
+        proto: &[ProtoState],
     ) {
         if !self.enabled {
             return;
@@ -183,7 +132,7 @@ impl FlightRecorder {
             .map(|e| e.vcpu as usize + 1)
             .max()
             .unwrap_or(0)
-            .max(self.proto.len());
+            .max(proto.len());
         let mut tails: Vec<Vec<Json>> = vec![Vec::new(); n_vcpus];
         for e in causal.events() {
             let preds: Vec<Json> = e
@@ -208,7 +157,7 @@ impl FlightRecorder {
             .into_iter()
             .enumerate()
             .map(|(v, events)| {
-                let proto = self.proto.get(v).copied().unwrap_or_default();
+                let proto = proto.get(v).copied().unwrap_or_default();
                 Json::obj([
                     ("vcpu", Json::from(v)),
                     ("health", Json::from(proto.health)),
@@ -243,43 +192,8 @@ impl FlightRecorder {
             ),
             ("counters", Json::Obj(counters)),
         ]);
-        if let Some(path) = &self.dump_path {
-            if let Err(e) = svt_sim::snapshot::atomic_write(path, dump.pretty().as_bytes()) {
-                let msg = format!("flight dump write to {} failed: {e}", path.display());
-                eprintln!("svt-obs: {msg}");
-                if self.write_error.is_none() {
-                    self.write_error = Some(msg);
-                }
-            }
-        }
-        publish_global(&dump);
         self.last_dump = Some(dump);
     }
-}
-
-/// The most recent flight dump produced by *any* recorder in the
-/// process, pre-rendered to JSON text. Crash guards (panic hooks, signal
-/// handlers) persist this at exit time — they cannot reach into the
-/// machines owned by sweep worker threads, but every trip publishes
-/// here.
-static LAST_GLOBAL_DUMP: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
-
-/// Publishes a dump to the process-global last-dump slot (see
-/// [`latest_global_dump`]). Called on every trip; harmless to call
-/// directly with a synthesized dump.
-pub fn publish_global(dump: &Json) {
-    let text = dump.pretty();
-    let mut guard = LAST_GLOBAL_DUMP.lock().unwrap_or_else(|e| e.into_inner());
-    *guard = Some(text);
-}
-
-/// The most recent flight dump any recorder in the process produced, as
-/// pretty-printed JSON text, if any trip has happened.
-pub fn latest_global_dump() -> Option<String> {
-    LAST_GLOBAL_DUMP
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
 }
 
 #[cfg(test)]
@@ -302,8 +216,8 @@ mod tests {
         let mut fr = FlightRecorder::new();
         let g = graph_with_events(4);
         let m = MetricsRegistry::new();
-        fr.trip("forced_fallback", SimTime::from_us(1), &g, &m);
-        assert!(!fr.watch(SimTime::from_us(1), &g, &m));
+        fr.trip("forced_fallback", SimTime::from_us(1), &g, &m, &[]);
+        assert!(!fr.watch(SimTime::from_us(1), &g, &m, &[]));
         assert_eq!(fr.trips(), 0);
         assert!(fr.last_dump().is_none());
     }
@@ -314,8 +228,13 @@ mod tests {
         fr.enable_with(3);
         let g = graph_with_events(20);
         let m = MetricsRegistry::new();
-        fr.note_protocol(1, 5, true, "fallen_back");
-        fr.trip("forced_fallback", SimTime::from_us(2), &g, &m);
+        let lane1 = ProtoState {
+            ring_depth: 5,
+            blocked: true,
+            health: "fallen_back",
+        };
+        let proto = [ProtoState::default(), lane1];
+        fr.trip("forced_fallback", SimTime::from_us(2), &g, &m, &proto);
         let dump = fr.last_dump().expect("dump produced");
         assert_eq!(
             dump.get("reason").unwrap().as_str(),
@@ -357,20 +276,7 @@ mod tests {
         let g = graph_with_events(2);
         let m = MetricsRegistry::new();
         // No violations yet: silent.
-        assert!(!fr.watch(SimTime::from_us(1), &g, &m));
+        assert!(!fr.watch(SimTime::from_us(1), &g, &m, &[]));
         assert_eq!(fr.trips(), 0);
-    }
-
-    #[test]
-    fn dump_write_failure_is_reported_not_panicked() {
-        let mut fr = FlightRecorder::new();
-        fr.enable();
-        fr.set_dump_path("/nonexistent-dir/svt-flight.json");
-        let g = graph_with_events(2);
-        let m = MetricsRegistry::new();
-        fr.trip("dump_on_exit", SimTime::from_us(1), &g, &m);
-        assert_eq!(fr.trips(), 1);
-        assert!(fr.last_dump().is_some());
-        assert!(fr.write_error().unwrap().contains("failed"));
     }
 }

@@ -41,7 +41,7 @@ pub use causal::{
     Span, WATCHDOGS,
 };
 pub use chrome::{chrome_trace, lane_tid};
-pub use flight::{latest_global_dump, publish_global, FlightRecorder, DEFAULT_FLIGHT_K};
+pub use flight::{FlightRecorder, DEFAULT_FLIGHT_K};
 pub use hist::LogHistogram;
 pub use hostprof::{CountingAlloc, HostAgg, HostPart, HostProf, HostScope, ShapeStat};
 pub use json::{Json, JsonError};
@@ -69,12 +69,34 @@ pub struct Obs {
     pub flight: FlightRecorder,
     /// Host-cost self-profiler (wall/alloc attribution + trap shapes).
     pub hostprof: HostProf,
+    /// Latest SW-SVt protocol state per vCPU lane, the one copy the
+    /// timeline's rows and the flight recorder's dumps both read.
+    proto: Vec<ProtoState>,
 }
 
 // The deterministic observability state: the full metrics registry plus
-// the timeline and causal-graph cursors. Flight-recorder tails and
-// host-profiler accumulators are process-local and are not carried.
-svt_sim::snap_fields! { Obs { metrics, timeline, causal } skip { flight, hostprof } }
+// the timeline and causal-graph cursors. Flight-recorder tails, the
+// protocol-state mirror and host-profiler accumulators are process-local
+// and are not carried.
+svt_sim::snap_fields! { Obs { metrics, timeline, causal } skip { flight, hostprof, proto } }
+
+/// The protocol state the SW-SVt reflector last pushed for one lane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProtoState {
+    pub(crate) ring_depth: u32,
+    pub(crate) blocked: bool,
+    pub(crate) health: &'static str,
+}
+
+impl Default for ProtoState {
+    fn default() -> Self {
+        ProtoState {
+            ring_depth: 0,
+            blocked: false,
+            health: "healthy",
+        }
+    }
+}
 
 impl Obs {
     /// A fresh bundle with the causal graph disabled.
@@ -100,8 +122,10 @@ impl Obs {
         self.timeline.is_enabled() || self.flight.is_enabled()
     }
 
-    /// Fans the latest SW-SVt protocol state for a lane out to the
-    /// timeline sampler and the flight recorder.
+    /// Records the latest SW-SVt protocol state for a lane, pushed by the
+    /// reflector whenever ring occupancy, the blocked flag or the
+    /// degradation health changes. A no-op unless
+    /// [`Obs::protocol_enabled`].
     pub fn note_protocol(
         &mut self,
         vcpu: u32,
@@ -109,9 +133,18 @@ impl Obs {
         blocked: bool,
         health: &'static str,
     ) {
-        self.timeline
-            .note_protocol(vcpu, ring_depth, blocked, health);
-        self.flight.note_protocol(vcpu, ring_depth, blocked, health);
+        if !self.protocol_enabled() {
+            return;
+        }
+        let i = vcpu as usize;
+        if i >= self.proto.len() {
+            self.proto.resize_with(i + 1, ProtoState::default);
+        }
+        self.proto[i] = ProtoState {
+            ring_depth,
+            blocked,
+            health,
+        };
     }
 
     /// Drives the timeline sampler with the machine-wide per-part
@@ -119,17 +152,23 @@ impl Obs {
     /// [`Timeline::due`] already fired.
     pub fn sample_timeline(&mut self, now: SimTime, parts: &[SimDuration; CostPart::COUNT]) {
         let Obs {
-            timeline, metrics, ..
+            timeline,
+            metrics,
+            proto,
+            ..
         } = self;
-        timeline.sample(now, parts, metrics);
+        timeline.sample(now, parts, metrics, proto);
     }
 
     /// Flushes the timeline's final partial window at end of run.
     pub fn flush_timeline(&mut self, now: SimTime, parts: &[SimDuration; CostPart::COUNT]) {
         let Obs {
-            timeline, metrics, ..
+            timeline,
+            metrics,
+            proto,
+            ..
         } = self;
-        timeline.flush(now, parts, metrics);
+        timeline.flush(now, parts, metrics, proto);
     }
 
     /// Polls the flight recorder against the causal graph's watchdog
@@ -139,9 +178,10 @@ impl Obs {
             flight,
             causal,
             metrics,
+            proto,
             ..
         } = self;
-        flight.watch(now, causal, metrics)
+        flight.watch(now, causal, metrics, proto)
     }
 
     /// Trips the flight recorder unconditionally (forced fallback,
@@ -151,9 +191,10 @@ impl Obs {
             flight,
             causal,
             metrics,
+            proto,
             ..
         } = self;
-        flight.trip(reason, now, causal, metrics);
+        flight.trip(reason, now, causal, metrics, proto);
     }
 
     /// Copies causal watchdog violation counts into the metrics registry
@@ -197,6 +238,32 @@ mod tests {
         assert_eq!(spans.len(), 1);
         let doc = chrome_trace(&spans, &[]);
         assert!(Json::parse(&doc.to_string()).is_ok());
+    }
+
+    #[test]
+    fn one_protocol_push_feeds_the_timeline_and_the_flight_dump() {
+        let mut obs = Obs::new();
+        // Nothing armed: the push is dropped.
+        obs.note_protocol(1, 3, true, "fallen_back");
+        assert!(obs.proto.is_empty());
+        obs.timeline.enable();
+        obs.flight.enable();
+        obs.note_protocol(1, 3, true, "fallen_back");
+        let now = SimTime::from_us(10);
+        obs.sample_timeline(now, &[SimDuration::ZERO; CostPart::COUNT]);
+        let row = &obs.timeline.rows()[0];
+        assert_eq!(
+            (row.ring_depth, row.blocked_lanes, row.health),
+            (3, 1, "fallen_back")
+        );
+        obs.flight_trip("forced_fallback", now);
+        let dump = obs.flight.last_dump().expect("armed recorder dumps");
+        let lane = &dump.get("vcpus").and_then(Json::as_arr).unwrap()[1];
+        assert_eq!(
+            lane.get("health").and_then(Json::as_str),
+            Some("fallen_back")
+        );
+        assert_eq!(lane.get("ring_depth").and_then(Json::as_i64), Some(3));
     }
 
     #[test]

@@ -33,6 +33,7 @@ use svt_sim::{CostPart, FnvHashMap, SimDuration, SimTime};
 use crate::json::Json;
 use crate::key::MetricKey;
 use crate::registry::MetricsRegistry;
+use crate::ProtoState;
 
 /// Default sampling cadence: one window per 10 µs of simulated time.
 pub const DEFAULT_TIMELINE_CADENCE: SimDuration = SimDuration::from_us(10);
@@ -42,27 +43,6 @@ pub const DEFAULT_TIMELINE_CADENCE: SimDuration = SimDuration::from_us(10);
 /// horizon; past it rows are counted in [`Timeline::dropped_windows`]
 /// instead of growing without bound.
 pub const DEFAULT_MAX_WINDOWS: usize = 1 << 16;
-
-/// Latest protocol state pushed for one vCPU lane.
-#[derive(Debug, Clone, Copy)]
-struct ProtoState {
-    ring_depth: u32,
-    blocked: bool,
-    /// Degradation rank: 0 healthy, 1 degraded, 2 fallen_back.
-    health_rank: u8,
-    health: &'static str,
-}
-
-impl Default for ProtoState {
-    fn default() -> Self {
-        ProtoState {
-            ring_depth: 0,
-            blocked: false,
-            health_rank: 0,
-            health: "healthy",
-        }
-    }
-}
 
 /// Degradation rank of a health name (worst state wins the aggregate).
 fn health_rank(health: &str) -> u8 {
@@ -105,7 +85,6 @@ pub struct Timeline {
     rows: Vec<TimelineRow>,
     prev_parts: [SimDuration; CostPart::COUNT],
     prev_counters: FnvHashMap<MetricKey, u64>,
-    proto: Vec<ProtoState>,
 }
 
 // Only the sampling *cursor* is state: cadence, next window boundary and
@@ -116,7 +95,7 @@ pub struct Timeline {
 svt_sim::snap_fields! {
     Timeline {
         enabled, cadence, next_due, prev_parts, prev_counters
-    } skip { max_windows, dropped, rows, proto }
+    } skip { max_windows, dropped, rows }
 }
 
 impl Default for Timeline {
@@ -130,7 +109,6 @@ impl Default for Timeline {
             rows: Vec::new(),
             prev_parts: [SimDuration::ZERO; CostPart::COUNT],
             prev_counters: FnvHashMap::default(),
-            proto: Vec::new(),
         }
     }
 }
@@ -183,40 +161,17 @@ impl Timeline {
         self.enabled && now >= self.next_due
     }
 
-    /// Latest protocol state for a lane, pushed by the SW-SVt reflector
-    /// whenever ring occupancy, the blocked flag or the degradation
-    /// health changes. Early-returns on the enabled flag.
-    pub fn note_protocol(
-        &mut self,
-        vcpu: u32,
-        ring_depth: u32,
-        blocked: bool,
-        health: &'static str,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let i = vcpu as usize;
-        if i >= self.proto.len() {
-            self.proto.resize_with(i + 1, ProtoState::default);
-        }
-        self.proto[i] = ProtoState {
-            ring_depth,
-            blocked,
-            health_rank: health_rank(health),
-            health,
-        };
-    }
-
     /// Emits one row covering every window boundary crossed up to `now`.
     /// `parts` is the machine-wide per-part attribution total (all vCPU
-    /// clocks summed); counter deltas come from the registry. A no-op
-    /// unless [`Timeline::due`].
-    pub fn sample(
+    /// clocks summed); counter deltas come from the registry and the
+    /// protocol columns from `proto`, the per-lane state. A no-op unless
+    /// [`Timeline::due`].
+    pub(crate) fn sample(
         &mut self,
         now: SimTime,
         parts: &[SimDuration; CostPart::COUNT],
         metrics: &MetricsRegistry,
+        proto: &[ProtoState],
     ) {
         if !self.due(now) {
             return;
@@ -228,17 +183,18 @@ impl Timeline {
             end = self.next_due;
             self.next_due += self.cadence;
         }
-        self.push_row(end, parts, metrics);
+        self.push_row(end, parts, metrics, proto);
     }
 
     /// Flushes the final partial window at the end of a run, so activity
     /// after the last boundary is not lost. A no-op when disabled or when
     /// nothing accumulated since the last row.
-    pub fn flush(
+    pub(crate) fn flush(
         &mut self,
         now: SimTime,
         parts: &[SimDuration; CostPart::COUNT],
         metrics: &MetricsRegistry,
+        proto: &[ProtoState],
     ) {
         if !self.enabled {
             return;
@@ -255,7 +211,7 @@ impl Timeline {
                 .iter_counters_sorted()
                 .any(|(k, n)| n != self.prev_counters.get(&k).copied().unwrap_or(0));
         if dirty {
-            self.push_row(now, parts, metrics);
+            self.push_row(now, parts, metrics, proto);
         }
     }
 
@@ -264,6 +220,7 @@ impl Timeline {
         end: SimTime,
         parts: &[SimDuration; CostPart::COUNT],
         metrics: &MetricsRegistry,
+        proto: &[ProtoState],
     ) {
         let mut parts_ps = [0u64; CostPart::COUNT];
         for p in CostPart::ALL {
@@ -280,12 +237,11 @@ impl Timeline {
                 self.prev_counters.insert(key, total);
             }
         }
-        let ring_depth = self.proto.iter().map(|p| p.ring_depth).sum();
-        let blocked_lanes = self.proto.iter().filter(|p| p.blocked).count() as u32;
-        let health = self
-            .proto
+        let ring_depth = proto.iter().map(|p| p.ring_depth).sum();
+        let blocked_lanes = proto.iter().filter(|p| p.blocked).count() as u32;
+        let health = proto
             .iter()
-            .max_by_key(|p| p.health_rank)
+            .max_by_key(|p| health_rank(p.health))
             .map_or("healthy", |p| p.health);
         if self.rows.len() >= self.max_windows {
             self.dropped += 1;
@@ -415,16 +371,22 @@ mod tests {
         let mut tl = Timeline::new();
         let m = MetricsRegistry::new();
         assert!(!tl.due(SimTime::MAX));
+        let proto = [ProtoState {
+            ring_depth: 3,
+            blocked: true,
+            health: "degraded",
+        }];
         tl.sample(
             SimTime::from_us(100),
             &parts_with(CostPart::L2Guest, SimDuration::from_us(5)),
             &m,
+            &proto,
         );
-        tl.note_protocol(0, 3, true, "degraded");
         tl.flush(
             SimTime::from_us(200),
             &parts_with(CostPart::L2Guest, SimDuration::from_us(9)),
             &m,
+            &proto,
         );
         assert!(tl.is_empty());
     }
@@ -440,12 +402,14 @@ mod tests {
             SimTime::from_us(12),
             &parts_with(CostPart::L0Handler, SimDuration::from_us(4)),
             &m,
+            &[],
         );
         // Skipping windows 20 and 30 collapses them into the row at 30.
         tl.sample(
             SimTime::from_us(34),
             &parts_with(CostPart::L0Handler, SimDuration::from_us(11)),
             &m,
+            &[],
         );
         let ends: Vec<u64> = tl.rows().iter().map(|r| r.end.as_ps()).collect();
         assert_eq!(
@@ -466,9 +430,9 @@ mod tests {
         let k = MetricKey::new("vm_exit");
         let parts = [SimDuration::ZERO; CostPart::COUNT];
         m.add(k, 3);
-        tl.sample(SimTime::from_us(10), &parts, &m);
+        tl.sample(SimTime::from_us(10), &parts, &m, &[]);
         m.add(k, 4);
-        tl.sample(SimTime::from_us(20), &parts, &m);
+        tl.sample(SimTime::from_us(20), &parts, &m, &[]);
         let deltas: Vec<u64> = tl
             .rows()
             .iter()
@@ -488,12 +452,17 @@ mod tests {
         let mut tl = Timeline::new();
         tl.enable();
         let m = MetricsRegistry::new();
-        tl.note_protocol(0, 2, false, "healthy");
-        tl.note_protocol(1, 3, true, "fallen_back");
+        let lane = |ring_depth, blocked, health| ProtoState {
+            ring_depth,
+            blocked,
+            health,
+        };
+        let proto = [lane(2, false, "healthy"), lane(3, true, "fallen_back")];
         tl.sample(
             SimTime::from_us(10),
             &[SimDuration::ZERO; CostPart::COUNT],
             &m,
+            &proto,
         );
         let r = &tl.rows()[0];
         assert_eq!(r.ring_depth, 5);
@@ -508,12 +477,12 @@ mod tests {
         let mut m = MetricsRegistry::new();
         let parts = [SimDuration::ZERO; CostPart::COUNT];
         m.inc(MetricKey::new("vm_exit"));
-        tl.sample(SimTime::from_us(10), &parts, &m);
+        tl.sample(SimTime::from_us(10), &parts, &m, &[]);
         // Nothing new: flush is a no-op.
-        tl.flush(SimTime::from_us(13), &parts, &m);
+        tl.flush(SimTime::from_us(13), &parts, &m, &[]);
         assert_eq!(tl.len(), 1);
         m.inc(MetricKey::new("vm_exit"));
-        tl.flush(SimTime::from_us(13), &parts, &m);
+        tl.flush(SimTime::from_us(13), &parts, &m, &[]);
         assert_eq!(tl.len(), 2);
         assert_eq!(tl.rows()[1].end, SimTime::from_us(13));
     }
@@ -528,12 +497,14 @@ mod tests {
             SimTime::from_us(10),
             &parts_with(CostPart::Channel, SimDuration::from_us(1)),
             &m,
+            &[],
         );
         m.inc(MetricKey::new("a"));
         tl.sample(
             SimTime::from_us(20),
             &parts_with(CostPart::Channel, SimDuration::from_us(3)),
             &m,
+            &[],
         );
         let j = tl.to_json();
         assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
@@ -581,7 +552,7 @@ mod tests {
         let m = MetricsRegistry::new();
         let parts = [SimDuration::ZERO; CostPart::COUNT];
         for us in [1u64, 2, 3, 4] {
-            tl.sample(SimTime::from_us(us), &parts, &m);
+            tl.sample(SimTime::from_us(us), &parts, &m, &[]);
         }
         assert_eq!(tl.len(), 2);
         assert_eq!(tl.dropped_windows(), 2);

@@ -21,8 +21,6 @@ use crate::smp::traps_served;
 pub struct TelemetryOpts {
     /// Timeline window length in simulated time.
     pub cadence: SimDuration,
-    /// Per-vCPU causal-tail length in flight dumps.
-    pub flight_k: usize,
     /// Trip the flight recorder unconditionally at end of run, capturing
     /// a healthy tail even when nothing went wrong.
     pub dump_on_exit: bool,
@@ -32,7 +30,6 @@ impl Default for TelemetryOpts {
     fn default() -> Self {
         TelemetryOpts {
             cadence: svt_obs::DEFAULT_TIMELINE_CADENCE,
-            flight_k: svt_obs::DEFAULT_FLIGHT_K,
             dump_on_exit: false,
         }
     }
@@ -44,7 +41,7 @@ impl TelemetryOpts {
     pub fn arm(&self, m: &mut Machine) {
         m.obs.causal.enable();
         m.obs.timeline.enable_with(self.cadence);
-        m.obs.flight.enable_with(self.flight_k);
+        m.obs.flight.enable();
     }
 }
 

@@ -335,6 +335,15 @@ for v in vcpus:
         continue
     print(f"ok   vcpu {v['vcpu']}: last {len(events)} events, health {v['health']}, "
           f"ring depth {v['ring_depth']}")
+# The reflector's protocol state reaches the dump through the one
+# per-lane store the timeline reads too: a forced fallback must show on
+# the lane whose channel was written off.
+fallen = [v["vcpu"] for v in vcpus if v.get("health") == "fallen_back"]
+if not fallen:
+    print(f"FAIL: no vCPU reports health fallen_back: {[v.get('health') for v in vcpus]}")
+    ok = False
+else:
+    print(f"ok   vCPU(s) {fallen} report health fallen_back")
 print(f"ok   flight dump: reason {dump['reason']}, trip #{dump['trip']}, "
       f"{dump['causal']['recorded']} causal events recorded")
 sys.exit(0 if ok else 1)
