@@ -22,7 +22,7 @@ fn main() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
 
-    let fig6 = fig6_report(&fig6_grid(30, 1, None), DEFAULT_LANE_SEED);
+    let fig6 = fig6_report(&fig6_grid(ArchId::X86, 30, 1, None), DEFAULT_LANE_SEED);
     fig6.write_file(&dir.join("fig6_x86.json")).unwrap();
 
     let series = smp_series(

@@ -20,8 +20,8 @@
 //! campaigns); the report's `results` record the repetitions, whether the
 //! rule was met, and the CI of the total and of every part.
 //!
-//! This bin installs the counting allocator, so the allocation columns
-//! are live (in bins without it they read zero). The profiler is armed
+//! Every bench bin runs on the counting allocator (`svt-bench` installs
+//! it), so the allocation columns are live. The profiler is armed
 //! unconditionally here; `--hostprof` on the other bins opts them in.
 
 use svt_bench::{
@@ -29,9 +29,6 @@ use svt_bench::{
     Flag, HOSTPROF_N_VCPUS,
 };
 use svt_workloads::DEFAULT_LANE_SEED;
-
-#[global_allocator]
-static ALLOC: svt_obs::CountingAlloc = svt_obs::CountingAlloc;
 
 const CLI: CliSpec = CliSpec {
     bin: "hostprof",

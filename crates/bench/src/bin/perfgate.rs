@@ -6,7 +6,7 @@
 //!
 //! * allocation and byte counters (total and per subsystem), profiled
 //!   events and the trap-shape census must match **exactly** (band 0) —
-//!   this bin installs the counting allocator, and the counters are
+//!   every bench bin counts allocations, and the counters are
 //!   deterministic at any `--jobs`, so any drift means the hot path's
 //!   allocation behavior changed;
 //! * host ns/event, the mean of campaigns repeated until the paper's 1%
@@ -27,12 +27,6 @@ use svt_bench::{
     print_header, rule, BenchCli, CliSpec, Flag, WALL_BAND,
 };
 use svt_obs::Json;
-
-// The allocation columns the gate holds to exact bands only count with
-// the counting allocator installed, exactly as in the hostprof bin that
-// produced the committed baseline.
-#[global_allocator]
-static ALLOC: svt_obs::CountingAlloc = svt_obs::CountingAlloc;
 
 /// Requests per lane of the hostprof campaign — always the full count,
 /// matching the committed baseline (the alloc counters are

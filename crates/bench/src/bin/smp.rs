@@ -13,7 +13,7 @@
 //! backend with the windowed sampler and flight recorder armed:
 //! `--timeline <path>` writes its columnar timeline, `--dump <path>` with
 //! `--dump-on-exit` writes an end-of-run flight dump (a healthy sweep
-//! never trips the recorder on its own).
+//! never trips the recorder on its own, so `--dump` alone exits 1).
 
 use svt_arch::ArchId;
 use svt_bench::{

@@ -21,13 +21,13 @@ fn main() {
     let mut report = paper_report("summary", "Headline summary (quick settings)", seed);
 
     // Table 1 / Fig. 6.
-    let t1: f64 = svt_workloads::table1(50).iter().map(|r| r.time_us).sum();
-    let bars = svt_workloads::fig6_bars(ArchId::X86, 50, 1, None);
+    let grid = svt_workloads::fig6_grid(ArchId::X86, 50, 1, None);
+    let t1: f64 = grid.table1.iter().map(|r| r.time_us).sum();
     println!("Table 1  nested cpuid total        paper 10.40us   measured {t1:.2}us");
     report
         .results
         .push(("table1_total_us".to_string(), Json::Num(t1)));
-    for b in &bars {
+    for b in &grid.bars {
         if b.label == "SW SVt" || b.label == "HW SVt" {
             let paper = if b.label == "SW SVt" { 1.23 } else { 1.94 };
             println!(

@@ -12,7 +12,7 @@ const CLI: CliSpec = CliSpec {
 fn main() {
     let cli = BenchCli::parse(&CLI);
     print_header("Table 1 - cpuid breakdown in a nested VM (baseline)");
-    let rows = svt_workloads::table1(200);
+    let rows = svt_workloads::table1(svt_arch::ArchId::X86, 200);
     println!(
         "{:<4}{:<26}{:>34}   {:>7}",
         "Part", "Stage", "Time [us]", "Perc."

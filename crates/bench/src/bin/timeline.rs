@@ -79,13 +79,6 @@ fn main() {
     if let Some(path) = &cli.timeline {
         cli.emit_json("timeline export", path, &timelines_json(&cells));
     }
-    if let Some(path) = &cli.dump {
-        let dump = cells
-            .iter()
-            .rev()
-            .find_map(|c| c.telemetry.flight.clone())
-            .unwrap_or(svt_obs::Json::Null);
-        cli.emit_json("flight dump", path, &dump);
-    }
+    cli.emit_dump(cells.iter().rev().find_map(|c| c.telemetry.flight.as_ref()));
     cli.emit_report(timeline_report(&cells, seed, cadence));
 }

@@ -4,11 +4,12 @@
 //! positional arguments and the flags it reads, drawn from one shared
 //! flag table ([`Flag`]). [`BenchCli::parse`] accepts exactly that
 //! declaration: any other flag, an extra positional, a value flag with no
-//! value, an unparsable `--seed`/`--jobs`/`--arch`, or `--resume` without
-//! `--checkpoint-dir` is a [`CliError`], reported on stderr with exit
-//! status 2 before anything runs. `--help` is accepted everywhere and
-//! prints help generated from the same declaration, so the help text
-//! cannot drift from what the parser accepts.
+//! value, an unparsable `--seed`/`--arch`, a `--jobs` that is not a
+//! positive integer, or `--resume` without `--checkpoint-dir` is a
+//! [`CliError`], reported on stderr with exit status 2 before anything
+//! runs. `--help` is accepted everywhere and prints help generated from
+//! the same declaration, so the help text cannot drift from what the
+//! parser accepts.
 //!
 //! Binaries report through [`BenchCli::emit_report`],
 //! [`BenchCli::emit_trace`] and [`BenchCli::emit_json`]; a failed write
@@ -62,7 +63,7 @@ flag_table! {
     CheckpointDir "--checkpoint-dir <path>" "journal finished grid cells here",
     Resume "--resume" "replay the journal, compute only the rest",
     Seed "--seed <n>" "seed of load generators and fault plans",
-    Jobs "--jobs <n>" "sweep workers (default SVT_JOBS, else all cores)",
+    Jobs "--jobs <n>" "sweep workers, at least 1 (default all cores)",
     Arch "--arch <x86|riscv>" "ISA backend (default x86)",
     Quick "--quick" "shorter run",
     Smoke "--smoke" "the small CI-sized run",
@@ -162,8 +163,8 @@ impl BenchCli {
     ///
     /// [`CliError`] for a flag `spec` does not declare, more positionals
     /// than it declares, a value flag without a value, an unparsable
-    /// `--seed`, `--jobs` or `--arch`, or `--resume` without
-    /// `--checkpoint-dir`.
+    /// `--seed` or `--arch`, a `--jobs` that is not a positive integer,
+    /// or `--resume` without `--checkpoint-dir`.
     pub fn from_args<I: IntoIterator<Item = String>>(
         spec: &'static CliSpec,
         args: I,
@@ -215,15 +216,24 @@ impl BenchCli {
                 .or_else(|| it.next())
                 .filter(|v| !v.is_empty() && !v.starts_with("--"))
                 .ok_or(CliError::MissingValue(name))?;
-            let bad_number = |value: String| CliError::BadNumber { flag: name, value };
+            let bad_value = |value: String, accepts: &str| CliError::BadValue {
+                name,
+                value,
+                accepts: accepts.to_string(),
+            };
             match flag {
                 Flag::Json => cli.json = Some(value.into()),
                 Flag::Trace => cli.trace = Some(value.into()),
                 Flag::Timeline => cli.timeline = Some(value.into()),
                 Flag::Dump => cli.dump = Some(value.into()),
                 Flag::CheckpointDir => cli.checkpoint_dir = Some(value.into()),
-                Flag::Seed => cli.seed = Some(value.parse().map_err(|_| bad_number(value))?),
-                Flag::Jobs => cli.jobs = Some(value.parse().map_err(|_| bad_number(value))?),
+                Flag::Seed => {
+                    cli.seed = Some(value.parse().map_err(|_| bad_value(value, "an integer"))?)
+                }
+                Flag::Jobs => {
+                    let jobs = value.parse().ok().filter(|&n| n > 0);
+                    cli.jobs = Some(jobs.ok_or_else(|| bad_value(value, "an integer >= 1"))?)
+                }
                 _ => cli.arch = ArchId::parse(&value).ok_or(CliError::UnknownArch(value))?,
             }
         }
@@ -238,10 +248,9 @@ impl BenchCli {
         self.given.contains(&flag)
     }
 
-    /// The sweep worker count: `--jobs` wins, then the `SVT_JOBS`
-    /// environment variable, then the host's available parallelism.
-    /// Always at least 1. The merged output is identical for every value
-    /// (the sweep engine merges in grid order).
+    /// The sweep worker count: `--jobs` when given, else the host's
+    /// available parallelism. Always at least 1. The merged output is
+    /// identical for every value (the sweep engine merges in grid order).
     pub fn jobs(&self) -> usize {
         svt_sim::resolve_jobs(self.jobs)
     }
@@ -321,7 +330,7 @@ impl BenchCli {
         let Some(value) = self.positional(i) else {
             return Ok(default);
         };
-        pick(value).ok_or_else(|| CliError::BadPositional {
+        pick(value).ok_or_else(|| CliError::BadValue {
             name: self.spec.args[i].0,
             value: value.to_string(),
             accepts,
@@ -352,6 +361,26 @@ impl BenchCli {
     pub fn emit_trace(&self, spans: &[Span], flows: &[FlowArrow]) {
         if let Some(path) = &self.trace {
             self.emit_json("chrome trace", path, &chrome_trace(spans, flows));
+        }
+    }
+
+    /// Writes the flight-recorder dump to the `--dump` path when one was
+    /// given. A requested dump the recorder never produced (nothing
+    /// tripped it and `--dump-on-exit` was not given) is reported on
+    /// stderr, pointing at `--dump-on-exit`, and exits the process with
+    /// status 1 without writing the file.
+    pub fn emit_dump(&self, dump: Option<&svt_obs::Json>) {
+        let Some(path) = &self.dump else { return };
+        match dump {
+            Some(doc) => self.emit_json("flight dump", path, doc),
+            None => {
+                eprintln!(
+                    "error: no flight dump for {}: the flight recorder never tripped; \
+                     add --dump-on-exit to dump at the end of the run",
+                    path.display()
+                );
+                std::process::exit(1);
+            }
         }
     }
 
@@ -390,18 +419,12 @@ impl BenchCli {
 pub enum CliError {
     /// A value flag given last, or followed by another flag.
     MissingValue(&'static str),
-    /// A `--seed` or `--jobs` value that is not a number.
-    BadNumber {
-        /// The flag.
-        flag: &'static str,
-        /// The value given.
-        value: String,
-    },
     /// An `--arch` value that names no backend.
     UnknownArch(String),
-    /// A positional argument that does not parse or is out of range.
-    BadPositional {
-        /// The argument's declared name.
+    /// A flag value or positional argument that does not parse or is out
+    /// of range.
+    BadValue {
+        /// The flag, or the positional argument's declared name.
         name: &'static str,
         /// The value given.
         value: String,
@@ -432,12 +455,11 @@ impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
-            CliError::BadNumber { flag, value } => write!(f, "{flag} {value:?} is not a number"),
             CliError::UnknownArch(value) => {
                 let known = ArchId::ALL.map(|a| a.label()).join(", ");
                 write!(f, "unknown --arch {value:?}; known backends: {known}")
             }
-            CliError::BadPositional {
+            CliError::BadValue {
                 name,
                 value,
                 accepts,
@@ -544,7 +566,7 @@ mod tests {
         );
         assert_eq!(
             c.checked(1, 9, "an integer".to_string(), |v| v.parse().ok()),
-            Err(CliError::BadPositional {
+            Err(CliError::BadValue {
                 name: "workload",
                 value: "memcached".to_string(),
                 accepts: "an integer".to_string()
@@ -567,9 +589,10 @@ mod tests {
         assert_eq!(args(&["--seed=7"]).seed, Some(7));
         assert_eq!(
             try_args(&["--seed=x"]).unwrap_err(),
-            CliError::BadNumber {
-                flag: "--seed",
-                value: "x".to_string()
+            CliError::BadValue {
+                name: "--seed",
+                value: "x".to_string(),
+                accepts: "an integer".to_string()
             }
         );
         assert_eq!(
@@ -582,14 +605,17 @@ mod tests {
     fn parses_jobs_in_both_forms() {
         assert_eq!(args(&["--jobs", "4"]).jobs, Some(4));
         assert_eq!(args(&["--jobs=2"]).jobs, Some(2));
-        assert!(matches!(
-            try_args(&["--jobs", "two"]),
-            Err(CliError::BadNumber { flag: "--jobs", .. })
-        ));
         assert_eq!(args(&["--jobs=4"]).jobs(), 4);
         assert!(args(&[]).jobs() >= 1);
-        // Zero is not a valid worker count; the resolver falls through.
-        assert!(args(&["--jobs=0"]).jobs() >= 1);
+        // Zero is not a worker count: refused like any other bad value.
+        for list in [&["--jobs", "two"][..], &["--jobs=0"], &["--jobs", "-1"]] {
+            let err = try_args(list).unwrap_err();
+            assert!(
+                matches!(err, CliError::BadValue { name: "--jobs", .. }),
+                "{list:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("an integer >= 1"), "{err}");
+        }
     }
 
     #[test]

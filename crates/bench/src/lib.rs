@@ -16,15 +16,21 @@ pub use gate::{
 };
 pub use runs::{
     faults_campaign, faults_report, fig6_report, hostprof_campaign, hostprof_converged,
-    hostprof_report, riscv_grid, riscv_report, smp_report, smp_series, timeline_cells,
-    timeline_report, timelines_json, FaultCell, HostprofConverged, HostprofRun, RiscvGrid,
-    TimelineCell, FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, HOSTPROF_N_VCPUS,
-    RISCV_SMP_VCPUS, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS, TIMELINE_FAULT_RATE,
-    TIMELINE_N_VCPUS,
+    hostprof_report, smp_report, smp_series, timeline_cells, timeline_report, timelines_json,
+    FaultCell, HostprofConverged, HostprofRun, TimelineCell, FAULTS_DEFAULT_SEED, FAULTS_MODES,
+    FAULTS_N_VCPUS, HOSTPROF_N_VCPUS, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
+    TIMELINE_FAULT_RATE, TIMELINE_N_VCPUS,
 };
+use svt_arch::ArchId;
 use svt_obs::{HostAgg, HostPart, Json, RunReport};
 use svt_sim::{CostModel, FaultPlan, MachineSpec, VmSpec};
 use svt_workloads::{RunSpec, TelemetryOpts, TelemetryPoint};
+
+// Every bench binary, test and example counts its allocations, so
+// `--hostprof` reports live allocs/bytes columns on every bin and the
+// perfgate's exact counters are measured as the committed baseline was.
+#[global_allocator]
+static ALLOC: svt_obs::CountingAlloc = svt_obs::CountingAlloc;
 
 /// Prints the standard header with the simulated platform (Table 4).
 pub fn print_header(title: &str) {
@@ -93,13 +99,25 @@ pub fn cost_model_json(cost: &CostModel) -> Json {
 }
 
 /// A run report opened as every paper-figure bin opens one: the
-/// simulated platform, the default cost model and the seed of the run.
-/// Bins whose runs draw no randomness record the default lane seed, so
-/// every report carries the same reproducibility field.
+/// simulated platform, the default (x86) cost model and the seed of the
+/// run. Bins whose runs draw no randomness record the default lane seed,
+/// so every report carries the same reproducibility field.
 pub fn paper_report(name: &str, title: &str, seed: u64) -> RunReport {
+    backend_report(name, title, ArchId::X86, seed)
+}
+
+/// [`paper_report`] on the `arch` backend: the backend's cost model, and
+/// the backend's name under `results.arch` when it is not x86 (x86
+/// reports keep their pre-arch-layer bytes).
+fn backend_report(name: &str, title: &str, arch: ArchId, seed: u64) -> RunReport {
     let mut report = RunReport::new(name, title);
     report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::default()));
+    report.cost_model = Some(cost_model_json(&arch.cost_model()));
+    if arch != ArchId::X86 {
+        report
+            .results
+            .push(("arch".to_string(), Json::from(arch.label())));
+    }
     report.results.push(("seed".to_string(), Json::from(seed)));
     report
 }
@@ -178,7 +196,8 @@ pub fn print_hostprof(agg: &HostAgg) {
 /// Serves the `--timeline`/`--dump`/`--dump-on-exit` flags of a campaign
 /// binary: re-runs one serving cell with `plan` installed and the
 /// windowed sampler and flight recorder armed, prints a one-line summary
-/// naming the cell `label`, and writes the requested exports. A no-op
+/// naming the cell `label`, and writes the requested exports (a `--dump`
+/// the cell never tripped exits 1, see [`BenchCli::emit_dump`]). A no-op
 /// when none of the flags was given.
 pub fn telemetry_cell(cli: &BenchCli, label: &str, spec: RunSpec, plan: FaultPlan) {
     if cli.timeline.is_none() && cli.dump.is_none() && !cli.flag(Flag::DumpOnExit) {
@@ -202,9 +221,7 @@ pub fn telemetry_cell(cli: &BenchCli, label: &str, spec: RunSpec, plan: FaultPla
     if let Some(path) = &cli.timeline {
         cli.emit_json("timeline export", path, &t.timeline);
     }
-    if let Some(path) = &cli.dump {
-        cli.emit_json("flight dump", path, &t.flight.unwrap_or(Json::Null));
-    }
+    cli.emit_dump(t.flight.as_ref());
 }
 
 #[cfg(test)]

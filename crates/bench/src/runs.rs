@@ -15,14 +15,14 @@ use svt_arch::ArchId;
 use svt_core::SwitchMode;
 use svt_obs::{ExitRow, HostAgg, HostPart, Json, PartRow, RunReport, SpeedupRow};
 use svt_sim::checkpoint::{self, Checkpoint};
-use svt_sim::{CostModel, FaultPlan, SimDuration};
+use svt_sim::{FaultPlan, SimDuration};
 use svt_stats::{filter_outliers, Convergence, Summary};
 use svt_workloads::{
-    fig6_bars, memcached_chaos, memcached_smp_counted_seeded, App, ChaosPoint, Fig6Bar, Fig6Grid,
-    RunSpec, SmpPoint, TelemetryOpts, TelemetryPoint, DEFAULT_LANE_SEED,
+    memcached_chaos, memcached_smp_counted_seeded, App, ChaosPoint, Fig6Grid, RunSpec, SmpPoint,
+    TelemetryOpts, TelemetryPoint, DEFAULT_LANE_SEED,
 };
 
-use crate::{cost_model_json, machine_json, paper_report};
+use crate::{backend_report, cost_model_json, machine_json, paper_report};
 
 /// vCPU counts of the SMP scaling sweep.
 pub const SMP_VCPU_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -52,33 +52,6 @@ fn speedup_name(label: &str, suffix: &str) -> String {
     }
 }
 
-/// Adds Fig. 6-style bars to a report: a speedup row per bar that beats
-/// the baseline L2, and the `bars` result.
-fn push_bars(report: &mut RunReport, bars: &[Fig6Bar]) {
-    for b in bars {
-        if b.speedup > 1.0 {
-            report.speedups.push(SpeedupRow {
-                name: speedup_name(b.label, ""),
-                speedup: b.speedup,
-            });
-        }
-    }
-    report.results.push((
-        "bars".to_string(),
-        Json::Arr(
-            bars.iter()
-                .map(|b| {
-                    Json::obj([
-                        ("label", Json::from(b.label)),
-                        ("time_us", Json::Num(b.time_us)),
-                        ("speedup", Json::Num(b.speedup)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-}
-
 /// One serving point as the report's JSON object.
 fn smp_point_json(p: &SmpPoint) -> Json {
     Json::obj([
@@ -91,12 +64,16 @@ fn smp_point_json(p: &SmpPoint) -> Json {
 }
 
 /// Builds the Fig. 6 run report from a computed grid (see
-/// [`svt_workloads::fig6_grid`]). `seed` is recorded for
-/// reproducibility; the micro-benchmark itself is load-free.
+/// [`svt_workloads::fig6_grid`]) on either backend: the Table 1 parts,
+/// the observed exit attribution, the metrics export, a speedup row per
+/// bar that beats the baseline L2, and the bars. The paper measured x86
+/// only, so other backends' parts carry no `paper_us`. `seed` is recorded
+/// for reproducibility; the micro-benchmark itself is load-free.
 pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
-    let mut report = paper_report(
+    let mut report = backend_report(
         "fig6",
         "Execution time of a cpuid instruction (Fig. 6)",
+        grid.arch,
         seed,
     );
     for row in &grid.table1 {
@@ -104,7 +81,7 @@ pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
             part: row.part as u32,
             label: row.label.clone(),
             time_us: row.time_us,
-            paper_us: Some(row.paper_us),
+            paper_us: (grid.arch == ArchId::X86).then_some(row.paper_us),
         });
     }
     for e in &grid.exits {
@@ -115,88 +92,29 @@ pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
         });
     }
     report.metrics = Some(grid.metrics.clone());
-    push_bars(&mut report, &grid.bars);
-    report
-}
-
-/// vCPUs of the riscv report's memcached cells (CVA6 is a small in-order
-/// core; a modest guest keeps the smoke quick).
-pub const RISCV_SMP_VCPUS: usize = 2;
-
-/// The bars and memcached points of the riscv backend report, computed
-/// as one parallel sweep each and merged in grid order — byte-identical
-/// output at any `jobs`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RiscvGrid {
-    /// The five Fig. 6-style bars on the H-extension backend.
-    pub bars: Vec<Fig6Bar>,
-    /// One memcached point per engine, in [`SwitchMode::ALL`] order.
-    pub memcached: Vec<(SwitchMode, SmpPoint)>,
-}
-
-/// Runs the riscv backend's fig6-style grid: the cpuid-analogue
-/// (virtual-instruction trap) micro-benchmark bars plus memcached
-/// through every engine, all on [`ArchId::Riscv`] with the
-/// CVA6-calibrated cost model. With a checkpoint, the bar cells journal
-/// under the `bars` scope and the memcached cells under `memcached`, and
-/// `(ckpt, true)` resumes from the journal.
-pub fn riscv_grid(
-    iters: u64,
-    requests: u64,
-    seed: u64,
-    jobs: usize,
-    ckpt: Option<(&Checkpoint, bool)>,
-) -> RiscvGrid {
-    let bars = fig6_bars(ArchId::Riscv, iters, jobs, ckpt);
-    let points = checkpoint::sweep(ckpt, "memcached", SwitchMode::ALL.len(), jobs, |i| {
-        let spec = RunSpec {
-            app: App::Memcached {
-                rate_qps: SERVE_RATE_QPS,
-                requests,
-            },
-            mode: SwitchMode::ALL[i],
-            arch: ArchId::Riscv,
-            vcpus: RISCV_SMP_VCPUS,
-            lane_seed: seed,
-        };
-        spec.run(|_| {}, |_| ()).0
-    });
-    let memcached = SwitchMode::ALL.into_iter().zip(points).collect();
-    RiscvGrid { bars, memcached }
-}
-
-/// Builds the riscv backend run report: Fig. 6-style speedup bars (the
-/// paper's figure has no riscv column, so no `paper_us` reference) plus
-/// the per-engine memcached throughputs, with the CVA6 cost model
-/// embedded where the x86 reports embed the calibrated VT-x model.
-pub fn riscv_report(grid: &RiscvGrid, seed: u64) -> RunReport {
-    let mut report = RunReport::new(
-        "fig6-riscv",
-        "Trap-and-emulate latency and memcached on the RISC-V H-extension backend",
-    );
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&CostModel::cva6()));
-    report
-        .results
-        .push(("arch".to_string(), Json::from(ArchId::Riscv.label())));
-    report.results.push(("seed".to_string(), Json::from(seed)));
-    push_bars(&mut report, &grid.bars);
-    let baseline = grid.memcached[0].1.throughput;
-    for (mode, p) in &grid.memcached {
-        if *mode != SwitchMode::Baseline {
+    for b in &grid.bars {
+        if b.speedup > 1.0 {
             report.speedups.push(SpeedupRow {
-                name: speedup_name(mode.label(), "_memcached"),
-                speedup: p.throughput / baseline,
+                name: speedup_name(b.label, ""),
+                speedup: b.speedup,
             });
         }
-        report.results.push((
-            format!(
-                "memcached_{}",
-                mode.label().replace(' ', "_").to_lowercase()
-            ),
-            smp_point_json(p),
-        ));
     }
+    report.results.push((
+        "bars".to_string(),
+        Json::Arr(
+            grid.bars
+                .iter()
+                .map(|b| {
+                    Json::obj([
+                        ("label", Json::from(b.label)),
+                        ("time_us", Json::Num(b.time_us)),
+                        ("speedup", Json::Num(b.speedup)),
+                    ])
+                })
+                .collect(),
+        ),
+    ));
     report
 }
 
@@ -239,15 +157,12 @@ pub fn smp_series(
 /// backend under `arch` (the x86 report's bytes are exactly the
 /// pre-arch-layer ones).
 pub fn smp_report(arch: ArchId, series: &[(SwitchMode, Vec<SmpPoint>)], seed: u64) -> RunReport {
-    let mut report = RunReport::new("smp", "Sharded memcached scaling over 1-8 vCPUs");
-    report.machine = Some(machine_json());
-    report.cost_model = Some(cost_model_json(&arch.cost_model()));
-    if arch != ArchId::X86 {
-        report
-            .results
-            .push(("arch".to_string(), Json::from(arch.label())));
-    }
-    report.results.push(("seed".to_string(), Json::from(seed)));
+    let mut report = backend_report(
+        "smp",
+        "Sharded memcached scaling over 1-8 vCPUs",
+        arch,
+        seed,
+    );
     let baseline = &series[0].1;
     for (mode, points) in series {
         if *mode != SwitchMode::Baseline {
@@ -401,8 +316,8 @@ impl HostprofRun {
 /// profiler armed and returns the drained aggregate. The deterministic
 /// fields of the result (allocs, bytes, events, shapes) are identical at
 /// any `jobs` and for a fixed `arch`+`seed`; the wall columns are host
-/// noise. Allocation columns are all-zero unless the calling binary
-/// installs [`svt_obs::CountingAlloc`].
+/// noise. Allocation columns are all-zero unless the process runs on
+/// [`svt_obs::CountingAlloc`], which `svt-bench` installs.
 ///
 /// # Panics
 ///

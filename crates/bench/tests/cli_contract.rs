@@ -183,3 +183,58 @@ fn table3_counts_the_source_tree_from_any_directory() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("run report"));
 }
+
+/// A scratch directory for one test's output files.
+fn scratch(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("svt-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A requested flight dump that nothing tripped is a failure, not an
+/// empty success: a healthy `smp` sweep never trips the recorder, so
+/// `--dump` without `--dump-on-exit` exits 1, writes no file and points
+/// at `--dump-on-exit`.
+#[test]
+fn a_dump_nothing_tripped_exits_1_without_a_file() {
+    let dir = scratch("dump");
+    let dump = dir.join("d.json");
+    let out = Command::new(exe("smp"))
+        .args(["--jobs", "2", "--dump"])
+        .arg(&dump)
+        .output()
+        .expect("smp starts");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let written = dump.exists();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(!written, "smp wrote a dump that nothing tripped");
+    assert!(
+        err.contains("--dump-on-exit") && !err.contains("panicked"),
+        "{err}"
+    );
+}
+
+/// `--hostprof` on a figure bin reports live allocation columns: every
+/// bench bin runs on the counting allocator.
+#[test]
+fn hostprof_on_a_figure_bin_counts_allocations() {
+    let dir = scratch("hostprof");
+    let path = dir.join("t1.json");
+    let out = Command::new(exe("table1"))
+        .arg("--hostprof")
+        .arg("--json")
+        .arg(&path)
+        .output()
+        .expect("table1 starts");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let report = svt_obs::Json::parse(&text).unwrap();
+    let allocs = report
+        .get("hostprof")
+        .and_then(|h| h.get("total_allocs"))
+        .and_then(svt_obs::Json::as_i64)
+        .unwrap();
+    assert!(allocs > 0, "table1 --hostprof counted {allocs} allocations");
+}

@@ -4,8 +4,9 @@
 //! ratio — must be byte-identical at `--jobs 1` vs `--jobs 4`, on both
 //! ISA backends, for every seeded workload.
 //!
-//! This file installs the counting allocator, so the equality below
-//! covers live allocs/bytes columns, not just zeros. Everything runs in
+//! `svt-bench` installs the counting allocator for everything that links
+//! it, this test included, so the equality below covers live allocs/bytes
+//! columns, not just zeros. Everything runs in
 //! one `#[test]`: the profiler's armed flag and drain queue are process
 //! globals, and a second concurrently-running campaign would interleave
 //! with them.
@@ -13,9 +14,6 @@
 use svt_arch::ArchId;
 use svt_bench::hostprof_campaign;
 use svt_workloads::DEFAULT_LANE_SEED;
-
-#[global_allocator]
-static ALLOC: svt_obs::CountingAlloc = svt_obs::CountingAlloc;
 
 #[test]
 fn shape_census_is_byte_identical_across_jobs_and_stable_per_arch() {

@@ -18,9 +18,6 @@ use svt_bench::{
 use svt_obs::{HostPart, Json};
 use svt_workloads::DEFAULT_LANE_SEED;
 
-#[global_allocator]
-static ALLOC: svt_obs::CountingAlloc = svt_obs::CountingAlloc;
-
 /// A small converged campaign at `--jobs 1`, measured as perfgate does.
 fn campaign() -> &'static HostprofConverged {
     static RUN: OnceLock<HostprofConverged> = OnceLock::new();

@@ -19,8 +19,8 @@ use svt_workloads::{fig6_grid, DEFAULT_LANE_SEED};
 
 #[test]
 fn fig6_report_is_byte_identical_across_worker_counts() {
-    let a = fig6_report(&fig6_grid(30, 1, None), DEFAULT_LANE_SEED);
-    let b = fig6_report(&fig6_grid(30, 4, None), DEFAULT_LANE_SEED);
+    let a = fig6_report(&fig6_grid(ArchId::X86, 30, 1, None), DEFAULT_LANE_SEED);
+    let b = fig6_report(&fig6_grid(ArchId::X86, 30, 4, None), DEFAULT_LANE_SEED);
     assert_eq!(a.to_json().pretty(), b.to_json().pretty());
 }
 

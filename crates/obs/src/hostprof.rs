@@ -15,7 +15,7 @@
 //!    stack, so the per-part wall columns always sum to the full
 //!    `run_begin..run_end` window — nothing is double-counted or lost.
 //! 2. **Deterministic allocation attribution** — [`CountingAlloc`] is an
-//!    opt-in `#[global_allocator]` wrapper around the system allocator that
+//!    opt-in global-allocator wrapper around the system allocator that
 //!    counts allocations and requested bytes in plain thread-locals. The
 //!    switch points charge allocation deltas exactly like time deltas.
 //!    Unlike wall clock, allocs/event and bytes/event are *byte-identical*
@@ -160,8 +160,8 @@ thread_local! {
 /// Running (allocations, requested bytes) totals for the calling thread.
 ///
 /// Monotonic counters; the profiler charges *deltas* between switch
-/// points, so only differences matter. Both stay zero unless the binary
-/// installs [`CountingAlloc`] as its `#[global_allocator]`.
+/// points, so only differences matter. Both stay zero unless the process
+/// runs on [`CountingAlloc`] as its global allocator.
 pub fn thread_alloc_totals() -> (u64, u64) {
     let a = TL_ALLOCS.try_with(Cell::get).unwrap_or(0);
     let b = TL_BYTES.try_with(Cell::get).unwrap_or(0);
@@ -177,12 +177,10 @@ fn tl_count(bytes: usize) {
 
 /// A counting wrapper around the system allocator.
 ///
-/// Install per-binary (only the bins that profile pay for it):
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: svt_obs::CountingAlloc = svt_obs::CountingAlloc;
-/// ```
+/// Opt-in: a crate declares it as the global allocator, and only the
+/// processes that link that crate pay for it. `svt-bench` installs it for
+/// every bench binary; the root `svt` crate and the library crates do
+/// not.
 ///
 /// Counts every allocation (and every growth-realloc) plus the requested
 /// byte size in thread-local counters read by [`thread_alloc_totals`].

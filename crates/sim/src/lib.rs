@@ -50,7 +50,7 @@ pub use events::{EventId, EventQueue};
 pub use faults::{FaultKind, FaultPlan};
 pub use hash::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use rng::DetRng;
-pub use sched::{assign_svt_cores, pick_min_local_time, SchedError, VcpuScheduler, VcpuStatus};
+pub use sched::{assign_svt_cores, pick_min_local_time, SchedError};
 pub use snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 pub use sweep::{host_parallelism, resolve_jobs, resolve_jobs_for, sweep};
 pub use time::{SimDuration, SimTime};

@@ -9,28 +9,17 @@
 //!   its SVt sibling context (the paper's SMT pairing, § 4). Placement
 //!   constraints therefore bind: a machine with C cores hosts at most C
 //!   vCPUs.
-//! * [`VcpuScheduler`] — the discrete-event pick policy. Among all `Ready`
-//!   vCPUs it always runs the one with the *smallest local time* (ties break
-//!   towards the lowest vCPU id). This keeps per-vCPU clocks loosely
-//!   synchronized and — because the policy depends only on simulated state —
-//!   makes the interleaving a pure function of seed and configuration.
+//! * [`pick_min_local_time`] — the discrete-event pick policy. Among all
+//!   runnable vCPUs it always runs the one with the *smallest local time*
+//!   (ties break towards the lowest vCPU id). This keeps per-vCPU clocks
+//!   loosely synchronized and — because the policy depends only on
+//!   simulated state — makes the interleaving a pure function of seed and
+//!   configuration.
 
 use std::fmt;
 
 use crate::time::SimTime;
 use crate::topology::{CpuLoc, MachineSpec};
-
-/// Schedulability of one vCPU as seen by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VcpuStatus {
-    /// Has instructions to execute now.
-    Ready,
-    /// Executed HLT (or is idle-waiting); runnable again only after an
-    /// interrupt or event is routed to it.
-    Halted,
-    /// Its guest program returned `Done`; never scheduled again.
-    Finished,
-}
 
 /// Error from [`assign_svt_cores`]: the requested vCPU count does not fit
 /// the machine.
@@ -108,9 +97,9 @@ pub fn assign_svt_cores(spec: &MachineSpec, n: usize) -> Result<Vec<CpuLoc>, Sch
 }
 
 /// Picks the runnable vCPU with the smallest local time, ties broken by
-/// lowest id — the single deterministic pick policy shared by
-/// [`VcpuScheduler::pick`] and the hypervisor's SMP run loop (which
-/// filters runnability itself, from halted flags and inbox depth).
+/// lowest id — the deterministic pick policy of the hypervisor's SMP run
+/// loop (which filters runnability itself, from halted flags and inbox
+/// depth).
 ///
 /// # Examples
 ///
@@ -129,84 +118,6 @@ where
         .into_iter()
         .min_by_key(|&(i, t)| (t, i))
         .map(|(i, _)| i)
-}
-
-/// The deterministic min-local-time-first vCPU pick policy.
-///
-/// The scheduler holds only schedulability flags; local clocks stay with
-/// their vCPUs and are passed in at pick time. This keeps the policy a pure
-/// function: same statuses + same local times ⇒ same pick.
-///
-/// # Examples
-///
-/// ```
-/// use svt_sim::{SimTime, VcpuScheduler, VcpuStatus};
-///
-/// let mut s = VcpuScheduler::new(2);
-/// let t = [SimTime::from_ns(200), SimTime::from_ns(100)];
-/// assert_eq!(s.pick(&t), Some(1)); // furthest-behind vCPU runs first
-/// s.set_status(1, VcpuStatus::Halted);
-/// assert_eq!(s.pick(&t), Some(0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct VcpuScheduler {
-    status: Vec<VcpuStatus>,
-}
-
-impl VcpuScheduler {
-    /// Creates a scheduler for `n` vCPUs, all initially `Ready`.
-    pub fn new(n: usize) -> Self {
-        VcpuScheduler {
-            status: vec![VcpuStatus::Ready; n],
-        }
-    }
-
-    /// Number of vCPUs under management.
-    pub fn len(&self) -> usize {
-        self.status.len()
-    }
-
-    /// Whether the scheduler manages no vCPUs.
-    pub fn is_empty(&self) -> bool {
-        self.status.is_empty()
-    }
-
-    /// Current status of vCPU `id`.
-    pub fn status(&self, id: usize) -> VcpuStatus {
-        self.status[id]
-    }
-
-    /// Updates the status of vCPU `id`.
-    pub fn set_status(&mut self, id: usize, status: VcpuStatus) {
-        self.status[id] = status;
-    }
-
-    /// Whether every vCPU has finished its program.
-    pub fn all_finished(&self) -> bool {
-        self.status.iter().all(|s| *s == VcpuStatus::Finished)
-    }
-
-    /// Whether no vCPU is currently `Ready` (all halted or finished).
-    pub fn none_ready(&self) -> bool {
-        !self.status.contains(&VcpuStatus::Ready)
-    }
-
-    /// Picks the next vCPU to run: the `Ready` vCPU with the smallest local
-    /// time, ties broken by lowest id. `local_now[i]` is vCPU i's clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local_now.len()` differs from the vCPU count.
-    pub fn pick(&self, local_now: &[SimTime]) -> Option<usize> {
-        assert_eq!(local_now.len(), self.status.len(), "one clock per vCPU");
-        pick_min_local_time(
-            self.status
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s == VcpuStatus::Ready)
-                .map(|(i, _)| (i, local_now[i])),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -252,48 +163,17 @@ mod tests {
 
     #[test]
     fn pick_prefers_smallest_local_time() {
-        let s = VcpuScheduler::new(3);
         let t = [
             SimTime::from_ns(50),
             SimTime::from_ns(10),
             SimTime::from_ns(30),
         ];
-        assert_eq!(s.pick(&t), Some(1));
+        assert_eq!(pick_min_local_time(t.into_iter().enumerate()), Some(1));
     }
 
     #[test]
     fn pick_ties_break_to_lowest_id() {
-        let s = VcpuScheduler::new(3);
         let t = [SimTime::from_ns(5); 3];
-        assert_eq!(s.pick(&t), Some(0));
-    }
-
-    #[test]
-    fn pick_skips_halted_and_finished() {
-        let mut s = VcpuScheduler::new(3);
-        let t = [
-            SimTime::from_ns(1),
-            SimTime::from_ns(2),
-            SimTime::from_ns(3),
-        ];
-        s.set_status(0, VcpuStatus::Halted);
-        assert_eq!(s.pick(&t), Some(1));
-        s.set_status(1, VcpuStatus::Finished);
-        assert_eq!(s.pick(&t), Some(2));
-        s.set_status(2, VcpuStatus::Halted);
-        assert_eq!(s.pick(&t), None);
-        assert!(s.none_ready());
-        assert!(!s.all_finished());
-    }
-
-    #[test]
-    fn status_roundtrip() {
-        let mut s = VcpuScheduler::new(2);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-        s.set_status(0, VcpuStatus::Finished);
-        s.set_status(1, VcpuStatus::Finished);
-        assert_eq!(s.status(0), VcpuStatus::Finished);
-        assert!(s.all_finished());
+        assert_eq!(pick_min_local_time(t.into_iter().enumerate()), Some(0));
     }
 }

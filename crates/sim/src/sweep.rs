@@ -13,8 +13,7 @@
 //!   leaks into the merge (cells are stored by index, not by arrival).
 //!
 //! The worker count comes from `--jobs` on every bench binary, falling
-//! back to the `SVT_JOBS` environment variable and finally to the host's
-//! available parallelism (see [`resolve_jobs`]).
+//! back to the host's available parallelism (see [`resolve_jobs`]).
 //!
 //! # Examples
 //!
@@ -38,9 +37,9 @@ pub fn host_parallelism() -> usize {
 }
 
 /// Resolves the worker count for a sweep: an explicit request (`--jobs`)
-/// wins, then the `SVT_JOBS` environment variable, then the host's
-/// available parallelism. Zero and unparsable values fall through to the
-/// next source; the result is always at least 1.
+/// wins, else the host's available parallelism. An explicit zero also
+/// falls back to the host (the bench binaries refuse `--jobs 0` before
+/// it gets here); the result is always at least 1.
 ///
 /// # Examples
 ///
@@ -51,19 +50,7 @@ pub fn host_parallelism() -> usize {
 /// assert!(resolve_jobs(None) >= 1);
 /// ```
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        if n > 0 {
-            return n;
-        }
-    }
-    if let Ok(v) = std::env::var("SVT_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    host_parallelism()
+    explicit.filter(|&n| n > 0).unwrap_or_else(host_parallelism)
 }
 
 /// [`resolve_jobs`] clamped to the grid's cell count: a sweep can never
@@ -202,11 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_jobs_prefers_explicit_then_env() {
+    fn resolve_jobs_prefers_explicit_then_host() {
         assert_eq!(resolve_jobs(Some(7)), 7);
-        // Zero is not a valid worker count; fall through to the default.
-        assert!(resolve_jobs(Some(0)) >= 1);
-        assert!(resolve_jobs(None) >= 1);
+        assert_eq!(resolve_jobs(None), host_parallelism());
+        // Zero is not a valid worker count; fall back to the host.
+        assert_eq!(resolve_jobs(Some(0)), host_parallelism());
     }
 
     #[test]

@@ -28,6 +28,6 @@ mod percentile;
 mod series;
 mod summary;
 
-pub use percentile::{percentile, Histogram, LatencyRecorder};
+pub use percentile::{percentile, LatencyRecorder};
 pub use series::{speedup, SweepPoint, SweepSeries};
 pub use summary::{filter_outliers, Convergence, Summary};

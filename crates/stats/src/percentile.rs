@@ -108,60 +108,6 @@ impl LatencyRecorder {
     }
 }
 
-/// A fixed-bucket histogram over `[0, max)` used for coarse latency shape
-/// reporting in the bench binaries.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` buckets of `width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `width <= 0`.
-    pub fn new(width: f64, n: usize) -> Self {
-        assert!(n > 0 && width > 0.0);
-        Histogram {
-            bucket_width: width,
-            buckets: vec![0; n],
-            overflow: 0,
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: f64) {
-        let idx = (v / self.bucket_width) as usize;
-        if v < 0.0 || idx >= self.buckets.len() {
-            self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Count of values outside the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded values.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,20 +162,5 @@ mod tests {
         }
         assert_eq!(r.p99(), 900.0);
         assert!(r.mean() < 120.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10.0, 3);
-        h.record(5.0);
-        h.record(15.0);
-        h.record(25.0);
-        h.record(35.0); // overflow
-        h.record(-1.0); // overflow
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(2), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 5);
     }
 }

@@ -1,7 +1,7 @@
 //! Fig. 6 and Table 1 runners: the cpuid micro-benchmark.
 
 use svt_arch::ArchId;
-use svt_core::{nested_machine, nested_machine_on, SwitchMode};
+use svt_core::{nested_machine_on, SwitchMode};
 use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt_obs::{Json, MetricKey, ObsLevel};
 use svt_sim::checkpoint::{self, Checkpoint};
@@ -32,7 +32,7 @@ pub struct Table1Row {
     pub time_us: f64,
     /// Share of the total.
     pub percent: f64,
-    /// The paper's value in microseconds.
+    /// The paper's value in microseconds, measured on x86.
     pub paper_us: f64,
 }
 
@@ -100,29 +100,13 @@ fn bars_from_times(times: &[f64]) -> Vec<Fig6Bar> {
         .collect()
 }
 
-/// The five Fig. 6 bars on an ISA backend, fanned across `jobs` sweep
-/// workers with grid-order merge (byte-identical at any worker count).
-/// With a checkpoint, each bar cell journals under the `bars` scope, and
-/// `(ckpt, true)` resumes from the journal, recomputing only the cells it
-/// is missing.
-pub fn fig6_bars(
-    arch: ArchId,
-    iters: u64,
-    jobs: usize,
-    ckpt: Option<(&Checkpoint, bool)>,
-) -> Vec<Fig6Bar> {
-    let times = checkpoint::sweep(ckpt, "bars", FIG6_CELLS.len(), jobs, |i| {
-        let (_, level, mode) = FIG6_CELLS[i];
-        cpuid_us_on(level, mode, arch, iters)
-    });
-    bars_from_times(&times)
-}
-
-/// Everything the Fig. 6 report carries, computed as one sweep grid:
-/// the five bars, the Table 1 breakdown, and the observed per-exit
-/// attribution with the metrics export.
+/// Everything the Fig. 6 report carries, computed as one sweep grid on
+/// one ISA backend: the five bars, the Table 1 breakdown, and the
+/// observed per-exit attribution with the metrics export.
 #[derive(Debug, Clone)]
 pub struct Fig6Grid {
+    /// The ISA backend every cell ran on.
+    pub arch: ArchId,
     /// The five Fig. 6 bars, in bar order.
     pub bars: Vec<Fig6Bar>,
     /// The Table 1 six-part breakdown of one nested cpuid.
@@ -183,23 +167,28 @@ impl Snap for GridCell {
     }
 }
 
-/// Runs the full Fig. 6 grid — five bar cells plus the Table 1 and
-/// observed-attribution cells — across `jobs` sweep workers. All seven
-/// cells build independent machines, and the merge is in grid order, so
-/// the grid is byte-identical for every `jobs` value. With a checkpoint,
-/// each cell journals under the `fig6` scope as it completes, and
-/// `(ckpt, true)` resumes from the journal, recomputing only missing or
-/// corrupted cells.
-pub fn fig6_grid(iters: u64, jobs: usize, ckpt: Option<(&Checkpoint, bool)>) -> Fig6Grid {
+/// Runs the full Fig. 6 grid on the `arch` backend — five bar cells
+/// plus the Table 1 and observed-attribution cells — across `jobs` sweep
+/// workers. All seven cells build independent machines, and the merge is
+/// in grid order, so the grid is byte-identical for every `jobs` value.
+/// With a checkpoint, each cell journals under the `fig6` scope as it
+/// completes, and `(ckpt, true)` resumes from the journal, recomputing
+/// only missing or corrupted cells.
+pub fn fig6_grid(
+    arch: ArchId,
+    iters: u64,
+    jobs: usize,
+    ckpt: Option<(&Checkpoint, bool)>,
+) -> Fig6Grid {
     let n_bars = FIG6_CELLS.len();
     let run = |i: usize| {
         if i < n_bars {
             let (_, level, mode) = FIG6_CELLS[i];
-            GridCell::Bar(cpuid_us_on(level, mode, ArchId::X86, iters))
+            GridCell::Bar(cpuid_us_on(level, mode, arch, iters))
         } else if i == n_bars {
-            GridCell::Table(table1(iters))
+            GridCell::Table(table1(arch, iters))
         } else {
-            GridCell::Observed(Box::new(cpuid_observed(SwitchMode::Baseline, iters)))
+            GridCell::Observed(Box::new(cpuid_observed(arch, iters)))
         }
     };
     let mut cells = checkpoint::sweep(ckpt, "fig6", n_bars + 2, jobs, run);
@@ -218,6 +207,7 @@ pub fn fig6_grid(iters: u64, jobs: usize, ckpt: Option<(&Checkpoint, bool)>) -> 
         .collect();
     let (exits, metrics) = *observed;
     Fig6Grid {
+        arch,
         bars: bars_from_times(&times),
         table1,
         exits,
@@ -238,11 +228,12 @@ pub struct ExitAttribution {
 
 svt_sim::snap_fields! { ExitAttribution { reason, time_ns, count } }
 
-/// Runs the nested cpuid micro-benchmark under full observability and
-/// returns the per-exit-reason attribution plus the machine's metrics
-/// export (counters, gauges and latency histograms as JSON).
-fn cpuid_observed(mode: SwitchMode, iters: u64) -> (Vec<ExitAttribution>, Json) {
-    let mut m = nested_machine(mode);
+/// Runs the nested cpuid micro-benchmark on the baseline engine under
+/// full observability and returns the per-exit-reason attribution plus
+/// the machine's metrics export (counters, gauges and latency histograms
+/// as JSON).
+fn cpuid_observed(arch: ArchId, iters: u64) -> (Vec<ExitAttribution>, Json) {
+    let mut m = nested_machine_on(SwitchMode::Baseline, arch);
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm).expect("cpuid never blocks");
     m.obs.metrics.clear();
@@ -268,9 +259,11 @@ fn cpuid_observed(mode: SwitchMode, iters: u64) -> (Vec<ExitAttribution>, Json) 
     (exits, m.obs.metrics.to_json())
 }
 
-/// Reproduces Table 1: the six-part breakdown of one nested cpuid.
-pub fn table1(iters: u64) -> Vec<Table1Row> {
-    let mut m = nested_machine(SwitchMode::Baseline);
+/// Reproduces Table 1 on the `arch` backend: the six-part breakdown of
+/// one nested cpuid (on RISC-V, of one virtual-instruction trap). Every
+/// row carries the paper's x86 value; the paper has no other column.
+pub fn table1(arch: ArchId, iters: u64) -> Vec<Table1Row> {
+    let mut m = nested_machine_on(SwitchMode::Baseline, arch);
     let d = measure_cpuid(&mut m, iters);
     let paper = [0.05, 0.81, 1.29, 4.89, 1.40, 1.96];
     let total: f64 = CostPart::TABLE1
@@ -298,8 +291,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fig6_bars_ordered() {
-        let bars = fig6_bars(ArchId::X86, 20, 1, None);
+    fn fig6_grid_bars_are_ordered() {
+        let bars = fig6_grid(ArchId::X86, 20, 1, None).bars;
         assert_eq!(bars.len(), 5);
         assert_eq!(bars[0].label, "L0");
         // L0 < L1 < HW SVt < SW SVt < L2.
@@ -322,13 +315,20 @@ mod tests {
 
     #[test]
     fn fig6_grid_matches_sequential_runs_at_any_worker_count() {
-        let grid = fig6_grid(20, 4, None);
-        assert_eq!(grid.bars, fig6_bars(ArchId::X86, 20, 1, None));
-        assert_eq!(grid.table1, table1(20));
-        let (exits, metrics) = cpuid_observed(SwitchMode::Baseline, 20);
-        assert_eq!(grid.exits, exits);
-        assert_eq!(grid.metrics.pretty(), metrics.pretty());
-        assert_eq!(fig6_bars(ArchId::X86, 20, 3, None), grid.bars);
+        for arch in ArchId::ALL {
+            let grid = fig6_grid(arch, 20, 4, None);
+            assert_eq!(grid.arch, arch);
+            let times: Vec<f64> = FIG6_CELLS
+                .iter()
+                .map(|&(_, level, mode)| cpuid_us_on(level, mode, arch, 20))
+                .collect();
+            assert_eq!(grid.bars, bars_from_times(&times), "{arch}");
+            assert_eq!(grid.table1, table1(arch, 20), "{arch}");
+            let (exits, metrics) = cpuid_observed(arch, 20);
+            assert_eq!(grid.exits, exits, "{arch}");
+            assert_eq!(grid.metrics.pretty(), metrics.pretty(), "{arch}");
+            assert_eq!(fig6_grid(arch, 20, 3, None).bars, grid.bars, "{arch}");
+        }
     }
 
     #[test]
@@ -337,7 +337,7 @@ mod tests {
         // elision comes from scheduling, not VT-x specifics. Without
         // shadowing hardware the baseline pays a trap per vs-CSR access,
         // so both SVt engines must clear 1.0.
-        let bars = fig6_bars(ArchId::Riscv, 20, 2, None);
+        let bars = fig6_grid(ArchId::Riscv, 20, 2, None).bars;
         assert_eq!(bars.len(), 5);
         assert!(bars[0].time_us < bars[2].time_us, "L0 beats nested L2");
         assert!(bars[3].speedup > 1.0, "SW SVt {}", bars[3].speedup);
@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn table1_matches_paper_within_five_percent() {
-        let rows = table1(50);
+        let rows = table1(ArchId::X86, 50);
         assert_eq!(rows.len(), 6);
         let total: f64 = rows.iter().map(|r| r.time_us).sum();
         assert!((total - 10.4).abs() / 10.4 < 0.02, "total {total}");

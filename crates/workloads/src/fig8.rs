@@ -4,55 +4,38 @@
 //! average and 99th-percentile latency per offered rate, from which the
 //! 500 µs-SLA throughput crossover is derived.
 
+use svt_arch::ArchId;
 use svt_core::SwitchMode;
-use svt_sim::SimDuration;
 use svt_stats::{SweepPoint, SweepSeries};
 
-use crate::harness::rr_machine;
-use crate::kvstore::{EtcSource, KvService};
-use crate::loadgen::ArrivalMode;
-use crate::server::{RrServer, ServerConfig};
+use crate::smp::{App, RunSpec};
 
 /// The SLA used in the paper (500 µs on the 99th percentile).
 pub const SLA_NS: f64 = 500_000.0;
 
-/// One point of the latency-vs-load sweep; `seed` seeds the request
-/// stream.
+/// One point of the latency-vs-load sweep: a 1-vCPU x86 memcached
+/// [`RunSpec`] offered `rate_qps`; `seed` seeds the request stream.
+/// Under overload some requests are dropped at the RX ring (as with a
+/// real NIC), so the run is bounded by time and the point reports what
+/// completed.
+///
+/// # Panics
+///
+/// As [`RunSpec::run`].
 pub fn memcached_point(mode: SwitchMode, rate_qps: f64, requests: u64, seed: u64) -> SweepPoint {
-    let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
-    let source = Box::new(EtcSource::new(100_000));
-    let (mut m, stats) = rr_machine(
+    let spec = RunSpec {
+        app: App::Memcached { rate_qps, requests },
         mode,
-        ArrivalMode::OpenLoop {
-            mean_interarrival: mean,
-        },
-        requests,
-        source,
-        seed,
-    );
-    let cost = m.cost.clone();
-    // Serve whatever arrives: under overload some requests are dropped
-    // at the RX ring (as with a real NIC), so the run is bounded by time
-    // rather than a served-request count.
-    let mut cfg = ServerConfig::rr_defaults(&cost, u64::MAX);
-    // memcached batches several requests per interrupt at load; the
-    // timer is rearmed less often than per request.
-    cfg.timer_rearm_every = 4;
-    cfg.replenish_every = 2;
-    let mut server = RrServer::new(cfg, Box::new(KvService::new(50_000)));
-    let horizon = svt_sim::SimTime::ZERO
-        + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
-        + SimDuration::from_ms(80);
-    m.run_until(&mut server, horizon)
-        .expect("memcached run completes");
-    let s = stats.borrow();
-    // Dropped requests never complete; the server may therefore serve
-    // slightly fewer than `requests`. Use what completed.
+        arch: ArchId::X86,
+        vcpus: 1,
+        lane_seed: seed,
+    };
+    let (p, ()) = spec.run(|_| {}, |_| ());
     SweepPoint {
         load: rate_qps,
-        throughput: s.throughput_rps(),
-        avg_ns: s.latency.mean(),
-        p99_ns: s.latency.p99(),
+        throughput: p.throughput,
+        avg_ns: p.avg_ns,
+        p99_ns: p.p99_ns,
     }
 }
 

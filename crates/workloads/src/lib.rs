@@ -2,8 +2,8 @@
 //!
 //! Every experiment of § 6 has a runner here:
 //!
-//! * [`fig6_grid`]/[`fig6_bars`]/[`table1`] — the cpuid micro-benchmark
-//!   (Fig. 6, Table 1);
+//! * [`fig6_grid`]/[`table1`] — the cpuid micro-benchmark (Fig. 6,
+//!   Table 1) on either ISA backend;
 //! * [`channel_study`] — the § 6.1 communication-channel feasibility study;
 //! * [`fig7`] — the I/O subsystem benchmarks (netperf TCP_RR/TCP_STREAM,
 //!   ioping, fio);
@@ -60,8 +60,7 @@ pub use channel::{
 };
 pub use chaos::{memcached_chaos, ChaosPoint};
 pub use cpuid::{
-    cpuid_counted, cpuid_us_on, fig6_bars, fig6_grid, table1, ExitAttribution, Fig6Bar, Fig6Grid,
-    Table1Row,
+    cpuid_counted, cpuid_us_on, fig6_grid, table1, ExitAttribution, Fig6Bar, Fig6Grid, Table1Row,
 };
 pub use disk::{DiskBench, DiskMode};
 pub use fig10::{video_playback, PlaybackResult};

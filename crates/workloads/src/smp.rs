@@ -5,8 +5,8 @@
 //! memory and MMIO window, with device completions routed only to that
 //! vCPU — plus its own shard of the application (a private [`KvService`]
 //! or TPC-C warehouse set, as memcached and most sharded stores deploy on
-//! SMP guests). Throughput is the sum over the per-vCPU load generators;
-//! with one vCPU the numbers are bit-identical to the single-vCPU runners.
+//! SMP guests). Throughput is the sum over the per-vCPU load generators.
+//! Fig. 8's single-vCPU memcached points are 1-vCPU runs of [`RunSpec`].
 
 use svt_arch::ArchId;
 use svt_core::{smp_machine_on, SwitchMode};
@@ -320,22 +320,6 @@ mod tests {
             vcpus,
             lane_seed: DEFAULT_LANE_SEED,
         }
-    }
-
-    #[test]
-    fn one_vcpu_matches_single_vcpu_memcached() {
-        // The SMP runner at n=1 sees the same machine, same lane, same
-        // seed as the single-vCPU Fig. 8 runner.
-        let (smp, ()) = memcached(SwitchMode::Baseline, ArchId::X86, 1, 120).run(|_| {}, |_| ());
-        let single =
-            crate::fig8::memcached_point(SwitchMode::Baseline, 2_000.0, 120, DEFAULT_LANE_SEED);
-        assert!(
-            (smp.throughput - single.throughput).abs() < 1e-6,
-            "smp {} vs single {}",
-            smp.throughput,
-            single.throughput
-        );
-        assert!((smp.avg_ns - single.avg_ns).abs() < 1e-6);
     }
 
     #[test]
