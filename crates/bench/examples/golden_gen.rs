@@ -1,7 +1,8 @@
 //! Regenerates the committed golden reports under `tests/golden/`.
 //!
 //! The golden files pin the exact bytes of the x86 `fig6`/`smp`/`faults`
-//! reports at reduced (test-suite) sizes; `tests/arch_neutrality.rs`
+//! reports at reduced (test-suite) sizes, and of the full `ablations`
+//! report; `tests/arch_neutrality.rs`
 //! regenerates the same grids and byte-diffs against them, proving the
 //! arch-layer refactor left the x86 backend's behavior untouched. Run
 //! this only when an intentional behavior change lands, and commit the
@@ -13,8 +14,8 @@
 
 use svt_arch::ArchId;
 use svt_bench::{
-    faults_campaign, faults_report, fig6_report, smp_report, smp_series, FAULTS_DEFAULT_SEED,
-    FAULTS_MODES, SERVE_RATE_QPS,
+    ablations, ablations_report, faults_campaign, faults_report, fig6_report, smp_report,
+    smp_series, FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
 };
 use svt_workloads::{fig6_grid, DEFAULT_LANE_SEED};
 
@@ -47,6 +48,11 @@ fn main() {
     );
     let faults = faults_report(&cells, FAULTS_DEFAULT_SEED);
     faults.write_file(&dir.join("faults_x86.json")).unwrap();
+
+    let ablations = ablations_report(&ablations());
+    ablations
+        .write_file(&dir.join("ablations_x86.json"))
+        .unwrap();
 
     println!("golden reports written to {}", dir.display());
 }

@@ -15,11 +15,11 @@ pub use gate::{
     delta_table, gate_hostprof, gate_passes, hostprof_setup, GateError, WorkloadDelta, WALL_BAND,
 };
 pub use runs::{
-    faults_campaign, faults_report, fig6_report, hostprof_campaign, hostprof_converged,
-    hostprof_report, smp_report, smp_series, timeline_cells, timeline_report, timelines_json,
-    FaultCell, HostprofConverged, HostprofRun, TimelineCell, FAULTS_DEFAULT_SEED, FAULTS_MODES,
-    FAULTS_N_VCPUS, HOSTPROF_N_VCPUS, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
-    TIMELINE_FAULT_RATE, TIMELINE_N_VCPUS,
+    ablations, ablations_report, faults_campaign, faults_report, fig6_report, hostprof_campaign,
+    hostprof_converged, hostprof_report, smp_report, smp_series, timeline_cells, timeline_report,
+    timelines_json, AblationSection, FaultCell, HostprofConverged, HostprofRun, TimelineCell,
+    FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, HOSTPROF_N_VCPUS, SERVE_RATE_QPS,
+    SMP_REQUESTS, SMP_VCPU_COUNTS, TIMELINE_FAULT_RATE, TIMELINE_N_VCPUS,
 };
 use svt_arch::ArchId;
 use svt_obs::{HostAgg, HostPart, Json, RunReport};

@@ -12,10 +12,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use svt_arch::ArchId;
-use svt_core::SwitchMode;
+use svt_core::{
+    machine_with, BypassReflector, HwSvtReflector, SwSvtReflector, SwitchMode, WaitMode,
+};
+use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt_obs::{ExitRow, HostAgg, HostPart, Json, PartRow, RunReport, SpeedupRow};
 use svt_sim::checkpoint::{self, Checkpoint};
-use svt_sim::{FaultPlan, SimDuration};
+use svt_sim::{FaultPlan, Placement, SimDuration};
 use svt_stats::{filter_outliers, Convergence, Summary};
 use svt_workloads::{
     memcached_chaos, memcached_smp_counted_seeded, App, ChaosPoint, Fig6Grid, RunSpec, SmpPoint,
@@ -70,12 +73,13 @@ fn smp_point_json(p: &SmpPoint) -> Json {
 /// only, so other backends' parts carry no `paper_us`. `seed` is recorded
 /// for reproducibility; the micro-benchmark itself is load-free.
 pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
-    let mut report = backend_report(
-        "fig6",
-        "Execution time of a cpuid instruction (Fig. 6)",
-        grid.arch,
-        seed,
-    );
+    // The probe traps as `cpuid` on x86 and as a virtual-instruction
+    // trap on riscv (`ArchId::cpuid_exit`).
+    let title = match grid.arch {
+        ArchId::X86 => "Execution time of a cpuid instruction (Fig. 6)",
+        ArchId::Riscv => "Execution time of a virtual-instruction trap (Fig. 6 on riscv)",
+    };
+    let mut report = backend_report("fig6", title, grid.arch, seed);
     for row in &grid.table1 {
         report.parts.push(PartRow {
             part: row.part as u32,
@@ -663,4 +667,126 @@ fn fault_cell_json(mode: SwitchMode, rate: f64, p: &ChaosPoint) -> Json {
         ("fallback_rate", Json::Num(p.fallback_rate())),
         ("watchdogs", pairs(&p.watchdogs)),
     ])
+}
+
+// ----------------------------------------------------------------------
+// The design-choice ablations (the `ablations` binary and its golden).
+// ----------------------------------------------------------------------
+
+/// One ablation: its report key, its printed heading and one
+/// `(label, µs per nested cpuid)` row per variant.
+#[derive(Debug, Clone)]
+pub struct AblationSection {
+    /// Key of the section under the report's `results`.
+    pub name: &'static str,
+    /// Heading the binary prints above the rows.
+    pub title: &'static str,
+    /// One row per variant, in print order.
+    pub rows: Vec<(String, f64)>,
+}
+
+/// Mean busy time of one nested cpuid over `iters` traps, after a
+/// one-trap warm-up.
+fn ablation_cpuid_us(mut m: Machine, iters: u64) -> f64 {
+    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
+    m.run(&mut warm).expect("cpuid runs");
+    let base = m.clock.snapshot();
+    let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
+    m.run(&mut prog).expect("cpuid runs");
+    m.clock.since_snapshot(&base).busy_time().as_us() / iters as f64
+}
+
+/// Runs the five design-choice ablations DESIGN.md calls out — VMCS
+/// shadowing, the SW-SVt wait mechanism and thread placement, HW-SVt
+/// context multiplexing and the design-point spectrum up to level
+/// bypass — at 100 nested cpuids per variant.
+pub fn ablations() -> Vec<AblationSection> {
+    let l2 = || MachineConfig::at_level(Level::L2);
+    let cpuid = |m| ablation_cpuid_us(m, 100);
+    let sw =
+        |wait, p| Machine::with_reflector(l2(), Box::new(SwSvtReflector::with_channel(wait, p)));
+    let shadowing = [("shadowing on", true), ("shadowing off", false)]
+        .into_iter()
+        .map(|(label, on)| {
+            let mut cfg = l2();
+            cfg.shadowing = on;
+            (label.to_string(), cpuid(Machine::baseline(cfg)))
+        })
+        .collect();
+    let wait = [
+        ("mwait", WaitMode::Mwait),
+        ("polling", WaitMode::Poll),
+        ("mutex", WaitMode::Mutex),
+    ]
+    .into_iter()
+    .map(|(label, w)| (label.to_string(), cpuid(sw(w, Placement::SmtSibling))))
+    .collect();
+    let placement = Placement::ALL_REMOTE
+        .into_iter()
+        .map(|p| (p.to_string(), cpuid(sw(WaitMode::Mwait, p))))
+        .collect();
+    let contexts = [3u8, 2]
+        .into_iter()
+        .map(|n| {
+            let m = Machine::with_reflector(l2(), Box::new(HwSvtReflector::with_contexts(n)));
+            (format!("{n} contexts"), cpuid(m))
+        })
+        .collect();
+    let mut spectrum: Vec<(String, f64)> = SwitchMode::ALL
+        .into_iter()
+        .map(|mode| (mode.label().to_string(), cpuid(machine_with(mode, l2()))))
+        .collect();
+    let bypass = Machine::with_reflector(l2(), Box::new(BypassReflector::new()));
+    spectrum.push(("Bypass".to_string(), cpuid(bypass)));
+    vec![
+        AblationSection {
+            name: "vmcs_shadowing",
+            title: "[1] VMCS shadowing (baseline nested cpuid)",
+            rows: shadowing,
+        },
+        AblationSection {
+            name: "channel_wait",
+            title: "[2] SW SVt channel wait mechanism (SMT placement)",
+            rows: wait,
+        },
+        AblationSection {
+            name: "placement",
+            title: "[3] SW SVt thread placement (mwait channel)",
+            rows: placement,
+        },
+        AblationSection {
+            name: "context_multiplexing",
+            title: "[4] SVt context multiplexing (3.1: fewer contexts than levels)",
+            rows: contexts,
+        },
+        AblationSection {
+            name: "design_spectrum",
+            title: "[5] Design-point spectrum (single-level HW .. full nested HW)",
+            rows: spectrum,
+        },
+    ]
+}
+
+/// Builds the ablations run report: one `{label, cpuid_us}` array per
+/// section under `results`.
+pub fn ablations_report(sections: &[AblationSection]) -> RunReport {
+    let mut report = paper_report(
+        "ablations",
+        "Design-choice ablations (DESIGN.md)",
+        DEFAULT_LANE_SEED,
+    );
+    for s in sections {
+        let rows = s
+            .rows
+            .iter()
+            .map(|(label, us)| {
+                Json::obj([
+                    ("label", Json::from(label.as_str())),
+                    ("cpuid_us", Json::Num(*us)),
+                ])
+            })
+            .collect();
+        report.results.push((s.name.to_string(), Json::Arr(rows)));
+    }
+    report
 }

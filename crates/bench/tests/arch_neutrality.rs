@@ -16,8 +16,8 @@
 
 use svt_arch::ArchId;
 use svt_bench::{
-    cost_model_json, faults_campaign, faults_report, fig6_report, smp_report, smp_series,
-    FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
+    ablations, ablations_report, cost_model_json, faults_campaign, faults_report, fig6_report,
+    smp_report, smp_series, FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
 };
 use svt_obs::Json;
 use svt_sim::CostModel;
@@ -69,6 +69,19 @@ fn x86_faults_report_matches_pre_refactor_golden_bytes() {
     assert_matches_golden(&report, include_str!("golden/faults_x86.json"), "faults");
 }
 
+/// The ablations pin the engines no other golden covers: two-context
+/// HW SVt, level bypass and the SW-SVt wait-mechanism and placement
+/// variants.
+#[test]
+fn x86_ablations_report_matches_golden_bytes() {
+    let report = ablations_report(&ablations());
+    assert_matches_golden(
+        &report,
+        include_str!("golden/ablations_x86.json"),
+        "ablations",
+    );
+}
+
 #[test]
 fn riscv_fig6_report_is_byte_identical_across_worker_counts() {
     let report = |jobs| {
@@ -87,7 +100,8 @@ fn riscv_fig6_report_is_byte_identical_across_worker_counts() {
 /// split of one nested trap, which sums to the L2 bar, with part ⑤ (the
 /// L1 handler, which pays for the missing vs-CSR shadowing) above x86's;
 /// the observed exit attribution; the backend's name and cost model; and
-/// no paper value, since the paper measured x86 only.
+/// no paper value, since the paper measured x86 only. Its title names
+/// the trap the riscv probe takes.
 #[test]
 fn riscv_fig6_report_splits_the_nested_trap_into_table1_parts() {
     let grid = fig6_grid(ArchId::Riscv, 20, 2, None);
@@ -108,6 +122,10 @@ fn riscv_fig6_report_splits_the_nested_trap_into_table1_parts() {
 
     let report = fig6_report(&grid, DEFAULT_LANE_SEED);
     assert_eq!(report.name, "fig6");
+    assert_eq!(
+        report.title,
+        "Execution time of a virtual-instruction trap (Fig. 6 on riscv)"
+    );
     let arch = report.results.iter().find(|(k, _)| k == "arch");
     assert_eq!(arch.map(|(_, v)| v), Some(&Json::from("riscv")));
     assert_eq!(

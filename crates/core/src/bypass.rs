@@ -13,15 +13,11 @@
 //! little of this performance for far simpler hardware.
 
 use svt_arch::{ExitReason, VmcsField};
-use svt_cpu::{CtxId, CtxtLevel, Gpr};
+use svt_cpu::{CtxtLevel, Gpr};
 use svt_hv::{Machine, Reflector};
 use svt_sim::CostPart;
 
-use crate::hw::{ctxt_gpr_read, ctxt_gpr_write};
-
-const CTX_L0: CtxId = CtxId(0);
-const CTX_L1: CtxId = CtxId(1);
-const CTX_L2: CtxId = CtxId(2);
+use crate::hw::{ctxt_gpr_read, ctxt_gpr_write, stall_resume, svt_l1_trap, CTX_L0, CTX_L1, CTX_L2};
 
 /// The bypass engine: SVt contexts plus direct L2→L1 trap delivery.
 ///
@@ -75,15 +71,6 @@ impl BypassReflector {
         m.core.switch_to(CTX_L2).expect("ctx2 exists");
         m.core.micro_mut().is_vm = true;
     }
-
-    fn stall_resume(&self, m: &mut Machine, part: CostPart, to: CtxId, is_vm: bool) {
-        m.clock.push_part(part);
-        let c = m.cost.svt_stall + m.cost.svt_resume;
-        m.clock.charge(c);
-        m.clock.pop_part(part);
-        m.core.switch_to(to).expect("SVt context exists");
-        m.core.micro_mut().is_vm = is_vm;
-    }
 }
 
 impl Reflector for BypassReflector {
@@ -94,14 +81,14 @@ impl Reflector for BypassReflector {
     fn l2_trap(&mut self, m: &mut Machine) {
         self.ensure_init(m);
         // The trap is delivered straight to L1's context.
-        self.stall_resume(m, CostPart::SwitchL2L0, CTX_L1, true);
+        stall_resume(m, self.name(), CostPart::SwitchL2L0, CTX_L1, true);
         m.core.micro_mut().nested = Some(CTX_L2);
         m.hw_exit_autosave();
     }
 
     fn l2_resume(&mut self, m: &mut Machine) {
         m.hw_entry_load();
-        self.stall_resume(m, CostPart::SwitchL2L0, CTX_L2, true);
+        stall_resume(m, self.name(), CostPart::SwitchL2L0, CTX_L2, true);
     }
 
     fn reflect(&mut self, m: &mut Machine, exit: ExitReason) {
@@ -115,22 +102,12 @@ impl Reflector for BypassReflector {
 
     fn run_l1(&mut self, m: &mut Machine, exit: ExitReason) {
         // Already fetching from L1's context (l2_trap switched there).
-        m.clock.push_part(CostPart::L1Handler);
         m.l1_handle_exit(self, exit);
-        m.clock.pop_part(CostPart::L1Handler);
     }
 
     fn l1_exit_roundtrip(&mut self, m: &mut Machine, exit: ExitReason, value: u64) -> u64 {
         // L1's own privileged ops still reach L0 (stall/resume switches).
-        let c = (m.cost.svt_stall + m.cost.svt_resume) * 2;
-        m.clock.charge(c);
-        let from = m.core.current();
-        m.core.switch_to(CTX_L0).expect("ctx0 exists");
-        m.core.micro_mut().is_vm = false;
-        let out = m.l0_handle_l1_exit(exit, value);
-        m.core.switch_to(from).expect("context exists");
-        m.core.micro_mut().is_vm = true;
-        out
+        svt_l1_trap(m, exit, value)
     }
 
     fn elides_lazy_sync(&self) -> bool {

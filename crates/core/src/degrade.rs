@@ -11,14 +11,16 @@
 //!             first failed attempt                K consecutive failures
 //!  Healthy ─────────────────────▶ Degraded ─────────────────────▶ FallenBack
 //!     ▲                             │  ▲                              │
-//!     │  heal_window clean traps    │  │        successful probe      │
+//!     │  HEAL_WINDOW clean traps    │  │        successful probe      │
 //!     └─────────────────────────────┘  └──────────────────────────────┘
-//!                                         (every probe_every-th trap
+//!                                         (every PROBE_EVERY-th trap
 //!                                          retries the ring)
 //! ```
 //!
-//! Transitions are reported to the caller so every one of them lands in
-//! the svt-obs metrics registry and on the causal graph.
+//! K ([`FALLBACK_AFTER`]), the heal window and the probe period are
+//! constants. Transitions are reported to the caller so every one of
+//! them lands in the svt-obs metrics registry and on the causal graph,
+//! which also count them.
 
 /// Health of the SW-SVt channel, as judged by the degradation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +62,15 @@ pub fn transition_label(t: Transition) -> &'static str {
     }
 }
 
+/// Consecutive failed attempts (K) that demote `Degraded` → `FallenBack`.
+pub const FALLBACK_AFTER: u32 = 4;
+
+/// Consecutive clean ring traps that promote `Degraded` → `Healthy`.
+pub const HEAL_WINDOW: u32 = 8;
+
+/// In `FallenBack`, every this-many-th trap probes the ring.
+pub const PROBE_EVERY: u32 = 8;
+
 /// The degradation policy: counts consecutive failures and clean traps
 /// and decides, per trap, whether the ring or the fallback path runs.
 #[derive(Debug, Clone)]
@@ -71,16 +82,6 @@ pub struct DegradeFsm {
     clean_streak: u32,
     /// Fallback traps since the last ring probe.
     since_probe: u32,
-    /// Failures (K) that demote `Degraded` → `FallenBack`.
-    pub fallback_after: u32,
-    /// Clean ring traps that promote `Degraded` → `Healthy`.
-    pub heal_window: u32,
-    /// In `FallenBack`, probe the ring every this many traps.
-    pub probe_every: u32,
-    /// Total traps served through the fallback path.
-    pub fallback_traps: u64,
-    /// Total transitions taken.
-    pub transitions: u64,
 }
 
 impl Default for DegradeFsm {
@@ -90,17 +91,12 @@ impl Default for DegradeFsm {
             consec_failures: 0,
             clean_streak: 0,
             since_probe: 0,
-            fallback_after: 4,
-            heal_window: 8,
-            probe_every: 8,
-            fallback_traps: 0,
-            transitions: 0,
         }
     }
 }
 
 impl DegradeFsm {
-    /// A policy with the default K = 4, heal window 8, probe period 8.
+    /// A healthy policy with no failures seen.
     pub fn new() -> Self {
         DegradeFsm::default()
     }
@@ -121,19 +117,18 @@ impl DegradeFsm {
             return None;
         }
         self.state = to;
-        self.transitions += 1;
         Some((from, to))
     }
 
     /// Decides the path for the next trap: `true` = ring, `false` =
-    /// fallback world switch. In `FallenBack`, every `probe_every`-th
+    /// fallback world switch. In `FallenBack`, every [`PROBE_EVERY`]-th
     /// trap is a ring probe.
     pub fn use_ring(&mut self) -> bool {
         if self.state != SvtHealth::FallenBack {
             return true;
         }
         self.since_probe += 1;
-        if self.since_probe >= self.probe_every {
+        if self.since_probe >= PROBE_EVERY {
             self.since_probe = 0;
             true
         } else {
@@ -148,7 +143,7 @@ impl DegradeFsm {
         self.consec_failures += 1;
         match self.state {
             SvtHealth::Healthy => self.go(SvtHealth::Degraded),
-            SvtHealth::Degraded if self.consec_failures >= self.fallback_after => {
+            SvtHealth::Degraded if self.consec_failures >= FALLBACK_AFTER => {
                 self.go(SvtHealth::FallenBack)
             }
             _ => None,
@@ -163,7 +158,7 @@ impl DegradeFsm {
             SvtHealth::Healthy => None,
             SvtHealth::Degraded => {
                 self.clean_streak += 1;
-                if self.clean_streak >= self.heal_window {
+                if self.clean_streak >= HEAL_WINDOW {
                     self.clean_streak = 0;
                     self.go(SvtHealth::Healthy)
                 } else {
@@ -177,20 +172,10 @@ impl DegradeFsm {
             }
         }
     }
-
-    /// One trap served through the fallback path.
-    pub fn note_fallback_trap(&mut self) {
-        self.fallback_traps += 1;
-    }
 }
 
 // A restored FSM continues the exact failure/heal/probe cadence.
-svt_sim::snap_fields! {
-    DegradeFsm {
-        state, consec_failures, clean_streak, since_probe, fallback_after, heal_window, probe_every,
-        fallback_traps, transitions
-    }
-}
+svt_sim::snap_fields! { DegradeFsm { state, consec_failures, clean_streak, since_probe } }
 
 #[cfg(test)]
 mod tests {
@@ -200,7 +185,7 @@ mod tests {
     fn k_consecutive_failures_reach_fallback_exactly_once() {
         let mut fsm = DegradeFsm::new();
         let mut taken = Vec::new();
-        for _ in 0..fsm.fallback_after + 3 {
+        for _ in 0..FALLBACK_AFTER + 3 {
             if let Some(t) = fsm.on_failure() {
                 taken.push(transition_label(t));
             }
@@ -212,13 +197,13 @@ mod tests {
     #[test]
     fn clean_trap_resets_the_failure_streak() {
         let mut fsm = DegradeFsm::new();
-        for _ in 0..fsm.fallback_after - 1 {
+        for _ in 0..FALLBACK_AFTER - 1 {
             fsm.on_failure();
         }
         fsm.on_clean();
         assert_eq!(fsm.consecutive_failures(), 0);
         // The streak restarts: K-1 more failures do not fall back.
-        for _ in 0..fsm.fallback_after - 1 {
+        for _ in 0..FALLBACK_AFTER - 1 {
             fsm.on_failure();
         }
         assert_eq!(fsm.state(), SvtHealth::Degraded);
@@ -230,7 +215,7 @@ mod tests {
         fsm.on_failure();
         assert_eq!(fsm.state(), SvtHealth::Degraded);
         let mut promoted = None;
-        for _ in 0..fsm.heal_window {
+        for _ in 0..HEAL_WINDOW {
             promoted = fsm.on_clean().or(promoted);
         }
         assert_eq!(promoted, Some((SvtHealth::Degraded, SvtHealth::Healthy)));
@@ -240,21 +225,13 @@ mod tests {
     #[test]
     fn fallen_back_probes_periodically_and_recovers_via_degraded() {
         let mut fsm = DegradeFsm::new();
-        for _ in 0..fsm.fallback_after {
+        for _ in 0..FALLBACK_AFTER {
             fsm.on_failure();
         }
         assert_eq!(fsm.state(), SvtHealth::FallenBack);
-        // probe_every - 1 fallback traps, then one probe.
-        let mut rings = 0;
-        for _ in 0..fsm.probe_every {
-            if fsm.use_ring() {
-                rings += 1;
-            } else {
-                fsm.note_fallback_trap();
-            }
-        }
+        // PROBE_EVERY - 1 fallback traps, then one probe.
+        let rings = (0..PROBE_EVERY).filter(|_| fsm.use_ring()).count();
         assert_eq!(rings, 1);
-        assert_eq!(fsm.fallback_traps, u64::from(fsm.probe_every) - 1);
         // The probe succeeds: back to Degraded, then heal to Healthy.
         assert_eq!(
             fsm.on_clean(),

@@ -16,9 +16,9 @@ use svt_obs::{MetricKey, ObsLevel};
 use svt_sim::CostPart;
 
 /// Hardware context assignments (the example of § 4).
-const CTX_L0: CtxId = CtxId(0);
-const CTX_L1: CtxId = CtxId(1);
-const CTX_L2: CtxId = CtxId(2);
+pub(crate) const CTX_L0: CtxId = CtxId(0);
+pub(crate) const CTX_L1: CtxId = CtxId(1);
+pub(crate) const CTX_L2: CtxId = CtxId(2);
 
 /// The hardware SVt engine.
 ///
@@ -137,22 +137,6 @@ impl HwSvtReflector {
             CtxId(1)
         }
     }
-
-    fn stall_resume(&self, m: &mut Machine, part: CostPart, to: CtxId, is_vm: bool) {
-        let begin = m.clock.now();
-        m.clock.push_part(part);
-        let c = m.cost.svt_stall + m.cost.svt_resume;
-        m.clock.charge(c);
-        m.clock.pop_part(part);
-        m.core.switch_to(to).expect("SVt context exists");
-        m.core.micro_mut().is_vm = is_vm;
-        m.obs
-            .causal
-            .span_close("svt_stall_resume", ObsLevel::Machine, begin, m.clock.now());
-        m.obs
-            .metrics
-            .inc(MetricKey::new("svt_stall_resume").reflector("hw-svt"));
-    }
 }
 
 impl Reflector for HwSvtReflector {
@@ -165,7 +149,7 @@ impl Reflector for HwSvtReflector {
         // Stall L2's context, fetch from ctx0 — no context save: L2's
         // state stays live in its hardware context.
         let l2 = self.l2_ctx();
-        self.stall_resume(m, CostPart::SwitchL2L0, CTX_L0, false);
+        stall_resume(m, self.name(), CostPart::SwitchL2L0, CTX_L0, false);
         m.core.special_mut(l2).rip = m.vcpu2().rip;
         m.hw_exit_autosave();
     }
@@ -175,66 +159,42 @@ impl Reflector for HwSvtReflector {
         m.hw_entry_load();
         let l2 = self.l2_ctx();
         m.core.special_mut(l2).rip = m.vcpu2().rip;
-        self.stall_resume(m, CostPart::SwitchL2L0, l2, true);
+        stall_resume(m, self.name(), CostPart::SwitchL2L0, l2, true);
     }
 
     fn run_l1(&mut self, m: &mut Machine, exit: ExitReason) {
         self.ensure_init(m);
         if self.full() {
             // Resume L1's context (its full state is already there).
-            self.stall_resume(m, CostPart::SwitchL0L1, CTX_L1, true);
+            stall_resume(m, self.name(), CostPart::SwitchL0L1, CTX_L1, true);
         } else {
             // Multiplexed: L1 shares ctx0 with L0 and pays the classic
             // software world switch.
-            m.clock.push_part(CostPart::SwitchL0L1);
-            let c = m.cost.vm_entry_hw + m.cost.gpr_thunk() + m.world_extra(svt_hv::Level::L1);
-            m.clock.charge(c);
-            m.clock.pop_part(CostPart::SwitchL0L1);
+            m.classic_enter_l1();
             m.core.micro_mut().is_vm = true;
         }
         // While L1 executes, the µ-registers reflect vmcs01: its "guest"
         // register context is reached through SVt_nested (virtualized ids).
         m.core.micro_mut().nested = Some(self.l2_ctx());
-        m.clock.push_part(CostPart::L1Handler);
         m.l1_handle_exit(self, exit);
-        m.clock.pop_part(CostPart::L1Handler);
         // L1's VM-resume traps into L0.
         if self.full() {
-            self.stall_resume(m, CostPart::SwitchL0L1, CTX_L0, false);
+            stall_resume(m, self.name(), CostPart::SwitchL0L1, CTX_L0, false);
         } else {
-            m.clock.push_part(CostPart::SwitchL0L1);
-            let c = m.cost.vm_exit_hw + m.cost.gpr_thunk() + m.world_extra(svt_hv::Level::L1);
-            m.clock.charge(c);
-            m.clock.pop_part(CostPart::SwitchL0L1);
+            m.classic_leave_l1();
             m.core.micro_mut().is_vm = false;
         }
     }
 
     fn l1_exit_roundtrip(&mut self, m: &mut Machine, exit: ExitReason, value: u64) -> u64 {
         if self.full() {
-            // L1's own privileged op still traps to L0, but the switch is
-            // a thread stall/resume pair each way.
-            let c = (m.cost.svt_stall + m.cost.svt_resume) * 2;
-            m.clock.charge(c);
-            let from = m.core.current();
-            m.core.switch_to(CTX_L0).expect("ctx0 exists");
-            m.core.micro_mut().is_vm = false;
-            let out = m.l0_handle_l1_exit(exit, value);
-            m.core.switch_to(from).expect("context exists");
-            m.core.micro_mut().is_vm = true;
-            out
-        } else {
-            // Multiplexed L0/L1: the full software switch both ways.
-            let world = m.world_extra(svt_hv::Level::L1);
-            let c = m.cost.vm_exit_hw + m.cost.gpr_thunk() + world;
-            m.clock.charge(c);
-            m.core.micro_mut().is_vm = false;
-            let out = m.l0_handle_l1_exit(exit, value);
-            let c = m.cost.vm_entry_hw + m.cost.gpr_thunk() + world;
-            m.clock.charge(c);
-            m.core.micro_mut().is_vm = true;
-            out
+            return svt_l1_trap(m, exit, value);
         }
+        // Multiplexed L0/L1: the full software switch both ways.
+        m.core.micro_mut().is_vm = false;
+        let out = m.classic_l1_trap(exit, value);
+        m.core.micro_mut().is_vm = true;
+        out
     }
 
     fn elides_lazy_sync(&self) -> bool {
@@ -248,6 +208,47 @@ impl Reflector for HwSvtReflector {
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
         ctxt_gpr_write(m, self.name(), r, v);
     }
+}
+
+/// One SVt level switch: stall the running context and resume `to`,
+/// charged to `part` on behalf of `engine`, with `is_vm` set for the
+/// resumed level; recorded as the `svt_stall_resume` span and counted.
+pub(crate) fn stall_resume(
+    m: &mut Machine,
+    engine: &'static str,
+    part: CostPart,
+    to: CtxId,
+    is_vm: bool,
+) {
+    let begin = m.clock.now();
+    m.clock.push_part(part);
+    let c = m.cost.svt_stall + m.cost.svt_resume;
+    m.clock.charge(c);
+    m.clock.pop_part(part);
+    m.core.switch_to(to).expect("SVt context exists");
+    m.core.micro_mut().is_vm = is_vm;
+    m.obs
+        .causal
+        .span_close("svt_stall_resume", ObsLevel::Machine, begin, m.clock.now());
+    m.obs
+        .metrics
+        .inc(MetricKey::new("svt_stall_resume").reflector(engine));
+}
+
+/// L1's own privileged operation still traps into L0, but each way is a
+/// thread stall/resume pair: L0 handles it on ctx0, then L1's context
+/// resumes. Charged under the caller's part; returns the result for
+/// reads.
+pub(crate) fn svt_l1_trap(m: &mut Machine, exit: ExitReason, value: u64) -> u64 {
+    let c = (m.cost.svt_stall + m.cost.svt_resume) * 2;
+    m.clock.charge(c);
+    let from = m.core.current();
+    m.core.switch_to(CTX_L0).expect("ctx0 exists");
+    m.core.micro_mut().is_vm = false;
+    let out = m.l0_handle_l1_exit(exit, value);
+    m.core.switch_to(from).expect("context exists");
+    m.core.micro_mut().is_vm = true;
+    out
 }
 
 /// L1 reads one of L2's registers with `ctxtld` from L2's hardware

@@ -46,7 +46,9 @@ mod sw;
 
 pub use bypass::BypassReflector;
 pub use commands::{Command, ProtocolError, CMD_VM_RESUME, CMD_VM_TRAP, PAYLOAD_LEN};
-pub use degrade::{transition_label, DegradeFsm, SvtHealth};
+pub use degrade::{
+    transition_label, DegradeFsm, SvtHealth, FALLBACK_AFTER, HEAL_WINDOW, PROBE_EVERY,
+};
 pub use hw::HwSvtReflector;
 pub use stack::{
     machine_with, nested_machine, nested_machine_on, smp_machine, smp_machine_on, smp_machine_with,

@@ -16,15 +16,14 @@
 //! ([`svt_sim::CostModel::mwait_timeout`]), and each leg retries with a
 //! fresh sequence number until it succeeds or the [`DegradeFsm`] decides
 //! the channel is broken. A broken channel never hangs the trap: the
-//! reflector *falls back per-trap* to the classic exit/resume
-//! world-switch path and keeps probing the ring so a healed channel is
-//! re-promoted. Every injected fault, retry, timeout and state
+//! reflector *falls back per-trap* to the baseline engine
+//! ([`BaselineReflector`]) and keeps probing the ring so a healed
+//! channel is re-promoted. Every injected fault, retry, timeout and state
 //! transition is counted in the metrics registry and visible on the
 //! causal graph.
 
 use svt_arch::ExitReason;
-use svt_cpu::Gpr;
-use svt_hv::{Level, Machine, MachineEvent, Reflector};
+use svt_hv::{BaselineReflector, Machine, MachineEvent, Reflector};
 use svt_mem::{CommandRing, Hpa};
 use svt_obs::{HostPart, MetricKey, ObsLevel};
 use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
@@ -58,7 +57,7 @@ const POLL_STEAL_RATIO: f64 = 0.18;
 const SVT_RING_STRIDE: u64 = 0x1_0000;
 
 /// Upper bound on channel attempts per leg. A backstop only: the
-/// [`DegradeFsm`] (default K = 4) normally aborts the leg first.
+/// [`DegradeFsm`] (K = 4) normally aborts the leg first.
 const MAX_ATTEMPTS: u32 = 8;
 
 /// The software-only SVt engine.
@@ -85,21 +84,11 @@ pub struct SwSvtReflector {
     placement: Placement,
     rings: Rings,
     last_cmd: Option<Command>,
-    svt_blocked_count: u64,
     /// Next command sequence number (shared across both rings; strictly
     /// increasing, so any stale ring entry sorts below the live one).
     next_seq: u64,
     /// The degradation policy deciding ring vs. fallback per trap.
     fsm: DegradeFsm,
-    /// Whether any channel attempt failed during the current trap (a
-    /// trap only counts as clean for healing if this stays false).
-    retried_this_trap: bool,
-    /// Whether the current trap fell back mid-flight (set by `run_l1`,
-    /// read by `reflect` to pick the classic exit legs).
-    fell_back_mid_trap: bool,
-    /// True while the classic world-switch path serves a trap, so
-    /// `l1_read_exit_info` uses vmreads instead of the command payload.
-    fallback_active: bool,
 }
 
 /// The command and response rings, created together on first use.
@@ -151,28 +140,9 @@ impl SwSvtReflector {
             placement,
             rings: Rings::default(),
             last_cmd: None,
-            svt_blocked_count: 0,
             next_seq: 0,
             fsm: DegradeFsm::new(),
-            retried_this_trap: false,
-            fell_back_mid_trap: false,
-            fallback_active: false,
         }
-    }
-
-    /// Number of times the § 5.3 deadlock-avoidance path ran.
-    pub fn svt_blocked_count(&self) -> u64 {
-        self.svt_blocked_count
-    }
-
-    /// Current channel health as judged by the degradation policy.
-    pub fn health(&self) -> SvtHealth {
-        self.fsm.state()
-    }
-
-    /// The degradation policy (counters and tunables).
-    pub fn fsm(&self) -> &DegradeFsm {
-        &self.fsm
     }
 
     fn ensure_init(&mut self, m: &mut Machine) {
@@ -382,7 +352,6 @@ impl SwSvtReflector {
     /// One failed channel attempt: feed the policy, surface the
     /// transition if one was taken.
     fn note_failure(&mut self, m: &mut Machine) {
-        self.retried_this_trap = true;
         if let Some(t) = self.fsm.on_failure() {
             self.note_transition(m, t);
         }
@@ -538,7 +507,6 @@ impl SwSvtReflector {
         let mut requeue = Vec::new();
         while let Some((at, ev)) = m.events.pop_due(now) {
             if matches!(ev, MachineEvent::IpiToL1Main) {
-                self.svt_blocked_count += 1;
                 let blocked_begin = m.clock.now();
                 m.obs.causal.blocked_enter(blocked_begin);
                 self.push_protocol(m, true);
@@ -579,48 +547,82 @@ impl SwSvtReflector {
         }
     }
 
-    /// A whole trap on the classic exit/resume world-switch path — what
-    /// the machine would do under [`svt_hv::BaselineReflector`]. Used
-    /// when the degradation policy has written the ring off.
-    fn reflect_fallback(&mut self, m: &mut Machine, exit: ExitReason) {
-        m.obs
-            .metrics
-            .inc(MetricKey::new("svt_trap_fallback").reflector("sw-svt"));
-        m.l0_leg_a(self.elides_lazy_sync());
-        m.forward_transform();
-        m.inject_into_vmcs12(exit);
-        self.fallback_run_l1(m, exit);
-        m.l0_leg_b(self.elides_lazy_sync());
-        m.backward_transform();
-        m.l0_entry_finish();
-    }
+    /// L1's handling of one trap over the command ring (Fig. 5): L0
+    /// sends `CMD_VM_TRAP`, the SVt-thread runs L1's handler on the
+    /// sibling, and L0 wakes on its `CMD_VM_RESUME`. Returns `false` when
+    /// the trap fell back mid-flight and must finish through the classic
+    /// exit path.
+    fn ring_round_trip(&mut self, m: &mut Machine, exit: ExitReason) -> bool {
+        // A trap is clean for healing only if none of its attempts
+        // failed: only failures raise the count, and only this trap's
+        // own clean finish resets it.
+        let failures_before = self.fsm.consecutive_failures();
+        let (code, qual) = m.arch.encode(exit);
 
-    /// L1's handler via a full world switch (baseline mechanics), with
-    /// `fallback_active` steering `l1_read_exit_info` to vmreads.
-    fn fallback_run_l1(&mut self, m: &mut Machine, exit: ExitReason) {
-        self.fallback_active = true;
-        let begin = m.clock.now();
-        m.clock.push_part(CostPart::SwitchL0L1);
-        let enter = m.cost.vm_entry_hw + m.cost.gpr_thunk() + m.world_extra(Level::L1);
-        m.clock.charge(enter);
-        m.clock.pop_part(CostPart::SwitchL0L1);
-        m.obs
-            .causal
-            .span_close("l1_entry", ObsLevel::L1, begin, m.clock.now());
+        // L0 sends CMD_VM_TRAP with the registers and trap id (Fig. 5,
+        // step 2), then monitors the response ring.
+        match self.xfer(m, true, CMD_VM_TRAP, code, qual, SimDuration::ZERO) {
+            Ok(received) => self.last_cmd = Some(received),
+            Err(_) => {
+                // The SVt-thread never saw the trap; its handler has not
+                // run. Serve this trap's middle the classic way.
+                m.obs
+                    .metrics
+                    .inc(MetricKey::new("svt_trap_fallback").reflector("sw-svt"));
+                m.inject_into_vmcs12(exit);
+                BaselineReflector.run_l1(m, exit);
+                return false;
+            }
+        }
 
-        m.clock.push_part(CostPart::L1Handler);
+        // The SVt-thread (L1_1) handles the trap on the sibling thread —
+        // unless the scheduler stole or delayed the sibling first.
+        if m.roll_fault(FaultKind::SiblingDelay) {
+            let d = m.faults.delay();
+            m.clock.charge_as(CostPart::L1Handler, d);
+            m.obs
+                .metrics
+                .inc(MetricKey::new("svt_sibling_delays").reflector("sw-svt"));
+        }
+        let before = m.clock.now();
         m.l1_handle_exit(self, exit);
-        m.clock.pop_part(CostPart::L1Handler);
+        let handling = m.clock.now().since(before);
 
-        let begin = m.clock.now();
-        m.clock.push_part(CostPart::SwitchL0L1);
-        let leave = m.cost.vm_exit_hw + m.cost.gpr_thunk() + m.world_extra(Level::L1);
-        m.clock.charge(leave);
-        m.clock.pop_part(CostPart::SwitchL0L1);
-        m.obs
-            .causal
-            .span_close("l1_exit", ObsLevel::L1, begin, m.clock.now());
-        self.fallback_active = false;
+        // While waiting, L0 services IPIs for L1's main vCPU (§ 5.3).
+        self.check_blocked_ipis(m);
+
+        // SVt-thread responds CMD_VM_RESUME with updated registers
+        // (Fig. 5, step 3); L0 wakes and applies them.
+        let steal = if self.wait == WaitMode::Poll {
+            // A busy-polling L0 sibling steals cycles from the handler.
+            SimDuration::from_ns_f64(handling.as_ns() * POLL_STEAL_RATIO)
+        } else {
+            SimDuration::ZERO
+        };
+        match self.xfer(m, false, CMD_VM_RESUME, code, qual, steal) {
+            Ok(resp) => {
+                m.vcpu2_mut().gprs = resp.gprs;
+                m.obs
+                    .metrics
+                    .inc(MetricKey::new("svt_trap_ring").reflector("sw-svt"));
+                if self.fsm.consecutive_failures() == failures_before {
+                    if let Some(t) = self.fsm.on_clean() {
+                        self.note_transition(m, t);
+                    }
+                }
+                true
+            }
+            Err(_) => {
+                // The handler already ran on the SVt-thread and the
+                // register state is coherent in memory; only the resume
+                // doorbell is gone. L0's bounded wait expired — finish
+                // through the classic exit path.
+                m.obs
+                    .metrics
+                    .inc(MetricKey::new("svt_resume_fallback").reflector("sw-svt"));
+                false
+            }
+        }
     }
 }
 
@@ -640,30 +642,22 @@ impl Reflector for SwSvtReflector {
     }
 
     // L2 runs on the same hardware thread as L0: the pre-existing VM trap
-    // path, identical to the baseline.
+    // path, identical to the baseline. The first trap of any kind pairs
+    // the threads.
     fn l2_trap(&mut self, m: &mut Machine) {
         self.ensure_init(m);
-        m.clock.push_part(CostPart::SwitchL2L0);
-        let c = m.cost.vm_exit_hw + m.cost.gpr_thunk();
-        m.clock.charge(c);
-        m.clock.pop_part(CostPart::SwitchL2L0);
-        m.hw_exit_autosave();
-    }
-
-    fn l2_resume(&mut self, m: &mut Machine) {
-        m.clock.push_part(CostPart::SwitchL2L0);
-        let c = m.cost.gpr_thunk() + m.cost.vm_entry_hw;
-        m.clock.charge(c);
-        m.clock.pop_part(CostPart::SwitchL2L0);
-        m.hw_entry_load();
+        m.classic_l2_exit();
     }
 
     fn reflect(&mut self, m: &mut Machine, exit: ExitReason) {
         self.ensure_init(m);
         if !self.fsm.use_ring() {
-            // The channel is written off: classic path, no ring touched.
-            self.fsm.note_fallback_trap();
-            self.reflect_fallback(m, exit);
+            // The channel is written off: the whole trap takes the
+            // baseline engine's path, no ring touched.
+            m.obs
+                .metrics
+                .inc(MetricKey::new("svt_trap_fallback").reflector("sw-svt"));
+            BaselineReflector.reflect(m, exit);
             return;
         }
         // L0 still runs its exit prologue and keeps vmcs12 coherent (KVM
@@ -672,11 +666,10 @@ impl Reflector for SwSvtReflector {
         // the emulated-VMRESUME exit.
         m.l0_leg_a(self.elides_lazy_sync());
         m.forward_transform();
-        self.run_l1(m, exit);
-        if self.fell_back_mid_trap {
-            // The ring gave up mid-trap; `run_l1` already took the
-            // classic injection + world-switch legs where needed, so the
-            // trap finishes through the classic exit path.
+        if !self.ring_round_trip(m, exit) {
+            // The ring gave up mid-trap; the classic injection and world
+            // switches already ran where needed, so the trap finishes
+            // through the classic exit path.
             m.l0_leg_b(self.elides_lazy_sync());
             m.backward_transform();
             m.l0_entry_finish();
@@ -701,110 +694,16 @@ impl Reflector for SwSvtReflector {
         m.l0_entry_finish();
     }
 
-    fn run_l1(&mut self, m: &mut Machine, exit: ExitReason) {
-        self.ensure_init(m);
-        self.retried_this_trap = false;
-        self.fell_back_mid_trap = false;
-        let (code, qual) = m.arch.encode(exit);
-
-        // L0 sends CMD_VM_TRAP with the registers and trap id (Fig. 5,
-        // step 2), then monitors the response ring.
-        match self.xfer(m, true, CMD_VM_TRAP, code, qual, SimDuration::ZERO) {
-            Ok(received) => self.last_cmd = Some(received),
-            Err(_) => {
-                // The SVt-thread never saw the trap; its handler has not
-                // run. Serve this trap's middle the classic way.
-                self.fell_back_mid_trap = true;
-                m.obs
-                    .metrics
-                    .inc(MetricKey::new("svt_trap_fallback").reflector("sw-svt"));
-                m.inject_into_vmcs12(exit);
-                self.fallback_run_l1(m, exit);
-                return;
-            }
-        }
-
-        // The SVt-thread (L1_1) handles the trap on the sibling thread —
-        // unless the scheduler stole or delayed the sibling first.
-        if m.roll_fault(FaultKind::SiblingDelay) {
-            let d = m.faults.delay();
-            m.clock.charge_as(CostPart::L1Handler, d);
-            m.obs
-                .metrics
-                .inc(MetricKey::new("svt_sibling_delays").reflector("sw-svt"));
-        }
-        let before = m.clock.now();
-        m.clock.push_part(CostPart::L1Handler);
-        m.l1_handle_exit(self, exit);
-        m.clock.pop_part(CostPart::L1Handler);
-        let handling = m.clock.now().since(before);
-
-        // While waiting, L0 services IPIs for L1's main vCPU (§ 5.3).
-        self.check_blocked_ipis(m);
-
-        // SVt-thread responds CMD_VM_RESUME with updated registers
-        // (Fig. 5, step 3); L0 wakes and applies them.
-        let steal = if self.wait == WaitMode::Poll {
-            // A busy-polling L0 sibling steals cycles from the handler.
-            SimDuration::from_ns_f64(handling.as_ns() * POLL_STEAL_RATIO)
-        } else {
-            SimDuration::ZERO
-        };
-        match self.xfer(m, false, CMD_VM_RESUME, code, qual, steal) {
-            Ok(resp) => {
-                m.vcpu2_mut().gprs = resp.gprs;
-                m.obs
-                    .metrics
-                    .inc(MetricKey::new("svt_trap_ring").reflector("sw-svt"));
-                if !self.retried_this_trap {
-                    if let Some(t) = self.fsm.on_clean() {
-                        self.note_transition(m, t);
-                    }
-                }
-            }
-            Err(_) => {
-                // The handler already ran on the SVt-thread and the
-                // register state is coherent in memory; only the resume
-                // doorbell is gone. L0's bounded wait expired — finish
-                // through the classic exit path.
-                self.fell_back_mid_trap = true;
-                m.obs
-                    .metrics
-                    .inc(MetricKey::new("svt_resume_fallback").reflector("sw-svt"));
-            }
-        }
-    }
-
-    fn l1_exit_roundtrip(&mut self, m: &mut Machine, exit: ExitReason, value: u64) -> u64 {
-        // The SVt-thread's own privileged ops trap into the L0 instance on
-        // *its* thread (L0_1) at the full single-thread cost (§ 5.2: such
-        // traps are "captured by L0_1").
-        let world = m.world_extra(svt_hv::Level::L1);
-        let c = m.cost.vm_exit_hw + m.cost.gpr_thunk() + world;
-        m.clock.charge(c);
-        let out = m.l0_handle_l1_exit(exit, value);
-        let c = m.cost.vm_entry_hw + m.cost.gpr_thunk() + world;
-        m.clock.charge(c);
-        out
-    }
-
-    fn l1_read_exit_info(&mut self, m: &mut Machine) -> (u64, u64) {
-        if self.fallback_active {
-            return svt_hv::read_exit_info_vmcs(self, m);
-        }
+    // The SVt-thread's own privileged ops trap into the L0 instance on
+    // *its* thread (L0_1) at the full single-thread cost (§ 5.2: such
+    // traps are "captured by L0_1"), so `l1_exit_roundtrip` keeps the
+    // classic default. L2's registers arrived in the CMD_VM_TRAP payload,
+    // so the default local-copy GPR access is free beyond the
+    // already-charged transfer. Only the exit information differs.
+    fn l1_read_exit_info(&mut self, _m: &mut Machine) -> (u64, u64) {
         // The trap identifier arrived in the CMD_VM_TRAP payload.
         let cmd = self.last_cmd.as_ref().expect("command received");
         (cmd.code, cmd.qual)
-    }
-
-    fn l2_gpr_read(&mut self, m: &mut Machine, r: Gpr) -> u64 {
-        // Register values arrived in the CMD_VM_TRAP payload; reading the
-        // local copy is free beyond the already-charged transfer.
-        m.vcpu2().gprs.get(r)
-    }
-
-    fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
-        m.vcpu2_mut().gprs.set(r, v);
     }
 }
 
@@ -815,7 +714,6 @@ svt_sim::snap_enum! { "SW-SVt wait mode" => WaitMode { Mwait, Poll, Mutex } }
 svt_sim::snap_fields! {
     SwSvtReflector {
         #[shape = "SW-SVt wait mode"] wait, #[shape = "SW-SVt placement"] placement, rings,
-        last_cmd, svt_blocked_count, next_seq, fsm, retried_this_trap, fell_back_mid_trap,
-        fallback_active
+        last_cmd, next_seq, fsm
     }
 }

@@ -95,3 +95,44 @@ fn bypass_still_respects_l0_control_points() {
     let ctxt = MetricKey::new("ctxt_reg_access").reflector("bypass");
     assert_eq!(m.obs.metrics.counter(ctxt), 10 * (1 + 4));
 }
+
+/// Runs `traps` nested cpuids with the causal graph on and returns the
+/// names of the spans they recorded.
+fn traced_span_names(m: &mut Machine, traps: u64) -> Vec<&'static str> {
+    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
+    m.run(&mut warm).unwrap();
+    m.obs.causal.enable();
+    let mut prog = OpLoop::new(GuestOp::Cpuid, traps, 0, SimDuration::ZERO);
+    m.run(&mut prog).unwrap();
+    m.obs.causal.spans().iter().map(|s| s.name).collect()
+}
+
+#[test]
+fn two_context_svt_world_switch_is_the_baselines_span_for_span() {
+    // Multiplexed L0/L1 pay the classic world switch into and out of L1,
+    // recorded as the baseline records it: one `l1_entry` and one
+    // `l1_exit` per trap.
+    let mut m = Machine::with_reflector(
+        MachineConfig::at_level(Level::L2),
+        Box::new(HwSvtReflector::with_contexts(2)),
+    );
+    let names = traced_span_names(&mut m, 5);
+    let count = |n: &str| names.iter().filter(|&&s| s == n).count();
+    assert_eq!(count("l1_entry"), 5, "{names:?}");
+    assert_eq!(count("l1_exit"), 5, "{names:?}");
+}
+
+#[test]
+fn bypass_stall_resume_is_traced_and_counted_like_hw_svt() {
+    // One stall/resume to L1's context at the trap and one back to L2's
+    // at the resume, each a span and a count under the bypass engine.
+    let mut m = Machine::with_reflector(
+        MachineConfig::at_level(Level::L2),
+        Box::new(BypassReflector::new()),
+    );
+    let names = traced_span_names(&mut m, 5);
+    let spans = names.iter().filter(|&&s| s == "svt_stall_resume").count();
+    assert_eq!(spans, 5 * 2, "{names:?}");
+    let key = MetricKey::new("svt_stall_resume").reflector("bypass");
+    assert_eq!(m.obs.metrics.counter(key), (1 + 5) * 2);
+}

@@ -5,10 +5,10 @@
 //! (rate 1.0, budget n) make every count exact rather than statistical.
 
 use svt_arch::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
-use svt_core::{nested_machine, smp_machine, SwitchMode};
+use svt_core::{nested_machine, smp_machine, SwitchMode, FALLBACK_AFTER, PROBE_EVERY};
 use svt_hv::{GuestCtx, GuestOp, GuestProgram, Machine, OpLoop};
 use svt_obs::MetricKey;
-use svt_sim::{FaultKind, FaultPlan, SimDuration, SimTime};
+use svt_sim::{CostPart, FaultKind, FaultPlan, SimDuration, SimTime};
 
 /// A warmed-up single-vCPU SW-SVt machine: the first trap has paired the
 /// rings and primed every counter, so later assertions are pure deltas.
@@ -192,8 +192,9 @@ fn lost_doorbell_times_out_once_and_retries() {
 fn k_consecutive_timeouts_cost_exactly_one_fallback_transition() {
     let mut m = warm_sw_svt();
     let d = Deltas::snapshot(&m);
-    // K = 4 (DegradeFsm::fallback_after): exactly enough lost doorbells
-    // to write the channel off within one trap leg.
+    // K = 4 (FALLBACK_AFTER): exactly enough lost doorbells to write the
+    // channel off within one trap leg.
+    const { assert!(FALLBACK_AFTER == 4) };
     m.faults = FaultPlan::seeded(15)
         .with_rate(FaultKind::DoorbellLost, 1.0)
         .with_budget(FaultKind::DoorbellLost, 4);
@@ -221,6 +222,41 @@ fn k_consecutive_timeouts_cost_exactly_one_fallback_transition() {
     d2.assert_exact(&m, &[("svt_trap_fallback", 1)]);
 }
 
+/// The SW-SVt fallback is the baseline engine: once the channel is
+/// written off, a trap that does not probe the ring charges every Table 1
+/// part exactly what the same trap charges on a baseline machine.
+#[test]
+fn fallen_back_trap_costs_exactly_a_baseline_trap() {
+    let mut sw = warm_sw_svt();
+    sw.faults = FaultPlan::seeded(15)
+        .with_rate(FaultKind::DoorbellLost, 1.0)
+        .with_budget(FaultKind::DoorbellLost, 4);
+    run_cpuids(&mut sw, 1);
+    assert_eq!(transition_count(&sw, "degraded->fallen_back"), 1);
+    let mut base = nested_machine(SwitchMode::Baseline);
+    run_cpuids(&mut base, 1);
+
+    // The first PROBE_EVERY - 1 traps after the write-off do not probe.
+    const { assert!(PROBE_EVERY > 1) };
+    let d = Deltas::snapshot(&sw);
+    let (sw0, base0) = (sw.clock.snapshot(), base.clock.snapshot());
+    run_cpuids(&mut sw, 1);
+    run_cpuids(&mut base, 1);
+    d.assert_exact(&sw, &[("svt_trap_fallback", 1)]);
+    let (sw_d, base_d) = (
+        sw.clock.since_snapshot(&sw0),
+        base.clock.since_snapshot(&base0),
+    );
+    assert!(base_d.busy_time() > SimDuration::ZERO);
+    for part in CostPart::ALL {
+        assert_eq!(
+            sw_d.part_time(part),
+            base_d.part_time(part),
+            "{part:?} of a fallen-back SW-SVt trap"
+        );
+    }
+}
+
 #[test]
 fn healed_channel_is_repromoted_through_a_probe() {
     let mut m = warm_sw_svt();
@@ -230,8 +266,8 @@ fn healed_channel_is_repromoted_through_a_probe() {
     run_cpuids(&mut m, 1); // burns the budget; channel written off
     assert_eq!(transition_count(&m, "degraded->fallen_back"), 1);
 
-    // The fault is gone. Every probe_every-th trap probes the ring; the
-    // probe succeeds, and heal_window clean traps later the channel is
+    // The fault is gone. Every PROBE_EVERY-th trap probes the ring; the
+    // probe succeeds, and HEAL_WINDOW clean traps later the channel is
     // Healthy again — each step one recorded transition.
     let before_ring = m.obs.metrics.counter_total("svt_trap_ring");
     run_cpuids(&mut m, 30);

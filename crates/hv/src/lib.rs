@@ -40,6 +40,6 @@ mod vcpu;
 pub use device::{device_claims, Completion, DeviceModel, DeviceOutcome};
 pub use machine::{cpuid_value, Machine, MachineError, RunReport, VmcsId};
 pub use program::{ComputeOnly, GuestCtx, GuestOp, GuestProgram, OpLoop};
-pub use reflector::{read_exit_info_vmcs, BaselineReflector, Reflector};
+pub use reflector::{BaselineReflector, Reflector};
 pub use state::{program_vmcs02, L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState};
 pub use vcpu::{Vcpu, VMCS_REGION_STRIDE};

@@ -35,7 +35,7 @@ use svt_sim::{
     FaultPlan, MachineSpec, SimDuration, SimTime,
 };
 
-use crate::device::{Completion, DeviceModel, DeviceOutcome};
+use crate::device::{Completion, DeviceModel};
 use crate::program::{GuestCtx, GuestOp, GuestProgram};
 use crate::reflector::{BaselineReflector, Reflector};
 use crate::state::{
@@ -1167,10 +1167,7 @@ impl Machine {
         self.clock.push_tag("EXTERNAL_INTERRUPT");
         if !was_halted {
             // Interrupt exits the running guest.
-            self.clock.push_part(CostPart::SwitchL0L1);
-            let c = self.cost.vm_exit_hw + self.cost.gpr_thunk();
-            self.clock.charge(c);
-            self.clock.pop_part(CostPart::SwitchL0L1);
+            self.classic_leave_l1();
         }
         self.clock.push_part(CostPart::L0Handler);
         let c = self.cost.l0_exit_decode + self.cost.l0_run_loop;
@@ -1193,10 +1190,7 @@ impl Machine {
         let c = self.cost.l0_irq_inject + self.cost.l0_entry_prep;
         self.clock.charge(c);
         self.clock.pop_part(CostPart::L0Handler);
-        self.clock.push_part(CostPart::SwitchL0L1);
-        let c = self.cost.gpr_thunk() + self.cost.vm_entry_hw;
-        self.clock.charge(c);
-        self.clock.pop_part(CostPart::SwitchL0L1);
+        self.classic_enter_l1();
         self.clock.pop_tag("EXTERNAL_INTERRUPT");
         self.vstate_mut().halted = false;
     }
@@ -1256,38 +1250,22 @@ impl Machine {
                 self.clock.charge(c);
                 self.pending_result = Some(cpuid_value(0));
             }
-            GuestOp::MsrWrite { msr, value } => {
-                let c = self.cost.l0_msr_emulate;
-                self.clock.charge(c);
-                if msr == MSR_TSC_DEADLINE {
-                    let t = SimTime::from_ps(value);
-                    self.vstate_mut().apic.set_tsc_deadline(Some(t));
-                    self.arm_phys_timer(t);
-                } else if msr == MSR_X2APIC_EOI {
-                    self.vstate_mut().apic.eoi();
-                } else if msr == MSR_X2APIC_ICR {
-                    self.send_ipi(value);
-                }
-            }
+            GuestOp::MsrWrite { msr, value } => self.l0_wrmsr(msr, value),
             GuestOp::MsrRead { .. } => {
                 let c = self.cost.l0_msr_emulate;
                 self.clock.charge(c);
                 self.pending_result = Some(0);
             }
-            GuestOp::MmioWrite { gpa, value } => {
-                if let Some(idx) = self.device_at(gpa) {
-                    let out =
-                        self.with_device(idx, |d, mem, now| d.mmio_write(gpa, value, mem, now));
-                    self.apply_outcome_native(idx, out);
-                }
-            }
-            GuestOp::MmioRead { gpa } => {
-                if let Some(idx) = self.device_at(gpa) {
-                    let (v, out) = self.with_device(idx, |d, mem, now| d.mmio_read(gpa, mem, now));
-                    self.apply_outcome_native(idx, out);
-                    self.pending_result = Some(v);
-                }
-            }
+            GuestOp::MmioWrite { gpa, value } => self.l0_device_access(MmioOp {
+                gpa,
+                write: true,
+                value,
+            }),
+            GuestOp::MmioRead { gpa } => self.l0_device_access(MmioOp {
+                gpa,
+                write: false,
+                value: 0,
+            }),
             GuestOp::Vmcall(_) => {
                 let c = self.cost.l0_exit_decode;
                 self.clock.charge(c);
@@ -1298,7 +1276,37 @@ impl Machine {
         self.clock.pop_part(CostPart::L0Native);
     }
 
-    fn apply_outcome_native(&mut self, idx: usize, out: DeviceOutcome) {
+    /// L0 emulates a `wrmsr` of a guest it runs directly: the
+    /// TSC-deadline arms the physical timer, an x2APIC EOI completes the
+    /// in-service interrupt, an ICR write sends the IPI.
+    fn l0_wrmsr(&mut self, msr: u32, value: u64) {
+        let c = self.cost.l0_msr_emulate;
+        self.clock.charge(c);
+        if msr == MSR_TSC_DEADLINE {
+            let t = SimTime::from_ps(value);
+            self.vstate_mut().apic.set_tsc_deadline(Some(t));
+            self.arm_phys_timer(t);
+        } else if msr == MSR_X2APIC_EOI {
+            self.vstate_mut().apic.eoi();
+        } else if msr == MSR_X2APIC_ICR {
+            self.send_ipi(value);
+        }
+    }
+
+    /// L0 serves a device access of a guest it runs directly: the
+    /// backend's service time (part Device), its completions on the event
+    /// queue, and a read's value as the op's result.
+    fn l0_device_access(&mut self, op: MmioOp) {
+        let Some(idx) = self.device_at(op.gpa) else {
+            return;
+        };
+        let out = if op.write {
+            self.with_device(idx, |d, mem, now| d.mmio_write(op.gpa, op.value, mem, now))
+        } else {
+            let (v, out) = self.with_device(idx, |d, mem, now| d.mmio_read(op.gpa, mem, now));
+            self.pending_result = Some(v);
+            out
+        };
         self.clock.push_part(CostPart::Device);
         self.clock.charge(out.service);
         self.clock.pop_part(CostPart::Device);
@@ -1386,10 +1394,7 @@ impl Machine {
             .inc(MetricKey::new("vm_exit").level(ObsLevel::L1).exit(tag));
         let trap_begin = self.clock.now();
         self.clock.push_tag(tag);
-        self.clock.push_part(CostPart::SwitchL0L1);
-        let c = self.cost.vm_exit_hw + self.cost.gpr_thunk();
-        self.clock.charge(c);
-        self.clock.pop_part(CostPart::SwitchL0L1);
+        self.classic_leave_l1();
 
         self.clock.push_part(CostPart::L0Handler);
         let c = self.cost.l0_exit_decode + self.cost.l0_run_loop + self.cost.l0_mmu_sync;
@@ -1400,38 +1405,17 @@ impl Machine {
                 self.clock.charge(c);
                 self.pending_result = Some(cpuid_value(self.vstate().gprs.get(Gpr::Rax)));
             }
-            ExitReason::MsrWrite { msr } => {
-                let c = self.cost.l0_msr_emulate;
-                self.clock.charge(c);
-                if msr == MSR_TSC_DEADLINE {
-                    let t = SimTime::from_ps(value);
-                    self.vstate_mut().apic.set_tsc_deadline(Some(t));
-                    self.arm_phys_timer(t);
-                } else if msr == MSR_X2APIC_EOI {
-                    self.vstate_mut().apic.eoi();
-                } else if msr == MSR_X2APIC_ICR {
-                    self.send_ipi(value);
-                }
-            }
+            ExitReason::MsrWrite { msr } => self.l0_wrmsr(msr, value),
             ExitReason::MsrRead { .. } => {
                 let c = self.cost.l0_msr_emulate;
                 self.clock.charge(c);
                 self.pending_result = Some(0);
             }
-            ExitReason::EptMisconfig { gpa } => {
+            ExitReason::EptMisconfig { .. } => {
                 let c = self.cost.l0_mmio_route;
                 self.clock.charge(c);
-                if let (Some(idx), Some(op)) = (self.device_at(gpa), self.pending_mmio.take()) {
-                    if op.write {
-                        let out = self
-                            .with_device(idx, |d, mem, now| d.mmio_write(gpa, op.value, mem, now));
-                        self.apply_outcome_native(idx, out);
-                    } else {
-                        let (v, out) =
-                            self.with_device(idx, |d, mem, now| d.mmio_read(gpa, mem, now));
-                        self.apply_outcome_native(idx, out);
-                        self.pending_result = Some(v);
-                    }
+                if let Some(op) = self.pending_mmio.take() {
+                    self.l0_device_access(op);
                 }
             }
             ExitReason::Hlt | ExitReason::Vmcall { .. } | ExitReason::SbiCall { .. } => {
@@ -1443,11 +1427,7 @@ impl Machine {
         let c = self.cost.l0_entry_prep;
         self.clock.charge(c);
         self.clock.pop_part(CostPart::L0Handler);
-
-        self.clock.push_part(CostPart::SwitchL0L1);
-        let c = self.cost.gpr_thunk() + self.cost.vm_entry_hw;
-        self.clock.charge(c);
-        self.clock.pop_part(CostPart::SwitchL0L1);
+        self.classic_enter_l1();
         self.clock.pop_tag(tag);
         self.obs.hostprof.trap_end();
         self.obs.hostprof.exit(HostPart::Reflection);
@@ -1796,15 +1776,81 @@ impl Machine {
             .span_close("inject_vmcs12", ObsLevel::L0, begin, self.clock.now());
     }
 
-    /// World-switch extra cost when crossing into/out of a guest at
-    /// `level` (only hypervisor-capable L1 guests carry the heavy MSR/FPU
-    /// state).
-    pub fn world_extra(&self, level: Level) -> SimDuration {
-        if level == Level::L1 && self.l1.is_hypervisor {
+    // ------------------------------------------------------------------
+    // Classic single-thread switch mechanics (the baseline reflector's,
+    // and every other engine's wherever it falls back to them)
+    // ------------------------------------------------------------------
+
+    /// World-switch extra cost of crossing into or out of L1: only a
+    /// hypervisor-capable L1 carries the heavy MSR/FPU state.
+    fn world_extra(&self) -> SimDuration {
+        if self.l1.is_hypervisor {
             self.cost.world_switch_extra
         } else {
             SimDuration::ZERO
         }
+    }
+
+    /// The classic L2 exit (Table 1 part ①, first half): the hardware VM
+    /// exit and the register spill, then the hardware autosave of L2's
+    /// state into vmcs02.
+    pub fn classic_l2_exit(&mut self) {
+        self.clock.push_part(CostPart::SwitchL2L0);
+        let c = self.cost.vm_exit_hw + self.cost.gpr_thunk();
+        self.clock.charge(c);
+        self.clock.pop_part(CostPart::SwitchL2L0);
+        self.hw_exit_autosave();
+    }
+
+    /// The classic L2 entry (part ①, second half): the register reload
+    /// and the hardware VM entry, which loads L2's state from vmcs02.
+    pub fn classic_l2_entry(&mut self) {
+        self.clock.push_part(CostPart::SwitchL2L0);
+        let c = self.cost.gpr_thunk() + self.cost.vm_entry_hw;
+        self.clock.charge(c);
+        self.clock.pop_part(CostPart::SwitchL2L0);
+        self.hw_entry_load();
+    }
+
+    /// The world switch from L0 into L1 (part ④): hardware entry,
+    /// register reload and the world extra, recorded as the `l1_entry`
+    /// span.
+    pub fn classic_enter_l1(&mut self) {
+        let begin = self.clock.now();
+        self.clock.push_part(CostPart::SwitchL0L1);
+        let c = self.cost.vm_entry_hw + self.cost.gpr_thunk() + self.world_extra();
+        self.clock.charge(c);
+        self.clock.pop_part(CostPart::SwitchL0L1);
+        self.obs
+            .causal
+            .span_close("l1_entry", ObsLevel::L1, begin, self.clock.now());
+    }
+
+    /// The world switch from L1 back into L0 (part ④): hardware exit,
+    /// register spill and the world extra, recorded as the `l1_exit`
+    /// span.
+    pub fn classic_leave_l1(&mut self) {
+        let begin = self.clock.now();
+        self.clock.push_part(CostPart::SwitchL0L1);
+        let c = self.cost.vm_exit_hw + self.cost.gpr_thunk() + self.world_extra();
+        self.clock.charge(c);
+        self.clock.pop_part(CostPart::SwitchL0L1);
+        self.obs
+            .causal
+            .span_close("l1_exit", ObsLevel::L1, begin, self.clock.now());
+    }
+
+    /// One privileged operation of L1 trapping into L0 and back on a
+    /// single hardware thread (Algorithm 1 lines 8–10): both world
+    /// switches, charged under the caller's part (Table 1 folds them
+    /// into part ⑤). Returns the result for reads.
+    pub fn classic_l1_trap(&mut self, exit: ExitReason, value: u64) -> u64 {
+        let c = self.cost.vm_exit_hw + self.cost.gpr_thunk() + self.world_extra();
+        self.clock.charge(c);
+        let result = self.l0_handle_l1_exit(exit, value);
+        let c = self.cost.vm_entry_hw + self.cost.gpr_thunk() + self.world_extra();
+        self.clock.charge(c);
+        result
     }
 
     // ------------------------------------------------------------------
@@ -1812,8 +1858,9 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// L1's VM-exit handler for a reflected L2 trap (Algorithm 1 lines
-    /// 7–11). Runs with the caller's part attribution (part ⑤).
-    pub fn l1_handle_exit(&mut self, r: &mut dyn Reflector, exit: ExitReason) {
+    /// 7–11), charged to part ⑤.
+    pub fn l1_handle_exit<R: Reflector + ?Sized>(&mut self, r: &mut R, exit: ExitReason) {
+        self.clock.push_part(CostPart::L1Handler);
         let handler_begin = self.clock.now();
         let c = self.cost.l1_exit_decode;
         self.clock.charge(c);
@@ -1978,10 +2025,11 @@ impl Machine {
                 .level(ObsLevel::L1)
                 .exit(self.arch.tag(exit)),
         );
+        self.clock.pop_part(CostPart::L1Handler);
     }
 
     /// L1 services a device access for L2 (its QEMU/vhost backend).
-    fn l1_device_access(&mut self, r: &mut dyn Reflector, idx: usize, op: MmioOp) {
+    fn l1_device_access<R: Reflector + ?Sized>(&mut self, r: &mut R, idx: usize, op: MmioOp) {
         let outcome = if op.write {
             self.with_device(idx, |d, mem, now| d.mmio_write(op.gpa, op.value, mem, now))
         } else {
@@ -2015,7 +2063,7 @@ impl Machine {
 
     /// L1 injects a virtual interrupt into L2 via the entry-interruption
     /// field of vmcs01' (shadow-writable).
-    fn l1_inject_to_l2(&mut self, r: &mut dyn Reflector, vector: u8) {
+    fn l1_inject_to_l2<R: Reflector + ?Sized>(&mut self, r: &mut R, vector: u8) {
         self.vstate_mut().apic.inject(vector);
         self.obs
             .metrics
@@ -2023,13 +2071,13 @@ impl Machine {
         self.l1_inject_to_l2_raw(r);
     }
 
-    fn l1_inject_to_l2_raw(&mut self, r: &mut dyn Reflector) {
+    fn l1_inject_to_l2_raw<R: Reflector + ?Sized>(&mut self, r: &mut R) {
         let c = self.cost.l0_irq_inject;
         self.clock.charge(c);
         self.l1_vmwrite(r, VmcsField::VmEntryIntrInfo, 0);
     }
 
-    fn l1_advance_rip(&mut self, r: &mut dyn Reflector) {
+    fn l1_advance_rip<R: Reflector + ?Sized>(&mut self, r: &mut R) {
         let rip = self.vcpus[self.cur].vmcs12.read(VmcsField::GuestRip);
         self.l1_vmwrite(r, VmcsField::GuestRip, rip + 2);
     }
@@ -2037,7 +2085,7 @@ impl Machine {
     /// The one unshadowable control-field write every L1 handler performs
     /// (interrupt-window update) — the nested trap "folded into ⑤" of
     /// Table 1.
-    fn l1_folded_control_write(&mut self, r: &mut dyn Reflector) {
+    fn l1_folded_control_write<R: Reflector + ?Sized>(&mut self, r: &mut R) {
         let v = self.vcpus[self.cur]
             .vmcs12
             .read(VmcsField::ProcBasedControls);
@@ -2046,7 +2094,7 @@ impl Machine {
 
     /// An L1 `vmread` of vmcs01': shadow-satisfied when possible,
     /// otherwise a real trap into L0.
-    pub fn l1_vmread(&mut self, r: &mut dyn Reflector, f: VmcsField) -> u64 {
+    pub fn l1_vmread<R: Reflector + ?Sized>(&mut self, r: &mut R, f: VmcsField) -> u64 {
         if self.shadowing && f.shadow_readable() {
             let c = self.cost.vmread;
             self.clock.charge(c);
@@ -2058,7 +2106,7 @@ impl Machine {
 
     /// An L1 `vmwrite` of vmcs01': shadow-satisfied when possible,
     /// otherwise a real trap into L0.
-    pub fn l1_vmwrite(&mut self, r: &mut dyn Reflector, f: VmcsField, v: u64) {
+    pub fn l1_vmwrite<R: Reflector + ?Sized>(&mut self, r: &mut R, f: VmcsField, v: u64) {
         if self.shadowing && f.shadow_writable() {
             let c = self.cost.vmwrite;
             self.clock.charge(c);

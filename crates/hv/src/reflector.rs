@@ -15,15 +15,15 @@ use std::fmt;
 
 use svt_arch::{ExitReason, VmcsField};
 use svt_cpu::Gpr;
-use svt_obs::ObsLevel;
 
 use crate::machine::Machine;
-use crate::state::Level;
-use svt_sim::CostPart;
 
-/// Mechanics of switching between virtualization levels. An engine's
-/// protocol state (ring geometry, degrade FSM, retry flags) is its
-/// snapshot state, declared through its `svt_sim::Snap` impl.
+/// Mechanics of switching between virtualization levels. Every default
+/// body is the classic single-thread mechanic ([`BaselineReflector`]'s,
+/// written once as the `Machine::classic_*` methods); an engine
+/// overrides only the switches it performs differently. An engine's
+/// protocol state (ring geometry, degrade FSM) is its snapshot state,
+/// declared through its `svt_sim::Snap` impl.
 pub trait Reflector: fmt::Debug + svt_sim::snapshot::SnapDyn {
     /// Human-readable engine name ("baseline", "hw-svt", "sw-svt").
     fn name(&self) -> &'static str;
@@ -37,16 +37,25 @@ pub trait Reflector: fmt::Debug + svt_sim::snapshot::SnapDyn {
 
     /// Hardware mechanics of a trap from L2 into L0 (Table 1 part ①,
     /// first half). Guest state must be made available to L0.
-    fn l2_trap(&mut self, m: &mut Machine);
+    fn l2_trap(&mut self, m: &mut Machine) {
+        m.classic_l2_exit();
+    }
 
     /// Hardware mechanics of resuming L2 (part ①, second half).
-    fn l2_resume(&mut self, m: &mut Machine);
+    fn l2_resume(&mut self, m: &mut Machine) {
+        m.classic_l2_entry();
+    }
 
     /// Hands a reflected exit to L1, runs its handler
     /// ([`Machine::l1_handle_exit`]), and returns when L1 issues its
     /// VM-resume. Implementations charge the switch mechanics (part ④ in
-    /// the baseline; ring+mwait in SW SVt; stall/resume in HW SVt).
-    fn run_l1(&mut self, m: &mut Machine, exit: ExitReason);
+    /// the baseline; stall/resume in HW SVt).
+    fn run_l1(&mut self, m: &mut Machine, exit: ExitReason) {
+        m.classic_enter_l1();
+        m.l1_handle_exit(self, exit);
+        // L1's VM-resume traps back into L0 (Algorithm 1 line 12).
+        m.classic_leave_l1();
+    }
 
     /// The middle of the reflection chain (Algorithm 1 lines 3–14): by
     /// default, the forward transformation, the vmcs12 event injection,
@@ -66,7 +75,9 @@ pub trait Reflector: fmt::Debug + svt_sim::snapshot::SnapDyn {
     /// A privileged operation performed *by* L1 that traps into L0 and
     /// back (Algorithm 1 lines 8–10). `value` is the operand (written
     /// value, or encoded deadline); returns the result for reads.
-    fn l1_exit_roundtrip(&mut self, m: &mut Machine, exit: ExitReason, value: u64) -> u64;
+    fn l1_exit_roundtrip(&mut self, m: &mut Machine, exit: ExitReason, value: u64) -> u64 {
+        m.classic_l1_trap(exit, value)
+    }
 
     /// Whether L0 may skip its lazily-synced context state
     /// (the HW SVt elision: state stays in per-context register files).
@@ -75,22 +86,29 @@ pub trait Reflector: fmt::Debug + svt_sim::snapshot::SnapDyn {
     }
 
     /// How L1's handler learns the exit reason and qualification: by
-    /// default [`read_exit_info_vmcs`]; SW SVt reads them from the
+    /// default two vmreads of vmcs01'; SW SVt reads them from the
     /// received command instead.
     fn l1_read_exit_info(&mut self, m: &mut Machine) -> (u64, u64) {
         read_exit_info_vmcs(self, m)
     }
 
-    /// L1 reads one of L2's general-purpose registers.
-    fn l2_gpr_read(&mut self, m: &mut Machine, r: Gpr) -> u64;
+    /// L1 reads one of L2's general-purpose registers. By default L2's
+    /// values are still live in the (single) hardware context when L1's
+    /// handler runs, exactly as on real hardware; the memory copy is
+    /// authoritative in the simulation.
+    fn l2_gpr_read(&mut self, m: &mut Machine, r: Gpr) -> u64 {
+        m.vcpu2().gprs.get(r)
+    }
 
     /// L1 writes one of L2's general-purpose registers.
-    fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64);
+    fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
+        m.vcpu2_mut().gprs.set(r, v);
+    }
 }
 
 /// L1 reads the exit reason and qualification with two vmreads of
 /// vmcs01': shadow-satisfied when shadowing is on, full traps otherwise.
-pub fn read_exit_info_vmcs<R: Reflector + ?Sized>(r: &mut R, m: &mut Machine) -> (u64, u64) {
+fn read_exit_info_vmcs<R: Reflector + ?Sized>(r: &mut R, m: &mut Machine) -> (u64, u64) {
     let mut field = |f| {
         if m.shadowing {
             let c = m.cost.vmread;
@@ -124,71 +142,5 @@ impl BaselineReflector {
 impl Reflector for BaselineReflector {
     fn name(&self) -> &'static str {
         "baseline"
-    }
-
-    fn l2_trap(&mut self, m: &mut Machine) {
-        m.clock.push_part(CostPart::SwitchL2L0);
-        let c = (m.cost.vm_exit_hw, m.cost.gpr_thunk());
-        m.clock.charge(c.0);
-        m.clock.charge(c.1);
-        m.clock.pop_part(CostPart::SwitchL2L0);
-        m.hw_exit_autosave();
-    }
-
-    fn l2_resume(&mut self, m: &mut Machine) {
-        m.clock.push_part(CostPart::SwitchL2L0);
-        let c = (m.cost.gpr_thunk(), m.cost.vm_entry_hw);
-        m.clock.charge(c.0);
-        m.clock.charge(c.1);
-        m.clock.pop_part(CostPart::SwitchL2L0);
-        m.hw_entry_load();
-    }
-
-    fn run_l1(&mut self, m: &mut Machine, exit: ExitReason) {
-        // Enter the guest hypervisor: full world switch (part 4).
-        let begin = m.clock.now();
-        m.clock.push_part(CostPart::SwitchL0L1);
-        let enter = m.cost.vm_entry_hw + m.cost.gpr_thunk() + m.world_extra(Level::L1);
-        m.clock.charge(enter);
-        m.clock.pop_part(CostPart::SwitchL0L1);
-        m.obs
-            .causal
-            .span_close("l1_entry", ObsLevel::L1, begin, m.clock.now());
-
-        m.clock.push_part(CostPart::L1Handler);
-        m.l1_handle_exit(self, exit);
-        m.clock.pop_part(CostPart::L1Handler);
-
-        // L1's VM-resume traps back into L0 (Algorithm 1 line 12).
-        let begin = m.clock.now();
-        m.clock.push_part(CostPart::SwitchL0L1);
-        let leave = m.cost.vm_exit_hw + m.cost.gpr_thunk() + m.world_extra(Level::L1);
-        m.clock.charge(leave);
-        m.clock.pop_part(CostPart::SwitchL0L1);
-        m.obs
-            .causal
-            .span_close("l1_exit", ObsLevel::L1, begin, m.clock.now());
-    }
-
-    fn l1_exit_roundtrip(&mut self, m: &mut Machine, exit: ExitReason, value: u64) -> u64 {
-        // Charged under the caller's part (folded into part 5, as the
-        // paper's Table 1 does).
-        let leave = m.cost.vm_exit_hw + m.cost.gpr_thunk() + m.world_extra(Level::L1);
-        m.clock.charge(leave);
-        let result = m.l0_handle_l1_exit(exit, value);
-        let enter = m.cost.vm_entry_hw + m.cost.gpr_thunk() + m.world_extra(Level::L1);
-        m.clock.charge(enter);
-        result
-    }
-
-    fn l2_gpr_read(&mut self, m: &mut Machine, r: Gpr) -> u64 {
-        // L2's register values are still live in the (single) hardware
-        // context when L1's handler runs, exactly as on real hardware; the
-        // memory copy is authoritative in the simulation.
-        m.vcpu2().gprs.get(r)
-    }
-
-    fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
-        m.vcpu2_mut().gprs.set(r, v);
     }
 }

@@ -284,12 +284,6 @@ impl CommandRing {
         Ok(Some(payload))
     }
 
-    /// The cache line the consumer `monitor`s for new work (the head
-    /// index), as an address — used by the mwait channel model.
-    pub fn doorbell_line(&self) -> Hpa {
-        self.base + HEAD_OFF
-    }
-
     /// Flips one payload byte of the most recently queued command — the
     /// fault injector's hook for modelling shared-memory corruption.
     /// Returns `false` (and touches nothing) when the ring is empty.

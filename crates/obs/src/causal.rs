@@ -357,11 +357,6 @@ impl CausalGraph {
         self.enabled = true;
     }
 
-    /// Stops recording (retained events stay readable).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -376,11 +371,6 @@ impl CausalGraph {
     /// Overrides the unserviced-ring deadline (default 50 µs).
     pub fn set_ring_deadline(&mut self, d: SimDuration) {
         self.ring_deadline = d;
-    }
-
-    /// Overrides the `SVT_BLOCKED` window bound (default 20 µs).
-    pub fn set_blocked_bound(&mut self, d: SimDuration) {
-        self.blocked_bound = d;
     }
 
     /// Overrides the IPI delivery deadline (default 50 µs).

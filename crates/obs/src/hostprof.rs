@@ -10,7 +10,7 @@
 //!    own subsystems (event pump, reflection emulation, ring protocol,
 //!    causal recording, timeline sampling, metrics, fault rolls). The
 //!    machine's hot paths bracket themselves with [`HostProf::enter`] /
-//!    [`HostProf::exit`] (or the RAII [`HostScope`]); at every switch point
+//!    [`HostProf::exit`]; at every switch point
 //!    the elapsed `Instant` delta is charged to the part on top of the
 //!    stack, so the per-part wall columns always sum to the full
 //!    `run_begin..run_end` window — nothing is double-counted or lost.
@@ -456,13 +456,6 @@ impl HostProf {
         }
     }
 
-    /// RAII alternative to `enter`/`exit` for straight-line scopes.
-    #[inline]
-    pub fn scope(&mut self, part: HostPart) -> HostScope<'_> {
-        self.enter(part);
-        HostScope { prof: self, part }
-    }
-
     // -- trap-shape analytics -----------------------------------------------
 
     /// Marks the start of one trap (any engine). Counts the event and
@@ -523,18 +516,6 @@ impl HostProf {
         let stat = self.shapes.entry(self.shape_acc).or_default();
         stat.count += 1;
         stat.host_ns += ns;
-    }
-}
-
-/// RAII guard from [`HostProf::scope`]: exits its part on drop.
-pub struct HostScope<'a> {
-    prof: &'a mut HostProf,
-    part: HostPart,
-}
-
-impl Drop for HostScope<'_> {
-    fn drop(&mut self) {
-        self.prof.exit(self.part);
     }
 }
 
@@ -757,13 +738,12 @@ mod tests {
         let mut p = HostProf::armed();
         p.run_begin();
         assert!(p.is_running());
-        {
-            let s = p.scope(HostPart::Reflection);
-            s.prof.trap_begin();
-            s.prof.shape_fold_str("cpuid");
-            s.prof.shape_fold_vmcs(2, 17, false);
-            s.prof.trap_end();
-        }
+        p.enter(HostPart::Reflection);
+        p.trap_begin();
+        p.shape_fold_str("cpuid");
+        p.shape_fold_vmcs(2, 17, false);
+        p.trap_end();
+        p.exit(HostPart::Reflection);
         p.enter(HostPart::Reflection);
         p.trap_begin();
         p.shape_fold_str("cpuid");

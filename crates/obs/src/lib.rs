@@ -43,7 +43,7 @@ pub use causal::{
 pub use chrome::{chrome_trace, lane_tid};
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_K};
 pub use hist::LogHistogram;
-pub use hostprof::{CountingAlloc, HostAgg, HostPart, HostProf, HostScope, ShapeStat};
+pub use hostprof::{CountingAlloc, HostAgg, HostPart, HostProf, ShapeStat};
 pub use json::{Json, JsonError};
 pub use key::{MetricKey, ObsLevel};
 pub use registry::MetricsRegistry;

@@ -234,21 +234,6 @@ impl MetricsRegistry {
         self.hists.iter_sorted(&self.keys)
     }
 
-    /// All counters, sorted by key for deterministic iteration.
-    pub fn counters_sorted(&self) -> Vec<(MetricKey, u64)> {
-        self.iter_counters_sorted().collect()
-    }
-
-    /// All gauges, sorted by key.
-    pub fn gauges_sorted(&self) -> Vec<(MetricKey, f64)> {
-        self.iter_gauges_sorted().collect()
-    }
-
-    /// All histograms, sorted by key.
-    pub fn histograms_sorted(&self) -> Vec<(MetricKey, &LogHistogram)> {
-        self.iter_histograms_sorted().collect()
-    }
-
     /// Sum of all counters sharing `name`, across every dimension
     /// combination.
     pub fn counter_total(&self, name: &str) -> u64 {
@@ -382,7 +367,7 @@ mod tests {
         m.inc(MetricKey::new("x"));
         m.clear();
         assert_eq!(m.counter(MetricKey::new("x")), 0);
-        assert!(m.counters_sorted().is_empty());
+        assert_eq!(m.iter_counters_sorted().count(), 0);
     }
 
     #[test]
@@ -402,9 +387,10 @@ mod tests {
         m.inc(MetricKey::new("mid"));
         m.inc(MetricKey::new("mid").level(ObsLevel::L0));
 
-        let mut expect: Vec<(MetricKey, u64)> = m.counters_sorted();
+        let counters: Vec<(MetricKey, u64)> = m.iter_counters_sorted().collect();
+        let mut expect = counters.clone();
         expect.sort_by_key(|(k, _)| *k);
-        assert_eq!(m.counters_sorted(), expect);
+        assert_eq!(counters, expect);
 
         let gauge_keys: Vec<MetricKey> = m.iter_gauges_sorted().map(|(k, _)| k).collect();
         let mut sorted_gauge_keys = gauge_keys.clone();
@@ -422,6 +408,7 @@ mod tests {
         // `add(key, 0)` has always created the entry; reports rely on it.
         let mut m = MetricsRegistry::new();
         m.add(MetricKey::new("seen"), 0);
-        assert_eq!(m.counters_sorted(), vec![(MetricKey::new("seen"), 0)]);
+        let counters: Vec<(MetricKey, u64)> = m.iter_counters_sorted().collect();
+        assert_eq!(counters, vec![(MetricKey::new("seen"), 0)]);
     }
 }

@@ -136,12 +136,6 @@ impl Timeline {
         self.next_due = SimTime::ZERO + cadence;
     }
 
-    /// Disables sampling (recorded rows are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-        self.next_due = SimTime::MAX;
-    }
-
     /// Whether sampling is on.
     #[inline]
     pub fn is_enabled(&self) -> bool {

@@ -59,7 +59,7 @@ use crate::time::{SimDuration, SimTime};
 /// Current snapshot format version. Bumped on any wire-format change;
 /// [`open`] rejects snapshots from other versions with
 /// [`SnapError::BadVersion`] rather than misinterpreting bytes.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// Magic prefix of every sealed snapshot ("SVTSNAP\0").
 pub const SNAP_MAGIC: [u8; 8] = *b"SVTSNAP\0";

@@ -4,8 +4,8 @@
 //! on ("virtio-net-pci+vhost, virtio disk @ ramfs", Table 4):
 //!
 //! * [`Virtqueue`] — split queues living byte-for-byte in guest memory;
-//! * [`VirtioNet`] — a NIC with a serialized 10 GbE wire and an echo/sink
-//!   peer (the netperf counterpart machine);
+//! * [`VirtioNet`] — a NIC with a serialized 10 GbE wire and a sink peer
+//!   that ACKs (the netperf TCP_STREAM counterpart machine);
 //! * [`VirtioBlk`] — a block device over a RAM disk with per-sector media
 //!   time (the tmpfs-backed image of the paper).
 //!
@@ -23,8 +23,5 @@ mod queue;
 pub use blk::{
     BlkConfig, BlkStats, VirtioBlk, BLK_MMIO_BASE, BLK_T_IN, BLK_T_OUT, REG_BLK_NOTIFY, SECTOR_SIZE,
 };
-pub use net::{
-    NetConfig, NetStats, PeerMode, VirtioNet, NET_MMIO_BASE, REG_RX_NOTIFY, REG_STATUS,
-    REG_TX_NOTIFY,
-};
+pub use net::{NetConfig, NetStats, VirtioNet, NET_MMIO_BASE, REG_STATUS, REG_TX_NOTIFY};
 pub use queue::{DescChain, Descriptor, QueueError, Virtqueue, DESC_F_NEXT, DESC_F_WRITE};

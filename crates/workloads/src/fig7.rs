@@ -73,7 +73,6 @@ pub fn net_stream_mbps(mode: SwitchMode, packets: u64) -> f64 {
     let net = VirtioNet::new(
         NetConfig::stream(&cost, 16),
         Virtqueue::new(layout::TX_QUEUE, QUEUE_SIZE),
-        Virtqueue::new(layout::RX_QUEUE, QUEUE_SIZE),
     );
     m.add_device(Box::new(net));
     let mut sender = StreamSender::new(&cost, 16_384, 16, packets);

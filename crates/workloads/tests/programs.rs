@@ -13,7 +13,6 @@ fn stream_machine(mode: SwitchMode, coalesce: u32) -> Machine {
     let net = VirtioNet::new(
         NetConfig::stream(&cost, coalesce),
         Virtqueue::new(layout::TX_QUEUE, QUEUE_SIZE),
-        Virtqueue::new(layout::RX_QUEUE, QUEUE_SIZE),
     );
     m.add_device(Box::new(net));
     m

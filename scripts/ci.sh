@@ -256,6 +256,15 @@ else:
 if sw[0]["total_injected"] == 0:
     print("FAIL: armed smoke cell injected nothing")
     ok = False
+# Both SW-SVt paths that hand a trap to the baseline engine's mechanics
+# must run: traps served on the fallback path, and traps finished the
+# classic way after their resume leg gave up.
+for key in ("fallback_traps", "resume_fallbacks"):
+    if sw[0][key] > 0:
+        print(f"ok   SW SVt smoke cell {key} = {sw[0][key]}")
+    else:
+        print(f"FAIL: SW SVt smoke cell has no {key}")
+        ok = False
 sys.exit(0 if ok else 1)
 PY
 
