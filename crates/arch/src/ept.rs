@@ -8,7 +8,6 @@
 //! (deliberately misconfigured) so device accesses raise
 //! `EPT_MISCONFIG` exits for emulation, as KVM does for virtio BARs.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use svt_mem::{Gpa, PAGE_SIZE};
@@ -134,7 +133,56 @@ impl Snap for Entry {
     }
 }
 
+/// A run of consecutive pages with one kind of entry: every page is
+/// MMIO, or page `first + i` targets the first page's target plus `i`,
+/// all with the same permissions.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    first: u64,
+    pages: u64,
+    entry: Entry,
+}
+
+impl Run {
+    fn last(&self) -> u64 {
+        self.first + (self.pages - 1)
+    }
+
+    /// The entry of `page`, which must lie in the run.
+    fn entry_at(&self, page: u64) -> Entry {
+        match self.entry {
+            Entry::Mmio => Entry::Mmio,
+            Entry::Mapped { target_page, perms } => Entry::Mapped {
+                target_page: target_page + (page - self.first),
+                perms,
+            },
+        }
+    }
+
+    /// Whether `next` starts right after this run and continues it, so
+    /// the two are one run. A target range never wraps past `u64::MAX`.
+    fn continues_into(&self, next: &Run) -> bool {
+        next.first - self.first == self.pages
+            && match (self.entry, next.entry) {
+                (Entry::Mmio, Entry::Mmio) => true,
+                (
+                    Entry::Mapped { target_page, perms },
+                    Entry::Mapped {
+                        target_page: next_target,
+                        perms: next_perms,
+                    },
+                ) => {
+                    perms == next_perms && target_page.checked_add(self.pages) == Some(next_target)
+                }
+                _ => false,
+            }
+    }
+}
+
 /// One extended-page-table hierarchy (page-granular).
+///
+/// Pages are stored as sorted, disjoint runs of consecutive pages, so an
+/// identity map, and a compose of two of them, is one run.
 ///
 /// # Examples
 ///
@@ -149,29 +197,44 @@ impl Snap for Entry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Ept {
-    entries: BTreeMap<u64, Entry>,
+    /// Sorted by first page; no two adjacent runs continue each other.
+    runs: Vec<Run>,
     generation: u64,
     /// Identity of this table's contents; see [`Ept::stamp`].
     stamp: u64,
 }
 
-/// The stamp is not state: a loaded table gets a fresh one, so a compose
-/// cached against the old contents cannot be mistaken for current.
+/// The generation, then the page count and every `(page, entry)` pair in
+/// page order. The stamp is not state: a loaded table gets a fresh one,
+/// so a compose cached against the old contents cannot be mistaken for
+/// current. Pairs load one by one, so a later duplicate page wins.
 impl Snap for Ept {
     fn save<S: Sink + ?Sized>(&self, w: &mut S) {
         let Ept {
-            entries,
+            runs,
             generation,
             stamp: _,
         } = self;
         generation.save(w);
-        entries.save(w);
+        self.len().save(w);
+        for run in runs {
+            for page in run.first..=run.last() {
+                page.save(w);
+                run.entry_at(page).save(w);
+            }
+        }
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.touch();
         self.generation.load(r)?;
-        self.entries.load(r)
+        self.runs.clear();
+        let n: usize = load_new(r)?;
+        for _ in 0..n {
+            let (page, entry) = load_new(r)?;
+            self.assign(page, 1, Some(entry));
+        }
+        Ok(())
     }
 }
 
@@ -196,41 +259,94 @@ impl Ept {
         self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Gives the `n` pages from `first` on the entries of a run starting
+    /// with `entry`, or unmaps them (`None`): splits the runs they cut
+    /// and merges the new run with a neighbour it continues.
+    fn assign(&mut self, first: u64, n: u64, entry: Option<Entry>) {
+        if n == 0 {
+            return;
+        }
+        let last = first + (n - 1);
+        let lo = self.runs.partition_point(|r| r.last() < first);
+        let hi = self.runs.partition_point(|r| r.first <= last);
+        let mut pieces = [None; 3];
+        if lo < hi {
+            let (head, tail) = (self.runs[lo], self.runs[hi - 1]);
+            if head.first < first {
+                pieces[0] = Some(Run {
+                    pages: first - head.first,
+                    ..head
+                });
+            }
+            if tail.last() > last {
+                pieces[2] = Some(Run {
+                    first: last + 1,
+                    pages: tail.last() - last,
+                    entry: tail.entry_at(last + 1),
+                });
+            }
+        }
+        pieces[1] = entry.map(|entry| Run {
+            first,
+            pages: n,
+            entry,
+        });
+        let at = lo + usize::from(pieces[0].is_some());
+        // Drain and insert rather than splice: a splice that grows the
+        // vector mid-way collects its surplus into a temporary vector.
+        self.runs.drain(lo..hi);
+        for run in pieces.into_iter().flatten().rev() {
+            self.runs.insert(lo, run);
+        }
+        if entry.is_some() {
+            if at + 1 < self.runs.len() && self.runs[at].continues_into(&self.runs[at + 1]) {
+                self.runs[at].pages += self.runs.remove(at + 1).pages;
+            }
+            if at > 0 && self.runs[at - 1].continues_into(&self.runs[at]) {
+                self.runs[at - 1].pages += self.runs.remove(at).pages;
+            }
+        }
+    }
+
+    /// The entry of `page`, if mapped or MMIO.
+    fn entry(&self, page: u64) -> Option<Entry> {
+        let i = self.runs.partition_point(|r| r.first <= page);
+        let run = self.runs[..i].last()?;
+        (page - run.first < run.pages).then(|| run.entry_at(page))
+    }
+
     /// Maps guest page `gpa_page` to target page `target_page`.
     pub fn map_page(&mut self, gpa_page: u64, target_page: u64, perms: EptPerms) {
-        self.entries
-            .insert(gpa_page, Entry::Mapped { target_page, perms });
+        self.assign(gpa_page, 1, Some(Entry::Mapped { target_page, perms }));
         self.touch();
     }
 
     /// Identity-maps `n` pages starting at page `start`.
     pub fn identity_map(&mut self, start: u64, n: u64, perms: EptPerms) {
-        for p in start..start + n {
-            let entry = Entry::Mapped {
-                target_page: p,
-                perms,
-            };
-            self.entries.insert(p, entry);
-        }
+        let entry = Entry::Mapped {
+            target_page: start,
+            perms,
+        };
+        self.assign(start, n, Some(entry));
         self.touch();
     }
 
     /// Marks a page as MMIO: any access raises [`EptFault::Misconfig`],
     /// the device-emulation fast path.
     pub fn mark_mmio(&mut self, gpa_page: u64) {
-        self.entries.insert(gpa_page, Entry::Mmio);
+        self.assign(gpa_page, 1, Some(Entry::Mmio));
         self.touch();
     }
 
     /// Removes a mapping.
     pub fn unmap(&mut self, gpa_page: u64) {
-        self.entries.remove(&gpa_page);
+        self.assign(gpa_page, 1, None);
         self.touch();
     }
 
     /// Drops every mapping (`invept` single-context flush).
     pub fn invalidate_all(&mut self) {
-        self.entries.clear();
+        self.runs.clear();
         self.generation += 1;
         self.touch();
     }
@@ -243,12 +359,12 @@ impl Ept {
 
     /// Number of mapped (or MMIO) pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.runs.iter().map(|r| r.pages as usize).sum()
     }
 
     /// Whether no pages are mapped.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.runs.is_empty()
     }
 
     /// Translates an address in the source space to the target space.
@@ -258,7 +374,7 @@ impl Ept {
     /// [`EptFault::Violation`] for unmapped pages or permission failures;
     /// [`EptFault::Misconfig`] for MMIO pages.
     pub fn translate(&self, gpa: Gpa, access: Access) -> Result<Gpa, EptFault> {
-        match self.entries.get(&gpa.page()) {
+        match self.entry(gpa.page()) {
             None => Err(EptFault::Violation { gpa, access }),
             Some(Entry::Mmio) => Err(EptFault::Misconfig { gpa }),
             Some(Entry::Mapped { target_page, perms }) => {
@@ -282,24 +398,35 @@ impl Ept {
     ///   left unmapped — they fault as violations on access and L0 fills
     ///   them lazily, like real shadow paging.
     /// * Permissions intersect.
+    ///
+    /// Each inner run is cut where the outer runs under its targets start
+    /// and end, so the work is per run, not per page.
     pub fn compose(&self, outer: &Ept) -> Ept {
         let mut out = Ept::new();
-        for (&g2_page, entry) in &self.entries {
-            let composed = match entry {
-                Entry::Mmio => Entry::Mmio,
-                Entry::Mapped { target_page, perms } => match outer.entries.get(target_page) {
-                    Some(Entry::Mmio) => Entry::Mmio,
-                    Some(Entry::Mapped {
+        for run in &self.runs {
+            let Entry::Mapped { target_page, perms } = run.entry else {
+                out.assign(run.first, run.pages, Some(Entry::Mmio));
+                continue;
+            };
+            let target_last = target_page + (run.pages - 1);
+            let from = outer.runs.partition_point(|o| o.last() < target_page);
+            for o in outer.runs[from..]
+                .iter()
+                .take_while(|o| o.first <= target_last)
+            {
+                let (t0, t1) = (o.first.max(target_page), o.last().min(target_last));
+                let entry = match o.entry_at(t0) {
+                    Entry::Mmio => Entry::Mmio,
+                    Entry::Mapped {
                         target_page: hpa_page,
                         perms: outer_perms,
-                    }) => Entry::Mapped {
-                        target_page: *hpa_page,
-                        perms: perms.intersect(*outer_perms),
+                    } => Entry::Mapped {
+                        target_page: hpa_page,
+                        perms: perms.intersect(outer_perms),
                     },
-                    None => continue,
-                },
-            };
-            out.entries.insert(g2_page, composed);
+                };
+                out.assign(run.first + (t0 - target_page), t1 - t0 + 1, Some(entry));
+            }
         }
         out.touch();
         out

@@ -141,15 +141,15 @@ impl Command {
     }
 
     /// Serializes to the ring-payload byte layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(PAYLOAD_LEN);
-        out.extend_from_slice(&self.kind.to_le_bytes());
-        out.extend_from_slice(&self.csum.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.code.to_le_bytes());
-        out.extend_from_slice(&self.qual.to_le_bytes());
-        for (_, v) in self.gprs.iter() {
-            out.extend_from_slice(&v.to_le_bytes());
+    pub fn encode(&self) -> [u8; PAYLOAD_LEN] {
+        let mut out = [0u8; PAYLOAD_LEN];
+        out[0..4].copy_from_slice(&self.kind.to_le_bytes());
+        out[4..8].copy_from_slice(&self.csum.to_le_bytes());
+        let words = [self.seq, self.code, self.qual]
+            .into_iter()
+            .chain(self.gprs.iter().map(|(_, v)| v));
+        for (chunk, v) in out[8..].chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&v.to_le_bytes());
         }
         out
     }
@@ -238,7 +238,7 @@ mod tests {
         let c = sample();
         let clean = c.encode();
         for i in 0..PAYLOAD_LEN {
-            let mut bytes = clean.clone();
+            let mut bytes = clean;
             bytes[i] ^= 0xa5;
             let got = Command::decode(&bytes).unwrap();
             assert!(!got.verify(), "flip at byte {i} slipped past the checksum");

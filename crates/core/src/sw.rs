@@ -209,7 +209,6 @@ impl SwSvtReflector {
     ) -> Result<(), ProtocolError> {
         let ring = self.ring(ring_is_cmd);
         let payload = cmd.encode();
-        debug_assert_eq!(payload.len(), PAYLOAD_LEN);
         let (enq, deq) = if ring_is_cmd {
             ("svt_cmd_enqueue", "svt_cmd_dequeue")
         } else {
@@ -222,7 +221,7 @@ impl SwSvtReflector {
                 .inc(MetricKey::new("svt_ring_full").reflector("sw-svt"));
             // Every queued entry is from an earlier, already-failed
             // attempt (the protocol is lockstep); discard the oldest.
-            match ring.pop(&mut m.ram) {
+            match ring.pop(&mut m.ram, &mut []) {
                 Ok(Some(_)) => {
                     m.obs.causal.ring_dequeue(deq, key, m.clock.now());
                 }
@@ -257,14 +256,15 @@ impl SwSvtReflector {
             "svt_resp_dequeue"
         };
         let key = Self::ring_key(m, ring_is_cmd);
+        let mut payload = [0u8; PAYLOAD_LEN];
         loop {
-            let payload = match ring.pop(&mut m.ram) {
-                Ok(Some(p)) => p,
+            let len = match ring.pop(&mut m.ram, &mut payload) {
+                Ok(Some(len)) => len,
                 Ok(None) => return Err(ProtocolError::Empty),
                 Err(_) => return Err(ProtocolError::Malformed),
             };
             m.obs.causal.ring_dequeue(phase, key, m.clock.now());
-            let Some(cmd) = Command::decode(&payload) else {
+            let Some(cmd) = payload.get(..len).and_then(Command::decode) else {
                 return Err(ProtocolError::Malformed);
             };
             if !cmd.verify() {
@@ -303,7 +303,7 @@ impl SwSvtReflector {
             "svt_resp_dequeue"
         };
         let key = Self::ring_key(m, ring_is_cmd);
-        while let Ok(Some(_)) = ring.pop(&mut m.ram) {
+        while let Ok(Some(_)) = ring.pop(&mut m.ram, &mut []) {
             m.obs.causal.ring_dequeue(phase, key, m.clock.now());
             m.obs
                 .metrics

@@ -82,7 +82,9 @@ impl From<OutOfRange> for RingError {
 /// let ring = CommandRing::new(Hpa(0x1000), 64, 8);
 /// ring.init(&mut ram)?;
 /// ring.push(&mut ram, b"CMD_VM_TRAP")?;
-/// assert_eq!(ring.pop(&mut ram)?, Some(b"CMD_VM_TRAP".to_vec()));
+/// let mut buf = [0u8; 60];
+/// let len = ring.pop(&mut ram, &mut buf)?.unwrap();
+/// assert_eq!(&buf[..len], b"CMD_VM_TRAP");
 /// # Ok(())
 /// # }
 /// ```
@@ -249,39 +251,25 @@ impl CommandRing {
         Ok(())
     }
 
-    /// Dequeues the oldest command payload, or `None` if the ring is empty.
+    /// Dequeues the oldest command payload into `buf` and returns its
+    /// length, or `None` if the ring is empty. A stored length above
+    /// [`CommandRing::max_payload`] reads as that maximum; a payload
+    /// longer than `buf` fills `buf` and still reports its own length.
     ///
     /// # Errors
     ///
     /// Returns an error if the ring's memory is out of range.
-    pub fn pop(&self, ram: &mut GuestMemory) -> Result<Option<Vec<u8>>, RingError> {
+    pub fn pop(&self, ram: &mut GuestMemory, buf: &mut [u8]) -> Result<Option<usize>, RingError> {
         if self.is_empty(ram)? {
             return Ok(None);
         }
         let tail = self.tail(ram)?;
         let slot = self.slot_addr(tail);
-        let len = ram.read_u32(slot)? as usize;
-        let mut payload = vec![0u8; len.min(self.max_payload())];
-        ram.read(slot + 4, &mut payload)?;
+        let len = (ram.read_u32(slot)? as usize).min(self.max_payload());
+        let copied = len.min(buf.len());
+        ram.read(slot + 4, &mut buf[..copied])?;
         ram.write_u32(self.base + TAIL_OFF, (tail + 1) % self.index_wrap())?;
-        Ok(Some(payload))
-    }
-
-    /// Peeks at the oldest command without consuming it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the ring's memory is out of range.
-    pub fn peek(&self, ram: &GuestMemory) -> Result<Option<Vec<u8>>, RingError> {
-        if self.is_empty(ram)? {
-            return Ok(None);
-        }
-        let tail = self.tail(ram)?;
-        let slot = self.slot_addr(tail);
-        let len = ram.read_u32(slot)? as usize;
-        let mut payload = vec![0u8; len.min(self.max_payload())];
-        ram.read(slot + 4, &mut payload)?;
-        Ok(Some(payload))
+        Ok(Some(len))
     }
 
     /// Flips one payload byte of the most recently queued command — the
@@ -314,6 +302,13 @@ impl CommandRing {
 mod tests {
     use super::*;
 
+    /// Pops one payload as an owned vector.
+    fn pop(ring: &CommandRing, ram: &mut GuestMemory) -> Option<Vec<u8>> {
+        let mut buf = [0u8; 64];
+        let len = ring.pop(ram, &mut buf).unwrap()?;
+        Some(buf[..len].to_vec())
+    }
+
     fn setup() -> (GuestMemory, CommandRing) {
         let mut ram = GuestMemory::new(1 << 20);
         let ring = CommandRing::new(Hpa(0x2000), 64, 4);
@@ -327,9 +322,9 @@ mod tests {
         ring.push(&mut ram, b"one").unwrap();
         ring.push(&mut ram, b"two").unwrap();
         assert_eq!(ring.len(&ram).unwrap(), 2);
-        assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), b"one");
-        assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), b"two");
-        assert_eq!(ring.pop(&mut ram).unwrap(), None);
+        assert_eq!(pop(&ring, &mut ram).unwrap(), b"one");
+        assert_eq!(pop(&ring, &mut ram).unwrap(), b"two");
+        assert_eq!(pop(&ring, &mut ram), None);
     }
 
     #[test]
@@ -341,7 +336,7 @@ mod tests {
         assert!(ring.is_full(&ram).unwrap());
         assert_eq!(ring.push(&mut ram, b"x"), Err(RingError::Full));
         // Draining one slot frees space.
-        assert!(ring.pop(&mut ram).unwrap().is_some());
+        assert!(pop(&ring, &mut ram).is_some());
         ring.push(&mut ram, b"x").unwrap();
     }
 
@@ -350,7 +345,7 @@ mod tests {
         let (mut ram, ring) = setup();
         for round in 0..100u32 {
             ring.push(&mut ram, &round.to_le_bytes()).unwrap();
-            let got = ring.pop(&mut ram).unwrap().unwrap();
+            let got = pop(&ring, &mut ram).unwrap();
             assert_eq!(got, round.to_le_bytes());
         }
         assert!(ring.is_empty(&ram).unwrap());
@@ -369,12 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
+    fn pop_reports_the_length_beyond_a_short_buffer() {
         let (mut ram, ring) = setup();
-        ring.push(&mut ram, b"cmd").unwrap();
-        assert_eq!(ring.peek(&ram).unwrap().unwrap(), b"cmd");
-        assert_eq!(ring.len(&ram).unwrap(), 1);
-        assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), b"cmd");
+        ring.push(&mut ram, b"longer").unwrap();
+        let mut buf = [0u8; 4];
+        assert_eq!(ring.pop(&mut ram, &mut buf).unwrap(), Some(6));
+        assert_eq!(&buf, b"long");
+        assert!(ring.is_empty(&ram).unwrap());
     }
 
     #[test]
@@ -384,7 +380,7 @@ mod tests {
         // A second CommandRing value describing the same geometry sees the
         // same state: nothing is cached in the struct.
         let alias = CommandRing::new(Hpa(0x2000), 64, 4);
-        assert_eq!(alias.pop(&mut ram).unwrap().unwrap(), b"persisted");
+        assert_eq!(pop(&alias, &mut ram).unwrap(), b"persisted");
     }
 
     #[test]
@@ -396,8 +392,8 @@ mod tests {
         b.init(&mut ram).unwrap();
         a.push(&mut ram, b"to-l1").unwrap();
         b.push(&mut ram, b"to-l0").unwrap();
-        assert_eq!(a.pop(&mut ram).unwrap().unwrap(), b"to-l1");
-        assert_eq!(b.pop(&mut ram).unwrap().unwrap(), b"to-l0");
+        assert_eq!(pop(&a, &mut ram).unwrap(), b"to-l1");
+        assert_eq!(pop(&b, &mut ram).unwrap(), b"to-l0");
     }
 
     #[test]
@@ -407,8 +403,8 @@ mod tests {
         ring.push(&mut ram, b"bbbb").unwrap();
         assert!(ring.corrupt_newest(&mut ram, 1).unwrap());
         // The oldest entry is untouched; the newest has one byte flipped.
-        assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), b"aaaa");
-        let got = ring.pop(&mut ram).unwrap().unwrap();
+        assert_eq!(pop(&ring, &mut ram).unwrap(), b"aaaa");
+        let got = pop(&ring, &mut ram).unwrap();
         assert_eq!(got, [b'b', b'b' ^ 0xa5, b'b', b'b']);
     }
 

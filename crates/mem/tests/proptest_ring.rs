@@ -6,6 +6,13 @@
 use svt_mem::{CommandRing, GuestMemory, Hpa};
 use svt_sim::DetRng;
 
+/// Pops one payload as an owned vector.
+fn pop(ring: &CommandRing, ram: &mut GuestMemory) -> Option<Vec<u8>> {
+    let mut buf = [0u8; 64];
+    let len = ring.pop(ram, &mut buf).unwrap()?;
+    Some(buf[..len].to_vec())
+}
+
 #[test]
 fn ring_capacity_is_exact() {
     let mut rng = DetRng::seed(0x51a7_0001);
@@ -24,7 +31,7 @@ fn ring_capacity_is_exact() {
         assert!(ring.push(&mut ram, b"x").is_err());
         // Draining restores capacity in FIFO order.
         for i in 0..slots {
-            let p = ring.pop(&mut ram).unwrap().unwrap();
+            let p = pop(&ring, &mut ram).unwrap();
             assert_eq!(p, vec![i as u8; payload_len]);
         }
         assert!(ring.is_empty(&ram).unwrap());
@@ -65,7 +72,7 @@ fn wraparound_preserves_fifo_and_full_is_typed() {
                 }
             } else {
                 assert_eq!(
-                    ring.pop(&mut ram).unwrap(),
+                    pop(&ring, &mut ram),
                     model.pop_front(),
                     "case {case} op {op}: FIFO order broken across wraparound"
                 );
@@ -75,7 +82,7 @@ fn wraparound_preserves_fifo_and_full_is_typed() {
         }
         // Drain: everything queued comes back, in order.
         while let Some(want) = model.pop_front() {
-            assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), want);
+            assert_eq!(pop(&ring, &mut ram).unwrap(), want);
         }
         assert!(ring.is_empty(&ram).unwrap());
     }
@@ -108,10 +115,10 @@ fn rings_with_disjoint_footprints_never_interfere() {
                 q.push_back(payload.clone());
             }
         }
-        while let Some(p) = a.pop(&mut ram).unwrap() {
+        while let Some(p) = pop(&a, &mut ram) {
             assert_eq!(Some(p), qa.pop_front());
         }
-        while let Some(p) = b.pop(&mut ram).unwrap() {
+        while let Some(p) = pop(&b, &mut ram) {
             assert_eq!(Some(p), qb.pop_front());
         }
         assert!(qa.is_empty() && qb.is_empty());

@@ -411,4 +411,24 @@ mod tests {
         let counters: Vec<(MetricKey, u64)> = m.iter_counters_sorted().collect();
         assert_eq!(counters, vec![(MetricKey::new("seen"), 0)]);
     }
+
+    #[test]
+    fn reinterned_keys_find_their_ids_after_a_load() {
+        // A loaded key's strings are re-interned copies: the key must
+        // hash and compare by content to reach the same id.
+        let key = MetricKey::new("vm_exit_with_a_long_name")
+            .level(ObsLevel::L2)
+            .exit("EPT_MISCONFIG")
+            .reflector("sw-svt")
+            .vcpu(3);
+        let mut m = MetricsRegistry::new();
+        m.add(key, 5);
+        m.add(MetricKey::new("vm_exit_with_a_long_name").vcpu(3), 1);
+        let mut back = MetricsRegistry::new();
+        svt_sim::snapshot::from_bytes(&mut back, &svt_sim::snapshot::to_bytes(&m)).unwrap();
+        back.inc(key);
+        assert_eq!(back.counter(key), 6);
+        assert_eq!(back.counter_total("vm_exit_with_a_long_name"), 7);
+        assert_eq!(back.iter_counters_sorted().count(), 2);
+    }
 }

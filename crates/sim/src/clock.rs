@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::hash::FnvHashMap;
-use crate::snap_fields;
+use crate::snapshot::{load_items, load_new, save_items, Sink, Snap, SnapError, SnapReader};
 use crate::time::{SimDuration, SimTime};
 
 /// Attribution bucket matching Table 1 of the paper, plus buckets for the
@@ -148,8 +148,20 @@ pub struct Clock {
     // the hottest function in the simulator (every primitive cost passes
     // through it), so attribution must not pay a map lookup per call.
     part_time: [SimDuration; CostPart::COUNT],
-    tag_stack: Vec<&'static str>,
-    tag_time: FnvHashMap<&'static str, SimDuration>,
+    // Each entered tag with its slot, looked up once by `push_tag`, so
+    // `charge` adds to a tag's time without hashing the name.
+    tag_stack: Vec<(&'static str, usize)>,
+    tag_slots: FnvHashMap<&'static str, usize>,
+    slots: Vec<TagSlot>,
+}
+
+/// One tag's attributed time. `time` is `None` until the tag is charged
+/// (a zero duration counts) after the last [`Clock::reset_attribution`]:
+/// only present slots appear in the tag views and in snapshots.
+#[derive(Debug)]
+struct TagSlot {
+    tag: &'static str,
+    time: Option<SimDuration>,
 }
 
 impl Clock {
@@ -170,8 +182,8 @@ impl Clock {
         self.now += d;
         let part = self.part_stack.last().copied().unwrap_or(CostPart::Other);
         self.part_time[part.index()] += d;
-        if let Some(tag) = self.tag_stack.last() {
-            *self.tag_time.entry(tag).or_default() += d;
+        if let Some(&(_, slot)) = self.tag_stack.last() {
+            *self.slots[slot].time.get_or_insert(SimDuration::ZERO) += d;
         }
     }
 
@@ -213,7 +225,8 @@ impl Clock {
 
     /// Enters a free-form attribution tag (e.g. an exit-reason name).
     pub fn push_tag(&mut self, tag: &'static str) {
-        self.tag_stack.push(tag);
+        let slot = self.slot_of(tag);
+        self.tag_stack.push((tag, slot));
     }
 
     /// Leaves a free-form attribution tag.
@@ -222,8 +235,23 @@ impl Clock {
     ///
     /// Panics if `tag` is not the innermost entered tag.
     pub fn pop_tag(&mut self, tag: &'static str) {
-        let top = self.tag_stack.pop();
+        let top = self.tag_stack.pop().map(|(t, _)| t);
         assert_eq!(top, Some(tag), "mismatched tag pop");
+    }
+
+    /// The slot attributing `tag`, made on its first use.
+    fn slot_of(&mut self, tag: &'static str) -> usize {
+        if let Some(&slot) = self.tag_slots.get(tag) {
+            return slot;
+        }
+        self.slots.push(TagSlot { tag, time: None });
+        self.tag_slots.insert(tag, self.slots.len() - 1);
+        self.slots.len() - 1
+    }
+
+    /// Every tag charged since the last reset, with its time.
+    fn present_tags(&self) -> impl Iterator<Item = (&'static str, SimDuration)> + '_ {
+        self.slots.iter().filter_map(|s| Some((s.tag, s.time?)))
     }
 
     /// Total time attributed to `part` so far.
@@ -234,12 +262,15 @@ impl Clock {
 
     /// Total time attributed to `tag` so far.
     pub fn tag_time(&self, tag: &str) -> SimDuration {
-        self.tag_time.get(tag).copied().unwrap_or_default()
+        self.tag_slots
+            .get(tag)
+            .and_then(|&slot| self.slots[slot].time)
+            .unwrap_or_default()
     }
 
     /// All tags with attributed time, sorted by descending time.
     pub fn tags_by_time(&self) -> Vec<(&'static str, SimDuration)> {
-        let mut v: Vec<_> = self.tag_time.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut v: Vec<_> = self.present_tags().collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         v
     }
@@ -248,7 +279,7 @@ impl Clock {
     /// warm-up iterations).
     pub fn reset_attribution(&mut self) {
         self.part_time = [SimDuration::ZERO; CostPart::COUNT];
-        self.tag_time.clear();
+        self.slots.iter_mut().for_each(|s| s.time = None);
     }
 
     /// Takes a snapshot of the attribution state for later differencing.
@@ -263,7 +294,7 @@ impl Clock {
                 .map(|&p| (p, self.part_time[p.index()]))
                 .filter(|(_, d)| !d.is_zero())
                 .collect(),
-            tag_time: self.tag_time.iter().map(|(k, v)| (*k, *v)).collect(),
+            tag_time: self.present_tags().collect(),
         }
     }
 
@@ -280,19 +311,47 @@ impl Clock {
                 .filter(|(_, v)| !v.is_zero())
                 .collect(),
             tag_time: self
-                .tag_time
-                .iter()
-                .map(|(k, v)| {
-                    let prev = base.tag_time.get(k).copied().unwrap_or_default();
-                    (*k, v.saturating_sub(prev))
-                })
+                .present_tags()
+                .map(|(k, v)| (k, v.saturating_sub(base.tag_time(k))))
                 .filter(|(_, v)| !v.is_zero())
                 .collect(),
         }
     }
 }
 
-snap_fields! { Clock { now, part_stack, part_time, tag_stack, tag_time } }
+/// The instant, the part stack and times, the tag stack as names, then
+/// the present tag slots as a key-sorted map.
+impl Snap for Clock {
+    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
+        let Clock {
+            now,
+            part_stack,
+            part_time,
+            tag_stack,
+            tag_slots: _,
+            slots: _,
+        } = self;
+        now.save(w);
+        part_stack.save(w);
+        part_time.save(w);
+        save_items(tag_stack.len(), tag_stack.iter().map(|(t, _)| t), w);
+        let mut present: Vec<_> = self.present_tags().collect();
+        present.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        save_items(present.len(), present.iter(), w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = Clock::default();
+        (self.now, self.part_stack, self.part_time) = load_new(r)?;
+        for tag in load_new::<Vec<&'static str>>(r)? {
+            self.push_tag(tag);
+        }
+        load_items(r, |(tag, time), _| {
+            let slot = self.slot_of(tag);
+            self.slots[slot].time = Some(time);
+        })
+    }
+}
 
 /// A frozen view of the clock's attribution state.
 #[derive(Debug, Clone, Default)]

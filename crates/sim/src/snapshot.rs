@@ -797,7 +797,7 @@ impl<T: Snap> Snap for Rc<RefCell<T>> {
 }
 
 /// Writes a length and then `items`, in the order given.
-fn save_items<'a, T: Snap + 'a, S: Sink + ?Sized>(
+pub(crate) fn save_items<'a, T: Snap + 'a, S: Sink + ?Sized>(
     len: usize,
     items: impl Iterator<Item = &'a T>,
     w: &mut S,
@@ -811,7 +811,7 @@ fn save_items<'a, T: Snap + 'a, S: Sink + ?Sized>(
 /// not trusted: the reservation is at most the bytes still unread (every
 /// item takes at least one), so a hostile count runs into
 /// [`SnapError::UnexpectedEof`] instead of an allocation abort.
-fn load_items<T: Snap + Default>(
+pub(crate) fn load_items<T: Snap + Default>(
     r: &mut SnapReader<'_>,
     mut put: impl FnMut(T, usize),
 ) -> Result<(), SnapError> {

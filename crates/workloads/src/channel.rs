@@ -182,17 +182,16 @@ pub fn simulate_channel_round_ns(
                 Mechanism::FunctionCall => unreachable!(),
             };
             clock.charge(wake);
-            let got = cmd.pop(ram).expect("ring in RAM").expect("command present");
-            assert_eq!(got, seq.to_le_bytes());
+            let mut got = [0u8; 4];
+            let len = cmd.pop(ram, &mut got).expect("ring in RAM");
+            assert_eq!((len, got), (Some(4), seq.to_le_bytes()));
             // ...and answers; the requester wakes the same way.
             rsp.push(ram, &seq.to_le_bytes()).expect("ring has room");
             clock.charge(cost.cacheline(placement) * 2);
             clock.charge(wake);
-            let back = rsp
-                .pop(ram)
-                .expect("ring in RAM")
-                .expect("response present");
-            assert_eq!(back, seq.to_le_bytes());
+            let mut back = [0u8; 4];
+            let len = rsp.pop(ram, &mut back).expect("ring in RAM");
+            assert_eq!((len, back), (Some(4), seq.to_le_bytes()));
         }
         clock.pop_part(CostPart::Channel);
         clock.now().since(t0).as_ns()

@@ -56,9 +56,12 @@ pub struct ChaosPoint {
 }
 
 impl ChaosPoint {
-    /// Share of reflected traps served by the fallback path, in [0, 1].
+    /// Share of reflected traps that fell back whole, in [0, 1]: traps
+    /// whose command leg failed, so the classic world switch served the
+    /// trap, over every reflected trap (ring traps, whole fallbacks and
+    /// traps whose resume leg alone fell back).
     pub fn fallback_rate(&self) -> f64 {
-        let total = self.ring_traps + self.fallback_traps;
+        let total = self.ring_traps + self.fallback_traps + self.resume_fallbacks;
         if total == 0 {
             0.0
         } else {
@@ -213,6 +216,17 @@ mod tests {
             chaos.retransmits + chaos.timeouts + chaos.duplicates_dropped > 0,
             "{chaos:?}"
         );
+    }
+
+    #[test]
+    fn fallback_rate_counts_resume_fallbacks_as_reflected_traps() {
+        let p = ChaosPoint {
+            ring_traps: 484,
+            fallback_traps: 172,
+            resume_fallbacks: 11,
+            ..ChaosPoint::default()
+        };
+        assert_eq!(p.fallback_rate(), 172.0 / 667.0);
     }
 
     #[test]

@@ -50,17 +50,18 @@ fn command_ring_is_fifo() {
         ring.init(&mut ram).unwrap();
         let mut pushed = 0u32;
         let mut popped = 0u32;
+        let mut buf = [0u8; 64];
         for &push in &ops {
             if push && !ring.is_full(&ram).unwrap() {
                 ring.push(&mut ram, &pushed.to_le_bytes()).unwrap();
                 pushed += 1;
-            } else if let Some(payload) = ring.pop(&mut ram).unwrap() {
-                assert_eq!(payload, popped.to_le_bytes().to_vec());
+            } else if let Some(len) = ring.pop(&mut ram, &mut buf).unwrap() {
+                assert_eq!(buf[..len], popped.to_le_bytes());
                 popped += 1;
             }
         }
-        while let Some(payload) = ring.pop(&mut ram).unwrap() {
-            assert_eq!(payload, popped.to_le_bytes().to_vec());
+        while let Some(len) = ring.pop(&mut ram, &mut buf).unwrap() {
+            assert_eq!(buf[..len], popped.to_le_bytes());
             popped += 1;
         }
         assert_eq!(pushed, popped);
