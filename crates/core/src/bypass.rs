@@ -13,11 +13,13 @@
 //! little of this performance for far simpler hardware.
 
 use svt_arch::{ExitReason, VmcsField};
-use svt_cpu::{CtxtLevel, Gpr};
+use svt_cpu::Gpr;
 use svt_hv::{Machine, Reflector};
 use svt_sim::CostPart;
 
-use crate::hw::{ctxt_gpr_read, ctxt_gpr_write, stall_resume, svt_l1_trap, CTX_L0, CTX_L1, CTX_L2};
+use crate::hw::{
+    ctxt_gpr_read, ctxt_gpr_write, enter_l2_context, stall_resume, svt_l1_trap, CTX_L1, CTX_L2,
+};
 
 /// The bypass engine: SVt contexts plus direct L2→L1 trap delivery.
 ///
@@ -57,19 +59,7 @@ impl BypassReflector {
             return;
         }
         self.initialized = true;
-        let micro = m.core.micro_mut();
-        micro.visor = Some(CTX_L0);
-        micro.vm = Some(CTX_L2);
-        micro.nested = Some(CTX_L2);
-        let gprs = m.vcpu2().gprs;
-        m.core.micro_mut().is_vm = false;
-        for (r, v) in gprs.iter() {
-            m.core
-                .ctxtst(CtxtLevel::Guest, r, v)
-                .expect("ctx2 configured");
-        }
-        m.core.switch_to(CTX_L2).expect("ctx2 exists");
-        m.core.micro_mut().is_vm = true;
+        enter_l2_context(m, CTX_L2);
     }
 }
 

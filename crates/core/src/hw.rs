@@ -90,44 +90,26 @@ impl HwSvtReflector {
             return;
         }
         self.initialized = true;
-        let l2_ctx = if self.full() { CTX_L2 } else { CtxId(1) };
+        let l2 = self.l2_ctx();
         // vmcs01: L0 runs L1 in ctx1 (or multiplexed on ctx0); L1 reaches
         // its nested VM through SVt_nested.
-        let full = self.full();
+        let vm = if self.full() { CTX_L1 } else { CTX_L0 };
         let vmcs01 = m.vmcs01_mut();
         vmcs01.set_svt_ctx(VmcsField::SvtVisor, Some(CTX_L0.0));
-        vmcs01.set_svt_ctx(
-            VmcsField::SvtVm,
-            Some(if full { CTX_L1.0 } else { CTX_L0.0 }),
-        );
-        vmcs01.set_svt_ctx(VmcsField::SvtNested, Some(l2_ctx.0));
+        vmcs01.set_svt_ctx(VmcsField::SvtVm, Some(vm.0));
+        vmcs01.set_svt_ctx(VmcsField::SvtNested, Some(l2.0));
         // vmcs02: L0 runs L2 in its own context; no deeper nesting.
         let vmcs02 = m.vmcs02_mut();
         vmcs02.set_svt_ctx(VmcsField::SvtVisor, Some(CTX_L0.0));
-        vmcs02.set_svt_ctx(VmcsField::SvtVm, Some(l2_ctx.0));
+        vmcs02.set_svt_ctx(VmcsField::SvtVm, Some(l2.0));
         vmcs02.set_svt_ctx(VmcsField::SvtNested, None);
-        // VMPTRLD caches the fields into the µ-registers.
+        // VMPTRLD caches the fields into the µ-registers, and L0 loads
+        // L2's initial register state into its context with ctxtst.
         let c = m.cost.svt_vmcs_cache;
         m.clock.charge(c);
-        let l2 = if self.full() { CTX_L2 } else { CtxId(1) };
-        let micro = m.core.micro_mut();
-        micro.visor = Some(CTX_L0);
-        micro.vm = Some(l2);
-        micro.nested = Some(l2);
-        // L0 loads L2's initial register state into ctx2 with ctxtst.
-        let gprs = m.vcpu2().gprs;
         let c = m.cost.ctxt_regs(Gpr::COUNT as u32);
         m.clock.charge(c);
-        m.core.micro_mut().is_vm = false;
-        for (r, v) in gprs.iter() {
-            m.core
-                .ctxtst(CtxtLevel::Guest, r, v)
-                .expect("ctx2 configured");
-        }
-        // Execution currently sits in L2.
-        let l2 = if self.full() { CTX_L2 } else { CtxId(1) };
-        m.core.switch_to(l2).expect("L2 context exists");
-        m.core.micro_mut().is_vm = true;
+        enter_l2_context(m, l2);
     }
 
     fn l2_ctx(&self) -> CtxId {
@@ -208,6 +190,25 @@ impl Reflector for HwSvtReflector {
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
         ctxt_gpr_write(m, self.name(), r, v);
     }
+}
+
+/// Points the µ-registers at L2's hardware context `l2` (L0 on ctx0),
+/// loads L2's registers into it with `ctxtst`, and leaves execution in
+/// L2. Charges nothing: the engine charges its own set-up.
+pub(crate) fn enter_l2_context(m: &mut Machine, l2: CtxId) {
+    let micro = m.core.micro_mut();
+    micro.visor = Some(CTX_L0);
+    micro.vm = Some(l2);
+    micro.nested = Some(l2);
+    let gprs = m.vcpu2().gprs;
+    m.core.micro_mut().is_vm = false;
+    for (r, v) in gprs.iter() {
+        m.core
+            .ctxtst(CtxtLevel::Guest, r, v)
+            .expect("L2 context configured");
+    }
+    m.core.switch_to(l2).expect("L2 context exists");
+    m.core.micro_mut().is_vm = true;
 }
 
 /// One SVt level switch: stall the running context and resume `to`,

@@ -5,7 +5,6 @@
 //! dashboard can slice any count.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
 
@@ -67,7 +66,7 @@ impl fmt::Display for ObsLevel {
 /// let k = MetricKey::new("vm_exit").level(ObsLevel::L2).exit("CPUID");
 /// assert_eq!(k.to_string(), "vm_exit{level=L2,exit=CPUID}");
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetricKey {
     /// The metric name, e.g. `"vm_exit"` or `"trap_latency"`.
     pub name: &'static str,
@@ -79,35 +78,6 @@ pub struct MetricKey {
     pub reflector: Option<&'static str>,
     /// The vCPU the event occurred on, if attributed.
     pub vcpu: Option<u32>,
-}
-
-/// Each string hashes as its length and its first eight bytes read as
-/// one word, not byte by byte: a key is hashed on every `inc` and
-/// `observe`, several times per trap. Equal keys have equal strings, so
-/// this agrees with the content-based `Eq`.
-impl Hash for MetricKey {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        let MetricKey {
-            name,
-            level,
-            exit_reason,
-            reflector,
-            vcpu,
-        } = *self;
-        for s in [Some(name), exit_reason, reflector] {
-            let Some(s) = s else {
-                h.write_u64(u64::MAX);
-                continue;
-            };
-            let mut word = [0u8; 8];
-            let head = &s.as_bytes()[..s.len().min(8)];
-            word[..head.len()].copy_from_slice(head);
-            h.write_u64(s.len() as u64);
-            h.write_u64(u64::from_le_bytes(word));
-        }
-        let level = level.map_or(0, |l| 1 + l.tid());
-        h.write_u64(level << 33 | vcpu.map_or(0, |v| 1 << 32 | u64::from(v)));
-    }
 }
 
 /// The level is one byte, `1 + tid` (0 for none); the name and

@@ -7,47 +7,177 @@
 //!
 //! # Storage layout
 //!
-//! Metric updates sit on the simulator's per-trap hot path, so the
-//! registry does not pay a `HashMap<MetricKey, _>` probe per update.
-//! Instead every key is interned once into a small integer id (an
-//! FNV-keyed id table — the key population per run is tiny and fixed
-//! after warm-up), and each category (counters/gauges/histograms) stores
-//! its values in a dense id-indexed vector. The id list of each category
-//! is kept sorted by key as ids are admitted, so the `*_sorted` report
-//! accessors are cached reads rather than collect-then-sort churn.
+//! Metric updates sit on the simulator's per-trap hot path, several per
+//! trap, so an update resolves its key with integer compares only. Every
+//! key is interned once into a small integer id, and each category
+//! (counters/gauges/histograms) stores its values in a dense id-indexed
+//! vector. The intern index is keyed by the key's *addresses*: pointer
+//! and length of each string, plus level and vCPU. Call sites build keys
+//! from string literals, which keep one address for the life of the
+//! process, so a steady-state update hashes and compares a few words and
+//! never reads the strings.
+//!
+//! Strings are compared by content only the first time an address tuple
+//! is seen: when a key is admitted, when a literal at another address (or
+//! a string re-interned by a snapshot load) aliases an admitted key, and
+//! when a reader misses the index. That lookup is a binary search of the
+//! id list kept in key order, which is also the order every report and
+//! the snapshot iterate in.
 
 use svt_sim::snapshot::{load_new, Sink, Snap, SnapError, SnapReader};
-use svt_sim::FnvHashMap;
 
 use crate::hist::LogHistogram;
 use crate::json::Json;
 use crate::key::MetricKey;
 
-/// One metric category's dense store: values indexed by interned key id,
-/// plus the category's id list pre-sorted by key order.
+/// A key by address: each string's pointer and length, `(0, 0)` for an
+/// absent dimension (a `&str` is never null), then the level and vCPU in
+/// one word. Equal tuples are equal keys; an equal key at other
+/// addresses is another tuple for the same id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Addr([u64; 7]);
+
+impl Addr {
+    #[inline]
+    fn of(key: MetricKey) -> Self {
+        let at = |s: Option<&str>| s.map_or((0, 0), |s| (s.as_ptr() as u64, s.len() as u64));
+        let (name, name_len) = at(Some(key.name));
+        let (exit, exit_len) = at(key.exit_reason);
+        let (refl, refl_len) = at(key.reflector);
+        let level = key.level.map_or(0, |l| 1 + l.tid());
+        let dims = level << 33 | key.vcpu.map_or(0, |v| 1 << 32 | u64::from(v));
+        Addr([name, name_len, exit, exit_len, refl, refl_len, dims])
+    }
+
+    /// The all-zero tuple marks an empty index slot: no key has it,
+    /// because a name's pointer is never null.
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.0[0] == 0
+    }
+
+    /// Multiplicative hash; the index reads its top bits. The four
+    /// products are independent, so they overlap in the pipeline.
+    #[inline]
+    fn hash(&self) -> u64 {
+        let [name, name_len, exit, exit_len, refl, refl_len, dims] = self.0;
+        (name ^ name_len << 48).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (exit ^ exit_len << 48).wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            ^ (refl ^ refl_len << 48).wrapping_mul(0x1656_67b1_9e37_79f9)
+            ^ dims.wrapping_mul(0x85eb_ca77_c2b2_ae63)
+    }
+}
+
+/// Interned keys: the address index, the keys by id, and the ids in key
+/// order. Ids are dense and live as long as the registry; `clear` drops
+/// values, not ids.
 #[derive(Debug, Clone, Default)]
-struct Dense<T> {
-    slots: Vec<Option<T>>,
+struct Interner {
+    /// Open addressing with linear probing; a power of two long and at
+    /// most half full, so a probe ends at an empty slot.
+    index: Vec<(Addr, u32)>,
+    /// Filled `index` slots: one per address tuple seen.
+    tuples: usize,
+    keys: Vec<MetricKey>,
     sorted: Vec<u32>,
 }
 
-impl<T> Dense<T> {
-    /// The slot for `id`, created via `init` on first touch (which also
-    /// binary-inserts the id into the category's sorted order — rare, so
-    /// the O(n) insert never shows up in profiles).
+impl Interner {
+    /// The id an address tuple was seen with, by integer compares.
     #[inline]
-    fn ensure(&mut self, id: u32, keys: &[MetricKey], init: impl FnOnce() -> T) -> &mut T {
+    fn by_addr(&self, addr: &Addr) -> Option<u32> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut i = self.home(addr);
+        loop {
+            let (seen, id) = &self.index[i];
+            if seen == addr {
+                return Some(*id);
+            }
+            if seen.is_empty() {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    #[inline]
+    fn home(&self, addr: &Addr) -> usize {
+        (addr.hash() >> (64 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// The id of a key equal to `key` by content, else the position its
+    /// id would take in `sorted`.
+    fn by_content(&self, key: MetricKey) -> Result<u32, usize> {
+        self.sorted
+            .binary_search_by(|&id| self.keys[id as usize].cmp(&key))
+            .map(|pos| self.sorted[pos])
+    }
+
+    /// The key's id if it was ever interned, without interning it.
+    #[inline]
+    fn get(&self, key: MetricKey) -> Option<u32> {
+        self.by_addr(&Addr::of(key))
+            .or_else(|| self.by_content(key).ok())
+    }
+
+    /// The key's id, interning the key (or its address tuple) on first
+    /// sight.
+    #[inline]
+    fn intern(&mut self, key: MetricKey) -> u32 {
+        let addr = Addr::of(key);
+        match self.by_addr(&addr) {
+            Some(id) => id,
+            None => self.admit(key, addr),
+        }
+    }
+
+    #[cold]
+    fn admit(&mut self, key: MetricKey, addr: Addr) -> u32 {
+        let id = self.by_content(key).unwrap_or_else(|pos| {
+            let id = u32::try_from(self.keys.len()).expect("metric key population overflow");
+            self.keys.push(key);
+            self.sorted.insert(pos, id);
+            id
+        });
+        if 2 * (self.tuples + 1) > self.index.len() {
+            let old = std::mem::take(&mut self.index);
+            self.index = vec![(Addr::default(), 0); (2 * old.len()).max(16)];
+            for (seen, id) in old.into_iter().filter(|(a, _)| !a.is_empty()) {
+                self.place(seen, id);
+            }
+        }
+        self.place(addr, id);
+        self.tuples += 1;
+        id
+    }
+
+    /// Puts a tuple known to be absent into the first empty slot of its
+    /// probe sequence.
+    fn place(&mut self, addr: Addr, id: u32) {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(&addr);
+        while !self.index[i].0.is_empty() {
+            i = (i + 1) & mask;
+        }
+        self.index[i] = (addr, id);
+    }
+}
+
+/// One metric category's dense store: values indexed by interned key id.
+#[derive(Debug, Clone, Default)]
+struct Dense<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Dense<T> {
+    /// The slot for `id`, created via `init` on first touch.
+    #[inline]
+    fn ensure(&mut self, id: u32, init: impl FnOnce() -> T) -> &mut T {
         let i = id as usize;
         if i >= self.slots.len() {
             self.slots.resize_with(i + 1, || None);
         }
-        if self.slots[i].is_none() {
-            self.slots[i] = Some(init());
-            let key = keys[i];
-            let pos = self.sorted.partition_point(|&j| keys[j as usize] < key);
-            self.sorted.insert(pos, id);
-        }
-        self.slots[i].as_mut().expect("slot just ensured")
+        self.slots[i].get_or_insert_with(init)
     }
 
     #[inline]
@@ -57,28 +187,24 @@ impl<T> Dense<T> {
 
     fn clear(&mut self) {
         self.slots.clear();
-        self.sorted.clear();
     }
 
-    /// Values in key order, without sorting (the order is maintained).
+    /// The category's values in key order, without sorting.
     fn iter_sorted<'a>(
         &'a self,
-        keys: &'a [MetricKey],
+        keys: &'a Interner,
     ) -> impl Iterator<Item = (MetricKey, &'a T)> + 'a {
-        self.sorted.iter().map(move |&id| {
-            (
-                keys[id as usize],
-                self.slots[id as usize].as_ref().expect("sorted id is live"),
-            )
-        })
+        keys.sorted
+            .iter()
+            .filter_map(move |&id| Some((keys.keys[id as usize], self.get(id)?)))
     }
 }
 
 impl<T: Snap> Dense<T> {
     /// Writes the category as a length plus `(key, value)` pairs in key
     /// order.
-    fn save<S: Sink + ?Sized>(&self, keys: &[MetricKey], w: &mut S) {
-        self.sorted.len().save(w);
+    fn save<S: Sink + ?Sized>(&self, keys: &Interner, w: &mut S) {
+        self.iter_sorted(keys).count().save(w);
         for (k, v) in self.iter_sorted(keys) {
             k.save(w);
             v.save(w);
@@ -92,7 +218,6 @@ impl<T: Snap> Dense<T> {
 impl Snap for MetricsRegistry {
     fn save<S: Sink + ?Sized>(&self, w: &mut S) {
         let MetricsRegistry {
-            ids: _,
             keys,
             counters,
             gauges,
@@ -112,8 +237,8 @@ impl Snap for MetricsRegistry {
             self.set_gauge(k, v);
         }
         for (k, h) in load_new::<Vec<(MetricKey, LogHistogram)>>(r)? {
-            let id = self.intern(k);
-            *self.hists.ensure(id, &self.keys, LogHistogram::default) = h;
+            let id = self.keys.intern(k);
+            *self.hists.ensure(id, LogHistogram::default) = h;
         }
         Ok(())
     }
@@ -134,8 +259,7 @@ impl Snap for MetricsRegistry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    ids: FnvHashMap<MetricKey, u32>,
-    keys: Vec<MetricKey>,
+    keys: Interner,
     counters: Dense<u64>,
     gauges: Dense<f64>,
     hists: Dense<LogHistogram>,
@@ -147,29 +271,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Interns `key`, returning its small-int id (stable for the life of
-    /// the registry).
-    #[inline]
-    fn intern(&mut self, key: MetricKey) -> u32 {
-        if let Some(&id) = self.ids.get(&key) {
-            return id;
-        }
-        self.intern_slow(key)
-    }
-
-    #[cold]
-    fn intern_slow(&mut self, key: MetricKey) -> u32 {
-        let id = u32::try_from(self.keys.len()).expect("metric key population overflow");
-        self.keys.push(key);
-        self.ids.insert(key, id);
-        id
-    }
-
-    #[inline]
-    fn id_of(&self, key: MetricKey) -> Option<u32> {
-        self.ids.get(&key).copied()
-    }
-
     /// Increments a counter by one.
     #[inline]
     pub fn inc(&mut self, key: MetricKey) {
@@ -179,14 +280,15 @@ impl MetricsRegistry {
     /// Adds `n` to a counter.
     #[inline]
     pub fn add(&mut self, key: MetricKey, n: u64) {
-        let id = self.intern(key);
-        *self.counters.ensure(id, &self.keys, || 0) += n;
+        let id = self.keys.intern(key);
+        *self.counters.ensure(id, || 0) += n;
     }
 
     /// Current counter value (0 if never incremented).
     #[inline]
     pub fn counter(&self, key: MetricKey) -> u64 {
-        self.id_of(key)
+        self.keys
+            .get(key)
             .and_then(|id| self.counters.get(id))
             .copied()
             .unwrap_or(0)
@@ -195,31 +297,32 @@ impl MetricsRegistry {
     /// Sets a gauge to an instantaneous value.
     #[inline]
     pub fn set_gauge(&mut self, key: MetricKey, v: f64) {
-        let id = self.intern(key);
-        *self.gauges.ensure(id, &self.keys, || 0.0) = v;
+        let id = self.keys.intern(key);
+        *self.gauges.ensure(id, || 0.0) = v;
     }
 
     /// Current gauge value, if ever set.
     pub fn gauge(&self, key: MetricKey) -> Option<f64> {
-        self.id_of(key).and_then(|id| self.gauges.get(id)).copied()
+        self.keys
+            .get(key)
+            .and_then(|id| self.gauges.get(id))
+            .copied()
     }
 
     /// Records one value into the key's histogram.
     #[inline]
     pub fn observe(&mut self, key: MetricKey, v: u64) {
-        let id = self.intern(key);
-        self.hists
-            .ensure(id, &self.keys, LogHistogram::default)
-            .record(v);
+        let id = self.keys.intern(key);
+        self.hists.ensure(id, LogHistogram::default).record(v);
     }
 
     /// The histogram for a key, if any values were observed.
     pub fn histogram(&self, key: MetricKey) -> Option<&LogHistogram> {
-        self.id_of(key).and_then(|id| self.hists.get(id))
+        self.keys.get(key).and_then(|id| self.hists.get(id))
     }
 
-    /// All counters in key order, without allocating (the sort is
-    /// maintained incrementally as keys are admitted).
+    /// All counters in key order, without allocating (the key order is
+    /// maintained as keys are admitted).
     pub fn iter_counters_sorted(&self) -> impl Iterator<Item = (MetricKey, u64)> + '_ {
         self.counters.iter_sorted(&self.keys).map(|(k, &n)| (k, n))
     }
@@ -243,10 +346,10 @@ impl MetricsRegistry {
             .sum()
     }
 
-    /// Drops all recorded metrics.
+    /// Drops all recorded metrics. Interned keys stay, so the updates
+    /// that follow (a measured run after its warm-up) resolve as fast as
+    /// before.
     pub fn clear(&mut self) {
-        self.ids.clear();
-        self.keys.clear();
         self.counters.clear();
         self.gauges.clear();
         self.hists.clear();
@@ -414,8 +517,8 @@ mod tests {
 
     #[test]
     fn reinterned_keys_find_their_ids_after_a_load() {
-        // A loaded key's strings are re-interned copies: the key must
-        // hash and compare by content to reach the same id.
+        // A loaded key's strings are re-interned copies at other
+        // addresses: the literal key must alias the loaded id.
         let key = MetricKey::new("vm_exit_with_a_long_name")
             .level(ObsLevel::L2)
             .exit("EPT_MISCONFIG")

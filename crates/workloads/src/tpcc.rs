@@ -72,6 +72,18 @@ struct Customer {
     payments: u32,
 }
 
+/// Every customer before its first payment.
+const NEW_CUSTOMER: Customer = Customer {
+    balance: -1000,
+    payments: 0,
+};
+
+/// Stocked items, ids `0..ITEMS`.
+const ITEMS: u64 = 100_000;
+
+/// Units of every item before its first order.
+const INITIAL_STOCK: i64 = 100;
+
 #[derive(Debug, Clone)]
 struct Order {
     customer: u64,
@@ -79,17 +91,21 @@ struct Order {
     delivered: bool,
 }
 
-/// The in-memory TPC-C database. Districts, customers and items have
-/// dense ids, so their tables are vectors indexed by id.
+/// The in-memory TPC-C database. Districts have dense ids, so their
+/// table is a vector indexed by id. Customers and stock start out
+/// uniform, so their tables hold only the rows a transaction changed,
+/// over [`NEW_CUSTOMER`] and [`INITIAL_STOCK`]: a lane's run touches a
+/// few hundred of a one-warehouse database's 103 000 such rows.
 #[derive(Debug)]
 pub struct TpccDb {
     warehouses: u64,
     districts_per_wh: u64,
     /// district id -> next order number.
     next_order: Vec<u64>,
-    customers: Vec<Customer>,
-    /// item id -> units in stock.
-    stock: Vec<i64>,
+    /// customer id -> state, for customers that paid.
+    customers: FnvHashMap<u64, Customer>,
+    /// item id -> units in stock, for items that were ordered.
+    stock: FnvHashMap<u64, i64>,
     orders: FnvHashMap<(u64, u64), Order>,
     undelivered: Vec<(u64, u64)>,
     committed: u64,
@@ -100,20 +116,21 @@ impl TpccDb {
     /// 3 000 customers per warehouse; 100 000 stocked items).
     pub fn new(warehouses: u64) -> Self {
         let districts_per_wh = 10;
-        let customer = Customer {
-            balance: -1000,
-            payments: 0,
-        };
         TpccDb {
             warehouses,
             districts_per_wh,
             next_order: vec![1; (warehouses * districts_per_wh) as usize],
-            customers: vec![customer; (warehouses * 3000) as usize],
-            stock: vec![100; 100_000],
+            customers: FnvHashMap::default(),
+            stock: FnvHashMap::default(),
             orders: FnvHashMap::default(),
             undelivered: Vec::new(),
             committed: 0,
         }
+    }
+
+    /// Units in stock of `item`.
+    fn stock(&self, item: u64) -> i64 {
+        self.stock.get(&item).copied().unwrap_or(INITIAL_STOCK)
     }
 
     /// Committed transactions.
@@ -144,10 +161,10 @@ impl TpccDb {
                 let order_no = self.next_order[d as usize];
                 self.next_order[d as usize] += 1;
                 let lines: Vec<(u64, u32)> = (0..rng_lines.clamp(5, 15))
-                    .map(|i| ((key * 17 + i as u64 * 31) % 100_000, 1 + i % 5))
+                    .map(|i| ((key * 17 + i as u64 * 31) % ITEMS, 1 + i % 5))
                     .collect();
                 for (item, qty) in &lines {
-                    let s = &mut self.stock[*item as usize];
+                    let s = self.stock.entry(*item).or_insert(INITIAL_STOCK);
                     *s -= *qty as i64;
                     if *s < 10 {
                         *s += 91;
@@ -167,7 +184,7 @@ impl TpccDb {
             }
             TxType::Payment => {
                 let c = key % (self.warehouses * 3000);
-                let cust = &mut self.customers[c as usize];
+                let cust = self.customers.entry(c).or_insert(NEW_CUSTOMER);
                 cust.balance += 500;
                 cust.payments += 1;
                 4
@@ -193,7 +210,7 @@ impl TpccDb {
                 2 + 3 * delivered
             }
             TxType::StockLevel => {
-                let low = self.stock[..200].iter().filter(|&&s| s < 50).count() as u32;
+                let low = (0..200).filter(|&i| self.stock(i) < 50).count() as u32;
                 20 + low / 8
             }
         };
@@ -342,13 +359,14 @@ mod tests {
     #[test]
     fn new_order_creates_order_and_moves_stock() {
         let mut db = TpccDb::new(1);
-        let before: i64 = db.stock.iter().sum();
+        let total = |db: &TpccDb| (0..ITEMS).map(|i| db.stock(i)).sum::<i64>();
+        let before = total(&db);
         let (rows, wal) = db.execute(TxType::NewOrder, 42, 7);
         assert!(rows >= 3 + 2 * 5);
         assert!(wal > 96);
         assert_eq!(db.order_count(), 1);
         assert!(db.order_line_count() >= 5);
-        let after: i64 = db.stock.iter().sum();
+        let after = total(&db);
         assert!(after != before);
         assert_eq!(db.committed(), 1);
     }
@@ -358,7 +376,7 @@ mod tests {
         let mut db = TpccDb::new(1);
         db.execute(TxType::Payment, 7, 0);
         db.execute(TxType::Payment, 7, 0);
-        let c = &db.customers[7];
+        let c = &db.customers[&7];
         assert_eq!(c.balance, 0);
         assert_eq!(c.payments, 2);
     }
@@ -377,16 +395,19 @@ mod tests {
     fn stock_level_counts_low_stock_among_item_ids_below_200() {
         let mut db = TpccDb::new(1);
         let level = |db: &mut TpccDb| db.execute(TxType::StockLevel, 0, 0).0;
+        let fill = |db: &mut TpccDb, items: std::ops::Range<u64>, units| {
+            db.stock.extend(items.map(|i| (i, units)));
+        };
         assert_eq!(level(&mut db), 20);
         // Eight low items among ids 0..200 add one row; 50 is not low.
-        db.stock[0..8].fill(49);
-        db.stock[8] = 50;
+        fill(&mut db, 0..8, 49);
+        fill(&mut db, 8..9, 50);
         assert_eq!(level(&mut db), 21);
         // Low stock past the scanned item ids never counts.
-        db.stock[0] = 100;
-        db.stock[200..1_000].fill(0);
+        fill(&mut db, 0..1, 100);
+        fill(&mut db, 200..1_000, 0);
         assert_eq!(level(&mut db), 20);
-        db.stock[0..200].fill(0);
+        fill(&mut db, 0..200, 0);
         assert_eq!(level(&mut db), 20 + 200 / 8);
     }
 
