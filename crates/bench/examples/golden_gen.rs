@@ -1,8 +1,8 @@
 //! Regenerates the committed golden reports under `tests/golden/`.
 //!
 //! The golden files pin the exact bytes of the x86 `fig6`/`smp`/`faults`
-//! reports at reduced (test-suite) sizes, and of the full `ablations`
-//! report; `tests/arch_neutrality.rs`
+//! and `fig7`/`fig9`/`fig10` reports at reduced (test-suite) sizes, and
+//! of the full `ablations` report; `tests/arch_neutrality.rs`
 //! regenerates the same grids and byte-diffs against them, proving the
 //! arch-layer refactor left the x86 backend's behavior untouched. Run
 //! this only when an intentional behavior change lands, and commit the
@@ -14,10 +14,12 @@
 
 use svt_arch::ArchId;
 use svt_bench::{
-    ablations, ablations_report, faults_campaign, faults_report, fig6_report, smp_report,
-    smp_series, FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
+    ablations, ablations_report, faults_campaign, faults_report, fig10_report, fig10_rows,
+    fig6_report, fig7_report, fig9_report, smp_report, smp_series, FAULTS_DEFAULT_SEED,
+    FAULTS_MODES, SERVE_RATE_QPS,
 };
-use svt_workloads::{fig6_grid, DEFAULT_LANE_SEED};
+use svt_core::SwitchMode;
+use svt_workloads::{fig6_grid, fig7, tpcc_tpm, DEFAULT_LANE_SEED};
 
 fn main() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
@@ -52,6 +54,23 @@ fn main() {
     let ablations = ablations_report(&ablations());
     ablations
         .write_file(&dir.join("ablations_x86.json"))
+        .unwrap();
+
+    fig7_report(&fig7(8))
+        .write_file(&dir.join("fig7_x86.json"))
+        .unwrap();
+
+    let tpm = |mode| tpcc_tpm(mode, 60, DEFAULT_LANE_SEED);
+    let fig9 = fig9_report(
+        tpm(SwitchMode::Baseline),
+        tpm(SwitchMode::SwSvt),
+        60,
+        DEFAULT_LANE_SEED,
+    );
+    fig9.write_file(&dir.join("fig9_x86.json")).unwrap();
+
+    fig10_report(&fig10_rows(15), 15)
+        .write_file(&dir.join("fig10_x86.json"))
         .unwrap();
 
     println!("golden reports written to {}", dir.display());

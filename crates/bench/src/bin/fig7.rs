@@ -1,7 +1,6 @@
 //! Regenerates Fig. 7: I/O subsystem speedups.
 
-use svt_bench::{paper_report, print_header, rule, vs_paper, BenchCli, CliSpec, Flag};
-use svt_obs::{Json, SpeedupRow};
+use svt_bench::{fig7_report, print_header, rule, vs_paper, BenchCli, CliSpec, Flag};
 
 const CLI: CliSpec = CliSpec {
     bin: "fig7",
@@ -33,35 +32,5 @@ fn main() {
     }
     rule();
     println!("(speedups: measured x (paper x); latencies lower-is-better, bandwidths higher)");
-
-    let mut report = paper_report(
-        "fig7",
-        "Speedup of SVt on I/O subsystems (Fig. 7)",
-        svt_workloads::DEFAULT_LANE_SEED,
-    );
-    let mut bench_rows = Vec::new();
-    for r in &rows {
-        report.speedups.push(SpeedupRow {
-            name: format!("{}/sw_svt", r.name),
-            speedup: r.sw_speedup,
-        });
-        report.speedups.push(SpeedupRow {
-            name: format!("{}/hw_svt", r.name),
-            speedup: r.hw_speedup,
-        });
-        bench_rows.push(Json::obj([
-            ("name", Json::from(r.name)),
-            ("unit", Json::from(r.unit)),
-            ("baseline", Json::Num(r.baseline)),
-            ("sw_speedup", Json::Num(r.sw_speedup)),
-            ("hw_speedup", Json::Num(r.hw_speedup)),
-            ("paper_baseline", Json::Num(r.paper.0)),
-            ("paper_sw_speedup", Json::Num(r.paper.1)),
-            ("paper_hw_speedup", Json::Num(r.paper.2)),
-        ]));
-    }
-    report
-        .results
-        .push(("benchmarks".to_string(), Json::Arr(bench_rows)));
-    cli.emit_report(report);
+    cli.emit_report(fig7_report(&rows));
 }

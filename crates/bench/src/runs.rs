@@ -21,8 +21,8 @@ use svt_sim::checkpoint::{self, Checkpoint};
 use svt_sim::{FaultPlan, Placement, SimDuration};
 use svt_stats::{filter_outliers, Convergence, Summary};
 use svt_workloads::{
-    memcached_chaos, memcached_smp_counted_seeded, App, ChaosPoint, Fig6Grid, RunSpec, SmpPoint,
-    TelemetryOpts, TelemetryPoint, DEFAULT_LANE_SEED,
+    memcached_chaos, memcached_smp_counted_seeded, video_playback, App, ChaosPoint, Fig6Grid,
+    IoRow, RunSpec, SmpPoint, TelemetryOpts, TelemetryPoint, DEFAULT_LANE_SEED,
 };
 
 use crate::{backend_report, cost_model_json, machine_json, paper_report};
@@ -119,6 +119,127 @@ pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
                 .collect(),
         ),
     ));
+    report
+}
+
+/// Builds the Fig. 7 run report from the six I/O rows of
+/// [`svt_workloads::fig7`]: an SW and an HW speedup row per benchmark,
+/// and each row's baseline beside the paper's.
+pub fn fig7_report(rows: &[IoRow]) -> RunReport {
+    let mut report = paper_report(
+        "fig7",
+        "Speedup of SVt on I/O subsystems (Fig. 7)",
+        DEFAULT_LANE_SEED,
+    );
+    let mut bench_rows = Vec::new();
+    for r in rows {
+        report.speedups.push(SpeedupRow {
+            name: format!("{}/sw_svt", r.name),
+            speedup: r.sw_speedup,
+        });
+        report.speedups.push(SpeedupRow {
+            name: format!("{}/hw_svt", r.name),
+            speedup: r.hw_speedup,
+        });
+        bench_rows.push(Json::obj([
+            ("name", Json::from(r.name)),
+            ("unit", Json::from(r.unit)),
+            ("baseline", Json::Num(r.baseline)),
+            ("sw_speedup", Json::Num(r.sw_speedup)),
+            ("hw_speedup", Json::Num(r.hw_speedup)),
+            ("paper_baseline", Json::Num(r.paper.0)),
+            ("paper_sw_speedup", Json::Num(r.paper.1)),
+            ("paper_hw_speedup", Json::Num(r.paper.2)),
+        ]));
+    }
+    report
+        .results
+        .push(("benchmarks".to_string(), Json::Arr(bench_rows)));
+    report
+}
+
+/// The paper's Fig. 9 baseline TPC-C throughput, transactions/minute.
+pub const FIG9_PAPER_TPM: f64 = 6370.0;
+
+/// The paper's Fig. 9 SW-SVt speedup.
+pub const FIG9_PAPER_SPEEDUP: f64 = 1.18;
+
+/// Builds the Fig. 9 run report from the baseline and SW-SVt throughputs
+/// ([`svt_workloads::tpcc_tpm`]) of a `txns`-transaction run at `seed`.
+pub fn fig9_report(baseline: f64, svt: f64, txns: u64, seed: u64) -> RunReport {
+    let mut report = paper_report("fig9", "TPC-C throughput (Fig. 9)", seed);
+    report.speedups.push(SpeedupRow {
+        name: "sw_svt/tpcc_tpm".to_string(),
+        speedup: svt / baseline,
+    });
+    report.results.push((
+        "throughput_tpm".to_string(),
+        Json::obj([
+            ("baseline", Json::Num(baseline)),
+            ("sw_svt", Json::Num(svt)),
+            ("paper_baseline", Json::Num(FIG9_PAPER_TPM)),
+            ("paper_speedup", Json::Num(FIG9_PAPER_SPEEDUP)),
+            ("txns", Json::from(txns)),
+        ]),
+    ));
+    report
+}
+
+/// One Fig. 10 frame rate: dropped frames under each engine, scaled to
+/// the paper's 5-minute playback, beside the paper's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fig10Row {
+    /// Frames per second.
+    pub fps: u32,
+    /// Baseline drops over 5 minutes.
+    pub baseline_drops: u64,
+    /// SW-SVt drops over 5 minutes.
+    pub sw_svt_drops: u64,
+    /// The paper's (baseline, SVt) drops.
+    pub paper: (u64, u64),
+}
+
+/// Plays `secs` seconds (a divisor of 300) at each of Fig. 10's frame
+/// rates under the baseline and SW SVt.
+pub fn fig10_rows(secs: u64) -> Vec<Fig10Row> {
+    let scale = 300 / secs;
+    [(24u32, 0u64, 0u64), (60, 3, 0), (120, 40, 26)]
+        .into_iter()
+        .map(|(fps, pb, ps)| Fig10Row {
+            fps,
+            baseline_drops: video_playback(SwitchMode::Baseline, fps, secs).dropped * scale,
+            sw_svt_drops: video_playback(SwitchMode::SwSvt, fps, secs).dropped * scale,
+            paper: (pb, ps),
+        })
+        .collect()
+}
+
+/// Builds the Fig. 10 run report from [`fig10_rows`] of a `secs`-second
+/// playback.
+pub fn fig10_report(rows: &[Fig10Row], secs: u64) -> RunReport {
+    let mut report = paper_report(
+        "fig10",
+        "Video-playback dropped frames (Fig. 10)",
+        DEFAULT_LANE_SEED,
+    );
+    let rows = rows
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("fps", Json::from(r.fps as u64)),
+                ("baseline_drops", Json::from(r.baseline_drops)),
+                ("sw_svt_drops", Json::from(r.sw_svt_drops)),
+                ("paper_baseline_drops", Json::from(r.paper.0)),
+                ("paper_svt_drops", Json::from(r.paper.1)),
+            ])
+        })
+        .collect();
+    report
+        .results
+        .push(("frame_rates".to_string(), Json::Arr(rows)));
+    report
+        .results
+        .push(("playback_secs".to_string(), Json::from(secs)));
     report
 }
 
