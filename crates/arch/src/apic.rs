@@ -21,9 +21,12 @@ pub const MSR_X2APIC_EOI: u32 = 0x80b;
 /// MSR index of the x2APIC interrupt-command register (IPIs).
 pub const MSR_X2APIC_ICR: u32 = 0x830;
 
-/// Interrupt vector used by the virtio completion interrupts in the
-/// simulated machine.
+/// Interrupt vector of the virtio-net completion interrupts (the NIC and
+/// the load-generator NIC) in the simulated machine.
 pub const VECTOR_VIRTIO: u8 = 0x50;
+/// Interrupt vector of the virtio-blk completion interrupts (distinct
+/// from the NIC's).
+pub const VECTOR_BLK: u8 = 0x51;
 /// Interrupt vector of the TSC-deadline (LAPIC timer) interrupt.
 pub const VECTOR_TIMER: u8 = 0xec;
 /// Interrupt vector used for inter-processor interrupts.

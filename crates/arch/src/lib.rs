@@ -56,7 +56,7 @@ mod vmcs;
 
 pub use apic::{
     DeliveryMode, IcrCommand, LocalApic, MSR_APIC_BASE, MSR_EFER, MSR_SPEC_CTRL, MSR_TSC_DEADLINE,
-    MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI, VECTOR_TIMER, VECTOR_VIRTIO,
+    MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_BLK, VECTOR_IPI, VECTOR_TIMER, VECTOR_VIRTIO,
 };
 pub use controls::ExecPolicy;
 pub use ept::{Access, Ept, EptFault, EptPerms};

@@ -54,4 +54,4 @@ pub use stack::{
     machine_with, nested_machine, nested_machine_on, smp_machine, smp_machine_on, smp_machine_with,
     SwitchMode,
 };
-pub use sw::{SwSvtReflector, WaitMode};
+pub use sw::{SwSvtReflector, WaitMode, POLL_STEAL_RATIO};

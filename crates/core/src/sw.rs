@@ -48,7 +48,9 @@ pub enum WaitMode {
 /// Fraction of the worker's cycles a busy-polling SMT sibling steals
 /// (§ 6.1: "overheads increase with the workload in SMT because the
 /// waiting thread consumes execution cycles from the computing thread").
-const POLL_STEAL_RATIO: f64 = 0.18;
+/// The engine's `WaitMode::Poll` and the § 6.1 channel study both charge
+/// it.
+pub const POLL_STEAL_RATIO: f64 = 0.18;
 
 /// Bytes of ivshmem region reserved per vCPU's ring pair. vCPU 0 keeps
 /// the historical `0x10_0000` base so single-vCPU runs are bit-identical

@@ -43,6 +43,12 @@ use crate::state::{
 };
 use crate::vcpu::Vcpu;
 
+/// Bytes of host RAM every machine models.
+const RAM_SIZE: u64 = 1 << 30;
+
+/// Pages identity-mapped in each EPT level.
+const MAPPED_PAGES: u64 = 4096;
+
 /// Which VMCS a (charged) access targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmcsId {
@@ -158,7 +164,7 @@ pub struct Machine {
     pub core: SmtCore,
     /// Host physical RAM.
     pub ram: GuestMemory,
-    /// Physical machine shape.
+    /// Physical machine shape (the paper's platform, Table 4).
     pub spec: MachineSpec,
     /// Physical event queue (device completions, timers, IPIs).
     pub events: EventQueue<MachineEvent>,
@@ -342,19 +348,20 @@ impl Machine {
         let mut hostprof = svt_obs::HostProf::default();
         hostprof.run_begin();
         hostprof.enter(HostPart::MachineBoot);
-        let smt = cfg.spec.smt_per_core.max(3) as usize;
-        let loc = assign_svt_cores(&cfg.spec, 1)
+        let spec = MachineSpec::isca19();
+        let smt = spec.smt_per_core.max(3) as usize;
+        let loc = assign_svt_cores(&spec, 1)
             .map(|v| v[0])
             .unwrap_or_else(|_| CpuLoc::new(0, 0, 0));
         let mut m = Machine {
             core: SmtCore::new(smt),
-            ram: GuestMemory::new(cfg.ram_size),
-            l0: L0State::new(cfg.mapped_pages),
-            l1: L1State::new(cfg.mapped_pages, cfg.level == Level::L2),
+            ram: GuestMemory::new(RAM_SIZE),
+            l0: L0State::new(MAPPED_PAGES),
+            l1: L1State::new(MAPPED_PAGES, cfg.level == Level::L2),
             clock: Clock::new(),
             events: EventQueue::new(),
             cost: cfg.cost,
-            spec: cfg.spec,
+            spec,
             shadowing: cfg.shadowing,
             arch: cfg.arch,
             obs: Obs::new(),
@@ -500,17 +507,10 @@ impl Machine {
     }
 
     /// Registers a device on the guest's MMIO bus with completion
-    /// interrupts routed to the running vCPU. Its pages are marked
-    /// misconfigured in the owning EPT (L1's ept12 in nested mode, L0's
-    /// ept01 otherwise) so accesses exit for emulation. Returns the device
-    /// index.
-    pub fn add_device(&mut self, dev: Box<dyn DeviceModel>) -> usize {
-        let vcpu = self.cur;
-        self.add_device_for(dev, vcpu)
-    }
-
-    /// Registers a device whose completion interrupts are routed to
-    /// vCPU `vcpu` (per-vCPU queue-to-IRQ affinity).
+    /// interrupts routed to vCPU `vcpu` (per-vCPU queue-to-IRQ affinity).
+    /// Its pages are marked misconfigured in the owning EPT (L1's ept12 in
+    /// nested mode, L0's ept01 otherwise) so accesses exit for emulation.
+    /// Returns the device index.
     pub fn add_device_for(&mut self, dev: Box<dyn DeviceModel>, vcpu: usize) -> usize {
         assert!(vcpu < self.vcpus.len(), "device affinity to unknown vCPU");
         for (base, len) in dev.ranges() {

@@ -219,14 +219,8 @@ snap_fields! { VcpuState { apic, gprs, halted, rip } }
 pub struct MachineConfig {
     /// The calibrated cost model.
     pub cost: svt_sim::CostModel,
-    /// Physical machine shape.
-    pub spec: svt_sim::MachineSpec,
     /// Level the measured program runs at.
     pub level: Level,
-    /// Bytes of host RAM to model.
-    pub ram_size: u64,
-    /// Pages identity-mapped in each EPT level.
-    pub mapped_pages: u64,
     /// Whether hardware VMCS shadowing is enabled (ablation knob; the
     /// paper's VT-x platform has it on, the CVA6 H-extension has no
     /// shadowing hardware at all).
@@ -240,10 +234,7 @@ impl MachineConfig {
     pub fn at_level(level: Level) -> Self {
         MachineConfig {
             cost: svt_sim::CostModel::default(),
-            spec: svt_sim::MachineSpec::isca19(),
             level,
-            ram_size: 1 << 30,
-            mapped_pages: 4096,
             shadowing: true,
             arch: ArchId::X86,
         }

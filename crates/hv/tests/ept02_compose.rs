@@ -96,10 +96,13 @@ fn attach_programs_every_vmcs02_like_a_fresh_compose() {
 #[test]
 fn vcpu_launch_recomposes_after_any_ept_edit() {
     let mut m = Machine::baseline(MachineConfig::at_level(Level::L2));
-    m.add_device(Box::new(Window {
-        base: Gpa(0x5000_0000),
-        pages: 1,
-    }));
+    m.add_device_for(
+        Box::new(Window {
+            base: Gpa(0x5000_0000),
+            pages: 1,
+        }),
+        0,
+    );
     // Each edit invalidates the composed table; the next launch must
     // rebuild it rather than reuse it.
     m.l0.ept02.unmap(5);

@@ -101,9 +101,7 @@ fn timer_rearm_pushes_deadline_out() {
 
 #[test]
 fn ept_violation_is_filled_by_l0_without_reflection() {
-    let mut cfg = MachineConfig::at_level(Level::L2);
-    cfg.mapped_pages = 64;
-    let mut m = Machine::baseline(cfg);
+    let mut m = Machine::baseline(MachineConfig::at_level(Level::L2));
     // Touch a page that is backed in ept12/ept01 but was dropped from the
     // composed ept02.
     m.l0.ept02.unmap(5);
@@ -214,7 +212,7 @@ impl DeviceModel for ConstDevice {
 #[test]
 fn nested_mmio_read_returns_device_value_through_reflection() {
     let mut m = Machine::baseline(MachineConfig::at_level(Level::L2));
-    m.add_device(Box::new(ConstDevice));
+    m.add_device_for(Box::new(ConstDevice), 0);
     let mut prog = Script::new(vec![
         GuestOp::MmioRead {
             gpa: Gpa(0x5000_0008),
@@ -229,7 +227,7 @@ fn nested_mmio_read_returns_device_value_through_reflection() {
 #[test]
 fn single_level_mmio_uses_l0_device_emulation() {
     let mut m = Machine::baseline(MachineConfig::at_level(Level::L1));
-    m.add_device(Box::new(ConstDevice));
+    m.add_device_for(Box::new(ConstDevice), 0);
     let mut prog = Script::new(vec![
         GuestOp::MmioRead {
             gpa: Gpa(0x5000_0000),

@@ -25,10 +25,11 @@
 //!   sum *exactly* to its end-to-end latency — a conservation invariant
 //!   the test suite checks property-style.
 //! * **invariant watchdogs** that run online while events stream in:
-//!   unserviced-ring deadline, `SVT_BLOCKED` window bound, IPI
-//!   delivered-exactly-once, and span-nesting well-formedness. Violations
-//!   are counted (and harvested into the `MetricsRegistry` by
-//!   `Obs::harvest_watchdogs`) and can optionally fail the run.
+//!   unserviced-ring deadline (50 µs), `SVT_BLOCKED` window bound
+//!   (20 µs), IPI delivered-exactly-once (within 50 µs), and span-nesting
+//!   well-formedness. Violations are counted (and harvested into the
+//!   `MetricsRegistry` by `Obs::harvest_watchdogs`); a campaign that must
+//!   not see one fails on a non-zero count.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -221,14 +222,21 @@ struct RequestRecord {
     end_at: SimTime,
 }
 
+/// How long after enqueue a ring command may wait for service.
+const RING_DEADLINE: SimDuration = SimDuration::from_us(50);
+/// How long one `SVT_BLOCKED` window may stay open.
+const BLOCKED_BOUND: SimDuration = SimDuration::from_us(20);
+/// How long after its send an IPI may wait for delivery.
+const IPI_DEADLINE: SimDuration = SimDuration::from_us(50);
+
 /// Watchdog: a ring command serviced (or left pending at finish) later
-/// than this after enqueue.
+/// than [`RING_DEADLINE`] after enqueue.
 const WATCHDOG_RING_DEADLINE: &str = "watchdog_ring_deadline";
-/// Watchdog: an `SVT_BLOCKED` window exceeded the bound.
+/// Watchdog: an `SVT_BLOCKED` window exceeded [`BLOCKED_BOUND`].
 const WATCHDOG_BLOCKED_WINDOW: &str = "watchdog_blocked_window";
 /// Watchdog: an IPI was delivered without a matching send.
 const WATCHDOG_IPI_DUPLICATE: &str = "watchdog_ipi_duplicate";
-/// Watchdog: an IPI send was never delivered within the deadline.
+/// Watchdog: an IPI send was never delivered within [`IPI_DEADLINE`].
 const WATCHDOG_IPI_LOST: &str = "watchdog_ipi_lost";
 /// Watchdog: two spans on one vCPU partially overlap (neither nests).
 const WATCHDOG_SPAN_NESTING: &str = "watchdog_span_nesting";
@@ -270,7 +278,6 @@ pub const WATCHDOGS: [&str; 5] = [
 #[derive(Debug, Clone)]
 pub struct CausalGraph {
     enabled: bool,
-    strict: bool,
     next_id: u64,
     cur_vcpu: u32,
     capacity: usize,
@@ -290,22 +297,18 @@ pub struct CausalGraph {
     open_requests: BTreeMap<(u32, u64), (EventId, SimTime)>,
     requests: Vec<RequestRecord>,
     violations: BTreeMap<&'static str, u64>,
-    ring_deadline: SimDuration,
-    blocked_bound: SimDuration,
-    ipi_deadline: SimDuration,
 }
 
-// Only the id-allocation *cursor* is state: retained events, watchdog
-// bookkeeping and bounds are process-local debug artifacts. Restoring
+// Only the id-allocation *cursor* is state: retained events and watchdog
+// bookkeeping are process-local debug artifacts. Restoring
 // the cursor keeps subsequently allocated event ids identical between a
 // restored run and its uninterrupted twin.
 svt_sim::snap_fields! {
     CausalGraph {
         enabled, next_id, cur_vcpu
     } skip {
-        strict, capacity, events, first_id, recorded, last_on_vcpu, cross, pending_ipi,
-        pending_ring, open_blocked, last_span, open_requests, requests, violations, ring_deadline,
-        blocked_bound, ipi_deadline
+        capacity, events, first_id, recorded, last_on_vcpu, cross, pending_ipi, pending_ring,
+        open_blocked, last_span, open_requests, requests, violations
     }
 }
 
@@ -330,7 +333,6 @@ impl CausalGraph {
         assert!(capacity > 0, "causal graph needs capacity");
         CausalGraph {
             enabled: false,
-            strict: false,
             next_id: 1,
             cur_vcpu: 0,
             capacity,
@@ -346,9 +348,6 @@ impl CausalGraph {
             open_requests: BTreeMap::new(),
             requests: Vec::new(),
             violations: BTreeMap::new(),
-            ring_deadline: SimDuration::from_us(50),
-            blocked_bound: SimDuration::from_us(20),
-            ipi_deadline: SimDuration::from_us(50),
         }
     }
 
@@ -360,22 +359,6 @@ impl CausalGraph {
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// When strict, any watchdog violation panics (fails the run) instead
-    /// of only counting.
-    pub fn set_strict(&mut self, strict: bool) {
-        self.strict = strict;
-    }
-
-    /// Overrides the unserviced-ring deadline (default 50 µs).
-    pub fn set_ring_deadline(&mut self, d: SimDuration) {
-        self.ring_deadline = d;
-    }
-
-    /// Overrides the IPI delivery deadline (default 50 µs).
-    pub fn set_ipi_deadline(&mut self, d: SimDuration) {
-        self.ipi_deadline = d;
     }
 
     /// Sets the vCPU lane subsequent events are stamped with.
@@ -635,7 +618,7 @@ impl CausalGraph {
         }
         let pending = self.pending_ring.entry(ring).or_default().pop_front();
         if let Some((_, enq_at)) = pending {
-            if at.saturating_since(enq_at) > self.ring_deadline {
+            if at.saturating_since(enq_at) > RING_DEADLINE {
                 self.violate(WATCHDOG_RING_DEADLINE);
             }
         }
@@ -663,7 +646,7 @@ impl CausalGraph {
             return None;
         }
         if let Some(entered) = self.open_blocked.remove(&self.cur_vcpu) {
-            if at.saturating_since(entered) > self.blocked_bound {
+            if at.saturating_since(entered) > BLOCKED_BOUND {
                 self.violate(WATCHDOG_BLOCKED_WINDOW);
             }
         }
@@ -723,7 +706,7 @@ impl CausalGraph {
             .map(|(&ring, q)| {
                 let n = q
                     .iter()
-                    .filter(|&&(_, at)| now.saturating_since(at) > self.ring_deadline)
+                    .filter(|&&(_, at)| now.saturating_since(at) > RING_DEADLINE)
                     .count();
                 (ring, n)
             })
@@ -746,7 +729,7 @@ impl CausalGraph {
             .map(|(&to, q)| {
                 let n = q
                     .iter()
-                    .filter(|&&(_, at)| now.saturating_since(at) > self.ipi_deadline)
+                    .filter(|&&(_, at)| now.saturating_since(at) > IPI_DEADLINE)
                     .count();
                 (to, n)
             })
@@ -766,7 +749,7 @@ impl CausalGraph {
         let stale_blocked: Vec<u32> = self
             .open_blocked
             .iter()
-            .filter(|(_, &entered)| now.saturating_since(entered) > self.blocked_bound)
+            .filter(|(_, &entered)| now.saturating_since(entered) > BLOCKED_BOUND)
             .map(|(&v, _)| v)
             .collect();
         for v in stale_blocked {
@@ -777,9 +760,6 @@ impl CausalGraph {
 
     fn violate(&mut self, name: &'static str) {
         *self.violations.entry(name).or_default() += 1;
-        if self.strict {
-            panic!("causal watchdog violation: {name}");
-        }
     }
 
     /// Count of violations of one watchdog.
@@ -1118,15 +1098,6 @@ mod tests {
     #[test]
     fn causal_event_is_64_bytes() {
         assert_eq!(std::mem::size_of::<CausalEvent>(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "watchdog")]
-    fn strict_mode_fails_the_run() {
-        let mut g = CausalGraph::new();
-        g.enable();
-        g.set_strict(true);
-        g.ipi_recv(ns(1));
     }
 
     #[test]

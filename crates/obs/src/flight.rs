@@ -26,7 +26,7 @@ use crate::json::Json;
 use crate::registry::MetricsRegistry;
 use crate::ProtoState;
 
-/// Default per-vCPU tail length in a dump.
+/// Per-vCPU tail length (K) of a dump.
 pub const DEFAULT_FLIGHT_K: usize = 32;
 
 /// The flight recorder. Lives on [`crate::Obs`]; the machine polls
@@ -35,7 +35,6 @@ pub const DEFAULT_FLIGHT_K: usize = 32;
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     enabled: bool,
-    k: usize,
     /// Watchdog violations already attributed to a previous trip, so the
     /// poll stays delta-based and a single violation trips exactly once.
     seen_violations: u64,
@@ -49,30 +48,16 @@ impl FlightRecorder {
         FlightRecorder::default()
     }
 
-    /// Arms the recorder with the default per-vCPU tail length.
+    /// Arms the recorder; dumps keep the last [`DEFAULT_FLIGHT_K`] events
+    /// per vCPU.
     pub fn enable(&mut self) {
-        self.enable_with(DEFAULT_FLIGHT_K);
-    }
-
-    /// Arms the recorder keeping the last `k` events per vCPU in dumps.
-    pub fn enable_with(&mut self, k: usize) {
         self.enabled = true;
-        self.k = k.max(1);
     }
 
     /// Whether the recorder is armed.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Per-vCPU tail length.
-    pub fn k(&self) -> usize {
-        if self.k == 0 {
-            DEFAULT_FLIGHT_K
-        } else {
-            self.k
-        }
     }
 
     /// Number of trips so far.
@@ -125,7 +110,7 @@ impl FlightRecorder {
         // Watchdog state observed at trip time is "seen": an exit-time
         // trip after a watchdog trip must not double-report.
         self.seen_violations = self.seen_violations.max(causal.total_violations());
-        let k = self.k();
+        let k = DEFAULT_FLIGHT_K;
         // Per-vCPU tails out of the retained ring (time-ordered already).
         let n_vcpus = causal
             .events()
@@ -225,8 +210,10 @@ mod tests {
     #[test]
     fn trip_captures_last_k_events_per_vcpu() {
         let mut fr = FlightRecorder::new();
-        fr.enable_with(3);
-        let g = graph_with_events(20);
+        fr.enable();
+        // More than K events on each of the two vCPUs.
+        let n = 2 * DEFAULT_FLIGHT_K as u64 + 16;
+        let g = graph_with_events(n);
         let m = MetricsRegistry::new();
         let lane1 = ProtoState {
             ring_depth: 5,
@@ -244,9 +231,9 @@ mod tests {
         assert_eq!(vcpus.len(), 2);
         for lane in vcpus {
             let events = lane.get("events").unwrap().as_arr().unwrap();
-            assert_eq!(events.len(), 3, "tail is exactly K");
+            assert_eq!(events.len(), DEFAULT_FLIGHT_K, "tail is exactly K");
         }
-        // Tail keeps the *latest* events: vcpu 1 recorded at 20,40,..,200ns,
+        // Tail keeps the *latest* events: vcpu 1 recorded at 20,40,..ns,
         // so its tail ends at the graph's final event.
         let last = vcpus[1]
             .get("events")
@@ -258,7 +245,7 @@ mod tests {
             .clone();
         assert_eq!(
             last.get("at_ps").unwrap().as_i64(),
-            Some(SimTime::from_ns(200).as_ps() as i64)
+            Some(SimTime::from_ns(10 * n).as_ps() as i64)
         );
         assert_eq!(
             vcpus[1].get("health").unwrap().as_str(),

@@ -73,7 +73,10 @@ pub enum HostPart {
     Telemetry = 5,
     /// Causal-graph recording and watchdog finalization.
     Causal = 6,
-    /// Metrics-registry updates and span emission at trap end.
+    /// The trap-latency histogram `observe` each trap ends with, plus, on
+    /// a nested trap, the `l2_resume` span close. Counter updates are
+    /// not here: each is charged to the part that issues it (mostly
+    /// [`HostPart::Reflection`]).
     Metrics = 7,
     /// Fault-plan rolls at protocol edges.
     Faults = 8,

@@ -6,18 +6,24 @@
 //! store and guest buffers. The paper boots its VM images from tmpfs to
 //! decouple the evaluation from storage technology; the RAM disk's
 //! per-sector media time plays that role here.
+//!
+//! The exit profile comes from the cost model: half of
+//! `blk_backend_service` per kick, all of it per completion, plus
+//! `blk_write_extra_service` per write completion (journal/flush on the
+//! backing image — the reason the paper's randwr latency exceeds randrd),
+//! and `ramdisk_per_sector` of media time. Completions interrupt on
+//! [`svt_arch::VECTOR_BLK`].
 
 use svt_sim::FnvHashMap;
 
+use svt_arch::VECTOR_BLK;
 use svt_hv::{Completion, DeviceModel, DeviceOutcome};
 use svt_mem::{Gpa, GuestMemory, Hpa};
 use svt_sim::snapshot::ByteBlock;
-use svt_sim::{snap_fields, SimDuration, SimTime};
+use svt_sim::{snap_fields, CostModel, SimDuration, SimTime};
 
 use crate::queue::Virtqueue;
 
-/// Default MMIO base of the block device in guest-physical space.
-pub const BLK_MMIO_BASE: Gpa = Gpa(0x4100_0000);
 /// Doorbell register offset.
 pub const REG_BLK_NOTIFY: u64 = 0;
 
@@ -28,45 +34,16 @@ pub const BLK_T_OUT: u32 = 1;
 /// Bytes per sector.
 pub const SECTOR_SIZE: u64 = 512;
 
-/// Device configuration: media model and exit profile.
+/// Privileged backend operations per kick and per completion.
+const BACKEND_EXITS: u32 = 2;
+/// Extra privileged backend operations per write completion.
+const WRITE_EXTRA_EXITS: u32 = 6;
+
+/// Device configuration: where the device sits.
 #[derive(Debug, Clone)]
 pub struct BlkConfig {
     /// MMIO window base.
     pub mmio_base: Gpa,
-    /// Completion interrupt vector.
-    pub irq_vector: u8,
-    /// Backend service per doorbell kick.
-    pub kick_service: SimDuration,
-    /// Backend service per completion.
-    pub completion_service: SimDuration,
-    /// Extra completion service for writes (journal/flush on the backing
-    /// image — the reason the paper's randwr latency exceeds randrd).
-    pub write_extra_service: SimDuration,
-    /// Extra privileged backend operations per write completion.
-    pub write_extra_exits: u32,
-    /// RAM-disk media time per sector.
-    pub media_per_sector: SimDuration,
-    /// Privileged backend operations per kick.
-    pub kick_backend_exits: u32,
-    /// Privileged backend operations per completion.
-    pub completion_backend_exits: u32,
-}
-
-impl BlkConfig {
-    /// Configuration from calibrated costs.
-    pub fn from_cost(cost: &svt_sim::CostModel) -> Self {
-        BlkConfig {
-            mmio_base: BLK_MMIO_BASE,
-            irq_vector: svt_arch::VECTOR_VIRTIO,
-            kick_service: cost.blk_backend_service / 2,
-            completion_service: cost.blk_backend_service,
-            write_extra_service: cost.blk_write_extra_service,
-            write_extra_exits: 6,
-            media_per_sector: cost.ramdisk_per_sector,
-            kick_backend_exits: 2,
-            completion_backend_exits: 2,
-        }
-    }
 }
 
 /// A parsed block request.
@@ -98,6 +75,12 @@ snap_fields! { BlkStats { reads, writes, bytes } }
 #[derive(Debug)]
 pub struct VirtioBlk {
     cfg: BlkConfig,
+    /// Backend service per completion; a kick costs half.
+    backend_service: SimDuration,
+    /// Extra completion service per write.
+    write_extra_service: SimDuration,
+    /// RAM-disk media time per sector.
+    media_per_sector: SimDuration,
     queue: Virtqueue,
     disk: FnvHashMap<u64, ByteBlock<{ SECTOR_SIZE as usize }>>,
     media_free_at: SimTime,
@@ -116,14 +99,18 @@ snap_fields! {
     VirtioBlk {
         #[shape = "virtio-blk MMIO base"] cfg.mmio_base, queue, disk, media_free_at, next_token,
         pending, stats, kicks, irqs, io_errors
-    }
+    } skip { backend_service, write_extra_service, media_per_sector }
 }
 
 impl VirtioBlk {
-    /// Creates the device over a queue the driver has initialized.
-    pub fn new(cfg: BlkConfig, queue: Virtqueue) -> Self {
+    /// Creates the device over a queue the driver has initialized, with
+    /// its backend and media times from `cost`.
+    pub fn new(cfg: BlkConfig, cost: &CostModel, queue: Virtqueue) -> Self {
         VirtioBlk {
             cfg,
+            backend_service: cost.blk_backend_service,
+            write_extra_service: cost.blk_write_extra_service,
+            media_per_sector: cost.ramdisk_per_sector,
             queue,
             disk: FnvHashMap::default(),
             media_free_at: SimTime::ZERO,
@@ -227,8 +214,8 @@ impl DeviceModel for VirtioBlk {
         }
         self.kicks += 1;
         let mut out = DeviceOutcome {
-            service: self.cfg.kick_service,
-            backend_l1_exits: self.cfg.kick_backend_exits,
+            service: self.backend_service / 2,
+            backend_l1_exits: BACKEND_EXITS,
             schedule: Vec::new(),
         };
         loop {
@@ -256,7 +243,7 @@ impl DeviceModel for VirtioBlk {
                 .sum::<u64>()
                 .max(1);
             let start = now.max(self.media_free_at);
-            let done = start + self.cfg.media_per_sector * sectors;
+            let done = start + self.media_per_sector * sectors;
             self.media_free_at = done;
             self.next_token += 1;
             self.pending.insert(self.next_token, req);
@@ -295,19 +282,19 @@ impl DeviceModel for VirtioBlk {
         if self.queue.device_push_used(mem, req.head, written).is_err() {
             self.io_errors += 1;
         }
-        let mut service = self.cfg.completion_service;
-        let mut exits = self.cfg.completion_backend_exits;
+        let mut service = self.backend_service;
+        let mut exits = BACKEND_EXITS;
         if req.write {
             self.stats.writes += 1;
-            service += self.cfg.write_extra_service;
-            exits += self.cfg.write_extra_exits;
+            service += self.write_extra_service;
+            exits += WRITE_EXTRA_EXITS;
         } else {
             self.stats.reads += 1;
         }
         self.stats.bytes += moved as u64;
         self.irqs += 1;
         Some(Completion {
-            vector: self.cfg.irq_vector,
+            vector: VECTOR_BLK,
             service,
             backend_l1_exits: exits,
             schedule: Vec::new(),
@@ -330,8 +317,8 @@ impl DeviceModel for VirtioBlk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svt_sim::CostModel;
 
+    const MMIO: Gpa = Gpa(0x4100_0000);
     const HDR: u64 = 0x8000;
     const DATA: u64 = 0x9000;
     const STATUS: u64 = 0xa000;
@@ -341,7 +328,8 @@ mod tests {
         let mut driver_q = Virtqueue::new(Hpa(0x1000), 16);
         driver_q.init(&mut mem).unwrap();
         let dev_q = Virtqueue::new(Hpa(0x1000), 16);
-        let blk = VirtioBlk::new(BlkConfig::from_cost(&CostModel::default()), dev_q);
+        let cfg = BlkConfig { mmio_base: MMIO };
+        let blk = VirtioBlk::new(cfg, &CostModel::default(), dev_q);
         (mem, blk, driver_q)
     }
 
@@ -361,7 +349,7 @@ mod tests {
         let (mut mem, mut blk, mut q) = setup();
         mem.write(Hpa(DATA), b"svt block payload").unwrap();
         let head_w = submit(&mut mem, &mut q, true, 7, 512);
-        let out = blk.mmio_write(BLK_MMIO_BASE, 1, &mut mem, SimTime::ZERO);
+        let out = blk.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
         assert_eq!(out.schedule.len(), 1);
         let (at, tok) = out.schedule[0];
         blk.complete(tok, &mut mem, at).unwrap();
@@ -371,10 +359,10 @@ mod tests {
         // Read it back into a different buffer.
         mem.write(Hpa(DATA), &[0u8; 512]).unwrap();
         let head_r = submit(&mut mem, &mut q, false, 7, 512);
-        let out = blk.mmio_write(BLK_MMIO_BASE, 1, &mut mem, at);
+        let out = blk.mmio_write(MMIO, 1, &mut mem, at);
         let (at2, tok2) = out.schedule[0];
         let comp = blk.complete(tok2, &mut mem, at2).unwrap();
-        assert_eq!(comp.vector, svt_arch::VECTOR_VIRTIO);
+        assert_eq!(comp.vector, VECTOR_BLK);
         assert_eq!(q.driver_take_used(&mem).unwrap(), Some((head_r, 513)));
         let mut buf = [0u8; 17];
         mem.read(Hpa(DATA), &mut buf).unwrap();
@@ -390,7 +378,7 @@ mod tests {
         let (mut mem, mut blk, mut q) = setup();
         mem.write(Hpa(DATA), &[0xff; 512]).unwrap();
         submit(&mut mem, &mut q, false, 999, 512);
-        let out = blk.mmio_write(BLK_MMIO_BASE, 1, &mut mem, SimTime::ZERO);
+        let out = blk.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
         let (at, tok) = out.schedule[0];
         blk.complete(tok, &mut mem, at).unwrap();
         let mut buf = [1u8; 512];
@@ -402,7 +390,7 @@ mod tests {
     fn media_time_scales_with_sectors() {
         let (mut mem, mut blk, mut q) = setup();
         submit(&mut mem, &mut q, true, 0, 4096); // 8 sectors
-        let out = blk.mmio_write(BLK_MMIO_BASE, 1, &mut mem, SimTime::ZERO);
+        let out = blk.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
         let (at, _) = out.schedule[0];
         let per_sector = CostModel::default().ramdisk_per_sector;
         assert_eq!(at, SimTime::ZERO + per_sector * 8);
@@ -425,7 +413,7 @@ mod tests {
             )
             .unwrap()
         };
-        let out = blk.mmio_write(BLK_MMIO_BASE, 1, &mut mem, SimTime::ZERO);
+        let out = blk.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
         assert_eq!(out.schedule.len(), 2);
         let gap = out.schedule[1].0.since(out.schedule[0].0);
         assert_eq!(gap, CostModel::default().ramdisk_per_sector);
@@ -437,7 +425,7 @@ mod tests {
         let (mut mem, mut blk, mut q) = setup();
         // A single-descriptor chain is not a valid block request.
         let head = q.driver_add(&mut mem, &[(HDR, 16, false)]).unwrap();
-        let out = blk.mmio_write(BLK_MMIO_BASE, 1, &mut mem, SimTime::ZERO);
+        let out = blk.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
         assert!(out.schedule.is_empty());
         assert_eq!(q.driver_take_used(&mem).unwrap(), Some((head, 0)));
     }

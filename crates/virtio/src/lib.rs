@@ -20,8 +20,6 @@ mod blk;
 mod net;
 mod queue;
 
-pub use blk::{
-    BlkConfig, BlkStats, VirtioBlk, BLK_MMIO_BASE, BLK_T_IN, BLK_T_OUT, REG_BLK_NOTIFY, SECTOR_SIZE,
-};
-pub use net::{NetConfig, NetStats, VirtioNet, NET_MMIO_BASE, REG_STATUS, REG_TX_NOTIFY};
+pub use blk::{BlkConfig, BlkStats, VirtioBlk, BLK_T_IN, BLK_T_OUT, REG_BLK_NOTIFY, SECTOR_SIZE};
+pub use net::{NetConfig, NetStats, VirtioNet, REG_STATUS, REG_TX_NOTIFY};
 pub use queue::{DescChain, Descriptor, QueueError, Virtqueue, DESC_F_NEXT, DESC_F_WRITE};

@@ -5,63 +5,37 @@
 //! peer sinks them and returns coalesced ACKs (netperf TCP_STREAM, Fig.
 //! 7's STREAM row). Request/response traffic (TCP_RR) runs through the
 //! load-generator NIC of `svt-workloads` instead. The backend numbers
-//! (service times and how many vhost-style privileged operations each
-//! kick/completion performs against the backend's hypervisor) form the
-//! exit profile of the STREAM row.
+//! (the cost model's `virtio_backend_service` per kick and per ACK, and
+//! one vhost-style privileged operation against the backend's hypervisor
+//! for each) form the exit profile of the STREAM row. ACKs interrupt on
+//! [`svt_arch::VECTOR_VIRTIO`]; the wire runs at the paper's NIC line
+//! rate ([`MachineSpec::nic_mbps`]).
 
 use svt_sim::FnvHashMap;
 
+use svt_arch::VECTOR_VIRTIO;
 use svt_hv::{Completion, DeviceModel, DeviceOutcome};
 use svt_mem::{Gpa, GuestMemory};
-use svt_sim::{snap_fields, SimDuration, SimTime};
+use svt_sim::{snap_fields, CostModel, MachineSpec, SimDuration, SimTime};
 
 use crate::queue::Virtqueue;
 
-/// Default MMIO base of the net device in guest-physical space.
-pub const NET_MMIO_BASE: Gpa = Gpa(0x4000_0000);
 /// Doorbell register offset: TX queue notify.
 pub const REG_TX_NOTIFY: u64 = 0;
 /// Read-only status/counter register offset.
 pub const REG_STATUS: u64 = 16;
 
-/// Device configuration: geometry, wire model and exit profile.
+/// Privileged backend operations per kick (vhost notify) and per ACK
+/// completion (IRQ fd).
+const BACKEND_EXITS: u32 = 1;
+
+/// Device configuration: where the device sits and how its peer ACKs.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// MMIO window base.
     pub mmio_base: Gpa,
-    /// Completion interrupt vector.
-    pub irq_vector: u8,
-    /// One-way wire + switch latency.
-    pub wire_latency: SimDuration,
-    /// Line rate in Mbps (10 GbE on the paper's testbed).
-    pub line_rate_mbps: u64,
-    /// Backend service per doorbell kick.
-    pub kick_service: SimDuration,
-    /// Backend service per completion.
-    pub completion_service: SimDuration,
-    /// Privileged backend operations per kick (vhost notify, …).
-    pub kick_backend_exits: u32,
-    /// Privileged backend operations per completion (IRQ fd, EOI, …).
-    pub completion_backend_exits: u32,
     /// Packets the peer acknowledges per ACK interrupt.
     pub ack_coalesce: u32,
-}
-
-impl NetConfig {
-    /// A STREAM-style configuration from calibrated costs.
-    pub fn stream(cost: &svt_sim::CostModel, ack_coalesce: u32) -> Self {
-        NetConfig {
-            mmio_base: NET_MMIO_BASE,
-            irq_vector: svt_arch::VECTOR_VIRTIO,
-            wire_latency: cost.wire_latency,
-            line_rate_mbps: 10_000,
-            kick_service: cost.virtio_backend_service,
-            completion_service: cost.virtio_backend_service,
-            kick_backend_exits: 1,
-            completion_backend_exits: 1,
-            ack_coalesce,
-        }
-    }
 }
 
 /// Device-side statistics.
@@ -81,6 +55,11 @@ snap_fields! { NetStats { tx_packets, tx_bytes, rx_packets } }
 #[derive(Debug)]
 pub struct VirtioNet {
     cfg: NetConfig,
+    /// One-way wire + switch latency (the cost model's `wire_latency`).
+    wire_latency: SimDuration,
+    /// Backend service per kick and per ACK (the cost model's
+    /// `virtio_backend_service`).
+    backend_service: SimDuration,
     tx: Virtqueue,
     wire_free_at: SimTime,
     next_token: u64,
@@ -100,14 +79,17 @@ snap_fields! {
     VirtioNet {
         #[shape = "virtio-net MMIO base"] cfg.mmio_base, tx, wire_free_at, next_token, pending,
         ack_backlog, stats, kicks, irqs, io_errors
-    }
+    } skip { wire_latency, backend_service }
 }
 
 impl VirtioNet {
-    /// Creates the device over a TX queue the driver has initialized.
-    pub fn new(cfg: NetConfig, tx: Virtqueue) -> Self {
+    /// Creates the device over a TX queue the driver has initialized,
+    /// with its wire and backend times from `cost`.
+    pub fn new(cfg: NetConfig, cost: &CostModel, tx: Virtqueue) -> Self {
         VirtioNet {
             cfg,
+            wire_latency: cost.wire_latency,
+            backend_service: cost.virtio_backend_service,
             tx,
             wire_free_at: SimTime::ZERO,
             next_token: 0,
@@ -125,10 +107,10 @@ impl VirtioNet {
         self.stats
     }
 
-    /// Wire transmission time for `bytes` at the configured line rate.
+    /// Wire transmission time for `bytes` at the NIC's line rate.
     pub fn tx_time(&self, bytes: u64) -> SimDuration {
         // bits / (Mbps * 1e6) seconds = bits * 1e6 / rate picoseconds... in ns:
-        let ns = bytes as f64 * 8.0 * 1000.0 / self.cfg.line_rate_mbps as f64;
+        let ns = bytes as f64 * 8.0 * 1000.0 / MachineSpec::isca19().nic_mbps as f64;
         SimDuration::from_ns_f64(ns)
     }
 
@@ -139,8 +121,8 @@ impl VirtioNet {
 
     fn process_tx_kick(&mut self, mem: &mut GuestMemory, now: SimTime) -> DeviceOutcome {
         let mut out = DeviceOutcome {
-            service: self.cfg.kick_service,
-            backend_l1_exits: self.cfg.kick_backend_exits,
+            service: self.backend_service,
+            backend_l1_exits: BACKEND_EXITS,
             schedule: Vec::new(),
         };
         loop {
@@ -163,7 +145,7 @@ impl VirtioNet {
             self.ack_backlog.push(chain.head);
             if self.ack_backlog.len() as u32 >= self.cfg.ack_coalesce {
                 let heads = std::mem::take(&mut self.ack_backlog);
-                let ack_at = done + self.cfg.wire_latency * 2;
+                let ack_at = done + self.wire_latency * 2;
                 let tok = self.token();
                 self.pending.insert(tok, heads);
                 out.schedule.push((ack_at, tok));
@@ -173,7 +155,7 @@ impl VirtioNet {
         // a TCP-delack-style timeout rather than held forever.
         if !self.ack_backlog.is_empty() {
             let heads = std::mem::take(&mut self.ack_backlog);
-            let ack_at = self.wire_free_at + self.cfg.wire_latency * 2 + SimDuration::from_us(100);
+            let ack_at = self.wire_free_at + self.wire_latency * 2 + SimDuration::from_us(100);
             let tok = self.token();
             self.pending.insert(tok, heads);
             out.schedule.push((ack_at, tok));
@@ -228,9 +210,9 @@ impl DeviceModel for VirtioNet {
         self.stats.rx_packets += 1;
         self.irqs += 1;
         Some(Completion {
-            vector: self.cfg.irq_vector,
-            service: self.cfg.completion_service,
-            backend_l1_exits: self.cfg.completion_backend_exits,
+            vector: VECTOR_VIRTIO,
+            service: self.backend_service,
+            backend_l1_exits: BACKEND_EXITS,
             schedule: Vec::new(),
         })
     }
@@ -251,15 +233,19 @@ impl DeviceModel for VirtioNet {
 mod tests {
     use super::*;
     use svt_mem::Hpa;
-    use svt_sim::CostModel;
+
+    const MMIO: Gpa = Gpa(0x4000_0000);
 
     fn setup(ack_coalesce: u32) -> (GuestMemory, VirtioNet, Virtqueue) {
         let mut mem = GuestMemory::new(1 << 20);
         let mut txd = Virtqueue::new(Hpa(0x1000), 16);
         txd.init(&mut mem).unwrap();
-        let cfg = NetConfig::stream(&CostModel::default(), ack_coalesce);
+        let cfg = NetConfig {
+            mmio_base: MMIO,
+            ack_coalesce,
+        };
         // The device views the same ring through its own counters.
-        let net = VirtioNet::new(cfg, Virtqueue::new(Hpa(0x1000), 16));
+        let net = VirtioNet::new(cfg, &CostModel::default(), Virtqueue::new(Hpa(0x1000), 16));
         (mem, net, txd)
     }
 
@@ -270,7 +256,7 @@ mod tests {
             txd.driver_add(&mut mem, &[(0x8000 + i * 0x4000, 16_384, false)])
                 .unwrap();
         }
-        let out = net.mmio_write(NET_MMIO_BASE, 1, &mut mem, SimTime::ZERO);
+        let out = net.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
         // 8 packets, coalesce 4 => exactly 2 ACK completions.
         assert_eq!(out.schedule.len(), 2);
         let (at, tok) = out.schedule[0];
@@ -291,7 +277,7 @@ mod tests {
             .unwrap();
         txd.driver_add(&mut mem, &[(0xc000, 16_384, false)])
             .unwrap();
-        let out = net.mmio_write(NET_MMIO_BASE, 1, &mut mem, SimTime::ZERO);
+        let out = net.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
         let t0 = out.schedule[0].0;
         let t1 = out.schedule[1].0;
         // 16KB at 10Gbps is ~13.1us; the second ACK trails by one slot.

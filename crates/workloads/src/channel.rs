@@ -9,6 +9,7 @@
 //! compromise on SMT; cross-NUMA is an order of magnitude worse) are
 //! asserted by the tests.
 
+use svt_core::POLL_STEAL_RATIO;
 use svt_mem::{CommandRing, GuestMemory, Hpa};
 use svt_sim::{Clock, CostModel, CostPart, Placement, SimDuration};
 use svt_stats::Convergence;
@@ -62,9 +63,6 @@ pub struct ChannelCell {
     pub round_ns: f64,
 }
 
-/// Fraction of worker cycles a busy-polling SMT sibling steals.
-pub const POLL_SMT_STEAL_RATIO: f64 = 0.18;
-
 /// Computes one cell of the study.
 pub fn channel_cell(
     cost: &CostModel,
@@ -90,7 +88,7 @@ pub fn channel_cell(
         }
     };
     let steal_ns = match (mechanism, placement) {
-        (Mechanism::Polling, Placement::SmtSibling) => work.as_ns() * POLL_SMT_STEAL_RATIO,
+        (Mechanism::Polling, Placement::SmtSibling) => work.as_ns() * POLL_STEAL_RATIO,
         _ => 0.0,
     };
     ChannelCell {
@@ -156,9 +154,7 @@ pub fn simulate_channel_round_ns(
         clock.charge(work);
         if mechanism == Mechanism::Polling && placement == Placement::SmtSibling {
             // ...slowed by the polling sibling stealing cycles.
-            clock.charge(SimDuration::from_ns_f64(
-                work.as_ns() * POLL_SMT_STEAL_RATIO,
-            ));
+            clock.charge(SimDuration::from_ns_f64(work.as_ns() * POLL_STEAL_RATIO));
         }
         clock.pop_part(CostPart::Other);
         clock.push_part(CostPart::Channel);

@@ -8,15 +8,15 @@
 
 use svt_sim::FnvHashMap;
 
-use svt_arch::{MSR_X2APIC_EOI, VECTOR_TIMER};
+use svt_arch::{MSR_X2APIC_EOI, VECTOR_BLK, VECTOR_TIMER};
 use svt_hv::{GuestCtx, GuestOp, GuestProgram};
 use svt_mem::Hpa;
 use svt_sim::{DetRng, SimDuration, SimTime};
 use svt_stats::LatencyRecorder;
 use svt_virtio::{Virtqueue, BLK_T_IN, BLK_T_OUT};
 
+use crate::harness::QUEUE_SIZE;
 use crate::layout;
-use crate::server::VECTOR_BLK;
 
 /// Benchmark shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,10 +74,10 @@ impl DiskBench {
             req_bytes,
             total_ops,
             blk_layer: cost.blk_layer_per_req,
-            queue: Virtqueue::new(layout::BLK_QUEUE, 32),
+            queue: Virtqueue::new(layout::lane(0).blk_queue, QUEUE_SIZE),
             rng: DetRng::seed(0x5157),
             slots: (0..8)
-                .map(|i| layout::BLK_BUFS.0 + i * layout::BUF_SIZE * 4)
+                .map(|i| layout::lane(0).blk_bufs.0 + i * layout::BUF_SIZE * 4)
                 .collect(),
             inflight: FnvHashMap::default(),
             slot_of: FnvHashMap::default(),
@@ -185,7 +185,7 @@ impl GuestProgram for DiskBench {
             }
             if n > 0 {
                 self.pending.push(GuestOp::MmioWrite {
-                    gpa: layout::BLK_MMIO,
+                    gpa: layout::lane(0).blk_mmio,
                     value: 1,
                 });
                 return GuestOp::Compute(self.blk_layer * n);
@@ -208,7 +208,7 @@ impl GuestProgram for DiskBench {
             }
             if posted > 0 {
                 self.pending.push(GuestOp::MmioWrite {
-                    gpa: layout::BLK_MMIO,
+                    gpa: layout::lane(0).blk_mmio,
                     value: 1,
                 });
                 return GuestOp::Compute(self.blk_layer * posted);
@@ -219,7 +219,7 @@ impl GuestProgram for DiskBench {
 
     fn interrupt(&mut self, vector: u8, ctx: &mut GuestCtx<'_>) {
         self.eoi_owed += 1;
-        if vector == VECTOR_BLK || vector == svt_arch::VECTOR_VIRTIO {
+        if vector == VECTOR_BLK {
             while let Some((head, _)) = self.queue.driver_take_used(ctx.mem).expect("blk ring") {
                 if let Some(t0) = self.inflight.remove(&head) {
                     self.latency.record(ctx.now.since(t0).as_ns());

@@ -9,7 +9,9 @@ use svt_sim::SimDuration;
 use svt_virtio::{NetConfig, VirtioNet, Virtqueue};
 
 use crate::disk::{DiskBench, DiskMode};
-use crate::harness::{attach_blk_for, rr_arrival, rr_machine, DEFAULT_LANE_SEED, QUEUE_SIZE};
+use crate::harness::{
+    attach_blk_for, attach_loadgen_for_seeded, rr_arrival, DEFAULT_LANE_SEED, QUEUE_SIZE,
+};
 use crate::layout;
 use crate::loadgen::{FixedSource, Request};
 use crate::server::{EchoService, RrServer, ServerConfig};
@@ -43,19 +45,12 @@ pub fn net_rr_latency_us(mode: SwitchMode, transactions: u64) -> f64 {
             vsize: 1,
         },
     });
-    let (mut m, stats) = {
-        let cost = svt_sim::CostModel::default();
-        rr_machine(
-            mode,
-            rr_arrival(&cost),
-            transactions,
-            source,
-            DEFAULT_LANE_SEED,
-        )
-    };
-    let cost = m.cost.clone();
+    let mut m = nested_machine(mode);
+    let arrival = rr_arrival(&m.cost);
+    let stats =
+        attach_loadgen_for_seeded(&mut m, 0, arrival, transactions, source, DEFAULT_LANE_SEED);
     let mut server = RrServer::new(
-        ServerConfig::rr_defaults(&cost, transactions),
+        ServerConfig::rr_on_lane(&m.cost, transactions, 0),
         Box::new(EchoService {
             compute: SimDuration::from_us(2),
             reply_len: 1,
@@ -69,13 +64,14 @@ pub fn net_rr_latency_us(mode: SwitchMode, transactions: u64) -> f64 {
 /// netperf TCP_STREAM: goodput in Mbps for 16 KB sends.
 pub fn net_stream_mbps(mode: SwitchMode, packets: u64) -> f64 {
     let mut m = nested_machine(mode);
-    let cost = m.cost.clone();
-    let net = VirtioNet::new(
-        NetConfig::stream(&cost, 16),
-        Virtqueue::new(layout::TX_QUEUE, QUEUE_SIZE),
-    );
-    m.add_device(Box::new(net));
-    let mut sender = StreamSender::new(&cost, 16_384, 16, packets);
+    let lane = layout::lane(0);
+    let cfg = NetConfig {
+        mmio_base: lane.net_mmio,
+        ack_coalesce: 16,
+    };
+    let net = VirtioNet::new(cfg, &m.cost, Virtqueue::new(lane.tx_queue, QUEUE_SIZE));
+    m.add_device_for(Box::new(net), 0);
+    let mut sender = StreamSender::new(&m.cost, 16_384, 16, packets);
     m.run(&mut sender).expect("stream run completes");
     sender.throughput_mbps()
 }

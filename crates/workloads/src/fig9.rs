@@ -4,10 +4,10 @@
 //! read-write transaction persists its WAL record to virtio-blk before
 //! replying, composing the network and disk exit profiles.
 
-use svt_core::SwitchMode;
+use svt_core::{nested_machine, SwitchMode};
 use svt_sim::SimDuration;
 
-use crate::harness::{attach_blk_for, rr_machine};
+use crate::harness::{attach_blk_for, attach_loadgen_for_seeded};
 use crate::layout;
 use crate::loadgen::ArrivalMode;
 use crate::server::{RrServer, ServerConfig};
@@ -20,8 +20,10 @@ pub fn tpcc_tpm(mode: SwitchMode, transactions: u64, seed: u64) -> f64 {
     // ~34 statements per average transaction in the standard mix.
     let statements = transactions * 34;
     let source = Box::new(TpccSource::new(4));
-    let (mut m, stats) = rr_machine(
-        mode,
+    let mut m = nested_machine(mode);
+    let stats = attach_loadgen_for_seeded(
+        &mut m,
+        0,
         ArrivalMode::ClosedLoop {
             concurrency: 4,
             think: SimDuration::from_us(15),
@@ -31,9 +33,8 @@ pub fn tpcc_tpm(mode: SwitchMode, transactions: u64, seed: u64) -> f64 {
         seed,
     );
     attach_blk_for(&mut m, 0);
-    let cost = m.cost.clone();
-    let mut cfg = ServerConfig::rr_defaults(&cost, statements);
-    cfg.blk_mmio = Some(layout::BLK_MMIO);
+    let mut cfg = ServerConfig::rr_on_lane(&m.cost, statements, 0);
+    cfg.blk_mmio = Some(layout::lane(0).blk_mmio);
     cfg.timer_rearm_every = 2;
     cfg.replenish_every = 2;
     let (service, db) = TpccService::new(4);

@@ -3,14 +3,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use svt_core::{nested_machine, SwitchMode};
 use svt_hv::Machine;
 use svt_sim::{CostModel, SimDuration};
 use svt_virtio::{BlkConfig, VirtioBlk, Virtqueue};
 
 use crate::layout;
 use crate::loadgen::{ArrivalMode, LoadGenConfig, LoadGenNet, LoadStats, RequestSource};
-use crate::server::VECTOR_BLK;
 
 /// Queue size shared by the workload programs and device models.
 pub const QUEUE_SIZE: u16 = 32;
@@ -18,22 +16,6 @@ pub const QUEUE_SIZE: u16 = 32;
 /// Default base seed of the per-lane request streams (lane `v` draws
 /// from `DEFAULT_LANE_SEED + v`); every bench's `--seed` defaults to it.
 pub const DEFAULT_LANE_SEED: u64 = 0x1509;
-
-/// Builds a nested machine with a load-generator NIC attached; returns the
-/// machine and the shared statistics handle. `seed` seeds the request
-/// stream, so single-vCPU benchmark runs are reproducible from one
-/// `--seed` value.
-pub fn rr_machine(
-    mode: SwitchMode,
-    arrival: ArrivalMode,
-    total_requests: u64,
-    source: Box<dyn RequestSource>,
-    seed: u64,
-) -> (Machine, Rc<RefCell<LoadStats>>) {
-    let mut m = nested_machine(mode);
-    let stats = attach_loadgen_for_seeded(&mut m, 0, arrival, total_requests, source, seed);
-    (m, stats)
-}
 
 /// Attaches a per-vCPU load-generator NIC on `vcpu`'s workload lane:
 /// queues and MMIO come from [`layout::lane`], and the device's
@@ -49,22 +31,16 @@ pub fn attach_loadgen_for_seeded(
     source: Box<dyn RequestSource>,
     base_seed: u64,
 ) -> Rc<RefCell<LoadStats>> {
-    let cost = m.cost.clone();
     let lane = layout::lane(vcpu);
     let cfg = LoadGenConfig {
         mmio_base: lane.net_mmio,
-        irq_vector: svt_arch::VECTOR_VIRTIO,
-        wire_latency: cost.wire_latency,
-        kick_service: cost.virtio_backend_service,
-        completion_service: cost.virtio_backend_service,
-        kick_backend_exits: 1,
-        completion_backend_exits: 1,
         arrival,
         total_requests,
         seed: base_seed + vcpu as u64,
     };
     let (dev, stats) = LoadGenNet::new(
         cfg,
+        &m.cost,
         source,
         Virtqueue::new(lane.tx_queue, QUEUE_SIZE),
         Virtqueue::new(lane.rx_queue, QUEUE_SIZE),
@@ -73,15 +49,17 @@ pub fn attach_loadgen_for_seeded(
     stats
 }
 
-/// Attaches a virtio-blk device (vector [`VECTOR_BLK`]) on `vcpu`'s
-/// workload lane, with its completion IRQs routed to that vCPU.
+/// Attaches a virtio-blk device (vector [`svt_arch::VECTOR_BLK`]) on
+/// `vcpu`'s workload lane, with its completion IRQs routed to that vCPU.
 pub fn attach_blk_for(m: &mut Machine, vcpu: usize) {
-    let cost = m.cost.clone();
     let lane = layout::lane(vcpu);
-    let mut cfg = BlkConfig::from_cost(&cost);
-    cfg.mmio_base = lane.blk_mmio;
-    cfg.irq_vector = VECTOR_BLK;
-    let blk = VirtioBlk::new(cfg, Virtqueue::new(lane.blk_queue, QUEUE_SIZE));
+    let blk = VirtioBlk::new(
+        BlkConfig {
+            mmio_base: lane.blk_mmio,
+        },
+        &m.cost,
+        Virtqueue::new(lane.blk_queue, QUEUE_SIZE),
+    );
     m.add_device_for(Box::new(blk), vcpu);
 }
 

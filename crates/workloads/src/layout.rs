@@ -6,24 +6,8 @@
 
 use svt_mem::{Gpa, Hpa};
 
-/// TX virtqueue of the NIC.
-pub const TX_QUEUE: Hpa = Hpa(0x20_0000);
-/// RX virtqueue of the NIC.
-pub const RX_QUEUE: Hpa = Hpa(0x21_0000);
-/// Virtqueue of the block device.
-pub const BLK_QUEUE: Hpa = Hpa(0x22_0000);
-/// RX buffer pool base.
-pub const RX_BUFS: Hpa = Hpa(0x30_0000);
-/// TX buffer pool base.
-pub const TX_BUFS: Hpa = Hpa(0x38_0000);
-/// Block request buffer base.
-pub const BLK_BUFS: Hpa = Hpa(0x3a_0000);
 /// Size of one pooled buffer.
 pub const BUF_SIZE: u64 = 0x1000;
-/// MMIO base of the (load-generator) NIC.
-pub const NET_MMIO: Gpa = Gpa(0x4000_0000);
-/// MMIO base of the block device.
-pub const BLK_MMIO: Gpa = Gpa(0x4100_0000);
 
 /// Gap between consecutive vCPUs' MMIO windows (each device claims one
 /// 4 KiB page; a 64 KiB gap keeps lanes page-aligned and far apart).
@@ -33,6 +17,18 @@ pub const LANE_BLOCK_SIZE: u64 = 0x10_0000;
 /// Base of the first extra lane's block (lane 0 keeps the historical
 /// region below, so single-vCPU runs are bit-identical).
 pub const LANE_BLOCKS_BASE: u64 = 0x40_0000;
+
+/// Lane 0: the single-vCPU layout every figure was first measured on.
+const LANE0: LaneLayout = LaneLayout {
+    tx_queue: Hpa(0x20_0000),
+    rx_queue: Hpa(0x21_0000),
+    blk_queue: Hpa(0x22_0000),
+    rx_bufs: Hpa(0x30_0000),
+    tx_bufs: Hpa(0x38_0000),
+    blk_bufs: Hpa(0x3a_0000),
+    net_mmio: Gpa(0x4000_0000),
+    blk_mmio: Gpa(0x4100_0000),
+};
 
 /// Guest-memory addresses of one vCPU's private workload lane: its
 /// virtqueues, buffer pools and device MMIO windows. SMP workloads give
@@ -59,20 +55,12 @@ pub struct LaneLayout {
 }
 
 /// The workload lane of vCPU `vcpu`. Lane 0 is exactly the historical
-/// single-vCPU layout (same constants as above); every further lane gets
-/// a disjoint [`LANE_BLOCK_SIZE`] memory block and its own MMIO windows.
+/// single-vCPU layout; every further lane gets a disjoint
+/// [`LANE_BLOCK_SIZE`] memory block and its own MMIO windows, one
+/// [`MMIO_LANE_STRIDE`] above the previous lane's.
 pub fn lane(vcpu: usize) -> LaneLayout {
     if vcpu == 0 {
-        return LaneLayout {
-            tx_queue: TX_QUEUE,
-            rx_queue: RX_QUEUE,
-            blk_queue: BLK_QUEUE,
-            rx_bufs: RX_BUFS,
-            tx_bufs: TX_BUFS,
-            blk_bufs: BLK_BUFS,
-            net_mmio: NET_MMIO,
-            blk_mmio: BLK_MMIO,
-        };
+        return LANE0;
     }
     let base = LANE_BLOCKS_BASE + (vcpu as u64 - 1) * LANE_BLOCK_SIZE;
     let mmio_off = vcpu as u64 * MMIO_LANE_STRIDE;
@@ -83,8 +71,8 @@ pub fn lane(vcpu: usize) -> LaneLayout {
         rx_bufs: Hpa(base + 0x4_0000),
         tx_bufs: Hpa(base + 0x8_0000),
         blk_bufs: Hpa(base + 0xa_0000),
-        net_mmio: Gpa(NET_MMIO.0 + mmio_off),
-        blk_mmio: Gpa(BLK_MMIO.0 + mmio_off),
+        net_mmio: LANE0.net_mmio + mmio_off,
+        blk_mmio: LANE0.blk_mmio + mmio_off,
     }
 }
 
@@ -94,11 +82,19 @@ mod tests {
 
     #[test]
     fn lane0_is_the_historical_layout() {
-        let l = lane(0);
-        assert_eq!(l.tx_queue, TX_QUEUE);
-        assert_eq!(l.rx_bufs, RX_BUFS);
-        assert_eq!(l.net_mmio, NET_MMIO);
-        assert_eq!(l.blk_mmio, BLK_MMIO);
+        assert_eq!(
+            lane(0),
+            LaneLayout {
+                tx_queue: Hpa(0x20_0000),
+                rx_queue: Hpa(0x21_0000),
+                blk_queue: Hpa(0x22_0000),
+                rx_bufs: Hpa(0x30_0000),
+                tx_bufs: Hpa(0x38_0000),
+                blk_bufs: Hpa(0x3a_0000),
+                net_mmio: Gpa(0x4000_0000),
+                blk_mmio: Gpa(0x4100_0000),
+            }
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod video;
 
 pub use channel::{
     channel_cell, channel_study, default_workloads, simulate_channel_round_ns, ChannelCell,
-    Mechanism, POLL_SMT_STEAL_RATIO,
+    Mechanism,
 };
 pub use chaos::{memcached_chaos, ChaosPoint};
 pub use cpuid::{
@@ -70,17 +70,14 @@ pub use fig7::{
 pub use fig8::{default_rates, fig8_series, memcached_point, SLA_NS};
 pub use fig9::tpcc_tpm;
 pub use harness::{
-    attach_blk_for, attach_loadgen_for_seeded, rr_arrival, rr_machine, DEFAULT_LANE_SEED,
-    QUEUE_SIZE,
+    attach_blk_for, attach_loadgen_for_seeded, rr_arrival, DEFAULT_LANE_SEED, QUEUE_SIZE,
 };
 pub use kvstore::{EtcSource, KvService, OP_GET, OP_SET};
 pub use loadgen::{
     regs, ArrivalMode, FixedSource, LoadGenConfig, LoadGenNet, LoadStats, Request, RequestSource,
     PAYLOAD_HEADER,
 };
-pub use server::{
-    EchoService, ParsedRequest, RrServer, ServeOutput, ServerConfig, ServiceModel, VECTOR_BLK,
-};
+pub use server::{EchoService, ParsedRequest, RrServer, ServeOutput, ServerConfig, ServiceModel};
 pub use smp::{
     memcached_smp_counted_seeded, tpcc_smp_seeded, App, CausalProfile, RunSpec, SmpPoint,
 };

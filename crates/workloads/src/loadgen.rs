@@ -8,17 +8,24 @@
 //! payloads carry their departure timestamp through real guest memory;
 //! the generator reads it back from the echoed reply to record end-to-end
 //! latency, exactly as mutilate does.
+//!
+//! Wire and backend times come from the machine's cost model
+//! (`wire_latency` each way, `virtio_backend_service` per kick and per
+//! delivery, a quarter of it per RX refill notify); each kick and each
+//! delivery costs one privileged backend operation, and deliveries
+//! interrupt on [`VECTOR_VIRTIO`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use svt_sim::FnvHashMap;
 
+use svt_arch::VECTOR_VIRTIO;
 use svt_hv::{Completion, DeviceModel, DeviceOutcome};
 use svt_mem::{Gpa, GuestMemory, Hpa};
 use svt_sim::snapshot::{
     load_nested, load_new, save_nested, Sink, Snap, SnapDyn, SnapError, SnapReader,
 };
-use svt_sim::{snap_fields, DetRng, SimDuration, SimTime};
+use svt_sim::{snap_fields, CostModel, DetRng, SimDuration, SimTime};
 use svt_stats::LatencyRecorder;
 use svt_virtio::Virtqueue;
 
@@ -162,18 +169,6 @@ impl LoadStats {
 pub struct LoadGenConfig {
     /// MMIO window base in the guest's physical space.
     pub mmio_base: Gpa,
-    /// Interrupt vector for request delivery.
-    pub irq_vector: u8,
-    /// One-way wire latency between client and guest.
-    pub wire_latency: SimDuration,
-    /// Backend service per doorbell kick.
-    pub kick_service: SimDuration,
-    /// Backend service per delivered request.
-    pub completion_service: SimDuration,
-    /// Privileged backend operations per kick.
-    pub kick_backend_exits: u32,
-    /// Privileged backend operations per delivery.
-    pub completion_backend_exits: u32,
     /// Arrival process.
     pub arrival: ArrivalMode,
     /// Stop after this many requests.
@@ -187,10 +182,17 @@ pub const PAYLOAD_HEADER: usize = 8 + 8 + 4 + 4; // send_ps, key, op, vsize
 
 const TOKEN_ARRIVAL: u64 = 1 << 62;
 
+/// Privileged backend operations per kick and per delivery.
+const BACKEND_EXITS: u32 = 1;
+
 /// The load-generator NIC device.
 #[derive(Debug)]
 pub struct LoadGenNet {
     cfg: LoadGenConfig,
+    /// One-way wire latency between client and guest.
+    wire_latency: SimDuration,
+    /// Backend service per kick and per delivered request.
+    backend_service: SimDuration,
     source: Box<dyn RequestSource>,
     tx: Virtqueue,
     rx: Virtqueue,
@@ -206,14 +208,16 @@ pub struct LoadGenNet {
 snap_fields! {
     LoadGenNet {
         source, tx, rx, rng, stats, pending_arrivals, next_token, started
-    } skip { cfg }
+    } skip { cfg, wire_latency, backend_service }
 }
 
 impl LoadGenNet {
-    /// Creates the generator over the guest's TX/RX queues. Returns the
-    /// device and a shared handle to its statistics.
+    /// Creates the generator over the guest's TX/RX queues, with its wire
+    /// and backend times from `cost`. Returns the device and a shared
+    /// handle to its statistics.
     pub fn new(
         cfg: LoadGenConfig,
+        cost: &CostModel,
         source: Box<dyn RequestSource>,
         tx: Virtqueue,
         rx: Virtqueue,
@@ -223,6 +227,8 @@ impl LoadGenNet {
         (
             LoadGenNet {
                 cfg,
+                wire_latency: cost.wire_latency,
+                backend_service: cost.virtio_backend_service,
                 source,
                 tx,
                 rx,
@@ -262,7 +268,7 @@ impl LoadGenNet {
         let d = chain.descs.first().expect("chain non-empty");
         // The request departed the client one wire latency ago; latency is
         // measured from that departure.
-        let sent = now - self.cfg.wire_latency;
+        let sent = now - self.wire_latency;
         let mut payload = Vec::with_capacity(PAYLOAD_HEADER);
         payload.extend_from_slice(&sent.as_ps().to_le_bytes());
         payload.extend_from_slice(&req.key.to_le_bytes());
@@ -281,9 +287,9 @@ impl LoadGenNet {
             }
         }
         Some(Completion {
-            vector: self.cfg.irq_vector,
-            service: self.cfg.completion_service,
-            backend_l1_exits: self.cfg.completion_backend_exits,
+            vector: VECTOR_VIRTIO,
+            service: self.backend_service,
+            backend_l1_exits: BACKEND_EXITS,
             schedule: Vec::new(),
         })
     }
@@ -308,8 +314,8 @@ impl DeviceModel for LoadGenNet {
     ) -> DeviceOutcome {
         let off = gpa.0 - self.cfg.mmio_base.0;
         let mut out = DeviceOutcome {
-            service: self.cfg.kick_service,
-            backend_l1_exits: self.cfg.kick_backend_exits,
+            service: self.backend_service,
+            backend_l1_exits: BACKEND_EXITS,
             schedule: Vec::new(),
         };
         match off {
@@ -318,7 +324,7 @@ impl DeviceModel for LoadGenNet {
                 match self.cfg.arrival {
                     ArrivalMode::ClosedLoop { concurrency, .. } => {
                         for _ in 0..concurrency {
-                            let at = now + self.cfg.wire_latency;
+                            let at = now + self.wire_latency;
                             self.schedule_arrival(at, &mut out.schedule);
                         }
                     }
@@ -326,7 +332,7 @@ impl DeviceModel for LoadGenNet {
                         // Seed the whole Poisson arrival schedule lazily:
                         // each delivery schedules the next arrival.
                         let gap = self.rng.exp_duration(mean_interarrival);
-                        self.schedule_arrival(now + self.cfg.wire_latency + gap, &mut out.schedule);
+                        self.schedule_arrival(now + self.wire_latency + gap, &mut out.schedule);
                     }
                 }
                 out.backend_l1_exits = 0;
@@ -340,7 +346,7 @@ impl DeviceModel for LoadGenNet {
                     self.tx
                         .device_push_used(mem, chain.head, 0)
                         .expect("tx used in RAM");
-                    let reply_arrives = now + self.cfg.wire_latency;
+                    let reply_arrives = now + self.wire_latency;
                     let latency = reply_arrives.since(SimTime::from_ps(send_ps));
                     {
                         let mut s = self.stats.borrow_mut();
@@ -349,13 +355,13 @@ impl DeviceModel for LoadGenNet {
                         s.last_reply = Some(reply_arrives);
                     }
                     if let ArrivalMode::ClosedLoop { think, .. } = self.cfg.arrival {
-                        let at = reply_arrives + think + self.cfg.wire_latency;
+                        let at = reply_arrives + think + self.wire_latency;
                         self.schedule_arrival(at, &mut out.schedule);
                     }
                 }
             }
             regs::RX_NOTIFY => {
-                out.service = self.cfg.kick_service / 4;
+                out.service = self.backend_service / 4;
             }
             _ => {}
         }
@@ -386,7 +392,7 @@ impl DeviceModel for LoadGenNet {
                     // Request dropped but arrivals continue: surface the
                     // schedule through a zero-cost completion.
                     comp = Some(Completion {
-                        vector: self.cfg.irq_vector,
+                        vector: VECTOR_VIRTIO,
                         service: SimDuration::ZERO,
                         backend_l1_exits: 0,
                         schedule,
@@ -413,6 +419,11 @@ impl DeviceModel for LoadGenNet {
 mod tests {
     use super::*;
 
+    /// The default cost model's one-way wire latency.
+    fn wire() -> SimDuration {
+        CostModel::default().wire_latency
+    }
+
     fn setup(arrival: ArrivalMode, total: u64) -> (GuestMemory, LoadGenNet, Virtqueue, Virtqueue) {
         let mut mem = GuestMemory::new(1 << 20);
         let mut txd = Virtqueue::new(Hpa(0x1000), 16);
@@ -421,12 +432,6 @@ mod tests {
         rxd.init(&mut mem).unwrap();
         let cfg = LoadGenConfig {
             mmio_base: Gpa(0x4000_0000),
-            irq_vector: 0x50,
-            wire_latency: SimDuration::from_us(14),
-            kick_service: SimDuration::from_us(2),
-            completion_service: SimDuration::from_us(2),
-            kick_backend_exits: 1,
-            completion_backend_exits: 1,
             arrival,
             total_requests: total,
             seed: 1,
@@ -440,6 +445,7 @@ mod tests {
         });
         let (dev, _) = LoadGenNet::new(
             cfg,
+            &CostModel::default(),
             source,
             Virtqueue::new(Hpa(0x1000), 16),
             Virtqueue::new(Hpa(0x2000), 16),
@@ -458,7 +464,7 @@ mod tests {
         );
         let out = dev.mmio_write(Gpa(0x4000_0000 + regs::START), 1, &mut mem, SimTime::ZERO);
         assert_eq!(out.schedule.len(), 1);
-        assert_eq!(out.schedule[0].0, SimTime::from_us(14));
+        assert_eq!(out.schedule[0].0, SimTime::ZERO + wire());
         assert_eq!(dev.stats_handle().borrow().sent, 1);
     }
 
@@ -475,10 +481,10 @@ mod tests {
         let out = dev.mmio_write(Gpa(0x4000_0000 + regs::START), 1, &mut mem, SimTime::ZERO);
         let (at, tok) = out.schedule[0];
         let comp = dev.complete(tok, &mut mem, at).unwrap();
-        assert_eq!(comp.vector, 0x50);
+        assert_eq!(comp.vector, VECTOR_VIRTIO);
         // The payload carries the client departure timestamp (one wire
         // latency before arrival) and the key.
-        let sent = at - SimDuration::from_us(14);
+        let sent = at - wire();
         assert_eq!(mem.read_u64(Hpa(0x9000)).unwrap(), sent.as_ps());
         assert_eq!(mem.read_u64(Hpa(0x9008)).unwrap(), 9);
         assert!(rxd.driver_take_used(&mem).unwrap().is_some());
@@ -506,15 +512,15 @@ mod tests {
         let stats = dev.stats_handle();
         let s = stats.borrow();
         assert_eq!(s.completed, 1);
-        // Latency = request wire (14us) + processing (5us) + return wire
-        // (14us).
-        assert!((s.latency.samples()[0] - 33_000.0).abs() < 1.0);
+        // Latency = request wire + processing (5us) + return wire.
+        let expected = wire() * 2 + SimDuration::from_us(5);
+        assert!((s.latency.samples()[0] - expected.as_ns()).abs() < 1.0);
         drop(s);
         // Next request scheduled: reply_arrival + think + wire.
         assert_eq!(out.schedule.len(), 1);
         assert_eq!(
             out.schedule[0].0,
-            reply_time + SimDuration::from_us(14 + 2 + 14)
+            reply_time + wire() + SimDuration::from_us(2) + wire()
         );
     }
 

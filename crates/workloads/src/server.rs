@@ -12,17 +12,18 @@
 
 use std::collections::VecDeque;
 
-use svt_arch::{MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_TIMER, VECTOR_VIRTIO};
+use svt_arch::{MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_BLK, VECTOR_TIMER, VECTOR_VIRTIO};
 use svt_hv::{GuestCtx, GuestOp, GuestProgram};
 use svt_mem::{Gpa, GuestMemory, Hpa};
 use svt_sim::{FnvHashMap, SimDuration};
 use svt_virtio::{Virtqueue, BLK_T_OUT};
 
+use crate::harness::QUEUE_SIZE;
 use crate::layout;
 use crate::loadgen::regs;
 
-/// Interrupt vector of the block device (distinct from the NIC's).
-pub const VECTOR_BLK: u8 = 0x51;
+/// RX buffers the server keeps posted.
+const RX_DEPTH: u64 = 16;
 
 /// A request parsed from an RX buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,17 +76,14 @@ impl ServiceModel for EchoService {
     }
 }
 
-/// Server behaviour knobs: the architectural-event profile.
+/// Server behaviour knobs: the architectural-event profile. Every
+/// interrupt is EOI'd, 16 RX buffers stay posted, and the NIC sits at the
+/// lane's [`layout::LaneLayout::net_mmio`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// RX buffers kept posted.
-    pub rx_depth: u16,
-    /// Guest network-stack time per received packet.
-    pub netstack_rx: SimDuration,
-    /// Guest network-stack time per sent packet.
-    pub netstack_tx: SimDuration,
-    /// Issue an EOI MSR write after every interrupt.
-    pub eoi: bool,
+    /// Guest network-stack time per received and per sent packet (the
+    /// cost model's `netstack_per_packet`).
+    netstack: SimDuration,
     /// Rearm the TSC-deadline timer every n requests (0 = never) — the
     /// TCP retransmit-timer traffic behind the paper's MSR_WRITE profile.
     pub timer_rearm_every: u64,
@@ -93,41 +91,26 @@ pub struct ServerConfig {
     pub replenish_every: u64,
     /// Stop after serving this many requests.
     pub expected: u64,
-    /// Load-generator NIC MMIO base.
-    pub net_mmio: Gpa,
     /// Block-device MMIO base, when the service writes a WAL.
     pub blk_mmio: Option<Gpa>,
-    /// Which vCPU's workload lane ([`layout::lane`]) the server's queues
-    /// and buffer pools live in. Lane 0 is the historical layout.
+    /// Which vCPU's workload lane ([`layout::lane`]) the server's queues,
+    /// buffer pools and NIC MMIO window live in. Lane 0 is the historical
+    /// layout.
     pub lane: usize,
 }
 
 impl ServerConfig {
-    /// netperf-like defaults against the default load generator.
-    pub fn rr_defaults(cost: &svt_sim::CostModel, expected: u64) -> Self {
+    /// netperf-like defaults against the load generator of vCPU `lane`'s
+    /// private workload lane: a timer rearm and an RX refill notify per
+    /// request, no block device.
+    pub fn rr_on_lane(cost: &svt_sim::CostModel, expected: u64, lane: usize) -> Self {
         ServerConfig {
-            rx_depth: 16,
-            netstack_rx: cost.netstack_per_packet,
-            netstack_tx: cost.netstack_per_packet,
-            eoi: true,
+            netstack: cost.netstack_per_packet,
             timer_rearm_every: 1,
             replenish_every: 1,
             expected,
-            net_mmio: layout::NET_MMIO,
             blk_mmio: None,
-            lane: 0,
-        }
-    }
-
-    /// [`ServerConfig::rr_defaults`] placed on vCPU `lane`'s private
-    /// workload lane: queues, buffer pools and the NIC MMIO window all
-    /// come from [`layout::lane`].
-    pub fn rr_on_lane(cost: &svt_sim::CostModel, expected: u64, lane: usize) -> Self {
-        let l = layout::lane(lane);
-        ServerConfig {
-            net_mmio: l.net_mmio,
             lane,
-            ..ServerConfig::rr_defaults(cost, expected)
         }
     }
 }
@@ -180,13 +163,15 @@ impl RrServer {
     /// named by `cfg.lane` (lane 0 is the historical single-vCPU layout).
     pub fn new(cfg: ServerConfig, service: Box<dyn ServiceModel>) -> Self {
         let lane = layout::lane(cfg.lane);
-        let blk = cfg.blk_mmio.map(|_| Virtqueue::new(lane.blk_queue, 32));
+        let blk = cfg
+            .blk_mmio
+            .map(|_| Virtqueue::new(lane.blk_queue, QUEUE_SIZE));
         RrServer {
             cfg,
             lane,
             service,
-            tx: Virtqueue::new(lane.tx_queue, 32),
-            rx: Virtqueue::new(lane.rx_queue, 32),
+            tx: Virtqueue::new(lane.tx_queue, QUEUE_SIZE),
+            rx: Virtqueue::new(lane.rx_queue, QUEUE_SIZE),
             blk,
             ops: VecDeque::new(),
             phase: Phase::Init,
@@ -258,7 +243,7 @@ impl RrServer {
         if self.cfg.replenish_every > 0 && self.since_replenish >= self.cfg.replenish_every {
             self.since_replenish = 0;
             self.ops.push_back(GuestOp::MmioWrite {
-                gpa: self.cfg.net_mmio + regs::RX_NOTIFY,
+                gpa: self.lane.net_mmio + regs::RX_NOTIFY,
                 value: 1,
             });
         }
@@ -270,15 +255,15 @@ impl RrServer {
                 value: u64::MAX / 2,
             });
         }
-        self.ops.push_back(GuestOp::Compute(self.cfg.netstack_tx));
+        self.ops.push_back(GuestOp::Compute(self.cfg.netstack));
         self.ops.push_back(GuestOp::MmioWrite {
-            gpa: self.cfg.net_mmio + regs::TX_NOTIFY,
+            gpa: self.lane.net_mmio + regs::TX_NOTIFY,
             value: 1,
         });
     }
 
     fn begin_request(&mut self, mem: &mut GuestMemory, req: ParsedRequest) {
-        self.ops.push_back(GuestOp::Compute(self.cfg.netstack_rx));
+        self.ops.push_back(GuestOp::Compute(self.cfg.netstack));
         let out = self.service.serve(&req, mem);
         if !out.compute.is_zero() {
             self.ops.push_back(GuestOp::Compute(out.compute));
@@ -380,14 +365,13 @@ impl GuestProgram for RrServer {
         if let Some(op) = self.ops.pop_front() {
             return op;
         }
-        if self.eoi_owed > 0 && self.cfg.eoi {
+        if self.eoi_owed > 0 {
             self.eoi_owed -= 1;
             return GuestOp::MsrWrite {
                 msr: MSR_X2APIC_EOI,
                 value: 0,
             };
         }
-        self.eoi_owed = 0;
         match self.phase {
             Phase::Init => {
                 self.rx.init(ctx.mem).expect("rx ring in RAM");
@@ -395,7 +379,7 @@ impl GuestProgram for RrServer {
                 if let Some(blk) = self.blk.as_mut() {
                     blk.init(ctx.mem).expect("blk ring in RAM");
                 }
-                for i in 0..self.cfg.rx_depth as u64 {
+                for i in 0..RX_DEPTH {
                     let addr = self.lane.rx_bufs.0 + i * layout::BUF_SIZE;
                     self.post_rx(ctx.mem, addr);
                 }
@@ -404,7 +388,7 @@ impl GuestProgram for RrServer {
                 // on the next step, after any already-delivered interrupt
                 // has been drained (the classic sti;hlt race).
                 GuestOp::MmioWrite {
-                    gpa: self.cfg.net_mmio + regs::START,
+                    gpa: self.lane.net_mmio + regs::START,
                     value: 1,
                 }
             }

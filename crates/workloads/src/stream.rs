@@ -12,6 +12,7 @@ use svt_hv::{GuestCtx, GuestOp, GuestProgram};
 use svt_sim::{FnvHashMap, SimDuration, SimTime};
 use svt_virtio::Virtqueue;
 
+use crate::harness::QUEUE_SIZE;
 use crate::layout;
 
 /// The bulk-transfer sender program.
@@ -52,9 +53,9 @@ impl StreamSender {
             total_packets,
             netstack_tx: cost.netstack_per_packet,
             timer_rearm_every: 16,
-            tx: Virtqueue::new(layout::TX_QUEUE, 32),
+            tx: Virtqueue::new(layout::lane(0).tx_queue, QUEUE_SIZE),
             tx_free: (0..16)
-                .map(|i| layout::TX_BUFS.0 + i * layout::BUF_SIZE * 4)
+                .map(|i| layout::lane(0).tx_bufs.0 + i * layout::BUF_SIZE * 4)
                 .collect(),
             tx_inflight: FnvHashMap::default(),
             sent: 0,
@@ -126,7 +127,7 @@ impl GuestProgram for StreamSender {
             self.started = Some(ctx.now);
             self.post_packets(ctx, self.window);
             self.pending.push(GuestOp::MmioWrite {
-                gpa: layout::NET_MMIO + svt_virtio::REG_TX_NOTIFY,
+                gpa: layout::lane(0).net_mmio + svt_virtio::REG_TX_NOTIFY,
                 value: 1,
             });
             return GuestOp::Compute(self.netstack_tx * self.window as u64);
@@ -142,7 +143,7 @@ impl GuestProgram for StreamSender {
             self.credits = 0;
             if self.post_packets(ctx, n) {
                 self.pending.push(GuestOp::MmioWrite {
-                    gpa: layout::NET_MMIO + svt_virtio::REG_TX_NOTIFY,
+                    gpa: layout::lane(0).net_mmio + svt_virtio::REG_TX_NOTIFY,
                     value: 1,
                 });
                 if self.timer_rearm_every > 0 && self.since_timer >= self.timer_rearm_every {

@@ -293,18 +293,19 @@ impl RequestSource for TpccSource {
     }
 }
 
+/// Parse/plan/execute cost per SQL statement.
+const STMT_COST: SimDuration = SimDuration::from_us(45);
+/// Cost per row touched at commit.
+const PER_ROW: SimDuration = SimDuration::from_us(3);
+/// Every n-th statement misses the buffer cache and reads a page.
+const MISS_EVERY: u64 = 3;
+
 /// The database service behind the server: per-statement execution with
 /// buffer-cache-miss reads, and real transaction execution plus WAL
 /// persistence at commit.
 #[derive(Debug)]
 pub struct TpccService {
     db: Rc<RefCell<TpccDb>>,
-    /// Parse/plan/execute cost per SQL statement.
-    pub stmt_cost: SimDuration,
-    /// Cost per row touched at commit.
-    pub per_row: SimDuration,
-    /// Every n-th statement misses the buffer cache and reads a page.
-    pub miss_every: u64,
     stmt_counter: u64,
 }
 
@@ -316,9 +317,6 @@ impl TpccService {
         (
             TpccService {
                 db: Rc::clone(&db),
-                stmt_cost: SimDuration::from_us(45),
-                per_row: SimDuration::from_us(3),
-                miss_every: 3,
                 stmt_counter: 0,
             },
             db,
@@ -330,11 +328,11 @@ impl ServiceModel for TpccService {
     fn serve(&mut self, req: &ParsedRequest, _mem: &mut GuestMemory) -> ServeOutput {
         let tx = TxType::from_op(req.op);
         self.stmt_counter += 1;
-        let miss = self.miss_every > 0 && self.stmt_counter.is_multiple_of(self.miss_every);
+        let miss = self.stmt_counter.is_multiple_of(MISS_EVERY);
         if req.vsize > 0 {
             // Intermediate statement: point read/update.
             ServeOutput {
-                compute: self.stmt_cost,
+                compute: STMT_COST,
                 reply_len: 64,
                 disk_reads: miss as u32,
                 wal_bytes: 0,
@@ -343,7 +341,7 @@ impl ServiceModel for TpccService {
             // Final statement: execute and commit the whole transaction.
             let (rows, wal) = self.db.borrow_mut().execute(tx, req.key, 10);
             ServeOutput {
-                compute: self.stmt_cost + self.per_row * rows as u64,
+                compute: STMT_COST + PER_ROW * rows as u64,
                 reply_len: 64,
                 disk_reads: miss as u32,
                 wal_bytes: wal.max(96),

@@ -11,14 +11,28 @@
 
 use svt_sim::FnvHashMap;
 
-use svt_arch::{MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_TIMER};
+use svt_arch::{MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_BLK, VECTOR_TIMER};
 use svt_hv::{GuestCtx, GuestOp, GuestProgram};
 use svt_mem::Hpa;
 use svt_sim::{DetRng, SimDuration, SimTime};
 use svt_virtio::{Virtqueue, BLK_T_IN};
 
+use crate::harness::QUEUE_SIZE;
 use crate::layout;
-use crate::server::VECTOR_BLK;
+
+/// Mean decode time per frame: ~3.2 ms/frame matches the paper's "L2 is
+/// idle for 61 % of the time" at 120 FPS.
+const DECODE_MEAN: SimDuration = SimDuration::from_us(3200);
+/// Decode-time jitter (standard deviation).
+const DECODE_JITTER: SimDuration = SimDuration::from_us(600);
+/// Wall-clock period between file-chunk reads.
+const CHUNK_PERIOD: SimDuration = SimDuration::from_ms(500);
+/// Mean read requests per chunk (the VBR dither adds −8..+8).
+const CHUNK_REQUESTS: u32 = 52;
+/// Bytes per read request.
+const REQUEST_BYTES: u32 = 65_536;
+/// Lateness tolerance as a fraction of the frame period.
+const TOLERANCE: f64 = 0.10;
 
 /// Playback configuration.
 #[derive(Debug, Clone)]
@@ -27,34 +41,15 @@ pub struct VideoConfig {
     pub fps: u32,
     /// Playback length.
     pub duration: SimDuration,
-    /// Mean decode time per frame.
-    pub decode_mean: SimDuration,
-    /// Decode-time jitter (standard deviation).
-    pub decode_jitter: SimDuration,
-    /// Wall-clock period between file-chunk reads.
-    pub chunk_period: SimDuration,
-    /// Read requests per chunk.
-    pub chunk_requests: u32,
-    /// Bytes per read request.
-    pub request_bytes: u32,
-    /// Lateness tolerance as a fraction of the frame period.
-    pub tolerance: f64,
 }
 
 impl VideoConfig {
     /// The paper's setup: first 5 minutes of a 4K movie, repackaged to the
-    /// given frame rate. Decode costs ~3.2 ms/frame at the paper's "L2 is
-    /// idle for 61 % of the time" at 120 FPS.
+    /// given frame rate.
     pub fn isca19(fps: u32) -> Self {
         VideoConfig {
             fps,
             duration: SimDuration::from_secs(300),
-            decode_mean: SimDuration::from_us(3200),
-            decode_jitter: SimDuration::from_us(600),
-            chunk_period: SimDuration::from_ms(500),
-            chunk_requests: 52,
-            request_bytes: 65_536,
-            tolerance: 0.10,
         }
     }
 }
@@ -94,7 +89,7 @@ impl VideoPlayer {
         VideoPlayer {
             cfg,
             rng: DetRng::seed(seed),
-            queue: Virtqueue::new(layout::BLK_QUEUE, 32),
+            queue: Virtqueue::new(layout::lane(0).blk_queue, QUEUE_SIZE),
             phase: Phase::Decode,
             pending: Vec::new(),
             eoi_owed: 0,
@@ -130,9 +125,8 @@ impl VideoPlayer {
     }
 
     fn submit_read(&mut self, ctx: &mut GuestCtx<'_>) {
-        let hdr = layout::BLK_BUFS.0;
-        let data = layout::BLK_BUFS.0 + 0x1000;
-        let status = layout::BLK_BUFS.0 + 0x100;
+        let bufs = layout::lane(0).blk_bufs.0;
+        let (hdr, data, status) = (bufs, bufs + 0x1000, bufs + 0x100);
         ctx.mem.write_u32(Hpa(hdr), BLK_T_IN).expect("hdr in RAM");
         ctx.mem
             .write_u64(Hpa(hdr + 8), self.rng.below(1 << 22))
@@ -143,21 +137,21 @@ impl VideoPlayer {
                 ctx.mem,
                 &[
                     (hdr, 16, false),
-                    (data, self.cfg.request_bytes, true),
+                    (data, REQUEST_BYTES, true),
                     (status, 1, true),
                 ],
             )
             .expect("blk ring in RAM");
         self.inflight.insert(head, ());
         self.pending.push(GuestOp::MmioWrite {
-            gpa: layout::BLK_MMIO,
+            gpa: layout::lane(0).blk_mmio,
             value: 1,
         });
     }
 
     fn present_frame(&mut self, now: SimTime) {
         let lateness = now.saturating_since(self.next_present);
-        let tolerance = SimDuration::from_ns_f64(self.period().as_ns() * self.cfg.tolerance);
+        let tolerance = SimDuration::from_ns_f64(self.period().as_ns() * TOLERANCE);
         self.frames_played += 1;
         self.max_lateness = self.max_lateness.max(lateness);
         if lateness > tolerance {
@@ -183,11 +177,9 @@ impl GuestProgram for VideoPlayer {
             self.init_done = true;
             self.queue.init(ctx.mem).expect("blk ring in RAM");
             self.next_present = ctx.now + self.period();
-            self.next_chunk = ctx.now + self.cfg.chunk_period;
+            self.next_chunk = ctx.now + CHUNK_PERIOD;
             self.phase = Phase::Decode;
-            let d = self
-                .rng
-                .norm_duration(self.cfg.decode_mean, self.cfg.decode_jitter);
+            let d = self.rng.norm_duration(DECODE_MEAN, DECODE_JITTER);
             return GuestOp::Compute(d);
         }
         match self.phase {
@@ -197,10 +189,10 @@ impl GuestProgram for VideoPlayer {
                     return GuestOp::Done;
                 }
                 if ctx.now >= self.next_chunk {
-                    self.next_chunk += self.cfg.chunk_period;
+                    self.next_chunk += CHUNK_PERIOD;
                     // Chunk sizes vary with the (VBR) video bitrate.
                     let dither = self.rng.below(17) as u32;
-                    self.burst_remaining = (self.cfg.chunk_requests - 8) + dither;
+                    self.burst_remaining = (CHUNK_REQUESTS - 8) + dither;
                     self.phase = Phase::DiskBurst;
                     self.submit_read(ctx);
                     return self.pending.pop().expect("kick queued");
@@ -212,9 +204,7 @@ impl GuestProgram for VideoPlayer {
                     // late.
                     self.present_frame(ctx.now);
                     self.phase = Phase::Decode;
-                    let d = self
-                        .rng
-                        .norm_duration(self.cfg.decode_mean, self.cfg.decode_jitter);
+                    let d = self.rng.norm_duration(DECODE_MEAN, DECODE_JITTER);
                     return GuestOp::Compute(d);
                 }
                 GuestOp::MsrWrite {
@@ -234,12 +224,10 @@ impl GuestProgram for VideoPlayer {
             VECTOR_TIMER if self.phase == Phase::AwaitTimer => {
                 self.present_frame(ctx.now);
                 self.phase = Phase::Decode;
-                let d = self
-                    .rng
-                    .norm_duration(self.cfg.decode_mean, self.cfg.decode_jitter);
+                let d = self.rng.norm_duration(DECODE_MEAN, DECODE_JITTER);
                 self.pending.push(GuestOp::Compute(d));
             }
-            VECTOR_BLK | svt_arch::VECTOR_VIRTIO => {
+            VECTOR_BLK => {
                 while let Some((head, _)) = self.queue.driver_take_used(ctx.mem).expect("blk ring")
                 {
                     self.inflight.remove(&head);

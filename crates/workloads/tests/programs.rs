@@ -9,12 +9,13 @@ use svt_workloads::*;
 
 fn stream_machine(mode: SwitchMode, coalesce: u32) -> Machine {
     let mut m = nested_machine(mode);
-    let cost = m.cost.clone();
-    let net = VirtioNet::new(
-        NetConfig::stream(&cost, coalesce),
-        Virtqueue::new(layout::TX_QUEUE, QUEUE_SIZE),
-    );
-    m.add_device(Box::new(net));
+    let lane = layout::lane(0);
+    let cfg = NetConfig {
+        mmio_base: lane.net_mmio,
+        ack_coalesce: coalesce,
+    };
+    let net = VirtioNet::new(cfg, &m.cost, Virtqueue::new(lane.tx_queue, QUEUE_SIZE));
+    m.add_device_for(Box::new(net), 0);
     m
 }
 
@@ -137,16 +138,12 @@ fn server_wal_blocks_reply_until_persistence() {
                 vsize: 1,
             },
         });
-        let (mut m, stats) = rr_machine(
-            SwitchMode::Baseline,
-            rr_arrival(&cost),
-            10,
-            source,
-            DEFAULT_LANE_SEED,
-        );
+        let mut m = nested_machine(SwitchMode::Baseline);
+        let stats =
+            attach_loadgen_for_seeded(&mut m, 0, rr_arrival(&cost), 10, source, DEFAULT_LANE_SEED);
         attach_blk_for(&mut m, 0);
-        let mut cfg = ServerConfig::rr_defaults(&cost, 10);
-        cfg.blk_mmio = Some(layout::BLK_MMIO);
+        let mut cfg = ServerConfig::rr_on_lane(&cost, 10, 0);
+        cfg.blk_mmio = Some(layout::lane(0).blk_mmio);
         let svc: Box<dyn ServiceModel> = if wal {
             Box::new(WalEcho)
         } else {
@@ -190,16 +187,12 @@ fn server_disk_reads_are_sequentially_ordered_before_reply() {
             vsize: 1,
         },
     });
-    let (mut m, stats) = rr_machine(
-        SwitchMode::Baseline,
-        rr_arrival(&cost),
-        5,
-        source,
-        DEFAULT_LANE_SEED,
-    );
+    let mut m = nested_machine(SwitchMode::Baseline);
+    let stats =
+        attach_loadgen_for_seeded(&mut m, 0, rr_arrival(&cost), 5, source, DEFAULT_LANE_SEED);
     attach_blk_for(&mut m, 0);
-    let mut cfg = ServerConfig::rr_defaults(&cost, 5);
-    cfg.blk_mmio = Some(layout::BLK_MMIO);
+    let mut cfg = ServerConfig::rr_on_lane(&cost, 5, 0);
+    cfg.blk_mmio = Some(layout::lane(0).blk_mmio);
     let mut server = RrServer::new(cfg, Box::new(ReadyEcho));
     m.run(&mut server).unwrap();
     assert_eq!(stats.borrow().completed, 5);

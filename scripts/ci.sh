@@ -128,6 +128,28 @@ if ! cmp -s /tmp/fig6_riscv.json /tmp/fig6_riscv_j2.json; then
 fi
 echo "ok   riscv fig6 report is byte-identical across worker counts"
 
+echo "==> I/O figure smokes: fig7, fig9 --quick and fig10 --quick exit 0 with results"
+# The RR and STREAM NICs, virtio-blk, the TPC-C WAL and the video
+# player's chunk reads run only under these bins; the goldens pin their
+# reduced sizes, this runs the bins themselves.
+cargo run -q --release -p svt-bench --bin fig7 -- --json /tmp/fig7.json >/dev/null
+cargo run -q --release -p svt-bench --bin fig9 -- --quick --json /tmp/fig9.json >/dev/null
+cargo run -q --release -p svt-bench --bin fig10 -- --quick --json /tmp/fig10.json >/dev/null
+python3 - <<'PY'
+import json, sys
+
+ok = True
+for fig, key in (("fig7", "speedups"), ("fig9", "speedups"), ("fig10", "frame_rates")):
+    rep = json.load(open(f"/tmp/{fig}.json"))
+    rows = rep.get(key) if key == "speedups" else dict(rep.get("results", [])).get(key)
+    if not rows:
+        print(f"FAIL {fig}: empty {key}")
+        ok = False
+    else:
+        print(f"ok   {fig}: {len(rows)} {key} rows")
+sys.exit(0 if ok else 1)
+PY
+
 echo "==> profile smoke: causal critical paths present and schema current"
 cargo run -q -p svt-bench --bin profile -- memcached 2 --smoke --json /tmp/profile.json \
     --trace /tmp/profile_trace.json >/dev/null

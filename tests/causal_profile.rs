@@ -176,7 +176,6 @@ fn critical_path_weight_is_conserved_over_random_smp_schedules() {
 fn late_ring_command_trips_deadline_watchdog_exactly_once() {
     let mut g = CausalGraph::new();
     g.enable();
-    g.set_ring_deadline(SimDuration::from_us(50));
     let t0 = SimTime::ZERO + SimDuration::from_us(10);
     g.ring_enqueue("svt_cmd_enqueue", 0, t0);
     // Serviced 100us later: past the 50us deadline.
@@ -212,7 +211,6 @@ fn double_delivered_ipi_trips_exactly_once_watchdog() {
     // passes at finish.
     let mut g = CausalGraph::new();
     g.enable();
-    g.set_ipi_deadline(SimDuration::from_us(50));
     g.ipi_send(1, t0);
     g.finish(t0 + SimDuration::from_ms(1));
     assert_eq!(g.violation_count("watchdog_ipi_lost"), 1);

@@ -6,8 +6,8 @@ use svt::core::{nested_machine, SwitchMode};
 use svt::hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt::sim::{CostPart, SimDuration};
 use svt::workloads::{
-    attach_blk_for, disk_latency_us, net_rr_latency_us, rr_arrival, rr_machine, EchoService,
-    FixedSource, Request, RrServer, ServerConfig, DEFAULT_LANE_SEED,
+    attach_blk_for, attach_loadgen_for_seeded, disk_latency_us, net_rr_latency_us, rr_arrival,
+    EchoService, FixedSource, Request, RrServer, ServerConfig, DEFAULT_LANE_SEED,
 };
 
 #[test]
@@ -21,9 +21,11 @@ fn rr_transaction_flows_through_every_engine() {
             },
         });
         let cost = svt::sim::CostModel::default();
-        let (mut m, stats) = rr_machine(mode, rr_arrival(&cost), 30, source, DEFAULT_LANE_SEED);
+        let mut m = nested_machine(mode);
+        let stats =
+            attach_loadgen_for_seeded(&mut m, 0, rr_arrival(&cost), 30, source, DEFAULT_LANE_SEED);
         let mut server = RrServer::new(
-            ServerConfig::rr_defaults(&cost, 30),
+            ServerConfig::rr_on_lane(&cost, 30, 0),
             Box::new(EchoService {
                 compute: SimDuration::from_us(2),
                 reply_len: 1,
@@ -93,15 +95,11 @@ fn exit_reason_profile_matches_workload_type() {
         },
     });
     let cost = svt::sim::CostModel::default();
-    let (mut m, _stats) = rr_machine(
-        SwitchMode::Baseline,
-        rr_arrival(&cost),
-        10,
-        source,
-        DEFAULT_LANE_SEED,
-    );
+    let mut m = nested_machine(SwitchMode::Baseline);
+    let _stats =
+        attach_loadgen_for_seeded(&mut m, 0, rr_arrival(&cost), 10, source, DEFAULT_LANE_SEED);
     let mut server = RrServer::new(
-        ServerConfig::rr_defaults(&cost, 10),
+        ServerConfig::rr_on_lane(&cost, 10, 0),
         Box::new(EchoService {
             compute: SimDuration::from_us(2),
             reply_len: 1,
@@ -125,15 +123,11 @@ fn attribution_is_exhaustive() {
         },
     });
     let cost = svt::sim::CostModel::default();
-    let (mut m, _stats) = rr_machine(
-        SwitchMode::Baseline,
-        rr_arrival(&cost),
-        10,
-        source,
-        DEFAULT_LANE_SEED,
-    );
+    let mut m = nested_machine(SwitchMode::Baseline);
+    let _stats =
+        attach_loadgen_for_seeded(&mut m, 0, rr_arrival(&cost), 10, source, DEFAULT_LANE_SEED);
     let mut server = RrServer::new(
-        ServerConfig::rr_defaults(&cost, 10),
+        ServerConfig::rr_on_lane(&cost, 10, 0),
         Box::new(EchoService {
             compute: SimDuration::from_us(2),
             reply_len: 1,

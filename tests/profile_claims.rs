@@ -1,11 +1,11 @@
 //! The paper's § 6.2/6.3 profiling claims, reproduced from the clock's
 //! per-exit-reason attribution.
 
-use svt::core::SwitchMode;
+use svt::core::{nested_machine, SwitchMode};
 use svt::sim::SimDuration;
 use svt::workloads::{
-    memcached_point, rr_arrival, rr_machine, EchoService, FixedSource, Request, RrServer,
-    ServerConfig, DEFAULT_LANE_SEED,
+    attach_loadgen_for_seeded, memcached_point, rr_arrival, EchoService, FixedSource, Request,
+    RrServer, ServerConfig, DEFAULT_LANE_SEED,
 };
 
 #[test]
@@ -20,15 +20,11 @@ fn vmcs_access_share_is_small_with_shadowing() {
         },
     });
     let cost = svt::sim::CostModel::default();
-    let (mut m, _stats) = rr_machine(
-        SwitchMode::Baseline,
-        rr_arrival(&cost),
-        60,
-        source,
-        DEFAULT_LANE_SEED,
-    );
+    let mut m = nested_machine(SwitchMode::Baseline);
+    let _stats =
+        attach_loadgen_for_seeded(&mut m, 0, rr_arrival(&cost), 60, source, DEFAULT_LANE_SEED);
     let mut server = RrServer::new(
-        ServerConfig::rr_defaults(&cost, 60),
+        ServerConfig::rr_on_lane(&cost, 60, 0),
         Box::new(EchoService {
             compute: SimDuration::from_us(2),
             reply_len: 1,
@@ -51,8 +47,10 @@ fn memcached_l0_time_dominated_by_ept_misconfig() {
     // rebuild the scenario with the same parameters).
     let source = Box::new(svt::workloads::EtcSource::new(100_000));
     let cost = svt::sim::CostModel::default();
-    let (mut m, _stats) = rr_machine(
-        SwitchMode::Baseline,
+    let mut m = nested_machine(SwitchMode::Baseline);
+    let _stats = attach_loadgen_for_seeded(
+        &mut m,
+        0,
         svt::workloads::ArrivalMode::OpenLoop {
             mean_interarrival: SimDuration::from_ns_f64(1e9 / 6_000.0),
         },
@@ -60,7 +58,7 @@ fn memcached_l0_time_dominated_by_ept_misconfig() {
         source,
         DEFAULT_LANE_SEED,
     );
-    let mut cfg = ServerConfig::rr_defaults(&cost, 200);
+    let mut cfg = ServerConfig::rr_on_lane(&cost, 200, 0);
     cfg.timer_rearm_every = 4;
     cfg.replenish_every = 2;
     let mut server = RrServer::new(cfg, Box::new(svt::workloads::KvService::new(50_000)));

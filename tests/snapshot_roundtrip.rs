@@ -553,11 +553,13 @@ fn device_machine() -> Machine {
     use svt::virtio::{NetConfig, VirtioNet, Virtqueue};
     use svt::workloads::{attach_blk_for, layout, QUEUE_SIZE};
     let mut m = nested_machine(SwitchMode::SwSvt);
-    let cost = m.cost.clone();
-    m.add_device(Box::new(VirtioNet::new(
-        NetConfig::stream(&cost, 4),
-        Virtqueue::new(layout::TX_QUEUE, QUEUE_SIZE),
-    )));
+    let lane = layout::lane(0);
+    let cfg = NetConfig {
+        mmio_base: lane.net_mmio,
+        ack_coalesce: 4,
+    };
+    let net = VirtioNet::new(cfg, &m.cost, Virtqueue::new(lane.tx_queue, QUEUE_SIZE));
+    m.add_device_for(Box::new(net), 0);
     attach_blk_for(&mut m, 0);
     m
 }
@@ -599,17 +601,19 @@ fn hostile_counts_in_device_payloads_are_typed_errors() {
     use svt::virtio::{BlkConfig, NetConfig, VirtioBlk, VirtioNet, Virtqueue};
     use svt::workloads::{layout, QUEUE_SIZE};
     let cost = CostModel::default();
+    let lane = layout::lane(0);
     let net = || {
-        VirtioNet::new(
-            NetConfig::stream(&cost, 4),
-            Virtqueue::new(layout::TX_QUEUE, QUEUE_SIZE),
-        )
+        let cfg = NetConfig {
+            mmio_base: lane.net_mmio,
+            ack_coalesce: 4,
+        };
+        VirtioNet::new(cfg, &cost, Virtqueue::new(lane.tx_queue, QUEUE_SIZE))
     };
     let blk = || {
-        VirtioBlk::new(
-            BlkConfig::from_cost(&cost),
-            Virtqueue::new(layout::BLK_QUEUE, QUEUE_SIZE),
-        )
+        let cfg = BlkConfig {
+            mmio_base: lane.blk_mmio,
+        };
+        VirtioBlk::new(cfg, &cost, Virtqueue::new(lane.blk_queue, QUEUE_SIZE))
     };
     // Splices one pending entry, `entry`, into an empty pending table whose
     // count sits at byte `at`.
@@ -651,23 +655,26 @@ fn hostile_counts_in_device_payloads_are_typed_errors() {
 
 /// An open-loop ETC load generator on a 1-vCPU SW-SVt machine.
 fn loadgen_machine() -> (Machine, Rc<std::cell::RefCell<svt::workloads::LoadStats>>) {
-    use svt::workloads::{rr_machine, ArrivalMode, EtcSource};
-    rr_machine(
-        SwitchMode::SwSvt,
+    use svt::workloads::{attach_loadgen_for_seeded, ArrivalMode, EtcSource};
+    let mut m = nested_machine(SwitchMode::SwSvt);
+    let stats = attach_loadgen_for_seeded(
+        &mut m,
+        0,
         ArrivalMode::OpenLoop {
             mean_interarrival: SimDuration::from_us(80),
         },
         200,
         Box::new(EtcSource::new(100_000)),
         5,
-    )
+    );
+    (m, stats)
 }
 
 /// Serves the load generator's requests with a memcached-style server
 /// until `until`.
 fn serve(m: &mut Machine, until: SimTime) {
     use svt::workloads::{KvService, RrServer, ServerConfig};
-    let mut cfg = ServerConfig::rr_defaults(&m.cost, u64::MAX);
+    let mut cfg = ServerConfig::rr_on_lane(&m.cost, u64::MAX, 0);
     cfg.timer_rearm_every = 4;
     cfg.replenish_every = 2;
     let mut server = RrServer::new(cfg, Box::new(KvService::new(50_000)));
@@ -735,7 +742,7 @@ fn fingerprint_covers_engine_and_device_state() {
     let (mut m, _) = loadgen_machine();
     serve(&mut m, SimTime::ZERO + SimDuration::from_ms(1));
     let mut head = 0u64.to_le_bytes().to_vec();
-    head.extend_from_slice(&layout::TX_QUEUE.0.to_le_bytes());
+    head.extend_from_slice(&layout::lane(0).tx_queue.0.to_le_bytes());
     head.extend_from_slice(&QUEUE_SIZE.to_le_bytes());
     let bad = tamper(&m.snapshot(), |p| {
         let start = find(p, &head);
