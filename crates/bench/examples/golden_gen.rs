@@ -25,7 +25,7 @@ fn main() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
 
-    let fig6 = fig6_report(&fig6_grid(ArchId::X86, 30, 1, None), DEFAULT_LANE_SEED);
+    let fig6 = fig6_report(&fig6_grid(ArchId::X86, 30, 1), DEFAULT_LANE_SEED);
     fig6.write_file(&dir.join("fig6_x86.json")).unwrap();
 
     let series = smp_series(
@@ -35,19 +35,11 @@ fn main() {
         60,
         DEFAULT_LANE_SEED,
         1,
-        None,
     );
     let smp = smp_report(ArchId::X86, &series, DEFAULT_LANE_SEED);
     smp.write_file(&dir.join("smp_x86.json")).unwrap();
 
-    let cells = faults_campaign(
-        &FAULTS_MODES,
-        &[0.0, 0.05],
-        60,
-        FAULTS_DEFAULT_SEED,
-        1,
-        None,
-    );
+    let cells = faults_campaign(&FAULTS_MODES, &[0.0, 0.05], 60, FAULTS_DEFAULT_SEED, 1);
     let faults = faults_report(&cells, FAULTS_DEFAULT_SEED);
     faults.write_file(&dir.join("faults_x86.json")).unwrap();
 

@@ -37,8 +37,6 @@ const CLI: CliSpec = CliSpec {
         Flag::Smoke,
         Flag::Seed,
         Flag::Jobs,
-        Flag::CheckpointDir,
-        Flag::Resume,
         Flag::Timeline,
         Flag::Dump,
         Flag::DumpOnExit,
@@ -64,15 +62,7 @@ fn main() {
     );
     rule();
 
-    let ckpt = cli.checkpoint(seed);
-    let cells = faults_campaign(
-        &FAULTS_MODES,
-        rates,
-        requests,
-        seed,
-        cli.jobs(),
-        ckpt.as_ref().map(|c| (c, cli.flag(Flag::Resume))),
-    );
+    let cells = faults_campaign(&FAULTS_MODES, rates, requests, seed, cli.jobs());
     for chunk in cells.chunks(rates.len()) {
         for c in chunk {
             let p = &c.point;

@@ -11,26 +11,16 @@
 
 use svt_arch::ArchId;
 use svt_bench::{fig6_report, print_header, rule, BenchCli, CliSpec, Flag};
+use svt_workloads::DEFAULT_LANE_SEED;
 
 const CLI: CliSpec = CliSpec {
     bin: "fig6",
     args: &[],
-    flags: &[
-        Flag::Json,
-        Flag::Hostprof,
-        Flag::Seed,
-        Flag::Jobs,
-        Flag::Arch,
-        Flag::CheckpointDir,
-        Flag::Resume,
-    ],
+    flags: &[Flag::Json, Flag::Hostprof, Flag::Jobs, Flag::Arch],
 };
 
 fn main() {
     let cli = BenchCli::parse(&CLI);
-    let seed = cli.seed.unwrap_or(svt_workloads::DEFAULT_LANE_SEED);
-    let ckpt = cli.checkpoint(seed);
-    let ckpt = ckpt.as_ref().map(|c| (c, cli.flag(Flag::Resume)));
     let arch = cli.arch();
     let on_x86 = arch == ArchId::X86;
     print_header(if on_x86 {
@@ -38,7 +28,7 @@ fn main() {
     } else {
         "Fig. 6 (riscv) - trap-and-emulate latency on the H-extension backend"
     });
-    let grid = svt_workloads::fig6_grid(arch, 200, cli.jobs(), ckpt);
+    let grid = svt_workloads::fig6_grid(arch, 200, cli.jobs());
     println!(
         "{:<10}{:>12}{:>14}{:>16}",
         "System", "Time [us]", "Speedup", "Paper speedup"
@@ -61,7 +51,8 @@ fn main() {
         );
     }
 
-    // The cpuid micro-benchmark is load-free; the seed is recorded so
-    // every bench report carries the same reproducibility field.
-    cli.emit_report(fig6_report(&grid, seed));
+    // The cpuid micro-benchmark is load-free, so it takes no seed; the
+    // default lane seed is recorded so every bench report carries the
+    // same reproducibility field.
+    cli.emit_report(fig6_report(&grid, DEFAULT_LANE_SEED));
 }

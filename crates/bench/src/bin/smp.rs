@@ -33,8 +33,6 @@ const CLI: CliSpec = CliSpec {
         Flag::Seed,
         Flag::Jobs,
         Flag::Arch,
-        Flag::CheckpointDir,
-        Flag::Resume,
         Flag::Timeline,
         Flag::Dump,
         Flag::DumpOnExit,
@@ -51,7 +49,6 @@ fn main() {
             print_header("SMP scaling (riscv) - sharded memcached on the H-extension backend")
         }
     }
-    let ckpt = cli.checkpoint(seed);
     let series = smp_series(
         arch,
         &SMP_VCPU_COUNTS,
@@ -59,7 +56,6 @@ fn main() {
         SMP_REQUESTS,
         seed,
         cli.jobs(),
-        ckpt.as_ref().map(|c| (c, cli.flag(Flag::Resume))),
     );
     println!(
         "{:<10}{:>8}{:>14}{:>14}{:>12}",

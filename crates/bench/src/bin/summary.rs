@@ -21,7 +21,7 @@ fn main() {
     let mut report = paper_report("summary", "Headline summary (quick settings)", seed);
 
     // Table 1 / Fig. 6.
-    let grid = svt_workloads::fig6_grid(ArchId::X86, 50, 1, None);
+    let grid = svt_workloads::fig6_grid(ArchId::X86, 50, 1);
     let t1: f64 = grid.table1.iter().map(|r| r.time_us).sum();
     println!("Table 1  nested cpuid total        paper 10.40us   measured {t1:.2}us");
     report

@@ -4,12 +4,11 @@
 //! positional arguments and the flags it reads, drawn from one shared
 //! flag table ([`Flag`]). [`BenchCli::parse`] accepts exactly that
 //! declaration: any other flag, an extra positional, a value flag with no
-//! value, an unparsable `--seed`/`--arch`, a `--jobs` that is not a
-//! positive integer, or `--resume` without `--checkpoint-dir` is a
-//! [`CliError`], reported on stderr with exit status 2 before anything
-//! runs. `--help` is accepted everywhere and prints help generated from
-//! the same declaration, so the help text cannot drift from what the
-//! parser accepts.
+//! value, an unparsable `--seed`/`--arch`, or a `--jobs` that is not a
+//! positive integer is a [`CliError`], reported on stderr with exit
+//! status 2 before anything runs. `--help` is accepted everywhere and
+//! prints help generated from the same declaration, so the help text
+//! cannot drift from what the parser accepts.
 //!
 //! Binaries report through [`BenchCli::emit_report`],
 //! [`BenchCli::emit_trace`] and [`BenchCli::emit_json`]; a failed write
@@ -60,8 +59,6 @@ flag_table! {
     Timeline "--timeline <path>" "write the windowed timeline export",
     Dump "--dump <path>" "write the flight-recorder dump",
     DumpOnExit "--dump-on-exit" "trip the flight recorder at the end",
-    CheckpointDir "--checkpoint-dir <path>" "journal finished grid cells here",
-    Resume "--resume" "replay the journal, compute only the rest",
     Seed "--seed <n>" "seed of load generators and fault plans",
     Jobs "--jobs <n>" "sweep workers, at least 1 (default all cores)",
     Arch "--arch <x86|riscv>" "ISA backend (default x86)",
@@ -126,9 +123,6 @@ pub struct BenchCli {
     /// Destination of the flight-recorder crash dump (`--dump`), if
     /// requested.
     pub dump: Option<PathBuf>,
-    /// Campaign checkpoint directory (`--checkpoint-dir`), if given —
-    /// completed grid cells journal here so a killed sweep can resume.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Deterministic seed (`--seed`), if given.
     pub seed: Option<u64>,
     /// Explicit sweep worker count (`--jobs`), if given.
@@ -163,8 +157,7 @@ impl BenchCli {
     ///
     /// [`CliError`] for a flag `spec` does not declare, more positionals
     /// than it declares, a value flag without a value, an unparsable
-    /// `--seed` or `--arch`, a `--jobs` that is not a positive integer,
-    /// or `--resume` without `--checkpoint-dir`.
+    /// `--seed` or `--arch`, or a `--jobs` that is not a positive integer.
     pub fn from_args<I: IntoIterator<Item = String>>(
         spec: &'static CliSpec,
         args: I,
@@ -175,7 +168,6 @@ impl BenchCli {
             trace: None,
             timeline: None,
             dump: None,
-            checkpoint_dir: None,
             seed: None,
             jobs: None,
             arch: ArchId::default(),
@@ -226,7 +218,6 @@ impl BenchCli {
                 Flag::Trace => cli.trace = Some(value.into()),
                 Flag::Timeline => cli.timeline = Some(value.into()),
                 Flag::Dump => cli.dump = Some(value.into()),
-                Flag::CheckpointDir => cli.checkpoint_dir = Some(value.into()),
                 Flag::Seed => {
                     cli.seed = Some(value.parse().map_err(|_| bad_value(value, "an integer"))?)
                 }
@@ -236,9 +227,6 @@ impl BenchCli {
                 }
                 _ => cli.arch = ArchId::parse(&value).ok_or(CliError::UnknownArch(value))?,
             }
-        }
-        if cli.flag(Flag::Resume) && cli.checkpoint_dir.is_none() {
-            return Err(CliError::ResumeWithoutCheckpoint);
         }
         Ok(cli)
     }
@@ -259,31 +247,6 @@ impl BenchCli {
     /// [`ArchId::X86`] so that committed baseline reports stay valid.
     pub fn arch(&self) -> ArchId {
         self.arch
-    }
-
-    /// Opens the campaign checkpoint requested with `--checkpoint-dir`.
-    /// The campaign tag folds the binary's name, `seed` and the ISA
-    /// backend — deliberately *not* `--jobs`, since resume must be
-    /// byte-identical at any worker count — so a directory can never
-    /// silently satisfy a different campaign's cells. Returns `None` when
-    /// no checkpoint directory was requested; a directory that cannot be
-    /// created reports on stderr and exits nonzero.
-    pub fn checkpoint(&self, seed: u64) -> Option<svt_sim::checkpoint::Checkpoint> {
-        let dir = self.checkpoint_dir.as_ref()?;
-        let mut tag = svt_sim::snapshot::Fingerprint::new();
-        tag.fold_bytes(self.spec.bin.as_bytes());
-        tag.fold(seed);
-        tag.fold_bytes(self.arch.label().as_bytes());
-        match svt_sim::checkpoint::Checkpoint::create(dir, tag.value()) {
-            Ok(ckpt) => Some(ckpt),
-            Err(e) => {
-                eprintln!(
-                    "error: creating checkpoint directory {} failed: {e}",
-                    dir.display()
-                );
-                std::process::exit(1);
-            }
-        }
     }
 
     /// Positional argument `i`, if given.
@@ -431,8 +394,6 @@ pub enum CliError {
         /// What the argument accepts.
         accepts: String,
     },
-    /// `--resume` without a `--checkpoint-dir` to replay.
-    ResumeWithoutCheckpoint,
     /// A `--flag` or `--flag=v` the binary does not declare, or a
     /// positional beyond the ones it declares.
     Undeclared {
@@ -465,9 +426,6 @@ impl std::fmt::Display for CliError {
                 accepts,
             } => {
                 write!(f, "{name} {value:?} refused: {name} must be {accepts}")
-            }
-            CliError::ResumeWithoutCheckpoint => {
-                write!(f, "--resume needs --checkpoint-dir to replay")
             }
             CliError::Undeclared { spec, token } => {
                 let (bin, usage) = (spec.bin, spec.usage());
@@ -632,18 +590,13 @@ mod tests {
     }
 
     #[test]
-    fn value_flags_without_values_and_bare_resume_are_errors() {
+    fn value_flags_without_values_and_undeclared_flags_are_errors() {
         for list in [&["--json"][..], &["--json", "--trace=t.json"], &["--dump="]] {
             assert!(
                 matches!(try_args(list), Err(CliError::MissingValue(_))),
                 "{list:?}"
             );
         }
-        assert_eq!(
-            try_args(&["--smoke", "--resume"]).unwrap_err(),
-            CliError::ResumeWithoutCheckpoint
-        );
-        assert!(args(&["--resume", "--checkpoint-dir", "d"]).flag(Flag::Resume));
         // An undeclared flag in either form, a surplus positional, and a
         // bare flag given a value are refused by name, with the usage.
         for (list, token) in [

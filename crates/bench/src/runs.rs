@@ -17,7 +17,6 @@ use svt_core::{
 };
 use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt_obs::{ExitRow, HostAgg, HostPart, Json, PartRow, RunReport, SpeedupRow};
-use svt_sim::checkpoint::{self, Checkpoint};
 use svt_sim::{FaultPlan, Placement, SimDuration};
 use svt_stats::{filter_outliers, Convergence, Summary};
 use svt_workloads::{
@@ -245,10 +244,7 @@ pub fn fig10_report(rows: &[Fig10Row], secs: u64) -> RunReport {
 
 /// Runs the SMP scaling sweep — every [`SwitchMode`] at every vCPU count
 /// on the `arch` backend — as one `modes × counts` grid across `jobs`
-/// workers, returning one point series per mode in mode order. With a
-/// checkpoint, each cell journals under the `smp` scope as it completes,
-/// and `(ckpt, true)` resumes from the journal, recomputing only the
-/// missing or corrupted cells.
+/// workers, returning one point series per mode in mode order.
 pub fn smp_series(
     arch: ArchId,
     vcpu_counts: &[usize],
@@ -256,10 +252,9 @@ pub fn smp_series(
     requests: u64,
     seed: u64,
     jobs: usize,
-    ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
     let modes = SwitchMode::ALL;
-    let points = checkpoint::sweep(ckpt, "smp", modes.len() * vcpu_counts.len(), jobs, |i| {
+    let points = svt_sim::sweep(modes.len() * vcpu_counts.len(), jobs, |i| {
         let spec = RunSpec {
             app: App::Memcached { rate_qps, requests },
             mode: modes[i / vcpu_counts.len()],
@@ -325,23 +320,18 @@ pub struct FaultCell {
 /// Runs the `modes × rates` fault campaign across `jobs` workers. Cells
 /// merge in grid order (mode-major). Every cell must finish with silent
 /// causal watchdogs: injected faults may cost time, never correctness.
-/// With a checkpoint, each cell journals under the `faults` scope as it
-/// completes, and `(ckpt, true)` resumes from the journal. Watchdog
-/// verdicts are part of the journaled payload, so replayed cells
-/// re-assert the zero-violation contract exactly as fresh ones do.
 ///
 /// # Panics
 ///
-/// Panics if any cell (fresh or replayed) reports a watchdog violation.
+/// Panics if any cell reports a watchdog violation.
 pub fn faults_campaign(
     modes: &[SwitchMode],
     rates: &[f64],
     requests: u64,
     seed: u64,
     jobs: usize,
-    ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<FaultCell> {
-    let cells = checkpoint::sweep(ckpt, "faults", modes.len() * rates.len(), jobs, |i| {
+    let cells = svt_sim::sweep(modes.len() * rates.len(), jobs, |i| {
         let rate = rates[i % rates.len()];
         let plan = if rate == 0.0 {
             FaultPlan::none()

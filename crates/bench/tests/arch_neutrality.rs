@@ -38,7 +38,7 @@ fn assert_matches_golden(report: &svt_obs::RunReport, golden: &str, name: &str) 
 
 #[test]
 fn x86_fig6_report_matches_pre_refactor_golden_bytes() {
-    let report = fig6_report(&fig6_grid(ArchId::X86, 30, 1, None), DEFAULT_LANE_SEED);
+    let report = fig6_report(&fig6_grid(ArchId::X86, 30, 1), DEFAULT_LANE_SEED);
     assert_matches_golden(&report, include_str!("golden/fig6_x86.json"), "fig6");
 }
 
@@ -51,7 +51,6 @@ fn x86_smp_report_matches_pre_refactor_golden_bytes() {
         60,
         DEFAULT_LANE_SEED,
         1,
-        None,
     );
     let report = smp_report(ArchId::X86, &series, DEFAULT_LANE_SEED);
     assert_matches_golden(&report, include_str!("golden/smp_x86.json"), "smp");
@@ -59,14 +58,7 @@ fn x86_smp_report_matches_pre_refactor_golden_bytes() {
 
 #[test]
 fn x86_faults_report_matches_pre_refactor_golden_bytes() {
-    let cells = faults_campaign(
-        &FAULTS_MODES,
-        &[0.0, 0.05],
-        60,
-        FAULTS_DEFAULT_SEED,
-        1,
-        None,
-    );
+    let cells = faults_campaign(&FAULTS_MODES, &[0.0, 0.05], 60, FAULTS_DEFAULT_SEED, 1);
     let report = faults_report(&cells, FAULTS_DEFAULT_SEED);
     assert_matches_golden(&report, include_str!("golden/faults_x86.json"), "faults");
 }
@@ -123,7 +115,7 @@ fn x86_fig10_report_matches_golden_bytes() {
 #[test]
 fn riscv_fig6_report_is_byte_identical_across_worker_counts() {
     let report = |jobs| {
-        fig6_report(&fig6_grid(ArchId::Riscv, 20, jobs, None), DEFAULT_LANE_SEED)
+        fig6_report(&fig6_grid(ArchId::Riscv, 20, jobs), DEFAULT_LANE_SEED)
             .to_json()
             .pretty()
     };
@@ -142,7 +134,7 @@ fn riscv_fig6_report_is_byte_identical_across_worker_counts() {
 /// the trap the riscv probe takes.
 #[test]
 fn riscv_fig6_report_splits_the_nested_trap_into_table1_parts() {
-    let grid = fig6_grid(ArchId::Riscv, 20, 2, None);
+    let grid = fig6_grid(ArchId::Riscv, 20, 2);
     assert_eq!(grid.table1.len(), 6);
     let parts: f64 = grid.table1.iter().map(|r| r.time_us).sum();
     let l2 = grid.bars[2].time_us;
@@ -190,7 +182,6 @@ fn riscv_smp_report_is_byte_identical_across_worker_counts() {
             40,
             DEFAULT_LANE_SEED,
             jobs,
-            None,
         )
     };
     let (a, b) = (series(1), series(4));
@@ -209,8 +200,8 @@ fn riscv_smp_report_is_byte_identical_across_worker_counts() {
 /// deterministic across worker counts.
 #[test]
 fn riscv_bars_show_svt_speedups_and_merge_deterministically() {
-    let a = fig6_grid(ArchId::Riscv, 20, 1, None).bars;
-    let b = fig6_grid(ArchId::Riscv, 20, 4, None).bars;
+    let a = fig6_grid(ArchId::Riscv, 20, 1).bars;
+    let b = fig6_grid(ArchId::Riscv, 20, 4).bars;
     assert_eq!(a, b);
     let bar = |label: &str| a.iter().find(|x| x.label == label).unwrap();
     assert!(

@@ -5,19 +5,18 @@
 //! stderr line naming the offending token, before anything runs. `--help`
 //! lists exactly the declared flags and positionals. Acceptance is checked
 //! next to `--help`, which every binary parses in full before printing
-//! help, so no campaign runs.
+//! help, so no campaign runs. Flags no binary reads any more are refused
+//! by every binary, like any other undeclared flag.
 
 use std::process::{Command, Output};
 
 /// Every flag some binary reads, with a value for the valued ones.
-const FLAGS: [(&str, Option<&str>); 13] = [
+const FLAGS: [(&str, Option<&str>); 11] = [
     ("--json", Some("r.json")),
     ("--trace", Some("t.json")),
     ("--timeline", Some("tl.json")),
     ("--dump", Some("d.json")),
     ("--dump-on-exit", None),
-    ("--checkpoint-dir", Some("ckpt")),
-    ("--resume", None),
     ("--seed", Some("3")),
     ("--jobs", Some("2")),
     ("--arch", Some("x86")),
@@ -26,13 +25,17 @@ const FLAGS: [(&str, Option<&str>); 13] = [
     ("--hostprof", None),
 ];
 
+/// Flags that binaries once read and no binary reads now, with a value
+/// for the valued ones: every binary must refuse them.
+const RETIRED: [(&str, Option<&str>); 2] = [("--checkpoint-dir", Some("ckpt")), ("--resume", None)];
+
 /// One line per binary: its name, how many positionals it takes, and the
 /// flags it reads.
 const CONTRACT: &str = "\
 ablations 0 --json --hostprof
 channel 0 --json
-faults 0 --json --hostprof --smoke --seed --jobs --checkpoint-dir --resume --timeline --dump --dump-on-exit
-fig6 0 --json --hostprof --seed --jobs --arch --checkpoint-dir --resume
+faults 0 --json --hostprof --smoke --seed --jobs --timeline --dump --dump-on-exit
+fig6 0 --json --hostprof --jobs --arch
 fig7 1 --json --hostprof
 fig8 0 --json --hostprof --quick --seed
 fig9 0 --json --hostprof --quick --seed
@@ -40,7 +43,7 @@ fig10 0 --json --hostprof --quick
 hostprof 1 --json --seed --jobs --arch
 perfgate 1 --json
 profile 2 --json --hostprof --smoke --seed --jobs --trace
-smp 0 --json --hostprof --seed --jobs --arch --checkpoint-dir --resume --timeline --dump --dump-on-exit
+smp 0 --json --hostprof --seed --jobs --arch --timeline --dump --dump-on-exit
 summary 0 --json --hostprof --seed
 table1 0 --json --hostprof
 table3 0 --json
@@ -124,8 +127,10 @@ fn every_bin_accepts_exactly_its_declared_flags() {
         }
         pairs += declared.len();
 
-        // Every other flag is refused, in both valued forms.
-        for (flag, value) in FLAGS.iter().filter(|(f, _)| !declared.contains(f)) {
+        // Every other flag, retired ones included, is refused, in both
+        // valued forms.
+        let others = FLAGS.iter().filter(|(f, _)| !declared.contains(f));
+        for (flag, value) in others.chain(&RETIRED) {
             let mut forms = vec![vec![flag.to_string()]];
             if let Some(v) = value {
                 forms = vec![
@@ -143,7 +148,7 @@ fn every_bin_accepts_exactly_its_declared_flags() {
         extra.push("7".to_string());
         assert_refused(bin, exe, &extra, "\"7\"");
     }
-    assert_eq!(pairs, 68, "binary x flag pairs accepted");
+    assert_eq!(pairs, 61, "binary x flag pairs accepted");
 }
 
 /// `table3` counts the source tree it was built from, wherever it runs,

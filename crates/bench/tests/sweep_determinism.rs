@@ -19,8 +19,8 @@ use svt_workloads::{fig6_grid, DEFAULT_LANE_SEED};
 
 #[test]
 fn fig6_report_is_byte_identical_across_worker_counts() {
-    let a = fig6_report(&fig6_grid(ArchId::X86, 30, 1, None), DEFAULT_LANE_SEED);
-    let b = fig6_report(&fig6_grid(ArchId::X86, 30, 4, None), DEFAULT_LANE_SEED);
+    let a = fig6_report(&fig6_grid(ArchId::X86, 30, 1), DEFAULT_LANE_SEED);
+    let b = fig6_report(&fig6_grid(ArchId::X86, 30, 4), DEFAULT_LANE_SEED);
     assert_eq!(a.to_json().pretty(), b.to_json().pretty());
 }
 
@@ -34,7 +34,6 @@ fn smp_report_is_byte_identical_across_worker_counts() {
             60,
             DEFAULT_LANE_SEED,
             jobs,
-            None,
         );
         smp_report(ArchId::X86, &series, DEFAULT_LANE_SEED)
             .to_json()
@@ -74,8 +73,8 @@ fn timeline_export_is_byte_identical_across_worker_counts() {
 #[test]
 fn faults_report_is_byte_identical_across_worker_counts() {
     let rates = [0.0, 0.05];
-    let a = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 1, None);
-    let b = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 4, None);
+    let a = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 1);
+    let b = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 4);
     assert_eq!(
         faults_report(&a, FAULTS_DEFAULT_SEED).to_json().pretty(),
         faults_report(&b, FAULTS_DEFAULT_SEED).to_json().pretty()

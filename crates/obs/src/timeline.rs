@@ -74,7 +74,7 @@ pub struct TimelineRow {
 }
 
 /// The windowed sampler. Lives on [`crate::Obs`]; the machine's run loop
-/// drives [`Timeline::sample`] whenever [`Timeline::due`] fires.
+/// drives `Timeline::sample` whenever [`Timeline::due`] fires.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     enabled: bool,

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 mod clock;
 mod cost;
 mod events;

@@ -13,8 +13,8 @@
 //! format version, the payload length, the producer's state fingerprint
 //! and an FNV-1a checksum of the payload; `open` validates all but the
 //! fingerprint, which the caller cross-checks against the state it
-//! reconstructed. Checkpoint files are written with [`atomic_write`]
-//! (temp file + rename), so a crash never leaves a torn file.
+//! reconstructed. Run reports are written with [`atomic_write`] (temp
+//! file + rename), so a crash never leaves a torn file.
 //!
 //! # Examples
 //!

@@ -75,17 +75,6 @@ impl ChaosPoint {
     }
 }
 
-// Label keys (fault kinds, transitions, watchdogs) re-intern to
-// `&'static str` on load — the universe of such names is the fixed
-// in-tree set.
-svt_sim::snap_fields! {
-    ChaosPoint {
-        point, seed, injected, total_injected, retransmits, timeouts, duplicates_dropped,
-        protocol_errors, ipi_retransmits, ipi_duplicates_absorbed, transitions, ring_traps,
-        fallback_traps, resume_fallbacks, watchdogs, traps
-    }
-}
-
 /// Sharded memcached under per-vCPU open-loop ETC load with `plan`
 /// armed on the machine. The same `(plan seed, rates, schedule)` always
 /// produces the same point, bit for bit.

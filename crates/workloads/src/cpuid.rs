@@ -4,8 +4,6 @@ use svt_arch::ArchId;
 use svt_core::{nested_machine_on, SwitchMode};
 use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt_obs::{Json, MetricKey, ObsLevel};
-use svt_sim::checkpoint::{self, Checkpoint};
-use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
 use svt_sim::{CostPart, SimDuration};
 
 use crate::smp::traps_served;
@@ -22,7 +20,7 @@ pub struct Fig6Bar {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Part index ⓪–⑤.
     pub part: usize,
@@ -35,8 +33,6 @@ pub struct Table1Row {
     /// The paper's value in microseconds, measured on x86.
     pub paper_us: f64,
 }
-
-svt_sim::snap_fields! { Table1Row { part, label, time_us, percent, paper_us } }
 
 fn measure_cpuid(m: &mut Machine, iters: u64) -> svt_sim::ClockSnapshot {
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
@@ -123,63 +119,11 @@ enum GridCell {
     Observed(Box<(Vec<ExitAttribution>, Json)>),
 }
 
-impl Default for GridCell {
-    fn default() -> Self {
-        GridCell::Bar(0.0)
-    }
-}
-
-/// A tag byte (0 bar, 1 Table 1, 2 observed run) and the variant's
-/// fields. The metrics export round-trips through its own canonical JSON
-/// text (`parse(pretty(j)) == j`).
-impl Snap for GridCell {
-    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
-        match self {
-            GridCell::Bar(t) => (0u8, *t).save(w),
-            GridCell::Table(rows) => {
-                w.u8(1);
-                rows.save(w);
-            }
-            GridCell::Observed(obs) => {
-                let (exits, metrics) = &**obs;
-                w.u8(2);
-                exits.save(w);
-                w.bytes(metrics.pretty().as_bytes());
-            }
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        *self = match load_code(r, "fig6 grid-cell tag", |t| (t < 3).then_some(t))? {
-            0 => GridCell::Bar(load_new(r)?),
-            1 => GridCell::Table(load_new(r)?),
-            _ => {
-                let exits = load_new(r)?;
-                let text = r.str()?;
-                let metrics = Json::parse(text).map_err(|_| SnapError::BadValue {
-                    what: "fig6 metrics JSON",
-                    got: text.len() as u64,
-                })?;
-                GridCell::Observed(Box::new((exits, metrics)))
-            }
-        };
-        Ok(())
-    }
-}
-
 /// Runs the full Fig. 6 grid on the `arch` backend — five bar cells
 /// plus the Table 1 and observed-attribution cells — across `jobs` sweep
 /// workers. All seven cells build independent machines, and the merge is
 /// in grid order, so the grid is byte-identical for every `jobs` value.
-/// With a checkpoint, each cell journals under the `fig6` scope as it
-/// completes, and `(ckpt, true)` resumes from the journal, recomputing
-/// only missing or corrupted cells.
-pub fn fig6_grid(
-    arch: ArchId,
-    iters: u64,
-    jobs: usize,
-    ckpt: Option<(&Checkpoint, bool)>,
-) -> Fig6Grid {
+pub fn fig6_grid(arch: ArchId, iters: u64, jobs: usize) -> Fig6Grid {
     let n_bars = FIG6_CELLS.len();
     let run = |i: usize| {
         if i < n_bars {
@@ -191,7 +135,7 @@ pub fn fig6_grid(
             GridCell::Observed(Box::new(cpuid_observed(arch, iters)))
         }
     };
-    let mut cells = checkpoint::sweep(ckpt, "fig6", n_bars + 2, jobs, run);
+    let mut cells = svt_sim::sweep(n_bars + 2, jobs, run);
     let Some(GridCell::Observed(observed)) = cells.pop() else {
         unreachable!("last grid cell is the observed run")
     };
@@ -216,7 +160,7 @@ pub fn fig6_grid(
 }
 
 /// Per-exit-reason attribution of a nested cpuid run.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExitAttribution {
     /// Exit-reason tag, e.g. `"CPUID"`.
     pub reason: &'static str,
@@ -225,8 +169,6 @@ pub struct ExitAttribution {
     /// Number of reflected L2 exits with this reason.
     pub count: u64,
 }
-
-svt_sim::snap_fields! { ExitAttribution { reason, time_ns, count } }
 
 /// Runs the nested cpuid micro-benchmark on the baseline engine under
 /// full observability and returns the per-exit-reason attribution plus
@@ -292,7 +234,7 @@ mod tests {
 
     #[test]
     fn fig6_grid_bars_are_ordered() {
-        let bars = fig6_grid(ArchId::X86, 20, 1, None).bars;
+        let bars = fig6_grid(ArchId::X86, 20, 1).bars;
         assert_eq!(bars.len(), 5);
         assert_eq!(bars[0].label, "L0");
         // L0 < L1 < HW SVt < SW SVt < L2.
@@ -316,7 +258,7 @@ mod tests {
     #[test]
     fn fig6_grid_matches_sequential_runs_at_any_worker_count() {
         for arch in ArchId::ALL {
-            let grid = fig6_grid(arch, 20, 4, None);
+            let grid = fig6_grid(arch, 20, 4);
             assert_eq!(grid.arch, arch);
             let times: Vec<f64> = FIG6_CELLS
                 .iter()
@@ -327,7 +269,7 @@ mod tests {
             let (exits, metrics) = cpuid_observed(arch, 20);
             assert_eq!(grid.exits, exits, "{arch}");
             assert_eq!(grid.metrics.pretty(), metrics.pretty(), "{arch}");
-            assert_eq!(fig6_grid(arch, 20, 3, None).bars, grid.bars, "{arch}");
+            assert_eq!(fig6_grid(arch, 20, 3).bars, grid.bars, "{arch}");
         }
     }
 
@@ -337,7 +279,7 @@ mod tests {
         // elision comes from scheduling, not VT-x specifics. Without
         // shadowing hardware the baseline pays a trap per vs-CSR access,
         // so both SVt engines must clear 1.0.
-        let bars = fig6_grid(ArchId::Riscv, 20, 2, None).bars;
+        let bars = fig6_grid(ArchId::Riscv, 20, 2).bars;
         assert_eq!(bars.len(), 5);
         assert!(bars[0].time_us < bars[2].time_us, "L0 beats nested L2");
         assert!(bars[3].speedup > 1.0, "SW SVt {}", bars[3].speedup);

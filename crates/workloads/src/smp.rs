@@ -37,9 +37,6 @@ pub struct SmpPoint {
     pub p99_ns: f64,
 }
 
-// Campaign checkpoints journal points bit-exactly.
-svt_sim::snap_fields! { SmpPoint { n_vcpus, completed, throughput, avg_ns, p99_ns } }
-
 /// Causal-profiling products of one SMP run: the per-request critical
 /// paths extracted from the machine's causal event graph, their folded
 /// (FlameGraph-style) rendering, and the watchdog verdicts.

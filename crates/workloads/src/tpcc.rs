@@ -94,7 +94,7 @@ struct Order {
 /// The in-memory TPC-C database. Districts have dense ids, so their
 /// table is a vector indexed by id. Customers and stock start out
 /// uniform, so their tables hold only the rows a transaction changed,
-/// over [`NEW_CUSTOMER`] and [`INITIAL_STOCK`]: a lane's run touches a
+/// over `NEW_CUSTOMER` and `INITIAL_STOCK`: a lane's run touches a
 /// few hundred of a one-warehouse database's 103 000 such rows.
 #[derive(Debug)]
 pub struct TpccDb {

@@ -9,8 +9,6 @@
 //! interference the paper attributes to `EPT_MISCONFIG` and `MSR_WRITE`
 //! handling (§ 6.3.3).
 
-use svt_sim::FnvHashMap;
-
 use svt_arch::{MSR_TSC_DEADLINE, MSR_X2APIC_EOI, VECTOR_BLK, VECTOR_TIMER};
 use svt_hv::{GuestCtx, GuestOp, GuestProgram};
 use svt_mem::Hpa;
@@ -76,10 +74,8 @@ pub struct VideoPlayer {
     frames_played: u64,
     frames_dropped: u64,
     burst_remaining: u32,
-    inflight: FnvHashMap<u16, ()>,
     init_done: bool,
     total_frames: u64,
-    max_lateness: SimDuration,
 }
 
 impl VideoPlayer {
@@ -98,10 +94,8 @@ impl VideoPlayer {
             frames_played: 0,
             frames_dropped: 0,
             burst_remaining: 0,
-            inflight: FnvHashMap::default(),
             init_done: false,
             total_frames,
-            max_lateness: SimDuration::ZERO,
         }
     }
 
@@ -115,11 +109,6 @@ impl VideoPlayer {
         self.frames_dropped
     }
 
-    /// Worst presentation lateness observed.
-    pub fn max_lateness(&self) -> SimDuration {
-        self.max_lateness
-    }
-
     fn period(&self) -> SimDuration {
         SimDuration::from_ns_f64(1e9 / self.cfg.fps as f64)
     }
@@ -131,8 +120,7 @@ impl VideoPlayer {
         ctx.mem
             .write_u64(Hpa(hdr + 8), self.rng.below(1 << 22))
             .expect("hdr in RAM");
-        let head = self
-            .queue
+        self.queue
             .driver_add(
                 ctx.mem,
                 &[
@@ -142,7 +130,6 @@ impl VideoPlayer {
                 ],
             )
             .expect("blk ring in RAM");
-        self.inflight.insert(head, ());
         self.pending.push(GuestOp::MmioWrite {
             gpa: layout::lane(0).blk_mmio,
             value: 1,
@@ -153,7 +140,6 @@ impl VideoPlayer {
         let lateness = now.saturating_since(self.next_present);
         let tolerance = SimDuration::from_ns_f64(self.period().as_ns() * TOLERANCE);
         self.frames_played += 1;
-        self.max_lateness = self.max_lateness.max(lateness);
         if lateness > tolerance {
             self.frames_dropped += 1;
         }
@@ -228,10 +214,12 @@ impl GuestProgram for VideoPlayer {
                 self.pending.push(GuestOp::Compute(d));
             }
             VECTOR_BLK => {
-                while let Some((head, _)) = self.queue.driver_take_used(ctx.mem).expect("blk ring")
-                {
-                    self.inflight.remove(&head);
-                }
+                while self
+                    .queue
+                    .driver_take_used(ctx.mem)
+                    .expect("blk ring")
+                    .is_some()
+                {}
                 if self.phase == Phase::DiskBurst {
                     self.burst_remaining = self.burst_remaining.saturating_sub(1);
                     if self.burst_remaining == 0 {

@@ -12,6 +12,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> cargo doc -D warnings"
+# A public doc that links a private or deleted item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --examples"
 cargo build --workspace --examples
 
@@ -24,7 +28,7 @@ for ex in examples/*.rs; do
 done
 echo "ok   every root example exits 0"
 
-echo "==> fig6 speedup regression against BENCH_fig6.json"
+echo "==> fig6 report against BENCH_fig6.json: paper bands and every byte"
 cargo run -q -p svt-bench --bin fig6 -- --json /tmp/fig6.json >/dev/null
 python3 - <<'PY'
 import json, sys
@@ -58,6 +62,15 @@ for name, (lo, hi) in bands.items():
     ok = ok and good
 sys.exit(0 if ok else 1)
 PY
+# The simulation is deterministic and the debug and release reports are
+# byte-identical, so the whole committed report must match, not only the
+# two speedups.
+if ! cmp -s /tmp/fig6.json BENCH_fig6.json; then
+    echo "FAIL: fig6 report differs from BENCH_fig6.json"
+    diff /tmp/fig6.json BENCH_fig6.json | head -20
+    exit 1
+fi
+echo "ok   fig6 report byte-identical to BENCH_fig6.json"
 
 echo "==> sweep determinism: fig6 --jobs 2 byte-identical to --jobs 1"
 cargo run -q -p svt-bench --bin fig6 -- --jobs 1 --json /tmp/fig6_j1.json >/dev/null
@@ -289,65 +302,6 @@ for key in ("fallback_traps", "resume_fallbacks"):
         ok = False
 sys.exit(0 if ok else 1)
 PY
-
-echo "==> crash-safe campaigns: SIGKILL mid-campaign, resume byte-identical"
-# The faults binary (not cargo-run: SIGKILLing cargo would orphan the
-# child mid-write and let it race the resume) is killed partway through
-# a checkpointed campaign; the resume — at a different worker count —
-# must replay whatever cells were journaled, recompute the rest, and
-# produce a report byte-identical to an uninterrupted run. One
-# surviving cell gets its envelope deliberately corrupted first: the
-# checksum must catch it and the cell must be recomputed and repaired,
-# never trusted, never a crash.
-CKPT=/tmp/svt_ckpt
-rm -rf "$CKPT"; mkdir -p "$CKPT"
-cargo build -q -p svt-bench --bin faults
-cargo run -q -p svt-bench --bin faults -- --smoke --json /tmp/faults_fresh.json >/dev/null
-target/debug/faults --smoke --json /tmp/faults_killed.json \
-    --checkpoint-dir "$CKPT" >/dev/null &
-CAMPAIGN=$!
-sleep 0.4
-kill -9 "$CAMPAIGN" 2>/dev/null || true
-wait "$CAMPAIGN" 2>/dev/null || true
-n_cells=$(find "$CKPT" -name 'faults-*.cell' | wc -l)
-echo "     campaign killed with $n_cells/4 cells journaled"
-first=$(find "$CKPT" -name 'faults-*.cell' | sort | head -1)
-if [ -n "$first" ]; then
-    printf 'garbage' | dd of="$first" bs=1 seek=3 conv=notrunc status=none
-    echo "     corrupted $(basename "$first") (envelope bit rot)"
-fi
-target/debug/faults --smoke --json /tmp/faults_resumed.json \
-    --checkpoint-dir "$CKPT" --resume --jobs 3 >/dev/null 2>/tmp/faults_resumed.err
-if ! cmp -s /tmp/faults_fresh.json /tmp/faults_resumed.json; then
-    echo "FAIL: resumed faults report differs from an uninterrupted run"
-    diff /tmp/faults_fresh.json /tmp/faults_resumed.json | head -20
-    exit 1
-fi
-# Only the corrupted cell may be refused: every other journaled cell
-# must decode, or a broken decoder would hide behind recomputation.
-want_bad=0
-[ -n "$first" ] && want_bad=1
-n_bad=$(grep -cE 'rejected|undecodable' /tmp/faults_resumed.err || true)
-if [ "$n_bad" -ne "$want_bad" ]; then
-    echo "FAIL: first resume refused $n_bad journaled cells, expected $want_bad"
-    cat /tmp/faults_resumed.err
-    exit 1
-fi
-echo "ok   resumed report byte-identical to the uninterrupted run (bad cell repaired)"
-# A second resume replays the now-complete, repaired journal: every
-# cell must decode, none may be recomputed.
-target/debug/faults --smoke --json /tmp/faults_resumed2.json \
-    --checkpoint-dir "$CKPT" --resume --jobs 1 >/dev/null 2>/tmp/faults_resumed2.err
-if ! cmp -s /tmp/faults_fresh.json /tmp/faults_resumed2.json; then
-    echo "FAIL: second resume at --jobs 1 differs from the uninterrupted run"
-    exit 1
-fi
-if grep -q 'recomputing' /tmp/faults_resumed2.err; then
-    echo "FAIL: second resume recomputed journaled cells"
-    cat /tmp/faults_resumed2.err
-    exit 1
-fi
-echo "ok   second resume (--jobs 1, full journal) byte-identical, every cell decoded"
 
 echo "==> flight-recorder smoke: forced fallback produces a parseable crash dump"
 cargo run -q -p svt-bench --bin faults -- --smoke --dump /tmp/flight.json >/dev/null

@@ -21,9 +21,7 @@
 //! version 3, which dropped the SW-SVt engine's per-trap flags, its
 //! unread counters and its degradation-policy constants, and the
 //! virtio-net echo peer's state (RX queue, reply deliveries, drop
-//! count). Every checkpoint cell type keeps the hash recorded at version
-//! 1: a cell holds results, not a machine. A change that moves any byte
-//! must bump the version instead.
+//! count). A change that moves any byte must bump the version instead.
 //!
 //! Randomised inputs are driven by the in-tree deterministic PRNG so the
 //! cases are reproducible and the suite has no external dependencies.
@@ -326,7 +324,7 @@ fn roundtrip_case(
         "state fingerprint diverged after restore for {ctx}"
     );
     // The strongest form: the *next* snapshot is byte-identical, so a
-    // resumed campaign can itself be checkpointed and resumed again
+    // restored machine can itself be snapshotted and restored again
     // without ever forking from the run-through timeline.
     let next = m1.snapshot();
     assert_eq!(
@@ -754,61 +752,4 @@ fn fingerprint_covers_engine_and_device_state() {
         fresh.restore(&bad),
         Err(SnapError::FingerprintMismatch { .. })
     ));
-}
-
-/// Checkpoint cells keep the `SNAP_VERSION` 1 layout (version 2 moved
-/// only machine payloads): every fig6 grid-cell variant (bars, Table 1,
-/// the observed run), and an `SmpPoint` and a `ChaosPoint` built from
-/// fixed values.
-#[test]
-fn checkpoint_cell_layouts_are_locked() {
-    use svt::sim::checkpoint::Checkpoint;
-    use svt::sim::snapshot::to_bytes;
-    use svt::workloads::{fig6_grid, ChaosPoint, SmpPoint};
-    let dir = std::env::temp_dir().join(format!("svt-cell-layout-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let ckpt = Checkpoint::create(&dir, 7).unwrap();
-    fig6_grid(ArchId::X86, 3, 1, Some((&ckpt, false)));
-    let cell = |scope: &str, i: usize| fnv1a(&ckpt.load_cell(scope, i).unwrap().unwrap());
-    let grid = [
-        0x6c9f_5899_6597_1961,
-        0x8106_845d_1893_4355,
-        0xe7be_fd1f_456f_6e7a,
-        0x8d15_f2de_c434_b3be,
-        0xa211_6521_44c8_79ea,
-        0xbf17_7d90_b7fc_2d60,
-        0xba75_b91d_1b75_444c,
-    ];
-    for (i, want) in grid.into_iter().enumerate() {
-        assert_eq!(cell("fig6", i), want, "fig6 grid cell {i}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let point = SmpPoint {
-        n_vcpus: 3,
-        completed: 417,
-        throughput: 123_456.75,
-        avg_ns: 9_876.5,
-        p99_ns: 31_000.25,
-    };
-    assert_eq!(fnv1a(&to_bytes(&point)), 0xbfc6_c7b4_18b9_7ba7);
-    let chaos = ChaosPoint {
-        point,
-        seed: 0xfa17,
-        injected: vec![("doorbell_lost", 3), ("cmd_drop", 0)],
-        total_injected: 3,
-        retransmits: 5,
-        timeouts: 2,
-        duplicates_dropped: 1,
-        protocol_errors: 4,
-        ipi_retransmits: 6,
-        ipi_duplicates_absorbed: 7,
-        transitions: vec![("healthy->degraded", 1)],
-        ring_traps: 900,
-        fallback_traps: 40,
-        resume_fallbacks: 8,
-        watchdogs: vec![("ring_deadline", 0), ("ipi_exactly_once", 0)],
-        traps: 1234,
-    };
-    assert_eq!(fnv1a(&to_bytes(&chaos)), 0x4e82_f4a5_0557_2741);
 }
