@@ -162,20 +162,9 @@ pub struct LocalApic {
     isr: Vec<u8>,
     /// Armed TSC deadline, if any.
     tsc_deadline: Option<SimTime>,
-    /// Count of interrupts that were delivered later than the deadline
-    /// they were armed for (used by the video-playback experiment).
-    late_timer_fires: u64,
-    /// Injections that newly latched a request bit.
-    delivered: u64,
-    /// Injections absorbed by an already-pending request bit.
-    coalesced: u64,
 }
 
-svt_sim::snap_fields! {
-    LocalApic {
-        irr, isr, tsc_deadline, late_timer_fires, delivered, coalesced
-    }
-}
+svt_sim::snap_fields! { LocalApic { irr, isr, tsc_deadline } }
 
 impl LocalApic {
     /// Creates an idle APIC.
@@ -185,28 +174,13 @@ impl LocalApic {
 
     /// Latches an interrupt request. Returns whether the vector became
     /// newly pending (`false`: it was already latched, so this injection
-    /// coalesced — the causal IPI exactly-once watchdog cares).
+    /// coalesced).
     pub fn inject(&mut self, vector: u8) -> bool {
         let word = (vector / 64) as usize;
         let bit = 1u64 << (vector % 64);
         let newly = self.irr[word] & bit == 0;
         self.irr[word] |= bit;
-        if newly {
-            self.delivered += 1;
-        } else {
-            self.coalesced += 1;
-        }
         newly
-    }
-
-    /// Injections that newly latched a request bit.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Injections absorbed by an already-pending request bit.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
     }
 
     /// Whether `vector` is pending.
@@ -261,8 +235,7 @@ impl LocalApic {
     }
 
     /// Fires the timer if its deadline has passed: injects
-    /// [`VECTOR_TIMER`], disarms, records lateness, and returns how late
-    /// delivery was.
+    /// [`VECTOR_TIMER`], disarms, and returns how late delivery was.
     pub fn poll_timer(&mut self, now: SimTime) -> Option<svt_sim::SimDuration> {
         let deadline = self.tsc_deadline?;
         if now < deadline {
@@ -270,16 +243,7 @@ impl LocalApic {
         }
         self.tsc_deadline = None;
         self.inject(VECTOR_TIMER);
-        let late = now.since(deadline);
-        if !late.is_zero() {
-            self.late_timer_fires += 1;
-        }
-        Some(late)
-    }
-
-    /// Number of timer interrupts delivered after their armed deadline.
-    pub fn late_timer_fires(&self) -> u64 {
-        self.late_timer_fires
+        Some(now.since(deadline))
     }
 
     /// Whether any interrupt is pending or in service.
@@ -299,12 +263,9 @@ mod tests {
         assert!(apic.inject(0x50));
         assert!(!apic.inject(0x50));
         assert!(apic.inject(0x51));
-        assert_eq!(apic.delivered(), 2);
-        assert_eq!(apic.coalesced(), 1);
         // Once acked, the vector can become newly pending again.
         assert_eq!(apic.ack(), Some(0x51));
         assert!(apic.inject(0x51));
-        assert_eq!(apic.delivered(), 3);
     }
 
     #[test]
@@ -366,7 +327,6 @@ mod tests {
         let late = a.poll_timer(SimTime::from_us(103)).unwrap();
         assert_eq!(late, SimDuration::from_us(3));
         assert!(a.is_pending(VECTOR_TIMER));
-        assert_eq!(a.late_timer_fires(), 1);
         // Disarmed after firing.
         assert_eq!(a.poll_timer(SimTime::from_us(200)), None);
     }
@@ -377,7 +337,6 @@ mod tests {
         a.set_tsc_deadline(Some(SimTime::from_us(10)));
         let late = a.poll_timer(SimTime::from_us(10)).unwrap();
         assert!(late.is_zero());
-        assert_eq!(a.late_timer_fires(), 0);
     }
 
     #[test]

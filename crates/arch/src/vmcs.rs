@@ -53,30 +53,6 @@ impl Snap for VmcsRole {
     }
 }
 
-/// Four bytes: the field's index in [`VmcsField::ALL`].
-impl Snap for VmcsField {
-    fn save<S: Sink + ?Sized>(&self, w: &mut S) {
-        w.u32(self.index() as u32);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let idx = r.u32()?;
-        *self = *VmcsField::ALL
-            .get(idx as usize)
-            .ok_or(SnapError::BadValue {
-                what: "VmcsField",
-                got: u64::from(idx),
-            })?;
-        Ok(())
-    }
-}
-
-impl Default for VmcsField {
-    fn default() -> Self {
-        VmcsField::ALL[0]
-    }
-}
-
 /// A VM state descriptor.
 ///
 /// # Examples
@@ -95,14 +71,12 @@ pub struct Vmcs {
     region: Gpa,
     fields: [u64; VmcsField::COUNT],
     launched: bool,
-    dirty: Vec<VmcsField>,
 }
 
-// Role and region are verified on load; the dirty list keeps write order
-// (lazy-sync behavior depends on it).
+// Role and region are verified on load.
 svt_sim::snap_fields! {
     Vmcs {
-        #[shape = "VMCS role"] role, #[shape = "VMCS region"] region, fields, launched, dirty
+        #[shape = "VMCS role"] role, #[shape = "VMCS region"] region, fields, launched
     }
 }
 
@@ -115,7 +89,6 @@ impl Vmcs {
             region,
             fields: [0; VmcsField::COUNT],
             launched: false,
-            dirty: Vec::new(),
         }
     }
 
@@ -135,12 +108,9 @@ impl Vmcs {
         self.fields[f.index()]
     }
 
-    /// Writes a field, tracking it as dirty for lazy-sync modeling.
+    /// Writes a field.
     pub fn write(&mut self, f: VmcsField, v: u64) {
         self.fields[f.index()] = v;
-        if !self.dirty.contains(&f) {
-            self.dirty.push(f);
-        }
     }
 
     /// Whether the descriptor has been launched (VMLAUNCH vs VMRESUME
@@ -157,17 +127,6 @@ impl Vmcs {
     /// Clears launch state (VMCLEAR).
     pub fn clear(&mut self) {
         self.launched = false;
-        self.dirty.clear();
-    }
-
-    /// Fields written since the last [`Vmcs::take_dirty`], in write order.
-    pub fn dirty(&self) -> &[VmcsField] {
-        &self.dirty
-    }
-
-    /// Drains and returns the dirty set (a shadow-sync consumed it).
-    pub fn take_dirty(&mut self) -> Vec<VmcsField> {
-        std::mem::take(&mut self.dirty)
     }
 
     /// The SVt target-context fields as optional context numbers;
@@ -221,18 +180,6 @@ mod tests {
         v.write(VmcsField::GuestRip, 0x1234);
         assert_eq!(v.read(VmcsField::ExitReason), 10);
         assert_eq!(v.read(VmcsField::GuestRip), 0x1234);
-    }
-
-    #[test]
-    fn dirty_tracking_deduplicates_and_drains() {
-        let mut v = vmcs();
-        v.write(VmcsField::GuestRip, 1);
-        v.write(VmcsField::GuestRip, 2);
-        v.write(VmcsField::GuestRsp, 3);
-        assert_eq!(v.dirty(), &[VmcsField::GuestRip, VmcsField::GuestRsp]);
-        let drained = v.take_dirty();
-        assert_eq!(drained.len(), 2);
-        assert!(v.dirty().is_empty());
     }
 
     #[test]

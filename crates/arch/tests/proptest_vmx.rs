@@ -24,11 +24,6 @@ fn vmcs_is_a_faithful_field_store() {
         for (i, f) in VmcsField::ALL.iter().enumerate() {
             assert_eq!(vmcs.read(*f), shadow[i]);
         }
-        // Dirty tracking lists each written field exactly once.
-        let dirty = vmcs.take_dirty();
-        let unique: std::collections::HashSet<_> = writes.iter().map(|(f, _)| *f).collect();
-        assert_eq!(dirty.len(), unique.len());
-        assert!(vmcs.dirty().is_empty());
     }
 }
 

@@ -11,7 +11,6 @@
 
 use svt_arch::ArchId;
 use svt_bench::{fig6_report, print_header, rule, BenchCli, CliSpec, Flag};
-use svt_workloads::DEFAULT_LANE_SEED;
 
 const CLI: CliSpec = CliSpec {
     bin: "fig6",
@@ -51,8 +50,5 @@ fn main() {
         );
     }
 
-    // The cpuid micro-benchmark is load-free, so it takes no seed; the
-    // default lane seed is recorded so every bench report carries the
-    // same reproducibility field.
-    cli.emit_report(fig6_report(&grid, DEFAULT_LANE_SEED));
+    cli.emit_report(fig6_report(&grid));
 }

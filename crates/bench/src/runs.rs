@@ -69,16 +69,17 @@ fn smp_point_json(p: &SmpPoint) -> Json {
 /// [`svt_workloads::fig6_grid`]) on either backend: the Table 1 parts,
 /// the observed exit attribution, the metrics export, a speedup row per
 /// bar that beats the baseline L2, and the bars. The paper measured x86
-/// only, so other backends' parts carry no `paper_us`. `seed` is recorded
-/// for reproducibility; the micro-benchmark itself is load-free.
-pub fn fig6_report(grid: &Fig6Grid, seed: u64) -> RunReport {
+/// only, so other backends' parts carry no `paper_us`. The
+/// micro-benchmark is load-free, so the report records
+/// [`DEFAULT_LANE_SEED`] as its seed.
+pub fn fig6_report(grid: &Fig6Grid) -> RunReport {
     // The probe traps as `cpuid` on x86 and as a virtual-instruction
     // trap on riscv (`ArchId::cpuid_exit`).
     let title = match grid.arch {
         ArchId::X86 => "Execution time of a cpuid instruction (Fig. 6)",
         ArchId::Riscv => "Execution time of a virtual-instruction trap (Fig. 6 on riscv)",
     };
-    let mut report = backend_report("fig6", title, grid.arch, seed);
+    let mut report = backend_report("fig6", title, grid.arch, DEFAULT_LANE_SEED);
     for row in &grid.table1 {
         report.parts.push(PartRow {
             part: row.part as u32,

@@ -38,7 +38,7 @@ fn assert_matches_golden(report: &svt_obs::RunReport, golden: &str, name: &str) 
 
 #[test]
 fn x86_fig6_report_matches_pre_refactor_golden_bytes() {
-    let report = fig6_report(&fig6_grid(ArchId::X86, 30, 1), DEFAULT_LANE_SEED);
+    let report = fig6_report(&fig6_grid(ArchId::X86, 30, 1));
     assert_matches_golden(&report, include_str!("golden/fig6_x86.json"), "fig6");
 }
 
@@ -115,7 +115,7 @@ fn x86_fig10_report_matches_golden_bytes() {
 #[test]
 fn riscv_fig6_report_is_byte_identical_across_worker_counts() {
     let report = |jobs| {
-        fig6_report(&fig6_grid(ArchId::Riscv, 20, jobs), DEFAULT_LANE_SEED)
+        fig6_report(&fig6_grid(ArchId::Riscv, 20, jobs))
             .to_json()
             .pretty()
     };
@@ -150,7 +150,7 @@ fn riscv_fig6_report_splits_the_nested_trap_into_table1_parts() {
         x86[5].time_us
     );
 
-    let report = fig6_report(&grid, DEFAULT_LANE_SEED);
+    let report = fig6_report(&grid);
     assert_eq!(report.name, "fig6");
     assert_eq!(
         report.title,

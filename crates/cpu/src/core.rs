@@ -96,19 +96,9 @@ impl Default for MicroRegs {
 pub struct SpecialRegs {
     /// Instruction pointer.
     pub rip: u64,
-    /// Flags.
-    pub rflags: u64,
-    /// CR0 (coarse).
-    pub cr0: u64,
-    /// CR3 — guest page-table root.
-    pub cr3: u64,
-    /// CR4.
-    pub cr4: u64,
-    /// EFER.
-    pub efer: u64,
 }
 
-svt_sim::snap_fields! { SpecialRegs { rip, rflags, cr0, cr3, cr4, efer } }
+svt_sim::snap_fields! { SpecialRegs { rip } }
 
 #[derive(Debug, Clone)]
 struct HwContext {

@@ -78,15 +78,6 @@ pub trait DeviceModel: fmt::Debug + SnapDyn {
 
     /// A scheduled completion token fired.
     fn complete(&mut self, token: u64, mem: &mut GuestMemory, now: SimTime) -> Option<Completion>;
-
-    /// Device-internal observability counters as `(name, value)` pairs
-    /// (doorbell kicks, completion interrupts, queue depths, …). Values
-    /// are absolute totals; the machine harvests them into its metrics
-    /// registry via [`crate::Machine::harvest_device_metrics`]. Devices
-    /// with nothing to report can rely on this default.
-    fn obs_counters(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
 }
 
 /// Checks whether `gpa` falls into any of the device's ranges.

@@ -185,12 +185,6 @@ pub struct Machine {
     /// Deterministic fault-injection schedule. [`FaultPlan::none`] by
     /// default: fault-free runs draw nothing and stay bit-identical.
     pub faults: FaultPlan,
-    /// When set, [`Machine::run_smp`] appends each scheduled vCPU index to
-    /// [`Machine::schedule_trace`] (determinism checks).
-    pub record_schedule: bool,
-    /// The scheduling order recorded while [`Machine::record_schedule`]
-    /// was set.
-    pub schedule_trace: Vec<u32>,
     level: Level,
     vcpus: Vec<Vcpu>,
     cur: usize,
@@ -200,28 +194,7 @@ pub struct Machine {
     pending_msr: Option<u64>,
     pending_result: Option<u64>,
     pending_work: Option<IrqWork>,
-    sentinel: Option<DivergenceSentinel>,
 }
-
-/// Periodic state-hash sampler for cross-run divergence detection.
-///
-/// When enabled, the machine folds its complete state fingerprint every
-/// `every` of simulated time (checked at the per-step telemetry hook, so
-/// samples land on the first step at or after each boundary). Two runs of
-/// the same campaign cell — uninterrupted vs resumed, `--jobs 1` vs
-/// `--jobs N` — must produce identical sample trajectories; the first
-/// differing entry localizes a nondeterminism to within one window.
-#[derive(Debug, Clone, Default)]
-struct DivergenceSentinel {
-    /// Sampling period in simulated time.
-    every: SimDuration,
-    /// Next window boundary.
-    next: SimTime,
-    /// `(boundary picoseconds, state fingerprint)` per crossed window.
-    samples: Vec<(u64, u64)>,
-}
-
-snap_fields! { DivergenceSentinel { every, next, samples } }
 
 /// The fixed shape (ISA backend, level, shadowing, vCPU and device
 /// counts) comes first and is checked on load; devices travel as
@@ -241,8 +214,6 @@ impl Snap for Machine {
             arch,
             obs,
             faults,
-            record_schedule,
-            schedule_trace,
             level,
             vcpus,
             cur,
@@ -252,7 +223,6 @@ impl Snap for Machine {
             pending_msr,
             pending_result,
             pending_work,
-            sentinel,
         } = self;
         (*arch, *level, *shadowing, vcpus.len(), devices.len(), *cur).save(w);
         clock.save(w);
@@ -276,9 +246,6 @@ impl Snap for Machine {
             Some(work) => work.save(w),
             None => w.u8(0),
         }
-        record_schedule.save(w);
-        schedule_trace.save(w);
-        sentinel.save(w);
         obs.save(w);
     }
 
@@ -320,9 +287,6 @@ impl Snap for Machine {
             0 => r.u8().map(|_| None)?,
             _ => Some(load_new(r)?),
         };
-        self.record_schedule.load(r)?;
-        self.schedule_trace.load(r)?;
-        self.sentinel.load(r)?;
         self.obs.load(r)
     }
 }
@@ -366,8 +330,6 @@ impl Machine {
             arch: cfg.arch,
             obs: Obs::new(),
             faults: FaultPlan::none(),
-            record_schedule: false,
-            schedule_trace: Vec::new(),
             level: cfg.level,
             vcpus: vec![Vcpu::new(0, loc, smt, reflector)],
             cur: 0,
@@ -377,7 +339,6 @@ impl Machine {
             pending_msr: None,
             pending_result: None,
             pending_work: None,
-            sentinel: None,
         };
         m.obs.hostprof = hostprof;
         if m.level == Level::L2 {
@@ -584,49 +545,9 @@ impl Machine {
     /// FNV fold of everything [`Machine::snapshot`] stores: the same
     /// [`Snap`] traversal, fed into a [`snapshot::Fingerprint`]. Two
     /// machines that would behave identically from here on fold to the
-    /// same value; the divergence sentinel and the snapshot envelope both
-    /// use it.
+    /// same value; the snapshot envelope uses it.
     pub fn state_fingerprint(&self) -> u64 {
         snapshot::fingerprint(self)
-    }
-    /// Enables the divergence sentinel: the machine folds
-    /// [`Machine::state_fingerprint`] every `every` of simulated time.
-    /// Samples accumulate in [`Machine::sentinel_samples`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero period.
-    pub fn enable_sentinel(&mut self, every: SimDuration) {
-        assert!(every > SimDuration::ZERO, "zero sentinel period");
-        self.sentinel = Some(DivergenceSentinel {
-            every,
-            next: self.clock.now() + every,
-            samples: Vec::new(),
-        });
-    }
-
-    /// The sentinel's `(boundary picoseconds, fingerprint)` samples so
-    /// far. Empty when the sentinel was never enabled.
-    pub fn sentinel_samples(&self) -> &[(u64, u64)] {
-        self.sentinel.as_ref().map_or(&[], |s| &s.samples)
-    }
-
-    /// Cold path of the sentinel check: called from the telemetry hook
-    /// only when a sentinel is installed.
-    #[cold]
-    fn sentinel_tick(&mut self) {
-        let now = self.clock.now();
-        let due = matches!(self.sentinel.as_ref(), Some(s) if now >= s.next);
-        if !due {
-            return;
-        }
-        let fp = self.state_fingerprint();
-        let s = self.sentinel.as_mut().expect("sentinel just checked");
-        let boundary = s.next;
-        while s.next <= now {
-            s.next += s.every;
-        }
-        s.samples.push((boundary.as_ps(), fp));
     }
 
     // ------------------------------------------------------------------
@@ -762,9 +683,6 @@ impl Machine {
                 continue;
             };
             self.switch_to(i);
-            if self.record_schedule {
-                self.schedule_trace.push(i as u32);
-            }
             let mut r = self.vcpus[i]
                 .reflector
                 .0
@@ -837,9 +755,6 @@ impl Machine {
     /// polling only run once a window boundary has been crossed.
     #[inline]
     fn telemetry_tick(&mut self) {
-        if self.sentinel.is_some() {
-            self.sentinel_tick();
-        }
         let now = self.clock.now();
         if !self.obs.timeline.due(now) {
             return;
@@ -1010,7 +925,6 @@ impl Machine {
             }
             MachineEvent::PhysTimer { vcpu } => {
                 self.vcpus[vcpu].timer_event = None;
-                self.l0.phys_timer = None;
                 if self.vstate().apic.tsc_deadline().is_some() {
                     self.deliver_irq(r, VECTOR_TIMER, IrqWork::Timer);
                 }
@@ -1070,7 +984,6 @@ impl Machine {
             .events
             .schedule(at, MachineEvent::PhysTimer { vcpu: self.cur });
         self.vcpus[self.cur].timer_event = Some(ev);
-        self.l0.phys_timer = Some(at);
     }
 
     /// Puts a cross-vCPU IPI on the interconnect from a raw x2APIC ICR
@@ -1890,7 +1803,6 @@ impl Machine {
                 self.clock.charge(c);
                 if msr == MSR_TSC_DEADLINE {
                     let t = SimTime::from_ps(value);
-                    self.l1.l2_deadline = Some(t);
                     self.vstate_mut().apic.set_tsc_deadline(Some(t));
                     // L1 reprograms the physical timer: its own wrmsr traps
                     // into L0 (one of the "many more traps").
@@ -2174,20 +2086,6 @@ impl Machine {
     // ------------------------------------------------------------------
     // Devices
     // ------------------------------------------------------------------
-
-    /// Harvests every registered device's [`DeviceModel::obs_counters`]
-    /// into the metrics registry as machine-level gauges. Values are
-    /// absolute totals, so calling this repeatedly is idempotent.
-    pub fn harvest_device_metrics(&mut self) {
-        for slot in &self.devices {
-            let Some(dev) = slot.as_ref() else { continue };
-            for (name, v) in dev.obs_counters() {
-                self.obs
-                    .metrics
-                    .set_gauge(MetricKey::new(name).level(ObsLevel::Machine), v as f64);
-            }
-        }
-    }
 
     fn device_at(&self, gpa: Gpa) -> Option<usize> {
         self.devices.iter().position(|d| {

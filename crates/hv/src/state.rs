@@ -9,7 +9,6 @@ use svt_arch::{ArchId, Ept, EptPerms, ExecPolicy, IcrCommand, LocalApic, Vmcs, V
 use svt_cpu::GprState;
 use svt_sim::snap_fields;
 use svt_sim::snapshot::{load_code, load_new, Sink, Snap, SnapError, SnapReader};
-use svt_sim::SimTime;
 
 /// A virtualization level of the running stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -118,8 +117,6 @@ pub struct L0State {
     pub ept01: Ept,
     /// Composed L2-guest-physical → host-physical mapping.
     pub ept02: Ept,
-    /// Deadline of the most recently armed physical timer, if any.
-    pub phys_timer: Option<SimTime>,
     /// `(ept12, ept01, ept02)` stamps right after the last compose.
     composed: Option<(u64, u64, u64)>,
 }
@@ -134,7 +131,6 @@ impl L0State {
             policy02: ExecPolicy::kvm_default(),
             ept01,
             ept02: Ept::new(),
-            phys_timer: None,
             composed: None,
         }
     }
@@ -163,7 +159,7 @@ impl L0State {
 
 // `composed` caches stamps, which are not state: a restored machine
 // recomposes `ept02` on its next merge.
-snap_fields! { L0State { policy01, policy02, ept01, ept02, phys_timer } skip { composed } }
+snap_fields! { L0State { policy01, policy02, ept01, ept02 } skip { composed } }
 
 /// L1 (guest hypervisor) software state.
 #[derive(Debug, Clone)]
@@ -174,8 +170,6 @@ pub struct L1State {
     pub ept12: Ept,
     /// L1's own local APIC.
     pub apic: LocalApic,
-    /// The TSC deadline L2 last programmed (virtualized by L1).
-    pub l2_deadline: Option<SimTime>,
     /// Whether this L1 runs a hypervisor stack (nested mode) as opposed to
     /// being a plain single-level guest.
     pub is_hypervisor: bool,
@@ -190,13 +184,12 @@ impl L1State {
             policy12: ExecPolicy::kvm_default(),
             ept12,
             apic: LocalApic::new(),
-            l2_deadline: None,
             is_hypervisor,
         }
     }
 }
 
-snap_fields! { L1State { policy12, ept12, apic, l2_deadline, is_hypervisor } }
+snap_fields! { L1State { policy12, ept12, apic, is_hypervisor } }
 
 /// The measured guest's virtual CPU.
 #[derive(Debug, Clone, Default)]

@@ -36,19 +36,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use svt_sim::snapshot::Fingerprint;
 use svt_sim::FnvHashMap;
 
 use crate::json::Json;
-
-// Same FNV-1a constants as `svt_sim::hash` — restated so shape keys are
-// self-describing in the report ("64-bit FNV-1a over the fold sequence").
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_fold(acc: u64, word: u64) -> u64 {
-    (acc ^ word).wrapping_mul(FNV_PRIME)
-}
 
 /// A subsystem of the simulator itself, for host-cost attribution.
 ///
@@ -305,7 +296,7 @@ pub struct HostProf {
     bytes: [u64; HostPart::COUNT],
     events: u64,
     shape_open: bool,
-    shape_acc: u64,
+    shape_acc: Fingerprint,
     trap_t0: Instant,
     shapes: FnvHashMap<u64, ShapeStat>,
 }
@@ -324,7 +315,7 @@ impl Default for HostProf {
             bytes: [0; HostPart::COUNT],
             events: 0,
             shape_open: false,
-            shape_acc: FNV_OFFSET,
+            shape_acc: Fingerprint::new(),
             trap_t0: Instant::now(),
             shapes: FnvHashMap::default(),
         }
@@ -470,7 +461,7 @@ impl HostProf {
         }
         self.events += 1;
         self.shape_open = true;
-        self.shape_acc = FNV_OFFSET;
+        self.shape_acc = Fingerprint::new();
         self.trap_t0 = Instant::now();
     }
 
@@ -480,7 +471,7 @@ impl HostProf {
         if !self.shape_open {
             return;
         }
-        self.shape_acc = fnv_fold(self.shape_acc, word);
+        self.shape_acc.fold(word);
     }
 
     /// Folds a string (engine name, health, exit tag) into the open shape.
@@ -489,11 +480,7 @@ impl HostProf {
         if !self.shape_open {
             return;
         }
-        let mut acc = self.shape_acc;
-        for &byte in s.as_bytes() {
-            acc = fnv_fold(acc, byte as u64);
-        }
-        self.shape_acc = fnv_fold(acc, 0x5f); // separator: '_'
+        self.shape_acc.fold_bytes(s.as_bytes()).fold(0x5f); // separator: '_'
     }
 
     /// Folds one VMCS access (id, field index, read/write) into the open
@@ -504,8 +491,7 @@ impl HostProf {
             return;
         }
         let word = (id << 32) | ((field as u64) << 1) | write as u64;
-        self.shape_acc = fnv_fold(self.shape_acc, 0x56c5); // 'V' marker
-        self.shape_acc = fnv_fold(self.shape_acc, word);
+        self.shape_acc.fold(0x56c5).fold(word); // 'V' marker, then the access
     }
 
     /// Closes the trap: records its fingerprint and host cost.
@@ -516,7 +502,7 @@ impl HostProf {
         }
         self.shape_open = false;
         let ns = self.trap_t0.elapsed().as_nanos() as u64;
-        let stat = self.shapes.entry(self.shape_acc).or_default();
+        let stat = self.shapes.entry(self.shape_acc.value()).or_default();
         stat.count += 1;
         stat.host_ns += ns;
     }

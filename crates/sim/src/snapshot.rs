@@ -59,7 +59,7 @@ use crate::time::{SimDuration, SimTime};
 /// Current snapshot format version. Bumped on any wire-format change;
 /// [`open`] rejects snapshots from other versions with
 /// [`SnapError::BadVersion`] rather than misinterpreting bytes.
-pub const SNAP_VERSION: u32 = 3;
+pub const SNAP_VERSION: u32 = 4;
 
 /// Magic prefix of every sealed snapshot ("SVTSNAP\0").
 pub const SNAP_MAGIC: [u8; 8] = *b"SVTSNAP\0";
@@ -338,8 +338,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Incremental FNV-1a fold over `u64` words, in the style of
-/// `HostProf::shape_fold`: one multiply per word. As a [`Sink`] it folds
+/// Incremental FNV-1a fold over `u64` words: one multiply per word (the
+/// fold `HostProf`'s trap-shape keys use too). As a [`Sink`] it folds
 /// one word per primitive and byte strings as their length plus their
 /// bytes, which makes a [`Snap::save`] traversal into a state
 /// fingerprint.

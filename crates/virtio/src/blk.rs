@@ -58,19 +58,6 @@ struct BlkRequest {
 
 snap_fields! { BlkRequest { head, write, sector, data, status_addr } }
 
-/// Device statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlkStats {
-    /// Read requests completed.
-    pub reads: u64,
-    /// Write requests completed.
-    pub writes: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-}
-
-snap_fields! { BlkStats { reads, writes, bytes } }
-
 /// The virtio-blk device model with its RAM-disk store.
 #[derive(Debug)]
 pub struct VirtioBlk {
@@ -86,19 +73,17 @@ pub struct VirtioBlk {
     media_free_at: SimTime,
     next_token: u64,
     pending: FnvHashMap<u64, BlkRequest>,
-    stats: BlkStats,
-    kicks: u64,
-    irqs: u64,
-    /// Guest-memory faults the device absorbed instead of panicking
-    /// (bad buffer addresses in a request). Surfaced via
-    /// `obs_counters` so the watchdog layer can flag a wedged driver.
+    /// Requests completed (what the status register reads).
+    completed: u64,
+    /// Guest-memory faults the device absorbed instead of panicking:
+    /// bad buffer addresses in a request, or an unreachable ring.
     io_errors: u64,
 }
 
 snap_fields! {
     VirtioBlk {
         #[shape = "virtio-blk MMIO base"] cfg.mmio_base, queue, disk, media_free_at, next_token,
-        pending, stats, kicks, irqs, io_errors
+        pending, completed, io_errors
     } skip { backend_service, write_extra_service, media_per_sector }
 }
 
@@ -116,16 +101,9 @@ impl VirtioBlk {
             media_free_at: SimTime::ZERO,
             next_token: 0,
             pending: FnvHashMap::default(),
-            stats: BlkStats::default(),
-            kicks: 0,
-            irqs: 0,
+            completed: 0,
             io_errors: 0,
         }
-    }
-
-    /// Device statistics.
-    pub fn stats(&self) -> BlkStats {
-        self.stats
     }
 
     /// Pre-populates a sector of the RAM disk (image loading).
@@ -212,7 +190,6 @@ impl DeviceModel for VirtioBlk {
         if gpa.0 - self.cfg.mmio_base.0 != REG_BLK_NOTIFY {
             return DeviceOutcome::default();
         }
-        self.kicks += 1;
         let mut out = DeviceOutcome {
             service: self.backend_service / 2,
             backend_l1_exits: BACKEND_EXITS,
@@ -258,10 +235,7 @@ impl DeviceModel for VirtioBlk {
         _mem: &mut GuestMemory,
         _now: SimTime,
     ) -> (u64, DeviceOutcome) {
-        (
-            self.stats.reads + self.stats.writes,
-            DeviceOutcome::default(),
-        )
+        (self.completed, DeviceOutcome::default())
     }
 
     fn complete(&mut self, token: u64, mem: &mut GuestMemory, _now: SimTime) -> Option<Completion> {
@@ -282,35 +256,19 @@ impl DeviceModel for VirtioBlk {
         if self.queue.device_push_used(mem, req.head, written).is_err() {
             self.io_errors += 1;
         }
+        self.completed += 1;
         let mut service = self.backend_service;
         let mut exits = BACKEND_EXITS;
         if req.write {
-            self.stats.writes += 1;
             service += self.write_extra_service;
             exits += WRITE_EXTRA_EXITS;
-        } else {
-            self.stats.reads += 1;
         }
-        self.stats.bytes += moved as u64;
-        self.irqs += 1;
         Some(Completion {
             vector: VECTOR_BLK,
             service,
             backend_l1_exits: exits,
             schedule: Vec::new(),
         })
-    }
-
-    fn obs_counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("blk_kicks", self.kicks),
-            ("blk_irqs", self.irqs),
-            ("blk_reads", self.stats.reads),
-            ("blk_writes", self.stats.writes),
-            ("blk_bytes", self.stats.bytes),
-            ("blk_inflight", self.pending.len() as u64),
-            ("blk_io_errors", self.io_errors),
-        ]
     }
 }
 
@@ -428,6 +386,32 @@ mod tests {
         let out = blk.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
         assert!(out.schedule.is_empty());
         assert_eq!(q.driver_take_used(&mem).unwrap(), Some((head, 0)));
+    }
+
+    #[test]
+    fn data_buffer_outside_memory_fails_the_request_with_status_1() {
+        let (mut mem, mut blk, mut q) = setup();
+        mem.write_u32(Hpa(HDR), BLK_T_IN).unwrap();
+        mem.write_u64(Hpa(HDR + 8), 0).unwrap();
+        mem.write(Hpa(STATUS), &[9]).unwrap();
+        // The data buffer lies past the end of the 1 MiB guest memory.
+        let head = q
+            .driver_add(
+                &mut mem,
+                &[(HDR, 16, false), (0x20_0000, 512, true), (STATUS, 1, true)],
+            )
+            .unwrap();
+        let out = blk.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
+        assert_eq!(out.schedule.len(), 1);
+        let (at, tok) = out.schedule[0];
+        let comp = blk.complete(tok, &mut mem, at).unwrap();
+        assert_eq!(comp.vector, VECTOR_BLK);
+        // Nothing moved: the used entry carries only the status byte.
+        assert_eq!(q.driver_take_used(&mem).unwrap(), Some((head, 1)));
+        let mut st = [0u8];
+        mem.read(Hpa(STATUS), &mut st).unwrap();
+        assert_eq!(st[0], 1);
+        assert_eq!(blk.io_errors, 1);
     }
 
     #[test]

@@ -38,19 +38,6 @@ pub struct NetConfig {
     pub ack_coalesce: u32,
 }
 
-/// Device-side statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Packets transmitted.
-    pub tx_packets: u64,
-    /// Bytes transmitted.
-    pub tx_bytes: u64,
-    /// ACK interrupts delivered.
-    pub rx_packets: u64,
-}
-
-snap_fields! { NetStats { tx_packets, tx_bytes, rx_packets } }
-
 /// The virtio-net device model.
 #[derive(Debug)]
 pub struct VirtioNet {
@@ -66,19 +53,17 @@ pub struct VirtioNet {
     /// In-flight ACKs by completion token: the TX heads each reclaims.
     pending: FnvHashMap<u64, Vec<u16>>,
     ack_backlog: Vec<u16>,
-    stats: NetStats,
-    kicks: u64,
-    irqs: u64,
-    /// Guest-memory faults the device absorbed instead of panicking.
-    /// Surfaced via `obs_counters` so the watchdog layer can flag a
-    /// wedged driver.
+    /// Packets transmitted (what the status register reads).
+    tx_packets: u64,
+    /// Guest-memory faults the device absorbed instead of panicking: an
+    /// unreachable TX ring or a used entry it could not return.
     io_errors: u64,
 }
 
 snap_fields! {
     VirtioNet {
         #[shape = "virtio-net MMIO base"] cfg.mmio_base, tx, wire_free_at, next_token, pending,
-        ack_backlog, stats, kicks, irqs, io_errors
+        ack_backlog, tx_packets, io_errors
     } skip { wire_latency, backend_service }
 }
 
@@ -95,16 +80,9 @@ impl VirtioNet {
             next_token: 0,
             pending: FnvHashMap::default(),
             ack_backlog: Vec::new(),
-            stats: NetStats::default(),
-            kicks: 0,
-            irqs: 0,
+            tx_packets: 0,
             io_errors: 0,
         }
-    }
-
-    /// Device statistics.
-    pub fn stats(&self) -> NetStats {
-        self.stats
     }
 
     /// Wire transmission time for `bytes` at the NIC's line rate.
@@ -137,8 +115,7 @@ impl VirtioNet {
                 }
             };
             let len = chain.total_len();
-            self.stats.tx_packets += 1;
-            self.stats.tx_bytes += len;
+            self.tx_packets += 1;
             let start = now.max(self.wire_free_at);
             let done = start + self.tx_time(len);
             self.wire_free_at = done;
@@ -178,10 +155,7 @@ impl DeviceModel for VirtioNet {
     ) -> DeviceOutcome {
         let off = gpa.0 - self.cfg.mmio_base.0;
         match off {
-            REG_TX_NOTIFY => {
-                self.kicks += 1;
-                self.process_tx_kick(mem, now)
-            }
+            REG_TX_NOTIFY => self.process_tx_kick(mem, now),
             _ => DeviceOutcome::default(),
         }
     }
@@ -194,7 +168,7 @@ impl DeviceModel for VirtioNet {
     ) -> (u64, DeviceOutcome) {
         let off = gpa.0 - self.cfg.mmio_base.0;
         let v = match off {
-            REG_STATUS => self.stats.tx_packets,
+            REG_STATUS => self.tx_packets,
             _ => 0,
         };
         (v, DeviceOutcome::default())
@@ -207,25 +181,12 @@ impl DeviceModel for VirtioNet {
                 self.io_errors += 1;
             }
         }
-        self.stats.rx_packets += 1;
-        self.irqs += 1;
         Some(Completion {
             vector: VECTOR_VIRTIO,
             service: self.backend_service,
             backend_l1_exits: BACKEND_EXITS,
             schedule: Vec::new(),
         })
-    }
-
-    fn obs_counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("net_kicks", self.kicks),
-            ("net_irqs", self.irqs),
-            ("net_tx_packets", self.stats.tx_packets),
-            ("net_rx_packets", self.stats.rx_packets),
-            ("net_inflight", self.pending.len() as u64),
-            ("net_io_errors", self.io_errors),
-        ]
     }
 }
 
@@ -291,5 +252,21 @@ mod tests {
         // 10Gbps: 1 byte = 0.8ns; 16KB ~ 13.1us.
         assert!((net.tx_time(16_384).as_us() - 13.107).abs() < 0.01);
         assert_eq!(net.tx_time(0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn unreachable_tx_ring_counts_an_io_error() {
+        let mut mem = GuestMemory::new(1 << 20);
+        let cfg = NetConfig {
+            mmio_base: MMIO,
+            ack_coalesce: 1,
+        };
+        // The ring sits past the end of the 1 MiB guest memory.
+        let tx = Virtqueue::new(Hpa(0x20_0000), 16);
+        let mut net = VirtioNet::new(cfg, &CostModel::default(), tx);
+        let out = net.mmio_write(MMIO, 1, &mut mem, SimTime::ZERO);
+        assert!(out.schedule.is_empty());
+        assert_eq!(net.io_errors, 1);
+        assert_eq!(net.tx_packets, 0);
     }
 }

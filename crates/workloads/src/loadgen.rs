@@ -403,16 +403,6 @@ impl DeviceModel for LoadGenNet {
         }
         comp
     }
-
-    fn obs_counters(&self) -> Vec<(&'static str, u64)> {
-        let s = self.stats.borrow();
-        vec![
-            ("loadgen_sent", s.sent),
-            ("loadgen_completed", s.completed),
-            ("loadgen_dropped", s.dropped),
-            ("loadgen_inflight", self.pending_arrivals.len() as u64),
-        ]
-    }
 }
 
 #[cfg(test)]

@@ -14,14 +14,14 @@
 //! silent partial restore that passes the fingerprint cross-check.
 //!
 //! The layout lock: payload FNV-1a hashes of every round-trip case and
-//! of a machine with virtio-blk and virtio-net devices are pinned. The
-//! baseline and HW-SVt cases keep the values recorded at `SNAP_VERSION`
-//! 2, which dropped the clock's counter section from the machine
-//! payload. The SW-SVt cases and the device machine are recorded at
-//! version 3, which dropped the SW-SVt engine's per-trap flags, its
-//! unread counters and its degradation-policy constants, and the
-//! virtio-net echo peer's state (RX queue, reply deliveries, drop
-//! count). A change that moves any byte must bump the version instead.
+//! of a machine with virtio-blk and virtio-net devices are pinned. All
+//! 49 are recorded at `SNAP_VERSION` 4, which dropped state nothing
+//! reads: each VMCS's dirty list, the APIC delivery and lateness
+//! counters, L0's last physical-timer deadline, L1's copy of L2's TSC
+//! deadline, the never-written special registers, the virtio devices'
+//! kick/IRQ/byte counters, the divergence sentinel and the schedule
+//! trace. A change that moves any byte must bump the version instead; a
+//! failing lock names every moved case and prints the table to paste.
 //!
 //! Randomised inputs are driven by the in-tree deterministic PRNG so the
 //! cases are reproducible and the suite has no external dependencies.
@@ -42,51 +42,92 @@ const MODES: [SwitchMode; 3] = [SwitchMode::Baseline, SwitchMode::SwSvt, SwitchM
 /// cases, indexed `[mode][vCPUs - 1]` in [`MODES`] order.
 const LAYOUT_X86: [[(u64, u64); 4]; 3] = [
     [
-        (0x52d8_40f3_2a0c_e0a3, 0x0ddb_4fae_3f3e_35f9),
-        (0x30ad_fa4c_67cb_0ea4, 0x1013_3fee_65a6_4919),
-        (0x5019_8e4e_4459_574b, 0xdad9_960f_10fa_ae70),
-        (0x6f06_eb36_3709_efb4, 0xe48c_940f_6d35_c0e8),
+        (0x315e_6902_8334_3d3a, 0x1927_2afa_adf0_5d62),
+        (0xca16_7e86_d17e_8aef, 0x5682_d22a_4353_b51d),
+        (0xd085_28fe_e4f8_4097, 0xe92f_3e7a_0867_a5ff),
+        (0xa328_2438_3d3f_d95d, 0x29d1_757f_9980_1885),
     ],
     [
-        (0xb523_6c30_d94e_57fb, 0xd760_36b1_0de1_6e32),
-        (0x7ba5_33c3_916b_f41d, 0x712d_a565_c601_db5b),
-        (0x8dae_d0b2_69d4_3cf0, 0x50f6_320b_2bbf_2fe0),
-        (0xbc96_2cb9_9fbe_9b7d, 0x3d25_2ced_4b38_c3fe),
+        (0xcfd7_a085_80e5_e389, 0x182b_f15f_3fec_1b46),
+        (0xa22d_15b3_2cf6_1c83, 0x3094_8989_9d6e_33ba),
+        (0xaa53_7e61_60a7_7b40, 0x6085_a557_2c38_85be),
+        (0x58df_7f74_5227_d40f, 0x14a6_47bc_df71_2ca0),
     ],
     [
-        (0x62b0_00ed_e29b_5c09, 0xf108_6e60_bf26_12c9),
-        (0x0e05_03b4_6e20_31da, 0xf795_f421_82a1_298d),
-        (0x074a_49b1_ccdf_1863, 0x3de6_ff39_fab6_ff02),
-        (0xdee9_466f_c67a_dd73, 0x92e0_e1d4_3294_7222),
+        (0x6aef_a900_2b51_6130, 0xaf4e_70d2_1aa4_2a9c),
+        (0x9d77_0008_bef0_fab4, 0x9459_5f47_2ca2_6b5b),
+        (0x12e5_d452_5f03_b823, 0x055c_7b1f_ccaf_8f85),
+        (0x13ec_d6ac_0a31_a72f, 0x026e_0ec7_df3c_8172),
     ],
 ];
 
 /// As [`LAYOUT_X86`], for the riscv round-trip cases.
 const LAYOUT_RISCV: [[(u64, u64); 4]; 3] = [
     [
-        (0xe633_cbba_9627_82be, 0xbccf_5d74_b0fb_ef1c),
-        (0xb25b_396c_b616_06fa, 0x6958_c8ca_1ea7_fdfd),
-        (0x1bca_18b1_eafc_d6ad, 0xffee_713b_eeae_7c88),
-        (0xa2ba_58a6_a785_13f7, 0x8885_8f4a_616e_e955),
+        (0x588c_a26c_e24f_5fc7, 0x379b_1fb5_a46b_14e9),
+        (0x730e_d1fb_b669_a33c, 0x2f39_3c8f_b2ac_30a9),
+        (0x7d66_2cd1_ea2d_f4e0, 0x85e5_6baf_180d_55a5),
+        (0x7ada_3fbf_40f6_1fd7, 0x350a_cca1_0f43_ed37),
     ],
     [
-        (0x543e_113c_ac21_ee28, 0xedc2_4bab_639e_9ad5),
-        (0xae21_93d1_08b0_05f4, 0x4cfe_64d0_dbd6_4986),
-        (0x3a88_e6ba_d3fa_75d6, 0x0b84_ac0e_aa80_8b90),
-        (0x863c_a7c1_2e81_b5cb, 0x18f5_26c0_a7da_a85a),
+        (0x62c6_d786_5b80_3028, 0xf447_6d62_8ed6_cecc),
+        (0x7fc8_ea88_b7ae_2f0f, 0xffbb_0402_b209_e57c),
+        (0x0ffc_cc6a_2840_5c26, 0xcf49_057d_3c75_e682),
+        (0x1c7f_a8ff_7c85_8e05, 0xfba8_714c_e338_2ec0),
     ],
     [
-        (0x8507_6ca4_79c2_b637, 0xe049_33a9_bb5d_1e7b),
-        (0xc3f8_9900_547c_60da, 0x8980_bf4e_27e5_a50c),
-        (0x8eb2_bb2d_d385_053e, 0x7f71_0c44_3d59_7a32),
-        (0xbecd_5ba6_8abc_3224, 0xdc7d_2a4b_c0da_a6d0),
+        (0x7262_1f33_9d80_1756, 0x7d7a_7749_afad_cd4e),
+        (0xfc11_be9c_8db2_2b00, 0xb246_c514_e818_a9de),
+        (0xd5d5_34fe_5edf_457b, 0x7024_be2b_b55e_622f),
+        (0x966d_3891_d943_0732, 0x18af_6da4_0021_5ee0),
     ],
 ];
+
+/// Payload hash of the device machine's snapshot (see
+/// [`virtio_devices_round_trip_with_a_locked_layout`]).
+const LAYOUT_DEVICE: u64 = 0xca47_2a84_540d_f544;
 
 /// FNV-1a of a sealed blob's payload (the bytes after the 36-byte
 /// envelope header).
 fn payload_hash(blob: &[u8]) -> u64 {
     fnv1a(open(blob, SNAP_VERSION).expect("sealed blob").1)
+}
+
+/// A hash spelled the way the layout tables spell it.
+fn hex(h: u64) -> String {
+    let s = format!("{h:016x}");
+    format!("0x{}_{}_{}_{}", &s[..4], &s[4..8], &s[8..12], &s[12..])
+}
+
+/// Fails once if any case's hashes in `got` moved from `pinned`, naming
+/// every moved case and printing the whole observed table as a
+/// paste-ready `name` literal, so a deliberate re-pin is one paste.
+fn check_layout(name: &str, pinned: &[[(u64, u64); 4]; 3], got: &[[(u64, u64); 4]; 3]) {
+    let mut moved = String::new();
+    let mut table = format!("const {name}: [[(u64, u64); 4]; 3] = [\n");
+    for (m, mode) in MODES.iter().enumerate() {
+        table.push_str("    [\n");
+        for v in 0..4 {
+            let (want, have) = (pinned[m][v], got[m][v]);
+            if want != have {
+                moved.push_str(&format!(
+                    "  {mode:?} x{}: ({}, {}) -> ({}, {})\n",
+                    v + 1,
+                    hex(want.0),
+                    hex(want.1),
+                    hex(have.0),
+                    hex(have.1)
+                ));
+            }
+            table.push_str(&format!("        ({}, {}),\n", hex(have.0), hex(have.1)));
+        }
+        table.push_str("    ],\n");
+    }
+    table.push_str("];");
+    assert!(
+        moved.is_empty(),
+        "{name} layout moved; bump SNAP_VERSION and re-pin:\n{moved}{table}"
+    );
 }
 
 /// A deterministic random workload batch, modelled on the chaos-guest
@@ -254,8 +295,8 @@ fn random_plan(rng: &mut DetRng) -> FaultPlan {
 
 /// One round-trip case: run batch 1, snapshot, restore into a fresh
 /// same-shape machine, run an identical batch 2 on both, and require
-/// the two futures to be indistinguishable.
-#[allow(clippy::too_many_arguments)]
+/// the two futures to be indistinguishable. Returns the payload hashes
+/// of the first and the next snapshot for the layout lock.
 fn roundtrip_case(
     arch: ArchId,
     mode: SwitchMode,
@@ -264,8 +305,7 @@ fn roundtrip_case(
     seed2: u64,
     plan: FaultPlan,
     allow_ipi: bool,
-    layout: (u64, u64),
-) {
+) -> (u64, u64) {
     let ctx = format!("{mode:?} x{n_vcpus} on {arch:?} (seeds {seed1:#x}/{seed2:#x})");
 
     let mut m1 = smp_machine_on(mode, arch, n_vcpus);
@@ -274,11 +314,6 @@ fn roundtrip_case(
 
     let blob = m1.snapshot();
     let fp_at_snap = m1.state_fingerprint();
-    assert_eq!(
-        payload_hash(&blob),
-        layout.0,
-        "first snapshot layout moved for {ctx}"
-    );
 
     let mut m2 = smp_machine_on(mode, arch, n_vcpus);
     m2.restore(&blob)
@@ -332,11 +367,7 @@ fn roundtrip_case(
         m2.snapshot(),
         "next snapshot bytes diverged after restore for {ctx}"
     );
-    assert_eq!(
-        payload_hash(&next),
-        layout.1,
-        "next snapshot layout moved for {ctx}"
-    );
+    (payload_hash(&blob), payload_hash(&next))
 }
 
 /// Restore-then-run equals run-through: every engine, 1-4 vCPUs, random
@@ -344,15 +375,17 @@ fn roundtrip_case(
 #[test]
 fn snapshot_roundtrip_is_invisible_x86() {
     let mut meta = DetRng::seed(0x5AFE_C0DE);
+    let mut got = [[(0, 0); 4]; 3];
     for (m, mode) in MODES.into_iter().enumerate() {
         for n_vcpus in 1..=4usize {
             let seed1 = meta.below(u64::MAX);
             let seed2 = meta.below(u64::MAX);
             let plan = random_plan(&mut meta);
-            let layout = LAYOUT_X86[m][n_vcpus - 1];
-            roundtrip_case(ArchId::X86, mode, n_vcpus, seed1, seed2, plan, true, layout);
+            got[m][n_vcpus - 1] =
+                roundtrip_case(ArchId::X86, mode, n_vcpus, seed1, seed2, plan, true);
         }
     }
+    check_layout("LAYOUT_X86", &LAYOUT_X86, &got);
 }
 
 /// The same property on the RISC-V H-extension backend (IPI-free
@@ -360,24 +393,17 @@ fn snapshot_roundtrip_is_invisible_x86() {
 #[test]
 fn snapshot_roundtrip_is_invisible_riscv() {
     let mut meta = DetRng::seed(0x0015_CAFE);
+    let mut got = [[(0, 0); 4]; 3];
     for (m, mode) in MODES.into_iter().enumerate() {
         for n_vcpus in 1..=4usize {
             let seed1 = meta.below(u64::MAX);
             let seed2 = meta.below(u64::MAX);
             let plan = random_plan(&mut meta);
-            let layout = LAYOUT_RISCV[m][n_vcpus - 1];
-            roundtrip_case(
-                ArchId::Riscv,
-                mode,
-                n_vcpus,
-                seed1,
-                seed2,
-                plan,
-                false,
-                layout,
-            );
+            got[m][n_vcpus - 1] =
+                roundtrip_case(ArchId::Riscv, mode, n_vcpus, seed1, seed2, plan, false);
         }
     }
+    check_layout("LAYOUT_RISCV", &LAYOUT_RISCV, &got);
 }
 
 /// Builds a machine with some history to snapshot in the negative tests.
@@ -483,13 +509,12 @@ fn shape_mismatched_restore_is_rejected() {
     );
 }
 
-/// The divergence sentinel samples the state fingerprint on a simulated
-/// cadence, so its trace is a pure function of the simulation — the
-/// sweep worker count must not show through. This is the cross-check a
-/// campaign uses to prove `--jobs N` and `--jobs 1` ran the same
-/// machines.
+/// A cell's final state fingerprint is a pure function of the
+/// simulation, so the sweep worker count must not show through: every
+/// cell of a fault-injected campaign folds to the same fingerprint at
+/// `--jobs 1` and `--jobs 4`.
 #[test]
-fn sentinel_samples_agree_at_any_worker_count() {
+fn state_fingerprints_agree_at_any_worker_count() {
     let cells: Vec<(SwitchMode, usize)> = MODES
         .iter()
         .flat_map(|&m| (1..=2usize).map(move |n| (m, n)))
@@ -498,43 +523,20 @@ fn sentinel_samples_agree_at_any_worker_count() {
         let (mode, n_vcpus) = cells[i];
         let mut m = smp_machine_on(mode, ArchId::X86, n_vcpus);
         m.faults = FaultPlan::seeded(0xD1CE ^ i as u64).with_rate(FaultKind::CmdDrop, 0.05);
-        m.enable_sentinel(SimDuration::from_us(50));
+        let fresh = m.state_fingerprint();
         run_batch(&mut m, n_vcpus, 0xAB5E_ED00 + i as u64, 8, n_vcpus > 1);
-        m.sentinel_samples().to_vec()
+        (fresh, m.state_fingerprint())
     };
     let serial = svt::sim::sweep(cells.len(), 1, run_cell);
     let fanned = svt::sim::sweep(cells.len(), 4, run_cell);
     assert_eq!(
         serial, fanned,
-        "sentinel fingerprint traces diverged between --jobs 1 and --jobs 4"
+        "state fingerprints diverged between --jobs 1 and --jobs 4"
     );
     assert!(
-        serial.iter().all(|s| !s.is_empty()),
-        "every cell must produce sentinel samples for the cross-check to mean anything"
+        serial.iter().all(|(fresh, last)| fresh != last),
+        "every cell's run must move its fingerprint for the cross-check to mean anything"
     );
-}
-
-/// A restored machine resumes the sentinel cadence exactly where the
-/// original left off: continuing both produces identical sample tails.
-#[test]
-fn sentinel_survives_snapshot_restore() {
-    let mut m1 = smp_machine_on(SwitchMode::SwSvt, ArchId::X86, 2);
-    m1.enable_sentinel(SimDuration::from_us(50));
-    run_batch(&mut m1, 2, 0x5E17_17E1, 6, true);
-    let blob = m1.snapshot();
-
-    let mut m2 = smp_machine_on(SwitchMode::SwSvt, ArchId::X86, 2);
-    m2.restore(&blob).expect("restore carries the sentinel");
-    assert_eq!(m1.sentinel_samples(), m2.sentinel_samples());
-
-    run_batch(&mut m1, 2, 0x7A11_7A11, 6, true);
-    run_batch(&mut m2, 2, 0x7A11_7A11, 6, true);
-    assert_eq!(
-        m1.sentinel_samples(),
-        m2.sentinel_samples(),
-        "sentinel trace forked after restore"
-    );
-    assert!(m1.sentinel_samples().len() > 1);
 }
 
 /// The first index of `pattern` in `haystack`.
@@ -577,16 +579,18 @@ fn virtio_devices_round_trip_with_a_locked_layout() {
     let mid = m.clock.now() + SimDuration::from_us(60);
     m.run_until(&mut sender, mid).expect("stream runs");
     let blob = m.snapshot();
-    assert_eq!(
-        payload_hash(&blob),
-        0x5558_8f34_42de_c7b2,
-        "device layout moved"
-    );
 
     let mut twin = device_machine();
     twin.restore(&blob).expect("device machine restores");
     assert_eq!(twin.state_fingerprint(), m.state_fingerprint());
     assert_eq!(twin.snapshot(), blob, "re-snapshot after restore differs");
+    let got = payload_hash(&blob);
+    assert!(
+        got == LAYOUT_DEVICE,
+        "device layout moved from {}; bump SNAP_VERSION and re-pin:\nconst LAYOUT_DEVICE: u64 = {};",
+        hex(LAYOUT_DEVICE),
+        hex(got)
+    );
 }
 
 /// A device payload whose pending table claims 2^50 elements decodes to
